@@ -21,10 +21,17 @@ from .errors import InconsistentGeometry, NullBoundary
 from .geometry import (
     DEFAULT_FD_STEP,
     Embedding,
-    extrinsic_curvature,
+    Frame,
+    _connection,
+    _covariant_hessian,
+    _extrinsic,
+    _frame_derivative,
+    _gram_schmidt_normals,
+    _local,
+    _pullback,
+    _twist,
     fd_hessian,
     fd_jacobian,
-    frame,
 )
 
 Array = np.ndarray
@@ -139,7 +146,7 @@ LaplacianResiduals = namedtuple("LaplacianResiduals", ["normal", "eta", "combine
 
 
 def _pullback_metric(bnd: BoundaryEmbedding, gamma: Array, eps: Array) -> tuple[Array, Array]:
-    h = np.einsum("...aA,...ab,...bB->...AB", eps, gamma, eps)
+    h = _pullback(eps, gamma)
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
     det_h = np.linalg.det(h)
     scale = np.maximum(np.max(np.abs(eps), axis=(-1, -2)), 1.0) ** (2 * bnd.boundary_dim)
@@ -154,26 +161,10 @@ def _edge_normal(bnd: BoundaryEmbedding, point: Array, eps: Array, gamma: Array,
     d = bnd.parent.worldsheet_dim
     point = np.asarray(point, dtype=float)
     batch = point.shape[:-1]
-    eta = np.zeros(batch + (d,))
-    done = np.zeros(batch, dtype=bool)
-    low = np.einsum("...ab,...bA->...aA", gamma, eps)
-    for a in range(d):
-        v = np.zeros(batch + (d,))
-        v[..., a] = 1.0
-        for _ in range(2):
-            coeff = np.einsum("...aA,...a->...A", low, v)
-            v = v - np.einsum("...aA,...AB,...B->...a", eps, h_inv, coeff)
-            proj = np.einsum("...a,...ab,...b->...", eta, gamma, v)
-            v = v - proj[..., None] * eta
-        norm2 = np.einsum("...a,...ab,...b->...", v, gamma, v)
-        euclid2 = np.sum(v * v, axis=-1)
-        ok = (~done) & (euclid2 > 1e-20) & (norm2 > 1e-10 * euclid2)
-        if np.any(ok):
-            cand = v / np.sqrt(np.where(ok, norm2, 1.0))[..., None]
-            eta = np.where(ok[..., None], cand, eta)
-            done = done | ok
-    if not np.all(done):
+    eta, found = _gram_schmidt_normals(gamma, eps, h_inv, 1, np.arange(d))
+    if np.any(found < 1):
         raise NullBoundary("edge normal cannot be unit-normalized (null boundary)")
+    eta = eta[..., 0]
     if orientation_hint is None:
         hint = bnd.hint_at(point)
     elif callable(orientation_hint):
@@ -187,6 +178,40 @@ def _edge_normal(bnd: BoundaryEmbedding, point: Array, eps: Array, gamma: Array,
     return eta * np.sign(align)[..., None]
 
 
+def _boundary_local(bnd: BoundaryEmbedding, point: Array,
+                    orientation_hint=None) -> tuple[BoundaryData, tuple]:
+    """:func:`boundary_data` and the parent's ``geometry._local`` tuple at chi(point)."""
+    point = np.asarray(point, dtype=float)
+    eps = bnd.d_chi(point)
+    loc = _local(bnd.parent, bnd.chi(point))
+    fr, _, g, _, sec = loc
+    gamma = fr.induced_metric
+    h, h_inv = _pullback_metric(bnd, gamma, eps)
+    eta = _edge_normal(bnd, point, eps, gamma, h_inv, orientation_hint)
+
+    # (grad_A eps_B)^a = chi^a_{,AB} + Gamma_bc^a eps^b_A eps^c_B
+    grad_eps = bnd.dd_chi(point) + np.einsum("...bca,...bA,...cB->...aAB",
+                                             _connection(fr, g, sec), eps, eps)
+    k_ab = -np.einsum("...a,...ab,...bAB->...AB", eta, gamma, grad_eps)
+    k_ab = 0.5 * (k_ab + np.swapaxes(k_ab, -1, -2))
+    bd = BoundaryData(
+        tangents_in_m=eps,
+        normal_in_m=eta,
+        boundary_metric=h,
+        boundary_metric_inverse=h_inv,
+        edge_curvature=k_ab,
+        edge_trace=np.einsum("...AB,...AB->...", h_inv, k_ab),
+        projector=_projector(eps, h_inv),
+        spacetime_normal=np.einsum("...ma,...a->...m", fr.tangents, eta),
+    )
+    return bd, loc
+
+
+def _projector(eps: Array, h_inv: Array) -> Array:
+    """H^{ab} = eps^a_A h^{AB} eps^b_B."""
+    return np.einsum("...aA,...AB,...bB->...ab", eps, h_inv, eps)
+
+
 def boundary_data(bnd: BoundaryEmbedding, point: Array,
                   orientation_hint: Array | Callable[[Array], Array] | None = None
                   ) -> BoundaryData:
@@ -196,35 +221,7 @@ def boundary_data(bnd: BoundaryEmbedding, point: Array,
     normal cannot be normalized to unit spacelike length (edge on the light
     cone, outside the dynamical scope).
     """
-    point = np.asarray(point, dtype=float)
-    xi = bnd.chi(point)
-    eps = bnd.d_chi(point)
-    parent = bnd.parent
-    fr = frame(parent, xi)
-    gamma = fr.induced_metric
-    h, h_inv = _pullback_metric(bnd, gamma, eps)
-    eta = _edge_normal(bnd, point, eps, gamma, h_inv, orientation_hint)
-
-    curv = extrinsic_curvature(parent, xi)
-    dd_chi = bnd.dd_chi(point)
-    # (grad_A eps_B)^a = chi^a_{,AB} + Gamma_bc^a eps^b_A eps^c_B
-    grad_eps = dd_chi + np.einsum("...bca,...bA,...cB->...aAB",
-                                  curv.worldsheet_connection, eps, eps)
-    k_ab = -np.einsum("...a,...ab,...bAB->...AB", eta, gamma, grad_eps)
-    k_ab = 0.5 * (k_ab + np.swapaxes(k_ab, -1, -2))
-    k = np.einsum("...AB,...AB->...", h_inv, k_ab)
-    projector = np.einsum("...aA,...AB,...bB->...ab", eps, h_inv, eps)
-    eta_mu = np.einsum("...ma,...a->...m", fr.tangents, eta)
-    return BoundaryData(
-        tangents_in_m=eps,
-        normal_in_m=eta,
-        boundary_metric=h,
-        boundary_metric_inverse=h_inv,
-        edge_curvature=k_ab,
-        edge_trace=k,
-        projector=projector,
-        spacetime_normal=eta_mu,
-    )
+    return _boundary_local(bnd, point, orientation_hint)[0]
 
 
 def edge_equation_residual(bd: BoundaryData, mu0: float, mub: float) -> Array:
@@ -237,36 +234,25 @@ def edge_equation_residual(bd: BoundaryData, mu0: float, mub: float) -> Array:
 def boundary_condition_residual(bnd: BoundaryEmbedding, point: Array) -> Array:
     """Projected-trace constraint H^{ab} K_ab^i at the edge, one entry per normal."""
     point = np.asarray(point, dtype=float)
-    xi = bnd.chi(point)
     eps = bnd.d_chi(point)
-    fr = frame(bnd.parent, xi)
+    fr, _, g, _, sec = _local(bnd.parent, bnd.chi(point))
     _, h_inv = _pullback_metric(bnd, fr.induced_metric, eps)
-    projector = np.einsum("...aA,...AB,...bB->...ab", eps, h_inv, eps)
-    curv = extrinsic_curvature(bnd.parent, xi)
-    return np.einsum("...ab,...abi->...i", projector, curv.extrinsic)
+    return np.einsum("...ab,...abi->...i", _projector(eps, h_inv),
+                     _extrinsic(fr.normals, g, sec))
 
 
-def _metric_coordinate_derivative(parent: Embedding, xi: Array) -> Array:
-    """d gamma_ab / d xi^c assembled by the chain rule, indexed [c, a, b]."""
-    x = parent.position(xi)
-    e = parent.d_position(xi)
-    dd = parent.dd_position(xi)
-    g = parent.background.metric_at(x)
-    chris = parent.background.christoffels_at(x)
-    # g_{mu nu, rho} = g_{sigma nu} Gamma^sigma_{rho mu} + g_{mu sigma} Gamma^sigma_{rho nu}
-    dg = (np.einsum("...sn,...srm->...mnr", g, chris)
-          + np.einsum("...ms,...srn->...mnr", g, chris))
-    return (np.einsum("...mac,...mn,...nb->...cab", dd, g, e)
-            + np.einsum("...ma,...mn,...nbc->...cab", e, g, dd)
-            + np.einsum("...mnr,...rc,...ma,...nb->...cab", dg, e, e, e))
+def _boundary_christoffels(bnd: BoundaryEmbedding, point: Array, bd: BoundaryData,
+                           fr: Frame, g: Array, sec: Array) -> Array:
+    """Christoffels of the boundary metric h_AB, indexed [A, B, C] (upper last).
 
-
-def _boundary_christoffels(bnd: BoundaryEmbedding, point: Array,
-                           eps: Array, h_inv: Array) -> Array:
-    """Christoffels of the boundary metric h_AB, indexed [A, B, C] (upper last)."""
-    xi = bnd.chi(point)
-    gamma = frame(bnd.parent, xi).induced_metric
-    dgamma = _metric_coordinate_derivative(bnd.parent, xi)
+    ``fr``, ``g`` and ``sec`` are the parent's frame, background metric and
+    D_a e_b at chi(point).
+    """
+    eps, h_inv = bd.tangents_in_m, bd.boundary_metric_inverse
+    gamma = fr.induced_metric
+    # metric compatibility: d gamma_ab / d xi^c = g(D_c e_a, e_b) + g(e_a, D_c e_b)
+    half = np.einsum("...mca,...mn,...nb->...cab", sec, g, fr.tangents)
+    dgamma = half + np.swapaxes(half, -1, -2)
     dd_chi = bnd.dd_chi(point)
     dh = (np.einsum("...cab,...cC,...aA,...bB->...CAB", dgamma, eps, eps, eps)
           + np.einsum("...ab,...aAC,...bB->...CAB", gamma, dd_chi, eps)
@@ -306,20 +292,11 @@ def boundary_laplacian_residuals(bnd: BoundaryEmbedding, point: Array,
       four-acceleration equals -(mu0/mub) eta^mu, directed into the sheet).
     """
     point = np.asarray(point, dtype=float)
-    bd = boundary_data(bnd, point)
-    xi = bnd.chi(point)
-    parent = bnd.parent
-    fr = frame(parent, xi)
-    g = parent.background.metric_at(parent.position(xi))
+    bd, (fr, _, g, chris, sec) = _boundary_local(bnd, point)
     y1, y2 = _composed_derivatives(bnd, point)
-    h_chris = _boundary_christoffels(bnd, point, bd.tangents_in_m,
-                                     bd.boundary_metric_inverse)
-    hess = y2 - np.einsum("...ABC,...mC->...mAB", h_chris, y1)
-    box = np.einsum("...AB,...mAB->...m", bd.boundary_metric_inverse, hess)
-    e = parent.d_position(xi)
-    h_ambient = np.einsum("...ab,...ma,...nb->...mn", bd.projector, e, e)
-    chris = parent.background.christoffels_at(parent.position(xi))
-    lap = box + np.einsum("...mrs,...rs->...m", chris, h_ambient)
+    h_chris = _boundary_christoffels(bnd, point, bd, fr, g, sec)
+    hess = _covariant_hessian(y2, chris, y1) - np.einsum("...ABC,...mC->...mAB", h_chris, y1)
+    lap = np.einsum("...AB,...mAB->...m", bd.boundary_metric_inverse, hess)
     lap_low = np.einsum("...mn,...n->...m", g, lap)
     normal = np.einsum("...mi,...m->...i", fr.normals, lap_low)
     eta_part = np.einsum("...m,...m->...", bd.spacetime_normal, lap_low) - mu0 / mub
@@ -335,14 +312,11 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
     which vanishes for smooth fields at points of the edge.
     """
     point = np.asarray(point, dtype=float)
-    bd = boundary_data(bnd, point)
+    bd, (fr, _, g, _, sec) = _boundary_local(bnd, point)
     xi = bnd.chi(point)
-    parent = bnd.parent
-    fr = frame(parent, xi)
-    curv = extrinsic_curvature(parent, xi)
     grad = scalar_field.gradient(xi)
     hess = scalar_field.hessian(xi)
-    cov_hess = hess - np.einsum("...abc,...c->...ab", curv.worldsheet_connection, grad)
+    cov_hess = hess - np.einsum("...abc,...c->...ab", _connection(fr, g, sec), grad)
     laplacian = np.einsum("...ab,...ab->...", fr.induced_metric_inverse, cov_hess)
 
     eps = bd.tangents_in_m
@@ -350,7 +324,7 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
     grad_b = np.einsum("...a,...aA->...A", grad, eps)
     hess_b = (np.einsum("...ab,...aA,...bB->...AB", hess, eps, eps)
               + np.einsum("...a,...aAB->...AB", grad, dd_chi))
-    h_chris = _boundary_christoffels(bnd, point, eps, bd.boundary_metric_inverse)
+    h_chris = _boundary_christoffels(bnd, point, bd, fr, g, sec)
     box_b = np.einsum("...AB,...AB->...", bd.boundary_metric_inverse,
                       hess_b - np.einsum("...ABC,...C->...AB", h_chris, grad_b))
     eta = bd.normal_in_m
@@ -361,9 +335,14 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
 
 def _adapted_normal_field(bnd: BoundaryEmbedding, point: Array) -> Array:
     """Adapted normal columns {eta^mu, n^mu_i} along the edge, (..., N, K+1)."""
-    bd = boundary_data(bnd, point)
-    normals = frame(bnd.parent, bnd.chi(point)).normals
-    return np.concatenate([bd.spacetime_normal[..., None], normals], axis=-1)
+    bd, (fr, *_) = _boundary_local(bnd, point)
+    return np.concatenate([bd.spacetime_normal[..., None], fr.normals], axis=-1)
+
+
+def _edge_extrinsic(adapted: Array, g: Array, chris: Array, y1: Array, y2: Array) -> Array:
+    """Edge extrinsic curvature K_AB^I in spacetime for adapted normal columns (..., N, K+1)."""
+    kk = _extrinsic(adapted, g, _covariant_hessian(y2, chris, y1))
+    return 0.5 * (kk + np.swapaxes(kk, -3, -2))
 
 
 def adapted_edge_data(bnd: BoundaryEmbedding, point: Array, *,
@@ -377,34 +356,19 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array, *,
     otherwise.
     """
     point = np.asarray(point, dtype=float)
-    parent = bnd.parent
-    bd = boundary_data(bnd, point)
-    xi = bnd.chi(point)
-    x = parent.position(xi)
-    g = parent.background.metric_at(x)
-    chris = parent.background.christoffels_at(x)
+    bd, (fr, _, g, chris, sec) = _boundary_local(bnd, point)
     y1, y2 = _composed_derivatives(bnd, point)
-    adapted = _adapted_normal_field(bnd, point)
-    sec = y2 + np.einsum("...mrs,...rA,...sB->...mAB", chris, y1, y1)
-    edge_extrinsic = -np.einsum("...mI,...mn,...nAB->...ABI", adapted, g, sec)
-    edge_extrinsic = 0.5 * (edge_extrinsic + np.swapaxes(edge_extrinsic, -3, -2))
+    adapted = np.concatenate([bd.spacetime_normal[..., None], fr.normals], axis=-1)
+    edge_extrinsic = _edge_extrinsic(adapted, g, chris, y1, y2)
+    twist = _twist(_frame_derivative(lambda u: _adapted_normal_field(bnd, u), point, y1,
+                                     adapted, chris, bnd.fd_step), adapted, g)
 
-    dn = fd_jacobian(lambda u: _adapted_normal_field(bnd, u).reshape(u.shape[:-1] + (-1,)),
-                     point, bnd.fd_step)
-    n_dim = parent.background.dimension
-    kk = adapted.shape[-1]
-    dn = dn.reshape(point.shape[:-1] + (n_dim, kk, bnd.boundary_dim))
-    cov = dn + np.einsum("...mrs,...rA,...sI->...mIA", chris, y1, adapted)
-    twist = np.einsum("...nJ,...nm,...mIA->...AIJ", adapted, g, cov)
-    twist = 0.5 * (twist - np.swapaxes(twist, -1, -2))
-
-    curv = extrinsic_curvature(parent, xi)
+    kk = _extrinsic(fr.normals, g, sec)
     projected = np.einsum("...aA,...bB,...abi->...ABi", bd.tangents_in_m,
-                          bd.tangents_in_m, curv.extrinsic)
+                          bd.tangents_in_m, kk)
     err_i = np.max(np.abs(edge_extrinsic[..., 1:] - projected))
     err_0 = np.max(np.abs(edge_extrinsic[..., 0] - bd.edge_curvature))
-    mixed = np.einsum("...a,...bA,...abi->...Ai", bd.normal_in_m, bd.tangents_in_m,
-                      curv.extrinsic)
+    mixed = np.einsum("...a,...bA,...abi->...Ai", bd.normal_in_m, bd.tangents_in_m, kk)
     err_t = np.max(np.abs(twist[..., 1:, 0] - mixed))
     if max(err_i, err_0, err_t) > check_tol:
         raise InconsistentGeometry(

@@ -12,7 +12,6 @@ Exit codes: 0 success or physical termination, 1 numerical/physics failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import datetime
 import hashlib
@@ -241,15 +240,12 @@ def cmd_scan(args) -> int:
         header = ["tension_ratio", "omega", "omega_radius", "edge_residual", "status"]
     rows = []
     failures = 0
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        futures = [pool.submit(worker, float(v)) for v in values]
-        for v, fut in zip(values, futures):
-            try:
-                rows.append(fut.result())
-            except WorldsheetError as exc:
-                failures += 1
-                rows.append([float(v)] + ["nan"] * (len(header) - 2)
-                            + [f"failed: {exc}"])
+    for v in values:
+        try:
+            rows.append(worker(float(v)))
+        except WorldsheetError as exc:
+            failures += 1
+            rows.append([float(v)] + ["nan"] * (len(header) - 2) + [f"failed: {exc}"])
     table = out_dir / "scan.csv"
     _write_csv(table, header, rows)
     _write_manifest(out_dir, "scan", digest, started,
@@ -282,11 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--config", required=True, help="JSON scan definition")
     p_scan.add_argument("--out-dir", default="out", help="output directory")
     p_scan.add_argument("--force", action="store_true")
-    p_scan.add_argument("--threads", type=int, default=1, help="scan worker threads")
     p_scan.set_defaults(func=cmd_scan)
-
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; no stochastic components yet")
     return parser
 
 

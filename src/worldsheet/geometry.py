@@ -132,33 +132,36 @@ class CurvatureData:
     worldsheet_connection: Array   # (..., D, D, D)
 
 
-def tangent_basis(embedding: Embedding, point: Array) -> Array:
-    """Tangent vectors e_a = dX/dxi^a as columns of an (..., N, D) matrix."""
-    e = embedding.d_position(point)
-    s = np.linalg.svd(e, compute_uv=False)
-    smax = s[..., 0]
-    smin = s[..., -1]
-    if np.any(smin <= 1e-10 * smax):
+def _rank_checked_scale(tangents: Array) -> Array:
+    """Largest singular value of the tangent map, after checking its rank."""
+    s = np.linalg.svd(tangents, compute_uv=False)
+    if np.any(s[..., -1] <= 1e-10 * s[..., 0]):
         raise DegenerateImmersion(
             "tangent map is rank-deficient (bad parametrization or coincident points)"
         )
+    return s[..., 0]
+
+
+def _pullback(tangents: Array, metric: Array) -> Array:
+    """Pulled-back metric t^m_a metric_mn t^n_b along the columns of ``tangents``."""
+    return np.einsum("...ma,...mn,...nb->...ab", tangents, metric, tangents)
+
+
+def tangent_basis(embedding: Embedding, point: Array) -> Array:
+    """Tangent vectors e_a = dX/dxi^a as columns of an (..., N, D) matrix."""
+    e = embedding.d_position(point)
+    _rank_checked_scale(e)
     return e
 
 
 def induced_metric(embedding: Embedding, point: Array) -> Array:
     """Pullback metric gamma_ab = g(e_a, e_b), validated for signature and rank."""
-    e = tangent_basis(embedding, point)
-    g = embedding.background.metric_at(embedding.position(point))
-    gamma = np.einsum("...ma,...mn,...nb->...ab", e, g, e)
-    gamma = 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
-    _check_metric(embedding, gamma, e)
-    return gamma
+    return frame(embedding, point).induced_metric
 
 
-def _check_metric(embedding: Embedding, gamma: Array, tangents: Array) -> None:
+def _check_metric(embedding: Embedding, gamma: Array, scale: Array) -> None:
     d = embedding.worldsheet_dim
     det = np.linalg.det(gamma)
-    scale = np.linalg.svd(tangents, compute_uv=False)[..., 0]
     if np.any(np.abs(det) < DEGENERACY_TOL * scale ** (2 * d)):
         raise DegenerateMetric("induced metric is singular (null or collapsed point)")
     eigs = np.linalg.eigvalsh(gamma)
@@ -223,29 +226,18 @@ def _gram_schmidt_normals(g: Array, tangents: Array, gamma_inv: Array,
     return normals, found
 
 
-def normal_frame(embedding: Embedding, point: Array) -> Array:
-    """Gauge-fixed orthonormal normals as columns of an (..., N, N-D) matrix.
-
-    The O(N-D) gauge is fixed deterministically: Gram-Schmidt over the
-    background coordinate axes in ascending order (reseeded with rolled orders
-    if that degenerates), with each normal's sign chosen so its first
-    significant component is positive.
-    """
+def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array) -> Array:
+    """Gauge-fixed normal columns completing the tangents (see :func:`normal_frame`)."""
     k = embedding.codimension
-    point = np.asarray(point, dtype=float)
-    e = tangent_basis(embedding, point)
-    g = embedding.background.metric_at(embedding.position(point))
-    gamma = np.einsum("...ma,...mn,...nb->...ab", e, g, e)
-    _check_metric(embedding, gamma, e)
-    gamma_inv = np.linalg.inv(gamma)
     n = embedding.background.dimension
     if k == 0:
-        return np.zeros(point.shape[:-1] + (n, 0))
-    normals, found = _gram_schmidt_normals(g, e, gamma_inv, k, np.arange(n))
+        return np.zeros(tangents.shape[:-2] + (n, 0))
+    normals, found = _gram_schmidt_normals(g, tangents, gamma_inv, k, np.arange(n))
     for shift in range(1, n):
         if np.all(found == k):
             break
-        retry, refound = _gram_schmidt_normals(g, e, gamma_inv, k, np.roll(np.arange(n), shift))
+        retry, refound = _gram_schmidt_normals(g, tangents, gamma_inv, k,
+                                               np.roll(np.arange(n), shift))
         missing = found < k
         normals = np.where(missing[..., None, None], retry, normals)
         found = np.where(missing, refound, found)
@@ -254,28 +246,89 @@ def normal_frame(embedding: Embedding, point: Array) -> Array:
     return normals
 
 
+def normal_frame(embedding: Embedding, point: Array) -> Array:
+    """Gauge-fixed orthonormal normals as columns of an (..., N, N-D) matrix.
+
+    The O(N-D) gauge is fixed deterministically: Gram-Schmidt over the
+    background coordinate axes in ascending order (reseeded with rolled orders
+    if that degenerates), with each normal's sign chosen so its first
+    significant component is positive.
+    """
+    return frame(embedding, point).normals
+
+
+def _frame_at(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array]:
+    """The one validated evaluation of the local geometry: (frame, X, g at X).
+
+    Evaluates the map, its tangent map and the background metric once each,
+    checks rank and signature, and builds the normals from the same gamma.
+    """
+    point = np.asarray(point, dtype=float)
+    x = embedding.position(point)
+    e = embedding.d_position(point)
+    scale = _rank_checked_scale(e)
+    g = embedding.background.metric_at(x)
+    gamma = _pullback(e, g)
+    gamma = 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
+    _check_metric(embedding, gamma, scale)
+    gamma_inv = np.linalg.inv(gamma)
+    fr = Frame(tangents=e, normals=_normals(embedding, g, e, gamma_inv),
+               induced_metric=gamma, induced_metric_inverse=gamma_inv)
+    return fr, x, g
+
+
 def frame(embedding: Embedding, point: Array) -> Frame:
     """Full adapted frame (tangents, normals, induced metric and its inverse)."""
-    e = tangent_basis(embedding, point)
-    g = embedding.background.metric_at(embedding.position(point))
-    gamma = np.einsum("...ma,...mn,...nb->...ab", e, g, e)
-    gamma = 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
-    _check_metric(embedding, gamma, e)
-    return Frame(
-        tangents=e,
-        normals=normal_frame(embedding, point),
-        induced_metric=gamma,
-        induced_metric_inverse=np.linalg.inv(gamma),
-    )
+    return _frame_at(embedding, point)[0]
+
+
+def _covariant_hessian(dd: Array, chris: Array, tangents: Array) -> Array:
+    """D_a e_b^mu = X^mu_{,ab} + Gamma^mu_{rs} X^r_{,a} X^s_{,b} of a map into the background."""
+    return dd + np.einsum("...mrs,...ra,...sb->...mab", chris, tangents, tangents)
 
 
 def second_fundamental_input(embedding: Embedding, point: Array) -> Array:
     """Covariant second derivative D_a e_b^mu = X_{,ab} + Gamma X_{,a} X_{,b}."""
-    x = embedding.position(point)
-    e = embedding.d_position(point)
-    dd = embedding.dd_position(point)
+    chris = embedding.background.christoffels_at(embedding.position(point))
+    return _covariant_hessian(embedding.dd_position(point), chris,
+                              embedding.d_position(point))
+
+
+def _local(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array, Array, Array]:
+    """:func:`_frame_at` plus second order: (frame, X, g, Christoffels, D_a e_b)."""
+    fr, x, g = _frame_at(embedding, point)
     chris = embedding.background.christoffels_at(x)
-    return dd + np.einsum("...mrs,...ra,...sb->...mab", chris, e, e)
+    sec = _covariant_hessian(embedding.dd_position(point), chris, fr.tangents)
+    return fr, x, g, chris, sec
+
+
+def _extrinsic(normals: Array, g: Array, sec: Array) -> Array:
+    """K_ab^i = -g(n^i, D_a e_b) for normal columns (..., N, K) and D_a e_b (..., N, D, D)."""
+    return -np.einsum("...mi,...mn,...nab->...abi", normals, g, sec)
+
+
+def _connection(fr: Frame, g: Array, sec: Array) -> Array:
+    """Gamma_ab^c = gamma^{cd} g(e_d, D_a e_b), indexed [a, b, c]."""
+    return np.einsum("...cd,...nd,...nm,...mab->...abc",
+                     fr.induced_metric_inverse, fr.tangents, g, sec)
+
+
+def _frame_derivative(frame_fn: Callable[[Array], Array], point: Array, tangents: Array,
+                      normals: Array, chris: Array, step: float) -> Array:
+    """D_A n^I = d_A n^I + Gamma n^I e_A of a frame field along a map, indexed [mu, I, A].
+
+    ``frame_fn`` is central-differenced with ``step``; ``tangents`` is the
+    map's tangent map (e_a for the sheet, y_A for the edge) at ``point``.
+    """
+    dn = fd_jacobian(lambda p: frame_fn(p).reshape(p.shape[:-1] + (-1,)), point, step)
+    dn = dn.reshape(normals.shape + (point.shape[-1],))
+    return dn + np.einsum("...mrs,...rA,...sI->...mIA", chris, tangents, normals)
+
+
+def _twist(cov: Array, normals: Array, g: Array) -> Array:
+    """Twist omega_A^{IJ} = g(n^J, D_A n^I), antisymmetrized, from :func:`_frame_derivative`."""
+    omega = np.einsum("...nJ,...nm,...mIA->...AIJ", normals, g, cov)
+    return 0.5 * (omega - np.swapaxes(omega, -1, -2))
 
 
 def extrinsic_curvature(embedding: Embedding, point: Array, *,
@@ -288,40 +341,24 @@ def extrinsic_curvature(embedding: Embedding, point: Array, *,
     obtained by central differencing of that field with step ``fd_step``.
     """
     point = np.asarray(point, dtype=float)
-    nf = normal_frame_fn if normal_frame_fn is not None else (
-        lambda p: normal_frame(embedding, p))
-    fr = frame(embedding, point)
-    normals = np.asarray(nf(point), dtype=float)
-    g = embedding.background.metric_at(embedding.position(point))
-    sec = second_fundamental_input(embedding, point)
-    extrinsic = -np.einsum("...mi,...mn,...nab->...abi", normals, g, sec)
+    fr, _, g, chris, sec = _local(embedding, point)
+    if normal_frame_fn is None:
+        normals = fr.normals
+        normal_frame_fn = lambda p: normal_frame(embedding, p)
+    else:
+        normals = np.asarray(normal_frame_fn(point), dtype=float)
+    extrinsic = _extrinsic(normals, g, sec)
     traces = np.einsum("...ab,...abi->...i", fr.induced_metric_inverse, extrinsic)
-    connection = np.einsum(
-        "...cd,...nd,...nm,...mab->...abc",
-        fr.induced_metric_inverse, fr.tangents, g, sec)
-    twist = _twist_potential(embedding, point, nf, normals, g,
-                             fd_step if fd_step is not None else embedding.fd_step)
-    return CurvatureData(extrinsic=extrinsic, traces=traces, twist=twist,
-                         worldsheet_connection=connection)
-
-
-def _twist_potential(embedding: Embedding, point: Array,
-                     normal_frame_fn: Callable[[Array], Array],
-                     normals: Array, g: Array, step: float) -> Array:
     d = embedding.worldsheet_dim
     k = embedding.codimension
     if k <= 1:
-        return np.zeros(point.shape[:-1] + (d, k, k))
-    dn = fd_jacobian(lambda p: normal_frame_fn(p).reshape(p.shape[:-1] + (-1,)),
-                     point, step)
-    n_dim = embedding.background.dimension
-    dn = dn.reshape(point.shape[:-1] + (n_dim, k, d))  # [mu, i, a]
-    chris = embedding.background.christoffels_at(embedding.position(point))
-    e = embedding.d_position(point)
-    cov = dn + np.einsum("...mrs,...ra,...si->...mia", chris, e, normals)
-    # omega_a^{ij} = g(n^j, D_a n^i)
-    omega = np.einsum("...nj,...nm,...mia->...aij", normals, g, cov)
-    return 0.5 * (omega - np.swapaxes(omega, -1, -2))
+        twist = np.zeros(point.shape[:-1] + (d, k, k))
+    else:
+        step = fd_step if fd_step is not None else embedding.fd_step
+        twist = _twist(_frame_derivative(normal_frame_fn, point, fr.tangents, normals,
+                                         chris, step), normals, g)
+    return CurvatureData(extrinsic=extrinsic, traces=traces, twist=twist,
+                         worldsheet_connection=_connection(fr, g, sec))
 
 
 def gauss_weingarten_residual(embedding: Embedding, point: Array,
@@ -335,56 +372,39 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
     deterministic normal gauge jumps inside the FD stencil.
     """
     point = np.asarray(point, dtype=float)
-    fr = frame(embedding, point)
-    g = embedding.background.metric_at(embedding.position(point))
-    curv = extrinsic_curvature(embedding, point, fd_step=fd_step)
+    fr, _, g, chris, sec = _local(embedding, point)
+    kk = _extrinsic(fr.normals, g, sec)
     d = embedding.worldsheet_dim
     n_dim = embedding.background.dimension
     k = embedding.codimension
 
-    _check_gauge_continuity(embedding, point, fr.normals, g, fd_step)
-
     de = fd_jacobian(lambda p: embedding.d_position(p).reshape(p.shape[:-1] + (-1,)),
                      point, fd_step)
     de = de.reshape(point.shape[:-1] + (n_dim, d, d))  # [mu, b, a]
-    chris = embedding.background.christoffels_at(embedding.position(point))
-    cov_e = de + np.einsum("...mrs,...ra,...sb->...mba", chris,
-                           embedding.d_position(point), embedding.d_position(point))
+    cov_e = de + np.einsum("...mrs,...ra,...sb->...mba", chris, fr.tangents, fr.tangents)
     gauss = (np.einsum("...mba->...abm", cov_e)
-             - np.einsum("...abc,...mc->...abm", curv.worldsheet_connection, fr.tangents)
-             + np.einsum("...abi,...mi->...abm", curv.extrinsic, fr.normals))
+             - np.einsum("...abc,...mc->...abm", _connection(fr, g, sec), fr.tangents)
+             + np.einsum("...abi,...mi->...abm", kk, fr.normals))
     res_gauss = np.max(np.linalg.norm(gauss, axis=-1), axis=(-1, -2))
 
     if k == 0:
         return res_gauss, np.zeros_like(res_gauss)
-    dn = fd_jacobian(lambda p: normal_frame(embedding, p).reshape(p.shape[:-1] + (-1,)),
-                     point, fd_step)
-    dn = dn.reshape(point.shape[:-1] + (n_dim, k, d))
-    cov_n = dn + np.einsum("...mrs,...ra,...si->...mia", chris,
-                           embedding.d_position(point), fr.normals)
-    k_mixed = np.einsum("...bc,...aci->...abi", fr.induced_metric_inverse, curv.extrinsic)
+
+    def stencil_normals(p: Array) -> Array:
+        # the FD stencil points of D_a n^i double as the gauge-continuity probe
+        nb = normal_frame(embedding, p)
+        overlap = np.einsum("...mi,...mn,...nj->...ij", nb, g, fr.normals)
+        if np.any(np.linalg.norm(overlap - np.eye(k), axis=(-1, -2)) > 0.25):
+            raise GaugeFailure(
+                "normal gauge jumps inside the FD stencil; evaluate at a generic point"
+            )
+        return nb
+
+    cov_n = _frame_derivative(stencil_normals, point, fr.tangents, fr.normals, chris, fd_step)
+    twist = _twist(cov_n, fr.normals, g)
+    k_mixed = np.einsum("...bc,...aci->...abi", fr.induced_metric_inverse, kk)
     wein = (np.einsum("...mia->...aim", cov_n)
             - np.einsum("...abi,...mb->...aim", k_mixed, fr.tangents)
-            - np.einsum("...aij,...mj->...aim", curv.twist, fr.normals))
+            - np.einsum("...aij,...mj->...aim", twist, fr.normals))
     res_wein = np.max(np.linalg.norm(wein, axis=-1), axis=(-1, -2))
     return res_gauss, res_wein
-
-
-def _check_gauge_continuity(embedding: Embedding, point: Array, normals: Array,
-                            g: Array, step: float) -> None:
-    k = embedding.codimension
-    if k == 0:
-        return
-    d = embedding.worldsheet_dim
-    h = step * _step_scale(point)
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = 1.0
-        for sgn in (1.0, -1.0):
-            nb = normal_frame(embedding, point + sgn * h * e)
-            overlap = np.einsum("...mi,...mn,...nj->...ij", nb, g, normals)
-            defect = overlap - np.eye(k)
-            if np.any(np.linalg.norm(defect, axis=(-1, -2)) > 0.25):
-                raise GaugeFailure(
-                    "normal gauge jumps inside the FD stencil; evaluate at a generic point"
-                )

@@ -19,14 +19,27 @@ from typing import Callable
 
 import numpy as np
 
+from .background import BackgroundMetric
 from .boundary import (
     BoundaryEmbedding,
     _adapted_normal_field,
     _boundary_christoffels,
+    _boundary_local,
     _composed_derivatives,
+    _edge_extrinsic,
     boundary_data,
 )
-from .geometry import Embedding, fd_jacobian, frame, normal_frame, second_fundamental_input
+from .geometry import (
+    Embedding,
+    _connection,
+    _extrinsic,
+    _frame_derivative,
+    _local,
+    _twist,
+    fd_jacobian,
+    normal_frame,
+    second_fundamental_input,
+)
 
 Array = np.ndarray
 
@@ -80,6 +93,20 @@ class DirectEdgeResiduals:
         return float(max(vals))
 
 
+def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
+    """Frame columns ``raw`` rotated onto ``ref`` by the minimizing orthogonal matrix."""
+    overlap = np.einsum("...mi,...mn,...nj->...ij", raw, g, ref)
+    u, _, vt = np.linalg.svd(overlap)
+    return np.einsum("...mi,...ij->...mj", raw, u @ vt)
+
+
+def _aligned_field(field_fn: Callable[[Array], Array], center: Array,
+                   g_c: Array) -> Callable[[Array], Array]:
+    """The frame field ``field_fn`` aligned at every point to its value at ``center``."""
+    ref = field_fn(np.asarray(center, dtype=float))
+    return lambda p: _procrustes(field_fn(p), ref, g_c)
+
+
 def aligned_normal_frame_fn(embedding: Embedding,
                             center: Array) -> Callable[[Array], Array]:
     """Normal-frame field aligned to the frame at ``center`` by Procrustes rotation.
@@ -89,55 +116,43 @@ def aligned_normal_frame_fn(embedding: Embedding,
     with it at the center.  Overlaps use the background metric at the center
     (exact for flat backgrounds).
     """
-    center = np.asarray(center, dtype=float)
-    ref = normal_frame(embedding, center)
     g_c = embedding.background.metric_at(embedding.position(center))
-
-    def field(p: Array) -> Array:
-        raw = normal_frame(embedding, p)
-        overlap = np.einsum("...mi,...mn,...nj->...ij", raw, g_c, ref)
-        u, _, vt = np.linalg.svd(overlap)
-        rot = u @ vt
-        return np.einsum("...mi,...ij->...mj", raw, rot)
-
-    return field
+    return _aligned_field(lambda p: normal_frame(embedding, p), center, g_c)
 
 
-def _extrinsic_with_frame(embedding: Embedding, point: Array,
-                          normal_frame_fn: Callable[[Array], Array]) -> Array:
-    """K_ab^i for a given normal-frame field, without the twist (cheap)."""
-    normals = normal_frame_fn(point)
-    g = embedding.background.metric_at(embedding.position(point))
-    sec = second_fundamental_input(embedding, point)
-    return -np.einsum("...mi,...mn,...nab->...abi", normals, g, sec)
+def _twist_fn(background: BackgroundMetric, frame_fn: Callable[[Array], Array],
+              map_fn: Callable[[Array], tuple[Array, Array]],
+              step: float) -> Callable[[Array], Array]:
+    """Twist of the frame field ``frame_fn`` as a function of the point.
+
+    ``map_fn`` gives the spacetime point and the tangent map of the sheet (or
+    edge) that the frame is normal to.
+    """
+    def omega(p: Array) -> Array:
+        x, tangents = map_fn(p)
+        normals = frame_fn(p)
+        g = background.metric_at(x)
+        cov = _frame_derivative(frame_fn, p, tangents, normals,
+                                background.christoffels_at(x), step)
+        return _twist(cov, normals, g)
+
+    return omega
 
 
-def _twist_with_frame(embedding: Embedding, point: Array,
-                      normal_frame_fn: Callable[[Array], Array], step: float) -> Array:
-    """omega_a^{ij} for a given normal-frame field, by central differences."""
-    point = np.asarray(point, dtype=float)
-    d = embedding.worldsheet_dim
-    k = embedding.codimension
-    n_dim = embedding.background.dimension
-    normals = normal_frame_fn(point)
-    dn = fd_jacobian(lambda p: normal_frame_fn(p).reshape(p.shape[:-1] + (-1,)),
-                     point, step)
-    dn = dn.reshape(point.shape[:-1] + (n_dim, k, d))
-    chris = embedding.background.christoffels_at(embedding.position(point))
-    e = embedding.d_position(point)
-    g = embedding.background.metric_at(embedding.position(point))
-    cov = dn + np.einsum("...mrs,...ra,...si->...mia", chris, e, normals)
-    omega = np.einsum("...nj,...nm,...mia->...aij", normals, g, cov)
-    return 0.5 * (omega - np.swapaxes(omega, -1, -2))
+def _sheet_map(embedding: Embedding) -> Callable[[Array], tuple[Array, Array]]:
+    """Point -> (X, e_a) of the sheet, for :func:`_twist_fn`."""
+    return lambda p: (embedding.position(p), embedding.d_position(p))
+
+
+def _edge_map(bnd: BoundaryEmbedding) -> Callable[[Array], tuple[Array, Array]]:
+    """Edge point -> (X, y_A) of the edge in spacetime, for :func:`_twist_fn`."""
+    return lambda u: (bnd.parent.position(bnd.chi(u)), _composed_derivatives(bnd, u)[0])
 
 
 def worldsheet_connection(embedding: Embedding, point: Array) -> Array:
     """Connection coefficients Gamma_ab^c of the induced metric, indexed [a, b, c]."""
-    fr = frame(embedding, point)
-    g = embedding.background.metric_at(embedding.position(point))
-    sec = second_fundamental_input(embedding, point)
-    return np.einsum("...cd,...nd,...nm,...mab->...abc",
-                     fr.induced_metric_inverse, fr.tangents, g, sec)
+    fr, _, g, _, sec = _local(embedding, point)
+    return _connection(fr, g, sec)
 
 
 def _riemann_from_connection(conn: Array, dconn: Array) -> Array:
@@ -156,15 +171,15 @@ def worldsheet_riemann(embedding: Embedding, point: Array,
     standard antisymmetries hold to the FD tolerance.
     """
     point = np.asarray(point, dtype=float)
-    conn = worldsheet_connection(embedding, point)
+    fr, _, g, _, sec = _local(embedding, point)
+    conn = _connection(fr, g, sec)
     d = embedding.worldsheet_dim
     dconn = fd_jacobian(
         lambda p: worldsheet_connection(embedding, p).reshape(p.shape[:-1] + (-1,)),
         point, step)
     dconn = dconn.reshape(point.shape[:-1] + (d, d, d, d))
     mixed = _riemann_from_connection(conn, dconn)
-    gamma = frame(embedding, point).induced_metric
-    return np.einsum("...ae,...ebcd->...abcd", gamma, mixed)
+    return np.einsum("...ae,...ebcd->...abcd", fr.induced_metric, mixed)
 
 
 def _ambient_riemann_lowered(embedding: Embedding, x: Array) -> Array:
@@ -207,16 +222,16 @@ def worldsheet_integrability_residuals(
     nf = normal_frame_fn if normal_frame_fn is not None else aligned_normal_frame_fn(embedding, point)
     d = embedding.worldsheet_dim
     k = embedding.codimension
-    fr = frame(embedding, point)
+    fr, x, g, _, sec = _local(embedding, point)
     g_inv = fr.induced_metric_inverse
     e = fr.tangents
     normals = nf(point)
-    x = embedding.position(point)
     r_amb = _ambient_riemann_lowered(embedding, x)
 
-    conn = worldsheet_connection(embedding, point)
-    kk = _extrinsic_with_frame(embedding, point, nf)
-    omega = _twist_with_frame(embedding, point, nf, step)
+    conn = _connection(fr, g, sec)
+    kk = _extrinsic(normals, g, sec)
+    omega_fn = _twist_fn(embedding.background, nf, _sheet_map(embedding), step)
+    omega = omega_fn(point)
 
     # Gauss family
     r_ws = worldsheet_riemann(embedding, point, step)
@@ -227,8 +242,11 @@ def worldsheet_integrability_residuals(
                        axis=tuple(range(point.ndim - 1, point.ndim + 3)))
 
     # Codazzi family
-    dk = fd_jacobian(lambda p: _extrinsic_with_frame(embedding, p, nf).reshape(p.shape[:-1] + (-1,)),
-                     point, step)
+    def kk_at(p: Array) -> Array:
+        g_p = embedding.background.metric_at(embedding.position(p))
+        return _extrinsic(nf(p), g_p, second_fundamental_input(embedding, p))
+
+    dk = fd_jacobian(lambda p: kk_at(p).reshape(p.shape[:-1] + (-1,)), point, step)
     dk = dk.reshape(point.shape[:-1] + (d, d, k, d))  # [b,c,i,a]
     cov_k = (np.einsum("...bcia->...abci", dk)
              - np.einsum("...abd,...dci->...abci", conn, kk)
@@ -242,7 +260,6 @@ def worldsheet_integrability_residuals(
     # Ricci family (vacuous in co-dimension one)
     if k < 2:
         return WorldsheetResiduals(res_gauss, res_cm, None)
-    omega_fn = lambda p: _twist_with_frame(embedding, p, nf, step)
     big_omega = _twist_curvature(omega_fn, omega, point, step, d, k)
     k_mixed = np.einsum("...cd,...bdj->...bcj", g_inv, kk)
     rhs_ricci = (big_omega
@@ -262,9 +279,8 @@ def _boundary_riemann(bnd: BoundaryEmbedding, point: Array, step: float) -> Arra
     db = bnd.boundary_dim
 
     def bch(u: Array) -> Array:
-        eps = bnd.d_chi(u)
-        bd = boundary_data(bnd, u)
-        return _boundary_christoffels(bnd, u, eps, bd.boundary_metric_inverse)
+        bd, (fr, _, g, _, sec) = _boundary_local(bnd, u)
+        return _boundary_christoffels(bnd, u, bd, fr, g, sec)
 
     conn = bch(point)
     dconn = fd_jacobian(lambda u: bch(u).reshape(u.shape[:-1] + (-1,)), point, step)
@@ -282,7 +298,7 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
     vacuous and only two residuals exist.
     """
     point = np.asarray(point, dtype=float)
-    bd = boundary_data(bnd, point)
+    bd, (fr, _, g, _, sec) = _boundary_local(bnd, point)
     xi = bnd.chi(point)
     eps = bd.tangents_in_m
     eta = bd.normal_in_m
@@ -303,7 +319,7 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
         lambda u: boundary_data(bnd, u).edge_curvature.reshape(u.shape[:-1] + (-1,)),
         point, step)
     dk = dk.reshape(point.shape[:-1] + (db, db, db))  # [B,C,A]
-    h_chris = _boundary_christoffels(bnd, point, eps, bd.boundary_metric_inverse)
+    h_chris = _boundary_christoffels(bnd, point, bd, fr, g, sec)
     cov_k = (np.einsum("...BCA->...ABC", dk)
              - np.einsum("...ABD,...DC->...ABC", h_chris, k_ab)
              - np.einsum("...ACD,...BD->...ABC", h_chris, k_ab))
@@ -311,52 +327,6 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
     res_cod = np.max(np.abs(lhs_cod - rhs_cod),
                      axis=tuple(range(point.ndim - 1, point.ndim + 2)))
     return res_gauss, res_cod
-
-
-def _aligned_adapted_field(bnd: BoundaryEmbedding, center: Array) -> Callable[[Array], Array]:
-    center = np.asarray(center, dtype=float)
-    ref = _adapted_normal_field(bnd, center)
-    x_c = bnd.parent.position(bnd.chi(center))
-    g_c = bnd.parent.background.metric_at(x_c)
-
-    def field(u: Array) -> Array:
-        raw = _adapted_normal_field(bnd, u)
-        overlap = np.einsum("...mi,...mn,...nj->...ij", raw, g_c, ref)
-        uu, _, vt = np.linalg.svd(overlap)
-        rot = uu @ vt
-        return np.einsum("...mi,...ij->...mj", raw, rot)
-
-    return field
-
-
-def _edge_extrinsic_with_frame(bnd: BoundaryEmbedding, u: Array,
-                               adapted_fn: Callable[[Array], Array]) -> Array:
-    xi = bnd.chi(u)
-    x = bnd.parent.position(xi)
-    g = bnd.parent.background.metric_at(x)
-    chris = bnd.parent.background.christoffels_at(x)
-    y1, y2 = _composed_derivatives(bnd, u)
-    sec = y2 + np.einsum("...mrs,...rA,...sB->...mAB", chris, y1, y1)
-    return -np.einsum("...mI,...mn,...nAB->...ABI", adapted_fn(u), g, sec)
-
-
-def _edge_twist_with_frame(bnd: BoundaryEmbedding, u: Array,
-                           adapted_fn: Callable[[Array], Array], step: float) -> Array:
-    u = np.asarray(u, dtype=float)
-    db = bnd.boundary_dim
-    n_dim = bnd.parent.background.dimension
-    adapted = adapted_fn(u)
-    nfr = adapted.shape[-1]
-    dn = fd_jacobian(lambda p: adapted_fn(p).reshape(p.shape[:-1] + (-1,)), u, step)
-    dn = dn.reshape(u.shape[:-1] + (n_dim, nfr, db))
-    xi = bnd.chi(u)
-    x = bnd.parent.position(xi)
-    chris = bnd.parent.background.christoffels_at(x)
-    g = bnd.parent.background.metric_at(x)
-    y1, _ = _composed_derivatives(bnd, u)
-    cov = dn + np.einsum("...mrs,...rA,...sI->...mIA", chris, y1, adapted)
-    omega = np.einsum("...nJ,...nm,...mIA->...AIJ", adapted, g, cov)
-    return 0.5 * (omega - np.swapaxes(omega, -1, -2))
 
 
 def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
@@ -370,20 +340,20 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     Omega_{AB i0} - eps^c_C [eps^a_A K_{ac i} k_B^C - eps^b_B K_{bc i} k_A^C].
     """
     point = np.asarray(point, dtype=float)
-    bd = boundary_data(bnd, point)
+    bg = bnd.parent.background
+    bd, (fr, x, g, chris, sec) = _boundary_local(bnd, point)
     xi = bnd.chi(point)
-    x = bnd.parent.position(xi)
     db = bnd.boundary_dim
     k_par = bnd.parent.codimension
     nfr = k_par + 1
 
-    adapted_fn = _aligned_adapted_field(bnd, point)
+    adapted_fn = _aligned_field(lambda u: _adapted_normal_field(bnd, u), point, g)
     adapted = adapted_fn(point)
-    y1, _ = _composed_derivatives(bnd, point)
-    kk = _edge_extrinsic_with_frame(bnd, point, adapted_fn)
-    omega = _edge_twist_with_frame(bnd, point, adapted_fn, step)
-    h_chris = _boundary_christoffels(bnd, point, bd.tangents_in_m,
-                                     bd.boundary_metric_inverse)
+    y1, y2 = _composed_derivatives(bnd, point)
+    kk = _edge_extrinsic(adapted, g, chris, y1, y2)
+    omega_fn = _twist_fn(bg, adapted_fn, _edge_map(bnd), step)
+    omega = omega_fn(point)
+    h_chris = _boundary_christoffels(bnd, point, bd, fr, g, sec)
     r_amb = _ambient_riemann_lowered(bnd.parent, x)
 
     rh = _boundary_riemann(bnd, point, step)
@@ -394,9 +364,12 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     res_gauss = np.max(np.abs(lhs_gauss - (rh - kk_term)),
                        axis=tuple(range(point.ndim - 1, point.ndim + 3)))
 
-    dk = fd_jacobian(
-        lambda u: _edge_extrinsic_with_frame(bnd, u, adapted_fn).reshape(u.shape[:-1] + (-1,)),
-        point, step)
+    def kk_at(u: Array) -> Array:
+        x_u = bnd.parent.position(bnd.chi(u))
+        return _edge_extrinsic(adapted_fn(u), bg.metric_at(x_u), bg.christoffels_at(x_u),
+                               *_composed_derivatives(bnd, u))
+
+    dk = fd_jacobian(lambda u: kk_at(u).reshape(u.shape[:-1] + (-1,)), point, step)
     dk = dk.reshape(point.shape[:-1] + (db, db, nfr, db))  # [B,C,I,A]
     cov_k = (np.einsum("...BCIA->...ABCI", dk)
              - np.einsum("...ABD,...DCI->...ABCI", h_chris, kk)
@@ -409,7 +382,6 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
                     axis=tuple(range(point.ndim - 1, point.ndim + 2)))
 
     # adapted Ricci family and the twist-consistency pair
-    omega_fn = lambda u: _edge_twist_with_frame(bnd, u, adapted_fn, step)
     big_omega = _twist_curvature(omega_fn, omega, point, step, db, nfr)
     h_inv = bd.boundary_metric_inverse
     k_mixed = np.einsum("...CD,...BDJ->...BCJ", h_inv, kk)
@@ -427,19 +399,18 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
 
     # twist inheritance: the tangential block matches the projected worldsheet
     # curvature, the mixed i0 block the curvature-edge cross terms
+    ws_nf = aligned_normal_frame_fn(bnd.parent, xi)
     if k_par >= 2:
-        ws_nf = aligned_normal_frame_fn(bnd.parent, xi)
-        ws_omega_fn = lambda p: _twist_with_frame(bnd.parent, p, ws_nf, step)
+        ws_omega_fn = _twist_fn(bg, ws_nf, _sheet_map(bnd.parent), step)
         ws_big = _twist_curvature(ws_omega_fn, ws_omega_fn(xi), xi, step,
                                   bnd.parent.worldsheet_dim, k_par)
         projected = np.einsum("...aA,...bB,...abij->...ABij", bd.tangents_in_m,
                               bd.tangents_in_m, ws_big)
     else:
-        ws_nf = aligned_normal_frame_fn(bnd.parent, xi)
         projected = np.zeros(point.shape[:-1] + (db, db, k_par, k_par))
     res_twist_t = _flat_max(big_omega[..., 1:, 1:] - projected, point)
 
-    kk_ws = _extrinsic_with_frame(bnd.parent, xi, ws_nf)
+    kk_ws = _extrinsic(ws_nf(xi), g, sec)
     k_up = np.einsum("...BD,...DC->...BC", bd.edge_curvature, h_inv)  # k_B^C
     cross = np.einsum("...cC,...aA,...aci,...BC->...ABi",
                       bd.tangents_in_m, bd.tangents_in_m, kk_ws, k_up)
@@ -453,6 +424,7 @@ def curvature_tensors(bnd: BoundaryEmbedding, point: Array,
                       step: float = DEFAULT_STEP) -> CurvatureTensors:
     """Assemble all curvature tensors entering the residuals at one edge point."""
     point = np.asarray(point, dtype=float)
+    bg = bnd.parent.background
     xi = bnd.chi(point)
     x = bnd.parent.position(xi)
     k_par = bnd.parent.codimension
@@ -460,13 +432,14 @@ def curvature_tensors(bnd: BoundaryEmbedding, point: Array,
     b_riem = _boundary_riemann(bnd, point, step)
     if k_par >= 2:
         nf = aligned_normal_frame_fn(bnd.parent, xi)
-        omega_fn = lambda p: _twist_with_frame(bnd.parent, p, nf, step)
+        omega_fn = _twist_fn(bg, nf, _sheet_map(bnd.parent), step)
         twist_curv = _twist_curvature(omega_fn, omega_fn(xi), xi, step,
                                       bnd.parent.worldsheet_dim, k_par)
     else:
         twist_curv = None
-    adapted_fn = _aligned_adapted_field(bnd, point)
-    omega_fn_b = lambda u: _edge_twist_with_frame(bnd, u, adapted_fn, step)
+    adapted_fn = _aligned_field(lambda u: _adapted_normal_field(bnd, u), point,
+                                bg.metric_at(x))
+    omega_fn_b = _twist_fn(bg, adapted_fn, _edge_map(bnd), step)
     adapted_curv = _twist_curvature(omega_fn_b, omega_fn_b(point), point, step,
                                     bnd.boundary_dim, k_par + 1)
     return CurvatureTensors(

@@ -14,13 +14,27 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .background import LORENTZIAN
-from .boundary import BoundaryAttachment, BoundaryEmbedding, boundary_data
-from .errors import DegenerateMetric
-from .geometry import Embedding, fd_jacobian, frame, second_fundamental_input
-from .integrability import aligned_normal_frame_fn
+from .background import LORENTZIAN, BackgroundMetric
+from .boundary import BoundaryAttachment, BoundaryEmbedding, _boundary_local, boundary_data
+from .errors import DegenerateMetric, InvalidParameters
+from .geometry import (
+    Embedding,
+    _connection,
+    _extrinsic,
+    _frame_at,
+    _local,
+    _pullback,
+    fd_jacobian,
+    induced_metric,
+)
+from .integrability import _procrustes
 
 Array = np.ndarray
+
+# Picard inversion of displaced edge graphs: stop once the update is at
+# roundoff (relative to the coordinate scale), give up after the sweep cap
+_PICARD_TOL = 1e-14
+_PICARD_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -90,16 +104,19 @@ def _boundary_grid(grid: Sequence[GridAxis]) -> tuple[Array, float]:
     return u_mesh.reshape(-1, db), u_weight
 
 
-def _volume_density(embedding: Embedding, pts: Array) -> Array:
-    e = embedding.d_position(pts)
-    g = embedding.background.metric_at(embedding.position(pts))
-    gamma = np.einsum("...ma,...mn,...nb->...ab", e, g, e)
-    det = np.linalg.det(gamma)
-    if embedding.background.signature == LORENTZIAN:
+def _volume_element(metric: Array, background: BackgroundMetric) -> Array:
+    """sqrt(|det|) of a pulled-back metric, which must have the background's signature."""
+    det = np.linalg.det(metric)
+    if background.signature == LORENTZIAN:
         det = -det
     if np.any(det <= 0):
-        raise DegenerateMetric("degenerate worldsheet volume element inside the domain")
+        raise DegenerateMetric("degenerate volume element inside the domain")
     return np.sqrt(det)
+
+
+def _volume_density(embedding: Embedding, pts: Array) -> Array:
+    g = embedding.background.metric_at(embedding.position(pts))
+    return _volume_element(_pullback(embedding.d_position(pts), g), embedding.background)
 
 
 def dng_action(embedding: Embedding, config: ActionConfig) -> float:
@@ -111,27 +128,15 @@ def dng_action(embedding: Embedding, config: ActionConfig) -> float:
 def _edge_density_from_curve(embedding: Embedding, chi_fn: Callable[[Array], Array],
                              u: Array, fd_step: float) -> Array:
     y1 = fd_jacobian(lambda uu: embedding.position(chi_fn(uu)), u, fd_step)
-    x = embedding.position(chi_fn(u))
-    g = embedding.background.metric_at(x)
-    h = np.einsum("...mA,...mn,...nB->...AB", y1, g, y1)
-    det = np.linalg.det(h)
-    if embedding.background.signature == LORENTZIAN:
-        det = -det
-    if np.any(det <= 0):
-        raise DegenerateMetric("degenerate edge volume element")
-    return np.sqrt(det)
+    g = embedding.background.metric_at(embedding.position(chi_fn(u)))
+    return _volume_element(_pullback(y1, g), embedding.background)
 
 
 def edge_action(bnd: BoundaryEmbedding, config: ActionConfig) -> float:
     """Edge-volume action: -mub times the quadrature of the edge volume element."""
     u, uw = _boundary_grid(config.grid)
-    bd = boundary_data(bnd, u)
-    det = np.linalg.det(bd.boundary_metric)
-    if bnd.parent.background.signature == LORENTZIAN:
-        det = -det
-    if np.any(det <= 0):
-        raise DegenerateMetric("degenerate edge volume element")
-    return float(-config.mub * np.sum(np.sqrt(det) * uw))
+    dens = _volume_element(boundary_data(bnd, u).boundary_metric, bnd.parent.background)
+    return float(-config.mub * np.sum(dens * uw))
 
 
 def _smooth_ramp(x: Array) -> Array:
@@ -219,27 +224,22 @@ def metric_variation(embedding: Embedding, point: Array,
     point = np.asarray(point, dtype=float)
     d = embedding.worldsheet_dim
     k = embedding.codimension
-    fr = frame(embedding, point)
-    g = embedding.background.metric_at(embedding.position(point))
-    sec = second_fundamental_input(embedding, point)
-    kk = -np.einsum("...mi,...mn,...nab->...abi", fr.normals, g, sec)
-    conn = np.einsum("...cd,...nd,...nm,...mab->...abc",
-                     fr.induced_metric_inverse, fr.tangents, g, sec)
+    fr, _, g, _, sec = _local(embedding, point)
     phi_i = deformation.normal(point, k)
 
-    def phi_low(p):
-        gam = frame(embedding, p).induced_metric
-        return np.einsum("...ab,...b->...a", gam, deformation.tangential(p, d))
+    def phi_low(p, gamma):
+        return np.einsum("...ab,...b->...a", gamma, deformation.tangential(p, d))
 
-    dphi = fd_jacobian(phi_low, point, embedding.fd_step)  # [b, a]
+    dphi = fd_jacobian(lambda p: phi_low(p, induced_metric(embedding, p)),
+                       point, embedding.fd_step)  # [b, a]
     cov = np.einsum("...ba->...ab", dphi) - np.einsum(
-        "...abc,...c->...ab", conn, phi_low(point))
-    return (2.0 * np.einsum("...abi,...i->...ab", kk, phi_i)
+        "...abc,...c->...ab", _connection(fr, g, sec), phi_low(point, fr.induced_metric))
+    return (2.0 * np.einsum("...abi,...i->...ab", _extrinsic(fr.normals, g, sec), phi_i)
             + cov + np.swapaxes(cov, -1, -2))
 
 
-def _domain_frame_fn(embedding: Embedding, grid: tuple[GridAxis, ...]):
-    """One continuous normal-frame field for the whole quadrature domain.
+def _domain_alignment(embedding: Embedding, grid: tuple[GridAxis, ...]):
+    """Map pointwise normal frames onto one continuous gauge for the whole domain.
 
     The deterministic pointwise gauge may flip sign across interior loci;
     deformations decomposed on a discontinuous frame would deform the sheet
@@ -253,7 +253,8 @@ def _domain_frame_fn(embedding: Embedding, grid: tuple[GridAxis, ...]):
     lo = last.lo(u_mid) if callable(last.lo) else float(last.lo)
     hi = last.hi(u_mid) if callable(last.hi) else float(last.hi)
     center = np.concatenate([np.atleast_1d(u_mid), [0.5 * (lo + hi)]])
-    return aligned_normal_frame_fn(embedding, center)
+    fr_c, _, g_c = _frame_at(embedding, center)
+    return lambda normals: _procrustes(normals, fr_c.normals, g_c)
 
 
 def _normalize_edges(edges) -> tuple[BoundaryAttachment, ...]:
@@ -281,31 +282,24 @@ def first_variation_analytic(embedding: Embedding, edges, config: ActionConfig,
     edges = _normalize_edges(edges)
     d = embedding.worldsheet_dim
     k_codim = embedding.codimension
-    nf = _domain_frame_fn(embedding, config.grid)
+    bg = embedding.background
+    align = _domain_alignment(embedding, config.grid)
 
     pts, wts = _bulk_grid(config.grid)
-    fr = frame(embedding, pts)
-    g = embedding.background.metric_at(embedding.position(pts))
-    sec = second_fundamental_input(embedding, pts)
-    kk = -np.einsum("...mi,...mn,...nab->...abi", nf(pts), g, sec)
+    fr, _, g, _, sec = _local(embedding, pts)
+    kk = _extrinsic(align(fr.normals), g, sec)
     traces = np.einsum("...ab,...abi->...i", fr.induced_metric_inverse, kk)
     phi_i = deformation.normal(pts, k_codim)
-    dens = _volume_density(embedding, pts)
+    dens = _volume_element(fr.induced_metric, bg)
     total = -config.mu0 * np.sum(wts * dens * np.einsum("...i,...i->...", traces, phi_i))
 
     for index, att in enumerate(edges):
         bnd = att.boundary
         u, uw = _boundary_grid(config.grid)
-        bd = boundary_data(bnd, u)
-        det = np.linalg.det(bd.boundary_metric)
-        if embedding.background.signature == LORENTZIAN:
-            det = -det
-        dens_b = np.sqrt(det)
+        bd, (fr_b, _, g_b, _, sec_b) = _boundary_local(bnd, u)
+        dens_b = _volume_element(bd.boundary_metric, bg)
         xi = bnd.chi(u)
-        fr_b = frame(embedding, xi)
-        g_b = embedding.background.metric_at(embedding.position(xi))
-        sec_b = second_fundamental_input(embedding, xi)
-        kk_b = -np.einsum("...mi,...mn,...nab->...abi", nf(xi), g_b, sec_b)
+        kk_b = _extrinsic(align(fr_b.normals), g_b, sec_b)
         hk = np.einsum("...ab,...abi->...i", bd.projector, kk_b)
         phi_t = deformation.tangential(xi, d)
         phi_n = deformation.normal(xi, k_codim)
@@ -321,17 +315,17 @@ def first_variation_analytic(embedding: Embedding, edges, config: ActionConfig,
 
 
 def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
-                        eps: float, frame_fn) -> Embedding:
+                        eps: float, align) -> Embedding:
     d = embedding.worldsheet_dim
     k = embedding.codimension
 
     def pos(xi):
-        tangents = embedding.d_position(xi)
-        delta = (np.einsum("...ma,...a->...m", tangents,
+        fr, x, _ = _frame_at(embedding, xi)
+        delta = (np.einsum("...ma,...a->...m", fr.tangents,
                            deformation.tangential(xi, d))
-                 + np.einsum("...mi,...i->...m", frame_fn(xi),
+                 + np.einsum("...mi,...i->...m", align(fr.normals),
                              deformation.normal(xi, k)))
-        return embedding.position(xi) + eps * delta
+        return x + eps * delta
 
     return Embedding(d, embedding.background, pos, fd_step=embedding.fd_step)
 
@@ -353,15 +347,25 @@ def _deformed_chi(bnd: BoundaryEmbedding, deformation: DeformationField,
 def _inverted_graph(chi_fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
     """Last-coordinate limit as a function of the leading coordinates.
 
-    The displaced edge is still near-identity in its leading components, so a
-    few Picard sweeps recover the parameter u* with chi(u*) over the target.
+    The displaced edge is still near-identity in its leading components, so
+    Picard sweeps recover the parameter u* with chi(u*) over the target.  They
+    stop once the update is at roundoff; a displacement too large for the
+    sweeps to contract raises InvalidParameters.
     """
 
     def limit(target):
-        u = np.asarray(target, dtype=float).copy()
-        for _ in range(8):
-            u = u - (chi_fn(u)[..., :-1] - target)
-        return chi_fn(u)[..., -1]
+        target = np.asarray(target, dtype=float)
+        tol = _PICARD_TOL * max(1.0, float(np.max(np.abs(target), initial=0.0)))
+        u = target.copy()
+        for _ in range(_PICARD_MAX_SWEEPS):
+            image = chi_fn(u)
+            update = image[..., :-1] - target
+            if np.all(np.abs(update) <= tol):
+                return image[..., -1]
+            u = u - update
+        raise InvalidParameters(
+            f"Picard inversion of the displaced edge graph did not converge in "
+            f"{_PICARD_MAX_SWEEPS} sweeps; reduce epsilon or the edge displacement")
 
     return limit
 
@@ -387,10 +391,10 @@ def first_variation_fd(embedding: Embedding, edges, config: ActionConfig,
     :func:`first_variation_analytic` to O(eps^2) plus quadrature error.
     """
     edges = _normalize_edges(edges)
-    nf = _domain_frame_fn(embedding, config.grid)
+    align = _domain_alignment(embedding, config.grid)
 
     def total_action(eps: float) -> float:
-        emb_eps = _deformed_embedding(embedding, deformation, eps, nf)
+        emb_eps = _deformed_embedding(embedding, deformation, eps, align)
         chis = [_deformed_chi(att.boundary, deformation, i, eps)
                 for i, att in enumerate(edges)]
         grid = _deformed_grid(config.grid, edges, chis) if (

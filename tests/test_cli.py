@@ -146,8 +146,7 @@ class TestScan:
                          "start": 1.0, "stop": 4.0, "points": 31,
                          "mu0": 1.0, "mub": 2.0})
         out = tmp_path / "scan"
-        assert main(["scan", "--config", str(cfg), "--out-dir", str(out),
-                     "--threads", "4"]) == 0
+        assert main(["scan", "--config", str(cfg), "--out-dir", str(out)]) == 0
         rows = read_rows(out / "scan.csv")
         rhos = np.array([float(r["rho"]) for r in rows])
         res = np.array([float(r["edge_residual"]) for r in rows])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from worldsheet import catalog
+from worldsheet.errors import InvalidParameters
 from worldsheet.geometry import frame
 from worldsheet.variation import (
     ActionConfig,
@@ -112,6 +113,29 @@ class TestFirstVariation:
         assert ana == pytest.approx(expected, abs=1e-12)
         fd = richardson_variation(PLANE.embedding, edges, cfg, defo, 1e-2)
         assert fd == pytest.approx(ana, abs=1e-4)
+
+    @staticmethod
+    def _edge_slide(amplitude):
+        # displaces both edges along themselves, so the moving domain needs the
+        # Picard inversion of the displaced edge graphs
+        return DeformationField(
+            boundary_tangential_fns=lambda u: (amplitude * np.sin(3.0 * u[..., 0]))[..., None],
+            time_extent=(0.0, 1.0))
+
+    def test_tangential_edge_displacement_is_null(self):
+        # an edge reparametrization leaves the action unchanged
+        cfg, edges = catalog.action_setup(PLANE, 1.0, 0.7, (64, 64))
+        defo = self._edge_slide(5.0)
+        assert first_variation_analytic(PLANE.embedding, edges, cfg, defo) == 0.0
+        fd = richardson_variation(PLANE.embedding, edges, cfg, defo, 1e-2)
+        assert abs(fd) < 1e-4
+
+    def test_uncontracted_edge_inversion_raises(self):
+        # at eps = 1e-2 this slide is too large for the Picard sweeps to
+        # contract; the variation must fail instead of returning a wrong number
+        cfg, edges = catalog.action_setup(PLANE, 1.0, 0.7, (64, 64))
+        with pytest.raises(InvalidParameters):
+            first_variation_fd(PLANE.embedding, edges, cfg, self._edge_slide(30.0), 1e-2)
 
     def test_normal_only_deformation_of_flat_strip_is_null(self):
         # K vanishes and no edge term involves the normal component here
