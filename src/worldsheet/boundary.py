@@ -333,15 +333,15 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
     return laplacian - (box_b + normal_part + drift)
 
 
-def _adapted_normal_field(bnd: BoundaryEmbedding, point: Array) -> Array:
-    """Adapted normal columns {eta^mu, n^mu_i} along the edge, (..., N, K+1)."""
-    bd, (fr, *_) = _boundary_local(bnd, point)
+def _adapted_normals(bl: tuple) -> Array:
+    """Adapted normal columns {eta^mu, n^mu_i}, (..., N, K+1), of a ``_boundary_local`` tuple."""
+    bd, (fr, *_) = bl
     return np.concatenate([bd.spacetime_normal[..., None], fr.normals], axis=-1)
 
 
-def _edge_extrinsic(adapted: Array, g: Array, chris: Array, y1: Array, y2: Array) -> Array:
-    """Edge extrinsic curvature K_AB^I in spacetime for adapted normal columns (..., N, K+1)."""
-    kk = _extrinsic(adapted, g, _covariant_hessian(y2, chris, y1))
+def _edge_extrinsic(adapted: Array, g: Array, cov_y: Array) -> Array:
+    """Edge extrinsic curvature K_AB^I in spacetime from adapted normal columns and D_A y_B."""
+    kk = _extrinsic(adapted, g, cov_y)
     return 0.5 * (kk + np.swapaxes(kk, -3, -2))
 
 
@@ -356,12 +356,13 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array, *,
     otherwise.
     """
     point = np.asarray(point, dtype=float)
-    bd, (fr, _, g, chris, sec) = _boundary_local(bnd, point)
+    bl = _boundary_local(bnd, point)
+    bd, (fr, _, g, chris, sec) = bl
     y1, y2 = _composed_derivatives(bnd, point)
-    adapted = np.concatenate([bd.spacetime_normal[..., None], fr.normals], axis=-1)
-    edge_extrinsic = _edge_extrinsic(adapted, g, chris, y1, y2)
-    twist = _twist(_frame_derivative(lambda u: _adapted_normal_field(bnd, u), point, y1,
-                                     adapted, chris, bnd.fd_step), adapted, g)
+    adapted = _adapted_normals(bl)
+    edge_extrinsic = _edge_extrinsic(adapted, g, _covariant_hessian(y2, chris, y1))
+    twist = _twist(_frame_derivative(lambda u: _adapted_normals(_boundary_local(bnd, u)),
+                                     point, y1, adapted, chris, bnd.fd_step), adapted, g)
 
     kk = _extrinsic(fr.normals, g, sec)
     projected = np.einsum("...aA,...bB,...abi->...ABi", bd.tangents_in_m,

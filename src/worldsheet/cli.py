@@ -3,7 +3,8 @@
 Outputs are deterministic: CSV numbers use 12 significant digits with LF line
 endings, and every run writes a JSON manifest keyed by a stable digest of its
 canonicalized configuration.  A re-run into the same directory with the same
-digest refuses to overwrite unless forced.
+digest, or into a directory whose manifest is corrupt, refuses to overwrite
+unless forced.
 
 Exit codes: 0 success or physical termination, 1 numerical/physics failure,
 2 usage or validation error.
@@ -68,8 +69,10 @@ def _prepare_out_dir(out_dir: Path, digest: str, force: bool) -> None:
     if manifest.exists() and not force:
         try:
             existing = json.loads(manifest.read_text())
-        except json.JSONDecodeError:
-            return
+        except ValueError:  # not JSON, or not text at all
+            existing = None
+        if not isinstance(existing, dict):
+            raise UsageError(f"{manifest} is corrupt; use --force to overwrite")
         if existing.get("config_digest") == digest:
             raise UsageError(
                 f"{out_dir} already holds results for digest {digest}; use --force to overwrite")

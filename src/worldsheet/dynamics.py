@@ -275,8 +275,8 @@ def step(state: StringState, config: SimulationConfig,
     """One leapfrog step of the interior plus Runge-Kutta endpoint advances.
 
     Raises ConstraintBlowup when the gauge constraints exceed 100x the
-    configured tolerance, and EndpointCollision when the endpoint separation
-    falls below grid resolution.
+    configured tolerance or are not finite (a NaN state), and EndpointCollision
+    when the endpoint separation falls below grid resolution.
     """
     if dt is None:
         dt = config.dt_fraction * state.dsigma
@@ -326,7 +326,8 @@ def step(state: StringState, config: SimulationConfig,
         collision_threshold=state.collision_threshold,
     )
     c1, c2 = constraint_norms(new_state)
-    if max(c1, c2) > 100.0 * config.constraint_tol:
+    limit = 100.0 * config.constraint_tol
+    if not (c1 <= limit and c2 <= limit):  # also true for NaN
         raise ConstraintBlowup(
             f"gauge constraints blew up: ({c1:.3e}, {c2:.3e}) at t={new_state.time:.4f}")
     sep = np.linalg.norm(new_pos[-1, 1:] - new_pos[0, 1:])

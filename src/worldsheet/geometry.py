@@ -321,12 +321,17 @@ def _frame_derivative(frame_fn: Callable[[Array], Array], point: Array, tangents
     map's tangent map (e_a for the sheet, y_A for the edge) at ``point``.
     """
     dn = fd_jacobian(lambda p: frame_fn(p).reshape(p.shape[:-1] + (-1,)), point, step)
-    dn = dn.reshape(normals.shape + (point.shape[-1],))
+    return _covariant_frame(dn.reshape(normals.shape + (point.shape[-1],)), tangents,
+                            normals, chris)
+
+
+def _covariant_frame(dn: Array, tangents: Array, normals: Array, chris: Array) -> Array:
+    """D_A n^I from the coordinate derivatives ``dn`` of the frame, indexed [mu, I, A]."""
     return dn + np.einsum("...mrs,...rA,...sI->...mIA", chris, tangents, normals)
 
 
 def _twist(cov: Array, normals: Array, g: Array) -> Array:
-    """Twist omega_A^{IJ} = g(n^J, D_A n^I), antisymmetrized, from :func:`_frame_derivative`."""
+    """Twist omega_A^{IJ} = g(n^J, D_A n^I), antisymmetrized, from :func:`_covariant_frame`."""
     omega = np.einsum("...nJ,...nm,...mIA->...AIJ", normals, g, cov)
     return 0.5 * (omega - np.swapaxes(omega, -1, -2))
 

@@ -1,11 +1,16 @@
 """Integrability conditions of the embedding hierarchy, as numerical residuals.
 
-Three families are evaluated, each at three levels: the worldsheet in
-spacetime, the edge in the worldsheet, and the edge directly in spacetime.
-Frame-dependent quantities are differenced in a parallel gauge: the normal
-frame at stencil points is aligned to the center frame by the minimizing
-rotation before differencing, so deterministic-gauge jumps cannot inject
-spurious twist.
+The hierarchy has three levels: the worldsheet in spacetime, the edge in the
+worldsheet, and the edge directly in spacetime.  The Gauss, Codazzi and Ricci
+equations are the same at each level, so one assembly evaluates them all.
+Each level supplies a point function that makes one local evaluation of the
+geometry (``_local`` for the sheet, ``_boundary_local`` for the edge) and
+returns the intrinsic connection, the extrinsic curvature K and the normal
+columns.  One central-difference sweep of it gives the intrinsic Riemann
+tensor, dK and the twist together; the twist curvature differences the twist
+through the same point function.  Normal frames at stencil points are aligned
+to the center frame by the minimizing rotation before differencing, so
+deterministic-gauge jumps cannot inject spurious twist.
 
 Residual norms are the maximum over tangential index slots of the Euclidean
 norm over frame (normal) indices, which makes them exactly invariant under
@@ -15,30 +20,27 @@ constant frame rotations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .background import BackgroundMetric
 from .boundary import (
     BoundaryEmbedding,
-    _adapted_normal_field,
+    _adapted_normals,
     _boundary_christoffels,
     _boundary_local,
-    _composed_derivatives,
     _edge_extrinsic,
-    boundary_data,
 )
 from .geometry import (
     Embedding,
     _connection,
+    _covariant_frame,
     _extrinsic,
-    _frame_derivative,
+    _frame_at,
     _local,
     _twist,
     fd_jacobian,
     normal_frame,
-    second_fundamental_input,
 )
 
 Array = np.ndarray
@@ -93,18 +95,27 @@ class DirectEdgeResiduals:
         return float(max(vals))
 
 
+class _Point(NamedTuple):
+    """Local geometry of one level at a point; the first three fields get differenced."""
+
+    conn: Array              # intrinsic connection [A, B, C], upper index last
+    kk: Array                # extrinsic curvature K_AB^I
+    normals: Array           # normal columns [mu, I] in the ambient space
+    tangents: Array          # tangent columns [mu, A] in the ambient space
+    g: Array | None          # ambient metric and Christoffels, for the twist
+    chris: Array | None
+    metric: Array            # intrinsic metric and its inverse
+    metric_inv: Array
+
+
+_PointFn = Callable[[Array], _Point]
+
+
 def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
     """Frame columns ``raw`` rotated onto ``ref`` by the minimizing orthogonal matrix."""
     overlap = np.einsum("...mi,...mn,...nj->...ij", raw, g, ref)
     u, _, vt = np.linalg.svd(overlap)
     return np.einsum("...mi,...ij->...mj", raw, u @ vt)
-
-
-def _aligned_field(field_fn: Callable[[Array], Array], center: Array,
-                   g_c: Array) -> Callable[[Array], Array]:
-    """The frame field ``field_fn`` aligned at every point to its value at ``center``."""
-    ref = field_fn(np.asarray(center, dtype=float))
-    return lambda p: _procrustes(field_fn(p), ref, g_c)
 
 
 def aligned_normal_frame_fn(embedding: Embedding,
@@ -116,51 +127,166 @@ def aligned_normal_frame_fn(embedding: Embedding,
     with it at the center.  Overlaps use the background metric at the center
     (exact for flat backgrounds).
     """
-    g_c = embedding.background.metric_at(embedding.position(center))
-    return _aligned_field(lambda p: normal_frame(embedding, p), center, g_c)
+    fr, _, g_c = _frame_at(embedding, center)
+    return lambda p: _procrustes(normal_frame(embedding, p), fr.normals, g_c)
 
 
-def _twist_fn(background: BackgroundMetric, frame_fn: Callable[[Array], Array],
-              map_fn: Callable[[Array], tuple[Array, Array]],
-              step: float) -> Callable[[Array], Array]:
-    """Twist of the frame field ``frame_fn`` as a function of the point.
+def _sheet_point(embedding: Embedding, point: Array, loc: tuple,
+                 normal_frame_fn: Callable[[Array], Array] | None = None
+                 ) -> tuple[_Point, _PointFn]:
+    """The sheet level at ``point`` (from its ``_local`` tuple ``loc``) and its point function.
 
-    ``map_fn`` gives the spacetime point and the tangent map of the sheet (or
-    edge) that the frame is normal to.
+    The normals are ``normal_frame_fn`` when given, else the gauge of
+    :func:`normal_frame` aligned to the frame at ``point``.
     """
+    ref, g_ref = loc[0].normals, loc[2]
+
+    def values(p: Array, loc: tuple) -> _Point:
+        fr, _, g, chris, sec = loc
+        if normal_frame_fn is None:
+            normals = _procrustes(fr.normals, ref, g_ref)
+        else:
+            normals = np.asarray(normal_frame_fn(p), dtype=float)
+        return _Point(_connection(fr, g, sec), _extrinsic(normals, g, sec), normals,
+                      fr.tangents, g, chris, fr.induced_metric, fr.induced_metric_inverse)
+
+    return values(point, loc), lambda p: values(p, _local(embedding, p))
+
+
+def _edge_in_sheet_point(bnd: BoundaryEmbedding, point: Array,
+                         bl: tuple) -> tuple[_Point, _PointFn]:
+    """The edge inside the sheet at ``point`` (from ``_boundary_local``) and its point function.
+
+    The ambient space is the sheet, K is k_AB and the one normal column is eta.
+    """
+    def values(u: Array, bl: tuple) -> _Point:
+        bd, (fr, _, g, _, sec) = bl
+        return _Point(_boundary_christoffels(bnd, u, bd, fr, g, sec),
+                      bd.edge_curvature[..., None], bd.normal_in_m[..., None],
+                      bd.tangents_in_m, None, None,
+                      bd.boundary_metric, bd.boundary_metric_inverse)
+
+    return values(point, bl), lambda u: values(u, _boundary_local(bnd, u))
+
+
+def _edge_point(bnd: BoundaryEmbedding, point: Array,
+                bl: tuple) -> tuple[_Point, _PointFn]:
+    """The edge in spacetime at ``point`` (from ``_boundary_local``) and its point function.
+
+    The tangents are y_A = e_a eps^a_A and the normals the adapted columns
+    {eta, n_i}, aligned to those at ``point``.
+    """
+    ref, g_ref = _adapted_normals(bl), bl[1][2]
+
+    def values(u: Array, bl: tuple) -> _Point:
+        bd, (fr, _, g, chris, sec) = bl
+        normals = _procrustes(_adapted_normals(bl), ref, g_ref)
+        eps = bd.tangents_in_m
+        # D_A y_B = (D_a e_b) eps^a_A eps^b_B + e_a chi^a_{,AB}
+        cov_y = (np.einsum("...mab,...aA,...bB->...mAB", sec, eps, eps)
+                 + np.einsum("...ma,...aAB->...mAB", fr.tangents, bnd.dd_chi(u)))
+        return _Point(_boundary_christoffels(bnd, u, bd, fr, g, sec),
+                      _edge_extrinsic(normals, g, cov_y), normals,
+                      np.einsum("...ma,...aA->...mA", fr.tangents, eps), g, chris,
+                      bd.boundary_metric, bd.boundary_metric_inverse)
+
+    return values(point, bl), lambda u: values(u, _boundary_local(bnd, u))
+
+
+def _sweep(at: _PointFn, point: Array, step: float, center: _Point) -> list[Array]:
+    """Derivatives of (conn, K, normals) at ``point`` from one central-difference sweep of ``at``.
+
+    ``center`` is ``at(point)``; each derivative is indexed like its field
+    with the coordinate direction last.
+    """
+    lead = point.ndim - 1
+    jac = fd_jacobian(lambda p: np.concatenate(
+        [f.reshape(p.shape[:-1] + (-1,)) for f in at(p)[:3]], axis=-1), point, step)
+    splits = np.cumsum([int(np.prod(f.shape[lead:])) for f in center[:3]])[:-1]
+    return [d.reshape(f.shape + (point.shape[-1],))
+            for f, d in zip(center[:3], np.split(jac, splits, axis=-2))]
+
+
+def _riemann(v: _Point, dconn: Array) -> Array:
+    """Fully lowered intrinsic Riemann R_{ABCD} from the connection of ``v`` and its derivative."""
+    mixed = (np.einsum("...dbac->...abcd", dconn)
+             - np.einsum("...cbad->...abcd", dconn)
+             + np.einsum("...cea,...dbe->...abcd", v.conn, v.conn)
+             - np.einsum("...dea,...cbe->...abcd", v.conn, v.conn))
+    return np.einsum("...ae,...ebcd->...abcd", v.metric, mixed)
+
+
+def _twist_of(v: _Point, dn: Array) -> Array:
+    """Twist omega_A^{IJ} of the normals of ``v`` from their coordinate derivatives."""
+    return _twist(_covariant_frame(dn, v.tangents, v.normals, v.chris), v.normals, v.g)
+
+
+def _twist_curvature(at: _PointFn, omega0: Array, point: Array, step: float) -> Array:
+    """Omega_{AB IJ} = d_B omega_A - d_A omega_B + [W_A, W_B], omega differenced through ``at``."""
     def omega(p: Array) -> Array:
-        x, tangents = map_fn(p)
-        normals = frame_fn(p)
-        g = background.metric_at(x)
-        cov = _frame_derivative(frame_fn, p, tangents, normals,
-                                background.christoffels_at(x), step)
-        return _twist(cov, normals, g)
+        v = at(p)
+        return _twist_of(v, _sweep(at, p, step, v)[2]).reshape(p.shape[:-1] + (-1,))
 
-    return omega
-
-
-def _sheet_map(embedding: Embedding) -> Callable[[Array], tuple[Array, Array]]:
-    """Point -> (X, e_a) of the sheet, for :func:`_twist_fn`."""
-    return lambda p: (embedding.position(p), embedding.d_position(p))
+    domega = fd_jacobian(omega, point, step).reshape(omega0.shape + (point.shape[-1],))
+    comm = (np.einsum("...aik,...bkj->...abij", omega0, omega0)
+            - np.einsum("...bik,...akj->...abij", omega0, omega0))
+    return (np.einsum("...aijb->...abij", domega)
+            - np.einsum("...bija->...abij", domega) + comm)
 
 
-def _edge_map(bnd: BoundaryEmbedding) -> Callable[[Array], tuple[Array, Array]]:
-    """Edge point -> (X, y_A) of the edge in spacetime, for :func:`_twist_fn`."""
-    return lambda u: (bnd.parent.position(bnd.chi(u)), _composed_derivatives(bnd, u)[0])
+def _level(v: _Point, at: _PointFn, point: Array, step: float
+           ) -> tuple[Array, Array, Array, Array]:
+    """Intrinsic Riemann, dK, twist and twist curvature of one level, from one sweep of ``at``."""
+    dconn, dk, dn = _sweep(at, point, step, v)
+    k = v.normals.shape[-1]
+    if k < 2:  # one normal column: the twist and its curvature vanish identically
+        omega = np.zeros(v.conn.shape[:-2] + (k, k))
+        return (_riemann(v, dconn), dk, omega,
+                np.zeros(v.conn.shape[:-1] + (k, k)))
+    omega = _twist_of(v, dn)
+    return _riemann(v, dconn), dk, omega, _twist_curvature(at, omega, point, step)
+
+
+def _structure_residuals(r_amb: Array, v: _Point, riemann: Array, dk: Array,
+                         omega: Array, big_omega: Array
+                         ) -> tuple[Array, Array, Array | None]:
+    """Gauss, Codazzi and Ricci max-norms of one level of the hierarchy.
+
+    ``r_amb`` is the lowered Riemann tensor of the space the level lies in,
+    ``v`` the level's local geometry, and the rest come from :func:`_level`.
+    Ricci is None for fewer than two normals, where the family is vacuous.
+    """
+    t, n, kk, conn = v.tangents, v.normals, v.kk, v.conn
+    lhs = np.einsum("...mnrs,...ma,...nb,...rc,...sd->...abcd", r_amb, t, t, t, t)
+    kk_term = (np.einsum("...aci,...bdi->...abcd", kk, kk)
+               - np.einsum("...adi,...bci->...abcd", kk, kk))
+    gauss = np.max(np.abs(lhs - (riemann - kk_term)), axis=(-4, -3, -2, -1))
+
+    cov_k = (np.einsum("...bcia->...abci", dk)
+             - np.einsum("...abd,...dci->...abci", conn, kk)
+             - np.einsum("...acd,...bdi->...abci", conn, kk)
+             - np.einsum("...aij,...bcj->...abci", omega, kk))
+    cm = cov_k - np.einsum("...abci->...baci", cov_k)
+    lhs_cm = np.einsum("...mnrs,...ma,...nb,...rc,...si->...abci", r_amb, t, t, t, n)
+    codazzi = np.max(np.linalg.norm(lhs_cm - cm, axis=-1), axis=(-3, -2, -1))
+
+    if n.shape[-1] < 2:
+        return gauss, codazzi, None
+    k_mixed = np.einsum("...cd,...bdj->...bcj", v.metric_inv, kk)
+    rhs_ricci = (big_omega
+                 - np.einsum("...aci,...bcj->...abij", kk, k_mixed)
+                 + np.einsum("...bci,...acj->...abij", kk, k_mixed))
+    lhs_ricci = np.einsum("...mnrs,...ma,...nb,...ri,...sj->...abij", r_amb, t, t, n, n)
+    diff = lhs_ricci - rhs_ricci
+    ricci = np.max(np.linalg.norm(diff.reshape(diff.shape[:-2] + (-1,)), axis=-1),
+                   axis=(-2, -1))
+    return gauss, codazzi, ricci
 
 
 def worldsheet_connection(embedding: Embedding, point: Array) -> Array:
     """Connection coefficients Gamma_ab^c of the induced metric, indexed [a, b, c]."""
     fr, _, g, _, sec = _local(embedding, point)
     return _connection(fr, g, sec)
-
-
-def _riemann_from_connection(conn: Array, dconn: Array) -> Array:
-    """Mixed Riemann R^a_{bcd} from Gamma[a,b,c]=Gamma_ab^c and its derivative [...,a,b,c,e]."""
-    return (np.einsum("...dbac->...abcd", dconn)
-            - np.einsum("...cbad->...abcd", dconn)
-            + np.einsum("...cea,...dbe->...abcd", conn, conn)
-            - np.einsum("...dea,...cbe->...abcd", conn, conn))
 
 
 def worldsheet_riemann(embedding: Embedding, point: Array,
@@ -171,33 +297,14 @@ def worldsheet_riemann(embedding: Embedding, point: Array,
     standard antisymmetries hold to the FD tolerance.
     """
     point = np.asarray(point, dtype=float)
-    fr, _, g, _, sec = _local(embedding, point)
-    conn = _connection(fr, g, sec)
-    d = embedding.worldsheet_dim
-    dconn = fd_jacobian(
-        lambda p: worldsheet_connection(embedding, p).reshape(p.shape[:-1] + (-1,)),
-        point, step)
-    dconn = dconn.reshape(point.shape[:-1] + (d, d, d, d))
-    mixed = _riemann_from_connection(conn, dconn)
-    return np.einsum("...ae,...ebcd->...abcd", fr.induced_metric, mixed)
+    v, at = _sheet_point(embedding, point, _local(embedding, point))
+    return _riemann(v, _sweep(at, point, step, v)[0])
 
 
 def _ambient_riemann_lowered(embedding: Embedding, x: Array) -> Array:
     r_up = embedding.background.riemann_at(x)
     g = embedding.background.metric_at(x)
     return np.einsum("...ml,...lnrs->...mnrs", g, r_up)
-
-
-def _twist_curvature(omega_fn: Callable[[Array], Array], omega0: Array,
-                     point: Array, step: float, dim: int, nfr: int) -> Array:
-    """Omega_{ab ij} = d_b omega_a - d_a omega_b + [W_a, W_b] for the given field."""
-    domega = fd_jacobian(lambda p: omega_fn(p).reshape(p.shape[:-1] + (-1,)),
-                         point, step)
-    domega = domega.reshape(point.shape[:-1] + (dim, nfr, nfr, dim))  # [a,i,j,b]
-    comm = (np.einsum("...aik,...bkj->...abij", omega0, omega0)
-            - np.einsum("...bik,...akj->...abij", omega0, omega0))
-    return (np.einsum("...aijb->...abij", domega)
-            - np.einsum("...bija->...abij", domega) + comm)
 
 
 def _flat_max(t: Array, point: Array) -> Array:
@@ -219,75 +326,17 @@ def worldsheet_integrability_residuals(
     Ricci family is vacuous and reported as None.
     """
     point = np.asarray(point, dtype=float)
-    nf = normal_frame_fn if normal_frame_fn is not None else aligned_normal_frame_fn(embedding, point)
-    d = embedding.worldsheet_dim
-    k = embedding.codimension
-    fr, x, g, _, sec = _local(embedding, point)
-    g_inv = fr.induced_metric_inverse
-    e = fr.tangents
-    normals = nf(point)
-    r_amb = _ambient_riemann_lowered(embedding, x)
-
-    conn = _connection(fr, g, sec)
-    kk = _extrinsic(normals, g, sec)
-    omega_fn = _twist_fn(embedding.background, nf, _sheet_map(embedding), step)
-    omega = omega_fn(point)
-
-    # Gauss family
-    r_ws = worldsheet_riemann(embedding, point, step)
-    lhs = np.einsum("...mnrs,...ma,...nb,...rc,...sd->...abcd", r_amb, e, e, e, e)
-    kk_term = (np.einsum("...aci,...bdi->...abcd", kk, kk)
-               - np.einsum("...adi,...bci->...abcd", kk, kk))
-    res_gauss = np.max(np.abs(lhs - (r_ws - kk_term)),
-                       axis=tuple(range(point.ndim - 1, point.ndim + 3)))
-
-    # Codazzi family
-    def kk_at(p: Array) -> Array:
-        g_p = embedding.background.metric_at(embedding.position(p))
-        return _extrinsic(nf(p), g_p, second_fundamental_input(embedding, p))
-
-    dk = fd_jacobian(lambda p: kk_at(p).reshape(p.shape[:-1] + (-1,)), point, step)
-    dk = dk.reshape(point.shape[:-1] + (d, d, k, d))  # [b,c,i,a]
-    cov_k = (np.einsum("...bcia->...abci", dk)
-             - np.einsum("...abd,...dci->...abci", conn, kk)
-             - np.einsum("...acd,...bdi->...abci", conn, kk)
-             - np.einsum("...aij,...bcj->...abci", omega, kk))
-    cm = cov_k - np.einsum("...abci->...baci", cov_k)
-    lhs_cm = np.einsum("...mnrs,...ma,...nb,...rc,...si->...abci", r_amb, e, e, e, normals)
-    res_cm = np.max(np.linalg.norm(lhs_cm - cm, axis=-1),
-                    axis=tuple(range(point.ndim - 1, point.ndim + 2)))
-
-    # Ricci family (vacuous in co-dimension one)
-    if k < 2:
-        return WorldsheetResiduals(res_gauss, res_cm, None)
-    big_omega = _twist_curvature(omega_fn, omega, point, step, d, k)
-    k_mixed = np.einsum("...cd,...bdj->...bcj", g_inv, kk)
-    rhs_ricci = (big_omega
-                 - np.einsum("...aci,...bcj->...abij", kk, k_mixed)
-                 + np.einsum("...bci,...acj->...abij", kk, k_mixed))
-    lhs_ricci = np.einsum("...mnrs,...ma,...nb,...ri,...sj->...abij",
-                          r_amb, e, e, normals, normals)
-    diff = lhs_ricci - rhs_ricci
-    res_ricci = np.max(np.linalg.norm(diff.reshape(diff.shape[:-2] + (-1,)), axis=-1),
-                       axis=tuple(range(point.ndim - 1, point.ndim + 1)))
-    return WorldsheetResiduals(res_gauss, res_cm, res_ricci)
+    loc = _local(embedding, point)
+    v, at = _sheet_point(embedding, point, loc, normal_frame_fn)
+    return WorldsheetResiduals(*_structure_residuals(
+        _ambient_riemann_lowered(embedding, loc[1]), v, *_level(v, at, point, step)))
 
 
 def _boundary_riemann(bnd: BoundaryEmbedding, point: Array, step: float) -> Array:
     """Intrinsic Riemann R_{ABCD} of the edge metric h, fully lowered."""
     point = np.asarray(point, dtype=float)
-    db = bnd.boundary_dim
-
-    def bch(u: Array) -> Array:
-        bd, (fr, _, g, _, sec) = _boundary_local(bnd, u)
-        return _boundary_christoffels(bnd, u, bd, fr, g, sec)
-
-    conn = bch(point)
-    dconn = fd_jacobian(lambda u: bch(u).reshape(u.shape[:-1] + (-1,)), point, step)
-    dconn = dconn.reshape(point.shape[:-1] + (db, db, db, db))
-    mixed = _riemann_from_connection(conn, dconn)
-    h = boundary_data(bnd, point).boundary_metric
-    return np.einsum("...AE,...EBCD->...ABCD", h, mixed)
+    v, at = _edge_in_sheet_point(bnd, point, _boundary_local(bnd, point))
+    return _riemann(v, _sweep(at, point, step, v)[0])
 
 
 def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
@@ -298,35 +347,13 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
     vacuous and only two residuals exist.
     """
     point = np.asarray(point, dtype=float)
-    bd, (fr, _, g, _, sec) = _boundary_local(bnd, point)
+    bl = _boundary_local(bnd, point)
     xi = bnd.chi(point)
-    eps = bd.tangents_in_m
-    eta = bd.normal_in_m
-    k_ab = bd.edge_curvature
-    db = bnd.boundary_dim
-
-    r_ws = worldsheet_riemann(bnd.parent, xi, step)
-    lhs_gauss = np.einsum("...abcd,...aA,...bB,...cC,...dD->...ABCD",
-                          r_ws, eps, eps, eps, eps)
-    rh = _boundary_riemann(bnd, point, step)
-    kk_term = (np.einsum("...AC,...BD->...ABCD", k_ab, k_ab)
-               - np.einsum("...AD,...BC->...ABCD", k_ab, k_ab))
-    res_gauss = np.max(np.abs(lhs_gauss - (rh - kk_term)),
-                       axis=tuple(range(point.ndim - 1, point.ndim + 3)))
-
-    lhs_cod = np.einsum("...abcd,...aA,...bB,...cC,...d->...ABC", r_ws, eps, eps, eps, eta)
-    dk = fd_jacobian(
-        lambda u: boundary_data(bnd, u).edge_curvature.reshape(u.shape[:-1] + (-1,)),
-        point, step)
-    dk = dk.reshape(point.shape[:-1] + (db, db, db))  # [B,C,A]
-    h_chris = _boundary_christoffels(bnd, point, bd, fr, g, sec)
-    cov_k = (np.einsum("...BCA->...ABC", dk)
-             - np.einsum("...ABD,...DC->...ABC", h_chris, k_ab)
-             - np.einsum("...ACD,...BD->...ABC", h_chris, k_ab))
-    rhs_cod = cov_k - np.einsum("...ABC->...BAC", cov_k)
-    res_cod = np.max(np.abs(lhs_cod - rhs_cod),
-                     axis=tuple(range(point.ndim - 1, point.ndim + 2)))
-    return res_gauss, res_cod
+    ws, ws_at = _sheet_point(bnd.parent, xi, bl[1])
+    r_ws = _riemann(ws, _sweep(ws_at, xi, step, ws)[0])
+    v, at = _edge_in_sheet_point(bnd, point, bl)
+    gauss, codazzi, _ = _structure_residuals(r_ws, v, *_level(v, at, point, step))
+    return gauss, codazzi
 
 
 def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
@@ -340,112 +367,48 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     Omega_{AB i0} - eps^c_C [eps^a_A K_{ac i} k_B^C - eps^b_B K_{bc i} k_A^C].
     """
     point = np.asarray(point, dtype=float)
-    bg = bnd.parent.background
-    bd, (fr, x, g, chris, sec) = _boundary_local(bnd, point)
-    xi = bnd.chi(point)
-    db = bnd.boundary_dim
-    k_par = bnd.parent.codimension
-    nfr = k_par + 1
-
-    adapted_fn = _aligned_field(lambda u: _adapted_normal_field(bnd, u), point, g)
-    adapted = adapted_fn(point)
-    y1, y2 = _composed_derivatives(bnd, point)
-    kk = _edge_extrinsic(adapted, g, chris, y1, y2)
-    omega_fn = _twist_fn(bg, adapted_fn, _edge_map(bnd), step)
-    omega = omega_fn(point)
-    h_chris = _boundary_christoffels(bnd, point, bd, fr, g, sec)
-    r_amb = _ambient_riemann_lowered(bnd.parent, x)
-
-    rh = _boundary_riemann(bnd, point, step)
-    lhs_gauss = np.einsum("...mnrs,...mA,...nB,...rC,...sD->...ABCD",
-                          r_amb, y1, y1, y1, y1)
-    kk_term = (np.einsum("...ACI,...BDI->...ABCD", kk, kk)
-               - np.einsum("...ADI,...BCI->...ABCD", kk, kk))
-    res_gauss = np.max(np.abs(lhs_gauss - (rh - kk_term)),
-                       axis=tuple(range(point.ndim - 1, point.ndim + 3)))
-
-    def kk_at(u: Array) -> Array:
-        x_u = bnd.parent.position(bnd.chi(u))
-        return _edge_extrinsic(adapted_fn(u), bg.metric_at(x_u), bg.christoffels_at(x_u),
-                               *_composed_derivatives(bnd, u))
-
-    dk = fd_jacobian(lambda u: kk_at(u).reshape(u.shape[:-1] + (-1,)), point, step)
-    dk = dk.reshape(point.shape[:-1] + (db, db, nfr, db))  # [B,C,I,A]
-    cov_k = (np.einsum("...BCIA->...ABCI", dk)
-             - np.einsum("...ABD,...DCI->...ABCI", h_chris, kk)
-             - np.einsum("...ACD,...BDI->...ABCI", h_chris, kk)
-             - np.einsum("...AIJ,...BCJ->...ABCI", omega, kk))
-    cm = cov_k - np.einsum("...ABCI->...BACI", cov_k)
-    lhs_cm = np.einsum("...mnrs,...mA,...nB,...rC,...sI->...ABCI",
-                       r_amb, y1, y1, y1, adapted)
-    res_cm = np.max(np.linalg.norm(lhs_cm - cm, axis=-1),
-                    axis=tuple(range(point.ndim - 1, point.ndim + 2)))
-
-    # adapted Ricci family and the twist-consistency pair
-    big_omega = _twist_curvature(omega_fn, omega, point, step, db, nfr)
-    h_inv = bd.boundary_metric_inverse
-    k_mixed = np.einsum("...CD,...BDJ->...BCJ", h_inv, kk)
-    rhs_ricci = (big_omega
-                 - np.einsum("...ACI,...BCJ->...ABIJ", kk, k_mixed)
-                 + np.einsum("...BCI,...ACJ->...ABIJ", kk, k_mixed))
-    lhs_ricci = np.einsum("...mnrs,...mA,...nB,...rI,...sJ->...ABIJ",
-                          r_amb, y1, y1, adapted, adapted)
-    diff = lhs_ricci - rhs_ricci
-    if nfr >= 2:
-        res_ricci = np.max(np.linalg.norm(diff.reshape(diff.shape[:-2] + (-1,)), axis=-1),
-                           axis=tuple(range(point.ndim - 1, point.ndim + 1)))
-    else:
-        res_ricci = None
+    bl = _boundary_local(bnd, point)
+    bd, loc = bl
+    v, at = _edge_point(bnd, point, bl)
+    riemann, dk, omega, big_omega = _level(v, at, point, step)
+    gauss, codazzi, ricci = _structure_residuals(
+        _ambient_riemann_lowered(bnd.parent, loc[1]), v, riemann, dk, omega, big_omega)
 
     # twist inheritance: the tangential block matches the projected worldsheet
     # curvature, the mixed i0 block the curvature-edge cross terms
-    ws_nf = aligned_normal_frame_fn(bnd.parent, xi)
+    xi = bnd.chi(point)
+    k_par = bnd.parent.codimension
+    eps = bd.tangents_in_m
+    ws, ws_at = _sheet_point(bnd.parent, xi, loc)
     if k_par >= 2:
-        ws_omega_fn = _twist_fn(bg, ws_nf, _sheet_map(bnd.parent), step)
-        ws_big = _twist_curvature(ws_omega_fn, ws_omega_fn(xi), xi, step,
-                                  bnd.parent.worldsheet_dim, k_par)
-        projected = np.einsum("...aA,...bB,...abij->...ABij", bd.tangents_in_m,
-                              bd.tangents_in_m, ws_big)
+        projected = np.einsum("...aA,...bB,...abij->...ABij", eps, eps,
+                              _level(ws, ws_at, xi, step)[3])
     else:
-        projected = np.zeros(point.shape[:-1] + (db, db, k_par, k_par))
+        projected = np.zeros(point.shape[:-1] + (bnd.boundary_dim,) * 2 + (k_par, k_par))
     res_twist_t = _flat_max(big_omega[..., 1:, 1:] - projected, point)
 
-    kk_ws = _extrinsic(ws_nf(xi), g, sec)
-    k_up = np.einsum("...BD,...DC->...BC", bd.edge_curvature, h_inv)  # k_B^C
-    cross = np.einsum("...cC,...aA,...aci,...BC->...ABi",
-                      bd.tangents_in_m, bd.tangents_in_m, kk_ws, k_up)
+    k_up = np.einsum("...BD,...DC->...BC", bd.edge_curvature,
+                     bd.boundary_metric_inverse)  # k_B^C
+    cross = np.einsum("...cC,...aA,...aci,...BC->...ABi", eps, eps, ws.kk, k_up)
     rhs_mixed = cross - np.swapaxes(cross, -3, -2)
     res_twist_m = _flat_max(big_omega[..., 1:, 0] - rhs_mixed, point)
 
-    return DirectEdgeResiduals(res_gauss, res_cm, res_ricci, res_twist_t, res_twist_m)
+    return DirectEdgeResiduals(gauss, codazzi, ricci, res_twist_t, res_twist_m)
 
 
 def curvature_tensors(bnd: BoundaryEmbedding, point: Array,
                       step: float = DEFAULT_STEP) -> CurvatureTensors:
     """Assemble all curvature tensors entering the residuals at one edge point."""
     point = np.asarray(point, dtype=float)
-    bg = bnd.parent.background
+    bl = _boundary_local(bnd, point)
     xi = bnd.chi(point)
-    x = bnd.parent.position(xi)
-    k_par = bnd.parent.codimension
-    ws_riem = worldsheet_riemann(bnd.parent, xi, step)
-    b_riem = _boundary_riemann(bnd, point, step)
-    if k_par >= 2:
-        nf = aligned_normal_frame_fn(bnd.parent, xi)
-        omega_fn = _twist_fn(bg, nf, _sheet_map(bnd.parent), step)
-        twist_curv = _twist_curvature(omega_fn, omega_fn(xi), xi, step,
-                                      bnd.parent.worldsheet_dim, k_par)
-    else:
-        twist_curv = None
-    adapted_fn = _aligned_field(lambda u: _adapted_normal_field(bnd, u), point,
-                                bg.metric_at(x))
-    omega_fn_b = _twist_fn(bg, adapted_fn, _edge_map(bnd), step)
-    adapted_curv = _twist_curvature(omega_fn_b, omega_fn_b(point), point, step,
-                                    bnd.boundary_dim, k_par + 1)
+    twist_curv = None
+    if bnd.parent.codimension >= 2:
+        twist_curv = _level(*_sheet_point(bnd.parent, xi, bl[1]), xi, step)[3]
     return CurvatureTensors(
-        ambient_riemann=_ambient_riemann_lowered(bnd.parent, x),
-        worldsheet_riemann=ws_riem,
-        boundary_riemann=b_riem,
+        ambient_riemann=_ambient_riemann_lowered(bnd.parent, bl[1][1]),
+        worldsheet_riemann=worldsheet_riemann(bnd.parent, xi, step),
+        boundary_riemann=_boundary_riemann(bnd, point, step),
         twist_curvature=twist_curv,
-        adapted_twist_curvature=adapted_curv,
+        adapted_twist_curvature=_level(*_edge_point(bnd, point, bl), point, step)[3],
     )

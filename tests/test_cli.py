@@ -89,6 +89,18 @@ class TestEvolve:
         assert main(["evolve", "--config", str(cfg), "--out-dir", str(out),
                      "--force"]) == 0
 
+    def test_corrupt_manifest_refused_without_force(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, EVOLVE_CONFIG)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text("{not json", encoding="utf-8")
+        assert main(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not (out / "trajectory.csv").exists()
+        assert main(["evolve", "--config", str(cfg), "--out-dir", str(out),
+                     "--force"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["command"] == "evolve"
+
     def test_byte_identical_outputs_for_same_digest(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_json(cfg, EVOLVE_CONFIG)

@@ -238,6 +238,18 @@ class TestTerminalEvents:
             evolve(cfg)
         assert err.value.trajectory.snapshots
 
+    @pytest.mark.parametrize("where", ["interior_node", "endpoint_four_velocity"])
+    def test_nan_state_raises_constraint_blowup(self, where):
+        # NaN compares false against any threshold, so the check must catch it
+        cfg = collapse_config()
+        state = initial_state_from_config(cfg)
+        if where == "interior_node":
+            state.positions[7, 1] = np.nan
+        else:
+            state.endpoints[1].four_velocity[1] = np.nan
+        with pytest.raises(ConstraintBlowup):
+            step(state, cfg)
+
     def test_collision_raises_from_step(self):
         cfg = collapse_config(duration=10.0)
         state = initial_state_from_config(cfg)

@@ -1,4 +1,8 @@
-"""Each kernel evaluates the map, the metric and the rank SVD once per point batch."""
+"""Each kernel evaluates the map, the metric and the rank SVD once per point batch.
+
+The integrability residuals evaluate the map once per point of each stencil
+sweep they make, at the sample points and FD step of the ``verify`` command.
+"""
 
 import numpy as np
 import pytest
@@ -7,6 +11,11 @@ from worldsheet import catalog
 from worldsheet.background import BackgroundMetric
 from worldsheet.boundary import boundary_data
 from worldsheet.geometry import Embedding, extrinsic_curvature, frame
+from worldsheet.integrability import (
+    boundary_integrability_residuals,
+    direct_embedding_residuals,
+    worldsheet_integrability_residuals,
+)
 
 HELICOID = catalog.helicoid(0.5, 1.0)  # analytic derivatives, co-dimension one
 
@@ -41,3 +50,31 @@ def test_second_order_kernels_evaluate_each_quantity_once(counts, kernel):
     svd = counts.pop("svd")
     assert counts == {"position": 1, "d_position": 1, "dd_position": 1, "metric_at": 1}
     assert svd <= 1
+
+
+def verify_sheet(entry_id):
+    entry = catalog.entry_from_id(entry_id)
+    pts = entry.sample_grid()
+    some = pts[:: max(1, len(pts) // 4)]
+    return lambda: worldsheet_integrability_residuals(entry.embedding, some, 1e-4)
+
+
+def verify_edge(entry_id, residuals):
+    entry = catalog.entry_from_id(entry_id)
+    u = entry.boundary_grid()
+    some = u[:: max(1, len(u) // 3)]
+    return lambda: residuals(entry.boundary, some, 1e-4)
+
+
+@pytest.mark.parametrize("kernel,ceiling", [
+    (verify_sheet("helicoid"), 5),  # one per point of the (2d+1)-point stencil
+    (verify_sheet("hole"), 7),
+    (verify_sheet("torus"), 25),    # plus the nested sweeps of the twist curvature
+    (verify_edge("helicoid", boundary_integrability_residuals), 8),
+    (verify_edge("helicoid", direct_embedding_residuals), 13),
+    (verify_edge("hole", direct_embedding_residuals), 25),
+], ids=["helicoid_sheet", "hole_sheet", "torus_sheet", "helicoid_edge_in_sheet",
+        "helicoid_direct", "hole_direct"])
+def test_integrability_evaluates_the_map_once_per_stencil_point(counts, kernel, ceiling):
+    kernel()
+    assert counts["position"] <= ceiling
