@@ -4,7 +4,9 @@ Outputs are deterministic: CSV numbers use 12 significant digits with LF line
 endings, and every run writes a JSON manifest keyed by a stable digest of its
 canonicalized configuration.  A re-run into the same directory with the same
 digest, or into a directory whose manifest is corrupt, refuses to overwrite
-unless forced.
+unless forced.  Outputs are all or nothing: each file is written under a
+temporary name and renamed into place only once all of them are written, the
+manifest last.
 
 Exit codes: 0 success or physical termination, 1 numerical/physics failure,
 2 usage or validation error.
@@ -17,8 +19,10 @@ import csv
 import datetime
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,7 +54,7 @@ def _fmt(x) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -78,19 +82,38 @@ def _prepare_out_dir(out_dir: Path, digest: str, force: bool) -> None:
                 f"{out_dir} already holds results for digest {digest}; use --force to overwrite")
 
 
-def _write_manifest(out_dir: Path, command: str, digest: str, started: str,
-                    terminal_event: str, outputs: list[Path]) -> None:
-    manifest = {
-        "command": command,
-        "config_digest": digest,
-        "code_version": __version__,
-        "started_at": started,
-        "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "terminal_event": terminal_event,
-        "outputs": sorted(str(p.name) for p in outputs),
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write_outputs(out_dir: Path, command: str, digest: str, started: str,
+                   terminal_event: str, tables: dict[str, tuple[list[str], Iterable[list]]]
+                   ) -> None:
+    """Write each CSV table, then the manifest, all or nothing.
+
+    Every file goes to a temporary name in ``out_dir`` first; only when all are
+    written are they renamed into place, the manifest last.  On failure the
+    temporary files are removed and the directory keeps what it held before.
+    """
+    staged = []
+    try:
+        for name, (header, rows) in tables.items():
+            staged.append(out_dir / f".{name}.tmp")
+            _write_csv(staged[-1], header, rows)
+        manifest = {
+            "command": command,
+            "config_digest": digest,
+            "code_version": __version__,
+            "started_at": started,
+            "finished_at": _utc_now(),
+            "terminal_event": terminal_event,
+            "outputs": sorted(tables),
+        }
+        staged.append(out_dir / ".manifest.json.tmp")
+        staged[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                              encoding="utf-8")
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, name in zip(staged, [*tables, "manifest.json"]):
+        os.replace(tmp, out_dir / name)
 
 
 def _utc_now() -> str:
@@ -132,15 +155,22 @@ def cmd_verify(args) -> int:
             rows.append([entry_id, quantity, value, expected, residual,
                          "true" if ok else "false"])
             all_pass &= ok
-    table = out_dir / "residuals.csv"
-    _write_csv(table, ["entry", "quantity", "value", "expected", "residual", "pass"],
-               rows)
-    _write_manifest(out_dir, "verify", digest, started,
-                    "all_pass" if all_pass else "residual_failure", [table])
+    _write_outputs(out_dir, "verify", digest, started,
+                   "all_pass" if all_pass else "residual_failure",
+                   {"residuals.csv": (["entry", "quantity", "value", "expected",
+                                       "residual", "pass"], rows)})
     for row in rows:
         label = "pass" if row[5] == "true" else "FAIL"
         print(f"{label} {row[0]:24s} {row[1]:28s} residual={_fmt(row[4])}")
     return 0 if all_pass else 1
+
+
+def _trajectory_rows(snapshots) -> Iterator[list[str]]:
+    """One formatted row per node and snapshot, produced as the CSV is written."""
+    for s in snapshots:
+        t = _fmt(s.time)
+        for idx, node in enumerate(s.positions.tolist()):
+            yield [t, str(idx)] + [FLOAT_FMT % x for x in node]
 
 
 def cmd_evolve(args) -> int:
@@ -169,10 +199,8 @@ def cmd_evolve(args) -> int:
         status = 1
 
     n_comp = snapshots[0].positions.shape[1]
-    traj_rows, end_rows, diag_rows = [], [], []
+    end_rows, diag_rows = [], []
     for s in snapshots:
-        for idx in range(s.grid_points):
-            traj_rows.append([s.time, str(idx)] + list(s.positions[idx]))
         for name, ep in zip(("left", "right"), s.endpoints):
             end_rows.append([s.time, name] + list(ep.position) + list(ep.four_velocity)
                             + [ep.proper_time])
@@ -183,16 +211,13 @@ def cmd_evolve(args) -> int:
                           acc[0] if acc[0] is not None else float("nan"),
                           acc[1] if acc[1] is not None else float("nan")])
     comp_names = [f"x{i}" for i in range(n_comp)]
-    f_traj = out_dir / "trajectory.csv"
-    f_ends = out_dir / "endpoints.csv"
-    f_diag = out_dir / "diagnostics.csv"
-    _write_csv(f_traj, ["t", "node"] + comp_names, traj_rows)
-    _write_csv(f_ends, ["t", "side"] + comp_names + [f"u{i}" for i in range(n_comp)]
-               + ["proper_time"], end_rows)
-    _write_csv(f_diag, ["t", "constraint_mixed", "constraint_norm", "energy",
-                        "angular_momentum", "acc_left", "acc_right"], diag_rows)
-    _write_manifest(out_dir, "evolve", digest, started, event,
-                    [f_traj, f_ends, f_diag])
+    _write_outputs(out_dir, "evolve", digest, started, event, {
+        "trajectory.csv": (["t", "node"] + comp_names, _trajectory_rows(snapshots)),
+        "endpoints.csv": (["t", "side"] + comp_names + [f"u{i}" for i in range(n_comp)]
+                          + ["proper_time"], end_rows),
+        "diagnostics.csv": (["t", "constraint_mixed", "constraint_norm", "energy",
+                             "angular_momentum", "acc_left", "acc_right"], diag_rows),
+    })
     print(f"evolve finished: event={event}, snapshots={len(snapshots)}")
     return status
 
@@ -249,11 +274,10 @@ def cmd_scan(args) -> int:
         except WorldsheetError as exc:
             failures += 1
             rows.append([float(v)] + ["nan"] * (len(header) - 2) + [f"failed: {exc}"])
-    table = out_dir / "scan.csv"
-    _write_csv(table, header, rows)
-    _write_manifest(out_dir, "scan", digest, started,
-                    "complete" if failures == 0 else "partial_failure", [table])
-    print(f"scan wrote {len(rows)} points to {table}")
+    _write_outputs(out_dir, "scan", digest, started,
+                   "complete" if failures == 0 else "partial_failure",
+                   {"scan.csv": (header, rows)})
+    print(f"scan wrote {len(rows)} points to {out_dir / 'scan.csv'}")
     return 0 if failures == 0 else 1
 
 

@@ -5,8 +5,9 @@ integrated by velocity-Verlet leapfrog.  Each endpoint is its own relativistic
 particle driven by a pull of constant proper magnitude mu0/mub along minus the
 outward edge direction eta; eta is rebuilt every step by orthonormalizing the
 one-sided sigma derivative at the edge against the endpoint four-velocity.
-Endpoints advance in slice (coordinate) time by a Runge-Kutta step, so their
-time component tracks the interior slices exactly.  Units: c = 1.
+Both endpoints advance together, as one (2, N) batch with rows (left, right),
+in slice (coordinate) time by a Runge-Kutta step, so their time component
+tracks the interior slices exactly.  Units: c = 1.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class SimulationConfig:
 
 
 def _mdot(u: Array, v: Array) -> Array:
-    return -u[..., 0] * v[..., 0] + np.sum(u[..., 1:] * v[..., 1:], axis=-1)
+    return -u[..., 0] * v[..., 0] + (u[..., 1:] * v[..., 1:]).sum(axis=-1)
 
 
 def _normalize_timelike(u: Array) -> Array:
@@ -138,15 +139,19 @@ def _edge_eta(edge_tangent: Array, u: Array) -> Array:
     return v / np.sqrt(np.maximum(norm2, 1e-300))[..., None]
 
 
-def _one_sided_tangent(positions: Array, dsigma: float, side: int) -> Array:
-    """Second-order one-sided sigma derivative at the edge, pointing outward.
+def _edge_tangents(positions: Array, dsigma: float) -> Array:
+    """Second-order one-sided sigma derivatives at both edges, pointing outward.
 
-    At the left edge the backward-looking combination is already minus the
-    sigma derivative, which is the outward direction there.
+    Rows are (left, right).  At the left edge the backward-looking combination
+    is already minus the sigma derivative, which is the outward direction there.
     """
-    if side == 1:
-        return (3.0 * positions[-1] - 4.0 * positions[-2] + positions[-3]) / (2.0 * dsigma)
-    return (3.0 * positions[0] - 4.0 * positions[1] + positions[2]) / (2.0 * dsigma)
+    return (3.0 * positions[[0, -1]] - 4.0 * positions[[1, -2]]
+            + positions[[2, -3]]) / (2.0 * dsigma)
+
+
+def _edge_speeds(tangents: Array) -> Array:
+    """Norms of the edge tangents: the proper-time rate of each endpoint."""
+    return np.sqrt(np.maximum(_mdot(tangents, tangents), 1e-300))
 
 
 def collapsing_initial_state(mu0: float, mub: float, x0: float,
@@ -234,40 +239,35 @@ def constraint_norms(state: StringState) -> tuple[float, float]:
     return float(np.max(c1)), float(np.max(c2))
 
 
-def _endpoint_rate(u: Array, edge_tangent: Array, accel: float, speed: float):
-    """Worldsheet-time rates (dX/dt, du/dt, dtau/dt) for the endpoint system.
+def _advance_endpoints(x0: Array, u0: Array, tau0: Array, tangents: Array,
+                       accels: Array, dt: float) -> tuple[Array, Array, Array]:
+    """Classical fourth-order Runge-Kutta step of both endpoints in worldsheet time.
 
-    The proper-time rate equals the norm of the one-sided edge tangent: the
-    gauge constraints force -Xdot^2 = X'^2 at the edge, so the endpoint slides
-    along its worldline at that rate relative to the interior slices.
+    Every argument holds one row per end (left, right): positions, four-velocities
+    and edge tangents are (2, N), proper times and pulls mu0/mub are (2,).  The
+    rates are dX/dt = u speed, du/dt = -accel eta speed and dtau/dt = speed, where
+    speed is the norm of the one-sided edge tangent: the gauge constraints force
+    -Xdot^2 = X'^2 at the edge, so the endpoint slides along its worldline at
+    that rate relative to the interior slices.  Returns (X, u, tau), u renormalized.
     """
-    eta = _edge_eta(edge_tangent, u)
-    return u * speed, -accel * eta * speed, speed
+    speed = _edge_speeds(tangents)
+    rate = speed[:, None]
+    pull = accels[:, None]
 
+    def du(u: Array) -> Array:
+        return -pull * _edge_eta(tangents, u) * rate
 
-def _advance_endpoint(ep: EndpointState, edge_tangent: Array, accel: float,
-                      dt: float) -> EndpointState:
-    """Classical fourth-order Runge-Kutta step in worldsheet time; u renormalized."""
-    x0, u0, tau0 = ep.position, ep.four_velocity, ep.proper_time
-    speed = math.sqrt(max(float(_mdot(edge_tangent, edge_tangent)), 1e-300))
-
-    k1x, k1u, k1t = _endpoint_rate(u0, edge_tangent, accel, speed)
-    k2x, k2u, k2t = _endpoint_rate(u0 + 0.5 * dt * k1u, edge_tangent, accel, speed)
-    k3x, k3u, k3t = _endpoint_rate(u0 + 0.5 * dt * k2u, edge_tangent, accel, speed)
-    k4x, k4u, k4t = _endpoint_rate(u0 + dt * k3u, edge_tangent, accel, speed)
-    new_x = x0 + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    new_u = u0 + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    new_tau = tau0 + dt / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t)
-    new_u = _normalize_timelike(new_u)
-    return EndpointState(
-        position=new_x,
-        four_velocity=new_u,
-        proper_time=new_tau,
-        eta=_edge_eta(edge_tangent, new_u),
-        prev_four_velocity=u0.copy(),
-        prev_proper_time=tau0,
-        prev_eta=_edge_eta(edge_tangent, u0),
-    )
+    k1 = du(u0)
+    u1 = u0 + 0.5 * dt * k1
+    k2 = du(u1)
+    u2 = u0 + 0.5 * dt * k2
+    k3 = du(u2)
+    u3 = u0 + dt * k3
+    k4 = du(u3)
+    x = x0 + dt / 6.0 * (u0 * rate + 2 * (u1 * rate) + 2 * (u2 * rate) + u3 * rate)
+    u = _normalize_timelike(u0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+    tau = tau0 + dt / 6.0 * (speed + 2 * speed + 2 * speed + speed)
+    return x, u, tau
 
 
 def step(state: StringState, config: SimulationConfig,
@@ -292,35 +292,32 @@ def step(state: StringState, config: SimulationConfig,
 
     # endpoints: predictor fills the end rows, then a corrector re-advances
     # them with the step-midpoint edge tangent (second-order coupling)
-    accels = (mu0 / state.tensions.mub_left, mu0 / state.tensions.mub_right)
-    predicted = []
-    for side, ep, accel in zip((-1, 1), state.endpoints, accels):
-        tangent = _one_sided_tangent(pos, state.dsigma, side)
-        predicted.append(_advance_endpoint(ep, tangent, accel, dt))
-    new_pos[0] = predicted[0].position
-    new_pos[-1] = predicted[1].position
-    mid_pos = 0.5 * (pos + new_pos)
-    new_ends = []
-    for side, ep, accel in zip((-1, 1), state.endpoints, accels):
-        tangent = _one_sided_tangent(mid_pos, state.dsigma, side)
-        new_ends.append(_advance_endpoint(ep, tangent, accel, dt))
-    new_pos[0] = new_ends[0].position
-    new_pos[-1] = new_ends[1].position
+    left, right = state.endpoints
+    x0 = np.stack((left.position, right.position))
+    u0 = np.stack((left.four_velocity, right.four_velocity))
+    tau0 = np.array((left.proper_time, right.proper_time))
+    accels = mu0 / np.array((state.tensions.mub_left, state.tensions.mub_right))
+    new_pos[[0, -1]] = _advance_endpoints(
+        x0, u0, tau0, _edge_tangents(pos, state.dsigma), accels, dt)[0]
+    tangents = _edge_tangents(0.5 * (pos + new_pos), state.dsigma)
+    x, u, tau = _advance_endpoints(x0, u0, tau0, tangents, accels, dt)
+    new_pos[[0, -1]] = x
+    eta, prev_eta = _edge_eta(tangents, u), _edge_eta(tangents, u0)
 
     acc_new = np.zeros_like(pos)
     acc_new[1:-1] = (new_pos[2:] - 2.0 * new_pos[1:-1] + new_pos[:-2]) / ds2
     new_vel = vel.copy()
     new_vel[1:-1] = v_half + 0.5 * dt * acc_new[1:-1]
-    for row, side, ep in ((0, -1, new_ends[0]), (-1, 1, new_ends[1])):
-        tang = _one_sided_tangent(new_pos, state.dsigma, side)
-        speed = math.sqrt(max(float(_mdot(tang, tang)), 1e-300))
-        new_vel[row] = ep.four_velocity * speed
+    new_vel[[0, -1]] = u * _edge_speeds(_edge_tangents(new_pos, state.dsigma))[:, None]
+    # rows in EndpointState field order: X, u, tau, eta, then the previous u, tau, eta
+    endpoints = tuple(EndpointState(*row) for row in zip(
+        x, u, tau.tolist(), eta, u0, tau0.tolist(), prev_eta))
 
     new_state = StringState(
         time=state.time + dt,
         positions=new_pos,
         velocities=new_vel,
-        endpoints=(new_ends[0], new_ends[1]),
+        endpoints=endpoints,
         tensions=state.tensions,
         dsigma=state.dsigma,
         collision_threshold=state.collision_threshold,

@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from worldsheet.cli import main
 
@@ -100,6 +101,27 @@ class TestEvolve:
         assert main(["evolve", "--config", str(cfg), "--out-dir", str(out),
                      "--force"]) == 0
         assert json.loads((out / "manifest.json").read_text())["command"] == "evolve"
+
+    def test_failed_write_leaves_no_outputs(self, tmp_path, monkeypatch):
+        import worldsheet.cli as cli
+        original, written = cli._write_csv, []
+
+        def fail_on_third(path, header, rows):
+            written.append(path)
+            if len(written) == 3:
+                raise OSError("disk full")
+            original(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", fail_on_third)
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, EVOLVE_CONFIG)
+        out = tmp_path / "run"
+        with pytest.raises(OSError):
+            main(["evolve", "--config", str(cfg), "--out-dir", str(out)])
+        assert len(written) == 3
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "manifest.json").exists()
+        assert list(out.iterdir()) == []
 
     def test_byte_identical_outputs_for_same_digest(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from worldsheet.catalog import collision_time, endpoint_worldline
 from worldsheet.dynamics import (
@@ -46,6 +48,15 @@ class TestOrbitRelation:
         omegas = [rotating_orbit_omega(q, 1.0, 1.0) for q in ratios]
         assert all(b > a for a, b in zip(omegas, omegas[1:]))
         assert all(w < 1.0 for w in omegas)
+
+    @settings(derandomize=True, max_examples=50)
+    @given(q=st.floats(1e-3, 1e3), q_larger=st.floats(1e-3, 1e3),
+           radius=st.floats(0.2, 5.0))
+    def test_subluminal_and_increasing_property(self, q, q_larger, radius):
+        assume(q_larger > 1.001 * q)
+        w = rotating_orbit_omega(q, 1.0, radius)
+        assert w * radius < 1.0
+        assert rotating_orbit_omega(q_larger, 1.0, radius) > w
 
     def test_tensionless_and_massless_limits(self):
         assert rotating_orbit_omega(1e-12, 1.0, 1.0) < 1e-5

@@ -2,12 +2,14 @@
 
 The integrability residuals evaluate the map once per point of each stencil
 sweep they make, at the sample points and FD step of the ``verify`` command.
+A string step builds the outward edge direction once per Runge-Kutta rate
+evaluation of both ends together, plus once each for the new and old state.
 """
 
 import numpy as np
 import pytest
 
-from worldsheet import catalog
+from worldsheet import catalog, dynamics
 from worldsheet.background import BackgroundMetric
 from worldsheet.boundary import boundary_data
 from worldsheet.geometry import Embedding, extrinsic_curvature, frame
@@ -78,3 +80,20 @@ def verify_edge(entry_id, residuals):
 def test_integrability_evaluates_the_map_once_per_stencil_point(counts, kernel, ceiling):
     kernel()
     assert counts["position"] <= ceiling
+
+
+def test_step_builds_edge_directions_for_both_ends_at_once(monkeypatch):
+    calls = 0
+    original = dynamics._edge_eta
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_edge_eta", counted)
+    config = dynamics.SimulationConfig(
+        initial_data={"id": "rotating", "mu0": 1.0, "mub": 3.0, "radius": 1.0},
+        duration=1.0)
+    dynamics.step(dynamics.initial_state_from_config(config), config)
+    assert calls <= 10  # predictor and corrector 4 each, then eta and prev_eta
