@@ -28,6 +28,7 @@ from .geometry import (
     _frame_derivative,
     _gram_schmidt_normals,
     _local,
+    _projected_seeds,
     _pullback,
     _twist,
     fd_hessian,
@@ -161,7 +162,8 @@ def _edge_normal(bnd: BoundaryEmbedding, point: Array, eps: Array, gamma: Array,
     d = bnd.parent.worldsheet_dim
     point = np.asarray(point, dtype=float)
     batch = point.shape[:-1]
-    eta, found = _gram_schmidt_normals(gamma, eps, h_inv, 1, np.arange(d))
+    eta, found = _gram_schmidt_normals(gamma, _projected_seeds(gamma, eps, h_inv), 1,
+                                       np.arange(d))
     if np.any(found < 1):
         raise NullBoundary("edge normal cannot be unit-normalized (null boundary)")
     eta = eta[..., 0]

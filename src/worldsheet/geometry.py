@@ -144,7 +144,7 @@ def _rank_checked_scale(tangents: Array) -> Array:
 
 def _pullback(tangents: Array, metric: Array) -> Array:
     """Pulled-back metric t^m_a metric_mn t^n_b along the columns of ``tangents``."""
-    return np.einsum("...ma,...mn,...nb->...ab", tangents, metric, tangents)
+    return np.swapaxes(tangents, -1, -2) @ (metric @ tangents)
 
 
 def tangent_basis(embedding: Embedding, point: Array) -> Array:
@@ -187,42 +187,48 @@ def _first_significant_sign(v: Array) -> Array:
     return np.where(sign == 0, 1.0, sign)
 
 
-def _gram_schmidt_normals(g: Array, tangents: Array, gamma_inv: Array,
-                          count_needed: int, axis_order: np.ndarray) -> tuple[Array, Array]:
+def _projected_seeds(g: Array, tangents: Array, gamma_inv: Array) -> Array:
+    """Every coordinate axis with its tangential part removed twice, as columns (..., N, N).
+
+    Column mu of P P, with P = 1 - e gamma^-1 (g e)^T the normal projector.
+    """
+    proj = np.eye(tangents.shape[-2]) - tangents @ (gamma_inv @ np.swapaxes(g @ tangents, -1, -2))
+    return proj @ proj
+
+
+def _gram_schmidt_normals(g: Array, seeds: Array, count_needed: int,
+                          axis_order: np.ndarray) -> tuple[Array, Array]:
     """One sweep of metric Gram-Schmidt over the given coordinate-axis order.
 
-    Returns (normals, found) where unfilled slots are zero columns and
-    ``found`` counts accepted normals per point.
+    ``seeds`` are the tangent-projected coordinate axes of
+    :func:`_projected_seeds`, all computed at once.  Column mu is taken in
+    ``axis_order``; once any normal has been accepted, the accepted normals are
+    removed from it twice for stability.  The sweep stops as soon as every
+    point has ``count_needed`` normals.  Returns (normals, found) where
+    unfilled slots are zero columns and ``found`` counts accepted normals per
+    point.
     """
-    batch = tangents.shape[:-2]
-    n = tangents.shape[-2]
+    batch = seeds.shape[:-2]
+    n = seeds.shape[-2]
     normals = np.zeros(batch + (n, count_needed))
     found = np.zeros(batch, dtype=int)
-    ge = np.einsum("...mn,...na->...ma", g, tangents)  # g e_a, lowered tangents
     for mu in axis_order:
-        v = np.zeros(batch + (n,))
-        v[..., mu] = 1.0
-        # remove the tangential part, then accepted normals, twice for stability
-        for _ in range(2):
-            coeff = np.einsum("...ma,...m->...a", ge, v)
-            v = v - np.einsum("...na,...ab,...b->...n", tangents, gamma_inv, coeff)
-            proj = np.einsum("...nk,...nm,...m->...k", normals, g, v)
-            v = v - np.einsum("...nk,...k->...n", normals, proj)
-        norm2 = np.einsum("...m,...mn,...n->...", v, g, v)
+        if np.all(found == count_needed):
+            break
+        v = seeds[..., :, mu]
+        if np.any(found):
+            for _ in range(2):
+                proj = np.swapaxes(normals, -1, -2) @ (g @ v[..., None])
+                v = v - (normals @ proj)[..., 0]
+        norm2 = np.sum(v * (g @ v[..., None])[..., 0], axis=-1)
         euclid2 = np.sum(v * v, axis=-1)
         ok = (found < count_needed) & (euclid2 > 1e-20) & (norm2 > 1e-10 * euclid2)
         if not np.any(ok):
             continue
         vhat = np.where(ok[..., None], v / np.sqrt(np.where(ok, norm2, 1.0))[..., None], 0.0)
         vhat = vhat * _first_significant_sign(vhat)[..., None]
-        flat_norm = normals.reshape(-1, n, count_needed)
-        flat_v = vhat.reshape(-1, n)
-        flat_found = found.reshape(-1)
-        sel = np.flatnonzero(ok.reshape(-1))
-        flat_norm[sel, :, flat_found[sel]] = flat_v[sel]
-        found = flat_found.reshape(batch)
-        normals = flat_norm.reshape(batch + (n, count_needed))
-        found = found + ok.astype(int)
+        normals[ok, :, found[ok]] = vhat[ok]
+        found = found + ok
     return normals, found
 
 
@@ -232,12 +238,12 @@ def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array) 
     n = embedding.background.dimension
     if k == 0:
         return np.zeros(tangents.shape[:-2] + (n, 0))
-    normals, found = _gram_schmidt_normals(g, tangents, gamma_inv, k, np.arange(n))
+    seeds = _projected_seeds(g, tangents, gamma_inv)
+    normals, found = _gram_schmidt_normals(g, seeds, k, np.arange(n))
     for shift in range(1, n):
         if np.all(found == k):
             break
-        retry, refound = _gram_schmidt_normals(g, tangents, gamma_inv, k,
-                                               np.roll(np.arange(n), shift))
+        retry, refound = _gram_schmidt_normals(g, seeds, k, np.roll(np.arange(n), shift))
         missing = found < k
         normals = np.where(missing[..., None, None], retry, normals)
         found = np.where(missing, refound, found)

@@ -31,6 +31,7 @@ from .boundary import (
     _boundary_local,
     _edge_extrinsic,
 )
+from .errors import GaugeFailure
 from .geometry import (
     Embedding,
     _connection,
@@ -111,11 +112,24 @@ class _Point(NamedTuple):
 _PointFn = Callable[[Array], _Point]
 
 
+def _polar_factor(overlap: Array) -> Array:
+    """Orthogonal polar factor u v^T of square overlaps (..., K, K).
+
+    For K = 1 that is the overlap's sign, -1 for -0.0 as the SVD gives, so no
+    SVD is made; K >= 2 takes the SVD.
+    """
+    if overlap.shape[-1] == 1:
+        return np.copysign(1.0, overlap)
+    u, _, vt = np.linalg.svd(overlap)
+    return u @ vt
+
+
 def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
     """Frame columns ``raw`` rotated onto ``ref`` by the minimizing orthogonal matrix."""
-    overlap = np.einsum("...mi,...mn,...nj->...ij", raw, g, ref)
-    u, _, vt = np.linalg.svd(overlap)
-    return np.einsum("...mi,...ij->...mj", raw, u @ vt)
+    overlap = np.swapaxes(raw, -1, -2) @ (g @ ref)
+    if not np.all(np.isfinite(overlap)):
+        raise GaugeFailure("non-finite normal-frame overlap in the Procrustes alignment")
+    return raw @ _polar_factor(overlap)
 
 
 def aligned_normal_frame_fn(embedding: Embedding,
@@ -332,13 +346,6 @@ def worldsheet_integrability_residuals(
         _ambient_riemann_lowered(embedding, loc[1]), v, *_level(v, at, point, step)))
 
 
-def _boundary_riemann(bnd: BoundaryEmbedding, point: Array, step: float) -> Array:
-    """Intrinsic Riemann R_{ABCD} of the edge metric h, fully lowered."""
-    point = np.asarray(point, dtype=float)
-    v, at = _edge_in_sheet_point(bnd, point, _boundary_local(bnd, point))
-    return _riemann(v, _sweep(at, point, step, v)[0])
-
-
 def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
                                      step: float = DEFAULT_STEP) -> tuple[Array, Array]:
     """Gauss and Codazzi residuals for the edge embedded in the worldsheet.
@@ -398,17 +405,22 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
 
 def curvature_tensors(bnd: BoundaryEmbedding, point: Array,
                       step: float = DEFAULT_STEP) -> CurvatureTensors:
-    """Assemble all curvature tensors entering the residuals at one edge point."""
+    """Assemble all curvature tensors entering the residuals at one edge point.
+
+    One sweep per level: the sheet's gives R_{abcd} and (two or more normals)
+    its twist curvature; the adapted edge's gives R_{ABCD}, from the same
+    connection of h that the edge-in-sheet level uses, and the adapted twist
+    curvature.
+    """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
     xi = bnd.chi(point)
-    twist_curv = None
-    if bnd.parent.codimension >= 2:
-        twist_curv = _level(*_sheet_point(bnd.parent, xi, bl[1]), xi, step)[3]
+    r_ws, _, _, twist_curv = _level(*_sheet_point(bnd.parent, xi, bl[1]), xi, step)
+    r_h, _, _, adapted = _level(*_edge_point(bnd, point, bl), point, step)
     return CurvatureTensors(
         ambient_riemann=_ambient_riemann_lowered(bnd.parent, bl[1][1]),
-        worldsheet_riemann=worldsheet_riemann(bnd.parent, xi, step),
-        boundary_riemann=_boundary_riemann(bnd, point, step),
-        twist_curvature=twist_curv,
-        adapted_twist_curvature=_level(*_edge_point(bnd, point, bl), point, step)[3],
+        worldsheet_riemann=r_ws,
+        boundary_riemann=r_h,
+        twist_curvature=twist_curv if bnd.parent.codimension >= 2 else None,
+        adapted_twist_curvature=adapted,
     )

@@ -321,11 +321,9 @@ def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
 
     def pos(xi):
         fr, x, _ = _frame_at(embedding, xi)
-        delta = (np.einsum("...ma,...a->...m", fr.tangents,
-                           deformation.tangential(xi, d))
-                 + np.einsum("...mi,...i->...m", align(fr.normals),
-                             deformation.normal(xi, k)))
-        return x + eps * delta
+        delta = (fr.tangents @ deformation.tangential(xi, d)[..., None]
+                 + align(fr.normals) @ deformation.normal(xi, k)[..., None])
+        return x + eps * delta[..., 0]
 
     return Embedding(d, embedding.background, pos, fd_step=embedding.fd_step)
 

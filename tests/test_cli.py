@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from worldsheet.cli import main
+from worldsheet.cli import _scan_point_hole, main
 
 
 def write_json(path, payload):
@@ -190,6 +192,14 @@ class TestScan:
         lo, hi = crossings[0]
         assert lo <= 2.0 <= hi
         assert hi - lo <= (rhos[1] - rhos[0]) + 1e-12
+
+    @settings(derandomize=True, max_examples=50)
+    @given(mu0=st.floats(0.5, 2.0), ratio=st.floats(1.2, 3.5))
+    def test_edge_law_changes_sign_at_critical_radius_property(self, mu0, ratio):
+        # the hole is in equilibrium at rho = mub/mu0 = ratio
+        _, below = _scan_point_hole(0.9 * ratio, mu0, ratio * mu0)
+        _, above = _scan_point_hole(1.1 * ratio, mu0, ratio * mu0)
+        assert below < 0.0 < above
 
     def test_orbit_scan_monotone_subluminal(self, tmp_path):
         cfg = tmp_path / "scan.json"

@@ -4,6 +4,7 @@ The integrability residuals evaluate the map once per point of each stencil
 sweep they make, at the sample points and FD step of the ``verify`` command.
 A string step builds the outward edge direction once per Runge-Kutta rate
 evaluation of both ends together, plus once each for the new and old state.
+The Procrustes alignment of one normal column takes no SVD.
 """
 
 import numpy as np
@@ -14,7 +15,9 @@ from worldsheet.background import BackgroundMetric
 from worldsheet.boundary import boundary_data
 from worldsheet.geometry import Embedding, extrinsic_curvature, frame
 from worldsheet.integrability import (
+    _procrustes,
     boundary_integrability_residuals,
+    curvature_tensors,
     direct_embedding_residuals,
     worldsheet_integrability_residuals,
 )
@@ -75,11 +78,25 @@ def verify_edge(entry_id, residuals):
     (verify_edge("helicoid", boundary_integrability_residuals), 8),
     (verify_edge("helicoid", direct_embedding_residuals), 13),
     (verify_edge("hole", direct_embedding_residuals), 25),
+    (verify_edge("hole", curvature_tensors), 31),  # one sweep per level
 ], ids=["helicoid_sheet", "hole_sheet", "torus_sheet", "helicoid_edge_in_sheet",
-        "helicoid_direct", "hole_direct"])
+        "helicoid_direct", "hole_direct", "hole_curvature_tensors"])
 def test_integrability_evaluates_the_map_once_per_stencil_point(counts, kernel, ceiling):
     kernel()
     assert counts["position"] <= ceiling
+
+
+@pytest.mark.parametrize("entry,svd_calls", [
+    (HELICOID, 0),                  # one normal column: the polar factor is a sign
+    (catalog.flat_torus(1.0, 1.0), 1),
+], ids=["one_column", "two_columns"])
+def test_procrustes_takes_an_svd_only_for_two_or_more_columns(counts, entry, svd_calls):
+    pts = entry.sample_grid()
+    fr = frame(entry.embedding, pts)
+    g = entry.embedding.background.metric_at(entry.embedding.position(pts))
+    before = counts["svd"]
+    _procrustes(fr.normals, fr.normals[0], g)
+    assert counts["svd"] - before == svd_calls
 
 
 def test_step_builds_edge_directions_for_both_ends_at_once(monkeypatch):

@@ -110,6 +110,53 @@ class TestNormalFrame:
         assert np.max(np.abs(gram - np.eye(twin.codimension))) < 1e-6
 
 
+def first_significant_positive(v):
+    """Closed-form gauge: flip each column so its first significant component is positive."""
+    lead = np.argmax(np.abs(v) > 1e-8 * np.max(np.abs(v), axis=-1, keepdims=True), axis=-1)
+    return v * np.sign(np.take_along_axis(v, lead[..., None], axis=-1))
+
+
+def helicoid_normals(pts, omega=0.5):
+    t, s = pts[..., 0], pts[..., 1]
+    raw = np.stack([s * omega, -np.sin(omega * t), np.cos(omega * t)], axis=-1)
+    return first_significant_positive(raw / np.sqrt(1.0 - (s * omega) ** 2)[..., None])[..., None]
+
+
+def torus_normals(pts):
+    u, v = pts[..., 0], pts[..., 1]
+    z = np.zeros_like(u)
+    n1 = np.stack([np.cos(u), np.sin(u), z, z], axis=-1)
+    n2 = np.stack([z, z, np.cos(v), np.sin(v)], axis=-1)
+    return np.stack([first_significant_positive(n1), first_significant_positive(n2)], axis=-1)
+
+
+def grid(first, second):
+    return np.stack(np.meshgrid(first, second, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+class TestBatchedNormalFrame:
+    # sigma = 0 rejects the time-axis seed (e_t is that axis there); sigma != 0 accepts it
+    HELICOID_PTS = grid(np.linspace(-1.0, 1.0, 5), [-0.6, -0.2, -1e-3, 0.0, 1e-3, 0.2, 0.6])
+    # at u or v = pi/2 the first seed axis of that circle's plane is tangent and rejected
+    TORUS_PTS = grid(np.linspace(0.0, 2.0 * np.pi, 9), np.linspace(-np.pi, np.pi, 5))
+
+    @pytest.mark.parametrize("entry,pts,closed_form", [
+        (HELICOID, HELICOID_PTS, helicoid_normals),
+        (TORUS, TORUS_PTS, torus_normals),
+    ], ids=["helicoid", "torus"])
+    def test_batch_matches_pointwise_and_closed_form(self, entry, pts, closed_form):
+        batched = normal_frame(entry.embedding, pts)
+        pointwise = np.stack([normal_frame(entry.embedding, p) for p in pts])
+        assert np.max(np.abs(batched - pointwise)) < 1e-15
+        assert np.max(np.abs(batched - closed_form(pts))) < 1e-14
+
+    def test_helicoid_batch_straddles_the_seed_switch(self):
+        n = normal_frame(HELICOID.embedding, self.HELICOID_PTS)
+        on_axis = self.HELICOID_PTS[:, 1] == 0.0
+        assert np.all(n[on_axis, 0, 0] == 0.0)
+        assert np.all(n[~on_axis, 0, 0] > 0.0)
+
+
 class TestExtrinsicCurvature:
     def test_plane_totally_geodesic(self):
         c = extrinsic_curvature(PLANE.embedding, np.array([0.4, 0.2]))

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from worldsheet import catalog
+from worldsheet.errors import GaugeFailure
 from worldsheet.geometry import frame, normal_frame
 from worldsheet.integrability import (
+    _polar_factor,
+    _procrustes,
     aligned_normal_frame_fn,
     boundary_integrability_residuals,
     curvature_tensors,
@@ -219,3 +222,51 @@ class TestCurvatureTensors:
         ct = curvature_tensors(HELICOID.boundary, np.array([0.4]), step=1e-3)
         assert ct.twist_curvature is None
         assert ct.adapted_twist_curvature is not None
+
+
+def svd_polar(overlap):
+    """Reference polar factor u v^T from LAPACK's SVD."""
+    u, _, vt = np.linalg.svd(overlap)
+    return u @ vt
+
+
+class TestProcrustes:
+    @pytest.mark.parametrize("value", [0.7, -0.7, 0.0, -0.0])
+    def test_one_column_polar_factor_is_the_svd_one(self, value):
+        overlap = np.array([[[value]], [[2.0 * value]]])
+        assert np.array_equal(_polar_factor(overlap), svd_polar(overlap))
+
+    # a matmul overlap accumulates from +0.0, so -0.0 only reaches the polar factor
+    @pytest.mark.parametrize("value", [0.7, -0.7, 0.0])
+    def test_one_column_alignment_matches_svd_reference(self, value):
+        pts = HELICOID.sample_grid()
+        raw = normal_frame(HELICOID.embedding, pts)
+        g = HELICOID.embedding.background.metric_at(HELICOID.embedding.position(pts))
+        ref = value * raw
+        overlap = np.einsum("...mi,...mn,...nj->...ij", raw, g, ref)
+        expect = np.einsum("...mi,...ij->...mj", raw, svd_polar(overlap))
+        assert np.array_equal(_procrustes(raw, ref, g), expect)
+
+    def test_two_column_alignment_matches_svd_reference(self):
+        theta = 0.77
+        rot = np.array([[np.cos(theta), -np.sin(theta)],
+                        [np.sin(theta), np.cos(theta)]])
+        pts = TORUS.sample_grid()
+        ref = normal_frame(TORUS.embedding, pts)
+        raw = ref @ rot
+        g = np.eye(4)
+        overlap = np.einsum("...mi,...mn,...nj->...ij", raw, g, ref)
+        expect = np.einsum("...mi,...ij->...mj", raw, svd_polar(overlap))
+        got = _procrustes(raw, ref, g)
+        assert np.max(np.abs(got - expect)) < 1e-14
+        assert np.max(np.abs(got - ref)) < 1e-14  # the constant rotation is undone
+
+    @pytest.mark.parametrize("entry", [HELICOID, TORUS], ids=lambda e: e.id)
+    def test_non_finite_overlap_raises_gauge_failure(self, entry):
+        pts = entry.sample_grid()
+        ref = normal_frame(entry.embedding, pts)
+        raw = ref.copy()
+        raw[3, 1, 0] = np.nan
+        g = entry.embedding.background.metric_at(entry.embedding.position(pts))
+        with pytest.raises(GaugeFailure):
+            _procrustes(raw, ref, g)
