@@ -1,5 +1,13 @@
 """Geometry of the edge worldsheet: embedded in the parent, and directly in spacetime.
 
+The edge is one map chi from boundary coordinates u into the parent, and a
+point batch is evaluated at one of two orders.  ``_edge_frame`` is first
+order: the tangents eps, the metric h and its inverse, and the outward normal
+eta, from the parent's frame at chi(u).  ``_boundary_local`` is second order:
+it adds k_AB and hands back chi(u), chi_,AB and the parent's local geometry,
+from which every edge quantity here and in ``integrability`` is read, D_A y_B
+included, without evaluating chi or the parent map again for that batch.
+
 Conventions fixed here and relied on downstream:
 
 * eta is the OUTWARD unit normal of the edge inside the parent worldsheet,
@@ -13,7 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +31,6 @@ from .geometry import (
     Embedding,
     Frame,
     _connection,
-    _covariant_hessian,
     _extrinsic,
     _frame_derivative,
     _gram_schmidt_normals,
@@ -156,44 +163,49 @@ def _pullback_metric(bnd: BoundaryEmbedding, gamma: Array, eps: Array) -> tuple[
     return h, np.linalg.inv(h)
 
 
-def _edge_normal(bnd: BoundaryEmbedding, point: Array, eps: Array, gamma: Array,
-                 h_inv: Array, orientation_hint) -> Array:
-    """Unit normal of the edge in the worldsheet, signed outward by the hint."""
-    d = bnd.parent.worldsheet_dim
-    point = np.asarray(point, dtype=float)
-    batch = point.shape[:-1]
+def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: Frame
+                ) -> tuple[Array, Array, Array, Array]:
+    """First-order edge frame (eps, h, h^-1, eta) from the parent's frame ``fr`` at chi(point).
+
+    eta is the unit normal of the edge in the worldsheet, signed outward by
+    the boundary's ``outward_hint``.
+    """
+    eps = bnd.d_chi(point)
+    gamma = fr.induced_metric
+    h, h_inv = _pullback_metric(bnd, gamma, eps)
     eta, found = _gram_schmidt_normals(gamma, _projected_seeds(gamma, eps, h_inv), 1,
-                                       np.arange(d))
+                                       np.arange(bnd.parent.worldsheet_dim))
     if np.any(found < 1):
         raise NullBoundary("edge normal cannot be unit-normalized (null boundary)")
     eta = eta[..., 0]
-    if orientation_hint is None:
-        hint = bnd.hint_at(point)
-    elif callable(orientation_hint):
-        hint = np.asarray(orientation_hint(point), dtype=float)
-    else:
-        hint = np.broadcast_to(np.asarray(orientation_hint, dtype=float),
-                               batch + (d,)).copy()
-    align = np.einsum("...a,...ab,...b->...", eta, gamma, hint)
+    align = np.einsum("...a,...ab,...b->...", eta, gamma, bnd.hint_at(point))
     if np.any(np.abs(align) < 1e-12):
-        raise ValueError("orientation_hint is orthogonal to the edge normal")
-    return eta * np.sign(align)[..., None]
+        raise ValueError("outward_hint is orthogonal to the edge normal")
+    return eps, h, h_inv, eta * np.sign(align)[..., None]
 
 
-def _boundary_local(bnd: BoundaryEmbedding, point: Array,
-                    orientation_hint=None) -> tuple[BoundaryData, tuple]:
-    """:func:`boundary_data` and the parent's ``geometry._local`` tuple at chi(point)."""
+class _EdgeLocal(NamedTuple):
+    """One second-order evaluation of the edge at boundary points u."""
+
+    bd: BoundaryData
+    loc: tuple          # the parent's ``geometry._local`` tuple at xi
+    xi: Array           # chi(u)
+    dd_chi: Array       # chi^a_{,AB}
+
+
+def _boundary_local(bnd: BoundaryEmbedding, point: Array) -> _EdgeLocal:
+    """:func:`boundary_data` at ``point``, with the evaluations it is built from."""
     point = np.asarray(point, dtype=float)
-    eps = bnd.d_chi(point)
-    loc = _local(bnd.parent, bnd.chi(point))
+    xi = bnd.chi(point)
+    loc = _local(bnd.parent, xi)
     fr, _, g, _, sec = loc
     gamma = fr.induced_metric
-    h, h_inv = _pullback_metric(bnd, gamma, eps)
-    eta = _edge_normal(bnd, point, eps, gamma, h_inv, orientation_hint)
+    eps, h, h_inv, eta = _edge_frame(bnd, point, fr)
+    dd_chi = bnd.dd_chi(point)
 
     # (grad_A eps_B)^a = chi^a_{,AB} + Gamma_bc^a eps^b_A eps^c_B
-    grad_eps = bnd.dd_chi(point) + np.einsum("...bca,...bA,...cB->...aAB",
-                                             _connection(fr, g, sec), eps, eps)
+    grad_eps = dd_chi + np.einsum("...bca,...bA,...cB->...aAB",
+                                  _connection(fr, g, sec), eps, eps)
     k_ab = -np.einsum("...a,...ab,...bAB->...AB", eta, gamma, grad_eps)
     k_ab = 0.5 * (k_ab + np.swapaxes(k_ab, -1, -2))
     bd = BoundaryData(
@@ -206,7 +218,7 @@ def _boundary_local(bnd: BoundaryEmbedding, point: Array,
         projector=_projector(eps, h_inv),
         spacetime_normal=np.einsum("...ma,...a->...m", fr.tangents, eta),
     )
-    return bd, loc
+    return _EdgeLocal(bd, loc, xi, dd_chi)
 
 
 def _projector(eps: Array, h_inv: Array) -> Array:
@@ -214,16 +226,14 @@ def _projector(eps: Array, h_inv: Array) -> Array:
     return np.einsum("...aA,...AB,...bB->...ab", eps, h_inv, eps)
 
 
-def boundary_data(bnd: BoundaryEmbedding, point: Array,
-                  orientation_hint: Array | Callable[[Array], Array] | None = None
-                  ) -> BoundaryData:
+def boundary_data(bnd: BoundaryEmbedding, point: Array) -> BoundaryData:
     """Edge frame, metric, projector, and extrinsic curvature inside the parent.
 
     Raises NullBoundary when the boundary metric degenerates or the edge
     normal cannot be normalized to unit spacelike length (edge on the light
     cone, outside the dynamical scope).
     """
-    return _boundary_local(bnd, point, orientation_hint)[0]
+    return _boundary_local(bnd, point).bd
 
 
 def edge_equation_residual(bd: BoundaryData, mu0: float, mub: float) -> Array:
@@ -243,22 +253,17 @@ def boundary_condition_residual(bnd: BoundaryEmbedding, point: Array) -> Array:
                      _extrinsic(fr.normals, g, sec))
 
 
-def _boundary_christoffels(bnd: BoundaryEmbedding, point: Array, bd: BoundaryData,
-                           fr: Frame, g: Array, sec: Array) -> Array:
-    """Christoffels of the boundary metric h_AB, indexed [A, B, C] (upper last).
-
-    ``fr``, ``g`` and ``sec`` are the parent's frame, background metric and
-    D_a e_b at chi(point).
-    """
-    eps, h_inv = bd.tangents_in_m, bd.boundary_metric_inverse
+def _boundary_christoffels(bl: _EdgeLocal) -> Array:
+    """Christoffels of the boundary metric h_AB, indexed [A, B, C] (upper last)."""
+    eps, h_inv = bl.bd.tangents_in_m, bl.bd.boundary_metric_inverse
+    fr, _, g, _, sec = bl.loc
     gamma = fr.induced_metric
     # metric compatibility: d gamma_ab / d xi^c = g(D_c e_a, e_b) + g(e_a, D_c e_b)
     half = np.einsum("...mca,...mn,...nb->...cab", sec, g, fr.tangents)
     dgamma = half + np.swapaxes(half, -1, -2)
-    dd_chi = bnd.dd_chi(point)
     dh = (np.einsum("...cab,...cC,...aA,...bB->...CAB", dgamma, eps, eps, eps)
-          + np.einsum("...ab,...aAC,...bB->...CAB", gamma, dd_chi, eps)
-          + np.einsum("...ab,...aA,...bBC->...CAB", gamma, eps, dd_chi))
+          + np.einsum("...ab,...aAC,...bB->...CAB", gamma, bl.dd_chi, eps)
+          + np.einsum("...ab,...aA,...bBC->...CAB", gamma, eps, bl.dd_chi))
     return 0.5 * np.einsum(
         "...CD,...ABD->...ABC",
         h_inv,
@@ -266,17 +271,16 @@ def _boundary_christoffels(bnd: BoundaryEmbedding, point: Array, bd: BoundaryDat
         - np.einsum("...DAB->...ABD", dh))
 
 
-def _composed_derivatives(bnd: BoundaryEmbedding, point: Array) -> tuple[Array, Array]:
-    """First and second derivatives of X(chi(u)) by the chain rule."""
-    xi = bnd.chi(point)
-    eps = bnd.d_chi(point)
-    dd_chi = bnd.dd_chi(point)
-    e = bnd.parent.d_position(xi)
-    dd = bnd.parent.dd_position(xi)
-    y1 = np.einsum("...ma,...aA->...mA", e, eps)
-    y2 = (np.einsum("...mab,...aA,...bB->...mAB", dd, eps, eps)
-          + np.einsum("...ma,...aAB->...mAB", e, dd_chi))
-    return y1, y2
+def _edge_derivatives(bl: _EdgeLocal) -> tuple[Array, Array]:
+    """Edge tangents in spacetime y_A = e_a eps^a_A and their derivative D_A y_B.
+
+    D_A y_B = (D_a e_b) eps^a_A eps^b_B + e_a chi^a_{,AB}.
+    """
+    eps = bl.bd.tangents_in_m
+    fr, *_, sec = bl.loc
+    return (np.einsum("...ma,...aA->...mA", fr.tangents, eps),
+            np.einsum("...mab,...aA,...bB->...mAB", sec, eps, eps)
+            + np.einsum("...ma,...aAB->...mAB", fr.tangents, bl.dd_chi))
 
 
 def boundary_laplacian_residuals(bnd: BoundaryEmbedding, point: Array,
@@ -293,11 +297,10 @@ def boundary_laplacian_residuals(bnd: BoundaryEmbedding, point: Array,
     * ``combined``: L^mu - (mu0/mub) eta^mu    (the acceleration law: the edge
       four-acceleration equals -(mu0/mub) eta^mu, directed into the sheet).
     """
-    point = np.asarray(point, dtype=float)
-    bd, (fr, _, g, chris, sec) = _boundary_local(bnd, point)
-    y1, y2 = _composed_derivatives(bnd, point)
-    h_chris = _boundary_christoffels(bnd, point, bd, fr, g, sec)
-    hess = _covariant_hessian(y2, chris, y1) - np.einsum("...ABC,...mC->...mAB", h_chris, y1)
+    bl = _boundary_local(bnd, point)
+    bd, (fr, _, g, _, _) = bl.bd, bl.loc
+    y1, cov_y = _edge_derivatives(bl)
+    hess = cov_y - np.einsum("...ABC,...mC->...mAB", _boundary_christoffels(bl), y1)
     lap = np.einsum("...AB,...mAB->...m", bd.boundary_metric_inverse, hess)
     lap_low = np.einsum("...mn,...n->...m", g, lap)
     normal = np.einsum("...mi,...m->...i", fr.normals, lap_low)
@@ -313,20 +316,18 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
     Returns Delta psi - [D^A D_A psi + (eta.grad)^2 psi + k eta.grad psi],
     which vanishes for smooth fields at points of the edge.
     """
-    point = np.asarray(point, dtype=float)
-    bd, (fr, _, g, _, sec) = _boundary_local(bnd, point)
-    xi = bnd.chi(point)
-    grad = scalar_field.gradient(xi)
-    hess = scalar_field.hessian(xi)
+    bl = _boundary_local(bnd, point)
+    bd, (fr, _, g, _, sec) = bl.bd, bl.loc
+    grad = scalar_field.gradient(bl.xi)
+    hess = scalar_field.hessian(bl.xi)
     cov_hess = hess - np.einsum("...abc,...c->...ab", _connection(fr, g, sec), grad)
     laplacian = np.einsum("...ab,...ab->...", fr.induced_metric_inverse, cov_hess)
 
     eps = bd.tangents_in_m
-    dd_chi = bnd.dd_chi(point)
     grad_b = np.einsum("...a,...aA->...A", grad, eps)
     hess_b = (np.einsum("...ab,...aA,...bB->...AB", hess, eps, eps)
-              + np.einsum("...a,...aAB->...AB", grad, dd_chi))
-    h_chris = _boundary_christoffels(bnd, point, bd, fr, g, sec)
+              + np.einsum("...a,...aAB->...AB", grad, bl.dd_chi))
+    h_chris = _boundary_christoffels(bl)
     box_b = np.einsum("...AB,...AB->...", bd.boundary_metric_inverse,
                       hess_b - np.einsum("...ABC,...C->...AB", h_chris, grad_b))
     eta = bd.normal_in_m
@@ -335,10 +336,9 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
     return laplacian - (box_b + normal_part + drift)
 
 
-def _adapted_normals(bl: tuple) -> Array:
-    """Adapted normal columns {eta^mu, n^mu_i}, (..., N, K+1), of a ``_boundary_local`` tuple."""
-    bd, (fr, *_) = bl
-    return np.concatenate([bd.spacetime_normal[..., None], fr.normals], axis=-1)
+def _adapted_normals(bl: _EdgeLocal) -> Array:
+    """Adapted normal columns {eta^mu, n^mu_i}, (..., N, K+1), of a ``_boundary_local`` record."""
+    return np.concatenate([bl.bd.spacetime_normal[..., None], bl.loc[0].normals], axis=-1)
 
 
 def _edge_extrinsic(adapted: Array, g: Array, cov_y: Array) -> Array:
@@ -359,10 +359,10 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array, *,
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
-    bd, (fr, _, g, chris, sec) = bl
-    y1, y2 = _composed_derivatives(bnd, point)
+    bd, (fr, _, g, chris, sec) = bl.bd, bl.loc
+    y1, cov_y = _edge_derivatives(bl)
     adapted = _adapted_normals(bl)
-    edge_extrinsic = _edge_extrinsic(adapted, g, _covariant_hessian(y2, chris, y1))
+    edge_extrinsic = _edge_extrinsic(adapted, g, cov_y)
     twist = _twist(_frame_derivative(lambda u: _adapted_normals(_boundary_local(bnd, u)),
                                      point, y1, adapted, chris, bnd.fd_step), adapted, g)
 

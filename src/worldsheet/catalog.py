@@ -213,24 +213,7 @@ def collapsing_string(a: float = 1.0, x0: float = 1.0) -> CatalogEntry:
     """
     if a <= 0 or x0 <= 0:
         raise InvalidParameters("collapsing string requires a > 0 and x0 > 0")
-    bg = minkowski(3)
-
-    def pos(xi):
-        t, s = xi[..., 0], xi[..., 1]
-        return _stack(t, s, np.zeros_like(t))
-
-    def dpos(xi):
-        shp = np.asarray(xi, dtype=float).shape[:-1]
-        d = np.zeros(shp + (3, 2))
-        d[..., 0, 0] = 1.0
-        d[..., 1, 1] = 1.0
-        return d
-
-    def ddpos(xi):
-        shp = np.asarray(xi, dtype=float).shape[:-1]
-        return np.zeros(shp + (3, 2, 2))
-
-    emb = Embedding(2, bg, pos, dpos, ddpos)
+    emb = _flat_strip()
 
     def make_side(sign):
         def level(u):
@@ -410,8 +393,8 @@ def _polar_plane() -> Embedding:
     return Embedding(2, bg, pos, dpos, ddpos)
 
 
-def plane() -> CatalogEntry:
-    """Flat Minkowski strip (t, sigma) -> (t, sigma, 0) with straight edges at +-1."""
+def _flat_strip() -> Embedding:
+    """Flat Minkowski strip (t, sigma) -> (t, sigma, 0)."""
     bg = minkowski(3)
 
     def pos(xi):
@@ -429,7 +412,12 @@ def plane() -> CatalogEntry:
         shp = np.asarray(xi, dtype=float).shape[:-1]
         return np.zeros(shp + (3, 2, 2))
 
-    emb = Embedding(2, bg, pos, dpos, ddpos)
+    return Embedding(2, bg, pos, dpos, ddpos)
+
+
+def plane() -> CatalogEntry:
+    """Flat Minkowski strip (t, sigma) -> (t, sigma, 0) with straight edges at +-1."""
+    emb = _flat_strip()
     upper = BoundaryAttachment(_constant_boundary(emb, 1.0, np.array([0.0, 1.0])), "upper")
     lower = BoundaryAttachment(_constant_boundary(emb, -1.0, np.array([0.0, -1.0])), "lower")
     return CatalogEntry(

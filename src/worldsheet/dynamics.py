@@ -59,18 +59,6 @@ class EndpointState:
     prev_proper_time: float | None = None
     prev_eta: Array | None = None
 
-    def copy(self) -> "EndpointState":
-        return EndpointState(
-            position=self.position.copy(),
-            four_velocity=self.four_velocity.copy(),
-            proper_time=self.proper_time,
-            eta=None if self.eta is None else self.eta.copy(),
-            prev_four_velocity=(None if self.prev_four_velocity is None
-                                else self.prev_four_velocity.copy()),
-            prev_proper_time=self.prev_proper_time,
-            prev_eta=None if self.prev_eta is None else self.prev_eta.copy(),
-        )
-
 
 @dataclass
 class StringState:
@@ -91,17 +79,6 @@ class StringState:
     @property
     def grid_points(self) -> int:
         return self.positions.shape[0]
-
-    def copy(self) -> "StringState":
-        return StringState(
-            time=self.time,
-            positions=self.positions.copy(),
-            velocities=self.velocities.copy(),
-            endpoints=(self.endpoints[0].copy(), self.endpoints[1].copy()),
-            tensions=self.tensions,
-            dsigma=self.dsigma,
-            collision_threshold=self.collision_threshold,
-        )
 
 
 @dataclass(frozen=True)
@@ -355,22 +332,22 @@ def evolve(config: SimulationConfig) -> Trajectory:
     state = initial_state_from_config(config)
     dt = config.dt_fraction * state.dsigma
     n_steps = int(round(config.duration / dt)) if config.duration > 0 else 0
-    snapshots = [state.copy()]
+    snapshots = [state]
     event = "duration"
     for k in range(n_steps):
         try:
             state = step(state, config)
         except EndpointCollision:
             event = "endpoint_collision"
-            snapshots.append(state.copy())
+            snapshots.append(state)
             break
         except ConstraintBlowup as exc:
             exc.trajectory = Trajectory(snapshots, "constraint_blowup")
             raise
         if (k + 1) % config.output_stride == 0:
-            snapshots.append(state.copy())
+            snapshots.append(state)
     if event == "duration" and n_steps > 0 and n_steps % config.output_stride != 0:
-        snapshots.append(state.copy())
+        snapshots.append(state)
     return Trajectory(snapshots, event)
 
 

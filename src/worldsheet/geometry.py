@@ -293,13 +293,6 @@ def _covariant_hessian(dd: Array, chris: Array, tangents: Array) -> Array:
     return dd + np.einsum("...mrs,...ra,...sb->...mab", chris, tangents, tangents)
 
 
-def second_fundamental_input(embedding: Embedding, point: Array) -> Array:
-    """Covariant second derivative D_a e_b^mu = X_{,ab} + Gamma X_{,a} X_{,b}."""
-    chris = embedding.background.christoffels_at(embedding.position(point))
-    return _covariant_hessian(embedding.dd_position(point), chris,
-                              embedding.d_position(point))
-
-
 def _local(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array, Array, Array]:
     """:func:`_frame_at` plus second order: (frame, X, g, Christoffels, D_a e_b)."""
     fr, x, g = _frame_at(embedding, point)

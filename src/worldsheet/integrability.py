@@ -26,9 +26,11 @@ import numpy as np
 
 from .boundary import (
     BoundaryEmbedding,
+    _EdgeLocal,
     _adapted_normals,
     _boundary_christoffels,
     _boundary_local,
+    _edge_derivatives,
     _edge_extrinsic,
 )
 from .errors import GaugeFailure
@@ -167,44 +169,38 @@ def _sheet_point(embedding: Embedding, point: Array, loc: tuple,
     return values(point, loc), lambda p: values(p, _local(embedding, p))
 
 
-def _edge_in_sheet_point(bnd: BoundaryEmbedding, point: Array,
-                         bl: tuple) -> tuple[_Point, _PointFn]:
-    """The edge inside the sheet at ``point`` (from ``_boundary_local``) and its point function.
+def _edge_in_sheet_point(bnd: BoundaryEmbedding, bl: _EdgeLocal) -> tuple[_Point, _PointFn]:
+    """The edge inside the sheet (from its ``_boundary_local`` record) and its point function.
 
     The ambient space is the sheet, K is k_AB and the one normal column is eta.
     """
-    def values(u: Array, bl: tuple) -> _Point:
-        bd, (fr, _, g, _, sec) = bl
-        return _Point(_boundary_christoffels(bnd, u, bd, fr, g, sec),
+    def values(bl: _EdgeLocal) -> _Point:
+        bd = bl.bd
+        return _Point(_boundary_christoffels(bl),
                       bd.edge_curvature[..., None], bd.normal_in_m[..., None],
                       bd.tangents_in_m, None, None,
                       bd.boundary_metric, bd.boundary_metric_inverse)
 
-    return values(point, bl), lambda u: values(u, _boundary_local(bnd, u))
+    return values(bl), lambda u: values(_boundary_local(bnd, u))
 
 
-def _edge_point(bnd: BoundaryEmbedding, point: Array,
-                bl: tuple) -> tuple[_Point, _PointFn]:
-    """The edge in spacetime at ``point`` (from ``_boundary_local``) and its point function.
+def _edge_point(bnd: BoundaryEmbedding, bl: _EdgeLocal) -> tuple[_Point, _PointFn]:
+    """The edge in spacetime (from its ``_boundary_local`` record) and its point function.
 
     The tangents are y_A = e_a eps^a_A and the normals the adapted columns
-    {eta, n_i}, aligned to those at ``point``.
+    {eta, n_i}, aligned to those of ``bl``.
     """
-    ref, g_ref = _adapted_normals(bl), bl[1][2]
+    ref, g_ref = _adapted_normals(bl), bl.loc[2]
 
-    def values(u: Array, bl: tuple) -> _Point:
-        bd, (fr, _, g, chris, sec) = bl
+    def values(bl: _EdgeLocal) -> _Point:
+        _, _, g, chris, _ = bl.loc
         normals = _procrustes(_adapted_normals(bl), ref, g_ref)
-        eps = bd.tangents_in_m
-        # D_A y_B = (D_a e_b) eps^a_A eps^b_B + e_a chi^a_{,AB}
-        cov_y = (np.einsum("...mab,...aA,...bB->...mAB", sec, eps, eps)
-                 + np.einsum("...ma,...aAB->...mAB", fr.tangents, bnd.dd_chi(u)))
-        return _Point(_boundary_christoffels(bnd, u, bd, fr, g, sec),
-                      _edge_extrinsic(normals, g, cov_y), normals,
-                      np.einsum("...ma,...aA->...mA", fr.tangents, eps), g, chris,
-                      bd.boundary_metric, bd.boundary_metric_inverse)
+        y1, cov_y = _edge_derivatives(bl)
+        return _Point(_boundary_christoffels(bl), _edge_extrinsic(normals, g, cov_y),
+                      normals, y1, g, chris,
+                      bl.bd.boundary_metric, bl.bd.boundary_metric_inverse)
 
-    return values(point, bl), lambda u: values(u, _boundary_local(bnd, u))
+    return values(bl), lambda u: values(_boundary_local(bnd, u))
 
 
 def _sweep(at: _PointFn, point: Array, step: float, center: _Point) -> list[Array]:
@@ -355,10 +351,9 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
-    xi = bnd.chi(point)
-    ws, ws_at = _sheet_point(bnd.parent, xi, bl[1])
-    r_ws = _riemann(ws, _sweep(ws_at, xi, step, ws)[0])
-    v, at = _edge_in_sheet_point(bnd, point, bl)
+    ws, ws_at = _sheet_point(bnd.parent, bl.xi, bl.loc)
+    r_ws = _riemann(ws, _sweep(ws_at, bl.xi, step, ws)[0])
+    v, at = _edge_in_sheet_point(bnd, bl)
     gauss, codazzi, _ = _structure_residuals(r_ws, v, *_level(v, at, point, step))
     return gauss, codazzi
 
@@ -375,15 +370,14 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
-    bd, loc = bl
-    v, at = _edge_point(bnd, point, bl)
+    bd, loc, xi, _ = bl
+    v, at = _edge_point(bnd, bl)
     riemann, dk, omega, big_omega = _level(v, at, point, step)
     gauss, codazzi, ricci = _structure_residuals(
         _ambient_riemann_lowered(bnd.parent, loc[1]), v, riemann, dk, omega, big_omega)
 
     # twist inheritance: the tangential block matches the projected worldsheet
     # curvature, the mixed i0 block the curvature-edge cross terms
-    xi = bnd.chi(point)
     k_par = bnd.parent.codimension
     eps = bd.tangents_in_m
     ws, ws_at = _sheet_point(bnd.parent, xi, loc)
@@ -414,11 +408,10 @@ def curvature_tensors(bnd: BoundaryEmbedding, point: Array,
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
-    xi = bnd.chi(point)
-    r_ws, _, _, twist_curv = _level(*_sheet_point(bnd.parent, xi, bl[1]), xi, step)
-    r_h, _, _, adapted = _level(*_edge_point(bnd, point, bl), point, step)
+    r_ws, _, _, twist_curv = _level(*_sheet_point(bnd.parent, bl.xi, bl.loc), bl.xi, step)
+    r_h, _, _, adapted = _level(*_edge_point(bnd, bl), point, step)
     return CurvatureTensors(
-        ambient_riemann=_ambient_riemann_lowered(bnd.parent, bl[1][1]),
+        ambient_riemann=_ambient_riemann_lowered(bnd.parent, bl.loc[1]),
         worldsheet_riemann=r_ws,
         boundary_riemann=r_h,
         twist_curvature=twist_curv if bnd.parent.codimension >= 2 else None,

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .background import LORENTZIAN, BackgroundMetric
-from .boundary import BoundaryAttachment, BoundaryEmbedding, _boundary_local, boundary_data
+from .boundary import BoundaryAttachment, BoundaryEmbedding, _boundary_local, _edge_frame
 from .errors import DegenerateMetric, InvalidParameters
 from .geometry import (
     Embedding,
@@ -135,7 +135,8 @@ def _edge_density_from_curve(embedding: Embedding, chi_fn: Callable[[Array], Arr
 def edge_action(bnd: BoundaryEmbedding, config: ActionConfig) -> float:
     """Edge-volume action: -mub times the quadrature of the edge volume element."""
     u, uw = _boundary_grid(config.grid)
-    dens = _volume_element(boundary_data(bnd, u).boundary_metric, bnd.parent.background)
+    h = _edge_frame(bnd, u, _frame_at(bnd.parent, bnd.chi(u))[0])[1]
+    dens = _volume_element(h, bnd.parent.background)
     return float(-config.mub * np.sum(dens * uw))
 
 
@@ -296,9 +297,8 @@ def first_variation_analytic(embedding: Embedding, edges, config: ActionConfig,
     for index, att in enumerate(edges):
         bnd = att.boundary
         u, uw = _boundary_grid(config.grid)
-        bd, (fr_b, _, g_b, _, sec_b) = _boundary_local(bnd, u)
+        bd, (fr_b, _, g_b, _, sec_b), xi, _ = _boundary_local(bnd, u)
         dens_b = _volume_element(bd.boundary_metric, bg)
-        xi = bnd.chi(u)
         kk_b = _extrinsic(align(fr_b.normals), g_b, sec_b)
         hk = np.einsum("...ab,...abi->...i", bd.projector, kk_b)
         phi_t = deformation.tangential(xi, d)
@@ -333,11 +333,12 @@ def _deformed_chi(bnd: BoundaryEmbedding, deformation: DeformationField,
     db = bnd.boundary_dim
 
     def chi(u):
-        bd = boundary_data(bnd, u)
-        delta = (deformation.boundary_normal(index, u)[..., None] * bd.normal_in_m
-                 + np.einsum("...aA,...A->...a", bd.tangents_in_m,
+        xi = bnd.chi(u)
+        tangents, _, _, eta = _edge_frame(bnd, u, _frame_at(bnd.parent, xi)[0])
+        delta = (deformation.boundary_normal(index, u)[..., None] * eta
+                 + np.einsum("...aA,...A->...a", tangents,
                              deformation.boundary_tangential(index, u, db)))
-        return bnd.chi(u) + eps * delta
+        return xi + eps * delta
 
     return chi
 

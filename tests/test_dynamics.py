@@ -1,5 +1,8 @@
 """String evolution with massive endpoints: closed-form worldlines and charges."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -272,3 +275,25 @@ class TestTerminalEvents:
         t1 = evolve(collapse_config(duration=0.2))
         t2 = evolve(collapse_config(duration=0.2))
         assert np.array_equal(t1.final.positions, t2.final.positions)
+
+
+def _state_values(state):
+    values = [getattr(state, f.name) for f in dataclasses.fields(state) if f.name != "endpoints"]
+    for ep in state.endpoints:
+        values += [getattr(ep, f.name) for f in dataclasses.fields(ep)]
+    return values
+
+
+@pytest.mark.parametrize("initial", [COLLAPSE, ROTATING], ids=["collapsing", "rotating"])
+def test_step_leaves_its_input_state_unchanged(initial):
+    # evolve keeps the states that step returns as snapshots, without copies
+    cfg = SimulationConfig(initial_data=initial, duration=1.0)
+    first = initial_state_from_config(cfg)
+    for state in (first, step(first, cfg)):  # the second has every history array
+        before = copy.deepcopy(_state_values(state))
+        step(state, cfg)
+        for old, new in zip(before, _state_values(state), strict=True):
+            if isinstance(old, np.ndarray):
+                assert old.shape == new.shape and old.tobytes() == new.tobytes()
+            else:
+                assert old == new

@@ -1,5 +1,9 @@
 """Each kernel evaluates the map, the metric and the rank SVD once per point batch.
 
+An edge kernel evaluates the boundary map chi and its derivatives once per
+point batch as well, and the callers that need only the first-order edge
+frame take no second derivative of either map.
+
 The integrability residuals evaluate the map once per point of each stencil
 sweep they make, at the sample points and FD step of the ``verify`` command.
 A string step builds the outward edge direction once per Runge-Kutta rate
@@ -12,7 +16,13 @@ import pytest
 
 from worldsheet import catalog, dynamics
 from worldsheet.background import BackgroundMetric
-from worldsheet.boundary import boundary_data
+from worldsheet.boundary import (
+    BoundaryEmbedding,
+    WorldsheetScalar,
+    boundary_data,
+    boundary_laplacian_residuals,
+    laplacian_decomposition_residual,
+)
 from worldsheet.geometry import Embedding, extrinsic_curvature, frame
 from worldsheet.integrability import (
     _procrustes,
@@ -21,11 +31,13 @@ from worldsheet.integrability import (
     direct_embedding_residuals,
     worldsheet_integrability_residuals,
 )
+from worldsheet.variation import DeformationField, _deformed_chi, edge_action
 
 HELICOID = catalog.helicoid(0.5, 1.0)  # analytic derivatives, co-dimension one
 
 COUNTED = ((Embedding, "position"), (Embedding, "d_position"), (Embedding, "dd_position"),
-           (BackgroundMetric, "metric_at"), (np.linalg, "svd"))
+           (BoundaryEmbedding, "chi"), (BoundaryEmbedding, "d_chi"),
+           (BoundaryEmbedding, "dd_chi"), (BackgroundMetric, "metric_at"), (np.linalg, "svd"))
 
 
 @pytest.fixture
@@ -42,18 +54,51 @@ def counts(monkeypatch):
 def test_frame_evaluates_each_quantity_once(counts):
     frame(HELICOID.embedding, HELICOID.sample_grid())
     svd = counts.pop("svd")
-    assert counts == {"position": 1, "d_position": 1, "dd_position": 0, "metric_at": 1}
+    assert counts == {"position": 1, "d_position": 1, "dd_position": 0,
+                      "chi": 0, "d_chi": 0, "dd_chi": 0, "metric_at": 1}
     assert svd <= 1
 
 
-@pytest.mark.parametrize("kernel", [
-    lambda: extrinsic_curvature(HELICOID.embedding, HELICOID.sample_grid()),
-    lambda: boundary_data(HELICOID.boundary, HELICOID.boundary_grid()),
-], ids=["extrinsic_curvature", "boundary_data"])
-def test_second_order_kernels_evaluate_each_quantity_once(counts, kernel):
+# psi = xi^0 (xi^1)^2 on the sheet, with its closed-form gradient and Hessian
+SCALAR = WorldsheetScalar(
+    lambda xi: xi[..., 0] * xi[..., 1] ** 2,
+    lambda xi: np.stack([xi[..., 1] ** 2, 2.0 * xi[..., 0] * xi[..., 1]], axis=-1),
+    lambda xi: np.stack([np.stack([0.0 * xi[..., 0], 2.0 * xi[..., 1]], axis=-1),
+                         np.stack([2.0 * xi[..., 1], 2.0 * xi[..., 0]], axis=-1)], axis=-1))
+
+
+@pytest.mark.parametrize("kernel,edge_calls", [
+    (lambda: extrinsic_curvature(HELICOID.embedding, HELICOID.sample_grid()), 0),
+    (lambda: boundary_data(HELICOID.boundary, HELICOID.boundary_grid()), 1),
+    (lambda: boundary_laplacian_residuals(HELICOID.boundary, HELICOID.boundary_grid(),
+                                          1.0, 3.0), 1),
+    (lambda: laplacian_decomposition_residual(HELICOID.boundary, HELICOID.boundary_grid(),
+                                              SCALAR), 1),
+], ids=["extrinsic_curvature", "boundary_data", "boundary_laplacian_residuals",
+        "laplacian_decomposition_residual"])
+def test_second_order_kernels_evaluate_each_quantity_once(counts, kernel, edge_calls):
     kernel()
     svd = counts.pop("svd")
-    assert counts == {"position": 1, "d_position": 1, "dd_position": 1, "metric_at": 1}
+    assert counts == {"position": 1, "d_position": 1, "dd_position": 1, "chi": edge_calls,
+                      "d_chi": edge_calls, "dd_chi": edge_calls, "metric_at": 1}
+    assert svd <= 1
+
+
+ACTION_CONFIG = catalog.action_setup(HELICOID, 1.0, 3.0, (8, 8))[0]
+DISPLACED_CHI = _deformed_chi(
+    HELICOID.boundary, DeformationField(boundary_normal_fns=lambda u: np.sin(u[..., 0])),
+    0, 1e-2)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda: edge_action(HELICOID.boundary, ACTION_CONFIG),
+    lambda: DISPLACED_CHI(HELICOID.boundary_grid()),  # one Picard sweep of the displaced edge
+], ids=["edge_action", "displaced_edge_chi"])
+def test_first_order_edge_callers_take_no_second_derivatives(counts, kernel):
+    kernel()
+    svd = counts.pop("svd")
+    assert counts == {"position": 1, "d_position": 1, "dd_position": 0,
+                      "chi": 1, "d_chi": 1, "dd_chi": 0, "metric_at": 1}
     assert svd <= 1
 
 
@@ -75,8 +120,8 @@ def verify_edge(entry_id, residuals):
     (verify_sheet("helicoid"), 5),  # one per point of the (2d+1)-point stencil
     (verify_sheet("hole"), 7),
     (verify_sheet("torus"), 25),    # plus the nested sweeps of the twist curvature
-    (verify_edge("helicoid", boundary_integrability_residuals), 8),
-    (verify_edge("helicoid", direct_embedding_residuals), 13),
+    (verify_edge("helicoid", boundary_integrability_residuals), 7),
+    (verify_edge("helicoid", direct_embedding_residuals), 9),
     (verify_edge("hole", direct_embedding_residuals), 25),
     (verify_edge("hole", curvature_tensors), 31),  # one sweep per level
 ], ids=["helicoid_sheet", "hole_sheet", "torus_sheet", "helicoid_edge_in_sheet",
