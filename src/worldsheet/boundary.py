@@ -1,12 +1,16 @@
 """Geometry of the edge worldsheet: embedded in the parent, and directly in spacetime.
 
-The edge is one map chi from boundary coordinates u into the parent, and a
-point batch is evaluated at one of two orders.  ``_edge_frame`` is first
-order: the tangents eps, the metric h and its inverse, and the outward normal
-eta, from the parent's frame at chi(u).  ``_boundary_local`` is second order:
-it adds k_AB and hands back chi(u), chi_,AB and the parent's local geometry,
-from which every edge quantity here and in ``integrability`` is read, D_A y_B
-included, without evaluating chi or the parent map again for that batch.
+The edge is one map chi from boundary coordinates u into the parent: a
+hypersurface of the sheet, evaluated with the sheet's own kernels one level
+down (gamma as the ambient metric, the sheet connection as the ambient
+Christoffels), at one of two orders per point batch.  ``_edge_frame`` is
+first order: a ``geometry.Frame`` with tangents eps, the outward normal eta as
+its one normal column, and metric h, from the parent's frame at chi(u).
+``_boundary_local`` is second order: it adds grad_A eps_B, k_AB and the edge
+connection by the Gauss formula Gamma^C_AB = h^CD gamma(eps_D, grad_A eps_B),
+and hands back chi(u), chi_,AB and the parent's local geometry, from which
+every edge quantity here and in ``integrability`` is read, D_A y_B included,
+without evaluating chi or the parent map again for that batch.
 
 Conventions fixed here and relied on downstream:
 
@@ -31,7 +35,9 @@ from .geometry import (
     Embedding,
     Frame,
     _connection,
+    _covariant_hessian,
     _extrinsic,
+    _frame_at,
     _frame_derivative,
     _gram_schmidt_normals,
     _local,
@@ -163,25 +169,30 @@ def _pullback_metric(bnd: BoundaryEmbedding, gamma: Array, eps: Array) -> tuple[
     return h, np.linalg.inv(h)
 
 
-def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: Frame
-                ) -> tuple[Array, Array, Array, Array]:
-    """First-order edge frame (eps, h, h^-1, eta) from the parent's frame ``fr`` at chi(point).
+def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: Frame) -> Frame:
+    """First-order edge frame at ``point`` from the parent's frame ``fr`` at chi(point).
 
-    eta is the unit normal of the edge in the worldsheet, signed outward by
-    the boundary's ``outward_hint``.
+    The tangents are eps^a_A, the metric h_AB, and the one normal column is
+    the unit normal eta of the edge in the worldsheet, signed outward by the
+    boundary's ``outward_hint``.
     """
     eps = bnd.d_chi(point)
     gamma = fr.induced_metric
     h, h_inv = _pullback_metric(bnd, gamma, eps)
-    eta, found = _gram_schmidt_normals(gamma, _projected_seeds(gamma, eps, h_inv), 1,
-                                       np.arange(bnd.parent.worldsheet_dim))
+    eta, found = _gram_schmidt_normals(gamma, _projected_seeds(gamma, eps, h_inv), 1)
     if np.any(found < 1):
         raise NullBoundary("edge normal cannot be unit-normalized (null boundary)")
-    eta = eta[..., 0]
-    align = np.einsum("...a,...ab,...b->...", eta, gamma, bnd.hint_at(point))
+    align = np.einsum("...a,...ab,...b->...", eta[..., 0], gamma, bnd.hint_at(point))
     if np.any(np.abs(align) < 1e-12):
         raise ValueError("outward_hint is orthogonal to the edge normal")
-    return eps, h, h_inv, eta * np.sign(align)[..., None]
+    return Frame(tangents=eps, normals=eta * np.sign(align)[..., None, None],
+                 induced_metric=h, induced_metric_inverse=h_inv)
+
+
+def _adapted_normals(fr: Frame, edge: Frame) -> Array:
+    """Adapted normal columns {eta^mu = e_a eta^a, n^mu_i}, (..., N, K+1), eta first."""
+    eta = np.einsum("...ma,...a->...m", fr.tangents, edge.normals[..., 0])
+    return np.concatenate([eta[..., None], fr.normals], axis=-1)
 
 
 class _EdgeLocal(NamedTuple):
@@ -191,6 +202,13 @@ class _EdgeLocal(NamedTuple):
     loc: tuple          # the parent's ``geometry._local`` tuple at xi
     xi: Array           # chi(u)
     dd_chi: Array       # chi^a_{,AB}
+    edge: Frame         # ``_edge_frame`` at u
+    grad_eps: Array     # grad_A eps_B^a, indexed [a, A, B]
+
+    @property
+    def conn(self) -> Array:
+        """Connection of h_AB by the Gauss formula, indexed [A, B, C] (upper last)."""
+        return _connection(self.edge, self.loc[0].induced_metric, self.grad_eps)
 
 
 def _boundary_local(bnd: BoundaryEmbedding, point: Array) -> _EdgeLocal:
@@ -199,26 +217,25 @@ def _boundary_local(bnd: BoundaryEmbedding, point: Array) -> _EdgeLocal:
     xi = bnd.chi(point)
     loc = _local(bnd.parent, xi)
     fr, _, g, _, sec = loc
-    gamma = fr.induced_metric
-    eps, h, h_inv, eta = _edge_frame(bnd, point, fr)
+    edge = _edge_frame(bnd, point, fr)
     dd_chi = bnd.dd_chi(point)
-
-    # (grad_A eps_B)^a = chi^a_{,AB} + Gamma_bc^a eps^b_A eps^c_B
-    grad_eps = dd_chi + np.einsum("...bca,...bA,...cB->...aAB",
-                                  _connection(fr, g, sec), eps, eps)
-    k_ab = -np.einsum("...a,...ab,...bAB->...AB", eta, gamma, grad_eps)
+    # the sheet's connection is the ambient Christoffels, upper index first
+    grad_eps = _covariant_hessian(dd_chi, np.moveaxis(_connection(fr, g, sec), -1, -3),
+                                  edge.tangents)
+    k_ab = _extrinsic(edge.normals, fr.induced_metric, grad_eps)[..., 0]
     k_ab = 0.5 * (k_ab + np.swapaxes(k_ab, -1, -2))
+    h_inv = edge.induced_metric_inverse
     bd = BoundaryData(
-        tangents_in_m=eps,
-        normal_in_m=eta,
-        boundary_metric=h,
+        tangents_in_m=edge.tangents,
+        normal_in_m=edge.normals[..., 0],
+        boundary_metric=edge.induced_metric,
         boundary_metric_inverse=h_inv,
         edge_curvature=k_ab,
         edge_trace=np.einsum("...AB,...AB->...", h_inv, k_ab),
-        projector=_projector(eps, h_inv),
-        spacetime_normal=np.einsum("...ma,...a->...m", fr.tangents, eta),
+        projector=_projector(edge.tangents, h_inv),
+        spacetime_normal=_adapted_normals(fr, edge)[..., 0],
     )
-    return _EdgeLocal(bd, loc, xi, dd_chi)
+    return _EdgeLocal(bd, loc, xi, dd_chi, edge, grad_eps)
 
 
 def _projector(eps: Array, h_inv: Array) -> Array:
@@ -253,30 +270,12 @@ def boundary_condition_residual(bnd: BoundaryEmbedding, point: Array) -> Array:
                      _extrinsic(fr.normals, g, sec))
 
 
-def _boundary_christoffels(bl: _EdgeLocal) -> Array:
-    """Christoffels of the boundary metric h_AB, indexed [A, B, C] (upper last)."""
-    eps, h_inv = bl.bd.tangents_in_m, bl.bd.boundary_metric_inverse
-    fr, _, g, _, sec = bl.loc
-    gamma = fr.induced_metric
-    # metric compatibility: d gamma_ab / d xi^c = g(D_c e_a, e_b) + g(e_a, D_c e_b)
-    half = np.einsum("...mca,...mn,...nb->...cab", sec, g, fr.tangents)
-    dgamma = half + np.swapaxes(half, -1, -2)
-    dh = (np.einsum("...cab,...cC,...aA,...bB->...CAB", dgamma, eps, eps, eps)
-          + np.einsum("...ab,...aAC,...bB->...CAB", gamma, bl.dd_chi, eps)
-          + np.einsum("...ab,...aA,...bBC->...CAB", gamma, eps, bl.dd_chi))
-    return 0.5 * np.einsum(
-        "...CD,...ABD->...ABC",
-        h_inv,
-        np.einsum("...ADB->...ABD", dh) + np.einsum("...BDA->...ABD", dh)
-        - np.einsum("...DAB->...ABD", dh))
-
-
 def _edge_derivatives(bl: _EdgeLocal) -> tuple[Array, Array]:
     """Edge tangents in spacetime y_A = e_a eps^a_A and their derivative D_A y_B.
 
     D_A y_B = (D_a e_b) eps^a_A eps^b_B + e_a chi^a_{,AB}.
     """
-    eps = bl.bd.tangents_in_m
+    eps = bl.edge.tangents
     fr, *_, sec = bl.loc
     return (np.einsum("...ma,...aA->...mA", fr.tangents, eps),
             np.einsum("...mab,...aA,...bB->...mAB", sec, eps, eps)
@@ -300,7 +299,7 @@ def boundary_laplacian_residuals(bnd: BoundaryEmbedding, point: Array,
     bl = _boundary_local(bnd, point)
     bd, (fr, _, g, _, _) = bl.bd, bl.loc
     y1, cov_y = _edge_derivatives(bl)
-    hess = cov_y - np.einsum("...ABC,...mC->...mAB", _boundary_christoffels(bl), y1)
+    hess = cov_y - np.einsum("...ABC,...mC->...mAB", bl.conn, y1)
     lap = np.einsum("...AB,...mAB->...m", bd.boundary_metric_inverse, hess)
     lap_low = np.einsum("...mn,...n->...m", g, lap)
     normal = np.einsum("...mi,...m->...i", fr.normals, lap_low)
@@ -327,18 +326,12 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
     grad_b = np.einsum("...a,...aA->...A", grad, eps)
     hess_b = (np.einsum("...ab,...aA,...bB->...AB", hess, eps, eps)
               + np.einsum("...a,...aAB->...AB", grad, bl.dd_chi))
-    h_chris = _boundary_christoffels(bl)
     box_b = np.einsum("...AB,...AB->...", bd.boundary_metric_inverse,
-                      hess_b - np.einsum("...ABC,...C->...AB", h_chris, grad_b))
+                      hess_b - np.einsum("...ABC,...C->...AB", bl.conn, grad_b))
     eta = bd.normal_in_m
     normal_part = np.einsum("...a,...b,...ab->...", eta, eta, cov_hess)
     drift = bd.edge_trace * np.einsum("...a,...a->...", eta, grad)
     return laplacian - (box_b + normal_part + drift)
-
-
-def _adapted_normals(bl: _EdgeLocal) -> Array:
-    """Adapted normal columns {eta^mu, n^mu_i}, (..., N, K+1), of a ``_boundary_local`` record."""
-    return np.concatenate([bl.bd.spacetime_normal[..., None], bl.loc[0].normals], axis=-1)
 
 
 def _edge_extrinsic(adapted: Array, g: Array, cov_y: Array) -> Array:
@@ -361,10 +354,15 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array, *,
     bl = _boundary_local(bnd, point)
     bd, (fr, _, g, chris, sec) = bl.bd, bl.loc
     y1, cov_y = _edge_derivatives(bl)
-    adapted = _adapted_normals(bl)
+    adapted = _adapted_normals(fr, bl.edge)
     edge_extrinsic = _edge_extrinsic(adapted, g, cov_y)
-    twist = _twist(_frame_derivative(lambda u: _adapted_normals(_boundary_local(bnd, u)),
-                                     point, y1, adapted, chris, bnd.fd_step), adapted, g)
+
+    def adapted_at(u: Array) -> Array:  # first order: the twist needs no k_AB
+        fr_u = _frame_at(bnd.parent, bnd.chi(u))[0]
+        return _adapted_normals(fr_u, _edge_frame(bnd, u, fr_u))
+
+    twist = _twist(_frame_derivative(adapted_at, point, y1, adapted, chris, bnd.fd_step),
+                   adapted, g)
 
     kk = _extrinsic(fr.normals, g, sec)
     projected = np.einsum("...aA,...bB,...abi->...ABi", bd.tangents_in_m,

@@ -196,23 +196,21 @@ def _projected_seeds(g: Array, tangents: Array, gamma_inv: Array) -> Array:
     return proj @ proj
 
 
-def _gram_schmidt_normals(g: Array, seeds: Array, count_needed: int,
-                          axis_order: np.ndarray) -> tuple[Array, Array]:
-    """One sweep of metric Gram-Schmidt over the given coordinate-axis order.
+def _gram_schmidt_normals(g: Array, seeds: Array, count_needed: int) -> tuple[Array, Array]:
+    """One sweep of metric Gram-Schmidt over the coordinate axes in ascending order.
 
     ``seeds`` are the tangent-projected coordinate axes of
-    :func:`_projected_seeds`, all computed at once.  Column mu is taken in
-    ``axis_order``; once any normal has been accepted, the accepted normals are
-    removed from it twice for stability.  The sweep stops as soon as every
-    point has ``count_needed`` normals.  Returns (normals, found) where
-    unfilled slots are zero columns and ``found`` counts accepted normals per
-    point.
+    :func:`_projected_seeds`, all computed at once.  Once any normal has been
+    accepted, the accepted normals are removed from column mu twice for
+    stability.  The sweep stops as soon as every point has ``count_needed``
+    normals.  Returns (normals, found) where unfilled slots are zero columns
+    and ``found`` counts accepted normals per point.
     """
     batch = seeds.shape[:-2]
     n = seeds.shape[-2]
     normals = np.zeros(batch + (n, count_needed))
     found = np.zeros(batch, dtype=int)
-    for mu in axis_order:
+    for mu in range(seeds.shape[-1]):
         if np.all(found == count_needed):
             break
         v = seeds[..., :, mu]
@@ -238,15 +236,7 @@ def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array) 
     n = embedding.background.dimension
     if k == 0:
         return np.zeros(tangents.shape[:-2] + (n, 0))
-    seeds = _projected_seeds(g, tangents, gamma_inv)
-    normals, found = _gram_schmidt_normals(g, seeds, k, np.arange(n))
-    for shift in range(1, n):
-        if np.all(found == k):
-            break
-        retry, refound = _gram_schmidt_normals(g, seeds, k, np.roll(np.arange(n), shift))
-        missing = found < k
-        normals = np.where(missing[..., None, None], retry, normals)
-        found = np.where(missing, refound, found)
+    normals, found = _gram_schmidt_normals(g, _projected_seeds(g, tangents, gamma_inv), k)
     if np.any(found < k):
         raise GaugeFailure("could not complete the normal frame from coordinate seeds")
     return normals
@@ -256,9 +246,9 @@ def normal_frame(embedding: Embedding, point: Array) -> Array:
     """Gauge-fixed orthonormal normals as columns of an (..., N, N-D) matrix.
 
     The O(N-D) gauge is fixed deterministically: Gram-Schmidt over the
-    background coordinate axes in ascending order (reseeded with rolled orders
-    if that degenerates), with each normal's sign chosen so its first
-    significant component is positive.
+    background coordinate axes in ascending order, with each normal's sign
+    chosen so its first significant component is positive.  Raises
+    GaugeFailure when that sweep cannot complete the frame.
     """
     return frame(embedding, point).normals
 

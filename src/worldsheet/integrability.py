@@ -28,7 +28,6 @@ from .boundary import (
     BoundaryEmbedding,
     _EdgeLocal,
     _adapted_normals,
-    _boundary_christoffels,
     _boundary_local,
     _edge_derivatives,
     _edge_extrinsic,
@@ -175,11 +174,10 @@ def _edge_in_sheet_point(bnd: BoundaryEmbedding, bl: _EdgeLocal) -> tuple[_Point
     The ambient space is the sheet, K is k_AB and the one normal column is eta.
     """
     def values(bl: _EdgeLocal) -> _Point:
-        bd = bl.bd
-        return _Point(_boundary_christoffels(bl),
-                      bd.edge_curvature[..., None], bd.normal_in_m[..., None],
-                      bd.tangents_in_m, None, None,
-                      bd.boundary_metric, bd.boundary_metric_inverse)
+        edge = bl.edge
+        return _Point(bl.conn, bl.bd.edge_curvature[..., None], edge.normals,
+                      edge.tangents, None, None,
+                      edge.induced_metric, edge.induced_metric_inverse)
 
     return values(bl), lambda u: values(_boundary_local(bnd, u))
 
@@ -190,15 +188,14 @@ def _edge_point(bnd: BoundaryEmbedding, bl: _EdgeLocal) -> tuple[_Point, _PointF
     The tangents are y_A = e_a eps^a_A and the normals the adapted columns
     {eta, n_i}, aligned to those of ``bl``.
     """
-    ref, g_ref = _adapted_normals(bl), bl.loc[2]
+    ref, g_ref = _adapted_normals(bl.loc[0], bl.edge), bl.loc[2]
 
     def values(bl: _EdgeLocal) -> _Point:
-        _, _, g, chris, _ = bl.loc
-        normals = _procrustes(_adapted_normals(bl), ref, g_ref)
+        fr, _, g, chris, _ = bl.loc
+        normals = _procrustes(_adapted_normals(fr, bl.edge), ref, g_ref)
         y1, cov_y = _edge_derivatives(bl)
-        return _Point(_boundary_christoffels(bl), _edge_extrinsic(normals, g, cov_y),
-                      normals, y1, g, chris,
-                      bl.bd.boundary_metric, bl.bd.boundary_metric_inverse)
+        return _Point(bl.conn, _edge_extrinsic(normals, g, cov_y), normals, y1, g, chris,
+                      bl.edge.induced_metric, bl.edge.induced_metric_inverse)
 
     return values(bl), lambda u: values(_boundary_local(bnd, u))
 
@@ -365,28 +362,31 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     Returns the Gauss-Codazzi, Codazzi-Mainardi, and Ricci residuals in the
     adapted basis {eta, n^i}, plus the two consistency residuals tying the
     adapted twist curvature to the worldsheet one:
-    Omega_{AB ij} - eps eps Omega_{ab ij} and
+    Omega_{AB ij} - [eps eps Omega_{ab ij} - (m_{A i} m_{B j} - m_{B i} m_{A j})],
+    with m_{A i} = eta^a eps^b_A K_{ab i}, and
     Omega_{AB i0} - eps^c_C [eps^a_A K_{ac i} k_B^C - eps^b_B K_{bc i} k_A^C].
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
-    bd, loc, xi, _ = bl
+    bd, loc, xi, *_ = bl
     v, at = _edge_point(bnd, bl)
     riemann, dk, omega, big_omega = _level(v, at, point, step)
     gauss, codazzi, ricci = _structure_residuals(
         _ambient_riemann_lowered(bnd.parent, loc[1]), v, riemann, dk, omega, big_omega)
 
     # twist inheritance: the tangential block matches the projected worldsheet
-    # curvature, the mixed i0 block the curvature-edge cross terms
-    k_par = bnd.parent.codimension
+    # curvature less the cross terms of the mixed curvature m_{A i}, which the
+    # eta column adds to the edge's normal bundle; the mixed i0 block matches
+    # the curvature-edge cross terms
     eps = bd.tangents_in_m
     ws, ws_at = _sheet_point(bnd.parent, xi, loc)
-    if k_par >= 2:
-        projected = np.einsum("...aA,...bB,...abij->...ABij", eps, eps,
-                              _level(ws, ws_at, xi, step)[3])
-    else:
-        projected = np.zeros(point.shape[:-1] + (bnd.boundary_dim,) * 2 + (k_par, k_par))
-    res_twist_t = _flat_max(big_omega[..., 1:, 1:] - projected, point)
+    m = np.einsum("...a,...bA,...abi->...Ai", bd.normal_in_m, eps, ws.kk)
+    m_cross = np.einsum("...Ai,...Bj->...ABij", m, m)
+    inherited = np.swapaxes(m_cross, -4, -3) - m_cross
+    if bnd.parent.codimension >= 2:
+        inherited = inherited + np.einsum("...aA,...bB,...abij->...ABij", eps, eps,
+                                          _level(ws, ws_at, xi, step)[3])
+    res_twist_t = _flat_max(big_omega[..., 1:, 1:] - inherited, point)
 
     k_up = np.einsum("...BD,...DC->...BC", bd.edge_curvature,
                      bd.boundary_metric_inverse)  # k_B^C

@@ -135,8 +135,8 @@ def _edge_density_from_curve(embedding: Embedding, chi_fn: Callable[[Array], Arr
 def edge_action(bnd: BoundaryEmbedding, config: ActionConfig) -> float:
     """Edge-volume action: -mub times the quadrature of the edge volume element."""
     u, uw = _boundary_grid(config.grid)
-    h = _edge_frame(bnd, u, _frame_at(bnd.parent, bnd.chi(u))[0])[1]
-    dens = _volume_element(h, bnd.parent.background)
+    edge = _edge_frame(bnd, u, _frame_at(bnd.parent, bnd.chi(u))[0])
+    dens = _volume_element(edge.induced_metric, bnd.parent.background)
     return float(-config.mub * np.sum(dens * uw))
 
 
@@ -297,7 +297,7 @@ def first_variation_analytic(embedding: Embedding, edges, config: ActionConfig,
     for index, att in enumerate(edges):
         bnd = att.boundary
         u, uw = _boundary_grid(config.grid)
-        bd, (fr_b, _, g_b, _, sec_b), xi, _ = _boundary_local(bnd, u)
+        bd, (fr_b, _, g_b, _, sec_b), xi, *_ = _boundary_local(bnd, u)
         dens_b = _volume_element(bd.boundary_metric, bg)
         kk_b = _extrinsic(align(fr_b.normals), g_b, sec_b)
         hk = np.einsum("...ab,...abi->...i", bd.projector, kk_b)
@@ -334,9 +334,9 @@ def _deformed_chi(bnd: BoundaryEmbedding, deformation: DeformationField,
 
     def chi(u):
         xi = bnd.chi(u)
-        tangents, _, _, eta = _edge_frame(bnd, u, _frame_at(bnd.parent, xi)[0])
-        delta = (deformation.boundary_normal(index, u)[..., None] * eta
-                 + np.einsum("...aA,...A->...a", tangents,
+        edge = _edge_frame(bnd, u, _frame_at(bnd.parent, xi)[0])
+        delta = (deformation.boundary_normal(index, u)[..., None] * edge.normals[..., 0]
+                 + np.einsum("...aA,...A->...a", edge.tangents,
                              deformation.boundary_tangential(index, u, db)))
         return xi + eps * delta
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from worldsheet import catalog
 from worldsheet.geometry import Embedding
 from worldsheet.variation import DeformationField, first_variation_fd
 
@@ -58,6 +59,23 @@ def random_deformation(entry, seed, amplitude=0.4):
         boundary_normal_fns=boundary_normal,
         time_extent=time_extent,
     )
+
+
+def curved_hole_edge():
+    """Edge r = 2 + 0.3 sin(phi) + 0.1 t^2 over the hole sheet: a 2D edge with curvature."""
+    def level(u):
+        return 2.0 + 0.3 * np.sin(u[..., 1]) + 0.1 * u[..., 0] ** 2
+
+    def d_level(u):
+        return np.stack([0.2 * u[..., 0], 0.3 * np.cos(u[..., 1])], axis=-1)
+
+    def dd_level(u):
+        z = np.zeros_like(u[..., 0])
+        return np.stack([np.stack([0.2 + z, z], axis=-1),
+                         np.stack([z, -0.3 * np.sin(u[..., 1])], axis=-1)], axis=-2)
+
+    return catalog._graph_boundary(catalog.planar_hole(2.0).embedding, level, d_level, dd_level,
+                                   np.array([0.0, 0.0, -1.0]))
 
 
 def richardson_variation(emb, edges, cfg, defo, eps):

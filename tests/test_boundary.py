@@ -8,6 +8,7 @@ from worldsheet.background import euclidean
 from worldsheet.boundary import (
     BoundaryEmbedding,
     WorldsheetScalar,
+    _boundary_local,
     adapted_edge_data,
     boundary_condition_residual,
     boundary_data,
@@ -17,6 +18,8 @@ from worldsheet.boundary import (
 )
 from worldsheet.errors import NullBoundary
 from worldsheet.geometry import Embedding, extrinsic_curvature, frame
+
+from helpers import curved_hole_edge
 
 HELICOID = catalog.helicoid(0.5, 1.0)
 PLANE = catalog.plane()
@@ -110,6 +113,34 @@ class TestBoundaryData:
             outward_hint=np.array([0.0, 1.0]))
         with pytest.raises(NullBoundary):
             boundary_data(null, np.array([0.3]))
+
+
+def fd_boundary_christoffels(bnd: BoundaryEmbedding, u, step=1e-4):
+    """Christoffels of h_AB, indexed [A, B, C] (upper last), from central differences of h."""
+    h_at = lambda p: boundary_data(bnd, p).boundary_metric
+    dh = np.stack([(h_at(u + step * e) - h_at(u - step * e)) / (2.0 * step)
+                   for e in np.eye(u.shape[-1])], axis=-3)  # [D, A, B] = d_D h_AB
+    lowered = 0.5 * (np.einsum("...ADB->...ABD", dh) + np.einsum("...BDA->...ABD", dh)
+                     - np.einsum("...DAB->...ABD", dh))
+    return np.einsum("...CD,...ABD->...ABC", boundary_data(bnd, u).boundary_metric_inverse,
+                     lowered)
+
+
+class TestEdgeConnection:
+    """The Gauss-formula connection of the edge against differences of its metric."""
+
+    @pytest.mark.parametrize("entry,att", ALL_BOUNDARIES)
+    def test_catalog_edges(self, entry, att):
+        u = entry.boundary_grid()
+        conn = _boundary_local(att.boundary, u).conn
+        assert np.max(np.abs(conn - fd_boundary_christoffels(att.boundary, u))) < 1e-7
+
+    def test_curved_two_dimensional_edge(self):
+        edge = curved_hole_edge()
+        u = np.array([[0.3, 1.1], [-0.4, 2.9], [0.8, 5.0]])
+        conn = _boundary_local(edge, u).conn
+        assert np.max(np.abs(conn)) > 1e-2  # h_AB varies along this edge
+        assert np.max(np.abs(conn - fd_boundary_christoffels(edge, u))) < 1e-7
 
 
 class TestEdgeEquation:

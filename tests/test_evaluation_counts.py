@@ -19,6 +19,7 @@ from worldsheet.background import BackgroundMetric
 from worldsheet.boundary import (
     BoundaryEmbedding,
     WorldsheetScalar,
+    adapted_edge_data,
     boundary_data,
     boundary_laplacian_residuals,
     laplacian_decomposition_residual,
@@ -100,6 +101,12 @@ def test_first_order_edge_callers_take_no_second_derivatives(counts, kernel):
     assert counts == {"position": 1, "d_position": 1, "dd_position": 0,
                       "chi": 1, "d_chi": 1, "dd_chi": 0, "metric_at": 1}
     assert svd <= 1
+
+
+def test_adapted_edge_data_takes_second_derivatives_once(counts):
+    # the twist stencil needs only the first-order adapted normals
+    adapted_edge_data(HELICOID.boundary, HELICOID.boundary_grid())
+    assert (counts["dd_position"], counts["dd_chi"]) == (1, 1)
 
 
 def verify_sheet(entry_id):

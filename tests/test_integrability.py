@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from worldsheet import catalog
+from worldsheet.background import minkowski
 from worldsheet.errors import GaugeFailure
-from worldsheet.geometry import frame, normal_frame
+from worldsheet.geometry import Embedding, frame, normal_frame
 from worldsheet.integrability import (
     _polar_factor,
     _procrustes,
@@ -17,6 +18,8 @@ from worldsheet.integrability import (
     worldsheet_riemann,
 )
 
+from helpers import curved_hole_edge
+
 PLANE = catalog.plane()
 SPHERE = catalog.sphere(2.0)
 TORUS = catalog.flat_torus(1.0, 1.0)
@@ -24,21 +27,43 @@ HELICOID = catalog.helicoid(0.5, 1.0)
 HOLE = catalog.planar_hole(2.0)
 
 
-def curved_hole_edge():
-    """Edge r = 2 + 0.3 sin(phi) + 0.1 t^2 over the hole sheet: a 2D edge with curvature."""
+def time_torus_edge():
+    """(t, u, v) -> (t, cos u, sin u, cos v, sin v) in M^5, edge v = 0.6 + 0.2 sin u + 0.1 t^2.
+
+    The sheet has two normals, so the edge's twist inheritance is checked
+    against the sheet's own twist curvature.  Without the t^2 term the edge
+    is time times a curve and every direct residual vanishes identically.
+    """
+    def pos(xi):
+        return np.stack([xi[..., 0], np.cos(xi[..., 1]), np.sin(xi[..., 1]),
+                         np.cos(xi[..., 2]), np.sin(xi[..., 2])], axis=-1)
+
+    def d_pos(xi):
+        out = np.zeros(xi.shape[:-1] + (5, 3))
+        out[..., 0, 0] = 1.0
+        out[..., 1, 1], out[..., 2, 1] = -np.sin(xi[..., 1]), np.cos(xi[..., 1])
+        out[..., 3, 2], out[..., 4, 2] = -np.sin(xi[..., 2]), np.cos(xi[..., 2])
+        return out
+
+    def dd_pos(xi):
+        out = np.zeros(xi.shape[:-1] + (5, 3, 3))
+        out[..., 1:3, 1, 1] = -pos(xi)[..., 1:3]
+        out[..., 3:5, 2, 2] = -pos(xi)[..., 3:5]
+        return out
+
     def level(u):
-        return 2.0 + 0.3 * np.sin(u[..., 1]) + 0.1 * u[..., 0] ** 2
+        return 0.6 + 0.2 * np.sin(u[..., 1]) + 0.1 * u[..., 0] ** 2
 
     def d_level(u):
-        return np.stack([0.2 * u[..., 0], 0.3 * np.cos(u[..., 1])], axis=-1)
+        return np.stack([0.2 * u[..., 0], 0.2 * np.cos(u[..., 1])], axis=-1)
 
     def dd_level(u):
         z = np.zeros_like(u[..., 0])
         return np.stack([np.stack([0.2 + z, z], axis=-1),
-                         np.stack([z, -0.3 * np.sin(u[..., 1])], axis=-1)], axis=-2)
+                         np.stack([z, -0.2 * np.sin(u[..., 1])], axis=-1)], axis=-2)
 
-    return catalog._graph_boundary(HOLE.embedding, level, d_level, dd_level,
-                                   np.array([0.0, 0.0, -1.0]))
+    sheet = Embedding(3, minkowski(5), pos, d_pos, dd_pos)
+    return catalog._graph_boundary(sheet, level, d_level, dd_level, np.array([0.0, 0.0, 1.0]))
 
 
 def twisted_torus_frame(angle_fn):
@@ -204,6 +229,15 @@ class TestDirectEmbeddingResiduals:
         coarse = direct_embedding_residuals(edge, point, step=1e-3).max()
         assert 1e-12 < fine < 1e-6
         assert 50.0 <= coarse / fine <= 200.0
+
+    def test_edge_of_a_sheet_with_two_normals(self):
+        # the edge's eta column and both sheet normals carry mixed curvature
+        # eta^a eps^b_A K_ab^i along different edge directions, so the twist
+        # inheritance holds only with its eta cross terms
+        edge = time_torus_edge()
+        assert edge.parent.codimension == 2
+        res = direct_embedding_residuals(edge, np.array([0.3, 1.1]), step=1e-4)
+        assert 1e-12 < res.max() < 1e-6
 
 
 class TestCurvatureTensors:
