@@ -1,16 +1,15 @@
 """Geometry of the edge worldsheet: embedded in the parent, and directly in spacetime.
 
-The edge is one map chi from boundary coordinates u into the parent: a
-hypersurface of the sheet, evaluated with the sheet's own kernels one level
-down (gamma as the ambient metric, the sheet connection as the ambient
-Christoffels), at one of two orders per point batch.  ``_edge_frame`` is
-first order: a ``geometry.Frame`` with tangents eps, the outward normal eta as
-its one normal column, and metric h, from the parent's frame at chi(u).
-``_boundary_local`` is second order: it adds grad_A eps_B, k_AB and the edge
-connection by the Gauss formula Gamma^C_AB = h^CD gamma(eps_D, grad_A eps_B),
-and hands back chi(u), chi_,AB and the parent's local geometry, from which
-every edge quantity here and in ``integrability`` is read, D_A y_B included,
-without evaluating chi or the parent map again for that batch.
+The edge is one map chi from boundary coordinates u into the parent, at one
+of two orders per point batch.  ``_edge_frame`` is first order: a
+``geometry.Frame`` with tangents eps, the outward normal eta as its one
+normal column, and metric h.  ``_boundary_local`` is second order: beside
+the sheet's ``geometry._Local`` it builds one for each edge level, the edge
+in the sheet (ambient metric gamma, ambient Christoffels the sheet's Gamma,
+sec grad_A eps_B) and the edge in spacetime (tangents y_A, normals
+{eta, n_i}, sec D_A y_B).  k_AB, K_AB^I and the edge connection are read
+from them by the sheet's own kernels, without evaluating chi or the parent
+map again for that batch.
 
 Conventions fixed here and relied on downstream:
 
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -34,12 +33,11 @@ from .geometry import (
     DEFAULT_FD_STEP,
     Embedding,
     Frame,
-    _connection,
     _covariant_hessian,
-    _extrinsic,
     _frame_at,
     _frame_derivative,
     _gram_schmidt_normals,
+    _Local,
     _local,
     _projected_seeds,
     _pullback,
@@ -195,47 +193,59 @@ def _adapted_normals(fr: Frame, edge: Frame) -> Array:
     return np.concatenate([eta[..., None], fr.normals], axis=-1)
 
 
-class _EdgeLocal(NamedTuple):
-    """One second-order evaluation of the edge at boundary points u."""
+class _EdgeLocal:
+    """One second-order evaluation of the edge at boundary points u, one ``_Local`` per level.
 
-    bd: BoundaryData
-    loc: tuple          # the parent's ``geometry._local`` tuple at xi
-    xi: Array           # chi(u)
-    dd_chi: Array       # chi^a_{,AB}
-    edge: Frame         # ``_edge_frame`` at u
-    grad_eps: Array     # grad_A eps_B^a, indexed [a, A, B]
+    ``sheet`` is the parent at chi(u).  ``edge`` is the edge in the sheet, with
+    the sheet's Gamma (upper index first) as ambient Christoffels and normal eta.
+    ``spacetime``, built on first read, has tangents y_A = e_a eps^a_A, normals
+    {eta, n_i} and sec D_A y_B = (D_a e_b) eps^a_A eps^b_B + e_a chi^a_{,AB}.
+    """
+
+    __slots__ = ("bd", "sheet", "edge", "dd_chi", "_spacetime")
+
+    def __init__(self, bd: BoundaryData, sheet: _Local, edge: _Local, dd_chi: Array) -> None:
+        self.bd, self.sheet, self.edge, self.dd_chi = bd, sheet, edge, dd_chi
+        self._spacetime = None
 
     @property
-    def conn(self) -> Array:
-        """Connection of h_AB by the Gauss formula, indexed [A, B, C] (upper last)."""
-        return _connection(self.edge, self.loc[0].induced_metric, self.grad_eps)
+    def spacetime(self) -> _Local:
+        if self._spacetime is None:
+            sheet, edge = self.sheet, self.edge.frame
+            eps, e = edge.tangents, sheet.frame.tangents
+            cov_y = (np.einsum("...mab,...aA,...bB->...mAB", sheet.sec, eps, eps)
+                     + np.einsum("...ma,...aAB->...mAB", e, self.dd_chi))
+            fr = Frame(np.einsum("...ma,...aA->...mA", e, eps), _adapted_normals(sheet.frame, edge),
+                       edge.induced_metric, edge.induced_metric_inverse)
+            self._spacetime = _Local(fr, sheet.x, sheet.g, sheet.chris, cov_y)
+        return self._spacetime
 
 
 def _boundary_local(bnd: BoundaryEmbedding, point: Array) -> _EdgeLocal:
-    """:func:`boundary_data` at ``point``, with the evaluations it is built from."""
+    """:func:`boundary_data` at ``point``, with the levels it is built from."""
     point = np.asarray(point, dtype=float)
     xi = bnd.chi(point)
-    loc = _local(bnd.parent, xi)
-    fr, _, g, _, sec = loc
-    edge = _edge_frame(bnd, point, fr)
+    sheet = _local(bnd.parent, xi)
+    fr = sheet.frame
+    edge_frame = _edge_frame(bnd, point, fr)
     dd_chi = bnd.dd_chi(point)
     # the sheet's connection is the ambient Christoffels, upper index first
-    grad_eps = _covariant_hessian(dd_chi, np.moveaxis(_connection(fr, g, sec), -1, -3),
-                                  edge.tangents)
-    k_ab = _extrinsic(edge.normals, fr.induced_metric, grad_eps)[..., 0]
-    k_ab = 0.5 * (k_ab + np.swapaxes(k_ab, -1, -2))
-    h_inv = edge.induced_metric_inverse
+    chris = np.moveaxis(sheet.conn, -1, -3)
+    edge = _Local(edge_frame, xi, fr.induced_metric, chris,
+                  _covariant_hessian(dd_chi, chris, edge_frame.tangents))
+    k_ab = edge.kk[..., 0]
+    h_inv = edge_frame.induced_metric_inverse
     bd = BoundaryData(
-        tangents_in_m=edge.tangents,
-        normal_in_m=edge.normals[..., 0],
-        boundary_metric=edge.induced_metric,
+        tangents_in_m=edge_frame.tangents,
+        normal_in_m=edge_frame.normals[..., 0],
+        boundary_metric=edge_frame.induced_metric,
         boundary_metric_inverse=h_inv,
         edge_curvature=k_ab,
         edge_trace=np.einsum("...AB,...AB->...", h_inv, k_ab),
-        projector=_projector(edge.tangents, h_inv),
-        spacetime_normal=_adapted_normals(fr, edge)[..., 0],
+        projector=_projector(edge_frame.tangents, h_inv),
+        spacetime_normal=_adapted_normals(fr, edge_frame)[..., 0],
     )
-    return _EdgeLocal(bd, loc, xi, dd_chi, edge, grad_eps)
+    return _EdgeLocal(bd, sheet, edge, dd_chi)
 
 
 def _projector(eps: Array, h_inv: Array) -> Array:
@@ -264,22 +274,9 @@ def boundary_condition_residual(bnd: BoundaryEmbedding, point: Array) -> Array:
     """Projected-trace constraint H^{ab} K_ab^i at the edge, one entry per normal."""
     point = np.asarray(point, dtype=float)
     eps = bnd.d_chi(point)
-    fr, _, g, _, sec = _local(bnd.parent, bnd.chi(point))
-    _, h_inv = _pullback_metric(bnd, fr.induced_metric, eps)
-    return np.einsum("...ab,...abi->...i", _projector(eps, h_inv),
-                     _extrinsic(fr.normals, g, sec))
-
-
-def _edge_derivatives(bl: _EdgeLocal) -> tuple[Array, Array]:
-    """Edge tangents in spacetime y_A = e_a eps^a_A and their derivative D_A y_B.
-
-    D_A y_B = (D_a e_b) eps^a_A eps^b_B + e_a chi^a_{,AB}.
-    """
-    eps = bl.edge.tangents
-    fr, *_, sec = bl.loc
-    return (np.einsum("...ma,...aA->...mA", fr.tangents, eps),
-            np.einsum("...mab,...aA,...bB->...mAB", sec, eps, eps)
-            + np.einsum("...ma,...aAB->...mAB", fr.tangents, bl.dd_chi))
+    sheet = _local(bnd.parent, bnd.chi(point))
+    _, h_inv = _pullback_metric(bnd, sheet.frame.induced_metric, eps)
+    return np.einsum("...ab,...abi->...i", _projector(eps, h_inv), sheet.kk)
 
 
 def boundary_laplacian_residuals(bnd: BoundaryEmbedding, point: Array,
@@ -297,12 +294,11 @@ def boundary_laplacian_residuals(bnd: BoundaryEmbedding, point: Array,
       four-acceleration equals -(mu0/mub) eta^mu, directed into the sheet).
     """
     bl = _boundary_local(bnd, point)
-    bd, (fr, _, g, _, _) = bl.bd, bl.loc
-    y1, cov_y = _edge_derivatives(bl)
-    hess = cov_y - np.einsum("...ABC,...mC->...mAB", bl.conn, y1)
+    bd, st = bl.bd, bl.spacetime
+    hess = st.sec - np.einsum("...ABC,...mC->...mAB", bl.edge.conn, st.frame.tangents)
     lap = np.einsum("...AB,...mAB->...m", bd.boundary_metric_inverse, hess)
-    lap_low = np.einsum("...mn,...n->...m", g, lap)
-    normal = np.einsum("...mi,...m->...i", fr.normals, lap_low)
+    lap_low = np.einsum("...mn,...n->...m", st.g, lap)
+    normal = np.einsum("...mi,...m->...i", bl.sheet.frame.normals, lap_low)
     eta_part = np.einsum("...m,...m->...", bd.spacetime_normal, lap_low) - mu0 / mub
     combined = lap - (mu0 / mub) * bd.spacetime_normal
     return LaplacianResiduals(normal=normal, eta=eta_part, combined=combined)
@@ -316,28 +312,22 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
     which vanishes for smooth fields at points of the edge.
     """
     bl = _boundary_local(bnd, point)
-    bd, (fr, _, g, _, sec) = bl.bd, bl.loc
-    grad = scalar_field.gradient(bl.xi)
-    hess = scalar_field.hessian(bl.xi)
-    cov_hess = hess - np.einsum("...abc,...c->...ab", _connection(fr, g, sec), grad)
-    laplacian = np.einsum("...ab,...ab->...", fr.induced_metric_inverse, cov_hess)
+    bd, sheet = bl.bd, bl.sheet
+    grad = scalar_field.gradient(bl.edge.x)
+    hess = scalar_field.hessian(bl.edge.x)
+    cov_hess = hess - np.einsum("...abc,...c->...ab", sheet.conn, grad)
+    laplacian = np.einsum("...ab,...ab->...", sheet.frame.induced_metric_inverse, cov_hess)
 
     eps = bd.tangents_in_m
     grad_b = np.einsum("...a,...aA->...A", grad, eps)
     hess_b = (np.einsum("...ab,...aA,...bB->...AB", hess, eps, eps)
               + np.einsum("...a,...aAB->...AB", grad, bl.dd_chi))
     box_b = np.einsum("...AB,...AB->...", bd.boundary_metric_inverse,
-                      hess_b - np.einsum("...ABC,...C->...AB", bl.conn, grad_b))
+                      hess_b - np.einsum("...ABC,...C->...AB", bl.edge.conn, grad_b))
     eta = bd.normal_in_m
     normal_part = np.einsum("...a,...b,...ab->...", eta, eta, cov_hess)
     drift = bd.edge_trace * np.einsum("...a,...a->...", eta, grad)
     return laplacian - (box_b + normal_part + drift)
-
-
-def _edge_extrinsic(adapted: Array, g: Array, cov_y: Array) -> Array:
-    """Edge extrinsic curvature K_AB^I in spacetime from adapted normal columns and D_A y_B."""
-    kk = _extrinsic(adapted, g, cov_y)
-    return 0.5 * (kk + np.swapaxes(kk, -3, -2))
 
 
 def adapted_edge_data(bnd: BoundaryEmbedding, point: Array, *,
@@ -352,23 +342,21 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array, *,
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
-    bd, (fr, _, g, chris, sec) = bl.bd, bl.loc
-    y1, cov_y = _edge_derivatives(bl)
-    adapted = _adapted_normals(fr, bl.edge)
-    edge_extrinsic = _edge_extrinsic(adapted, g, cov_y)
+    bd, st = bl.bd, bl.spacetime
+    y1, adapted = st.frame.tangents, st.frame.normals
 
     def adapted_at(u: Array) -> Array:  # first order: the twist needs no k_AB
         fr_u = _frame_at(bnd.parent, bnd.chi(u))[0]
         return _adapted_normals(fr_u, _edge_frame(bnd, u, fr_u))
 
-    twist = _twist(_frame_derivative(adapted_at, point, y1, adapted, chris, bnd.fd_step),
-                   adapted, g)
+    twist = _twist(_frame_derivative(adapted_at, point, y1, adapted, st.chris, bnd.fd_step),
+                   adapted, st.g)
 
-    kk = _extrinsic(fr.normals, g, sec)
+    kk = bl.sheet.kk
     projected = np.einsum("...aA,...bB,...abi->...ABi", bd.tangents_in_m,
                           bd.tangents_in_m, kk)
-    err_i = np.max(np.abs(edge_extrinsic[..., 1:] - projected))
-    err_0 = np.max(np.abs(edge_extrinsic[..., 0] - bd.edge_curvature))
+    err_i = np.max(np.abs(st.kk[..., 1:] - projected))
+    err_0 = np.max(np.abs(st.kk[..., 0] - bd.edge_curvature))
     mixed = np.einsum("...a,...bA,...abi->...Ai", bd.normal_in_m, bd.tangents_in_m, kk)
     err_t = np.max(np.abs(twist[..., 1:, 0] - mixed))
     if max(err_i, err_0, err_t) > check_tol:
@@ -377,6 +365,6 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array, *,
     return AdaptedEdgeData(
         spacetime_tangents=y1,
         adapted_normals=adapted,
-        edge_extrinsic=edge_extrinsic,
+        edge_extrinsic=st.kk,
         edge_twist=twist,
     )

@@ -8,6 +8,7 @@ central regression path shared with the command-line ``verify``.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -548,33 +549,29 @@ _BUILDERS = {
     "plane_hole": euclidean_plane_hole,
 }
 
-_PARAM_NAMES = {
-    "sphere": {"radius"},
-    "torus": {"r1", "r2"},
-    "helicoid": {"omega", "R"},
-    "collapsing": {"a", "x0"},
-    "hole": {"rho", "outer"},
-    "disk": {"rho"},
-    "plane_hole": {"rho", "outer"},
-    "plane": set(),
-}
-
-
 def entry_from_id(entry_id: str) -> CatalogEntry:
-    """Build an entry from an id string like ``helicoid:omega=0.5,R=1``."""
+    """Build an entry from an id string like ``helicoid:omega=0.5,R=1`` (positional parameters)."""
     name, _, rest = entry_id.partition(":")
     name = name.strip()
     if name not in _BUILDERS:
         raise KeyError(f"unknown catalog entry {name!r}")
+    builder = _BUILDERS[name]
+    keys = {p.name for p in inspect.signature(builder).parameters.values()
+            if p.kind is p.POSITIONAL_OR_KEYWORD}
     kwargs = {}
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
             key = key.strip()
-            if not val or key not in _PARAM_NAMES[name]:
+            if not val or key not in keys:
                 raise KeyError(f"unknown parameter {key!r} for entry {name!r}")
-            kwargs[key] = float(val)
-    return _BUILDERS[name](**kwargs)
+            try:
+                kwargs[key] = float(val)
+            except ValueError:
+                raise InvalidParameters(f"parameter {key}={val} is not a number") from None
+            if not math.isfinite(kwargs[key]):
+                raise InvalidParameters(f"parameter {key}={val} is not finite")
+    return builder(**kwargs)
 
 
 def catalog_ids() -> list[str]:

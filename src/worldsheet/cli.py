@@ -19,6 +19,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -120,9 +121,18 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _finite_number(text: str) -> float:
+    """JSON float and constant hook: NaN, Infinity and overflowing floats are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise UsageError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def _load_config(path: str, allowed_keys: set[str]) -> dict:
     try:
-        config = json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text(), parse_float=_finite_number,
+                            parse_constant=_finite_number)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
@@ -176,9 +186,6 @@ def _trajectory_rows(snapshots) -> Iterator[list[str]]:
 def cmd_evolve(args) -> int:
     started = _utc_now()
     config = _load_config(args.config, _EVOLVE_KEYS)
-    digest = config_digest(config)
-    out_dir = Path(args.out_dir)
-    _prepare_out_dir(out_dir, digest, args.force)
     sim = SimulationConfig(
         initial_data=config["initial_data"],
         duration=float(config["duration"]),
@@ -187,6 +194,9 @@ def cmd_evolve(args) -> int:
         constraint_tol=float(config.get("constraint_tol", 1e-4)),
         output_stride=int(config.get("output_stride", 10)),
     )
+    digest = config_digest(config)
+    out_dir = Path(args.out_dir)
+    _prepare_out_dir(out_dir, digest, args.force)
     event = None
     try:
         traj = evolve(sim)
@@ -239,14 +249,16 @@ def cmd_scan(args) -> int:
     points = int(config["points"])
     if points < 2 or not stop > start:
         raise UsageError("scan needs points >= 2 and stop > start")
+    mu0 = float(config.get("mu0", 1.0))
+    mub = float(config.get("mub", 1.0))
+    radius = float(config.get("radius", 1.0))
+    if not mub > 0:
+        raise UsageError("edge tension mub must be positive")
     digest = config_digest(config)
     out_dir = Path(args.out_dir)
     _prepare_out_dir(out_dir, digest, args.force)
 
     values = np.linspace(start, stop, points)
-    mu0 = float(config.get("mu0", 1.0))
-    mub = float(config.get("mub", 1.0))
-    radius = float(config.get("radius", 1.0))
 
     def hole_row(rho: float) -> list:
         k, residual = _scan_point_hole(rho, mu0, mub)
@@ -314,10 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidParameters as exc:
+    except (UsageError, InvalidParameters) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WorldsheetError as exc:

@@ -95,8 +95,8 @@ class SimulationConfig:
             raise InvalidParameters(f"grid_points must be >= {MIN_GRID_POINTS}")
         if not 0.0 < self.dt_fraction <= 1.0:
             raise InvalidParameters("dt_fraction must satisfy 0 < dt <= dsigma (CFL)")
-        if self.duration < 0:
-            raise InvalidParameters("duration must be non-negative")
+        if not 0 <= self.duration < math.inf:
+            raise InvalidParameters("duration must be finite and non-negative")
         if self.constraint_tol <= 0 or self.output_stride < 1:
             raise InvalidParameters("bad constraint tolerance or output stride")
 

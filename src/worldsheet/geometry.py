@@ -3,6 +3,9 @@
 All operations are pure functions of immutable inputs and broadcast over
 leading batch axes of the evaluation points: a point argument of shape
 (..., D) produces outputs with matching leading axes.
+
+``_local`` gives the sheet as a ``_Local``, the record of every level of the
+hierarchy, so at each level K is ``_extrinsic`` and Gamma is ``_connection``.
 """
 
 from __future__ import annotations
@@ -133,7 +136,9 @@ class CurvatureData:
 
 
 def _rank_checked_scale(tangents: Array) -> Array:
-    """Largest singular value of the tangent map, after checking its rank."""
+    """Largest singular value of the tangent map, after checking it is finite and of full rank."""
+    if not np.all(np.isfinite(tangents)):
+        raise DegenerateImmersion("non-finite tangent map")
     s = np.linalg.svd(tangents, compute_uv=False)
     if np.any(s[..., -1] <= 1e-10 * s[..., 0]):
         raise DegenerateImmersion(
@@ -283,21 +288,61 @@ def _covariant_hessian(dd: Array, chris: Array, tangents: Array) -> Array:
     return dd + np.einsum("...mrs,...ra,...sb->...mab", chris, tangents, tangents)
 
 
-def _local(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array, Array, Array]:
-    """:func:`_frame_at` plus second order: (frame, X, g, Christoffels, D_a e_b)."""
+class _Local:
+    """The local geometry of one level of the hierarchy at a batch of points.
+
+    A level is a map into an ambient space: the sheet into spacetime, the
+    edge into the sheet, or the edge into spacetime.  ``frame`` holds its
+    tangents t_A, its normal columns n_I and its metric; ``x`` is the image
+    point, ``g`` and ``chris`` the ambient metric and Christoffels (upper
+    index first), and ``sec`` is D_A t_B, indexed [mu, A, B].  ``conn`` and
+    ``kk`` are Gamma and K, each computed on first read and kept.
+    """
+
+    __slots__ = ("frame", "x", "g", "chris", "sec", "_conn", "_kk")
+
+    def __init__(self, frame: Frame, x: Array, g: Array, chris: Array, sec: Array,
+                 conn: Array | None = None) -> None:
+        self.frame, self.x, self.g, self.chris, self.sec = frame, x, g, chris, sec
+        self._conn, self._kk = conn, None
+
+    @property
+    def conn(self) -> Array:
+        """Gamma_AB^C of the level's metric, indexed [A, B, C] (:func:`_connection`)."""
+        if self._conn is None:
+            self._conn = _connection(self.frame, self.g, self.sec)
+        return self._conn
+
+    @property
+    def kk(self) -> Array:
+        """K_AB^I of the level's normal columns (:func:`_extrinsic`)."""
+        if self._kk is None:
+            self._kk = _extrinsic(self.frame.normals, self.g, self.sec)
+        return self._kk
+
+    def with_normals(self, normals: Array) -> _Local:
+        """The same level with other normal columns; Gamma does not depend on them."""
+        fr = self.frame
+        return _Local(Frame(fr.tangents, normals, fr.induced_metric, fr.induced_metric_inverse),
+                      self.x, self.g, self.chris, self.sec, self._conn)
+
+
+def _local(embedding: Embedding, point: Array) -> _Local:
+    """:func:`_frame_at` plus second order: the sheet level at ``point``."""
     fr, x, g = _frame_at(embedding, point)
     chris = embedding.background.christoffels_at(x)
-    sec = _covariant_hessian(embedding.dd_position(point), chris, fr.tangents)
-    return fr, x, g, chris, sec
+    return _Local(fr, x, g, chris,
+                  _covariant_hessian(embedding.dd_position(point), chris, fr.tangents))
 
 
 def _extrinsic(normals: Array, g: Array, sec: Array) -> Array:
-    """K_ab^i = -g(n^i, D_a e_b) for normal columns (..., N, K) and D_a e_b (..., N, D, D)."""
-    return -np.einsum("...mi,...mn,...nab->...abi", normals, g, sec)
+    """K_AB^I = -g(n^I, D_A t_B), symmetrized in A, B, for normal columns (..., N, K)."""
+    kk = -np.einsum("...mi,...mn,...nab->...abi", normals, g, sec)
+    return 0.5 * (kk + np.swapaxes(kk, -3, -2))
 
 
 def _connection(fr: Frame, g: Array, sec: Array) -> Array:
-    """Gamma_ab^c = gamma^{cd} g(e_d, D_a e_b), indexed [a, b, c]."""
+    """Gamma_AB^C = h^{CD} g(t_D, D_A t_B) by the Gauss formula, indexed [A, B, C]."""
     return np.einsum("...cd,...nd,...nm,...mab->...abc",
                      fr.induced_metric_inverse, fr.tangents, g, sec)
 
@@ -335,24 +380,23 @@ def extrinsic_curvature(embedding: Embedding, point: Array, *,
     obtained by central differencing of that field with step ``fd_step``.
     """
     point = np.asarray(point, dtype=float)
-    fr, _, g, chris, sec = _local(embedding, point)
+    loc = _local(embedding, point)
     if normal_frame_fn is None:
-        normals = fr.normals
         normal_frame_fn = lambda p: normal_frame(embedding, p)
     else:
-        normals = np.asarray(normal_frame_fn(point), dtype=float)
-    extrinsic = _extrinsic(normals, g, sec)
-    traces = np.einsum("...ab,...abi->...i", fr.induced_metric_inverse, extrinsic)
+        loc = loc.with_normals(np.asarray(normal_frame_fn(point), dtype=float))
+    fr = loc.frame
+    traces = np.einsum("...ab,...abi->...i", fr.induced_metric_inverse, loc.kk)
     d = embedding.worldsheet_dim
     k = embedding.codimension
     if k <= 1:
         twist = np.zeros(point.shape[:-1] + (d, k, k))
     else:
         step = fd_step if fd_step is not None else embedding.fd_step
-        twist = _twist(_frame_derivative(normal_frame_fn, point, fr.tangents, normals,
-                                         chris, step), normals, g)
-    return CurvatureData(extrinsic=extrinsic, traces=traces, twist=twist,
-                         worldsheet_connection=_connection(fr, g, sec))
+        twist = _twist(_frame_derivative(normal_frame_fn, point, fr.tangents, fr.normals,
+                                         loc.chris, step), fr.normals, loc.g)
+    return CurvatureData(extrinsic=loc.kk, traces=traces, twist=twist,
+                         worldsheet_connection=loc.conn)
 
 
 def gauss_weingarten_residual(embedding: Embedding, point: Array,
@@ -366,8 +410,8 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
     deterministic normal gauge jumps inside the FD stencil.
     """
     point = np.asarray(point, dtype=float)
-    fr, _, g, chris, sec = _local(embedding, point)
-    kk = _extrinsic(fr.normals, g, sec)
+    loc = _local(embedding, point)
+    fr, g, chris, kk = loc.frame, loc.g, loc.chris, loc.kk
     d = embedding.worldsheet_dim
     n_dim = embedding.background.dimension
     k = embedding.codimension
@@ -377,7 +421,7 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
     de = de.reshape(point.shape[:-1] + (n_dim, d, d))  # [mu, b, a]
     cov_e = de + np.einsum("...mrs,...ra,...sb->...mba", chris, fr.tangents, fr.tangents)
     gauss = (np.einsum("...mba->...abm", cov_e)
-             - np.einsum("...abc,...mc->...abm", _connection(fr, g, sec), fr.tangents)
+             - np.einsum("...abc,...mc->...abm", loc.conn, fr.tangents)
              + np.einsum("...abi,...mi->...abm", kk, fr.normals))
     res_gauss = np.max(np.linalg.norm(gauss, axis=-1), axis=(-1, -2))
 

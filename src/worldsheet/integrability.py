@@ -3,13 +3,13 @@
 The hierarchy has three levels: the worldsheet in spacetime, the edge in the
 worldsheet, and the edge directly in spacetime.  The Gauss, Codazzi and Ricci
 equations are the same at each level, so one assembly evaluates them all.
-Each level supplies a point function that makes one local evaluation of the
-geometry (``_local`` for the sheet, ``_boundary_local`` for the edge) and
-returns the intrinsic connection, the extrinsic curvature K and the normal
-columns.  One central-difference sweep of it gives the intrinsic Riemann
-tensor, dK and the twist together; the twist curvature differences the twist
-through the same point function.  Normal frames at stencil points are aligned
-to the center frame by the minimizing rotation before differencing, so
+Each level is a ``geometry._Local`` record (``_local`` gives the sheet's,
+``_boundary_local`` the two edge levels'), and its point function returns the
+record at other points.  One central-difference sweep of the record's
+connection, K and normal columns gives the intrinsic Riemann tensor, dK and
+the twist together; the twist curvature differences the twist through the
+same point function.  Normal frames at stencil points are aligned to the
+center frame by the minimizing rotation before differencing, so
 deterministic-gauge jumps cannot inject spurious twist.
 
 Residual norms are the maximum over tangential index slots of the Euclidean
@@ -20,25 +20,17 @@ constant frame rotations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .boundary import (
-    BoundaryEmbedding,
-    _EdgeLocal,
-    _adapted_normals,
-    _boundary_local,
-    _edge_derivatives,
-    _edge_extrinsic,
-)
+from .boundary import BoundaryEmbedding, _boundary_local, _EdgeLocal
 from .errors import GaugeFailure
 from .geometry import (
     Embedding,
-    _connection,
     _covariant_frame,
-    _extrinsic,
     _frame_at,
+    _Local,
     _local,
     _twist,
     fd_jacobian,
@@ -97,20 +89,7 @@ class DirectEdgeResiduals:
         return float(max(vals))
 
 
-class _Point(NamedTuple):
-    """Local geometry of one level at a point; the first three fields get differenced."""
-
-    conn: Array              # intrinsic connection [A, B, C], upper index last
-    kk: Array                # extrinsic curvature K_AB^I
-    normals: Array           # normal columns [mu, I] in the ambient space
-    tangents: Array          # tangent columns [mu, A] in the ambient space
-    g: Array | None          # ambient metric and Christoffels, for the twist
-    chris: Array | None
-    metric: Array            # intrinsic metric and its inverse
-    metric_inv: Array
-
-
-_PointFn = Callable[[Array], _Point]
+_LocalFn = Callable[[Array], _Local]
 
 
 def _polar_factor(overlap: Array) -> Array:
@@ -146,89 +125,69 @@ def aligned_normal_frame_fn(embedding: Embedding,
     return lambda p: _procrustes(normal_frame(embedding, p), fr.normals, g_c)
 
 
-def _sheet_point(embedding: Embedding, point: Array, loc: tuple,
+def _aligned(v: _Local, ref: _Local) -> _Local:
+    """``v`` with its normal columns rotated onto those of ``ref`` (see :func:`_procrustes`)."""
+    return v.with_normals(_procrustes(v.frame.normals, ref.frame.normals, ref.g))
+
+
+def _sheet_level(embedding: Embedding, point: Array, loc: _Local,
                  normal_frame_fn: Callable[[Array], Array] | None = None
-                 ) -> tuple[_Point, _PointFn]:
-    """The sheet level at ``point`` (from its ``_local`` tuple ``loc``) and its point function.
+                 ) -> tuple[_Local, _LocalFn]:
+    """The sheet level at ``point`` (whose ``_local`` is ``loc``) and its point function.
 
     The normals are ``normal_frame_fn`` when given, else the gauge of
     :func:`normal_frame` aligned to the frame at ``point``.
     """
-    ref, g_ref = loc[0].normals, loc[2]
-
-    def values(p: Array, loc: tuple) -> _Point:
-        fr, _, g, chris, sec = loc
-        if normal_frame_fn is None:
-            normals = _procrustes(fr.normals, ref, g_ref)
-        else:
-            normals = np.asarray(normal_frame_fn(p), dtype=float)
-        return _Point(_connection(fr, g, sec), _extrinsic(normals, g, sec), normals,
-                      fr.tangents, g, chris, fr.induced_metric, fr.induced_metric_inverse)
-
-    return values(point, loc), lambda p: values(p, _local(embedding, p))
+    if normal_frame_fn is None:
+        return _aligned(loc, loc), lambda p: _aligned(_local(embedding, p), loc)
+    normals_at = lambda p: np.asarray(normal_frame_fn(p), dtype=float)
+    return (loc.with_normals(normals_at(point)),
+            lambda p: _local(embedding, p).with_normals(normals_at(p)))
 
 
-def _edge_in_sheet_point(bnd: BoundaryEmbedding, bl: _EdgeLocal) -> tuple[_Point, _PointFn]:
-    """The edge inside the sheet (from its ``_boundary_local`` record) and its point function.
-
-    The ambient space is the sheet, K is k_AB and the one normal column is eta.
-    """
-    def values(bl: _EdgeLocal) -> _Point:
-        edge = bl.edge
-        return _Point(bl.conn, bl.bd.edge_curvature[..., None], edge.normals,
-                      edge.tangents, None, None,
-                      edge.induced_metric, edge.induced_metric_inverse)
-
-    return values(bl), lambda u: values(_boundary_local(bnd, u))
+def _spacetime_level(bnd: BoundaryEmbedding, bl: _EdgeLocal) -> tuple[_Local, _LocalFn]:
+    """The edge in spacetime and its point function, normals aligned to those of ``bl``."""
+    ref = bl.spacetime
+    return _aligned(ref, ref), lambda u: _aligned(_boundary_local(bnd, u).spacetime, ref)
 
 
-def _edge_point(bnd: BoundaryEmbedding, bl: _EdgeLocal) -> tuple[_Point, _PointFn]:
-    """The edge in spacetime (from its ``_boundary_local`` record) and its point function.
-
-    The tangents are y_A = e_a eps^a_A and the normals the adapted columns
-    {eta, n_i}, aligned to those of ``bl``.
-    """
-    ref, g_ref = _adapted_normals(bl.loc[0], bl.edge), bl.loc[2]
-
-    def values(bl: _EdgeLocal) -> _Point:
-        fr, _, g, chris, _ = bl.loc
-        normals = _procrustes(_adapted_normals(fr, bl.edge), ref, g_ref)
-        y1, cov_y = _edge_derivatives(bl)
-        return _Point(bl.conn, _edge_extrinsic(normals, g, cov_y), normals, y1, g, chris,
-                      bl.edge.induced_metric, bl.edge.induced_metric_inverse)
-
-    return values(bl), lambda u: values(_boundary_local(bnd, u))
-
-
-def _sweep(at: _PointFn, point: Array, step: float, center: _Point) -> list[Array]:
+def _sweep(at: _LocalFn, point: Array, step: float, center: _Local) -> list[Array]:
     """Derivatives of (conn, K, normals) at ``point`` from one central-difference sweep of ``at``.
 
-    ``center`` is ``at(point)``; each derivative is indexed like its field
-    with the coordinate direction last.
+    ``center`` is ``at(point)``, read for its shapes only; each derivative is
+    indexed like its field with the coordinate direction last.
     """
-    lead = point.ndim - 1
-    jac = fd_jacobian(lambda p: np.concatenate(
-        [f.reshape(p.shape[:-1] + (-1,)) for f in at(p)[:3]], axis=-1), point, step)
-    splits = np.cumsum([int(np.prod(f.shape[lead:])) for f in center[:3]])[:-1]
-    return [d.reshape(f.shape + (point.shape[-1],))
-            for f, d in zip(center[:3], np.split(jac, splits, axis=-2))]
+    d, (n, k) = center.frame.tangents.shape[-1], center.frame.normals.shape[-2:]
+    shapes = [(d, d, d), (d, d, k), (n, k)]
+
+    def fields(p: Array) -> Array:
+        v = at(p)
+        return np.concatenate([f.reshape(p.shape[:-1] + (-1,))
+                               for f in (v.conn, v.kk, v.frame.normals)], axis=-1)
+
+    jac = fd_jacobian(fields, point, step)
+    splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+    return [j.reshape(point.shape[:-1] + s + point.shape[-1:])
+            for s, j in zip(shapes, np.split(jac, splits, axis=-2))]
 
 
-def _riemann(v: _Point, dconn: Array) -> Array:
+def _riemann(v: _Local, dconn: Array) -> Array:
     """Fully lowered intrinsic Riemann R_{ABCD} from the connection of ``v`` and its derivative."""
+    conn = v.conn
     mixed = (np.einsum("...dbac->...abcd", dconn)
              - np.einsum("...cbad->...abcd", dconn)
-             + np.einsum("...cea,...dbe->...abcd", v.conn, v.conn)
-             - np.einsum("...dea,...cbe->...abcd", v.conn, v.conn))
-    return np.einsum("...ae,...ebcd->...abcd", v.metric, mixed)
+             + np.einsum("...cea,...dbe->...abcd", conn, conn)
+             - np.einsum("...dea,...cbe->...abcd", conn, conn))
+    return np.einsum("...ae,...ebcd->...abcd", v.frame.induced_metric, mixed)
 
 
-def _twist_of(v: _Point, dn: Array) -> Array:
+def _twist_of(v: _Local, dn: Array) -> Array:
     """Twist omega_A^{IJ} of the normals of ``v`` from their coordinate derivatives."""
-    return _twist(_covariant_frame(dn, v.tangents, v.normals, v.chris), v.normals, v.g)
+    fr = v.frame
+    return _twist(_covariant_frame(dn, fr.tangents, fr.normals, v.chris), fr.normals, v.g)
 
 
-def _twist_curvature(at: _PointFn, omega0: Array, point: Array, step: float) -> Array:
+def _twist_curvature(at: _LocalFn, omega0: Array, point: Array, step: float) -> Array:
     """Omega_{AB IJ} = d_B omega_A - d_A omega_B + [W_A, W_B], omega differenced through ``at``."""
     def omega(p: Array) -> Array:
         v = at(p)
@@ -241,20 +200,19 @@ def _twist_curvature(at: _PointFn, omega0: Array, point: Array, step: float) -> 
             - np.einsum("...bija->...abij", domega) + comm)
 
 
-def _level(v: _Point, at: _PointFn, point: Array, step: float
+def _level(v: _Local, at: _LocalFn, point: Array, step: float
            ) -> tuple[Array, Array, Array, Array]:
     """Intrinsic Riemann, dK, twist and twist curvature of one level, from one sweep of ``at``."""
     dconn, dk, dn = _sweep(at, point, step, v)
-    k = v.normals.shape[-1]
+    k, riemann = v.frame.normals.shape[-1], _riemann(v, dconn)
     if k < 2:  # one normal column: the twist and its curvature vanish identically
-        omega = np.zeros(v.conn.shape[:-2] + (k, k))
-        return (_riemann(v, dconn), dk, omega,
+        return (riemann, dk, np.zeros(v.conn.shape[:-2] + (k, k)),
                 np.zeros(v.conn.shape[:-1] + (k, k)))
     omega = _twist_of(v, dn)
-    return _riemann(v, dconn), dk, omega, _twist_curvature(at, omega, point, step)
+    return riemann, dk, omega, _twist_curvature(at, omega, point, step)
 
 
-def _structure_residuals(r_amb: Array, v: _Point, riemann: Array, dk: Array,
+def _structure_residuals(r_amb: Array, v: _Local, riemann: Array, dk: Array,
                          omega: Array, big_omega: Array
                          ) -> tuple[Array, Array, Array | None]:
     """Gauss, Codazzi and Ricci max-norms of one level of the hierarchy.
@@ -263,7 +221,7 @@ def _structure_residuals(r_amb: Array, v: _Point, riemann: Array, dk: Array,
     ``v`` the level's local geometry, and the rest come from :func:`_level`.
     Ricci is None for fewer than two normals, where the family is vacuous.
     """
-    t, n, kk, conn = v.tangents, v.normals, v.kk, v.conn
+    t, n, kk, conn = v.frame.tangents, v.frame.normals, v.kk, v.conn
     lhs = np.einsum("...mnrs,...ma,...nb,...rc,...sd->...abcd", r_amb, t, t, t, t)
     kk_term = (np.einsum("...aci,...bdi->...abcd", kk, kk)
                - np.einsum("...adi,...bci->...abcd", kk, kk))
@@ -279,7 +237,7 @@ def _structure_residuals(r_amb: Array, v: _Point, riemann: Array, dk: Array,
 
     if n.shape[-1] < 2:
         return gauss, codazzi, None
-    k_mixed = np.einsum("...cd,...bdj->...bcj", v.metric_inv, kk)
+    k_mixed = np.einsum("...cd,...bdj->...bcj", v.frame.induced_metric_inverse, kk)
     rhs_ricci = (big_omega
                  - np.einsum("...aci,...bcj->...abij", kk, k_mixed)
                  + np.einsum("...bci,...acj->...abij", kk, k_mixed))
@@ -292,8 +250,7 @@ def _structure_residuals(r_amb: Array, v: _Point, riemann: Array, dk: Array,
 
 def worldsheet_connection(embedding: Embedding, point: Array) -> Array:
     """Connection coefficients Gamma_ab^c of the induced metric, indexed [a, b, c]."""
-    fr, _, g, _, sec = _local(embedding, point)
-    return _connection(fr, g, sec)
+    return _local(embedding, point).conn
 
 
 def worldsheet_riemann(embedding: Embedding, point: Array,
@@ -304,7 +261,7 @@ def worldsheet_riemann(embedding: Embedding, point: Array,
     standard antisymmetries hold to the FD tolerance.
     """
     point = np.asarray(point, dtype=float)
-    v, at = _sheet_point(embedding, point, _local(embedding, point))
+    v, at = _sheet_level(embedding, point, _local(embedding, point))
     return _riemann(v, _sweep(at, point, step, v)[0])
 
 
@@ -333,10 +290,9 @@ def worldsheet_integrability_residuals(
     Ricci family is vacuous and reported as None.
     """
     point = np.asarray(point, dtype=float)
-    loc = _local(embedding, point)
-    v, at = _sheet_point(embedding, point, loc, normal_frame_fn)
+    v, at = _sheet_level(embedding, point, _local(embedding, point), normal_frame_fn)
     return WorldsheetResiduals(*_structure_residuals(
-        _ambient_riemann_lowered(embedding, loc[1]), v, *_level(v, at, point, step)))
+        _ambient_riemann_lowered(embedding, v.x), v, *_level(v, at, point, step)))
 
 
 def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
@@ -348,9 +304,11 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
-    ws, ws_at = _sheet_point(bnd.parent, bl.xi, bl.loc)
-    r_ws = _riemann(ws, _sweep(ws_at, bl.xi, step, ws)[0])
-    v, at = _edge_in_sheet_point(bnd, bl)
+    xi = bl.edge.x
+    ws, ws_at = _sheet_level(bnd.parent, xi, bl.sheet)
+    r_ws = _riemann(ws, _sweep(ws_at, xi, step, ws)[0])
+    # the edge in the sheet: its one normal eta is signed by the outward hint
+    v, at = bl.edge, lambda u: _boundary_local(bnd, u).edge
     gauss, codazzi, _ = _structure_residuals(r_ws, v, *_level(v, at, point, step))
     return gauss, codazzi
 
@@ -368,18 +326,18 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
-    bd, loc, xi, *_ = bl
-    v, at = _edge_point(bnd, bl)
+    bd, xi = bl.bd, bl.edge.x
+    v, at = _spacetime_level(bnd, bl)
     riemann, dk, omega, big_omega = _level(v, at, point, step)
     gauss, codazzi, ricci = _structure_residuals(
-        _ambient_riemann_lowered(bnd.parent, loc[1]), v, riemann, dk, omega, big_omega)
+        _ambient_riemann_lowered(bnd.parent, v.x), v, riemann, dk, omega, big_omega)
 
     # twist inheritance: the tangential block matches the projected worldsheet
     # curvature less the cross terms of the mixed curvature m_{A i}, which the
     # eta column adds to the edge's normal bundle; the mixed i0 block matches
     # the curvature-edge cross terms
     eps = bd.tangents_in_m
-    ws, ws_at = _sheet_point(bnd.parent, xi, loc)
+    ws, ws_at = _sheet_level(bnd.parent, xi, bl.sheet)
     m = np.einsum("...a,...bA,...abi->...Ai", bd.normal_in_m, eps, ws.kk)
     m_cross = np.einsum("...Ai,...Bj->...ABij", m, m)
     inherited = np.swapaxes(m_cross, -4, -3) - m_cross
@@ -402,16 +360,16 @@ def curvature_tensors(bnd: BoundaryEmbedding, point: Array,
     """Assemble all curvature tensors entering the residuals at one edge point.
 
     One sweep per level: the sheet's gives R_{abcd} and (two or more normals)
-    its twist curvature; the adapted edge's gives R_{ABCD}, from the same
-    connection of h that the edge-in-sheet level uses, and the adapted twist
-    curvature.
+    its twist curvature; the edge-in-spacetime level's gives R_{ABCD} and the
+    adapted twist curvature.
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
-    r_ws, _, _, twist_curv = _level(*_sheet_point(bnd.parent, bl.xi, bl.loc), bl.xi, step)
-    r_h, _, _, adapted = _level(*_edge_point(bnd, bl), point, step)
+    xi = bl.edge.x
+    r_ws, _, _, twist_curv = _level(*_sheet_level(bnd.parent, xi, bl.sheet), xi, step)
+    r_h, _, _, adapted = _level(*_spacetime_level(bnd, bl), point, step)
     return CurvatureTensors(
-        ambient_riemann=_ambient_riemann_lowered(bnd.parent, bl.loc[1]),
+        ambient_riemann=_ambient_riemann_lowered(bnd.parent, bl.sheet.x),
         worldsheet_riemann=r_ws,
         boundary_riemann=r_h,
         twist_curvature=twist_curv if bnd.parent.codimension >= 2 else None,

@@ -19,7 +19,6 @@ from .boundary import BoundaryAttachment, BoundaryEmbedding, _boundary_local, _e
 from .errors import DegenerateMetric, InvalidParameters
 from .geometry import (
     Embedding,
-    _connection,
     _extrinsic,
     _frame_at,
     _local,
@@ -225,7 +224,7 @@ def metric_variation(embedding: Embedding, point: Array,
     point = np.asarray(point, dtype=float)
     d = embedding.worldsheet_dim
     k = embedding.codimension
-    fr, _, g, _, sec = _local(embedding, point)
+    loc = _local(embedding, point)
     phi_i = deformation.normal(point, k)
 
     def phi_low(p, gamma):
@@ -234,8 +233,8 @@ def metric_variation(embedding: Embedding, point: Array,
     dphi = fd_jacobian(lambda p: phi_low(p, induced_metric(embedding, p)),
                        point, embedding.fd_step)  # [b, a]
     cov = np.einsum("...ba->...ab", dphi) - np.einsum(
-        "...abc,...c->...ab", _connection(fr, g, sec), phi_low(point, fr.induced_metric))
-    return (2.0 * np.einsum("...abi,...i->...ab", _extrinsic(fr.normals, g, sec), phi_i)
+        "...abc,...c->...ab", loc.conn, phi_low(point, loc.frame.induced_metric))
+    return (2.0 * np.einsum("...abi,...i->...ab", loc.kk, phi_i)
             + cov + np.swapaxes(cov, -1, -2))
 
 
@@ -287,8 +286,9 @@ def first_variation_analytic(embedding: Embedding, edges, config: ActionConfig,
     align = _domain_alignment(embedding, config.grid)
 
     pts, wts = _bulk_grid(config.grid)
-    fr, _, g, _, sec = _local(embedding, pts)
-    kk = _extrinsic(align(fr.normals), g, sec)
+    loc = _local(embedding, pts)
+    fr = loc.frame
+    kk = _extrinsic(align(fr.normals), loc.g, loc.sec)
     traces = np.einsum("...ab,...abi->...i", fr.induced_metric_inverse, kk)
     phi_i = deformation.normal(pts, k_codim)
     dens = _volume_element(fr.induced_metric, bg)
@@ -297,14 +297,15 @@ def first_variation_analytic(embedding: Embedding, edges, config: ActionConfig,
     for index, att in enumerate(edges):
         bnd = att.boundary
         u, uw = _boundary_grid(config.grid)
-        bd, (fr_b, _, g_b, _, sec_b), xi, *_ = _boundary_local(bnd, u)
+        bl = _boundary_local(bnd, u)
+        bd, sheet, xi = bl.bd, bl.sheet, bl.edge.x
         dens_b = _volume_element(bd.boundary_metric, bg)
-        kk_b = _extrinsic(align(fr_b.normals), g_b, sec_b)
+        kk_b = _extrinsic(align(sheet.frame.normals), sheet.g, sheet.sec)
         hk = np.einsum("...ab,...abi->...i", bd.projector, kk_b)
         phi_t = deformation.tangential(xi, d)
         phi_n = deformation.normal(xi, k_codim)
         eta_phi = np.einsum("...a,...ab,...b->...", bd.normal_in_m,
-                            fr_b.induced_metric, phi_t)
+                            sheet.frame.induced_metric, phi_t)
         psi = deformation.boundary_normal(index, u)
         integrand = (config.mu0 * eta_phi
                      + config.mub * (np.einsum("...i,...i->...", hk, phi_n)

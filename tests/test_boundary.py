@@ -126,21 +126,30 @@ def fd_boundary_christoffels(bnd: BoundaryEmbedding, u, step=1e-4):
                      lowered)
 
 
+def edge_connections(bnd: BoundaryEmbedding, u):
+    """Gauss-formula connections of h_AB, from the edge-in-sheet and edge-in-spacetime levels."""
+    bl = _boundary_local(bnd, u)
+    return [bl.edge.conn, bl.spacetime.conn]
+
+
 class TestEdgeConnection:
-    """The Gauss-formula connection of the edge against differences of its metric."""
+    """The Gauss-formula connection of the edge, read from the edge in the sheet and
+    from the edge in spacetime, against differences of its metric."""
 
     @pytest.mark.parametrize("entry,att", ALL_BOUNDARIES)
     def test_catalog_edges(self, entry, att):
         u = entry.boundary_grid()
-        conn = _boundary_local(att.boundary, u).conn
-        assert np.max(np.abs(conn - fd_boundary_christoffels(att.boundary, u))) < 1e-7
+        reference = fd_boundary_christoffels(att.boundary, u)
+        for conn in edge_connections(att.boundary, u):
+            assert np.max(np.abs(conn - reference)) < 1e-7
 
     def test_curved_two_dimensional_edge(self):
         edge = curved_hole_edge()
         u = np.array([[0.3, 1.1], [-0.4, 2.9], [0.8, 5.0]])
-        conn = _boundary_local(edge, u).conn
-        assert np.max(np.abs(conn)) > 1e-2  # h_AB varies along this edge
-        assert np.max(np.abs(conn - fd_boundary_christoffels(edge, u))) < 1e-7
+        reference = fd_boundary_christoffels(edge, u)
+        for conn in edge_connections(edge, u):
+            assert np.max(np.abs(conn)) > 1e-2  # h_AB varies along this edge
+            assert np.max(np.abs(conn - reference)) < 1e-7
 
 
 class TestEdgeEquation:

@@ -50,6 +50,33 @@ def test_entry_parsing():
         catalog.entry_from_id("sphere:bogus=1")
 
 
+@pytest.mark.parametrize("entry_id,keys", [
+    ("plane", {}),
+    ("sphere", {"radius": 1.5}),
+    ("torus", {"r1": 1.2, "r2": 0.8}),
+    ("helicoid", {"omega": 0.4, "R": 1.5}),
+    ("collapsing", {"a": 1.2, "x0": 0.9}),
+    ("hole", {"rho": 1.5, "outer": 4.0}),
+    ("disk", {"rho": 1.5}),
+    ("plane_hole", {"rho": 1.5, "outer": 4.0}),
+])
+def test_accepted_parameter_keys(entry_id, keys):
+    # the builder's positional parameters are accepted, keyword-only mu0 is not
+    spec = ",".join(f"{k}={v}" for k, v in keys.items())
+    entry = catalog.entry_from_id(f"{entry_id}:{spec}" if spec else entry_id)
+    for key, value in keys.items():
+        assert entry.parameters[key] == pytest.approx(value)
+    with pytest.raises(KeyError):
+        catalog.entry_from_id(f"{entry_id}:mu0=2")
+
+
+@pytest.mark.parametrize("spec", ["helicoid:omega=nan", "sphere:radius=nan",
+                                  "hole:rho=inf", "disk:rho=nan", "disk:rho=abc"])
+def test_non_finite_parameter_rejected(spec):
+    with pytest.raises(InvalidParameters):
+        catalog.entry_from_id(spec)
+
+
 def test_reference_surfaces_roster():
     ids = [e.id for e in catalog.reference_surfaces()]
     assert ids == ["plane", "sphere", "torus"]

@@ -46,6 +46,14 @@ class TestVerify:
         assert main(["verify", "--entries", "helicoid:omega=0.9,R=1.2",
                      "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("entry", ["helicoid:omega=nan", "sphere:radius=nan",
+                                       "hole:rho=inf", "disk:rho=nan",
+                                       "helicoid:omega=abc", "helicoid:mu0=2"])
+    def test_bad_parameter_exit_two_without_outputs(self, tmp_path, entry):
+        out = tmp_path / "v"
+        assert main(["verify", "--entries", entry, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
     def test_failed_residual_exit_one(self, tmp_path, monkeypatch):
         import worldsheet.cli as cli
         monkeypatch.setattr(cli, "evaluate_entry",
@@ -143,6 +151,20 @@ class TestEvolve:
         assert main(["evolve", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize("key,text", [
+        ("duration", "NaN"), ("duration", "Infinity"), ("duration", "1e400"),
+        ("grid_points", "NaN"), ("x0", "NaN"),
+    ])
+    def test_non_finite_number_exit_two_without_outputs(self, tmp_path, key, text):
+        payload = json.dumps(EVOLVE_CONFIG)
+        old = f'"{key}": 1.0' if key == "x0" else f'"{key}": {EVOLVE_CONFIG[key]}'
+        assert old in payload
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(payload.replace(old, f'"{key}": {text}'), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_json(cfg, dict(EVOLVE_CONFIG, bogus=1))
@@ -222,6 +244,27 @@ class TestScan:
                          "start": 2.0, "stop": 2.0, "points": 1})
         assert main(["scan", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "scan")]) == 2
+
+    @pytest.mark.parametrize("bounds", ['"start": -Infinity, "stop": 2.0',
+                                        '"start": 1.0, "stop": Infinity',
+                                        '"start": 1.0, "stop": 1e400'])
+    def test_non_finite_range_exit_two_without_outputs(self, tmp_path, bounds):
+        cfg = tmp_path / "scan.json"
+        cfg.write_text('{"schema_version": 1, "scan": "hole_radius", ' + bounds
+                       + ', "points": 5, "mu0": 1.0, "mub": 2.0}', encoding="utf-8")
+        out = tmp_path / "scan"
+        assert main(["scan", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["hole_radius", "orbit_omega"])
+    @pytest.mark.parametrize("mub", [0.0, -1.0])
+    def test_nonpositive_mub_exit_two_without_outputs(self, tmp_path, kind, mub):
+        cfg = tmp_path / "scan.json"
+        write_json(cfg, {"schema_version": 1, "scan": kind, "start": 1.0,
+                         "stop": 3.0, "points": 5, "mu0": 1.0, "mub": mub})
+        out = tmp_path / "scan"
+        assert main(["scan", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_unknown_scan_kind_exit_two(self, tmp_path):
         cfg = tmp_path / "scan.json"

@@ -87,6 +87,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameters):
             SimulationConfig(initial_data=COLLAPSE, duration=1.0, dt_fraction=1.5)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration(self, duration):
+        with pytest.raises(InvalidParameters):
+            SimulationConfig(initial_data=COLLAPSE, duration=duration)
+
     def test_unknown_initial_keys(self):
         cfg = SimulationConfig(initial_data={"id": "collapsing", "bogus": 1.0},
                                duration=0.1)

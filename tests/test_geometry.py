@@ -59,6 +59,11 @@ class TestTangentsAndMetric:
         with pytest.raises(DegenerateImmersion):
             tangent_basis(bad, np.array([0.2, 0.3]))
 
+    @pytest.mark.parametrize("point", [[np.nan, 0.3], [[1.1, 0.4], [0.2, np.nan]]])
+    def test_non_finite_point_raises_degenerate_immersion(self, point):
+        with pytest.raises(DegenerateImmersion, match="non-finite"):
+            frame(SPHERE.embedding, np.array(point))
+
     def test_null_worldsheet_raises(self):
         null = Embedding(2, minkowski(3), lambda xi: np.stack(
             [xi[..., 0], xi[..., 0], xi[..., 1]], axis=-1))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from worldsheet import catalog
 from worldsheet.background import minkowski
@@ -150,6 +152,20 @@ class TestWorldsheetResiduals:
         assert abs(float(base.gauss_codazzi) - float(rotated.gauss_codazzi)) < 1e-9
         assert abs(float(base.codazzi_mainardi) - float(rotated.codazzi_mainardi)) < 1e-9
         assert abs(float(base.ricci) - float(rotated.ricci)) < 1e-9
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(angle=st.floats(-np.pi, np.pi),
+           u=st.floats(0.3, 1.2), v=st.floats(0.3, 1.2))
+    def test_constant_rotation_invariance_property(self, angle, u, v):
+        # the norms over frame indices make every family blind to a constant rotation
+        p = np.array([u, v])
+        base = worldsheet_integrability_residuals(TORUS.embedding, p, step=1e-3)
+        rot = twisted_torus_frame(lambda q: np.full(q.shape[:-1], angle))
+        rotated = worldsheet_integrability_residuals(TORUS.embedding, p, step=1e-3,
+                                                     normal_frame_fn=rot)
+        for family in ("gauss_codazzi", "codazzi_mainardi", "ricci"):
+            assert abs(float(getattr(base, family))
+                       - float(getattr(rotated, family))) < 1e-9, family
 
     @pytest.mark.parametrize("entry,point", [
         (SPHERE, (1.1, 0.4)),
