@@ -8,6 +8,11 @@ unless forced.  Outputs are all or nothing: each file is written under a
 temporary name and renamed into place only once all of them are written, the
 manifest last.
 
+A ``hole_radius`` scan evaluates the edge at all its radii in one batch; if
+the batch fails, the scan falls back to one evaluation per radius, so each
+failing radius gets its own ``failed: ...`` row.  An ``orbit_omega`` scan
+builds one rotating worldsheet per point.
+
 Exit codes: 0 success or physical termination, 1 numerical/physics failure,
 2 usage or validation error.
 """
@@ -29,7 +34,13 @@ import numpy as np
 
 from . import __version__
 from .boundary import boundary_data, edge_equation_residual
-from .catalog import catalog_ids, entry_from_id, evaluate_entry, planar_hole
+from .catalog import (
+    _constant_boundary,
+    catalog_ids,
+    entry_from_id,
+    evaluate_entry,
+    planar_hole,
+)
 from .dynamics import (
     ConstraintBlowup,
     SimulationConfig,
@@ -145,6 +156,38 @@ def _load_config(path: str, allowed_keys: set[str]) -> dict:
     return config
 
 
+_REQUIRED = object()
+
+
+def _config_value(config: dict, key: str, default=_REQUIRED):
+    """``config[key]``, or ``default``; a missing key without a default is a usage error."""
+    if key in config:
+        return config[key]
+    if default is _REQUIRED:
+        raise UsageError(f"config requires {key!r}")
+    return default
+
+
+def _config_number(config: dict, key: str, kind: type = float, default=_REQUIRED):
+    """``config[key]`` as a finite float, or as an int when ``kind`` is int.
+
+    A missing required key, a value that does not convert, a non-finite value
+    and a non-integral count are usage errors.
+    """
+    raw = _config_value(config, key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise UsageError(f"config {key!r} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"config {key!r} must be finite, got {raw!r}")
+    if kind is int:
+        if not value.is_integer():
+            raise UsageError(f"config {key!r} must be an integer, got {raw!r}")
+        return int(value)
+    return value
+
+
 def cmd_verify(args) -> int:
     started = _utc_now()
     entries = []
@@ -186,13 +229,16 @@ def _trajectory_rows(snapshots) -> Iterator[list[str]]:
 def cmd_evolve(args) -> int:
     started = _utc_now()
     config = _load_config(args.config, _EVOLVE_KEYS)
+    initial_data = _config_value(config, "initial_data")
+    if not isinstance(initial_data, dict):
+        raise UsageError(f"config 'initial_data' must be an object, got {initial_data!r}")
     sim = SimulationConfig(
-        initial_data=config["initial_data"],
-        duration=float(config["duration"]),
-        grid_points=int(config.get("grid_points", 200)),
-        dt_fraction=float(config.get("dt_fraction", 0.5)),
-        constraint_tol=float(config.get("constraint_tol", 1e-4)),
-        output_stride=int(config.get("output_stride", 10)),
+        initial_data=initial_data,
+        duration=_config_number(config, "duration"),
+        grid_points=_config_number(config, "grid_points", int, 200),
+        dt_fraction=_config_number(config, "dt_fraction", default=0.5),
+        constraint_tol=_config_number(config, "constraint_tol", default=1e-4),
+        output_stride=_config_number(config, "output_stride", int, 10),
     )
     digest = config_digest(config)
     out_dir = Path(args.out_dir)
@@ -232,11 +278,24 @@ def cmd_evolve(args) -> int:
     return status
 
 
+def _scan_hole(rhos, mu0: float, mub: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edge trace and edge-law residual of the planar hole at each radius, in one batch.
+
+    The hole's map does not depend on rho; only its edge r = rho does.  So one
+    ``boundary_data`` call at u = (0, 0), on an edge whose level is the array
+    of radii, gives every point.  The entry at the smallest radius validates
+    them all.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    entry = planar_hole(float(rhos.min()))
+    edge = _constant_boundary(entry.embedding, rhos, entry.boundary.outward_hint)
+    bd = boundary_data(edge, np.zeros((rhos.size, 2)))
+    return bd.edge_trace, edge_equation_residual(bd, mu0, mub)
+
+
 def _scan_point_hole(rho: float, mu0: float, mub: float) -> tuple[float, float]:
-    entry = planar_hole(rho)
-    bd = boundary_data(entry.boundary, np.array([[0.0, 0.0]]))
-    k = float(bd.edge_trace[0])
-    return k, float(edge_equation_residual(bd, mu0, mub)[0])
+    k, residual = _scan_hole([rho], mu0, mub)
+    return float(k[0]), float(residual[0])
 
 
 def cmd_scan(args) -> int:
@@ -245,13 +304,13 @@ def cmd_scan(args) -> int:
     kind = config.get("scan")
     if kind not in ("hole_radius", "orbit_omega"):
         raise UsageError(f"unknown scan kind {kind!r}")
-    start, stop = float(config["start"]), float(config["stop"])
-    points = int(config["points"])
+    start, stop = _config_number(config, "start"), _config_number(config, "stop")
+    points = _config_number(config, "points", int)
     if points < 2 or not stop > start:
         raise UsageError("scan needs points >= 2 and stop > start")
-    mu0 = float(config.get("mu0", 1.0))
-    mub = float(config.get("mub", 1.0))
-    radius = float(config.get("radius", 1.0))
+    mu0 = _config_number(config, "mu0", default=1.0)
+    mub = _config_number(config, "mub", default=1.0)
+    radius = _config_number(config, "radius", default=1.0)
     if not mub > 0:
         raise UsageError("edge tension mub must be positive")
     digest = config_digest(config)
@@ -272,15 +331,22 @@ def cmd_scan(args) -> int:
         residual = float(edge_equation_residual(bd, ratio * mub, mub)[0])
         return [ratio, w, w * radius, residual, "ok"]
 
+    rows = []
     if kind == "hole_radius":
         worker = hole_row
         header = ["rho", "edge_trace", "edge_residual", "status"]
+        try:
+            k, residual = _scan_hole(values, mu0, mub)
+        except WorldsheetError:
+            pass  # the per-point loop below gives each failing radius its own row
+        else:
+            rows = [[rho, kv, rv, "ok"]
+                    for rho, kv, rv in zip(values.tolist(), k.tolist(), residual.tolist())]
     else:
         worker = orbit_row
         header = ["tension_ratio", "omega", "omega_radius", "edge_residual", "status"]
-    rows = []
     failures = 0
-    for v in values:
+    for v in values[len(rows):]:  # every point, unless the batch gave them all
         try:
             rows.append(worker(float(v)))
         except WorldsheetError as exc:

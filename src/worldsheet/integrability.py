@@ -188,10 +188,18 @@ def _twist_of(v: _Local, dn: Array) -> Array:
 
 
 def _twist_curvature(at: _LocalFn, omega0: Array, point: Array, step: float) -> Array:
-    """Omega_{AB IJ} = d_B omega_A - d_A omega_B + [W_A, W_B], omega differenced through ``at``."""
+    """Omega_{AB IJ} = d_B omega_A - d_A omega_B + [W_A, W_B], omega differenced through ``at``.
+
+    The twist at each stencil point needs only the normals' derivative, so
+    the inner sweeps difference the normal columns alone, not Gamma and K.
+    """
+    def normals(p: Array) -> Array:
+        return at(p).frame.normals.reshape(p.shape[:-1] + (-1,))
+
     def omega(p: Array) -> Array:
         v = at(p)
-        return _twist_of(v, _sweep(at, p, step, v)[2]).reshape(p.shape[:-1] + (-1,))
+        dn = fd_jacobian(normals, p, step).reshape(v.frame.normals.shape + p.shape[-1:])
+        return _twist_of(v, dn).reshape(p.shape[:-1] + (-1,))
 
     domega = fd_jacobian(omega, point, step).reshape(omega0.shape + (point.shape[-1],))
     comm = (np.einsum("...aik,...bkj->...abij", omega0, omega0)

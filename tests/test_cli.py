@@ -2,13 +2,16 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from worldsheet.cli import _scan_point_hole, main
+from worldsheet.cli import FLOAT_FMT, _scan_point_hole, main
+from worldsheet.errors import WorldsheetError
 
 
 def write_json(path, payload):
@@ -165,6 +168,21 @@ class TestEvolve:
         assert main(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("change", [
+        {"duration": None}, {"initial_data": None}, {"duration": "abc"},
+        {"initial_data": "rotating"}, {"grid_points": 64.5}, {"output_stride": 2.5},
+    ], ids=["no_duration", "no_initial_data", "text_duration", "text_initial_data",
+            "fractional_grid_points", "fractional_output_stride"])
+    def test_missing_or_mistyped_key_exit_two_without_outputs(self, tmp_path, capsys,
+                                                              change):
+        payload = {k: v for k, v in dict(EVOLVE_CONFIG, **change).items() if v is not None}
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, payload)
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_json(cfg, dict(EVOLVE_CONFIG, bogus=1))
@@ -265,6 +283,46 @@ class TestScan:
         out = tmp_path / "scan"
         assert main(["scan", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"stop": None}, {"start": None}, {"points": None}, {"points": "x"},
+        {"points": 30.7}, {"start": "abc"}, {"mu0": "abc"}, {"mub": [2.0]},
+    ], ids=["no_stop", "no_start", "no_points", "text_points", "fractional_points",
+            "text_start", "text_mu0", "list_mub"])
+    def test_missing_or_mistyped_key_exit_two_without_outputs(self, tmp_path, capsys,
+                                                              change):
+        base = {"schema_version": 1, "scan": "hole_radius", "start": 1.0, "stop": 4.0,
+                "points": 30, "mu0": 1.0, "mub": 2.0}
+        cfg = tmp_path / "scan.json"
+        write_json(cfg, {k: v for k, v in dict(base, **change).items() if v is not None})
+        out = tmp_path / "scan"
+        assert main(["scan", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(start=st.floats(-1.0, 4.0), width=st.floats(0.05, 6.0),
+           points=st.integers(2, 60), mu0=st.floats(0.5, 2.0), mub=st.floats(0.5, 4.0))
+    def test_hole_scan_rows_equal_point_evaluations_property(self, start, width, points,
+                                                             mu0, mub):
+        # the batched scan writes the rows a per-point evaluation would, failures included
+        expected = []
+        for rho in np.linspace(start, start + width, points).tolist():
+            try:
+                k, residual = _scan_point_hole(rho, mu0, mub)
+                expected.append([FLOAT_FMT % rho, FLOAT_FMT % k, FLOAT_FMT % residual, "ok"])
+            except WorldsheetError as exc:
+                expected.append([FLOAT_FMT % rho, "nan", "nan", f"failed: {exc}"])
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "scan.json", Path(tmp) / "scan"
+            write_json(cfg, {"schema_version": 1, "scan": "hole_radius", "start": start,
+                             "stop": start + width, "points": points, "mu0": mu0,
+                             "mub": mub})
+            code = main(["scan", "--config", str(cfg), "--out-dir", str(out)])
+            with open(out / "scan.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+        assert rows == expected
+        assert code == (0 if all(r[3] == "ok" for r in expected) else 1)
 
     def test_unknown_scan_kind_exit_two(self, tmp_path):
         cfg = tmp_path / "scan.json"

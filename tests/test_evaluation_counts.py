@@ -5,16 +5,20 @@ point batch as well, and the callers that need only the first-order edge
 frame take no second derivative of either map.
 
 The integrability residuals evaluate the map once per point of each stencil
-sweep they make, at the sample points and FD step of the ``verify`` command.
+sweep they make, at the sample points and FD step of the ``verify`` command,
+and build Gamma and K only where they are used.  A hole-radius scan is one
+edge evaluation over all its radii.
 A string step builds the outward edge direction once per Runge-Kutta rate
 evaluation of both ends together, plus once each for the new and old state.
 The Procrustes alignment of one normal column takes no SVD.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from worldsheet import catalog, dynamics
+from worldsheet import catalog, dynamics, geometry
 from worldsheet.background import BackgroundMetric
 from worldsheet.boundary import (
     BoundaryEmbedding,
@@ -24,6 +28,7 @@ from worldsheet.boundary import (
     boundary_laplacian_residuals,
     laplacian_decomposition_residual,
 )
+from worldsheet.cli import main
 from worldsheet.geometry import Embedding, extrinsic_curvature, frame
 from worldsheet.integrability import (
     _procrustes,
@@ -136,6 +141,29 @@ def verify_edge(entry_id, residuals):
 def test_integrability_evaluates_the_map_once_per_stencil_point(counts, kernel, ceiling):
     kernel()
     assert counts["position"] <= ceiling
+
+
+def test_twist_curvature_builds_gamma_and_k_at_outer_stencil_points_only(monkeypatch):
+    # torus: two normals, so the twist curvature's nested sweeps run
+    tally = {"_connection": 0, "_extrinsic": 0}
+    for name in tally:
+        def counted(*args, _original=getattr(geometry, name), _name=name):
+            tally[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    verify_sheet("torus")()
+    assert tally == {"_connection": 5, "_extrinsic": 5}  # the center and 4 stencil points
+
+
+def test_hole_scan_is_one_edge_evaluation(counts, tmp_path):
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "scan": "hole_radius", "start": 1.0,
+                               "stop": 4.0, "points": 301, "mu0": 1.0, "mub": 2.0}))
+    assert main(["scan", "--config", str(cfg), "--out-dir", str(tmp_path / "scan")]) == 0
+    svd = counts.pop("svd")
+    assert counts == {"position": 1, "d_position": 1, "dd_position": 1, "chi": 1,
+                      "d_chi": 1, "dd_chi": 1, "metric_at": 1}
+    assert svd <= 1
 
 
 @pytest.mark.parametrize("entry,svd_calls", [
