@@ -22,9 +22,9 @@ class BackgroundMetric:
     (..., N, N, N) arrays indexed [mu, alpha, beta] (upper index first), and
     ``riemann_fn`` to (..., N, N, N, N) arrays R^mu_{nu rho sigma}.  When the
     callables are omitted the background is flat: the metric is the constant
-    signature matrix and the Christoffels and Riemann tensor vanish.  Curved
-    backgrounds must supply Christoffels (and, for integrability checks, the
-    Riemann tensor) analytically; they are never finite-differenced here.
+    signature matrix and the Christoffels and Riemann tensor are read-only zero
+    views.  Curved backgrounds must supply Christoffels (and, for integrability
+    checks, the Riemann tensor) analytically; they are never finite-differenced.
     """
 
     dimension: int
@@ -64,7 +64,7 @@ class BackgroundMetric:
                 raise ValueError(
                     "curved backgrounds must supply christoffel_fn analytically"
                 )
-            return np.zeros(x.shape[:-1] + (n, n, n))
+            return np.broadcast_to(np.zeros((n, n, n)), x.shape[:-1] + (n, n, n))
         return np.asarray(self.christoffel_fn(x), dtype=float)
 
     def riemann_at(self, x: Array) -> Array:
@@ -75,7 +75,7 @@ class BackgroundMetric:
                 raise ValueError(
                     "curved backgrounds must supply riemann_fn for integrability checks"
                 )
-            return np.zeros(x.shape[:-1] + (n, n, n, n))
+            return np.broadcast_to(np.zeros((n, n, n, n)), x.shape[:-1] + (n, n, n, n))
         return np.asarray(self.riemann_fn(x), dtype=float)
 
 

@@ -63,7 +63,6 @@ class BoundaryEmbedding:
     d_chi_fn: Callable[[Array], Array] | None = None
     dd_chi_fn: Callable[[Array], Array] | None = None
     outward_hint: Callable[[Array], Array] | Array | None = None
-    fd_step: float = DEFAULT_FD_STEP
 
     @property
     def boundary_dim(self) -> int:
@@ -75,12 +74,12 @@ class BoundaryEmbedding:
     def d_chi(self, point: Array) -> Array:
         if self.d_chi_fn is not None:
             return np.asarray(self.d_chi_fn(np.asarray(point, dtype=float)), dtype=float)
-        return fd_jacobian(self.chi, point, self.fd_step)
+        return fd_jacobian(self.chi, point, DEFAULT_FD_STEP)
 
     def dd_chi(self, point: Array) -> Array:
         if self.dd_chi_fn is not None:
             return np.asarray(self.dd_chi_fn(np.asarray(point, dtype=float)), dtype=float)
-        return fd_hessian(self.chi, point, self.fd_step)
+        return fd_hessian(self.chi, point, DEFAULT_FD_STEP)
 
     def hint_at(self, point: Array) -> Array:
         if self.outward_hint is None:
@@ -330,15 +329,14 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
     return laplacian - (box_b + normal_part + drift)
 
 
-def adapted_edge_data(bnd: BoundaryEmbedding, point: Array, *,
-                      check_tol: float = 1e-6) -> AdaptedEdgeData:
+def adapted_edge_data(bnd: BoundaryEmbedding, point: Array) -> AdaptedEdgeData:
     """Direct spacetime geometry of the edge, with inheritance cross-checks.
 
-    Verifies, to ``check_tol``, that the edge inherits the parent's extrinsic
-    curvature (K^i_AB equals the projected K^i_ab, and the eta-component
-    equals k_AB) and that the mixed twist satisfies
-    omega_{A i 0} = eta^a eps^b_A K_{ab i}; raises InconsistentGeometry
-    otherwise.
+    The twist differences the adapted normals with step ``DEFAULT_FD_STEP``.
+    Verifies, to 1e-6, that the edge inherits the parent's extrinsic curvature
+    (K^i_AB equals the projected K^i_ab, and the eta-component equals k_AB) and
+    that the mixed twist satisfies omega_{A i 0} = eta^a eps^b_A K_{ab i};
+    raises InconsistentGeometry otherwise.
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
@@ -349,8 +347,8 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array, *,
         fr_u = _frame_at(bnd.parent, bnd.chi(u))[0]
         return _adapted_normals(fr_u, _edge_frame(bnd, u, fr_u))
 
-    twist = _twist(_frame_derivative(adapted_at, point, y1, adapted, st.chris, bnd.fd_step),
-                   adapted, st.g)
+    twist = _twist(_frame_derivative(adapted_at, point, y1, adapted, st.chris,
+                                     DEFAULT_FD_STEP), adapted, st.g)
 
     kk = bl.sheet.kk
     projected = np.einsum("...aA,...bB,...abi->...ABi", bd.tangents_in_m,
@@ -359,7 +357,7 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array, *,
     err_0 = np.max(np.abs(st.kk[..., 0] - bd.edge_curvature))
     mixed = np.einsum("...a,...bA,...abi->...Ai", bd.normal_in_m, bd.tangents_in_m, kk)
     err_t = np.max(np.abs(twist[..., 1:, 0] - mixed))
-    if max(err_i, err_0, err_t) > check_tol:
+    if max(err_i, err_0, err_t) > 1e-6:
         raise InconsistentGeometry(
             f"edge inheritance relations violated: {err_i:.3e}, {err_0:.3e}, {err_t:.3e}")
     return AdaptedEdgeData(

@@ -126,12 +126,11 @@ def _constant_boundary(parent: Embedding, level: float, hint) -> BoundaryEmbeddi
 # scenario entries
 
 
-def helicoid(omega: float = 0.5, R: float = 1.0, *,
-             mu0: float = 1.0) -> CatalogEntry:
+def helicoid(omega: float = 0.5, R: float = 1.0) -> CatalogEntry:
     """Rigidly rotating string worldsheet truncated at radius R, two massive ends.
 
     Valid for omega*R < 1 (the edge would be null at equality).  The stored
-    edge tension makes the circular orbit exact: mub = mu0 (1 - w^2 R^2) / (w^2 R).
+    tensions mu0 = 1 and mub = mu0 (1 - w^2 R^2) / (w^2 R) make the orbit exact.
     """
     if R <= 0 or omega < 0 or omega * R >= 1.0:
         raise InvalidParameters("helicoid requires R > 0 and 0 <= omega*R < 1")
@@ -172,9 +171,9 @@ def helicoid(omega: float = 0.5, R: float = 1.0, *,
         ExpectedValue("integrability_direct", 0.0, 1e-6, "derived"),
         ExpectedValue("laplacian_form_agreement", 0.0, 1e-8, "derived"),
     ]
-    params = {"omega": om, "R": R, "mu0": mu0}
+    params = {"omega": om, "R": R, "mu0": 1.0}
     if om > 0:
-        params["mub"] = mu0 * (1.0 - om * om * R * R) / (om * om * R)
+        params["mub"] = (1.0 - om * om * R * R) / (om * om * R)
         expected += [
             ExpectedValue("edge_trace", k_edge, 1e-9, "derived"),
             ExpectedValue("edge_residual", 0.0, 1e-9, "derived"),
@@ -244,8 +243,8 @@ def collapsing_string(a: float = 1.0, x0: float = 1.0) -> CatalogEntry:
             ExpectedValue("boundary_condition_max", 0.0, 1e-12, "paper"),
             ExpectedValue("edge_trace", -a, 1e-9, "derived"),
             ExpectedValue("edge_residual", 0.0, 1e-9, "derived"),
-            ExpectedValue("endpoint_x_at_t1", endpoint_worldline(a, x0, 1.0), 1e-12, "derived"),
-            ExpectedValue("collision_time", t_coll, 1e-12, "derived"),
+            ExpectedValue("edge_x_at_collision", 0.0, 1e-12, "derived"),
+            ExpectedValue("edge_on_hyperbola", 0.0, 1e-12, "derived"),
             ExpectedValue("laplacian_form_agreement", 0.0, 1e-8, "derived"),
         ),
         sample_box=((0.0, 0.4 * t_coll), (-0.8 * x0, 0.8 * x0)),
@@ -255,12 +254,11 @@ def collapsing_string(a: float = 1.0, x0: float = 1.0) -> CatalogEntry:
     )
 
 
-def planar_hole(rho: float = 2.0, outer: float | None = None, *,
-                mu0: float = 1.0) -> CatalogEntry:
+def planar_hole(rho: float = 2.0, outer: float | None = None) -> CatalogEntry:
     """Static membrane sheet with a circular hole: worldsheet = time x (plane minus disk).
 
     Polar bulk coordinates (t, phi, r) with the edge at r = rho; the stored
-    tension mub = mu0 * rho makes the hole an equilibrium.
+    tensions mu0 = 1 and mub = mu0 * rho make the hole an equilibrium.
     """
     if rho <= 0:
         raise InvalidParameters("hole radius must be positive")
@@ -297,7 +295,7 @@ def planar_hole(rho: float = 2.0, outer: float | None = None, *,
         id="hole",
         embedding=emb,
         boundaries=(inner,),
-        parameters={"rho": rho, "outer": outer, "mu0": mu0, "mub": mu0 * rho},
+        parameters={"rho": rho, "outer": outer, "mu0": 1.0, "mub": rho},
         expected=(
             ExpectedValue("curvature_trace_norm", 0.0, 1e-9, "trivial"),
             ExpectedValue("boundary_condition_max", 0.0, 1e-9, "paper"),
@@ -340,8 +338,7 @@ def euclidean_disk(rho: float = 1.0) -> CatalogEntry:
     )
 
 
-def euclidean_plane_hole(rho: float = 2.0, outer: float | None = None, *,
-                         mu0: float = 1.0) -> CatalogEntry:
+def euclidean_plane_hole(rho: float = 2.0, outer: float | None = None) -> CatalogEntry:
     """Flat plane minus a disk (Euclidean), edge oriented toward the hole center."""
     if rho <= 0:
         raise InvalidParameters("hole radius must be positive")
@@ -353,7 +350,7 @@ def euclidean_plane_hole(rho: float = 2.0, outer: float | None = None, *,
         id="plane_hole",
         embedding=emb,
         boundaries=(edge,),
-        parameters={"rho": rho, "outer": outer, "mu0": mu0, "mub": mu0 * rho},
+        parameters={"rho": rho, "outer": outer, "mu0": 1.0, "mub": rho},
         expected=(
             ExpectedValue("curvature_trace_norm", 0.0, 1e-12, "trivial"),
             ExpectedValue("edge_trace", -1.0 / rho, 1e-9, "derived"),
@@ -609,10 +606,13 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float) -> float
         some = pts[:: max(1, len(pts) // 4)]
         res = worldsheet_integrability_residuals(emb, some, _FD_INT_STEP)
         return res.max()
-    if quantity == "endpoint_x_at_t1":
-        return float(entry.boundaries[0].boundary.chi(np.array([1.0]))[..., -1])
-    if quantity == "collision_time":
-        return collision_time(entry.parameters["a"], entry.parameters["x0"])
+    if quantity == "edge_x_at_collision":  # the upper edge reaches x = 0
+        t = collision_time(entry.parameters["a"], entry.parameters["x0"])
+        return float(entry.boundaries[0].boundary.chi(np.array([t]))[..., -1])
+    if quantity == "edge_on_hyperbola":  # (x0 + 1/a - x)^2 - t^2 = 1/a^2, at t = 1
+        a, x0 = entry.parameters["a"], entry.parameters["x0"]
+        x = float(entry.boundaries[0].boundary.chi(np.array([1.0]))[..., -1])
+        return (x0 + 1.0 / a - x) ** 2 - 1.0 - 1.0 / a ** 2
 
     # edge quantities: worst case over all attached boundaries
     vals = []
@@ -677,18 +677,14 @@ def evaluate_entry(entry: CatalogEntry) -> list[tuple[str, float, float, float, 
 
 
 def action_setup(entry: CatalogEntry, mu0: float, mub: float,
-                 points_per_axis: int | tuple[int, ...] = 64):
+                 points_per_axis: tuple[int, ...]):
     """Quadrature config and displaceable edges for an entry's stored domain.
 
-    Returns (ActionConfig, edges) ready for the variation operations; edge
-    graphs become the limits of the last coordinate axis.
+    ``points_per_axis`` holds one midpoint count per axis.  Returns (ActionConfig,
+    edges) for the variation operations; edge graphs bound the last axis.
     """
     from .variation import ActionConfig, GridAxis
 
-    if isinstance(points_per_axis, int):
-        counts = (points_per_axis,) * len(entry.domain)
-    else:
-        counts = tuple(points_per_axis)
     axes = []
     edges: list[BoundaryAttachment] = []
     for i, (lo, hi) in enumerate(entry.domain):
@@ -700,5 +696,5 @@ def action_setup(entry: CatalogEntry, mu0: float, mub: float,
         if isinstance(hi, BoundaryAttachment):
             edges.append(hi)
             hi_lim = hi.graph
-        axes.append(GridAxis(counts[i], lo_lim, hi_lim))
+        axes.append(GridAxis(points_per_axis[i], lo_lim, hi_lim))
     return ActionConfig(mu0, mub, tuple(axes)), tuple(edges)

@@ -232,6 +232,8 @@ def cmd_evolve(args) -> int:
     initial_data = _config_value(config, "initial_data")
     if not isinstance(initial_data, dict):
         raise UsageError(f"config 'initial_data' must be an object, got {initial_data!r}")
+    initial_data = {key: value if key == "id" else _config_number(initial_data, key)
+                    for key, value in initial_data.items()}
     sim = SimulationConfig(
         initial_data=initial_data,
         duration=_config_number(config, "duration"),

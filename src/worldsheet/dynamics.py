@@ -247,16 +247,14 @@ def _advance_endpoints(x0: Array, u0: Array, tau0: Array, tangents: Array,
     return x, u, tau
 
 
-def step(state: StringState, config: SimulationConfig,
-         dt: float | None = None) -> StringState:
+def step(state: StringState, config: SimulationConfig) -> StringState:
     """One leapfrog step of the interior plus Runge-Kutta endpoint advances.
 
-    Raises ConstraintBlowup when the gauge constraints exceed 100x the
-    configured tolerance or are not finite (a NaN state), and EndpointCollision
-    when the endpoint separation falls below grid resolution.
+    Steps dt = ``config.dt_fraction`` * dsigma.  Raises ConstraintBlowup when the
+    gauge constraints exceed 100x the configured tolerance or are not finite (a NaN
+    state), and EndpointCollision when the endpoint separation falls below grid resolution.
     """
-    if dt is None:
-        dt = config.dt_fraction * state.dsigma
+    dt = config.dt_fraction * state.dsigma
     ds2 = state.dsigma * state.dsigma
     pos, vel = state.positions, state.velocities
     mu0 = state.tensions.mu0

@@ -371,13 +371,12 @@ def _twist(cov: Array, normals: Array, g: Array) -> Array:
 
 
 def extrinsic_curvature(embedding: Embedding, point: Array, *,
-                        normal_frame_fn: Callable[[Array], Array] | None = None,
-                        fd_step: float | None = None) -> CurvatureData:
+                        normal_frame_fn: Callable[[Array], Array] | None = None) -> CurvatureData:
     """Extrinsic curvature K_ab^i, traces, twist potential, and worldsheet connection.
 
     ``normal_frame_fn`` overrides the normal-frame field (used for alternative
     gauges); it must broadcast like :func:`normal_frame`.  The twist is
-    obtained by central differencing of that field with step ``fd_step``.
+    obtained by central differencing of that field with ``embedding.fd_step``.
     """
     point = np.asarray(point, dtype=float)
     loc = _local(embedding, point)
@@ -392,9 +391,8 @@ def extrinsic_curvature(embedding: Embedding, point: Array, *,
     if k <= 1:
         twist = np.zeros(point.shape[:-1] + (d, k, k))
     else:
-        step = fd_step if fd_step is not None else embedding.fd_step
         twist = _twist(_frame_derivative(normal_frame_fn, point, fr.tangents, fr.normals,
-                                         loc.chris, step), fr.normals, loc.g)
+                                         loc.chris, embedding.fd_step), fr.normals, loc.g)
     return CurvatureData(extrinsic=loc.kk, traces=traces, twist=twist,
                          worldsheet_connection=loc.conn)
 
@@ -418,8 +416,8 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
 
     de = fd_jacobian(lambda p: embedding.d_position(p).reshape(p.shape[:-1] + (-1,)),
                      point, fd_step)
-    de = de.reshape(point.shape[:-1] + (n_dim, d, d))  # [mu, b, a]
-    cov_e = de + np.einsum("...mrs,...ra,...sb->...mba", chris, fr.tangents, fr.tangents)
+    # [mu, b, a]; Gamma is symmetric in its lower indices, so no transpose is needed
+    cov_e = _covariant_hessian(de.reshape(point.shape[:-1] + (n_dim, d, d)), chris, fr.tangents)
     gauss = (np.einsum("...mba->...abm", cov_e)
              - np.einsum("...abc,...mc->...abm", loc.conn, fr.tangents)
              + np.einsum("...abi,...mi->...abm", kk, fr.normals))

@@ -154,68 +154,49 @@ class DeformationField:
 
     ``tangential_fn`` and ``normal_fn`` give the frame components of the bulk
     displacement; ``boundary_normal_fns``/``boundary_tangential_fns`` the edge
-    displacement amplitudes, one per attached edge (a single callable is
-    reused for every edge).  When ``time_extent`` is set, every component is
-    multiplied by a smooth window that vanishes on the outer
-    ``taper_fraction`` of the first coordinate, so the variational identities
-    hold without manual cap handling.
+    displacement amplitudes, one callable each, shared by every attached
+    edge.  An unset component is zero.  When ``time_extent`` is set, every
+    component is multiplied by a smooth window that vanishes on the outer
+    quarter of the first coordinate, so the variational identities hold
+    without manual cap handling.
     """
 
     tangential_fn: Callable[[Array], Array] | None = None
     normal_fn: Callable[[Array], Array] | None = None
-    boundary_normal_fns: object = None
-    boundary_tangential_fns: object = None
+    boundary_normal_fns: Callable[[Array], Array] | None = None
+    boundary_tangential_fns: Callable[[Array], Array] | None = None
     time_extent: tuple[float, float] | None = None
-    taper_fraction: float = 0.25
 
     def _window(self, t: Array) -> Array:
-        # smooth bump ramp, flat to all orders at both ends of the taper zone:
-        # a cosine ramp leaves O((pi/f)^2) second derivatives at the caps, which
+        # smooth bump ramps over the outer quarter at each end, flat to all orders:
+        # a cosine ramp leaves O((4 pi)^2) second derivatives at the caps, which
         # the midpoint rule turns into a large h^2 error floor in FD variations
         if self.time_extent is None:
             return np.ones_like(t)
         t0, t1 = self.time_extent
         s = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
-        f = self.taper_fraction
-        return _smooth_ramp(s / f) * _smooth_ramp((1.0 - s) / f)
+        return _smooth_ramp(4.0 * s) * _smooth_ramp(4.0 * (1.0 - s))
+
+    def _component(self, fn: Callable[[Array], Array] | None, x: Array,
+                   shape: tuple[int, ...]) -> Array:
+        """fn(x) times the window, or zeros of shape (..., *shape) when fn is unset."""
+        x = np.asarray(x, dtype=float)
+        if fn is None:
+            return np.zeros(x.shape[:-1] + shape)
+        window = self._window(x[..., 0])
+        return np.asarray(fn(x), dtype=float) * window.reshape(window.shape + (1,) * len(shape))
 
     def tangential(self, xi: Array, dim: int) -> Array:
-        xi = np.asarray(xi, dtype=float)
-        if self.tangential_fn is None:
-            return np.zeros(xi.shape[:-1] + (dim,))
-        val = np.asarray(self.tangential_fn(xi), dtype=float)
-        return val * self._window(xi[..., 0])[..., None]
+        return self._component(self.tangential_fn, xi, (dim,))
 
     def normal(self, xi: Array, codim: int) -> Array:
-        xi = np.asarray(xi, dtype=float)
-        if self.normal_fn is None:
-            return np.zeros(xi.shape[:-1] + (codim,))
-        val = np.asarray(self.normal_fn(xi), dtype=float)
-        return val * self._window(xi[..., 0])[..., None]
+        return self._component(self.normal_fn, xi, (codim,))
 
-    def _per_edge(self, fns: object, index: int) -> Callable | None:
-        if fns is None:
-            return None
-        if callable(fns):
-            return fns
-        return fns[index] if index < len(fns) else None
+    def boundary_normal(self, u: Array) -> Array:
+        return self._component(self.boundary_normal_fns, u, ())
 
-    def boundary_normal(self, index: int, u: Array) -> Array:
-        u = np.asarray(u, dtype=float)
-        fn = self._per_edge(self.boundary_normal_fns, index)
-        if fn is None:
-            return np.zeros(u.shape[:-1])
-        return np.asarray(fn(u), dtype=float) * self._window(u[..., 0])
-
-    def boundary_tangential(self, index: int, u: Array, db: int) -> Array:
-        u = np.asarray(u, dtype=float)
-        fn = self._per_edge(self.boundary_tangential_fns, index)
-        if fn is None:
-            return np.zeros(u.shape[:-1] + (db,))
-        return np.asarray(fn(u), dtype=float) * self._window(u[..., 0])[..., None]
-
-    def has_edge_displacement(self) -> bool:
-        return self.boundary_normal_fns is not None or self.boundary_tangential_fns is not None
+    def boundary_tangential(self, u: Array, db: int) -> Array:
+        return self._component(self.boundary_tangential_fns, u, (db,))
 
 
 def metric_variation(embedding: Embedding, point: Array,
@@ -257,19 +238,8 @@ def _domain_alignment(embedding: Embedding, grid: tuple[GridAxis, ...]):
     return lambda normals: _procrustes(normals, fr_c.normals, g_c)
 
 
-def _normalize_edges(edges) -> tuple[BoundaryAttachment, ...]:
-    if edges is None:
-        return ()
-    if isinstance(edges, BoundaryAttachment):
-        return (edges,)
-    if isinstance(edges, BoundaryEmbedding):
-        return (BoundaryAttachment(edges, "upper"),)
-    return tuple(e if isinstance(e, BoundaryAttachment) else BoundaryAttachment(e, "upper")
-                 for e in edges)
-
-
-def first_variation_analytic(embedding: Embedding, edges, config: ActionConfig,
-                             deformation: DeformationField) -> float:
+def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryAttachment],
+                             config: ActionConfig, deformation: DeformationField) -> float:
     """First variation of the total action from the distilled boundary formula.
 
     delta S = -mu0 Int sqrt(-gamma) K^i Phi_i
@@ -277,9 +247,8 @@ def first_variation_analytic(embedding: Embedding, edges, config: ActionConfig,
                                           + mub (H^{ab} K_ab^i Phi_i + k eta_a Phi^a)
                                           + (mu0 + mub k) Psi ],
     with the pure-divergence edge reparametrization term dropped (smooth,
-    closed, or cap-windowed edges).
+    closed, or cap-windowed edges).  ``edges`` is a sequence of ``BoundaryAttachment``.
     """
-    edges = _normalize_edges(edges)
     d = embedding.worldsheet_dim
     k_codim = embedding.codimension
     bg = embedding.background
@@ -294,7 +263,7 @@ def first_variation_analytic(embedding: Embedding, edges, config: ActionConfig,
     dens = _volume_element(fr.induced_metric, bg)
     total = -config.mu0 * np.sum(wts * dens * np.einsum("...i,...i->...", traces, phi_i))
 
-    for index, att in enumerate(edges):
+    for att in edges:
         bnd = att.boundary
         u, uw = _boundary_grid(config.grid)
         bl = _boundary_local(bnd, u)
@@ -306,7 +275,7 @@ def first_variation_analytic(embedding: Embedding, edges, config: ActionConfig,
         phi_n = deformation.normal(xi, k_codim)
         eta_phi = np.einsum("...a,...ab,...b->...", bd.normal_in_m,
                             sheet.frame.induced_metric, phi_t)
-        psi = deformation.boundary_normal(index, u)
+        psi = deformation.boundary_normal(u)
         integrand = (config.mu0 * eta_phi
                      + config.mub * (np.einsum("...i,...i->...", hk, phi_n)
                                      + bd.edge_trace * eta_phi)
@@ -330,15 +299,15 @@ def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
 
 
 def _deformed_chi(bnd: BoundaryEmbedding, deformation: DeformationField,
-                  index: int, eps: float) -> Callable[[Array], Array]:
+                  eps: float) -> Callable[[Array], Array]:
     db = bnd.boundary_dim
 
     def chi(u):
         xi = bnd.chi(u)
         edge = _edge_frame(bnd, u, _frame_at(bnd.parent, xi)[0])
-        delta = (deformation.boundary_normal(index, u)[..., None] * edge.normals[..., 0]
+        delta = (deformation.boundary_normal(u)[..., None] * edge.normals[..., 0]
                  + np.einsum("...aA,...A->...a", edge.tangents,
-                             deformation.boundary_tangential(index, u, db)))
+                             deformation.boundary_tangential(u, db)))
         return xi + eps * delta
 
     return chi
@@ -370,7 +339,7 @@ def _inverted_graph(chi_fn: Callable[[Array], Array]) -> Callable[[Array], Array
     return limit
 
 
-def _deformed_grid(grid: tuple[GridAxis, ...], edges: tuple[BoundaryAttachment, ...],
+def _deformed_grid(grid: tuple[GridAxis, ...], edges: Sequence[BoundaryAttachment],
                    chis: list[Callable[[Array], Array]]) -> tuple[GridAxis, ...]:
     last = grid[-1]
     lo, hi = last.lo, last.hi
@@ -382,24 +351,22 @@ def _deformed_grid(grid: tuple[GridAxis, ...], edges: tuple[BoundaryAttachment, 
     return grid[:-1] + (GridAxis(last.points, lo, hi),)
 
 
-def first_variation_fd(embedding: Embedding, edges, config: ActionConfig,
-                       deformation: DeformationField, epsilon: float) -> float:
+def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryAttachment],
+                       config: ActionConfig, deformation: DeformationField,
+                       epsilon: float) -> float:
     """Centered finite-difference variation [S(+eps) - S(-eps)] / (2 eps).
 
-    The worldsheet and the attached edges are displaced together; the
-    quadrature domain follows the displaced edge graphs exactly.  Matches
+    The worldsheet and the attached ``edges`` (a sequence of
+    ``BoundaryAttachment``) are displaced together; the quadrature domain
+    follows the displaced edge graphs exactly.  Matches
     :func:`first_variation_analytic` to O(eps^2) plus quadrature error.
     """
-    edges = _normalize_edges(edges)
     align = _domain_alignment(embedding, config.grid)
 
     def total_action(eps: float) -> float:
         emb_eps = _deformed_embedding(embedding, deformation, eps, align)
-        chis = [_deformed_chi(att.boundary, deformation, i, eps)
-                for i, att in enumerate(edges)]
-        grid = _deformed_grid(config.grid, edges, chis) if (
-            edges and deformation.has_edge_displacement()) else config.grid
-        cfg = ActionConfig(config.mu0, config.mub, grid)
+        chis = [_deformed_chi(att.boundary, deformation, eps) for att in edges]
+        cfg = ActionConfig(config.mu0, config.mub, _deformed_grid(config.grid, edges, chis))
         s = dng_action(emb_eps, cfg)
         u, uw = _boundary_grid(config.grid)
         for chi in chis:

@@ -40,6 +40,20 @@ def test_collapsing_closed_forms():
     assert chi[-1] == pytest.approx(2.0 - np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("name,wrong,row", [
+    ("collision_time", lambda a, x0: x0 / a, "edge_x_at_collision"),
+    ("endpoint_worldline", lambda a, x0, t: x0 - 0.5 * a * np.asarray(t) ** 2,
+     "edge_on_hyperbola"),
+])
+def test_collapsing_rows_catch_a_wrong_closed_form(monkeypatch, name, wrong, row):
+    # each row checks the edge graph against a fact the closed form must satisfy,
+    # so a wrong meeting time or a non-hyperbolic worldline fails it
+    entry = catalog.collapsing_string(1.0, 1.0)
+    monkeypatch.setattr(catalog, name, wrong)
+    rows = {q: ok for q, _, _, _, ok in catalog.evaluate_entry(entry)}
+    assert not rows[row]
+
+
 def test_entry_parsing():
     entry = catalog.entry_from_id("helicoid:omega=0.4,R=1.5")
     assert entry.parameters["omega"] == pytest.approx(0.4)

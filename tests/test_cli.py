@@ -171,8 +171,12 @@ class TestEvolve:
     @pytest.mark.parametrize("change", [
         {"duration": None}, {"initial_data": None}, {"duration": "abc"},
         {"initial_data": "rotating"}, {"grid_points": 64.5}, {"output_stride": 2.5},
+        {"initial_data": {"id": "collapsing", "mu0": "abc"}},
+        {"initial_data": {"id": "rotating", "radius": None}},
+        {"initial_data": {"id": "collapsing", "x0": [1.0]}},
     ], ids=["no_duration", "no_initial_data", "text_duration", "text_initial_data",
-            "fractional_grid_points", "fractional_output_stride"])
+            "fractional_grid_points", "fractional_output_stride", "text_initial_mu0",
+            "null_initial_radius", "list_initial_x0"])
     def test_missing_or_mistyped_key_exit_two_without_outputs(self, tmp_path, capsys,
                                                               change):
         payload = {k: v for k, v in dict(EVOLVE_CONFIG, **change).items() if v is not None}

@@ -93,7 +93,7 @@ def test_second_order_kernels_evaluate_each_quantity_once(counts, kernel, edge_c
 ACTION_CONFIG = catalog.action_setup(HELICOID, 1.0, 3.0, (8, 8))[0]
 DISPLACED_CHI = _deformed_chi(
     HELICOID.boundary, DeformationField(boundary_normal_fns=lambda u: np.sin(u[..., 0])),
-    0, 1e-2)
+    1e-2)
 
 
 @pytest.mark.parametrize("kernel", [

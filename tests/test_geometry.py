@@ -273,3 +273,12 @@ class TestBatchShapes:
         assert np.allclose(bg.metric_at(x), np.eye(4))
         assert np.all(bg.christoffels_at(x) == 0.0)
         assert np.all(bg.riemann_at(x) == 0.0)
+
+    def test_flat_background_curvature_is_a_zero_view(self):
+        # one zero tensor broadcast over the batch: nothing is allocated per point
+        bg = minkowski(3)
+        x = np.zeros((7, 5, 3))
+        for tensor, rank in ((bg.christoffels_at(x), 3), (bg.riemann_at(x), 4)):
+            assert tensor.shape == (7, 5) + (3,) * rank
+            assert tensor.strides[:2] == (0, 0)
+            assert not np.any(tensor)

@@ -1,5 +1,7 @@
 """Actions, induced-metric variation, and analytic-vs-FD first variations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,15 @@ class TestFirstVariation:
         defo = DeformationField(time_extent=(0.0, 1.0))
         assert first_variation_analytic(PLANE.embedding, edges, cfg, defo) == 0.0
         assert first_variation_fd(PLANE.embedding, edges, cfg, defo, 1e-3) == 0.0
+
+    def test_no_edge_field_equals_zero_edge_field(self):
+        # with no edge field the quadrature domain still follows the displaced
+        # edge graphs; a zero displacement must leave them bit-for-bit unchanged
+        cfg, edges = catalog.action_setup(PLANE, 1.0, 0.7, (32, 32))
+        bulk = dataclasses.replace(random_deformation(PLANE, seed=5), boundary_normal_fns=None)
+        zero = dataclasses.replace(bulk, boundary_normal_fns=lambda u: 0.0 * u[..., 0])
+        assert (first_variation_fd(PLANE.embedding, edges, cfg, bulk, 1e-2)
+                == first_variation_fd(PLANE.embedding, edges, cfg, zero, 1e-2))
 
     def test_tangential_edge_pull_closed_form(self):
         # pulling one edge along its outward normal by a windowed amount c(t)
