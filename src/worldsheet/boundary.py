@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InconsistentGeometry, NullBoundary
+from .errors import InconsistentGeometry, InvalidParameters, NullBoundary
 from .geometry import (
     DEFAULT_FD_STEP,
     Embedding,
@@ -181,7 +181,7 @@ def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: Frame) -> Frame:
         raise NullBoundary("edge normal cannot be unit-normalized (null boundary)")
     align = np.einsum("...a,...ab,...b->...", eta[..., 0], gamma, bnd.hint_at(point))
     if np.any(np.abs(align) < 1e-12):
-        raise ValueError("outward_hint is orthogonal to the edge normal")
+        raise InvalidParameters("outward_hint is orthogonal to the edge normal")
     return Frame(tangents=eps, normals=eta * np.sign(align)[..., None, None],
                  induced_metric=h, induced_metric_inverse=h_inv)
 

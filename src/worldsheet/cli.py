@@ -46,6 +46,7 @@ from .dynamics import (
     SimulationConfig,
     diagnostics,
     evolve,
+    initial_state_from_config,
     rotating_orbit_omega,
 )
 from .errors import InvalidParameters, WorldsheetError
@@ -242,6 +243,7 @@ def cmd_evolve(args) -> int:
         constraint_tol=_config_number(config, "constraint_tol", default=1e-4),
         output_stride=_config_number(config, "output_stride", int, 10),
     )
+    initial_state_from_config(sim)  # rejects bad initial data before any output exists
     digest = config_digest(config)
     out_dir = Path(args.out_dir)
     _prepare_out_dir(out_dir, digest, args.force)

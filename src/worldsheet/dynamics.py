@@ -5,9 +5,11 @@ integrated by velocity-Verlet leapfrog.  Each endpoint is its own relativistic
 particle driven by a pull of constant proper magnitude mu0/mub along minus the
 outward edge direction eta; eta is rebuilt every step by orthonormalizing the
 one-sided sigma derivative at the edge against the endpoint four-velocity.
-Both endpoints advance together, as one (2, N) batch with rows (left, right),
-in slice (coordinate) time by a Runge-Kutta step, so their time component
-tracks the interior slices exactly.  Units: c = 1.
+Each endpoint advances on its own in slice (coordinate) time by a Runge-Kutta
+step, so its time component tracks the interior slices exactly.  An endpoint
+is a single N-vector, where numpy's per-call overhead would dominate, so its
+kernels run on lists of Python floats.  They keep numpy's operation order
+(``_fdot`` sums as ``_mdot`` does), so both forms agree to the bit.  Units: c = 1.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ def rotating_orbit_omega(mu0: float, mub: float, radius: float) -> float:
     The positive root always satisfies w R < 1, grows monotonically with
     mu0/mub, and w R -> 1 as mub -> 0 (the massless-edge limit).
     """
-    if mu0 <= 0 or mub <= 0 or radius <= 0:
-        raise InvalidParameters("tensions and radius must be positive")
+    if not all(0 < v < math.inf for v in (mu0, mub, radius)):
+        raise InvalidParameters("tensions and radius must be finite and positive")
     q = mu0 / mub
     return math.sqrt(q / (radius * (1.0 + q * radius)))
 
@@ -43,8 +45,9 @@ class Tensions:
     mub_right: float
 
     def __post_init__(self) -> None:
-        if self.mu0 < 0 or self.mub_left <= 0 or self.mub_right <= 0:
-            raise InvalidParameters("need mu0 >= 0 and positive endpoint tensions")
+        if not (0 <= self.mu0 < math.inf and 0 < self.mub_left < math.inf
+                and 0 < self.mub_right < math.inf):
+            raise InvalidParameters("need finite mu0 >= 0 and finite positive endpoint tensions")
 
 
 @dataclass
@@ -105,30 +108,54 @@ def _mdot(u: Array, v: Array) -> Array:
     return -u[..., 0] * v[..., 0] + (u[..., 1:] * v[..., 1:]).sum(axis=-1)
 
 
-def _normalize_timelike(u: Array) -> Array:
-    return u / np.sqrt(np.maximum(-_mdot(u, u), 1e-300))[..., None]
+# Float kernels of one endpoint: vectors are lists of Python floats.
 
 
-def _edge_eta(edge_tangent: Array, u: Array) -> Array:
-    """Unit outward worldsheet vector: edge tangent orthonormalized against u."""
-    v = edge_tangent + _mdot(edge_tangent, u)[..., None] * u
-    norm2 = _mdot(v, v)
-    return v / np.sqrt(np.maximum(norm2, 1e-300))[..., None]
+def _fdot(u: list, v: list) -> float:
+    """Minkowski product in ``_mdot``'s order: -u0 v0 + (0.0 + u1 v1 + ...).
 
-
-def _edge_tangents(positions: Array, dsigma: float) -> Array:
-    """Second-order one-sided sigma derivatives at both edges, pointing outward.
-
-    Rows are (left, right).  At the left edge the backward-looking combination
-    is already minus the sigma derivative, which is the outward direction there.
+    numpy sums a short axis left to right from 0.0; starting there too keeps
+    the sign of a zero sum.
     """
-    return (3.0 * positions[[0, -1]] - 4.0 * positions[[1, -2]]
-            + positions[[2, -3]]) / (2.0 * dsigma)
+    s = 0.0
+    for i in range(1, len(u)):
+        s += u[i] * v[i]
+    return -u[0] * v[0] + s
 
 
-def _edge_speeds(tangents: Array) -> Array:
-    """Norms of the edge tangents: the proper-time rate of each endpoint."""
-    return np.sqrt(np.maximum(_mdot(tangents, tangents), 1e-300))
+def _unit_timelike(u: list) -> list:
+    norm = math.sqrt(max(-_fdot(u, u), 1e-300))
+    return [c / norm for c in u]
+
+
+def _eta(edge_tangent: list, u: list) -> list:
+    """Unit outward worldsheet vector: edge tangent orthonormalized against u."""
+    d = _fdot(edge_tangent, u)
+    v = [t + d * c for t, c in zip(edge_tangent, u)]
+    norm = math.sqrt(max(_fdot(v, v), 1e-300))
+    return [c / norm for c in v]
+
+
+def _speed(edge_tangent: list) -> float:
+    """Norm of the edge tangent: the proper-time rate of the endpoint."""
+    return math.sqrt(max(_fdot(edge_tangent, edge_tangent), 1e-300))
+
+
+# Rows that the one-sided edge tangents read: three at each end, edge row outermost.
+_EDGE_ROWS = [0, 1, 2, -3, -2, -1]
+
+
+def _outward_tangents(rows: list, dsigma: float) -> tuple[list, list]:
+    """Second-order one-sided sigma derivatives at (left, right), pointing outward.
+
+    ``rows`` holds the ``_EDGE_ROWS`` of a positions array as float lists.  At
+    the left edge the backward-looking combination is already minus the sigma
+    derivative, which is the outward direction there.
+    """
+    h = 2.0 * dsigma
+    l0, l1, l2, r2, r1, r0 = rows
+    return ([(3.0 * a - 4.0 * b + c) / h for a, b, c in zip(l0, l1, l2)],
+            [(3.0 * a - 4.0 * b + c) / h for a, b, c in zip(r0, r1, r2)])
 
 
 def collapsing_initial_state(mu0: float, mub: float, x0: float,
@@ -136,8 +163,8 @@ def collapsing_initial_state(mu0: float, mub: float, x0: float,
                              mub_left: float | None = None,
                              mub_right: float | None = None) -> StringState:
     """Straight string at rest between +-x0; endpoint masses may differ per end."""
-    if x0 <= 0:
-        raise InvalidParameters("x0 must be positive")
+    if not 0 < x0 < math.inf:
+        raise InvalidParameters("x0 must be finite and positive")
     sigma = np.linspace(-x0, x0, grid_points)
     positions = np.zeros((grid_points, 3))
     positions[:, 1] = sigma
@@ -175,9 +202,9 @@ def rotating_initial_state(mu0: float, mub: float, radius: float,
     velocities[:, 2] = w * f
     tensions = Tensions(mu0, mub, mub)
     left = EndpointState(positions[0].copy(),
-                         _normalize_timelike(velocities[0].copy()))
+                         np.array(_unit_timelike(velocities[0].tolist())))
     right = EndpointState(positions[-1].copy(),
-                          _normalize_timelike(velocities[-1].copy()))
+                          np.array(_unit_timelike(velocities[-1].tolist())))
     dsig = sigma[1] - sigma[0]
     scale = 2.0 * radius / (2.0 * sigma_max)
     return StringState(
@@ -216,34 +243,37 @@ def constraint_norms(state: StringState) -> tuple[float, float]:
     return float(np.max(c1)), float(np.max(c2))
 
 
-def _advance_endpoints(x0: Array, u0: Array, tau0: Array, tangents: Array,
-                       accels: Array, dt: float) -> tuple[Array, Array, Array]:
-    """Classical fourth-order Runge-Kutta step of both endpoints in worldsheet time.
+def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
+                 dt: float) -> tuple[list, list, float]:
+    """Classical fourth-order Runge-Kutta step of one endpoint in worldsheet time.
 
-    Every argument holds one row per end (left, right): positions, four-velocities
-    and edge tangents are (2, N), proper times and pulls mu0/mub are (2,).  The
-    rates are dX/dt = u speed, du/dt = -accel eta speed and dtau/dt = speed, where
-    speed is the norm of the one-sided edge tangent: the gauge constraints force
-    -Xdot^2 = X'^2 at the edge, so the endpoint slides along its worldline at
-    that rate relative to the interior slices.  Returns (X, u, tau), u renormalized.
+    Position, four-velocity and edge tangent are float lists, the pull ``accel``
+    is mu0/mub.  The rates are dX/dt = u speed, du/dt = -accel eta speed and
+    dtau/dt = speed, where speed is the norm of the one-sided edge tangent: the
+    gauge constraints force -Xdot^2 = X'^2 at the edge, so the endpoint slides
+    along its worldline at that rate relative to the interior slices.  Returns
+    (X, u, tau), u renormalized.
     """
-    speed = _edge_speeds(tangents)
-    rate = speed[:, None]
-    pull = accels[:, None]
+    speed = _speed(tangent)
+    pull = -accel
 
-    def du(u: Array) -> Array:
-        return -pull * _edge_eta(tangents, u) * rate
+    def du(u: list) -> list:
+        return [pull * e * speed for e in _eta(tangent, u)]
 
+    half = 0.5 * dt
     k1 = du(u0)
-    u1 = u0 + 0.5 * dt * k1
+    u1 = [a + half * k for a, k in zip(u0, k1)]
     k2 = du(u1)
-    u2 = u0 + 0.5 * dt * k2
+    u2 = [a + half * k for a, k in zip(u0, k2)]
     k3 = du(u2)
-    u3 = u0 + dt * k3
+    u3 = [a + dt * k for a, k in zip(u0, k3)]
     k4 = du(u3)
-    x = x0 + dt / 6.0 * (u0 * rate + 2 * (u1 * rate) + 2 * (u2 * rate) + u3 * rate)
-    u = _normalize_timelike(u0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-    tau = tau0 + dt / 6.0 * (speed + 2 * speed + 2 * speed + speed)
+    sixth = dt / 6.0
+    x = [p + sixth * (a * speed + 2 * (b * speed) + 2 * (c * speed) + d * speed)
+         for p, a, b, c, d in zip(x0, u0, u1, u2, u3)]
+    u = _unit_timelike([a + sixth * (q1 + 2 * q2 + 2 * q3 + q4)
+                        for a, q1, q2, q3, q4 in zip(u0, k1, k2, k3, k4)])
+    tau = tau0 + sixth * (speed + 2 * speed + 2 * speed + speed)
     return x, u, tau
 
 
@@ -258,35 +288,38 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     ds2 = state.dsigma * state.dsigma
     pos, vel = state.positions, state.velocities
     mu0 = state.tensions.mu0
+    accels = (mu0 / state.tensions.mub_left, mu0 / state.tensions.mub_right)
+    starts = [(ep.position.tolist(), ep.four_velocity.tolist(), ep.proper_time)
+              for ep in state.endpoints]
 
-    acc = np.zeros_like(pos)
-    acc[1:-1] = (pos[2:] - 2.0 * pos[1:-1] + pos[:-2]) / ds2
-    v_half = vel[1:-1] + 0.5 * dt * acc[1:-1]
+    v_half = vel[1:-1] + 0.5 * dt * ((pos[2:] - 2.0 * pos[1:-1] + pos[:-2]) / ds2)
     new_pos = pos.copy()
     new_pos[1:-1] = pos[1:-1] + dt * v_half
 
     # endpoints: predictor fills the end rows, then a corrector re-advances
     # them with the step-midpoint edge tangent (second-order coupling)
-    left, right = state.endpoints
-    x0 = np.stack((left.position, right.position))
-    u0 = np.stack((left.four_velocity, right.four_velocity))
-    tau0 = np.array((left.proper_time, right.proper_time))
-    accels = mu0 / np.array((state.tensions.mub_left, state.tensions.mub_right))
-    new_pos[[0, -1]] = _advance_endpoints(
-        x0, u0, tau0, _edge_tangents(pos, state.dsigma), accels, dt)[0]
-    tangents = _edge_tangents(0.5 * (pos + new_pos), state.dsigma)
-    x, u, tau = _advance_endpoints(x0, u0, tau0, tangents, accels, dt)
-    new_pos[[0, -1]] = x
-    eta, prev_eta = _edge_eta(tangents, u), _edge_eta(tangents, u0)
+    edge_rows = pos[_EDGE_ROWS]
+    for row, start, tangent, accel in zip(
+            (0, -1), starts, _outward_tangents(edge_rows.tolist(), state.dsigma), accels):
+        new_pos[row] = _advance_end(*start, tangent, accel, dt)[0]
+    tangents = _outward_tangents((0.5 * (edge_rows + new_pos[_EDGE_ROWS])).tolist(),
+                                 state.dsigma)
+    ends = [_advance_end(*start, tangent, accel, dt)
+            for start, tangent, accel in zip(starts, tangents, accels)]
+    new_pos[0], new_pos[-1] = ends[0][0], ends[1][0]
 
-    acc_new = np.zeros_like(pos)
-    acc_new[1:-1] = (new_pos[2:] - 2.0 * new_pos[1:-1] + new_pos[:-2]) / ds2
-    new_vel = vel.copy()
-    new_vel[1:-1] = v_half + 0.5 * dt * acc_new[1:-1]
-    new_vel[[0, -1]] = u * _edge_speeds(_edge_tangents(new_pos, state.dsigma))[:, None]
-    # rows in EndpointState field order: X, u, tau, eta, then the previous u, tau, eta
-    endpoints = tuple(EndpointState(*row) for row in zip(
-        x, u, tau.tolist(), eta, u0, tau0.tolist(), prev_eta))
+    new_vel = np.empty_like(vel)
+    new_vel[1:-1] = v_half + 0.5 * dt * ((new_pos[2:] - 2.0 * new_pos[1:-1]
+                                          + new_pos[:-2]) / ds2)
+    for row, (_, u, _), tangent in zip(
+            (0, -1), ends, _outward_tangents(new_pos[_EDGE_ROWS].tolist(), state.dsigma)):
+        speed = _speed(tangent)
+        new_vel[row] = [c * speed for c in u]
+    # EndpointState field order: X, u, tau, eta, then the previous u, tau, eta
+    endpoints = tuple(
+        EndpointState(np.array(x), np.array(u), tau, np.array(_eta(tangent, u)),
+                      np.array(u0), tau0, np.array(_eta(tangent, u0)))
+        for (x, u, tau), (_, u0, tau0), tangent in zip(ends, starts, tangents))
 
     new_state = StringState(
         time=state.time + dt,
@@ -302,7 +335,7 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     if not (c1 <= limit and c2 <= limit):  # also true for NaN
         raise ConstraintBlowup(
             f"gauge constraints blew up: ({c1:.3e}, {c2:.3e}) at t={new_state.time:.4f}")
-    sep = np.linalg.norm(new_pos[-1, 1:] - new_pos[0, 1:])
+    sep = math.dist(ends[0][0][1:], ends[1][0][1:])
     if sep < new_state.collision_threshold:
         raise EndpointCollision(
             f"endpoints within grid resolution ({sep:.3e}) at t={new_state.time:.4f}")
@@ -393,10 +426,11 @@ def diagnostics(state: StringState) -> DiagnosticsRecord:
             continue
         dtau = ep.proper_time - ep.prev_proper_time
         a = (ep.four_velocity - ep.prev_four_velocity) / dtau
-        mag = float(np.sqrt(max(_mdot(a, a), 0.0)))
-        u_mid = _normalize_timelike(0.5 * (ep.four_velocity + ep.prev_four_velocity))
-        eta_mid = _edge_eta(0.5 * (ep.eta + ep.prev_eta), u_mid)
-        cosang = -_mdot(a, eta_mid) / max(mag, 1e-300)
+        acc = a.tolist()
+        mag = math.sqrt(max(_fdot(acc, acc), 0.0))
+        u_mid = _unit_timelike((0.5 * (ep.four_velocity + ep.prev_four_velocity)).tolist())
+        eta_mid = _eta((0.5 * (ep.eta + ep.prev_eta)).tolist(), u_mid)
+        cosang = -_fdot(acc, eta_mid) / max(mag, 1e-300)
         angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
         diags.append(EndpointDiagnostics(a, mag, angle))
     return DiagnosticsRecord(

@@ -82,3 +82,48 @@ def richardson_variation(emb, edges, cfg, defo, eps):
     f1 = first_variation_fd(emb, edges, cfg, defo, eps)
     f2 = first_variation_fd(emb, edges, cfg, defo, eps / 2.0)
     return (4.0 * f2 - f1) / 3.0
+
+
+# Reference oracle for the endpoint Runge-Kutta step: the batched numpy form
+# that advanced both ends as one (2, N) array, rows (left, right).  The float
+# path in ``worldsheet.dynamics`` must reproduce its rows bit for bit.
+
+
+def batched_mdot(u, v):
+    return -u[..., 0] * v[..., 0] + (u[..., 1:] * v[..., 1:]).sum(axis=-1)
+
+
+def batched_normalize_timelike(u):
+    return u / np.sqrt(np.maximum(-batched_mdot(u, u), 1e-300))[..., None]
+
+
+def batched_edge_eta(edge_tangent, u):
+    v = edge_tangent + batched_mdot(edge_tangent, u)[..., None] * u
+    norm2 = batched_mdot(v, v)
+    return v / np.sqrt(np.maximum(norm2, 1e-300))[..., None]
+
+
+def batched_edge_tangents(positions, dsigma):
+    return (3.0 * positions[[0, -1]] - 4.0 * positions[[1, -2]]
+            + positions[[2, -3]]) / (2.0 * dsigma)
+
+
+def batched_advance_endpoints(x0, u0, tau0, tangents, accels, dt):
+    speed = np.sqrt(np.maximum(batched_mdot(tangents, tangents), 1e-300))
+    rate = speed[:, None]
+    pull = accels[:, None]
+
+    def du(u):
+        return -pull * batched_edge_eta(tangents, u) * rate
+
+    k1 = du(u0)
+    u1 = u0 + 0.5 * dt * k1
+    k2 = du(u1)
+    u2 = u0 + 0.5 * dt * k2
+    k3 = du(u2)
+    u3 = u0 + dt * k3
+    k4 = du(u3)
+    x = x0 + dt / 6.0 * (u0 * rate + 2 * (u1 * rate) + 2 * (u2 * rate) + u3 * rate)
+    u = batched_normalize_timelike(u0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+    tau = tau0 + dt / 6.0 * (speed + 2 * speed + 2 * speed + speed)
+    return x, u, tau

@@ -1,5 +1,7 @@
 """Edge geometry: normals, curvature, projectors, and the two boundary-condition forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from worldsheet.boundary import (
     edge_equation_residual,
     laplacian_decomposition_residual,
 )
-from worldsheet.errors import NullBoundary
+from worldsheet.errors import InvalidParameters, NullBoundary
 from worldsheet.geometry import Embedding, extrinsic_curvature, frame
 
 from helpers import curved_hole_edge
@@ -113,6 +115,12 @@ class TestBoundaryData:
             outward_hint=np.array([0.0, 1.0]))
         with pytest.raises(NullBoundary):
             boundary_data(null, np.array([0.3]))
+
+    def test_hint_orthogonal_to_edge_normal_rejected(self):
+        # the plane's upper edge has eta = (0, 1); the hint (1, 0) cannot orient it
+        edge = dataclasses.replace(PLANE.boundary, outward_hint=np.array([1.0, 0.0]))
+        with pytest.raises(InvalidParameters, match="orthogonal"):
+            boundary_data(edge, np.array([0.5]))
 
 
 def fd_boundary_christoffels(bnd: BoundaryEmbedding, u, step=1e-4):

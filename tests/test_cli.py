@@ -174,9 +174,14 @@ class TestEvolve:
         {"initial_data": {"id": "collapsing", "mu0": "abc"}},
         {"initial_data": {"id": "rotating", "radius": None}},
         {"initial_data": {"id": "collapsing", "x0": [1.0]}},
+        {"initial_data": {"id": "collapsing", "x0": 0}},
+        {"initial_data": {"id": "bogus"}},
+        {"initial_data": {"id": "rotating", "bogus": 1}},
+        {"initial_data": {"id": "rotating", "radius": -1}},
     ], ids=["no_duration", "no_initial_data", "text_duration", "text_initial_data",
             "fractional_grid_points", "fractional_output_stride", "text_initial_mu0",
-            "null_initial_radius", "list_initial_x0"])
+            "null_initial_radius", "list_initial_x0", "zero_initial_x0", "unknown_initial_id",
+            "unknown_initial_key", "negative_initial_radius"])
     def test_missing_or_mistyped_key_exit_two_without_outputs(self, tmp_path, capsys,
                                                               change):
         payload = {k: v for k, v in dict(EVOLVE_CONFIG, **change).items() if v is not None}

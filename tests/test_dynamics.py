@@ -8,18 +8,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from worldsheet import dynamics
 from worldsheet.catalog import collision_time, endpoint_worldline
 from worldsheet.dynamics import (
     SimulationConfig,
     Tensions,
+    collapsing_initial_state,
     constraint_norms,
     diagnostics,
     evolve,
     initial_state_from_config,
+    rotating_initial_state,
     rotating_orbit_omega,
     step,
 )
 from worldsheet.errors import ConstraintBlowup, EndpointCollision, InvalidParameters
+
+from helpers import (
+    batched_advance_endpoints,
+    batched_edge_eta,
+    batched_edge_tangents,
+    batched_normalize_timelike,
+)
 
 COLLAPSE = {"id": "collapsing", "mu0": 1.0, "mub": 1.0, "x0": 1.0}
 ROTATING = {"id": "rotating", "mu0": 1.0, "mub": 3.0, "radius": 1.0}
@@ -101,6 +111,28 @@ class TestConfigValidation:
     def test_tensions_validated(self):
         with pytest.raises(InvalidParameters):
             Tensions(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("build", [
+        lambda v: Tensions(v, 1.0, 1.0),
+        lambda v: Tensions(1.0, v, 1.0),
+        lambda v: Tensions(1.0, 1.0, v),
+        lambda v: rotating_orbit_omega(v, 3.0, 1.0),
+        lambda v: rotating_orbit_omega(1.0, v, 1.0),
+        lambda v: rotating_orbit_omega(1.0, 3.0, v),
+        lambda v: collapsing_initial_state(v, 1.0, 1.0, 32),
+        lambda v: collapsing_initial_state(1.0, v, 1.0, 32),
+        lambda v: collapsing_initial_state(1.0, 1.0, v, 32),
+        lambda v: collapsing_initial_state(1.0, 1.0, 1.0, 32, mub_left=v),
+        lambda v: collapsing_initial_state(1.0, 1.0, 1.0, 32, mub_right=v),
+    ], ids=["tensions_mu0", "tensions_mub_left", "tensions_mub_right", "omega_mu0",
+            "omega_mub", "omega_radius", "collapsing_mu0", "collapsing_mub",
+            "collapsing_x0", "collapsing_mub_left", "collapsing_mub_right"])
+    def test_non_finite_parameter_rejected(self, build, value):
+        # NaN fails every range comparison, so each slot needs a finiteness check
+        with pytest.raises(InvalidParameters):
+            build(value)
 
 
 class TestStaticString:
@@ -212,6 +244,20 @@ def orbit_trajectory():
     return evolve(cfg)
 
 
+@pytest.mark.parametrize("mu0,mub,radius", [(1.0, 3.0, 1.0), (1.1, 2.5, 0.9)])
+def test_rotating_charges_match_closed_form(mu0, mub, radius):
+    # bulk terms from the profile sin(w sigma)/w, endpoint terms mub gamma (1, wR)
+    w = rotating_orbit_omega(mu0, mub, radius)
+    wr = w * radius
+    gamma = 1.0 / np.sqrt(1.0 - wr**2)
+    j = (mu0 / w**2 * (np.arcsin(wr) - wr * np.sqrt(1.0 - wr**2))
+         + 2.0 * mub * wr * radius * gamma)
+    e = 2.0 * mu0 * np.arcsin(wr) / w + 2.0 * mub * gamma
+    d = diagnostics(rotating_initial_state(mu0, mub, radius, 200))
+    assert abs(d.angular_momentum - j) < 1e-4  # trapezoid error, second order in dsigma
+    assert abs(d.total_energy - e) < 1e-12
+
+
 class TestRotatingOrbit:
     def test_orbit_persists(self, orbit_trajectory):
         radii = [np.linalg.norm(s.endpoints[1].position[1:])
@@ -302,3 +348,46 @@ def test_step_leaves_its_input_state_unchanged(initial):
                 assert old.shape == new.shape and old.tobytes() == new.tobytes()
             else:
                 assert old == new
+
+
+@st.composite
+def endpoint_pairs(draw):
+    """Both ends of a string in N = 2..5 dimensions: timelike u, any edge tangent."""
+    n = draw(st.integers(2, 5))
+
+    def rows(lo, hi):
+        return np.array([[draw(st.floats(lo, hi)) for _ in range(n)] for _ in range(2)])
+
+    u0 = rows(-0.45, 0.45)  # |v|^2 < 0.82 for up to 4 spatial components
+    u0[:, 0] = 1.0
+    return dict(x0=rows(-10.0, 10.0), u0=batched_normalize_timelike(u0),
+                tangents=rows(-3.0, 3.0),
+                tau0=np.array([draw(st.floats(0.0, 100.0)) for _ in range(2)]),
+                accels=np.array([draw(st.floats(1e-3, 3.0)) for _ in range(2)]),
+                dt=draw(st.floats(1e-4, 0.05)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pair=endpoint_pairs())
+def test_float_endpoint_step_equals_batched_rows_bitwise_property(pair):
+    x_ref, u_ref, tau_ref = batched_advance_endpoints(**pair)
+    eta_ref = batched_edge_eta(pair["tangents"], pair["u0"])
+    for row in range(2):
+        tangent, u0 = pair["tangents"][row].tolist(), pair["u0"][row].tolist()
+        x, u, tau = dynamics._advance_end(
+            pair["x0"][row].tolist(), u0, float(pair["tau0"][row]), tangent,
+            float(pair["accels"][row]), pair["dt"])
+        assert np.array(x).tobytes() == x_ref[row].tobytes()
+        assert np.array(u).tobytes() == u_ref[row].tobytes()
+        assert np.float64(tau).tobytes() == tau_ref[row].tobytes()
+        assert np.array(dynamics._eta(tangent, u0)).tobytes() == eta_ref[row].tobytes()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(m=st.integers(6, 12), n=st.integers(2, 5), dsigma=st.floats(1e-3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_float_edge_tangents_equal_batched_rows_bitwise_property(m, n, dsigma, seed):
+    positions = np.random.default_rng(seed).normal(size=(m, n))
+    ref = batched_edge_tangents(positions, dsigma)
+    tangents = dynamics._outward_tangents(positions[dynamics._EDGE_ROWS].tolist(), dsigma)
+    assert np.array(tangents).tobytes() == ref.tobytes()

@@ -179,18 +179,18 @@ def test_procrustes_takes_an_svd_only_for_two_or_more_columns(counts, entry, svd
     assert counts["svd"] - before == svd_calls
 
 
-def test_step_builds_edge_directions_for_both_ends_at_once(monkeypatch):
+def test_step_builds_ten_edge_directions_per_end(monkeypatch):
     calls = 0
-    original = dynamics._edge_eta
+    original = dynamics._eta
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_edge_eta", counted)
+    monkeypatch.setattr(dynamics, "_eta", counted)
     config = dynamics.SimulationConfig(
         initial_data={"id": "rotating", "mu0": 1.0, "mub": 3.0, "radius": 1.0},
         duration=1.0)
     dynamics.step(dynamics.initial_state_from_config(config), config)
-    assert calls <= 10  # predictor and corrector 4 each, then eta and prev_eta
+    assert calls == 20  # per end: predictor and corrector 4 each, then eta and prev_eta
