@@ -55,7 +55,10 @@ class BoundaryEmbedding:
 
     ``outward_hint`` gives, per boundary point, a worldsheet vector with
     positive inner product against the outward edge normal; it may be a
-    constant vector or a callable of the boundary point.
+    constant vector or a callable of the boundary point.  Callables must
+    broadcast over leading batch axes: under a finite-difference stencil they
+    receive the stencil points with one extra leading axis, in blocks of at
+    most ``FD_BLOCK_POINTS`` points (see :func:`geometry.fd_jacobian`).
     """
 
     parent: Embedding
@@ -83,7 +86,7 @@ class BoundaryEmbedding:
 
     def hint_at(self, point: Array) -> Array:
         if self.outward_hint is None:
-            raise ValueError("boundary has no outward_hint; orientation must be supplied")
+            raise InvalidParameters("boundary has no outward_hint; orientation must be supplied")
         if callable(self.outward_hint):
             return np.asarray(self.outward_hint(np.asarray(point, dtype=float)), dtype=float)
         hint = np.asarray(self.outward_hint, dtype=float)
@@ -264,8 +267,8 @@ def boundary_data(bnd: BoundaryEmbedding, point: Array) -> BoundaryData:
 
 def edge_equation_residual(bd: BoundaryData, mu0: float, mub: float) -> Array:
     """Edge equation-of-motion residual mu_b * k + mu_0 (zero when it holds)."""
-    if mub <= 0:
-        raise ValueError("edge tension mub must be positive")
+    if not (np.isfinite(mu0) and np.isfinite(mub) and mub > 0):
+        raise InvalidParameters("edge tensions must be finite, with mub positive")
     return mub * bd.edge_trace + mu0
 
 

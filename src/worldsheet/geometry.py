@@ -22,6 +22,12 @@ Array = np.ndarray
 
 DEFAULT_FD_STEP = 1e-5
 
+# Most points per call of a function under a finite-difference stencil: small
+# batches take one call for the whole stencil, while ~4096-point batches (the
+# action quadrature) keep one call per shift, so peak memory stays that of one
+# batch.
+FD_BLOCK_POINTS = 4096
+
 # |det gamma| below 1e-12 * scale^(2D) is treated as degenerate rather than
 # inverted into garbage.
 DEGENERACY_TOL = 1e-12
@@ -33,44 +39,67 @@ def _step_scale(point: Array) -> Array:
     return np.maximum(1.0, mag)
 
 
+def _stencil(fn: Callable[[Array], Array], points: Array) -> Array:
+    """fn over a stack of shifted batches (S, ..., D), stacked the same way as (S, ..., N).
+
+    Whole shifts are passed together in as few calls as keep each call at or
+    below ``FD_BLOCK_POINTS`` points; a shift larger than that is one call.
+    """
+    per_shift = max(1, int(np.prod(points.shape[1:-1])))
+    shifts_per_call = max(1, FD_BLOCK_POINTS // per_shift)
+    if shifts_per_call >= len(points):
+        return fn(points)
+    return np.concatenate([fn(points[i:i + shifts_per_call])
+                           for i in range(0, len(points), shifts_per_call)])
+
+
+def _offsets(h: Array, directions: Array) -> Array:
+    """h (..., 1) times each row of ``directions`` (S, D), stacked on a new leading axis."""
+    s, d = directions.shape
+    return h * directions.reshape((s,) + (1,) * (h.ndim - 1) + (d,))
+
+
 def fd_jacobian(fn: Callable[[Array], Array], point: Array, step: float) -> Array:
-    """Central-difference Jacobian of fn: (..., D) -> (..., N) as (..., N, D)."""
+    """Central-difference Jacobian of fn: (..., D) -> (..., N) as (..., N, D).
+
+    fn is called on the 2D shifted copies of ``point`` stacked on one extra
+    leading axis, (2D, ..., D) -> (2D, ..., N), in blocks of at most
+    ``FD_BLOCK_POINTS`` points (see :func:`_stencil`).
+    """
     point = np.asarray(point, dtype=float)
     d = point.shape[-1]
     h = step * _step_scale(point)
-    cols = []
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = 1.0
-        cols.append((fn(point + h * e) - fn(point - h * e)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    shift = _offsets(h, np.eye(d))
+    f = _stencil(fn, np.concatenate([point + shift, point - shift]))
+    # C order, the layout the analytic derivative callbacks return
+    return np.ascontiguousarray(np.moveaxis((f[:d] - f[d:]) / (2.0 * h), 0, -1))
 
 
 def fd_hessian(fn: Callable[[Array], Array], point: Array, step: float) -> Array:
-    """Central-difference Hessian of fn: (..., D) -> (..., N) as (..., N, D, D)."""
+    """Central-difference Hessian of fn: (..., D) -> (..., N) as (..., N, D, D).
+
+    fn is called as in :func:`fd_jacobian`, on ``point`` and its shifts along
+    every axis and every pair of axes, stacked on one extra leading axis.
+    """
     point = np.asarray(point, dtype=float)
     d = point.shape[-1]
     h = step * _step_scale(point)
-    f0 = fn(point)
-    n = f0.shape[-1]
-    out = np.zeros(point.shape[:-1] + (n, d, d))
     eye = np.eye(d)
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    shift = _offsets(h, np.concatenate([eye] + [np.stack([eye[a] + eye[b], eye[a] - eye[b]])
+                                                 for a, b in pairs]))
+    f = _stencil(fn, np.concatenate([point[None], point + shift, point - shift]))
+    f0, fp, fm = f[0], f[1:1 + len(shift)], f[1 + len(shift):]
+    out = np.zeros(point.shape[:-1] + (f0.shape[-1], d, d))
     h2 = (h * h)[..., 0]
+    diag = (fp[:d] - 2.0 * f0 + fm[:d]) / h2[..., None]
     for a in range(d):
-        ea = eye[a]
-        fp = fn(point + h * ea)
-        fm = fn(point - h * ea)
-        out[..., :, a, a] = (fp - 2.0 * f0 + fm) / h2[..., None]
-    for a in range(d):
-        for b in range(a + 1, d):
-            ea, eb = eye[a], eye[b]
-            fpp = fn(point + h * (ea + eb))
-            fmm = fn(point - h * (ea + eb))
-            fpm = fn(point + h * (ea - eb))
-            fmp = fn(point - h * (ea - eb))
-            mixed = (fpp + fmm - fpm - fmp) / (4.0 * h2[..., None])
-            out[..., :, a, b] = mixed
-            out[..., :, b, a] = mixed
+        out[..., :, a, a] = diag[a]
+    # per pair: shifts +-(e_a + e_b) then +-(e_a - e_b)
+    mixed = (fp[d::2] + fm[d::2] - fp[d + 1::2] - fm[d + 1::2]) / (4.0 * h2[..., None])
+    for (a, b), m in zip(pairs, mixed):
+        out[..., :, a, b] = m
+        out[..., :, b, a] = m
     return out
 
 
@@ -81,7 +110,11 @@ class Embedding:
     Optional derivative callbacks return the tangent map (..., N, D) and the
     coordinate second derivatives (..., N, D, D); when absent they fall back to
     central finite differences with step ``fd_step`` scaled by the local
-    coordinate magnitude.  Callables must broadcast over leading batch axes.
+    coordinate magnitude.  Callables must broadcast over leading batch axes:
+    under a finite-difference stencil (these fallbacks, and every kernel that
+    differences geometry built from the map) they receive the stencil points
+    with one extra leading axis, in blocks of at most ``FD_BLOCK_POINTS``
+    points (see :func:`fd_jacobian`).
     """
 
     worldsheet_dim: int
@@ -266,6 +299,8 @@ def _frame_at(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array]:
     """
     point = np.asarray(point, dtype=float)
     x = embedding.position(point)
+    if not np.all(np.isfinite(x)):
+        raise DegenerateImmersion("non-finite position")
     e = embedding.d_position(point)
     scale = _rank_checked_scale(e)
     g = embedding.background.metric_at(x)
@@ -330,9 +365,11 @@ class _Local:
 def _local(embedding: Embedding, point: Array) -> _Local:
     """:func:`_frame_at` plus second order: the sheet level at ``point``."""
     fr, x, g = _frame_at(embedding, point)
+    dd = embedding.dd_position(point)
+    if not np.all(np.isfinite(dd)):
+        raise DegenerateImmersion("non-finite second derivatives of the map")
     chris = embedding.background.christoffels_at(x)
-    return _Local(fr, x, g, chris,
-                  _covariant_hessian(embedding.dd_position(point), chris, fr.tangents))
+    return _Local(fr, x, g, chris, _covariant_hessian(dd, chris, fr.tangents))
 
 
 def _extrinsic(normals: Array, g: Array, sec: Array) -> Array:

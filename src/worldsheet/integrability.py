@@ -155,7 +155,8 @@ def _sweep(at: _LocalFn, point: Array, step: float, center: _Local) -> list[Arra
     """Derivatives of (conn, K, normals) at ``point`` from one central-difference sweep of ``at``.
 
     ``center`` is ``at(point)``, read for its shapes only; each derivative is
-    indexed like its field with the coordinate direction last.
+    indexed like its field with the coordinate direction last.  ``at`` sees
+    the stencil points stacked, as :func:`geometry.fd_jacobian` passes them.
     """
     d, (n, k) = center.frame.tangents.shape[-1], center.frame.normals.shape[-2:]
     shapes = [(d, d, d), (d, d, k), (n, k)]
@@ -191,7 +192,9 @@ def _twist_curvature(at: _LocalFn, omega0: Array, point: Array, step: float) -> 
     """Omega_{AB IJ} = d_B omega_A - d_A omega_B + [W_A, W_B], omega differenced through ``at``.
 
     The twist at each stencil point needs only the normals' derivative, so
-    the inner sweeps difference the normal columns alone, not Gamma and K.
+    the inner sweep differences the normal columns alone, not Gamma and K.
+    It runs on the outer stencil points as one stack, so each sweep is one
+    stacked call of ``at``.
     """
     def normals(p: Array) -> Array:
         return at(p).frame.normals.reshape(p.shape[:-1] + (-1,))

@@ -158,7 +158,11 @@ class DeformationField:
     edge.  An unset component is zero.  When ``time_extent`` is set, every
     component is multiplied by a smooth window that vanishes on the outer
     quarter of the first coordinate, so the variational identities hold
-    without manual cap handling.
+    without manual cap handling.  Callables must broadcast over leading batch
+    axes: under a finite-difference stencil (:func:`metric_variation`, the
+    displaced maps of :func:`first_variation_fd`) they receive the stencil
+    points with one extra leading axis, in blocks of at most
+    ``FD_BLOCK_POINTS`` points (see :func:`geometry.fd_jacobian`).
     """
 
     tangential_fn: Callable[[Array], Array] | None = None
@@ -361,6 +365,8 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryAttachment]
     follows the displaced edge graphs exactly.  Matches
     :func:`first_variation_analytic` to O(eps^2) plus quadrature error.
     """
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise InvalidParameters("epsilon must be positive and finite")
     align = _domain_alignment(embedding, config.grid)
 
     def total_action(eps: float) -> float:
@@ -374,6 +380,4 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryAttachment]
             s += float(-config.mub * np.sum(dens * uw))
         return s
 
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     return (total_action(epsilon) - total_action(-epsilon)) / (2.0 * epsilon)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from worldsheet import catalog
-from worldsheet.geometry import Embedding
+from worldsheet.geometry import Embedding, _step_scale
 from worldsheet.variation import DeformationField, first_variation_fd
 
 
@@ -127,3 +127,48 @@ def batched_advance_endpoints(x0, u0, tau0, tangents, accels, dt):
     u = batched_normalize_timelike(u0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
     tau = tau0 + dt / 6.0 * (speed + 2 * speed + 2 * speed + speed)
     return x, u, tau
+
+
+# Reference oracle for the finite-difference stencils: one call of fn per
+# shifted copy of the points.  ``geometry.fd_jacobian`` and
+# ``geometry.fd_hessian`` evaluate fn on the stacked shifts instead, and must
+# reproduce these bit for bit.
+
+
+def looped_fd_jacobian(fn, point, step):
+    point = np.asarray(point, dtype=float)
+    d = point.shape[-1]
+    h = step * _step_scale(point)
+    cols = []
+    for a in range(d):
+        e = np.zeros(d)
+        e[a] = 1.0
+        cols.append((fn(point + h * e) - fn(point - h * e)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def looped_fd_hessian(fn, point, step):
+    point = np.asarray(point, dtype=float)
+    d = point.shape[-1]
+    h = step * _step_scale(point)
+    f0 = fn(point)
+    n = f0.shape[-1]
+    out = np.zeros(point.shape[:-1] + (n, d, d))
+    eye = np.eye(d)
+    h2 = (h * h)[..., 0]
+    for a in range(d):
+        ea = eye[a]
+        fp = fn(point + h * ea)
+        fm = fn(point - h * ea)
+        out[..., :, a, a] = (fp - 2.0 * f0 + fm) / h2[..., None]
+    for a in range(d):
+        for b in range(a + 1, d):
+            ea, eb = eye[a], eye[b]
+            fpp = fn(point + h * (ea + eb))
+            fmm = fn(point - h * (ea + eb))
+            fpm = fn(point + h * (ea - eb))
+            fmp = fn(point - h * (ea - eb))
+            mixed = (fpp + fmm - fpm - fmp) / (4.0 * h2[..., None])
+            out[..., :, a, b] = mixed
+            out[..., :, b, a] = mixed
+    return out

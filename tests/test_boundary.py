@@ -116,6 +116,11 @@ class TestBoundaryData:
         with pytest.raises(NullBoundary):
             boundary_data(null, np.array([0.3]))
 
+    def test_missing_hint_rejected(self):
+        edge = dataclasses.replace(PLANE.boundary, outward_hint=None)
+        with pytest.raises(InvalidParameters, match="outward_hint"):
+            boundary_data(edge, np.array([0.5]))
+
     def test_hint_orthogonal_to_edge_normal_rejected(self):
         # the plane's upper edge has eta = (0, 1); the hint (1, 0) cannot orient it
         edge = dataclasses.replace(PLANE.boundary, outward_hint=np.array([1.0, 0.0]))
@@ -181,8 +186,15 @@ class TestEdgeEquation:
 
     def test_nonpositive_mub_rejected(self):
         bd = boundary_data(PLANE.boundary, np.array([0.5]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             edge_equation_residual(bd, 1.0, 0.0)
+
+    @pytest.mark.parametrize("mu0,mub", [(1.0, np.nan), (1.0, np.inf), (np.nan, 1.0),
+                                         (np.inf, 1.0), (-np.inf, 1.0)])
+    def test_non_finite_tensions_rejected(self, mu0, mub):
+        bd = boundary_data(PLANE.boundary, np.array([0.5]))
+        with pytest.raises(InvalidParameters):
+            edge_equation_residual(bd, mu0, mub)
 
 
 class TestBoundaryConditions:

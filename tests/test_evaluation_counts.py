@@ -11,6 +11,8 @@ edge evaluation over all its radii.
 A string step builds the outward edge direction once per Runge-Kutta rate
 evaluation of both ends together, plus once each for the new and old state.
 The Procrustes alignment of one normal column takes no SVD.
+A finite-difference stencil calls its function once for all its shifts, in
+blocks of at most ``geometry.FD_BLOCK_POINTS`` points.
 """
 
 import json
@@ -152,7 +154,39 @@ def test_twist_curvature_builds_gamma_and_k_at_outer_stencil_points_only(monkeyp
             return _original(*args)
         monkeypatch.setattr(geometry, name, counted)
     verify_sheet("torus")()
-    assert tally == {"_connection": 5, "_extrinsic": 5}  # the center and 4 stencil points
+    assert tally == {"_connection": 2, "_extrinsic": 2}  # the center and one stacked stencil
+
+
+def call_sizes(stencil, points):
+    """Points per call that ``stencil`` makes of its function at ``points``."""
+    sizes = []
+
+    def fn(p):
+        sizes.append(int(np.prod(p.shape[:-1])))
+        return p
+
+    stencil(fn, points, 1e-5)
+    return sizes
+
+
+THIRD = geometry.FD_BLOCK_POINTS // 3
+
+
+@pytest.mark.parametrize("count,sizes", [
+    (1, [4]),                                      # one call for the whole stencil
+    (30, [4 * 30]),
+    (THIRD, [3 * THIRD, THIRD]),                   # as many whole shifts as fit
+    (geometry.FD_BLOCK_POINTS, [geometry.FD_BLOCK_POINTS] * 4),  # one call per shift
+    (geometry.FD_BLOCK_POINTS + 1, [geometry.FD_BLOCK_POINTS + 1] * 4),
+], ids=["single", "small", "third", "block", "above_block"])
+def test_fd_jacobian_calls_fn_in_blocks_of_at_most_fd_block_points(count, sizes):
+    # a bigger call per shift would raise peak memory on the action quadrature
+    assert call_sizes(geometry.fd_jacobian, np.zeros((count, 2))) == sizes
+
+
+def test_fd_hessian_is_one_call_for_a_small_batch():
+    # the center, 2D shifts along the axes and 2D(D-1) along the pairs of axes
+    assert call_sizes(geometry.fd_hessian, np.zeros((30, 3))) == [(1 + 6 + 12) * 30]
 
 
 def test_hole_scan_is_one_edge_evaluation(counts, tmp_path):

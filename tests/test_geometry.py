@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from worldsheet import catalog
 from worldsheet.background import euclidean, minkowski
 from worldsheet.errors import DegenerateImmersion, DegenerateMetric, GaugeFailure
 from worldsheet.geometry import (
+    FD_BLOCK_POINTS,
     Embedding,
     extrinsic_curvature,
+    fd_hessian,
+    fd_jacobian,
     frame,
     gauss_weingarten_residual,
     induced_metric,
@@ -16,7 +21,7 @@ from worldsheet.geometry import (
     tangent_basis,
 )
 
-from helpers import fd_only_twin, random_points
+from helpers import fd_only_twin, looped_fd_hessian, looped_fd_jacobian, random_points
 
 HELICOID = catalog.helicoid(0.5, 1.0)
 SPHERE = catalog.sphere(2.0)
@@ -282,3 +287,61 @@ class TestBatchShapes:
             assert tensor.shape == (7, 5) + (3,) * rank
             assert tensor.strides[:2] == (0, 0)
             assert not np.any(tensor)
+
+
+class TestStackedStencils:
+    """The stacked stencils reproduce one call per shifted copy bit for bit."""
+
+    @staticmethod
+    def _field(entry, name):
+        emb = entry.embedding
+        if name == "position":
+            return emb.position
+        return lambda p: normal_frame(emb, p).reshape(p.shape[:-1] + (-1,))
+
+    # every catalog entry: the torus has two normals, the hole D = 3
+    @pytest.mark.parametrize("entry_id", catalog.catalog_ids())
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(name=st.sampled_from(["position", "normal_frame"]),
+           shape=st.one_of(st.just(()), st.tuples(st.integers(1, 30)),
+                           st.tuples(st.integers(1, 5), st.integers(1, 6))),
+           seed=st.integers(0, 2**16), step=st.sampled_from([1e-5, 1e-4, 1e-3]))
+    # blocked calls: a few shifts per call, and one call per shift above the block size
+    @example(name="position", shape=(FD_BLOCK_POINTS // 3,), seed=1, step=1e-4)
+    @example(name="normal_frame", shape=(FD_BLOCK_POINTS + 1,), seed=0, step=1e-5)
+    def test_stacked_equals_looped(self, entry_id, name, shape, seed, step):
+        entry = catalog.entry_from_id(entry_id)
+        count = int(np.prod(shape))
+        pts = random_points(entry, count, seed).reshape(shape + (-1,))
+        fn = self._field(entry, name)
+        assert np.array_equal(fd_jacobian(fn, pts, step), looped_fd_jacobian(fn, pts, step))
+        assert np.array_equal(fd_hessian(fn, pts, step), looped_fd_hessian(fn, pts, step))
+
+    def test_empty_batch(self):
+        pts = np.zeros((0, 2))
+        assert fd_jacobian(HELICOID.embedding.position, pts, 1e-5).shape == (0, 3, 2)
+        assert fd_hessian(HELICOID.embedding.position, pts, 1e-5).shape == (0, 3, 2, 2)
+
+
+class TestFiniteness:
+    @staticmethod
+    def _helicoid_with(**fns):
+        emb = HELICOID.embedding
+        callbacks = {"position_fn": emb.position_fn, "d_position_fn": emb.d_position_fn,
+                     "dd_position_fn": emb.dd_position_fn}
+        return Embedding(emb.worldsheet_dim, emb.background, **{**callbacks, **fns})
+
+    def test_non_finite_position_rejected(self):
+        # the flat metric never reads x, so only the gate on x sees this
+        emb = self._helicoid_with(position_fn=lambda p: np.full(p.shape[:-1] + (3,), np.nan))
+        with pytest.raises(DegenerateImmersion, match="position"):
+            frame(emb, HELICOID.sample_grid())
+
+    def test_non_finite_second_derivatives_rejected(self):
+        def dd(p):
+            out = HELICOID.embedding.dd_position_fn(p).copy()
+            out[..., 2, 0, 1] = np.inf
+            return out
+
+        with pytest.raises(DegenerateImmersion, match="second derivatives"):
+            extrinsic_curvature(self._helicoid_with(dd_position_fn=dd), HELICOID.sample_grid())

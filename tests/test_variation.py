@@ -148,6 +148,14 @@ class TestFirstVariation:
         with pytest.raises(InvalidParameters):
             first_variation_fd(PLANE.embedding, edges, cfg, self._edge_slide(30.0), 1e-2)
 
+    @pytest.mark.parametrize("edges", [False, True], ids=["no_edges", "edges"])
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-2, np.nan, np.inf])
+    def test_bad_epsilon_rejected(self, epsilon, edges):
+        cfg, attached = catalog.action_setup(PLANE, 1.0, 0.7, (8, 8))
+        with pytest.raises(InvalidParameters, match="epsilon"):
+            first_variation_fd(PLANE.embedding, attached if edges else [], cfg,
+                               random_deformation(PLANE, seed=1), epsilon)
+
     def test_normal_only_deformation_of_flat_strip_is_null(self):
         # K vanishes and no edge term involves the normal component here
         cfg, edges = catalog.action_setup(PLANE, 1.0, 0.7, (48, 48))
