@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .background import BackgroundMetric, euclidean, minkowski
 from .boundary import (
     AdaptedEdgeData,
-    BoundaryAttachment,
     BoundaryData,
     BoundaryEmbedding,
     WorldsheetScalar,

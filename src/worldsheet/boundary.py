@@ -13,8 +13,11 @@ map again for that batch.
 
 Conventions fixed here and relied on downstream:
 
-* eta is the OUTWARD unit normal of the edge inside the parent worldsheet,
-  oriented per boundary by ``outward_hint`` (never inferred).
+* eta is the OUTWARD unit normal of the edge inside the parent worldsheet.
+  Each boundary states its side by one sign, ``orientation`` = sign of
+  det[eps_1 ... eps_{D-1}, eta] in worldsheet coordinates (never inferred):
+  a graph edge chi(u) = (u, f(u)) has +1 when it is the upper limit of the
+  last coordinate and -1 when it is the lower one.
 * k_AB = -gamma(eta, grad_A eps_B), so a hole boundary in a flat sheet has
   k = -1/rho and the edge equation of motion reads mu_b * k + mu_0 = 0.
 * The adapted normal basis orders eta first (index 0), then the parent normals.
@@ -28,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InconsistentGeometry, InvalidParameters, NullBoundary
+from .errors import DegenerateImmersion, InconsistentGeometry, InvalidParameters, NullBoundary
 from .geometry import (
     DEFAULT_FD_STEP,
     Embedding,
@@ -53,19 +56,22 @@ Array = np.ndarray
 class BoundaryEmbedding:
     """Map chi: (..., D-1) boundary coordinates -> (..., D) worldsheet coordinates.
 
-    ``outward_hint`` gives, per boundary point, a worldsheet vector with
-    positive inner product against the outward edge normal; it may be a
-    constant vector or a callable of the boundary point.  Callables must
-    broadcast over leading batch axes: under a finite-difference stencil they
-    receive the stencil points with one extra leading axis, in blocks of at
-    most ``FD_BLOCK_POINTS`` points (see :func:`geometry.fd_jacobian`).
+    ``orientation`` (+1 or -1) is the sign of det[eps_1 ... eps_{D-1}, eta]
+    with eta the outward unit normal, so it fixes which side of the edge the
+    sheet lies on.  ``chi_fn`` must broadcast over leading batch axes: without
+    derivative callbacks it is differenced on stacked stencil points, in
+    blocks of at most ``FD_BLOCK_POINTS`` points (see :func:`geometry.fd_jacobian`).
     """
 
     parent: Embedding
     chi_fn: Callable[[Array], Array]
+    orientation: int
     d_chi_fn: Callable[[Array], Array] | None = None
     dd_chi_fn: Callable[[Array], Array] | None = None
-    outward_hint: Callable[[Array], Array] | Array | None = None
+
+    def __post_init__(self) -> None:
+        if not (np.ndim(self.orientation) == 0 and self.orientation in (1, -1)):
+            raise InvalidParameters(f"orientation must be +1 or -1, got {self.orientation!r}")
 
     @property
     def boundary_dim(self) -> int:
@@ -83,35 +89,6 @@ class BoundaryEmbedding:
         if self.dd_chi_fn is not None:
             return np.asarray(self.dd_chi_fn(np.asarray(point, dtype=float)), dtype=float)
         return fd_hessian(self.chi, point, DEFAULT_FD_STEP)
-
-    def hint_at(self, point: Array) -> Array:
-        if self.outward_hint is None:
-            raise InvalidParameters("boundary has no outward_hint; orientation must be supplied")
-        if callable(self.outward_hint):
-            return np.asarray(self.outward_hint(np.asarray(point, dtype=float)), dtype=float)
-        hint = np.asarray(self.outward_hint, dtype=float)
-        point = np.asarray(point, dtype=float)
-        return np.broadcast_to(hint, point.shape[:-1] + hint.shape).copy()
-
-
-@dataclass(frozen=True)
-class BoundaryAttachment:
-    """A boundary together with the bulk-coordinate side it bounds.
-
-    ``side`` says whether the edge provides the lower or upper limit of the
-    last worldsheet coordinate; attached boundary maps are graphs over the
-    remaining coordinates, chi(u) = (u, f(u)).
-    """
-
-    boundary: BoundaryEmbedding
-    side: str = "upper"
-
-    def __post_init__(self) -> None:
-        if self.side not in ("lower", "upper"):
-            raise ValueError("side must be 'lower' or 'upper'")
-
-    def graph(self, u: Array) -> Array:
-        return self.boundary.chi(u)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -173,19 +150,19 @@ def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: Frame) -> Frame:
     """First-order edge frame at ``point`` from the parent's frame ``fr`` at chi(point).
 
     The tangents are eps^a_A, the metric h_AB, and the one normal column is
-    the unit normal eta of the edge in the worldsheet, signed outward by the
-    boundary's ``outward_hint``.
+    the unit normal eta of the edge in the worldsheet, signed so that
+    det[eps, eta] has the boundary's ``orientation``.
     """
     eps = bnd.d_chi(point)
+    if not np.all(np.isfinite(eps)):
+        raise DegenerateImmersion("non-finite edge tangents d_chi")
     gamma = fr.induced_metric
     h, h_inv = _pullback_metric(bnd, gamma, eps)
     eta, found = _gram_schmidt_normals(gamma, _projected_seeds(gamma, eps, h_inv), 1)
     if np.any(found < 1):
         raise NullBoundary("edge normal cannot be unit-normalized (null boundary)")
-    align = np.einsum("...a,...ab,...b->...", eta[..., 0], gamma, bnd.hint_at(point))
-    if np.any(np.abs(align) < 1e-12):
-        raise InvalidParameters("outward_hint is orthogonal to the edge normal")
-    return Frame(tangents=eps, normals=eta * np.sign(align)[..., None, None],
+    sign = bnd.orientation * np.sign(np.linalg.det(np.concatenate([eps, eta], axis=-1)))
+    return Frame(tangents=eps, normals=eta * sign[..., None, None],
                  induced_metric=h, induced_metric_inverse=h_inv)
 
 
@@ -231,6 +208,8 @@ def _boundary_local(bnd: BoundaryEmbedding, point: Array) -> _EdgeLocal:
     fr = sheet.frame
     edge_frame = _edge_frame(bnd, point, fr)
     dd_chi = bnd.dd_chi(point)
+    if not np.all(np.isfinite(dd_chi)):
+        raise DegenerateImmersion("non-finite edge second derivatives dd_chi")
     # the sheet's connection is the ambient Christoffels, upper index first
     chris = np.moveaxis(sheet.conn, -1, -3)
     edge = _Local(edge_frame, xi, fr.induced_metric, chris,

@@ -16,7 +16,6 @@ import numpy as np
 
 from .background import euclidean, minkowski
 from .boundary import (
-    BoundaryAttachment,
     BoundaryEmbedding,
     boundary_condition_residual,
     boundary_data,
@@ -49,21 +48,26 @@ class ExpectedValue:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A closed-form scenario: embedding, optional edges, and expected facts."""
+    """A closed-form scenario: embedding, optional edges, and expected facts.
+
+    Edges in ``domain`` are graphs over the leading coordinates,
+    chi(u) = (u, f(u)), and bound the last axis: from below in the ``lo``
+    slot (orientation -1), from above in the ``hi`` slot (orientation +1).
+    """
 
     id: str
     embedding: Embedding
-    boundaries: tuple[BoundaryAttachment, ...]
+    boundaries: tuple[BoundaryEmbedding, ...]
     parameters: dict
     expected: tuple[ExpectedValue, ...]
     sample_box: tuple[tuple[float, float], ...]
     boundary_sample_range: tuple[float, float] = (0.0, 1.0)
     periodic: tuple[bool, ...] = ()
-    domain: tuple = ()   # per-axis (lo, hi); entries may be BoundaryAttachment
+    domain: tuple = ()   # per-axis (lo, hi); entries may be BoundaryEmbedding
 
     @property
     def boundary(self) -> BoundaryEmbedding | None:
-        return self.boundaries[0].boundary if self.boundaries else None
+        return self.boundaries[0] if self.boundaries else None
 
     def sample_grid(self, per_dim: int = 5) -> Array:
         axes = [np.linspace(lo, hi, per_dim) for lo, hi in self.sample_box]
@@ -85,7 +89,7 @@ def _stack(*comps):
 
 
 def _graph_boundary(parent: Embedding, level_fn, d_level_fn, dd_level_fn,
-                    hint) -> BoundaryEmbedding:
+                    orientation: int) -> BoundaryEmbedding:
     """Edge as a graph over the leading worldsheet coordinates: chi(u) = (u, f(u))."""
     db = parent.worldsheet_dim - 1
 
@@ -104,10 +108,10 @@ def _graph_boundary(parent: Embedding, level_fn, d_level_fn, dd_level_fn,
         out[..., db, :, :] = dd_level_fn(u)
         return out
 
-    return BoundaryEmbedding(parent, chi, d_chi, dd_chi, outward_hint=hint)
+    return BoundaryEmbedding(parent, chi, orientation, d_chi, dd_chi)
 
 
-def _constant_boundary(parent: Embedding, level: float, hint) -> BoundaryEmbedding:
+def _constant_boundary(parent: Embedding, level: float, orientation: int) -> BoundaryEmbedding:
     db = parent.worldsheet_dim - 1
 
     def level_fn(u):
@@ -119,7 +123,7 @@ def _constant_boundary(parent: Embedding, level: float, hint) -> BoundaryEmbeddi
     def dd_level(u):
         return np.zeros(np.asarray(u, dtype=float).shape[:-1] + (db, db))
 
-    return _graph_boundary(parent, level_fn, d_level, dd_level, hint)
+    return _graph_boundary(parent, level_fn, d_level, dd_level, orientation)
 
 
 # ----------------------------------------------------------------------------
@@ -158,8 +162,8 @@ def helicoid(omega: float = 0.5, R: float = 1.0) -> CatalogEntry:
                          np.stack([xts, xss], axis=-1)], axis=-1)
 
     emb = Embedding(2, bg, pos, dpos, ddpos)
-    upper = BoundaryAttachment(_constant_boundary(emb, R, np.array([0.0, 1.0])), "upper")
-    lower = BoundaryAttachment(_constant_boundary(emb, -R, np.array([0.0, -1.0])), "lower")
+    upper = _constant_boundary(emb, R, 1)
+    lower = _constant_boundary(emb, -R, -1)
     k_edge = -om * om * R / (1.0 - om * om * R * R)
     expected = [
         ExpectedValue("curvature_trace_norm", 0.0, 1e-9, "paper"),
@@ -227,11 +231,10 @@ def collapsing_string(a: float = 1.0, x0: float = 1.0) -> CatalogEntry:
             t = u[..., 0]
             return (-sign * a / (1.0 + a * a * t * t) ** 1.5)[..., None, None]
 
-        hint = np.array([0.0, sign])
-        return _graph_boundary(emb, level, dlevel, ddlevel, hint)
+        return _graph_boundary(emb, level, dlevel, ddlevel, sign)
 
-    upper = BoundaryAttachment(make_side(1.0), "upper")
-    lower = BoundaryAttachment(make_side(-1.0), "lower")
+    upper = make_side(1)
+    lower = make_side(-1)
     t_coll = collision_time(a, x0)
     return CatalogEntry(
         id="collapsing",
@@ -289,8 +292,7 @@ def planar_hole(rho: float = 2.0, outer: float | None = None) -> CatalogEntry:
         return out
 
     emb = Embedding(3, bg, pos, dpos, ddpos)
-    inner = BoundaryAttachment(
-        _constant_boundary(emb, rho, np.array([0.0, 0.0, -1.0])), "lower")
+    inner = _constant_boundary(emb, rho, -1)
     return CatalogEntry(
         id="hole",
         embedding=emb,
@@ -319,8 +321,7 @@ def euclidean_disk(rho: float = 1.0) -> CatalogEntry:
     if rho <= 0:
         raise InvalidParameters("disk radius must be positive")
     emb = _polar_plane()
-    edge = BoundaryAttachment(
-        _constant_boundary(emb, rho, np.array([0.0, 1.0])), "upper")
+    edge = _constant_boundary(emb, rho, 1)
     return CatalogEntry(
         id="disk",
         embedding=emb,
@@ -344,8 +345,7 @@ def euclidean_plane_hole(rho: float = 2.0, outer: float | None = None) -> Catalo
         raise InvalidParameters("hole radius must be positive")
     outer = outer if outer is not None else rho + 2.0
     emb = _polar_plane()
-    edge = BoundaryAttachment(
-        _constant_boundary(emb, rho, np.array([0.0, -1.0])), "lower")
+    edge = _constant_boundary(emb, rho, -1)
     return CatalogEntry(
         id="plane_hole",
         embedding=emb,
@@ -416,8 +416,8 @@ def _flat_strip() -> Embedding:
 def plane() -> CatalogEntry:
     """Flat Minkowski strip (t, sigma) -> (t, sigma, 0) with straight edges at +-1."""
     emb = _flat_strip()
-    upper = BoundaryAttachment(_constant_boundary(emb, 1.0, np.array([0.0, 1.0])), "upper")
-    lower = BoundaryAttachment(_constant_boundary(emb, -1.0, np.array([0.0, -1.0])), "lower")
+    upper = _constant_boundary(emb, 1.0, 1)
+    lower = _constant_boundary(emb, -1.0, -1)
     return CatalogEntry(
         id="plane",
         embedding=emb,
@@ -608,16 +608,15 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float) -> float
         return res.max()
     if quantity == "edge_x_at_collision":  # the upper edge reaches x = 0
         t = collision_time(entry.parameters["a"], entry.parameters["x0"])
-        return float(entry.boundaries[0].boundary.chi(np.array([t]))[..., -1])
+        return float(entry.boundaries[0].chi(np.array([t]))[..., -1])
     if quantity == "edge_on_hyperbola":  # (x0 + 1/a - x)^2 - t^2 = 1/a^2, at t = 1
         a, x0 = entry.parameters["a"], entry.parameters["x0"]
-        x = float(entry.boundaries[0].boundary.chi(np.array([1.0]))[..., -1])
+        x = float(entry.boundaries[0].chi(np.array([1.0]))[..., -1])
         return (x0 + 1.0 / a - x) ** 2 - 1.0 - 1.0 / a ** 2
 
     # edge quantities: worst case over all attached boundaries
     vals = []
-    for att in entry.boundaries:
-        bnd = att.boundary
+    for bnd in entry.boundaries:
         u = entry.boundary_grid()
         if quantity == "edge_trace":
             vals.append(boundary_data(bnd, u).edge_trace)
@@ -682,19 +681,27 @@ def action_setup(entry: CatalogEntry, mu0: float, mub: float,
 
     ``points_per_axis`` holds one midpoint count per axis.  Returns (ActionConfig,
     edges) for the variation operations; edge graphs bound the last axis.
+    Raises InvalidParameters when an edge's orientation disagrees with its
+    slot: a ``lo`` edge needs -1 and a ``hi`` edge +1.
     """
     from .variation import ActionConfig, GridAxis
 
     axes = []
-    edges: list[BoundaryAttachment] = []
-    for i, (lo, hi) in enumerate(entry.domain):
-        lo_lim = lo
-        hi_lim = hi
-        if isinstance(lo, BoundaryAttachment):
-            edges.append(lo)
-            lo_lim = lo.graph
-        if isinstance(hi, BoundaryAttachment):
-            edges.append(hi)
-            hi_lim = hi.graph
-        axes.append(GridAxis(points_per_axis[i], lo_lim, hi_lim))
+    edges: list[BoundaryEmbedding] = []
+    for i, limits in enumerate(entry.domain):
+        lims = []
+        for lim, slot, orientation in zip(limits, ("lo", "hi"), (-1, 1)):
+            if isinstance(lim, BoundaryEmbedding):
+                if lim.orientation != orientation:
+                    raise InvalidParameters(f"the {slot} limit of axis {i} needs an edge "
+                                            f"of orientation {orientation:+d}")
+                edges.append(lim)
+                lim = _graph_limit(lim)
+            lims.append(lim)
+        axes.append(GridAxis(points_per_axis[i], *lims))
     return ActionConfig(mu0, mub, tuple(axes)), tuple(edges)
+
+
+def _graph_limit(edge: BoundaryEmbedding):
+    """Last-coordinate limit f(u) of a graph edge chi(u) = (u, f(u))."""
+    return lambda u: edge.chi(u)[..., -1]

@@ -39,6 +39,7 @@ from .catalog import (
     catalog_ids,
     entry_from_id,
     evaluate_entry,
+    helicoid,
     planar_hole,
 )
 from .dynamics import (
@@ -178,7 +179,7 @@ def _config_number(config: dict, key: str, kind: type = float, default=_REQUIRED
     raw = _config_value(config, key, default)
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"config {key!r} must be a number, got {raw!r}") from None
     if not math.isfinite(value):
         raise UsageError(f"config {key!r} must be finite, got {raw!r}")
@@ -292,7 +293,7 @@ def _scan_hole(rhos, mu0: float, mub: float) -> tuple[np.ndarray, np.ndarray]:
     """
     rhos = np.asarray(rhos, dtype=float)
     entry = planar_hole(float(rhos.min()))
-    edge = _constant_boundary(entry.embedding, rhos, entry.boundary.outward_hint)
+    edge = _constant_boundary(entry.embedding, rhos, entry.boundary.orientation)
     bd = boundary_data(edge, np.zeros((rhos.size, 2)))
     return bd.edge_trace, edge_equation_residual(bd, mu0, mub)
 
@@ -330,8 +331,7 @@ def cmd_scan(args) -> int:
     def orbit_row(ratio: float) -> list:
         w = rotating_orbit_omega(ratio * mub, mub, radius)
         # cross-check: the edge law holds on the matching rotating worldsheet
-        entry = entry_from_id(f"helicoid:omega={w},R={radius}")
-        bd = boundary_data(entry.boundary, np.array([[0.0]]))
+        bd = boundary_data(helicoid(w, radius).boundary, np.array([[0.0]]))
         residual = float(edge_equation_residual(bd, ratio * mub, mub)[0])
         return [ratio, w, w * radius, residual, "ok"]
 

@@ -318,7 +318,7 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
     xi = bl.edge.x
     ws, ws_at = _sheet_level(bnd.parent, xi, bl.sheet)
     r_ws = _riemann(ws, _sweep(ws_at, xi, step, ws)[0])
-    # the edge in the sheet: its one normal eta is signed by the outward hint
+    # the edge in the sheet: its one normal eta is signed by the edge's orientation
     v, at = bl.edge, lambda u: _boundary_local(bnd, u).edge
     gauss, codazzi, _ = _structure_residuals(r_ws, v, *_level(v, at, point, step))
     return gauss, codazzi

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .background import LORENTZIAN, BackgroundMetric
-from .boundary import BoundaryAttachment, BoundaryEmbedding, _boundary_local, _edge_frame
+from .boundary import BoundaryEmbedding, _boundary_local, _edge_frame
 from .errors import DegenerateMetric, InvalidParameters
 from .geometry import (
     Embedding,
@@ -58,14 +58,15 @@ class ActionConfig:
     grid: tuple[GridAxis, ...]
 
     def __post_init__(self) -> None:
-        if self.mu0 < 0 or self.mub < 0:
-            raise ValueError("tensions must be non-negative")
+        if not (np.isfinite(self.mu0) and np.isfinite(self.mub)
+                and self.mu0 >= 0 and self.mub >= 0):
+            raise InvalidParameters("tensions must be finite and non-negative")
         for ax in self.grid:
             if ax.points < 8:
-                raise ValueError("quadrature needs at least 8 points per dimension")
+                raise InvalidParameters("quadrature needs at least 8 points per dimension")
         for ax in self.grid[:-1]:
             if callable(ax.lo) or callable(ax.hi):
-                raise ValueError("only the last axis may have edge-dependent limits")
+                raise InvalidParameters("only the last axis may have edge-dependent limits")
 
 
 def _leading_mesh(grid: Sequence[GridAxis]) -> tuple[Array, float]:
@@ -187,8 +188,11 @@ class DeformationField:
         x = np.asarray(x, dtype=float)
         if fn is None:
             return np.zeros(x.shape[:-1] + shape)
+        values = np.asarray(fn(x), dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise InvalidParameters("deformation field has non-finite values")
         window = self._window(x[..., 0])
-        return np.asarray(fn(x), dtype=float) * window.reshape(window.shape + (1,) * len(shape))
+        return values * window.reshape(window.shape + (1,) * len(shape))
 
     def tangential(self, xi: Array, dim: int) -> Array:
         return self._component(self.tangential_fn, xi, (dim,))
@@ -242,7 +246,7 @@ def _domain_alignment(embedding: Embedding, grid: tuple[GridAxis, ...]):
     return lambda normals: _procrustes(normals, fr_c.normals, g_c)
 
 
-def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryAttachment],
+def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
                              config: ActionConfig, deformation: DeformationField) -> float:
     """First variation of the total action from the distilled boundary formula.
 
@@ -251,7 +255,8 @@ def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryAttac
                                           + mub (H^{ab} K_ab^i Phi_i + k eta_a Phi^a)
                                           + (mu0 + mub k) Psi ],
     with the pure-divergence edge reparametrization term dropped (smooth,
-    closed, or cap-windowed edges).  ``edges`` is a sequence of ``BoundaryAttachment``.
+    closed, or cap-windowed edges).  ``edges`` are the displaceable edges of
+    :func:`catalog.action_setup`, with eta signed by each edge's orientation.
     """
     d = embedding.worldsheet_dim
     k_codim = embedding.codimension
@@ -267,8 +272,7 @@ def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryAttac
     dens = _volume_element(fr.induced_metric, bg)
     total = -config.mu0 * np.sum(wts * dens * np.einsum("...i,...i->...", traces, phi_i))
 
-    for att in edges:
-        bnd = att.boundary
+    for bnd in edges:
         u, uw = _boundary_grid(config.grid)
         bl = _boundary_local(bnd, u)
         bd, sheet, xi = bl.bd, bl.sheet, bl.edge.x
@@ -343,26 +347,27 @@ def _inverted_graph(chi_fn: Callable[[Array], Array]) -> Callable[[Array], Array
     return limit
 
 
-def _deformed_grid(grid: tuple[GridAxis, ...], edges: Sequence[BoundaryAttachment],
+def _deformed_grid(grid: tuple[GridAxis, ...], edges: Sequence[BoundaryEmbedding],
                    chis: list[Callable[[Array], Array]]) -> tuple[GridAxis, ...]:
+    """The grid with each edge's displaced graph as the limit on its side."""
     last = grid[-1]
     lo, hi = last.lo, last.hi
-    for att, chi in zip(edges, chis):
-        if att.side == "lower":
+    for edge, chi in zip(edges, chis):
+        if edge.orientation < 0:
             lo = _inverted_graph(chi)
         else:
             hi = _inverted_graph(chi)
     return grid[:-1] + (GridAxis(last.points, lo, hi),)
 
 
-def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryAttachment],
+def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
                        config: ActionConfig, deformation: DeformationField,
                        epsilon: float) -> float:
     """Centered finite-difference variation [S(+eps) - S(-eps)] / (2 eps).
 
-    The worldsheet and the attached ``edges`` (a sequence of
-    ``BoundaryAttachment``) are displaced together; the quadrature domain
-    follows the displaced edge graphs exactly.  Matches
+    The worldsheet and the ``edges`` are displaced together; the quadrature
+    domain follows the displaced edge graphs exactly, each on the side its
+    orientation names (-1 the lower limit of the last axis, +1 the upper).  Matches
     :func:`first_variation_analytic` to O(eps^2) plus quadrature error.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
@@ -371,7 +376,7 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryAttachment]
 
     def total_action(eps: float) -> float:
         emb_eps = _deformed_embedding(embedding, deformation, eps, align)
-        chis = [_deformed_chi(att.boundary, deformation, eps) for att in edges]
+        chis = [_deformed_chi(bnd, deformation, eps) for bnd in edges]
         cfg = ActionConfig(config.mu0, config.mub, _deformed_grid(config.grid, edges, chis))
         s = dng_action(emb_eps, cfg)
         u, uw = _boundary_grid(config.grid)

@@ -3,7 +3,14 @@
 import numpy as np
 
 from worldsheet import catalog
-from worldsheet.geometry import Embedding, _step_scale
+from worldsheet.boundary import _pullback_metric
+from worldsheet.geometry import (
+    Embedding,
+    _frame_at,
+    _gram_schmidt_normals,
+    _projected_seeds,
+    _step_scale,
+)
 from worldsheet.variation import DeformationField, first_variation_fd
 
 
@@ -75,7 +82,7 @@ def curved_hole_edge():
                          np.stack([z, -0.3 * np.sin(u[..., 1])], axis=-1)], axis=-2)
 
     return catalog._graph_boundary(catalog.planar_hole(2.0).embedding, level, d_level, dd_level,
-                                   np.array([0.0, 0.0, -1.0]))
+                                   -1)
 
 
 def richardson_variation(emb, edges, cfg, defo, eps):
@@ -172,3 +179,25 @@ def looped_fd_hessian(fn, point, step):
             out[..., :, a, b] = mixed
             out[..., :, b, a] = mixed
     return out
+
+
+# Reference oracle for the edge orientation: the outward-hint rule that the
+# ``orientation`` sign replaced.  The Gram-Schmidt eta is signed by its
+# inner product with a worldsheet vector pointing out of the sheet;
+# ``boundary_data`` must give the same eta bit for bit.
+
+
+def hint_oriented_eta(bnd, u, hint):
+    u = np.asarray(u, dtype=float)
+    eps = bnd.d_chi(u)
+    gamma = _frame_at(bnd.parent, bnd.chi(u))[0].induced_metric
+    _, h_inv = _pullback_metric(bnd, gamma, eps)
+    eta = _gram_schmidt_normals(gamma, _projected_seeds(gamma, eps, h_inv), 1)[0][..., 0]
+    align = np.einsum("...a,...ab,...b->...", eta, gamma, hint)
+    assert np.all(np.abs(align) >= 1e-12), "hint orthogonal to the edge normal"
+    return eta * np.sign(align)[..., None]
+
+
+def graph_edge_hint(edge):
+    """The hint of a graph edge chi(u) = (u, f(u)): +-1 along the last axis."""
+    return edge.orientation * np.eye(edge.parent.worldsheet_dim)[-1]

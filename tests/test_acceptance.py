@@ -83,8 +83,7 @@ def test_criterion_03_boundary_conditions():
         assert np.max(np.abs(res)) < 1e-9
         for entry in (PLANE, COLLAPSE):
             for att in entry.boundaries:
-                flat = boundary_condition_residual(att.boundary,
-                                                   entry.boundary_grid(9))
+                flat = boundary_condition_residual(att, entry.boundary_grid(9))
                 assert np.all(flat == 0.0)
 
 
@@ -97,8 +96,8 @@ def test_criterion_04_form_equivalence():
             mub = entry.parameters.get("mub", 1.0)
             for att in entry.boundaries:
                 u = entry.boundary_grid(5)
-                proj = boundary_condition_residual(att.boundary, u)
-                lap = boundary_laplacian_residuals(att.boundary, u, mu0, mub)
+                proj = boundary_condition_residual(att, u)
+                lap = boundary_laplacian_residuals(att, u, mu0, mub)
                 assert np.max(np.abs(proj - lap.normal)) < 1e-8
                 assert np.max(np.abs(proj + lap.normal)) < 1e-8
 
@@ -114,9 +113,9 @@ def test_criterion_05_integrability_suite():
             assert res.max() < 1e-6, entry.id
             for att in entry.boundaries:
                 u = entry.boundary_grid(3)[:2]
-                g, c = boundary_integrability_residuals(att.boundary, u, step)
+                g, c = boundary_integrability_residuals(att, u, step)
                 assert max(np.max(g), np.max(c)) < 1e-6, entry.id
-                direct = direct_embedding_residuals(att.boundary, u, step)
+                direct = direct_embedding_residuals(att, u, step)
                 assert direct.max() < 1e-6, entry.id
         # convergence order, measured where the truncation error is resolvable
         for entry, point in ((SPHERE, (1.1, 0.4)), (HELICOID, (0.8, 0.5)),

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from worldsheet import catalog
 from worldsheet.background import euclidean
@@ -18,10 +20,10 @@ from worldsheet.boundary import (
     edge_equation_residual,
     laplacian_decomposition_residual,
 )
-from worldsheet.errors import InvalidParameters, NullBoundary
+from worldsheet.errors import DegenerateImmersion, InvalidParameters, NullBoundary
 from worldsheet.geometry import Embedding, extrinsic_curvature, frame
 
-from helpers import curved_hole_edge
+from helpers import curved_hole_edge, graph_edge_hint, hint_oriented_eta
 
 HELICOID = catalog.helicoid(0.5, 1.0)
 PLANE = catalog.plane()
@@ -29,11 +31,11 @@ HOLE = catalog.planar_hole(2.0)
 DISK = catalog.euclidean_disk(2.0)
 COLLAPSE = catalog.collapsing_string(1.0, 1.0)
 
+CATALOG_EDGE_ENTRIES = (PLANE, HELICOID, COLLAPSE, HOLE, DISK, catalog.euclidean_plane_hole(2.0))
 ALL_BOUNDARIES = [
-    pytest.param(entry, att, id=f"{entry.id}-{att.side}")
-    for entry in (PLANE, HELICOID, COLLAPSE, HOLE, DISK,
-                  catalog.euclidean_plane_hole(2.0))
-    for att in entry.boundaries
+    pytest.param(entry, edge, id=f"{entry.id}-{'upper' if edge.orientation > 0 else 'lower'}")
+    for entry in CATALOG_EDGE_ENTRIES
+    for edge in entry.boundaries
 ]
 
 
@@ -47,14 +49,12 @@ def cartesian_plane() -> Embedding:
 
 
 def circle_boundary(rho=2.0, material_outside=True) -> BoundaryEmbedding:
-    sign = -1.0 if material_outside else 1.0
-
+    # counterclockwise tangent: eta toward the center makes det[eps, eta] > 0
     def chi(u):
         th = np.asarray(u, dtype=float)[..., 0]
         return np.stack([rho * np.cos(th), rho * np.sin(th)], axis=-1)
 
-    return BoundaryEmbedding(cartesian_plane(), chi,
-                             outward_hint=lambda u: sign * chi(u))
+    return BoundaryEmbedding(cartesian_plane(), chi, 1 if material_outside else -1)
 
 
 class TestBoundaryData:
@@ -83,11 +83,11 @@ class TestBoundaryData:
         bd = boundary_data(COLLAPSE.boundary, np.array([0.8]))
         assert abs(float(bd.edge_trace) + 1.0) < 1e-12
 
-    @pytest.mark.parametrize("entry,att", ALL_BOUNDARIES)
-    def test_projector_identities(self, entry, att):
+    @pytest.mark.parametrize("entry,edge", ALL_BOUNDARIES)
+    def test_projector_identities(self, entry, edge):
         u = entry.boundary_grid(5)
-        bd = boundary_data(att.boundary, u)
-        fr = frame(entry.embedding, att.boundary.chi(u))
+        bd = boundary_data(edge, u)
+        fr = frame(entry.embedding, edge.chi(u))
         gamma = fr.induced_metric
         idem = np.einsum("...ab,...bc,...cd->...ad", bd.projector, gamma, bd.projector)
         assert np.max(np.abs(idem - bd.projector)) < 1e-10
@@ -97,11 +97,11 @@ class TestBoundaryData:
                                             bd.normal_in_m, bd.normal_in_m)
         assert np.max(np.abs(complete - fr.induced_metric_inverse)) < 1e-10
 
-    @pytest.mark.parametrize("entry,att", ALL_BOUNDARIES)
-    def test_eta_unit_and_orthogonal(self, entry, att):
+    @pytest.mark.parametrize("entry,edge", ALL_BOUNDARIES)
+    def test_eta_unit_and_orthogonal(self, entry, edge):
         u = entry.boundary_grid(5)
-        bd = boundary_data(att.boundary, u)
-        gamma = frame(entry.embedding, att.boundary.chi(u)).induced_metric
+        bd = boundary_data(edge, u)
+        gamma = frame(entry.embedding, edge.chi(u)).induced_metric
         norm = np.einsum("...a,...ab,...b->...", bd.normal_in_m, gamma, bd.normal_in_m)
         ortho = np.einsum("...a,...ab,...bA->...A", bd.normal_in_m, gamma,
                           bd.tangents_in_m)
@@ -110,22 +110,44 @@ class TestBoundaryData:
 
     def test_null_boundary_rejected(self):
         null = BoundaryEmbedding(
-            PLANE.embedding,
-            lambda u: np.stack([u[..., 0], u[..., 0]], axis=-1),
-            outward_hint=np.array([0.0, 1.0]))
+            PLANE.embedding, lambda u: np.stack([u[..., 0], u[..., 0]], axis=-1), 1)
         with pytest.raises(NullBoundary):
             boundary_data(null, np.array([0.3]))
 
-    def test_missing_hint_rejected(self):
-        edge = dataclasses.replace(PLANE.boundary, outward_hint=None)
-        with pytest.raises(InvalidParameters, match="outward_hint"):
-            boundary_data(edge, np.array([0.5]))
+    @pytest.mark.parametrize("orientation", [0, 2, -0.5, np.nan, np.array([1, -1])])
+    def test_orientation_must_be_a_sign(self, orientation):
+        with pytest.raises(InvalidParameters, match="orientation"):
+            dataclasses.replace(PLANE.boundary, orientation=orientation)
 
-    def test_hint_orthogonal_to_edge_normal_rejected(self):
-        # the plane's upper edge has eta = (0, 1); the hint (1, 0) cannot orient it
-        edge = dataclasses.replace(PLANE.boundary, outward_hint=np.array([1.0, 0.0]))
-        with pytest.raises(InvalidParameters, match="orthogonal"):
-            boundary_data(edge, np.array([0.5]))
+    @pytest.mark.parametrize("slot", ["d_chi_fn", "dd_chi_fn"])
+    def test_non_finite_edge_derivatives_rejected(self, slot):
+        callback = getattr(HELICOID.boundary, slot)
+        edge = dataclasses.replace(HELICOID.boundary,
+                                   **{slot: lambda u: np.full_like(callback(u), np.nan)})
+        with pytest.raises(DegenerateImmersion, match="non-finite"):
+            boundary_data(edge, HELICOID.boundary_grid(3))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_orientation_reproduces_hint_oriented_eta(data):
+    """The sign rule gives, bit for bit, the eta that the outward hint used to orient."""
+    case = data.draw(st.sampled_from(["catalog", "scan", "circle"]))
+    if case == "catalog":
+        entry = data.draw(st.sampled_from(CATALOG_EDGE_ENTRIES))
+        edge = data.draw(st.sampled_from(entry.boundaries))
+        u, hint = entry.boundary_grid(5), graph_edge_hint(edge)
+    elif case == "scan":
+        rhos = np.array(data.draw(st.lists(st.floats(0.05, 50.0), min_size=1, max_size=20)))
+        edge = catalog._constant_boundary(HOLE.embedding, rhos, HOLE.boundary.orientation)
+        u, hint = np.zeros((rhos.size, 2)), graph_edge_hint(edge)
+    else:
+        outside = data.draw(st.booleans())
+        edge = circle_boundary(data.draw(st.floats(0.1, 10.0)), outside)
+        u = np.array(data.draw(st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=9)))[:, None]
+        hint = (-1.0 if outside else 1.0) * edge.chi(u)
+    eta = boundary_data(edge, u).normal_in_m
+    assert np.array_equal(eta, hint_oriented_eta(edge, u, hint))
 
 
 def fd_boundary_christoffels(bnd: BoundaryEmbedding, u, step=1e-4):
@@ -149,11 +171,11 @@ class TestEdgeConnection:
     """The Gauss-formula connection of the edge, read from the edge in the sheet and
     from the edge in spacetime, against differences of its metric."""
 
-    @pytest.mark.parametrize("entry,att", ALL_BOUNDARIES)
-    def test_catalog_edges(self, entry, att):
+    @pytest.mark.parametrize("entry,edge", ALL_BOUNDARIES)
+    def test_catalog_edges(self, entry, edge):
         u = entry.boundary_grid()
-        reference = fd_boundary_christoffels(att.boundary, u)
-        for conn in edge_connections(att.boundary, u):
+        reference = fd_boundary_christoffels(edge, u)
+        for conn in edge_connections(edge, u):
             assert np.max(np.abs(conn - reference)) < 1e-7
 
     def test_curved_two_dimensional_edge(self):
@@ -214,8 +236,7 @@ class TestBoundaryConditions:
             t = np.asarray(u, dtype=float)[..., 0]
             return np.stack([t, 1.0 + 0.1 * np.sin(t)], axis=-1)
 
-        moving = BoundaryEmbedding(HELICOID.embedding, chi,
-                                   outward_hint=np.array([0.0, 1.0]))
+        moving = BoundaryEmbedding(HELICOID.embedding, chi, 1)
         # the edge tangent is momentarily parallel to d_t where d sigma/dt = 0,
         # so the residual passes through zero at t = pi/2 and is generic at t = 0
         at_zero = boundary_condition_residual(moving, np.array([0.0]))
@@ -246,11 +267,11 @@ class TestLaplacianForms:
         assert np.max(np.abs(res.eta)) < 1e-12
         assert np.max(np.abs(res.combined)) < 1e-12
 
-    @pytest.mark.parametrize("entry,att", ALL_BOUNDARIES)
-    def test_projection_form_is_minus_laplacian_form(self, entry, att):
+    @pytest.mark.parametrize("entry,edge", ALL_BOUNDARIES)
+    def test_projection_form_is_minus_laplacian_form(self, entry, edge):
         u = entry.boundary_grid(5)
-        proj = boundary_condition_residual(att.boundary, u)
-        lap = boundary_laplacian_residuals(att.boundary, u,
+        proj = boundary_condition_residual(edge, u)
+        lap = boundary_laplacian_residuals(edge, u,
                                            entry.parameters.get("mu0", 1.0),
                                            entry.parameters.get("mub", 1.0))
         assert np.max(np.abs(proj + lap.normal)) < 1e-8
@@ -260,8 +281,7 @@ class TestLaplacianForms:
             t = np.asarray(u, dtype=float)[..., 0]
             return np.stack([t, 0.8 + 0.1 * np.sin(t)], axis=-1)
 
-        moving = BoundaryEmbedding(HELICOID.embedding, chi,
-                                   outward_hint=np.array([0.0, 1.0]))
+        moving = BoundaryEmbedding(HELICOID.embedding, chi, 1)
         u = np.linspace(0.0, 2.0, 9)[:, None]
         proj = boundary_condition_residual(moving, u)
         lap = boundary_laplacian_residuals(moving, u, 1.0, 3.0)

@@ -1,9 +1,12 @@
 """The closed-form scenario fixtures reproduce their expected facts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from worldsheet import catalog
+from worldsheet.boundary import BoundaryEmbedding
 from worldsheet.errors import InvalidParameters
 
 ALL_IDS = ["plane", "sphere", "torus", "helicoid", "collapsing", "hole",
@@ -36,7 +39,7 @@ def test_collapsing_closed_forms():
     assert catalog.collision_time(1.0, 1.0) == pytest.approx(np.sqrt(3.0))
     assert catalog.endpoint_worldline(1.0, 1.0, 1.0) == pytest.approx(2.0 - np.sqrt(2.0))
     assert catalog.endpoint_worldline(1.0, 1.0, 0.0) == pytest.approx(1.0)
-    chi = entry.boundaries[0].boundary.chi(np.array([1.0]))
+    chi = entry.boundaries[0].chi(np.array([1.0]))
     assert chi[-1] == pytest.approx(2.0 - np.sqrt(2.0))
 
 
@@ -107,6 +110,16 @@ def test_catalog_entries_never_fall_back_to_fd():
         entry = catalog.entry_from_id(entry_id)
         assert entry.embedding.d_position_fn is not None
         assert entry.embedding.dd_position_fn is not None
-        for att in entry.boundaries:
-            assert att.boundary.d_chi_fn is not None
-            assert att.boundary.dd_chi_fn is not None
+        for edge in entry.boundaries:
+            assert edge.d_chi_fn is not None
+            assert edge.dd_chi_fn is not None
+
+
+@pytest.mark.parametrize("entry", [catalog.euclidean_disk(1.0), catalog.euclidean_plane_hole(2.0)],
+                         ids=["hi_slot", "lo_slot"])
+def test_action_setup_rejects_edge_in_wrong_slot(entry):
+    flipped = tuple(dataclasses.replace(lim, orientation=-lim.orientation)
+                    if isinstance(lim, BoundaryEmbedding) else lim for lim in entry.domain[-1])
+    wrong = dataclasses.replace(entry, domain=entry.domain[:-1] + (flipped,))
+    with pytest.raises(InvalidParameters, match="orientation"):
+        catalog.action_setup(wrong, 1.0, 1.0, (8, 8))

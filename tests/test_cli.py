@@ -157,6 +157,7 @@ class TestEvolve:
     @pytest.mark.parametrize("key,text", [
         ("duration", "NaN"), ("duration", "Infinity"), ("duration", "1e400"),
         ("grid_points", "NaN"), ("x0", "NaN"),
+        pytest.param("x0", "1" + "0" * 400, id="x0-overflowing_integer"),
     ])
     def test_non_finite_number_exit_two_without_outputs(self, tmp_path, key, text):
         payload = json.dumps(EVOLVE_CONFIG)
@@ -274,11 +275,14 @@ class TestScan:
 
     @pytest.mark.parametrize("bounds", ['"start": -Infinity, "stop": 2.0',
                                         '"start": 1.0, "stop": Infinity',
-                                        '"start": 1.0, "stop": 1e400'])
+                                        '"start": 1.0, "stop": 1e400',
+                                        pytest.param('"start": 1.0, "stop": 2.0, "points": 1'
+                                                     + "0" * 400, id="overflowing_points")])
     def test_non_finite_range_exit_two_without_outputs(self, tmp_path, bounds):
+        points = "" if '"points"' in bounds else ', "points": 5'
         cfg = tmp_path / "scan.json"
-        cfg.write_text('{"schema_version": 1, "scan": "hole_radius", ' + bounds
-                       + ', "points": 5, "mu0": 1.0, "mub": 2.0}', encoding="utf-8")
+        cfg.write_text('{"schema_version": 1, "scan": "hole_radius", ' + bounds + points
+                       + ', "mu0": 1.0, "mub": 2.0}', encoding="utf-8")
         out = tmp_path / "scan"
         assert main(["scan", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert not out.exists()

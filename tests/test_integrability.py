@@ -65,7 +65,7 @@ def time_torus_edge():
                          np.stack([z, -0.2 * np.sin(u[..., 1])], axis=-1)], axis=-2)
 
     sheet = Embedding(3, minkowski(5), pos, d_pos, dd_pos)
-    return catalog._graph_boundary(sheet, level, d_level, dd_level, np.array([0.0, 0.0, 1.0]))
+    return catalog._graph_boundary(sheet, level, d_level, dd_level, 1)
 
 
 def twisted_torus_frame(angle_fn):

@@ -47,22 +47,26 @@ class TestActions:
     def test_circle_edge_length(self):
         entry = catalog.euclidean_disk(2.0)
         cfg, edges = catalog.action_setup(entry, 1.0, 1.0, (64, 64))
-        assert edge_action(edges[0].boundary, cfg) == pytest.approx(-4.0 * np.pi,
-                                                                    abs=1e-12)
+        assert edge_action(edges[0], cfg) == pytest.approx(-4.0 * np.pi, abs=1e-12)
 
     def test_straight_worldline_proper_time(self):
         cfg, edges = catalog.action_setup(PLANE, 1.0, 1.0, (64, 64))
-        assert edge_action(edges[0].boundary, cfg) == pytest.approx(-1.0, abs=1e-12)
+        assert edge_action(edges[0], cfg) == pytest.approx(-1.0, abs=1e-12)
 
     def test_helicoid_edge_proper_time(self):
         cfg, edges = catalog.action_setup(HELICOID, 1.0, 1.0, (64, 64))
-        upper = [e for e in edges if e.side == "upper"][0]
-        assert edge_action(upper.boundary, cfg) == pytest.approx(-np.sqrt(0.75),
-                                                                 abs=1e-12)
+        upper = [e for e in edges if e.orientation > 0][0]
+        assert edge_action(upper, cfg) == pytest.approx(-np.sqrt(0.75), abs=1e-12)
 
     def test_quadrature_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             ActionConfig(1.0, 1.0, (GridAxis(4, 0.0, 1.0), GridAxis(32, 0.0, 1.0)))
+
+    @pytest.mark.parametrize("mu0,mub", [(np.inf, 0.7), (np.nan, 0.7), (1.0, np.inf),
+                                         (1.0, np.nan), (-1.0, 0.7)])
+    def test_tension_validation(self, mu0, mub):
+        with pytest.raises(InvalidParameters, match="tensions"):
+            ActionConfig(mu0, mub, (GridAxis(8, 0.0, 1.0), GridAxis(8, 0.0, 1.0)))
 
 
 class TestMetricVariation:
@@ -156,6 +160,15 @@ class TestFirstVariation:
             first_variation_fd(PLANE.embedding, attached if edges else [], cfg,
                                random_deformation(PLANE, seed=1), epsilon)
 
+    @pytest.mark.parametrize("field,shape", [("tangential_fn", (2,)), ("normal_fn", (1,)),
+                                             ("boundary_normal_fns", ())])
+    def test_non_finite_deformation_rejected(self, field, shape):
+        cfg, edges = catalog.action_setup(PLANE, 1.0, 0.7, (8, 8))
+        nan_field = lambda x: np.full(x.shape[:-1] + shape, np.nan)
+        defo = dataclasses.replace(random_deformation(PLANE, seed=1), **{field: nan_field})
+        with pytest.raises(InvalidParameters, match="non-finite"):
+            first_variation_analytic(PLANE.embedding, edges, cfg, defo)
+
     def test_normal_only_deformation_of_flat_strip_is_null(self):
         # K vanishes and no edge term involves the normal component here
         cfg, edges = catalog.action_setup(PLANE, 1.0, 0.7, (48, 48))
@@ -220,7 +233,7 @@ class TestFirstVariation:
         # displacing the edge by Psi equals deforming the sheet tangentially
         # with eta-component Psi near that edge: same total variation
         cfg, edges = catalog.action_setup(PLANE, 1.0, 0.7, (64, 64))
-        upper = [e for e in edges if e.side == "upper"]
+        upper = [e for e in edges if e.orientation > 0]
         psi = lambda u: 0.4 * np.sin(1.3 * u[..., 0])
         via_edge = DeformationField(boundary_normal_fns=psi,
                                     time_extent=(0.0, 1.0))
