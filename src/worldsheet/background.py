@@ -7,6 +7,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DegenerateMetric, InvalidParameters
+
 Array = np.ndarray
 
 LORENTZIAN = "lorentzian"
@@ -25,6 +27,7 @@ class BackgroundMetric:
     signature matrix and the Christoffels and Riemann tensor are read-only zero
     views.  Curved backgrounds must supply Christoffels (and, for integrability
     checks, the Riemann tensor) analytically; they are never finite-differenced.
+    A callback value that is not finite raises DegenerateMetric.
     """
 
     dimension: int
@@ -35,48 +38,46 @@ class BackgroundMetric:
 
     def __post_init__(self) -> None:
         if self.signature not in (LORENTZIAN, EUCLIDEAN):
-            raise ValueError(f"unknown signature {self.signature!r}")
+            raise InvalidParameters(f"unknown signature {self.signature!r}")
         if self.dimension < 1:
-            raise ValueError("background dimension must be positive")
+            raise InvalidParameters("background dimension must be positive")
 
     @property
     def flat(self) -> bool:
         return self.metric_fn is None
 
-    def _flat_matrix(self) -> Array:
-        g = np.eye(self.dimension)
-        if self.signature == LORENTZIAN:
-            g[0, 0] = -1.0
-        return g
-
     def metric_at(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         if self.metric_fn is None:
-            g = self._flat_matrix()
+            g = np.eye(self.dimension)
+            g[0, 0] = -1.0 if self.signature == LORENTZIAN else 1.0
             return np.broadcast_to(g, x.shape[:-1] + g.shape).copy()
-        return np.asarray(self.metric_fn(x), dtype=float)
+        return _finite(self.metric_fn(x), "metric_fn")
 
     def christoffels_at(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        n = self.dimension
-        if self.christoffel_fn is None:
-            if self.metric_fn is not None:
-                raise ValueError(
-                    "curved backgrounds must supply christoffel_fn analytically"
-                )
-            return np.broadcast_to(np.zeros((n, n, n)), x.shape[:-1] + (n, n, n))
-        return np.asarray(self.christoffel_fn(x), dtype=float)
+        return self._curvature_at(x, "christoffel_fn", 3)
 
     def riemann_at(self, x: Array) -> Array:
+        return self._curvature_at(x, "riemann_fn", 4)
+
+    def _curvature_at(self, x: Array, slot: str, rank: int) -> Array:
+        """Callback ``slot`` at x; a flat background gives read-only zeros of that rank."""
         x = np.asarray(x, dtype=float)
-        n = self.dimension
-        if self.riemann_fn is None:
+        fn = getattr(self, slot)
+        if fn is None:
             if self.metric_fn is not None:
-                raise ValueError(
-                    "curved backgrounds must supply riemann_fn for integrability checks"
-                )
-            return np.broadcast_to(np.zeros((n, n, n, n)), x.shape[:-1] + (n, n, n, n))
-        return np.asarray(self.riemann_fn(x), dtype=float)
+                raise InvalidParameters(f"curved backgrounds must supply {slot} analytically")
+            shape = (self.dimension,) * rank
+            return np.broadcast_to(np.zeros(shape), x.shape[:-1] + shape)
+        return _finite(fn(x), slot)
+
+
+def _finite(values: Array, slot: str) -> Array:
+    """A curved background's callback output as floats, checked to be finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise DegenerateMetric(f"background {slot} is not finite")
+    return values
 
 
 def minkowski(dimension: int) -> BackgroundMetric:

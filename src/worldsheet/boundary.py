@@ -137,6 +137,9 @@ LaplacianResiduals = namedtuple("LaplacianResiduals", ["normal", "eta", "combine
 
 
 def _pullback_metric(bnd: BoundaryEmbedding, gamma: Array, eps: Array) -> tuple[Array, Array]:
+    """h_AB and its inverse from the edge tangents eps = d_chi, checked finite and non-null."""
+    if not np.all(np.isfinite(eps)):
+        raise DegenerateImmersion("non-finite edge tangents d_chi")
     h = _pullback(eps, gamma)
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
     det_h = np.linalg.det(h)
@@ -154,8 +157,6 @@ def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: Frame) -> Frame:
     det[eps, eta] has the boundary's ``orientation``.
     """
     eps = bnd.d_chi(point)
-    if not np.all(np.isfinite(eps)):
-        raise DegenerateImmersion("non-finite edge tangents d_chi")
     gamma = fr.induced_metric
     h, h_inv = _pullback_metric(bnd, gamma, eps)
     eta, found = _gram_schmidt_normals(gamma, _projected_seeds(gamma, eps, h_inv), 1)

@@ -136,8 +136,8 @@ def helicoid(omega: float = 0.5, R: float = 1.0) -> CatalogEntry:
     Valid for omega*R < 1 (the edge would be null at equality).  The stored
     tensions mu0 = 1 and mub = mu0 (1 - w^2 R^2) / (w^2 R) make the orbit exact.
     """
-    if R <= 0 or omega < 0 or omega * R >= 1.0:
-        raise InvalidParameters("helicoid requires R > 0 and 0 <= omega*R < 1")
+    if not (0 < R < math.inf and 0 <= omega < math.inf and omega * R < 1.0):
+        raise InvalidParameters("helicoid requires finite R > 0 and 0 <= omega*R < 1")
     om = float(omega)
     bg = minkowski(3)
 
@@ -190,7 +190,8 @@ def helicoid(omega: float = 0.5, R: float = 1.0) -> CatalogEntry:
         boundaries=(upper, lower),
         parameters=params,
         expected=tuple(expected),
-        # sigma grid avoids 0: the deterministic normal gauge flips sign there
+        # sigma = 0, where the deterministic normal gauge flips sign, is not on this
+        # grid; the residuals align the normals they difference, so hold there too
         sample_box=((0.0, 2.0), (-0.88 * R, 0.92 * R)),
         boundary_sample_range=(0.0, 2.0),
         periodic=(False, False),
@@ -215,8 +216,8 @@ def collapsing_string(a: float = 1.0, x0: float = 1.0) -> CatalogEntry:
     The worldsheet is a flat strip; the edges are the hyperbolic worldlines
     x(t) = +/- [x0 - (sqrt(1 + a^2 t^2) - 1)/a] with edge curvature k = -a.
     """
-    if a <= 0 or x0 <= 0:
-        raise InvalidParameters("collapsing string requires a > 0 and x0 > 0")
+    if not (0 < a < math.inf and 0 < x0 < math.inf):
+        raise InvalidParameters("collapsing string requires finite a > 0 and x0 > 0")
     emb = _flat_strip()
 
     def make_side(sign):
@@ -263,9 +264,11 @@ def planar_hole(rho: float = 2.0, outer: float | None = None) -> CatalogEntry:
     Polar bulk coordinates (t, phi, r) with the edge at r = rho; the stored
     tensions mu0 = 1 and mub = mu0 * rho make the hole an equilibrium.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameters("hole radius must be positive")
     outer = outer if outer is not None else rho + 2.0
+    if not rho < outer < math.inf:
+        raise InvalidParameters("outer radius must be finite and above the hole radius")
     bg = minkowski(4)
 
     def pos(xi):
@@ -318,8 +321,8 @@ def planar_hole(rho: float = 2.0, outer: float | None = None) -> CatalogEntry:
 
 def euclidean_disk(rho: float = 1.0) -> CatalogEntry:
     """Flat disk membrane of radius rho in polar coordinates (phi, r), edge outward."""
-    if rho <= 0:
-        raise InvalidParameters("disk radius must be positive")
+    if not 0 < rho < math.inf:
+        raise InvalidParameters("disk radius must be finite and positive")
     emb = _polar_plane()
     edge = _constant_boundary(emb, rho, 1)
     return CatalogEntry(
@@ -341,9 +344,11 @@ def euclidean_disk(rho: float = 1.0) -> CatalogEntry:
 
 def euclidean_plane_hole(rho: float = 2.0, outer: float | None = None) -> CatalogEntry:
     """Flat plane minus a disk (Euclidean), edge oriented toward the hole center."""
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameters("hole radius must be positive")
     outer = outer if outer is not None else rho + 2.0
+    if not rho < outer < math.inf:
+        raise InvalidParameters("outer radius must be finite and above the hole radius")
     emb = _polar_plane()
     edge = _constant_boundary(emb, rho, -1)
     return CatalogEntry(
@@ -443,8 +448,8 @@ def plane() -> CatalogEntry:
 
 def sphere(radius: float = 2.0) -> CatalogEntry:
     """Round sphere in Euclidean 3-space, spherical coordinates (theta, phi)."""
-    if radius <= 0:
-        raise InvalidParameters("sphere radius must be positive")
+    if not 0 < radius < math.inf:
+        raise InvalidParameters("sphere radius must be finite and positive")
     r = float(radius)
     bg = euclidean(3)
 
@@ -487,8 +492,8 @@ def sphere(radius: float = 2.0) -> CatalogEntry:
 
 def flat_torus(r1: float = 1.0, r2: float = 1.0) -> CatalogEntry:
     """Intrinsically flat product torus in Euclidean 4-space (two independent circles)."""
-    if r1 <= 0 or r2 <= 0:
-        raise InvalidParameters("torus radii must be positive")
+    if not (0 < r1 < math.inf and 0 < r2 < math.inf):
+        raise InvalidParameters("torus radii must be finite and positive")
     bg = euclidean(4)
 
     def pos(xi):

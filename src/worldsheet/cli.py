@@ -54,8 +54,10 @@ from .errors import InvalidParameters, WorldsheetError
 
 FLOAT_FMT = "%.12e"
 
-_EVOLVE_KEYS = {"schema_version", "initial_data", "grid_points", "dt_fraction",
-                "duration", "constraint_tol", "output_stride"}
+# the optional evolve keys and their kinds; SimulationConfig holds their defaults
+_EVOLVE_OPTIONAL = {"grid_points": int, "dt_fraction": float, "constraint_tol": float,
+                    "output_stride": int}
+_EVOLVE_KEYS = {"schema_version", "initial_data", "duration", *_EVOLVE_OPTIONAL}
 _SCAN_KEYS = {"schema_version", "scan", "start", "stop", "points",
               "mu0", "mub", "radius"}
 
@@ -239,10 +241,8 @@ def cmd_evolve(args) -> int:
     sim = SimulationConfig(
         initial_data=initial_data,
         duration=_config_number(config, "duration"),
-        grid_points=_config_number(config, "grid_points", int, 200),
-        dt_fraction=_config_number(config, "dt_fraction", default=0.5),
-        constraint_tol=_config_number(config, "constraint_tol", default=1e-4),
-        output_stride=_config_number(config, "output_stride", int, 10),
+        **{key: _config_number(config, key, kind)
+           for key, kind in _EVOLVE_OPTIONAL.items() if key in config},
     )
     initial_state_from_config(sim)  # rejects bad initial data before any output exists
     digest = config_digest(config)

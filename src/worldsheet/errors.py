@@ -10,11 +10,11 @@ class DegenerateImmersion(WorldsheetError):
 
 
 class DegenerateMetric(WorldsheetError):
-    """The induced metric is singular or has the wrong signature."""
+    """The induced metric is singular or mis-signed, or the background's is not finite."""
 
 
 class GaugeFailure(WorldsheetError):
-    """Normal-frame construction degenerated (even after reseeding)."""
+    """Normal-frame construction or alignment degenerated."""
 
 
 class NullBoundary(WorldsheetError):

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .background import LORENTZIAN, BackgroundMetric
-from .errors import DegenerateImmersion, DegenerateMetric, GaugeFailure
+from .errors import DegenerateImmersion, DegenerateMetric, GaugeFailure, InvalidParameters
 
 Array = np.ndarray
 
@@ -114,7 +114,7 @@ class Embedding:
     under a finite-difference stencil (these fallbacks, and every kernel that
     differences geometry built from the map) they receive the stencil points
     with one extra leading axis, in blocks of at most ``FD_BLOCK_POINTS``
-    points (see :func:`fd_jacobian`).
+    points (see :func:`fd_jacobian`).  Scope: 2 <= ``worldsheet_dim`` < N.
     """
 
     worldsheet_dim: int
@@ -123,6 +123,10 @@ class Embedding:
     d_position_fn: Callable[[Array], Array] | None = None
     dd_position_fn: Callable[[Array], Array] | None = None
     fd_step: float = DEFAULT_FD_STEP
+
+    def __post_init__(self) -> None:
+        if not 2 <= self.worldsheet_dim < self.background.dimension:
+            raise InvalidParameters("worldsheet dimension D must satisfy 2 <= D < N")
 
     @property
     def codimension(self) -> int:
@@ -271,9 +275,6 @@ def _gram_schmidt_normals(g: Array, seeds: Array, count_needed: int) -> tuple[Ar
 def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array) -> Array:
     """Gauge-fixed normal columns completing the tangents (see :func:`normal_frame`)."""
     k = embedding.codimension
-    n = embedding.background.dimension
-    if k == 0:
-        return np.zeros(tangents.shape[:-2] + (n, 0))
     normals, found = _gram_schmidt_normals(g, _projected_seeds(g, tangents, gamma_inv), k)
     if np.any(found < k):
         raise GaugeFailure("could not complete the normal frame from coordinate seeds")
@@ -286,9 +287,30 @@ def normal_frame(embedding: Embedding, point: Array) -> Array:
     The O(N-D) gauge is fixed deterministically: Gram-Schmidt over the
     background coordinate axes in ascending order, with each normal's sign
     chosen so its first significant component is positive.  Raises
-    GaugeFailure when that sweep cannot complete the frame.
+    GaugeFailure when that sweep cannot complete the frame.  The gauge may flip
+    between nearby points, so kernels difference normals aligned by :func:`_procrustes`.
     """
     return frame(embedding, point).normals
+
+
+def _polar_factor(overlap: Array) -> Array:
+    """Orthogonal polar factor u v^T of square overlaps (..., K, K).
+
+    For K = 1 that is the overlap's sign, -1 for -0.0 as the SVD gives, so no
+    SVD is made; K >= 2 takes the SVD.
+    """
+    if overlap.shape[-1] == 1:
+        return np.copysign(1.0, overlap)
+    u, _, vt = np.linalg.svd(overlap)
+    return u @ vt
+
+
+def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
+    """Frame columns ``raw`` rotated onto ``ref`` by the minimizing orthogonal matrix."""
+    overlap = np.swapaxes(raw, -1, -2) @ (g @ ref)
+    if not np.all(np.isfinite(overlap)):
+        raise GaugeFailure("non-finite normal-frame overlap in the Procrustes alignment")
+    return raw @ _polar_factor(overlap)
 
 
 def _frame_at(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array]:
@@ -441,39 +463,29 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
     Returns per-point max norms of
     ``D_a e_b - Gamma_ab^c e_c + K_ab^i n_i`` and
     ``D_a n^i - K_a^{b i} e_b - omega_a^{ij} n_j``; both vanish at the FD
-    convergence rate for smooth embeddings.  Raises GaugeFailure if the
-    deterministic normal gauge jumps inside the FD stencil.
+    convergence rate for smooth embeddings, also where the normal gauge flips:
+    one FD sweep of the frame, normals rotated onto the center's (:func:`_procrustes`).
     """
     point = np.asarray(point, dtype=float)
     loc = _local(embedding, point)
     fr, g, chris, kk = loc.frame, loc.g, loc.chris, loc.kk
     d = embedding.worldsheet_dim
-    n_dim = embedding.background.dimension
-    k = embedding.codimension
 
-    de = fd_jacobian(lambda p: embedding.d_position(p).reshape(p.shape[:-1] + (-1,)),
-                     point, fd_step)
-    # [mu, b, a]; Gamma is symmetric in its lower indices, so no transpose is needed
-    cov_e = _covariant_hessian(de.reshape(point.shape[:-1] + (n_dim, d, d)), chris, fr.tangents)
+    def aligned_frame(p: Array) -> Array:
+        f = frame(embedding, p)
+        cols = np.concatenate([f.tangents, _procrustes(f.normals, fr.normals, g)], axis=-1)
+        return cols.reshape(p.shape[:-1] + (-1,))
+
+    # [mu, column, a]: the tangent columns give d_a e_b as [mu, b, a]
+    dcols = fd_jacobian(aligned_frame, point, fd_step).reshape(fr.normals.shape[:-1] + (-1, d))
+    # Gamma is symmetric in its lower indices, so no transpose is needed
+    cov_e = _covariant_hessian(dcols[..., :d, :], chris, fr.tangents)
     gauss = (np.einsum("...mba->...abm", cov_e)
              - np.einsum("...abc,...mc->...abm", loc.conn, fr.tangents)
              + np.einsum("...abi,...mi->...abm", kk, fr.normals))
     res_gauss = np.max(np.linalg.norm(gauss, axis=-1), axis=(-1, -2))
 
-    if k == 0:
-        return res_gauss, np.zeros_like(res_gauss)
-
-    def stencil_normals(p: Array) -> Array:
-        # the FD stencil points of D_a n^i double as the gauge-continuity probe
-        nb = normal_frame(embedding, p)
-        overlap = np.einsum("...mi,...mn,...nj->...ij", nb, g, fr.normals)
-        if np.any(np.linalg.norm(overlap - np.eye(k), axis=(-1, -2)) > 0.25):
-            raise GaugeFailure(
-                "normal gauge jumps inside the FD stencil; evaluate at a generic point"
-            )
-        return nb
-
-    cov_n = _frame_derivative(stencil_normals, point, fr.tangents, fr.normals, chris, fd_step)
+    cov_n = _covariant_frame(dcols[..., d:, :], fr.tangents, fr.normals, chris)
     twist = _twist(cov_n, fr.normals, g)
     k_mixed = np.einsum("...bc,...aci->...abi", fr.induced_metric_inverse, kk)
     wein = (np.einsum("...mia->...aim", cov_n)

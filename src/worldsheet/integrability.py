@@ -9,8 +9,8 @@ record at other points.  One central-difference sweep of the record's
 connection, K and normal columns gives the intrinsic Riemann tensor, dK and
 the twist together; the twist curvature differences the twist through the
 same point function.  Normal frames at stencil points are aligned to the
-center frame by the minimizing rotation before differencing, so
-deterministic-gauge jumps cannot inject spurious twist.
+center frame by the minimizing rotation (``geometry._procrustes``) before
+differencing, so deterministic-gauge flips cannot inject spurious twist.
 
 Residual norms are the maximum over tangential index slots of the Euclidean
 norm over frame (normal) indices, which makes them exactly invariant under
@@ -25,13 +25,13 @@ from typing import Callable
 import numpy as np
 
 from .boundary import BoundaryEmbedding, _boundary_local, _EdgeLocal
-from .errors import GaugeFailure
 from .geometry import (
     Embedding,
     _covariant_frame,
     _frame_at,
     _Local,
     _local,
+    _procrustes,
     _twist,
     fd_jacobian,
     normal_frame,
@@ -92,26 +92,6 @@ class DirectEdgeResiduals:
 _LocalFn = Callable[[Array], _Local]
 
 
-def _polar_factor(overlap: Array) -> Array:
-    """Orthogonal polar factor u v^T of square overlaps (..., K, K).
-
-    For K = 1 that is the overlap's sign, -1 for -0.0 as the SVD gives, so no
-    SVD is made; K >= 2 takes the SVD.
-    """
-    if overlap.shape[-1] == 1:
-        return np.copysign(1.0, overlap)
-    u, _, vt = np.linalg.svd(overlap)
-    return u @ vt
-
-
-def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
-    """Frame columns ``raw`` rotated onto ``ref`` by the minimizing orthogonal matrix."""
-    overlap = np.swapaxes(raw, -1, -2) @ (g @ ref)
-    if not np.all(np.isfinite(overlap)):
-        raise GaugeFailure("non-finite normal-frame overlap in the Procrustes alignment")
-    return raw @ _polar_factor(overlap)
-
-
 def aligned_normal_frame_fn(embedding: Embedding,
                             center: Array) -> Callable[[Array], Array]:
     """Normal-frame field aligned to the frame at ``center`` by Procrustes rotation.
@@ -139,7 +119,7 @@ def _sheet_level(embedding: Embedding, point: Array, loc: _Local,
     :func:`normal_frame` aligned to the frame at ``point``.
     """
     if normal_frame_fn is None:
-        return _aligned(loc, loc), lambda p: _aligned(_local(embedding, p), loc)
+        return loc, lambda p: _aligned(_local(embedding, p), loc)
     normals_at = lambda p: np.asarray(normal_frame_fn(p), dtype=float)
     return (loc.with_normals(normals_at(point)),
             lambda p: _local(embedding, p).with_normals(normals_at(p)))
@@ -148,7 +128,7 @@ def _sheet_level(embedding: Embedding, point: Array, loc: _Local,
 def _spacetime_level(bnd: BoundaryEmbedding, bl: _EdgeLocal) -> tuple[_Local, _LocalFn]:
     """The edge in spacetime and its point function, normals aligned to those of ``bl``."""
     ref = bl.spacetime
-    return _aligned(ref, ref), lambda u: _aligned(_boundary_local(bnd, u).spacetime, ref)
+    return ref, lambda u: _aligned(_boundary_local(bnd, u).spacetime, ref)
 
 
 def _sweep(at: _LocalFn, point: Array, step: float, center: _Local) -> list[Array]:
@@ -283,11 +263,8 @@ def _ambient_riemann_lowered(embedding: Embedding, x: Array) -> Array:
 
 
 def _flat_max(t: Array, point: Array) -> Array:
-    """Max-abs over all non-batch axes, zero when the slot space is empty."""
-    lead = point.ndim - 1
-    if t.size == 0 or any(s == 0 for s in t.shape[lead:]):
-        return np.zeros(point.shape[:-1])
-    return np.max(np.abs(t).reshape(t.shape[:lead] + (-1,)), axis=-1)
+    """Max-abs over all non-batch axes."""
+    return np.max(np.abs(t).reshape(t.shape[:point.ndim - 1] + (-1,)), axis=-1)
 
 
 def worldsheet_integrability_residuals(

@@ -22,11 +22,11 @@ from .geometry import (
     _extrinsic,
     _frame_at,
     _local,
+    _procrustes,
     _pullback,
     fd_jacobian,
     induced_metric,
 )
-from .integrability import _procrustes
 
 Array = np.ndarray
 
@@ -61,6 +61,8 @@ class ActionConfig:
         if not (np.isfinite(self.mu0) and np.isfinite(self.mub)
                 and self.mu0 >= 0 and self.mub >= 0):
             raise InvalidParameters("tensions must be finite and non-negative")
+        if len(self.grid) < 2:
+            raise InvalidParameters("quadrature needs one axis per worldsheet dimension, D >= 2")
         for ax in self.grid:
             if ax.points < 8:
                 raise InvalidParameters("quadrature needs at least 8 points per dimension")
@@ -76,8 +78,6 @@ def _leading_mesh(grid: Sequence[GridAxis]) -> tuple[Array, float]:
         width = (ax.hi - ax.lo) / ax.points
         mids.append(ax.lo + width * (np.arange(ax.points) + 0.5))
         weight *= width
-    if not mids:
-        return np.zeros((1, 0)), 1.0
     mesh = np.meshgrid(*mids, indexing="ij")
     return np.stack(mesh, axis=-1), weight
 
@@ -109,7 +109,7 @@ def _volume_element(metric: Array, background: BackgroundMetric) -> Array:
     det = np.linalg.det(metric)
     if background.signature == LORENTZIAN:
         det = -det
-    if np.any(det <= 0):
+    if not np.all(det > 0):  # NaN fails too
         raise DegenerateMetric("degenerate volume element inside the domain")
     return np.sqrt(det)
 

@@ -114,6 +114,14 @@ class TestBoundaryData:
         with pytest.raises(NullBoundary):
             boundary_data(null, np.array([0.3]))
 
+    def test_spacelike_edge_rejected(self):
+        # an edge at fixed time: its normal in the sheet is timelike
+        spacelike = BoundaryEmbedding(
+            PLANE.embedding, lambda u: np.stack([np.full_like(u[..., 0], 0.3), u[..., 0]],
+                                                axis=-1), 1)
+        with pytest.raises(NullBoundary):
+            boundary_data(spacelike, np.array([[0.1], [0.4]]))
+
     @pytest.mark.parametrize("orientation", [0, 2, -0.5, np.nan, np.array([1, -1])])
     def test_orientation_must_be_a_sign(self, orientation):
         with pytest.raises(InvalidParameters, match="orientation"):
@@ -290,6 +298,11 @@ class TestLaplacianForms:
 
 
 class TestLaplacianDecomposition:
+    def test_scalar_value(self):
+        fld = WorldsheetScalar(lambda xi: xi[..., 0] * xi[..., 1] ** 2, None, None)
+        xi = np.array([[2.0, 3.0], [0.5, -1.0]])
+        assert np.array_equal(fld.value(xi), [18.0, 0.5])
+
     def test_constant_field(self):
         fld = WorldsheetScalar(
             lambda xi: np.full(xi.shape[:-1], 3.7),

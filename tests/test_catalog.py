@@ -94,6 +94,24 @@ def test_non_finite_parameter_rejected(spec):
         catalog.entry_from_id(spec)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("builder,args", [
+    (catalog.helicoid, (NAN, 1.0)), (catalog.helicoid, (0.0, INF)),
+    (catalog.planar_hole, (NAN,)), (catalog.euclidean_disk, (INF,)),
+    (catalog.collapsing_string, (NAN, 1.0)), (catalog.sphere, (INF,)),
+    (catalog.flat_torus, (NAN, 1.0)), (catalog.euclidean_plane_hole, (2.0, NAN)),
+    (catalog.euclidean_plane_hole, (2.0, 1.0)),   # outer inside the hole
+    (catalog.planar_hole, (2.0, 2.0)),
+], ids=["helicoid-nan-omega", "helicoid-inf-R", "hole-nan", "disk-inf", "collapsing-nan",
+        "sphere-inf", "torus-nan", "plane_hole-nan-outer", "plane_hole-inverted",
+        "hole-empty"])
+def test_builder_rejects_non_finite_or_inverted_parameters(builder, args):
+    with pytest.raises(InvalidParameters):
+        builder(*args)
+
+
 def test_reference_surfaces_roster():
     ids = [e.id for e in catalog.reference_surfaces()]
     assert ids == ["plane", "sphere", "torus"]

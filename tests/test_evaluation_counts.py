@@ -10,7 +10,9 @@ and build Gamma and K only where they are used.  A hole-radius scan is one
 edge evaluation over all its radii.
 A string step builds the outward edge direction once per Runge-Kutta rate
 evaluation of both ends together, plus once each for the new and old state.
-The Procrustes alignment of one normal column takes no SVD.
+The Procrustes alignment of one normal column takes no SVD.  The
+Gauss-Weingarten residual differences the tangents and the aligned normals
+in one sweep of the first-order frame.
 A finite-difference stencil calls its function once for all its shifts, in
 blocks of at most ``geometry.FD_BLOCK_POINTS`` points.
 """
@@ -31,9 +33,14 @@ from worldsheet.boundary import (
     laplacian_decomposition_residual,
 )
 from worldsheet.cli import main
-from worldsheet.geometry import Embedding, extrinsic_curvature, frame
-from worldsheet.integrability import (
+from worldsheet.geometry import (
+    Embedding,
     _procrustes,
+    extrinsic_curvature,
+    frame,
+    gauss_weingarten_residual,
+)
+from worldsheet.integrability import (
     boundary_integrability_residuals,
     curvature_tensors,
     direct_embedding_residuals,
@@ -90,6 +97,15 @@ def test_second_order_kernels_evaluate_each_quantity_once(counts, kernel, edge_c
     assert counts == {"position": 1, "d_position": 1, "dd_position": 1, "chi": edge_calls,
                       "d_chi": edge_calls, "dd_chi": edge_calls, "metric_at": 1}
     assert svd <= 1
+
+
+def test_gauss_weingarten_differences_one_first_order_frame(counts):
+    # the center's second-order evaluation, then one stacked stencil of the frame
+    gauss_weingarten_residual(HELICOID.embedding, HELICOID.sample_grid())
+    svd = counts.pop("svd")
+    assert counts == {"position": 2, "d_position": 2, "dd_position": 1,
+                      "chi": 0, "d_chi": 0, "dd_chi": 0, "metric_at": 2}
+    assert svd <= 2  # one rank check per frame; one normal column needs no polar SVD
 
 
 ACTION_CONFIG = catalog.action_setup(HELICOID, 1.0, 3.0, (8, 8))[0]

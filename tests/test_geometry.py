@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from worldsheet import catalog
-from worldsheet.background import euclidean, minkowski
-from worldsheet.errors import DegenerateImmersion, DegenerateMetric, GaugeFailure
+from worldsheet.background import LORENTZIAN, BackgroundMetric, euclidean, minkowski
+from worldsheet.errors import DegenerateImmersion, DegenerateMetric, InvalidParameters
 from worldsheet.geometry import (
     FD_BLOCK_POINTS,
     Embedding,
@@ -255,11 +255,12 @@ class TestGaussWeingarten:
                for h in (2e-3, 1e-3)]
         assert res[0] / res[1] > 3.5
 
-    def test_gauge_jump_detected(self):
-        # the deterministic gauge flips sign across sigma = 0 on the helicoid
-        with pytest.raises(GaugeFailure):
-            gauss_weingarten_residual(HELICOID.embedding, np.array([0.5, 0.0]),
-                                      fd_step=1e-4)
+    def test_evaluates_at_the_gauge_flip(self):
+        # the deterministic gauge flips sign across sigma = 0 on the helicoid;
+        # the stencil's normals are rotated onto the center frame first
+        r1, r2 = gauss_weingarten_residual(HELICOID.embedding, np.array([0.5, 0.0]),
+                                           fd_step=1e-4)
+        assert max(float(r1), float(r2)) < 1e-6
 
 
 class TestBatchShapes:
@@ -287,6 +288,48 @@ class TestBatchShapes:
             assert tensor.shape == (7, 5) + (3,) * rank
             assert tensor.strides[:2] == (0, 0)
             assert not np.any(tensor)
+
+
+class TestScope:
+    # a sheet with an edge (D >= 2) and at least one normal (D < N)
+    @pytest.mark.parametrize("dim,background", [(1, 3), (3, 3), (4, 3)],
+                             ids=["edge_is_a_point", "no_normal", "above_background"])
+    def test_worldsheet_dimension_out_of_scope_rejected(self, dim, background):
+        with pytest.raises(InvalidParameters, match="dimension"):
+            Embedding(dim, minkowski(background), lambda xi: xi)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"dimension": 3, "signature": "weird"}, "signature"),
+        ({"dimension": 0, "signature": LORENTZIAN}, "dimension"),
+    ], ids=["signature", "dimension"])
+    def test_background_construction_rejected(self, kwargs, match):
+        with pytest.raises(InvalidParameters, match=match):
+            BackgroundMetric(**kwargs)
+
+    @pytest.mark.parametrize("read", ["christoffels_at", "riemann_at"])
+    def test_curved_background_without_callback_rejected(self, read):
+        bg = BackgroundMetric(3, LORENTZIAN, metric_fn=minkowski(3).metric_at)
+        with pytest.raises(InvalidParameters, match="curved backgrounds must supply"):
+            getattr(bg, read)(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("slot,read", [("metric_fn", "metric_at"),
+                                           ("christoffel_fn", "christoffels_at"),
+                                           ("riemann_fn", "riemann_at")])
+    def test_non_finite_background_callback_rejected(self, slot, read):
+        callbacks = {"metric_fn": minkowski(3).metric_at,
+                     "christoffel_fn": minkowski(3).christoffels_at,
+                     "riemann_fn": minkowski(3).riemann_at}
+        flat = getattr(minkowski(3), read)
+
+        def poisoned(x):  # NaN at the second point only
+            out = np.array(flat(x))
+            out[1] = np.nan
+            return out
+
+        callbacks[slot] = poisoned
+        bg = BackgroundMetric(3, LORENTZIAN, **callbacks)
+        with pytest.raises(DegenerateMetric, match="not finite"):
+            getattr(bg, read)(np.zeros((2, 3)))
 
 
 class TestStackedStencils:
@@ -336,6 +379,15 @@ class TestFiniteness:
         emb = self._helicoid_with(position_fn=lambda p: np.full(p.shape[:-1] + (3,), np.nan))
         with pytest.raises(DegenerateImmersion, match="position"):
             frame(emb, HELICOID.sample_grid())
+
+    def test_non_finite_tangent_map_rejected(self):
+        def d_pos(p):
+            out = HELICOID.embedding.d_position_fn(p).copy()
+            out[..., 1, 0] = np.nan
+            return out
+
+        with pytest.raises(DegenerateImmersion, match="non-finite tangent map"):
+            frame(self._helicoid_with(d_position_fn=d_pos), HELICOID.sample_grid())
 
     def test_non_finite_second_derivatives_rejected(self):
         def dd(p):

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from worldsheet import catalog
 from worldsheet.background import minkowski
 from worldsheet.errors import GaugeFailure
-from worldsheet.geometry import Embedding, frame, normal_frame
+from worldsheet.geometry import Embedding, _polar_factor, _procrustes, frame, normal_frame
 from worldsheet.integrability import (
-    _polar_factor,
-    _procrustes,
     aligned_normal_frame_fn,
     boundary_integrability_residuals,
     curvature_tensors,
     direct_embedding_residuals,
+    worldsheet_connection,
     worldsheet_integrability_residuals,
     worldsheet_riemann,
 )
@@ -77,6 +76,16 @@ def twisted_torus_frame(angle_fn):
                         np.stack([s, c], axis=-1)], axis=-2)
         return np.einsum("...mi,...ij->...mj", base, rot)
     return field
+
+
+def test_sphere_connection_closed_form():
+    # (theta, phi): Gamma^theta_phiphi = -sin cos, Gamma^phi_thetaphi = cot theta
+    theta = np.array([0.6, 1.1, 2.2])
+    conn = worldsheet_connection(SPHERE.embedding, np.stack([theta, 0.4 + theta], axis=-1))
+    expect = np.zeros((3, 2, 2, 2))
+    expect[:, 1, 1, 0] = -np.sin(theta) * np.cos(theta)
+    expect[:, 0, 1, 1] = expect[:, 1, 0, 1] = 1.0 / np.tan(theta)
+    assert np.max(np.abs(conn - expect)) < 1e-12
 
 
 class TestWorldsheetRiemann:

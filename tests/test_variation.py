@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from worldsheet import catalog
-from worldsheet.errors import InvalidParameters
-from worldsheet.geometry import frame
+from worldsheet.background import minkowski
+from worldsheet.errors import DegenerateMetric, InvalidParameters
+from worldsheet.geometry import Embedding, frame
 from worldsheet.variation import (
     ActionConfig,
     DeformationField,
@@ -61,6 +62,17 @@ class TestActions:
     def test_quadrature_validation(self):
         with pytest.raises(InvalidParameters):
             ActionConfig(1.0, 1.0, (GridAxis(4, 0.0, 1.0), GridAxis(32, 0.0, 1.0)))
+
+    def test_one_axis_grid_rejected(self):
+        with pytest.raises(InvalidParameters, match="D >= 2"):
+            ActionConfig(1.0, 1.0, (GridAxis(8, 0.0, 1.0),))
+
+    def test_null_sheet_action_rejected(self):
+        null = Embedding(2, minkowski(3), lambda xi: np.stack(
+            [xi[..., 0], xi[..., 0], xi[..., 1]], axis=-1))
+        cfg = ActionConfig(1.0, 1.0, (GridAxis(8, 0.0, 1.0), GridAxis(8, 0.0, 1.0)))
+        with pytest.raises(DegenerateMetric, match="volume element"):
+            dng_action(null, cfg)
 
     @pytest.mark.parametrize("mu0,mub", [(np.inf, 0.7), (np.nan, 0.7), (1.0, np.inf),
                                          (1.0, np.nan), (-1.0, 0.7)])
