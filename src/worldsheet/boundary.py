@@ -37,12 +37,13 @@ from .geometry import (
     Embedding,
     Frame,
     _covariant_hessian,
+    _det_adjugate,
     _frame_at,
     _frame_derivative,
-    _gram_schmidt_normals,
+    _hodge_normal,
+    _inverse,
     _Local,
     _local,
-    _projected_seeds,
     _pullback,
     _twist,
     fd_hessian,
@@ -117,20 +118,30 @@ class AdaptedEdgeData:
 
 @dataclass(frozen=True)
 class WorldsheetScalar:
-    """Scalar field on the worldsheet with coordinate gradient and Hessian."""
+    """Scalar field on the worldsheet with coordinate gradient and Hessian.
+
+    A callback value that is not finite raises InvalidParameters.
+    """
 
     value_fn: Callable[[Array], Array]
     gradient_fn: Callable[[Array], Array]
     hessian_fn: Callable[[Array], Array]
 
+    @staticmethod
+    def _finite(fn: Callable[[Array], Array], xi: Array) -> Array:
+        values = np.asarray(fn(np.asarray(xi, dtype=float)), dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise InvalidParameters("worldsheet scalar field has non-finite values")
+        return values
+
     def value(self, xi: Array) -> Array:
-        return np.asarray(self.value_fn(np.asarray(xi, dtype=float)), dtype=float)
+        return self._finite(self.value_fn, xi)
 
     def gradient(self, xi: Array) -> Array:
-        return np.asarray(self.gradient_fn(np.asarray(xi, dtype=float)), dtype=float)
+        return self._finite(self.gradient_fn, xi)
 
     def hessian(self, xi: Array) -> Array:
-        return np.asarray(self.hessian_fn(np.asarray(xi, dtype=float)), dtype=float)
+        return self._finite(self.hessian_fn, xi)
 
 
 LaplacianResiduals = namedtuple("LaplacianResiduals", ["normal", "eta", "combined"])
@@ -142,11 +153,11 @@ def _pullback_metric(bnd: BoundaryEmbedding, gamma: Array, eps: Array) -> tuple[
         raise DegenerateImmersion("non-finite edge tangents d_chi")
     h = _pullback(eps, gamma)
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    det_h = np.linalg.det(h)
+    det_h, adj = _det_adjugate(h)
     scale = np.maximum(np.max(np.abs(eps), axis=(-1, -2)), 1.0) ** (2 * bnd.boundary_dim)
     if np.any(np.abs(det_h) < 1e-12 * scale):
         raise NullBoundary("boundary metric is degenerate (edge tangent to the light cone)")
-    return h, np.linalg.inv(h)
+    return h, _inverse(h, det_h, adj)
 
 
 def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: Frame) -> Frame:
@@ -154,16 +165,15 @@ def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: Frame) -> Frame:
 
     The tangents are eps^a_A, the metric h_AB, and the one normal column is
     the unit normal eta of the edge in the worldsheet, signed so that
-    det[eps, eta] has the boundary's ``orientation``.
+    det[eps, eta] has the boundary's ``orientation``: the Hodge normal of
+    eps raised with gamma^-1 has det[eps, n] > 0.
     """
     eps = bnd.d_chi(point)
-    gamma = fr.induced_metric
-    h, h_inv = _pullback_metric(bnd, gamma, eps)
-    eta, found = _gram_schmidt_normals(gamma, _projected_seeds(gamma, eps, h_inv), 1)
-    if np.any(found < 1):
+    h, h_inv = _pullback_metric(bnd, fr.induced_metric, eps)
+    eta, ok = _hodge_normal(eps, fr.induced_metric_inverse)
+    if not np.all(ok):
         raise NullBoundary("edge normal cannot be unit-normalized (null boundary)")
-    sign = bnd.orientation * np.sign(np.linalg.det(np.concatenate([eps, eta], axis=-1)))
-    return Frame(tangents=eps, normals=eta * sign[..., None, None],
+    return Frame(tangents=eps, normals=bnd.orientation * eta[..., None],
                  induced_metric=h, induced_metric_inverse=h_inv)
 
 

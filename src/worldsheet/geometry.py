@@ -6,11 +6,23 @@ leading batch axes of the evaluation points: a point argument of shape
 
 ``_local`` gives the sheet as a ``_Local``, the record of every level of the
 hierarchy, so at each level K is ``_extrinsic`` and Gamma is ``_connection``.
+
+The local kernel uses closed forms in place of LAPACK, each with its own
+scope:
+
+* the rank check of a D = 2 tangent map, from its 2x2 minors (D = 3 takes
+  the SVD);
+* the det, inverse and signature of a metric of dimension <= 3, from its
+  cofactors and Descartes' rule of signs (larger ones take LAPACK);
+* one normal (K = 1, D <= 3, and every edge normal eta), the Hodge dual of
+  the tangents raised with the inverse metric (more normals, or D > 3, take
+  the Gram-Schmidt sweep).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -172,16 +184,41 @@ class CurvatureData:
     worldsheet_connection: Array   # (..., D, D, D)
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[Array, Array]:
+    """Row pairs (mu < nu) of an n-row tangent map: the 2x2 minors of its wedge."""
+    mu, nu = np.triu_indices(n, 1)
+    mu.flags.writeable = nu.flags.writeable = False  # shared by every caller
+    return mu, nu
+
+
 def _rank_checked_scale(tangents: Array) -> Array:
-    """Largest singular value of the tangent map, after checking it is finite and of full rank."""
+    """Largest singular value of the tangent map, after checking it is finite and of full rank.
+
+    Full rank means s_min / s_max > 1e-10.  For D = 2 that is decided as
+    |e_1 ^ e_2| > 1e-10 s_max^2, since s_min s_max = |e_1 ^ e_2|: the wedge
+    comes from the 2x2 minors, which keep relative accuracy where the Gram
+    determinant cancels, and s_max^2 is the larger eigenvalue of the 2x2
+    Euclidean Gram matrix.  D = 3 takes the SVD.
+    """
     if not np.all(np.isfinite(tangents)):
         raise DegenerateImmersion("non-finite tangent map")
-    s = np.linalg.svd(tangents, compute_uv=False)
-    if np.any(s[..., -1] <= 1e-10 * s[..., 0]):
+    if tangents.shape[-1] == 2:
+        mu, nu = _pairs(tangents.shape[-2])
+        e1, e2 = tangents[..., 0], tangents[..., 1]
+        minors = e1[..., mu] * e2[..., nu] - e1[..., nu] * e2[..., mu]
+        g11, g22, g12 = (e1 * e1).sum(axis=-1), (e2 * e2).sum(axis=-1), (e1 * e2).sum(axis=-1)
+        s_max2 = 0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12)
+        degenerate = np.sqrt((minors * minors).sum(axis=-1)) <= 1e-10 * s_max2
+        s_max = np.sqrt(s_max2)
+    else:
+        s = np.linalg.svd(tangents, compute_uv=False)
+        degenerate, s_max = s[..., -1] <= 1e-10 * s[..., 0], s[..., 0]
+    if np.any(degenerate):
         raise DegenerateImmersion(
             "tangent map is rank-deficient (bad parametrization or coincident points)"
         )
-    return s[..., 0]
+    return s_max
 
 
 def _pullback(tangents: Array, metric: Array) -> Array:
@@ -201,13 +238,60 @@ def induced_metric(embedding: Embedding, point: Array) -> Array:
     return frame(embedding, point).induced_metric
 
 
-def _check_metric(embedding: Embedding, gamma: Array, scale: Array) -> None:
+def _det_adjugate(m: Array) -> tuple[Array, Array | None]:
+    """det m and its adjugate adj m = (det m) m^-1, for square matrices (..., d, d).
+
+    Closed-form cofactors for d <= 3; the 3x3 rows are the cross products of
+    the columns.  Beyond d = 3 the det is LAPACK's and the adjugate None.
+    """
+    d = m.shape[-1]
+    if d == 1:
+        return m[..., 0, 0], np.ones_like(m)
+    if d == 2:
+        a, b, c, e = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        return a * e - b * c, np.stack([e, -b, -c, a], axis=-1).reshape(m.shape)
+    if d == 3:
+        cols = np.swapaxes(m, -1, -2)
+        adj = np.cross(cols[..., [1, 2, 0], :], cols[..., [2, 0, 1], :])
+        return np.sum(adj[..., 0, :] * cols[..., 0, :], axis=-1), adj
+    return np.linalg.det(m), None
+
+
+def _inverse(m: Array, det: Array, adj: Array | None) -> Array:
+    """m^-1 from :func:`_det_adjugate`, once det m is known to be nonzero."""
+    if adj is None:
+        return np.linalg.inv(m)
+    return adj / det[..., None, None]
+
+
+def _negative_eigenvalues(m: Array, det: Array, adj: Array | None) -> Array:
+    """Count of negative eigenvalues of symmetric m with nonzero det, per matrix.
+
+    For d <= 3: Descartes' rule of signs on det(m + x) = x^d + tr m x^(d-1)
+    + ... + det m, whose coefficients are (tr m, tr adj m, det m) cut to d.
+    Its roots are minus the eigenvalues, all real, so the count of sign
+    changes (zeros skipped) is exact.
+    """
+    if adj is None:
+        return np.sum(np.linalg.eigvalsh(m) < 0, axis=-1)
+    d = m.shape[-1]
+    coefficients = [np.trace(m, axis1=-2, axis2=-1),
+                    np.trace(adj, axis1=-2, axis2=-1)][:d - 1] + [det]
+    count, last = 0, 1.0
+    for c in coefficients:
+        s = np.sign(c)
+        count = count + (s * last < 0)
+        last = np.where(s == 0, last, s)
+    return count
+
+
+def _check_metric(embedding: Embedding, gamma: Array, scale: Array) -> Array:
+    """gamma^-1, after checking gamma is nondegenerate with the background's signature."""
     d = embedding.worldsheet_dim
-    det = np.linalg.det(gamma)
+    det, adj = _det_adjugate(gamma)
     if np.any(np.abs(det) < DEGENERACY_TOL * scale ** (2 * d)):
         raise DegenerateMetric("induced metric is singular (null or collapsed point)")
-    eigs = np.linalg.eigvalsh(gamma)
-    negatives = np.sum(eigs < 0, axis=-1)
+    negatives = _negative_eigenvalues(gamma, det, adj)
     if embedding.background.signature == LORENTZIAN:
         if np.any(negatives != 1):
             raise DegenerateMetric(
@@ -216,6 +300,7 @@ def _check_metric(embedding: Embedding, gamma: Array, scale: Array) -> None:
     else:
         if np.any(negatives != 0):
             raise DegenerateMetric("induced metric is not positive definite")
+    return _inverse(gamma, det, adj)
 
 
 def _first_significant_sign(v: Array) -> Array:
@@ -272,9 +357,46 @@ def _gram_schmidt_normals(g: Array, seeds: Array, count_needed: int) -> tuple[Ar
     return normals, found
 
 
+@lru_cache(maxsize=None)
+def _minor_rows(n: int) -> tuple[Array, Array]:
+    """Rows kept as each row mu of an n-row matrix is deleted, (n, n-1), and (-1)^(mu+n-1)."""
+    rows = np.array([[r for r in range(n) if r != mu] for mu in range(n)])
+    signs = (-1.0) ** (np.arange(n) + n - 1)
+    rows.flags.writeable = signs.flags.writeable = False  # shared by every caller
+    return rows, signs
+
+
+def _hodge_normal(tangents: Array, g_inv: Array) -> tuple[Array, Array]:
+    """Unit normal of d tangent columns (..., d+1, d) in a (d+1)-dimensional space.
+
+    The covector nu_mu, the cofactors of [t, x] along x, is the Hodge dual of
+    t_1 ^ ... ^ t_d: det[t, x] = nu(x) for every x.  Raised with ``g_inv`` it
+    is normal to every t_a, and det[t, n] = g(n, n).  Returns (n, ok), with n
+    normalized where ``ok``: g(n, n) > 1e-10 |n|^2, the acceptance test of
+    :func:`_gram_schmidt_normals`, so det[t, n] > 0 there.
+    """
+    rows, signs = _minor_rows(tangents.shape[-2])
+    nu = signs * _det_adjugate(tangents[..., rows, :])[0]
+    n = np.einsum("...mn,...n->...m", g_inv, nu)
+    norm2 = (nu * n).sum(axis=-1)
+    ok = norm2 > 1e-10 * (n * n).sum(axis=-1)
+    return n / np.sqrt(np.where(ok, norm2, 1.0))[..., None], ok
+
+
 def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array) -> Array:
-    """Gauge-fixed normal columns completing the tangents (see :func:`normal_frame`)."""
+    """Gauge-fixed normal columns completing the tangents (see :func:`normal_frame`).
+
+    One normal (D <= 3) is the Hodge dual of the tangents, which is the
+    Gram-Schmidt gauge in closed form; more normals, or D > 3, take the sweep.
+    """
     k = embedding.codimension
+    if k == 1 and embedding.worldsheet_dim <= 3:
+        # a flat metric is the signature matrix, its own inverse
+        g_inv = g if embedding.background.flat else np.linalg.inv(g)
+        n, ok = _hodge_normal(tangents, g_inv)
+        if not np.all(ok):
+            raise GaugeFailure("the normal of the tangents is null or not finite")
+        return (n * _first_significant_sign(n)[..., None])[..., None]
     normals, found = _gram_schmidt_normals(g, _projected_seeds(g, tangents, gamma_inv), k)
     if np.any(found < k):
         raise GaugeFailure("could not complete the normal frame from coordinate seeds")
@@ -286,7 +408,8 @@ def normal_frame(embedding: Embedding, point: Array) -> Array:
 
     The O(N-D) gauge is fixed deterministically: Gram-Schmidt over the
     background coordinate axes in ascending order, with each normal's sign
-    chosen so its first significant component is positive.  Raises
+    chosen so its first significant component is positive (for one normal,
+    the same unit normal in closed form, see :func:`_normals`).  Raises
     GaugeFailure when that sweep cannot complete the frame.  The gauge may flip
     between nearby points, so kernels difference normals aligned by :func:`_procrustes`.
     """
@@ -318,6 +441,9 @@ def _frame_at(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array]:
 
     Evaluates the map, its tangent map and the background metric once each,
     checks rank and signature, and builds the normals from the same gamma.
+    For D = 2 with one normal every step is closed-form, with no LAPACK call:
+    the rank from the wedge of the tangents, gamma's det, inverse and
+    signature from its cofactors, and the normal as their Hodge dual.
     """
     point = np.asarray(point, dtype=float)
     x = embedding.position(point)
@@ -328,8 +454,7 @@ def _frame_at(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array]:
     g = embedding.background.metric_at(x)
     gamma = _pullback(e, g)
     gamma = 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
-    _check_metric(embedding, gamma, scale)
-    gamma_inv = np.linalg.inv(gamma)
+    gamma_inv = _check_metric(embedding, gamma, scale)
     fr = Frame(tangents=e, normals=_normals(embedding, g, e, gamma_inv),
                induced_metric=gamma, induced_metric_inverse=gamma_inv)
     return fr, x, g

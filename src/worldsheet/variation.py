@@ -19,6 +19,7 @@ from .boundary import BoundaryEmbedding, _boundary_local, _edge_frame
 from .errors import DegenerateMetric, InvalidParameters
 from .geometry import (
     Embedding,
+    _det_adjugate,
     _extrinsic,
     _frame_at,
     _local,
@@ -106,7 +107,7 @@ def _boundary_grid(grid: Sequence[GridAxis]) -> tuple[Array, float]:
 
 def _volume_element(metric: Array, background: BackgroundMetric) -> Array:
     """sqrt(|det|) of a pulled-back metric, which must have the background's signature."""
-    det = np.linalg.det(metric)
+    det = _det_adjugate(metric)[0]
     if background.signature == LORENTZIAN:
         det = -det
     if not np.all(det > 0):  # NaN fails too

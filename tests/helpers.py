@@ -3,14 +3,7 @@
 import numpy as np
 
 from worldsheet import catalog
-from worldsheet.boundary import _pullback_metric
-from worldsheet.geometry import (
-    Embedding,
-    _frame_at,
-    _gram_schmidt_normals,
-    _projected_seeds,
-    _step_scale,
-)
+from worldsheet.geometry import Embedding, _frame_at, _hodge_normal, _step_scale
 from worldsheet.variation import DeformationField, first_variation_fd
 
 
@@ -182,18 +175,17 @@ def looped_fd_hessian(fn, point, step):
 
 
 # Reference oracle for the edge orientation: the outward-hint rule that the
-# ``orientation`` sign replaced.  The Gram-Schmidt eta is signed by its
-# inner product with a worldsheet vector pointing out of the sheet;
+# ``orientation`` sign replaced.  The unit normal is signed by its inner
+# product with a worldsheet vector pointing out of the sheet;
 # ``boundary_data`` must give the same eta bit for bit.
 
 
 def hint_oriented_eta(bnd, u, hint):
     u = np.asarray(u, dtype=float)
     eps = bnd.d_chi(u)
-    gamma = _frame_at(bnd.parent, bnd.chi(u))[0].induced_metric
-    _, h_inv = _pullback_metric(bnd, gamma, eps)
-    eta = _gram_schmidt_normals(gamma, _projected_seeds(gamma, eps, h_inv), 1)[0][..., 0]
-    align = np.einsum("...a,...ab,...b->...", eta, gamma, hint)
+    fr = _frame_at(bnd.parent, bnd.chi(u))[0]
+    eta = _hodge_normal(eps, fr.induced_metric_inverse)[0]
+    align = np.einsum("...a,...ab,...b->...", eta, fr.induced_metric, hint)
     assert np.all(np.abs(align) >= 1e-12), "hint orthogonal to the edge normal"
     return eta * np.sign(align)[..., None]
 

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from worldsheet import catalog
 from worldsheet.background import LORENTZIAN, BackgroundMetric
 from worldsheet.boundary import (
+    WorldsheetScalar,
     adapted_edge_data,
     boundary_condition_residual,
     boundary_data,
     boundary_laplacian_residuals,
+    laplacian_decomposition_residual,
 )
 from worldsheet.errors import WorldsheetError
 from worldsheet.geometry import (
@@ -66,6 +68,7 @@ SLOTS = {  # slot -> the record that holds it
     "chi_fn": "edge", "d_chi_fn": "edge", "dd_chi_fn": "edge",
     "normal_fn": "deformation", "tangential_fn": "deformation",
     "boundary_normal_fns": "deformation", "boundary_tangential_fns": "deformation",
+    "value_fn": "scalar", "gradient_fn": "scalar", "hessian_fn": "scalar",
 }
 
 
@@ -91,7 +94,14 @@ def scenario(slot=None, wrap=None):
         boundary_normal_fns=lambda u: 0.3 * np.sin(u[..., 0]),
         boundary_tangential_fns=lambda u: 0.2 * np.cos(u[..., 0])[..., None],
         time_extent=(0.0, 1.0)), "deformation")
-    return emb, upper, edges, cfg, defo
+    # psi = xi^0 (xi^1)^2, with its closed-form gradient and Hessian
+    scalar = patched(WorldsheetScalar(
+        lambda xi: xi[..., 0] * xi[..., 1] ** 2,
+        lambda xi: np.stack([xi[..., 1] ** 2, 2.0 * xi[..., 0] * xi[..., 1]], axis=-1),
+        lambda xi: np.stack([np.stack([0.0 * xi[..., 0], 2.0 * xi[..., 1]], axis=-1),
+                             np.stack([2.0 * xi[..., 1], 2.0 * xi[..., 0]], axis=-1)], axis=-1)),
+        "scalar")
+    return emb, upper, edges, cfg, defo, scalar
 
 
 MAP = {"position_fn", "d_position_fn", "metric_fn"}
@@ -118,6 +128,10 @@ ENTRY_POINTS = {
     "boundary_laplacian_residuals": (
         lambda s: boundary_laplacian_residuals(s[1], U, 1.0, 3.0), EDGE),
     "adapted_edge_data": (lambda s: adapted_edge_data(s[1], U), EDGE),
+    "laplacian_decomposition_residual": (
+        lambda s: laplacian_decomposition_residual(s[1], U, s[5]),
+        EDGE | {"gradient_fn", "hessian_fn"}),
+    "WorldsheetScalar.value": (lambda s: s[5].value(PTS), {"value_fn"}),
     "boundary_integrability_residuals": (
         lambda s: boundary_integrability_residuals(s[1], U), EDGE),
     "direct_embedding_residuals": (lambda s: direct_embedding_residuals(s[1], U),
