@@ -43,7 +43,7 @@ class ExpectedValue:
 
     def __post_init__(self) -> None:
         if self.provenance not in ("paper", "trivial", "derived"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+            raise InvalidParameters(f"unknown provenance {self.provenance!r}")
 
 
 @dataclass(frozen=True)

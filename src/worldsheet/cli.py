@@ -70,12 +70,15 @@ def _fmt(x) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list | str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
 
 
 def config_digest(config: dict) -> str:
@@ -222,12 +225,13 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def _trajectory_rows(snapshots) -> Iterator[list[str]]:
-    """One formatted row per node and snapshot, produced as the CSV is written."""
+def _trajectory_rows(snapshots) -> Iterator[str]:
+    """One block of preformatted lines per snapshot, written by ``_write_csv`` as it stands:
+    the bytes of ``csv.writer``, as no formatted number or node index needs quoting."""
     for s in snapshots:
-        t = _fmt(s.time)
-        for idx, node in enumerate(s.positions.tolist()):
-            yield [t, str(idx)] + [FLOAT_FMT % x for x in node]
+        t = _fmt(s.time) + ","
+        line = "%d," + ",".join([FLOAT_FMT] * s.positions.shape[1]) + "\n"
+        yield "".join([t + line % (idx, *node) for idx, node in enumerate(s.positions.tolist())])
 
 
 def cmd_evolve(args) -> int:

@@ -6,10 +6,11 @@ particle driven by a pull of constant proper magnitude mu0/mub along minus the
 outward edge direction eta; eta is rebuilt every step by orthonormalizing the
 one-sided sigma derivative at the edge against the endpoint four-velocity.
 Each endpoint advances on its own in slice (coordinate) time by a Runge-Kutta
-step, so its time component tracks the interior slices exactly.  An endpoint
+step, so its time component tracks the interior slices exactly: a predictor
+advances its position only, then a corrector takes the full step.  An endpoint
 is a single N-vector, where numpy's per-call overhead would dominate, so its
-kernels run on lists of Python floats.  They keep numpy's operation order
-(``_fdot`` sums as ``_mdot`` does), so both forms agree to the bit.  Units: c = 1.
+kernels run on lists of Python floats, in numpy's operation order, so both
+forms agree to the bit.  Units: c = 1.
 """
 
 from __future__ import annotations
@@ -104,15 +105,11 @@ class SimulationConfig:
             raise InvalidParameters("bad constraint tolerance or output stride")
 
 
-def _mdot(u: Array, v: Array) -> Array:
-    return -u[..., 0] * v[..., 0] + (u[..., 1:] * v[..., 1:]).sum(axis=-1)
-
-
 # Float kernels of one endpoint: vectors are lists of Python floats.
 
 
 def _fdot(u: list, v: list) -> float:
-    """Minkowski product in ``_mdot``'s order: -u0 v0 + (0.0 + u1 v1 + ...).
+    """Minkowski product in numpy's order, -u0 v0 + (0.0 + u1 v1 + ...).
 
     numpy sums a short axis left to right from 0.0; starting there too keeps
     the sign of a zero sum.
@@ -176,7 +173,7 @@ def collapsing_initial_state(mu0: float, mub: float, x0: float,
                         mub if mub_right is None else mub_right)
     left = EndpointState(positions[0].copy(), u0.copy())
     right = EndpointState(positions[-1].copy(), u0.copy())
-    dsig = sigma[1] - sigma[0]
+    dsig = float(sigma[1] - sigma[0])  # numpy scalars would slow the float kernels
     return StringState(
         time=0.0, positions=positions, velocities=velocities,
         endpoints=(left, right), tensions=tensions, dsigma=dsig,
@@ -205,7 +202,7 @@ def rotating_initial_state(mu0: float, mub: float, radius: float,
                          np.array(_unit_timelike(velocities[0].tolist())))
     right = EndpointState(positions[-1].copy(),
                           np.array(_unit_timelike(velocities[-1].tolist())))
-    dsig = sigma[1] - sigma[0]
+    dsig = float(sigma[1] - sigma[0])  # numpy scalars would slow the float kernels
     scale = 2.0 * radius / (2.0 * sigma_max)
     return StringState(
         time=0.0, positions=positions, velocities=velocities,
@@ -235,46 +232,55 @@ def initial_state_from_config(config: SimulationConfig) -> StringState:
 
 
 def constraint_norms(state: StringState) -> tuple[float, float]:
-    """Max interior-node violations of the orthonormal-gauge constraints."""
-    xp = (state.positions[2:] - state.positions[:-2]) / (2.0 * state.dsigma)
-    xd = state.velocities[1:-1]
-    c1 = np.abs(_mdot(xd, xp))
-    c2 = np.abs(_mdot(xd, xd) + _mdot(xp, xp))
-    return float(np.max(c1)), float(np.max(c2))
+    """Max interior-node violations of the orthonormal-gauge constraints: one pass over
+    the (N, M-2) component rows in ``_fdot``'s order, as abs drops a zero's sign."""
+    xp = (state.positions[2:] - state.positions[:-2]).T / (2.0 * state.dsigma)
+    xd = state.velocities[1:-1].T
+    mixed, xd2, xp2 = xd[1] * xp[1], xd[1] * xd[1], xp[1] * xp[1]
+    for a, b in zip(xd[2:], xp[2:]):
+        mixed += a * b
+        xd2 += a * a
+        xp2 += b * b
+    return (float(np.abs(mixed - xd[0] * xp[0]).max()),
+            float(np.abs((xd2 - xd[0] * xd[0]) + (xp2 - xp[0] * xp[0])).max()))
 
 
-def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
-                 dt: float) -> tuple[list, list, float]:
-    """Classical fourth-order Runge-Kutta step of one endpoint in worldsheet time.
+def _position_stages(x0: list, u0: list, tangent: list, accel: float,
+                     dt: float) -> tuple[list, float, list, tuple]:
+    """(X, speed, eta at u0, (k1, k2, k3, u3)) of one endpoint's classical RK4 step.
 
-    Position, four-velocity and edge tangent are float lists, the pull ``accel``
-    is mu0/mub.  The rates are dX/dt = u speed, du/dt = -accel eta speed and
-    dtau/dt = speed, where speed is the norm of the one-sided edge tangent: the
-    gauge constraints force -Xdot^2 = X'^2 at the edge, so the endpoint slides
-    along its worldline at that rate relative to the interior slices.  Returns
-    (X, u, tau), u renormalized.
+    Position, four-velocity and edge tangent are float lists, the pull ``accel`` is
+    mu0/mub.  The rates are dX/dt = u speed and du/dt = -accel eta speed, where speed
+    is the norm of the one-sided edge tangent: the gauge constraints force -Xdot^2 =
+    X'^2 at the edge, so the endpoint slides along its worldline at that rate
+    relative to the interior slices.  X needs no k4, so the predictor stops here.
     """
     speed = _speed(tangent)
     pull = -accel
-
-    def du(u: list) -> list:
-        return [pull * e * speed for e in _eta(tangent, u)]
-
     half = 0.5 * dt
-    k1 = du(u0)
+    eta0 = _eta(tangent, u0)
+    k1 = [pull * e * speed for e in eta0]
     u1 = [a + half * k for a, k in zip(u0, k1)]
-    k2 = du(u1)
+    k2 = [pull * e * speed for e in _eta(tangent, u1)]
     u2 = [a + half * k for a, k in zip(u0, k2)]
-    k3 = du(u2)
+    k3 = [pull * e * speed for e in _eta(tangent, u2)]
     u3 = [a + dt * k for a, k in zip(u0, k3)]
-    k4 = du(u3)
     sixth = dt / 6.0
     x = [p + sixth * (a * speed + 2 * (b * speed) + 2 * (c * speed) + d * speed)
          for p, a, b, c, d in zip(x0, u0, u1, u2, u3)]
+    return x, speed, eta0, (k1, k2, k3, u3)
+
+
+def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
+                 dt: float) -> tuple[list, list, float, list]:
+    """The full step of :func:`_position_stages`: (X, u renormalized, tau, eta at u0)."""
+    x, speed, eta0, (k1, k2, k3, u3) = _position_stages(x0, u0, tangent, accel, dt)
+    k4 = [-accel * e * speed for e in _eta(tangent, u3)]
+    sixth = dt / 6.0
     u = _unit_timelike([a + sixth * (q1 + 2 * q2 + 2 * q3 + q4)
                         for a, q1, q2, q3, q4 in zip(u0, k1, k2, k3, k4)])
     tau = tau0 + sixth * (speed + 2 * speed + 2 * speed + speed)
-    return x, u, tau
+    return x, u, tau, eta0
 
 
 def step(state: StringState, config: SimulationConfig) -> StringState:
@@ -296,12 +302,12 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     new_pos = pos.copy()
     new_pos[1:-1] = pos[1:-1] + dt * v_half
 
-    # endpoints: predictor fills the end rows, then a corrector re-advances
-    # them with the step-midpoint edge tangent (second-order coupling)
+    # endpoints: a position-only predictor fills the end rows, then a corrector
+    # re-advances them with the step-midpoint edge tangent (second-order coupling)
     edge_rows = pos[_EDGE_ROWS]
-    for row, start, tangent, accel in zip(
+    for row, (x0, u0, _), tangent, accel in zip(
             (0, -1), starts, _outward_tangents(edge_rows.tolist(), state.dsigma), accels):
-        new_pos[row] = _advance_end(*start, tangent, accel, dt)[0]
+        new_pos[row] = _position_stages(x0, u0, tangent, accel, dt)[0]
     tangents = _outward_tangents((0.5 * (edge_rows + new_pos[_EDGE_ROWS])).tolist(),
                                  state.dsigma)
     ends = [_advance_end(*start, tangent, accel, dt)
@@ -311,15 +317,15 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     new_vel = np.empty_like(vel)
     new_vel[1:-1] = v_half + 0.5 * dt * ((new_pos[2:] - 2.0 * new_pos[1:-1]
                                           + new_pos[:-2]) / ds2)
-    for row, (_, u, _), tangent in zip(
+    for row, (_, u, _, _), tangent in zip(
             (0, -1), ends, _outward_tangents(new_pos[_EDGE_ROWS].tolist(), state.dsigma)):
         speed = _speed(tangent)
         new_vel[row] = [c * speed for c in u]
     # EndpointState field order: X, u, tau, eta, then the previous u, tau, eta
     endpoints = tuple(
         EndpointState(np.array(x), np.array(u), tau, np.array(_eta(tangent, u)),
-                      np.array(u0), tau0, np.array(_eta(tangent, u0)))
-        for (x, u, tau), (_, u0, tau0), tangent in zip(ends, starts, tangents))
+                      np.array(u0), tau0, np.array(eta0))
+        for (x, u, tau, eta0), (_, u0, tau0), tangent in zip(ends, starts, tangents))
 
     new_state = StringState(
         time=state.time + dt,

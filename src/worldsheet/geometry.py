@@ -192,14 +192,14 @@ def _pairs(n: int) -> tuple[Array, Array]:
     return mu, nu
 
 
-def _rank_checked_scale(tangents: Array) -> Array:
-    """Largest singular value of the tangent map, after checking it is finite and of full rank.
+def _rank_checked_scale(tangents: Array) -> tuple[Array, Array | None]:
+    """(s_max, minors): the largest singular value of a finite, full-rank tangent map.
 
     Full rank means s_min / s_max > 1e-10.  For D = 2 that is decided as
     |e_1 ^ e_2| > 1e-10 s_max^2, since s_min s_max = |e_1 ^ e_2|: the wedge
-    comes from the 2x2 minors, which keep relative accuracy where the Gram
-    determinant cancels, and s_max^2 is the larger eigenvalue of the 2x2
-    Euclidean Gram matrix.  D = 3 takes the SVD.
+    comes from the 2x2 minors (returned, in ``_pairs`` order), which keep relative
+    accuracy where the Gram determinant cancels, and s_max^2 is the larger
+    eigenvalue of the 2x2 Euclidean Gram matrix.  D = 3 takes the SVD, minors None.
     """
     if not np.all(np.isfinite(tangents)):
         raise DegenerateImmersion("non-finite tangent map")
@@ -213,12 +213,12 @@ def _rank_checked_scale(tangents: Array) -> Array:
         s_max = np.sqrt(s_max2)
     else:
         s = np.linalg.svd(tangents, compute_uv=False)
-        degenerate, s_max = s[..., -1] <= 1e-10 * s[..., 0], s[..., 0]
+        degenerate, s_max, minors = s[..., -1] <= 1e-10 * s[..., 0], s[..., 0], None
     if np.any(degenerate):
         raise DegenerateImmersion(
             "tangent map is rank-deficient (bad parametrization or coincident points)"
         )
-    return s_max
+    return s_max, minors
 
 
 def _pullback(tangents: Array, metric: Array) -> Array:
@@ -366,24 +366,28 @@ def _minor_rows(n: int) -> tuple[Array, Array]:
     return rows, signs
 
 
-def _hodge_normal(tangents: Array, g_inv: Array) -> tuple[Array, Array]:
+def _hodge_normal(tangents: Array, g_inv: Array,
+                  minors: Array | None = None) -> tuple[Array, Array]:
     """Unit normal of d tangent columns (..., d+1, d) in a (d+1)-dimensional space.
 
     The covector nu_mu, the cofactors of [t, x] along x, is the Hodge dual of
     t_1 ^ ... ^ t_d: det[t, x] = nu(x) for every x.  Raised with ``g_inv`` it
     is normal to every t_a, and det[t, n] = g(n, n).  Returns (n, ok), with n
     normalized where ``ok``: g(n, n) > 1e-10 |n|^2, the acceptance test of
-    :func:`_gram_schmidt_normals`, so det[t, n] > 0 there.
+    :func:`_gram_schmidt_normals`, so det[t, n] > 0 there.  Given d = 2 ``minors``
+    (of :func:`_rank_checked_scale`), deleting row mu leaves their pair 2 - mu.
     """
     rows, signs = _minor_rows(tangents.shape[-2])
-    nu = signs * _det_adjugate(tangents[..., rows, :])[0]
+    dets = _det_adjugate(tangents[..., rows, :])[0] if minors is None else minors[..., ::-1]
+    nu = signs * dets
     n = np.einsum("...mn,...n->...m", g_inv, nu)
     norm2 = (nu * n).sum(axis=-1)
     ok = norm2 > 1e-10 * (n * n).sum(axis=-1)
     return n / np.sqrt(np.where(ok, norm2, 1.0))[..., None], ok
 
 
-def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array) -> Array:
+def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array,
+             minors: Array | None) -> Array:
     """Gauge-fixed normal columns completing the tangents (see :func:`normal_frame`).
 
     One normal (D <= 3) is the Hodge dual of the tangents, which is the
@@ -393,7 +397,7 @@ def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array) 
     if k == 1 and embedding.worldsheet_dim <= 3:
         # a flat metric is the signature matrix, its own inverse
         g_inv = g if embedding.background.flat else np.linalg.inv(g)
-        n, ok = _hodge_normal(tangents, g_inv)
+        n, ok = _hodge_normal(tangents, g_inv, minors)
         if not np.all(ok):
             raise GaugeFailure("the normal of the tangents is null or not finite")
         return (n * _first_significant_sign(n)[..., None])[..., None]
@@ -450,12 +454,12 @@ def _frame_at(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array]:
     if not np.all(np.isfinite(x)):
         raise DegenerateImmersion("non-finite position")
     e = embedding.d_position(point)
-    scale = _rank_checked_scale(e)
+    scale, minors = _rank_checked_scale(e)
     g = embedding.background.metric_at(x)
     gamma = _pullback(e, g)
     gamma = 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
     gamma_inv = _check_metric(embedding, gamma, scale)
-    fr = Frame(tangents=e, normals=_normals(embedding, g, e, gamma_inv),
+    fr = Frame(tangents=e, normals=_normals(embedding, g, e, gamma_inv, minors),
                induced_metric=gamma, induced_metric_inverse=gamma_inv)
     return fr, x, g
 

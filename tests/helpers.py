@@ -1,5 +1,8 @@
 """Shared fixtures for the residual and variation test suites."""
 
+import csv
+import io
+
 import numpy as np
 
 from worldsheet import catalog
@@ -193,3 +196,19 @@ def hint_oriented_eta(bnd, u, hint):
 def graph_edge_hint(edge):
     """The hint of a graph edge chi(u) = (u, f(u)): +-1 along the last axis."""
     return edge.orientation * np.eye(edge.parent.worldsheet_dim)[-1]
+
+
+# Reference oracle for ``trajectory.csv``: one ``csv.writer.writerow`` per node,
+# each number formatted per cell.  ``worldsheet.cli`` writes each snapshot as
+# preformatted lines instead, and must reproduce these bytes exactly.
+
+
+def csv_writer_trajectory(snapshots, float_fmt):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "node"] + [f"x{i}" for i in range(snapshots[0].positions.shape[1])])
+    for s in snapshots:
+        for idx, node in enumerate(s.positions.tolist()):
+            writer.writerow([c if isinstance(c, str) else float_fmt % float(c)
+                             for c in [s.time, str(idx), *node]])
+    return buf.getvalue().encode("utf-8")

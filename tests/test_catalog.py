@@ -123,6 +123,11 @@ def test_provenance_tags_are_constrained():
             assert exp.provenance in ("paper", "trivial", "derived")
 
 
+def test_unknown_provenance_is_invalid_parameters():
+    with pytest.raises(InvalidParameters, match="unknown provenance 'folklore'"):
+        catalog.ExpectedValue("edge_trace", 0.0, 1e-8, "folklore")
+
+
 def test_catalog_entries_never_fall_back_to_fd():
     for entry_id in ALL_IDS:
         entry = catalog.entry_from_id(entry_id)

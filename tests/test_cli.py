@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from worldsheet.cli import FLOAT_FMT, _scan_point_hole, main
-from worldsheet.errors import WorldsheetError
+from worldsheet.dynamics import SimulationConfig, evolve
+from worldsheet.errors import InconsistentGeometry, WorldsheetError
+
+from helpers import csv_writer_trajectory
 
 
 def write_json(path, payload):
@@ -134,6 +137,35 @@ class TestEvolve:
         assert len(written) == 3
         assert not (out / "trajectory.csv").exists()
         assert not (out / "manifest.json").exists()
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("config", [
+        dict(EVOLVE_CONFIG, output_stride=1),
+        dict(EVOLVE_CONFIG, initial_data={"id": "rotating", "mu0": 1.0, "mub": 3.0,
+                                          "radius": 1.0},
+             duration=1.0, output_stride=7),
+    ], ids=["collapse_stride_1", "rotating"])
+    def test_trajectory_bytes_equal_the_csv_writer_oracle(self, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, config)
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        sim = SimulationConfig(**{k: v for k, v in config.items() if k != "schema_version"})
+        expected = csv_writer_trajectory(evolve(sim).snapshots, FLOAT_FMT)
+        assert (out / "trajectory.csv").read_bytes() == expected
+
+    def test_worldsheet_error_exit_one_without_outputs(self, tmp_path, monkeypatch, capsys):
+        import worldsheet.cli as cli
+
+        def broken(sim):
+            raise InconsistentGeometry("rigged cross-check")
+
+        monkeypatch.setattr(cli, "evolve", broken)
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, EVOLVE_CONFIG)
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "failure: rigged cross-check\n"
         assert list(out.iterdir()) == []
 
     def test_byte_identical_outputs_for_same_digest(self, tmp_path):

@@ -28,6 +28,7 @@ from helpers import (
     batched_advance_endpoints,
     batched_edge_eta,
     batched_edge_tangents,
+    batched_mdot,
     batched_normalize_timelike,
 )
 
@@ -374,13 +375,17 @@ def test_float_endpoint_step_equals_batched_rows_bitwise_property(pair):
     eta_ref = batched_edge_eta(pair["tangents"], pair["u0"])
     for row in range(2):
         tangent, u0 = pair["tangents"][row].tolist(), pair["u0"][row].tolist()
-        x, u, tau = dynamics._advance_end(
-            pair["x0"][row].tolist(), u0, float(pair["tau0"][row]), tangent,
-            float(pair["accels"][row]), pair["dt"])
+        x0, accel = pair["x0"][row].tolist(), float(pair["accels"][row])
+        x, u, tau, eta0 = dynamics._advance_end(
+            x0, u0, float(pair["tau0"][row]), tangent, accel, pair["dt"])
         assert np.array(x).tobytes() == x_ref[row].tobytes()
         assert np.array(u).tobytes() == u_ref[row].tobytes()
         assert np.float64(tau).tobytes() == tau_ref[row].tobytes()
         assert np.array(dynamics._eta(tangent, u0)).tobytes() == eta_ref[row].tobytes()
+        # the corrector's eta at u0 and the predictor's position-only path
+        assert np.array(eta0).tobytes() == eta_ref[row].tobytes()
+        x_predicted = dynamics._position_stages(x0, u0, tangent, accel, pair["dt"])[0]
+        assert np.array(x_predicted).tobytes() == x_ref[row].tobytes()
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -391,3 +396,19 @@ def test_float_edge_tangents_equal_batched_rows_bitwise_property(m, n, dsigma, s
     ref = batched_edge_tangents(positions, dsigma)
     tangents = dynamics._outward_tangents(positions[dynamics._EDGE_ROWS].tolist(), dsigma)
     assert np.array(tangents).tobytes() == ref.tobytes()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(m=st.integers(3, 12), n=st.integers(2, 5), dsigma=st.floats(1e-3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_constraint_norms_equal_batched_products_bitwise_property(m, n, dsigma, seed):
+    rng = np.random.default_rng(seed)
+    positions, velocities = rng.normal(size=(2, m, n))
+    state = collapsing_initial_state(1.0, 1.0, 1.0, 16)
+    state = dataclasses.replace(state, positions=positions, velocities=velocities,
+                                dsigma=dsigma)
+    xp = (positions[2:] - positions[:-2]) / (2.0 * dsigma)
+    xd = velocities[1:-1]
+    ref = (np.max(np.abs(batched_mdot(xd, xp))),
+           np.max(np.abs(batched_mdot(xd, xd) + batched_mdot(xp, xp))))
+    assert np.array(constraint_norms(state)).tobytes() == np.array(ref).tobytes()

@@ -230,7 +230,7 @@ def test_procrustes_takes_an_svd_only_for_two_or_more_columns(counts, entry, svd
     assert counts["svd"] - before == svd_calls
 
 
-def test_step_builds_ten_edge_directions_per_end(monkeypatch):
+def test_step_builds_eight_edge_directions_per_end(monkeypatch):
     calls = 0
     original = dynamics._eta
 
@@ -244,4 +244,6 @@ def test_step_builds_ten_edge_directions_per_end(monkeypatch):
         initial_data={"id": "rotating", "mu0": 1.0, "mub": 3.0, "radius": 1.0},
         duration=1.0)
     dynamics.step(dynamics.initial_state_from_config(config), config)
-    assert calls == 20  # per end: predictor and corrector 4 each, then eta and prev_eta
+    # per end: the position-only predictor 3, the corrector 4 (its first is
+    # prev_eta), then eta
+    assert calls == 16
