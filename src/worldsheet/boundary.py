@@ -36,16 +36,14 @@ from .geometry import (
     DEFAULT_FD_STEP,
     Embedding,
     Frame,
-    _covariant_hessian,
+    _covariant,
     _det_adjugate,
     _frame_at,
-    _frame_derivative,
     _hodge_normal,
     _inverse,
     _Local,
     _local,
     _pullback,
-    _twist,
     fd_hessian,
     fd_jacobian,
 )
@@ -224,7 +222,7 @@ def _boundary_local(bnd: BoundaryEmbedding, point: Array) -> _EdgeLocal:
     # the sheet's connection is the ambient Christoffels, upper index first
     chris = np.moveaxis(sheet.conn, -1, -3)
     edge = _Local(edge_frame, xi, fr.induced_metric, chris,
-                  _covariant_hessian(dd_chi, chris, edge_frame.tangents))
+                  _covariant(dd_chi, chris, edge_frame.tangents, edge_frame.tangents))
     k_ab = edge.kk[..., 0]
     h_inv = edge_frame.induced_metric_inverse
     bd = BoundaryData(
@@ -264,11 +262,8 @@ def edge_equation_residual(bd: BoundaryData, mu0: float, mub: float) -> Array:
 
 def boundary_condition_residual(bnd: BoundaryEmbedding, point: Array) -> Array:
     """Projected-trace constraint H^{ab} K_ab^i at the edge, one entry per normal."""
-    point = np.asarray(point, dtype=float)
-    eps = bnd.d_chi(point)
-    sheet = _local(bnd.parent, bnd.chi(point))
-    _, h_inv = _pullback_metric(bnd, sheet.frame.induced_metric, eps)
-    return np.einsum("...ab,...abi->...i", _projector(eps, h_inv), sheet.kk)
+    bl = _boundary_local(bnd, point)
+    return np.einsum("...ab,...abi->...i", bl.bd.projector, bl.sheet.kk)
 
 
 def boundary_laplacian_residuals(bnd: BoundaryEmbedding, point: Array,
@@ -338,10 +333,10 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array) -> AdaptedEdgeData:
 
     def adapted_at(u: Array) -> Array:  # first order: the twist needs no k_AB
         fr_u = _frame_at(bnd.parent, bnd.chi(u))[0]
-        return _adapted_normals(fr_u, _edge_frame(bnd, u, fr_u))
+        return _adapted_normals(fr_u, _edge_frame(bnd, u, fr_u)).reshape(u.shape[:-1] + (-1,))
 
-    twist = _twist(_frame_derivative(adapted_at, point, y1, adapted, st.chris,
-                                     DEFAULT_FD_STEP), adapted, st.g)
+    twist = st.twist(fd_jacobian(adapted_at, point, DEFAULT_FD_STEP).reshape(
+        adapted.shape + point.shape[-1:]))
 
     kk = bl.sheet.kk
     projected = np.einsum("...aA,...bB,...abi->...ABi", bd.tangents_in_m,

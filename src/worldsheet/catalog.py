@@ -647,6 +647,8 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float) -> float
             vals.append(np.full(some.shape[0], res.max()))
         else:
             raise KeyError(f"unknown expected quantity {quantity!r}")
+    if not vals:
+        raise KeyError(f"unknown expected quantity {quantity!r} for {entry.id!r} (no edges)")
     return _worst(np.concatenate([np.atleast_1d(v) for v in vals]), expected)
 
 

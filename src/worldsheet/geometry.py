@@ -395,8 +395,12 @@ def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array,
     """
     k = embedding.codimension
     if k == 1 and embedding.worldsheet_dim <= 3:
-        # a flat metric is the signature matrix, its own inverse
-        g_inv = g if embedding.background.flat else np.linalg.inv(g)
+        g_inv = g  # a flat metric is the signature matrix, its own inverse
+        if not embedding.background.flat:
+            det, adj = _det_adjugate(g)
+            if np.any(det == 0):
+                raise DegenerateMetric("background metric is singular")
+            g_inv = _inverse(g, det, adj)
         n, ok = _hodge_normal(tangents, g_inv, minors)
         if not np.all(ok):
             raise GaugeFailure("the normal of the tangents is null or not finite")
@@ -469,9 +473,13 @@ def frame(embedding: Embedding, point: Array) -> Frame:
     return _frame_at(embedding, point)[0]
 
 
-def _covariant_hessian(dd: Array, chris: Array, tangents: Array) -> Array:
-    """D_a e_b^mu = X^mu_{,ab} + Gamma^mu_{rs} X^r_{,a} X^s_{,b} of a map into the background."""
-    return dd + np.einsum("...mrs,...ra,...sb->...mab", chris, tangents, tangents)
+def _covariant(dv: Array, chris: Array, cols: Array, tangents: Array) -> Array:
+    """D_A v_I^mu = d_A v_I^mu + Gamma^mu_{rs} v_I^r t_A^s of columns v_I along a map, [mu, I, A].
+
+    ``dv`` holds the coordinate derivatives d_A v_I and ``tangents`` the map's
+    t_A.  With the tangents as the columns it is the covariant Hessian D_A t_I.
+    """
+    return dv + np.einsum("...mrs,...ri,...sa->...mia", chris, cols, tangents)
 
 
 class _Local:
@@ -506,6 +514,11 @@ class _Local:
             self._kk = _extrinsic(self.frame.normals, self.g, self.sec)
         return self._kk
 
+    def twist(self, dn: Array) -> Array:
+        """omega_A^{IJ} of the normal columns from their coordinate derivatives [mu, I, A]."""
+        fr = self.frame
+        return _twist(_covariant(dn, self.chris, fr.normals, fr.tangents), fr.normals, self.g)
+
     def with_normals(self, normals: Array) -> _Local:
         """The same level with other normal columns; Gamma does not depend on them."""
         fr = self.frame
@@ -520,7 +533,7 @@ def _local(embedding: Embedding, point: Array) -> _Local:
     if not np.all(np.isfinite(dd)):
         raise DegenerateImmersion("non-finite second derivatives of the map")
     chris = embedding.background.christoffels_at(x)
-    return _Local(fr, x, g, chris, _covariant_hessian(dd, chris, fr.tangents))
+    return _Local(fr, x, g, chris, _covariant(dd, chris, fr.tangents, fr.tangents))
 
 
 def _extrinsic(normals: Array, g: Array, sec: Array) -> Array:
@@ -535,25 +548,8 @@ def _connection(fr: Frame, g: Array, sec: Array) -> Array:
                      fr.induced_metric_inverse, fr.tangents, g, sec)
 
 
-def _frame_derivative(frame_fn: Callable[[Array], Array], point: Array, tangents: Array,
-                      normals: Array, chris: Array, step: float) -> Array:
-    """D_A n^I = d_A n^I + Gamma n^I e_A of a frame field along a map, indexed [mu, I, A].
-
-    ``frame_fn`` is central-differenced with ``step``; ``tangents`` is the
-    map's tangent map (e_a for the sheet, y_A for the edge) at ``point``.
-    """
-    dn = fd_jacobian(lambda p: frame_fn(p).reshape(p.shape[:-1] + (-1,)), point, step)
-    return _covariant_frame(dn.reshape(normals.shape + (point.shape[-1],)), tangents,
-                            normals, chris)
-
-
-def _covariant_frame(dn: Array, tangents: Array, normals: Array, chris: Array) -> Array:
-    """D_A n^I from the coordinate derivatives ``dn`` of the frame, indexed [mu, I, A]."""
-    return dn + np.einsum("...mrs,...rA,...sI->...mIA", chris, tangents, normals)
-
-
 def _twist(cov: Array, normals: Array, g: Array) -> Array:
-    """Twist omega_A^{IJ} = g(n^J, D_A n^I), antisymmetrized, from :func:`_covariant_frame`."""
+    """Twist omega_A^{IJ} = g(n^J, D_A n^I), antisymmetrized, from D_A n^I (:func:`_covariant`)."""
     omega = np.einsum("...nJ,...nm,...mIA->...AIJ", normals, g, cov)
     return 0.5 * (omega - np.swapaxes(omega, -1, -2))
 
@@ -579,8 +575,9 @@ def extrinsic_curvature(embedding: Embedding, point: Array, *,
     if k <= 1:
         twist = np.zeros(point.shape[:-1] + (d, k, k))
     else:
-        twist = _twist(_frame_derivative(normal_frame_fn, point, fr.tangents, fr.normals,
-                                         loc.chris, embedding.fd_step), fr.normals, loc.g)
+        dn = fd_jacobian(lambda p: normal_frame_fn(p).reshape(p.shape[:-1] + (-1,)), point,
+                         embedding.fd_step)
+        twist = loc.twist(dn.reshape(fr.normals.shape + (d,)))
     return CurvatureData(extrinsic=loc.kk, traces=traces, twist=twist,
                          worldsheet_connection=loc.conn)
 
@@ -605,16 +602,16 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
         cols = np.concatenate([f.tangents, _procrustes(f.normals, fr.normals, g)], axis=-1)
         return cols.reshape(p.shape[:-1] + (-1,))
 
-    # [mu, column, a]: the tangent columns give d_a e_b as [mu, b, a]
+    # D_a of each column of [e | n], indexed [mu, column, a]
     dcols = fd_jacobian(aligned_frame, point, fd_step).reshape(fr.normals.shape[:-1] + (-1, d))
-    # Gamma is symmetric in its lower indices, so no transpose is needed
-    cov_e = _covariant_hessian(dcols[..., :d, :], chris, fr.tangents)
+    cov = _covariant(dcols, chris, np.concatenate([fr.tangents, fr.normals], axis=-1),
+                     fr.tangents)
+    cov_e, cov_n = cov[..., :d, :], cov[..., d:, :]
     gauss = (np.einsum("...mba->...abm", cov_e)
              - np.einsum("...abc,...mc->...abm", loc.conn, fr.tangents)
              + np.einsum("...abi,...mi->...abm", kk, fr.normals))
     res_gauss = np.max(np.linalg.norm(gauss, axis=-1), axis=(-1, -2))
 
-    cov_n = _covariant_frame(dcols[..., d:, :], fr.tangents, fr.normals, chris)
     twist = _twist(cov_n, fr.normals, g)
     k_mixed = np.einsum("...bc,...aci->...abi", fr.induced_metric_inverse, kk)
     wein = (np.einsum("...mia->...aim", cov_n)

@@ -27,12 +27,10 @@ import numpy as np
 from .boundary import BoundaryEmbedding, _boundary_local, _EdgeLocal
 from .geometry import (
     Embedding,
-    _covariant_frame,
     _frame_at,
     _Local,
     _local,
     _procrustes,
-    _twist,
     fd_jacobian,
     normal_frame,
 )
@@ -152,24 +150,25 @@ def _sweep(at: _LocalFn, point: Array, step: float, center: _Local) -> list[Arra
             for s, j in zip(shapes, np.split(jac, splits, axis=-2))]
 
 
+def _curvature(w: Array, dw: Array) -> Array:
+    """F_AB = d_A W_B - d_B W_A + [W_A, W_B] of a connection, indexed [A, B, I, J].
+
+    ``w`` holds the matrices (W_A)^I_J indexed [A, I, J], and ``dw`` their
+    derivatives with the direction last, as :func:`_sweep` gives them.
+    """
+    d_w = np.moveaxis(dw, -1, -4)  # [A, B, I, J]: d_A W_B
+    w_a, w_b = w[..., :, None, :, :], w[..., None, :, :, :]
+    return d_w - np.swapaxes(d_w, -4, -3) + w_a @ w_b - w_b @ w_a
+
+
 def _riemann(v: _Local, dconn: Array) -> Array:
-    """Fully lowered intrinsic Riemann R_{ABCD} from the connection of ``v`` and its derivative."""
-    conn = v.conn
-    mixed = (np.einsum("...dbac->...abcd", dconn)
-             - np.einsum("...cbad->...abcd", dconn)
-             + np.einsum("...cea,...dbe->...abcd", conn, conn)
-             - np.einsum("...dea,...cbe->...abcd", conn, conn))
-    return np.einsum("...ae,...ebcd->...abcd", v.frame.induced_metric, mixed)
-
-
-def _twist_of(v: _Local, dn: Array) -> Array:
-    """Twist omega_A^{IJ} of the normals of ``v`` from their coordinate derivatives."""
-    fr = v.frame
-    return _twist(_covariant_frame(dn, fr.tangents, fr.normals, v.chris), fr.normals, v.g)
+    """Fully lowered R_{ABCD}: the curvature of (W_C)^A_B = Gamma_CB^A, lowered with h_AE."""
+    f = _curvature(np.swapaxes(v.conn, -1, -2), np.swapaxes(dconn, -3, -2))  # [C, D, A, B]
+    return np.moveaxis(v.frame.induced_metric[..., None, None, :, :] @ f, (-4, -3), (-2, -1))
 
 
 def _twist_curvature(at: _LocalFn, omega0: Array, point: Array, step: float) -> Array:
-    """Omega_{AB IJ} = d_B omega_A - d_A omega_B + [W_A, W_B], omega differenced through ``at``.
+    """Omega_{AB IJ}, the curvature of W_A = -omega_A, with omega differenced through ``at``.
 
     The twist at each stencil point needs only the normals' derivative, so
     the inner sweep differences the normal columns alone, not Gamma and K.
@@ -182,13 +181,10 @@ def _twist_curvature(at: _LocalFn, omega0: Array, point: Array, step: float) -> 
     def omega(p: Array) -> Array:
         v = at(p)
         dn = fd_jacobian(normals, p, step).reshape(v.frame.normals.shape + p.shape[-1:])
-        return _twist_of(v, dn).reshape(p.shape[:-1] + (-1,))
+        return v.twist(dn).reshape(p.shape[:-1] + (-1,))
 
     domega = fd_jacobian(omega, point, step).reshape(omega0.shape + (point.shape[-1],))
-    comm = (np.einsum("...aik,...bkj->...abij", omega0, omega0)
-            - np.einsum("...bik,...akj->...abij", omega0, omega0))
-    return (np.einsum("...aijb->...abij", domega)
-            - np.einsum("...bija->...abij", domega) + comm)
+    return _curvature(-omega0, -domega)
 
 
 def _level(v: _Local, at: _LocalFn, point: Array, step: float
@@ -199,8 +195,15 @@ def _level(v: _Local, at: _LocalFn, point: Array, step: float
     if k < 2:  # one normal column: the twist and its curvature vanish identically
         return (riemann, dk, np.zeros(v.conn.shape[:-2] + (k, k)),
                 np.zeros(v.conn.shape[:-1] + (k, k)))
-    omega = _twist_of(v, dn)
+    omega = v.twist(dn)
     return riemann, dk, omega, _twist_curvature(at, omega, point, step)
+
+
+def _frame_pullback(r: Array, f: Array) -> Array:
+    """R(F, F, F, F): each slot of the 4-tensor ``r`` contracted with the columns of ``f``."""
+    for _ in range(4):  # the first slot moves last and is contracted, four times over
+        r = np.moveaxis(r, -4, -1) @ f[..., None, None, :, :]
+    return r
 
 
 def _structure_residuals(r_amb: Array, v: _Local, riemann: Array, dk: Array,
@@ -213,18 +216,21 @@ def _structure_residuals(r_amb: Array, v: _Local, riemann: Array, dk: Array,
     Ricci is None for fewer than two normals, where the family is vacuous.
     """
     t, n, kk, conn = v.frame.tangents, v.frame.normals, v.kk, v.conn
-    lhs = np.einsum("...mnrs,...ma,...nb,...rc,...sd->...abcd", r_amb, t, t, t, t)
+    d = t.shape[-1]
+    # the left-hand sides are the blocks of R(F, F, F, F), with F = [t | n] square
+    r_frame = _frame_pullback(r_amb, np.concatenate([t, n], axis=-1))
     kk_term = (np.einsum("...aci,...bdi->...abcd", kk, kk)
                - np.einsum("...adi,...bci->...abcd", kk, kk))
-    gauss = np.max(np.abs(lhs - (riemann - kk_term)), axis=(-4, -3, -2, -1))
+    gauss = np.max(np.abs(r_frame[..., :d, :d, :d, :d] - (riemann - kk_term)),
+                   axis=(-4, -3, -2, -1))
 
     cov_k = (np.einsum("...bcia->...abci", dk)
              - np.einsum("...abd,...dci->...abci", conn, kk)
              - np.einsum("...acd,...bdi->...abci", conn, kk)
              - np.einsum("...aij,...bcj->...abci", omega, kk))
     cm = cov_k - np.einsum("...abci->...baci", cov_k)
-    lhs_cm = np.einsum("...mnrs,...ma,...nb,...rc,...si->...abci", r_amb, t, t, t, n)
-    codazzi = np.max(np.linalg.norm(lhs_cm - cm, axis=-1), axis=(-3, -2, -1))
+    codazzi = np.max(np.linalg.norm(r_frame[..., :d, :d, :d, d:] - cm, axis=-1),
+                     axis=(-3, -2, -1))
 
     if n.shape[-1] < 2:
         return gauss, codazzi, None
@@ -232,8 +238,7 @@ def _structure_residuals(r_amb: Array, v: _Local, riemann: Array, dk: Array,
     rhs_ricci = (big_omega
                  - np.einsum("...aci,...bcj->...abij", kk, k_mixed)
                  + np.einsum("...bci,...acj->...abij", kk, k_mixed))
-    lhs_ricci = np.einsum("...mnrs,...ma,...nb,...ri,...sj->...abij", r_amb, t, t, n, n)
-    diff = lhs_ricci - rhs_ricci
+    diff = r_frame[..., :d, :d, d:, d:] - rhs_ricci
     ricci = np.max(np.linalg.norm(diff.reshape(diff.shape[:-2] + (-1,)), axis=-1),
                    axis=(-2, -1))
     return gauss, codazzi, ricci
@@ -256,10 +261,9 @@ def worldsheet_riemann(embedding: Embedding, point: Array,
     return _riemann(v, _sweep(at, point, step, v)[0])
 
 
-def _ambient_riemann_lowered(embedding: Embedding, x: Array) -> Array:
-    r_up = embedding.background.riemann_at(x)
-    g = embedding.background.metric_at(x)
-    return np.einsum("...ml,...lnrs->...mnrs", g, r_up)
+def _ambient_riemann_lowered(embedding: Embedding, v: _Local) -> Array:
+    """The background's R_{mu nu rho sigma} at the image point of ``v``, lowered with its g."""
+    return np.einsum("...ml,...lnrs->...mnrs", v.g, embedding.background.riemann_at(v.x))
 
 
 def _flat_max(t: Array, point: Array) -> Array:
@@ -280,7 +284,7 @@ def worldsheet_integrability_residuals(
     point = np.asarray(point, dtype=float)
     v, at = _sheet_level(embedding, point, _local(embedding, point), normal_frame_fn)
     return WorldsheetResiduals(*_structure_residuals(
-        _ambient_riemann_lowered(embedding, v.x), v, *_level(v, at, point, step)))
+        _ambient_riemann_lowered(embedding, v), v, *_level(v, at, point, step)))
 
 
 def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
@@ -318,7 +322,7 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     v, at = _spacetime_level(bnd, bl)
     riemann, dk, omega, big_omega = _level(v, at, point, step)
     gauss, codazzi, ricci = _structure_residuals(
-        _ambient_riemann_lowered(bnd.parent, v.x), v, riemann, dk, omega, big_omega)
+        _ambient_riemann_lowered(bnd.parent, v), v, riemann, dk, omega, big_omega)
 
     # twist inheritance: the tangential block matches the projected worldsheet
     # curvature less the cross terms of the mixed curvature m_{A i}, which the
@@ -357,7 +361,7 @@ def curvature_tensors(bnd: BoundaryEmbedding, point: Array,
     r_ws, _, _, twist_curv = _level(*_sheet_level(bnd.parent, xi, bl.sheet), xi, step)
     r_h, _, _, adapted = _level(*_spacetime_level(bnd, bl), point, step)
     return CurvatureTensors(
-        ambient_riemann=_ambient_riemann_lowered(bnd.parent, bl.sheet.x),
+        ambient_riemann=_ambient_riemann_lowered(bnd.parent, bl.sheet),
         worldsheet_riemann=r_ws,
         boundary_riemann=r_h,
         twist_curvature=twist_curv if bnd.parent.codimension >= 2 else None,

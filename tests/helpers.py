@@ -6,6 +6,7 @@ import io
 import numpy as np
 
 from worldsheet import catalog
+from worldsheet.background import EUCLIDEAN, BackgroundMetric
 from worldsheet.geometry import Embedding, _frame_at, _hodge_normal, _step_scale
 from worldsheet.variation import DeformationField, first_variation_fd
 
@@ -212,3 +213,85 @@ def csv_writer_trajectory(snapshots, float_fmt):
             writer.writerow([c if isinstance(c, str) else float_fmt % float(c)
                              for c in [s.time, str(idx), *node]])
     return buf.getvalue().encode("utf-8")
+
+
+# A curved background with closed forms: the round S^3 of radius a in
+# coordinates (chi, theta, phi), metric a^2 (dchi^2 + sin^2 chi dOmega^2), and
+# the sphere chi = chi0 inside it, with coordinates (theta, phi).  Every
+# Christoffel and ambient-Riemann term of the kernels is non-zero there.
+
+
+def round_s3(a):
+    def metric(x):
+        s2 = np.sin(x[..., 0]) ** 2
+        diag = a * a * np.stack([np.ones_like(s2), s2, s2 * np.sin(x[..., 1]) ** 2], axis=-1)
+        return diag[..., :, None] * np.eye(3)
+
+    def christoffels(x):  # [mu, alpha, beta], upper index first
+        chi, theta = x[..., 0], x[..., 1]
+        cot_chi, cot_theta = np.cos(chi) / np.sin(chi), np.cos(theta) / np.sin(theta)
+        out = np.zeros(x.shape[:-1] + (3, 3, 3))
+        out[..., 0, 1, 1] = -np.sin(chi) * np.cos(chi)
+        out[..., 0, 2, 2] = -np.sin(chi) * np.cos(chi) * np.sin(theta) ** 2
+        out[..., 1, 2, 2] = -np.sin(theta) * np.cos(theta)
+        out[..., 1, 0, 1] = out[..., 1, 1, 0] = cot_chi
+        out[..., 2, 0, 2] = out[..., 2, 2, 0] = cot_chi
+        out[..., 2, 1, 2] = out[..., 2, 2, 1] = cot_theta
+        return out
+
+    def riemann(x):  # R^m_{nrs} = (delta^m_r g_ns - delta^m_s g_nr) / a^2
+        g, eye = metric(x), np.eye(3)
+        return (np.einsum("mr,...ns->...mnrs", eye, g)
+                - np.einsum("ms,...nr->...mnrs", eye, g)) / (a * a)
+
+    return BackgroundMetric(3, EUCLIDEAN, metric, christoffels, riemann)
+
+
+def s3_sphere(a, chi0):
+    """The umbilic sphere chi = chi0 in ``round_s3(a)``: K_ab = (cot chi0 / a) gamma_ab."""
+    def pos(u):
+        return np.concatenate([np.full(u.shape[:-1] + (1,), chi0), u], axis=-1)
+
+    def d_pos(u):
+        return np.broadcast_to(np.eye(3)[:, 1:], u.shape[:-1] + (3, 2)).copy()
+
+    def dd_pos(u):
+        return np.zeros(u.shape[:-1] + (3, 2, 2))
+
+    return Embedding(2, round_s3(a), pos, d_pos, dd_pos)
+
+
+# Reference oracles for the structure-equation kernels: the einsum forms that
+# ``geometry._covariant``, ``integrability._curvature`` (through ``_riemann``
+# and ``_twist_curvature``) and ``integrability._frame_pullback`` replaced.
+# The kernels must agree with them to roundoff.
+
+
+def einsum_covariant_hessian(dd, chris, tangents):
+    return dd + np.einsum("...mrs,...ra,...sb->...mab", chris, tangents, tangents)
+
+
+def einsum_covariant_frame(dn, tangents, normals, chris):
+    return dn + np.einsum("...mrs,...rA,...sI->...mIA", chris, tangents, normals)
+
+
+def einsum_riemann(conn, dconn, metric):
+    mixed = (np.einsum("...dbac->...abcd", dconn)
+             - np.einsum("...cbad->...abcd", dconn)
+             + np.einsum("...cea,...dbe->...abcd", conn, conn)
+             - np.einsum("...dea,...cbe->...abcd", conn, conn))
+    return np.einsum("...ae,...ebcd->...abcd", metric, mixed)
+
+
+def einsum_twist_curvature(omega, domega):
+    comm = (np.einsum("...aik,...bkj->...abij", omega, omega)
+            - np.einsum("...bik,...akj->...abij", omega, omega))
+    return (np.einsum("...aijb->...abij", domega)
+            - np.einsum("...bija->...abij", domega) + comm)
+
+
+def einsum_frame_pullback_blocks(r, t, n):
+    """The Gauss, Codazzi and Ricci left-hand sides R(t,t,t,t), R(t,t,t,n), R(t,t,n,n)."""
+    return (np.einsum("...mnrs,...ma,...nb,...rc,...sd->...abcd", r, t, t, t, t),
+            np.einsum("...mnrs,...ma,...nb,...rc,...si->...abci", r, t, t, t, n),
+            np.einsum("...mnrs,...ma,...nb,...ri,...sj->...abij", r, t, t, n, n))

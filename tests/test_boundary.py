@@ -275,6 +275,15 @@ class TestLaplacianForms:
         assert np.max(np.abs(res.eta)) < 1e-12
         assert np.max(np.abs(res.combined)) < 1e-12
 
+    def test_collapsing_string_acceleration_law(self):
+        # each edge runs on coordinate time, not proper time, so its own
+        # connection Gamma_00^0 is non-zero and enters D^A D_A X
+        entry = catalog.collapsing_string(1.3, 0.9)
+        for edge in entry.boundaries:
+            res = boundary_laplacian_residuals(edge, entry.boundary_grid(7),
+                                               entry.parameters["mu0"], entry.parameters["mub"])
+            assert np.max(np.abs(res.combined)) < 1e-12
+
     @pytest.mark.parametrize("entry,edge", ALL_BOUNDARIES)
     def test_projection_form_is_minus_laplacian_form(self, entry, edge):
         u = entry.boundary_grid(5)

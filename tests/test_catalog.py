@@ -57,6 +57,18 @@ def test_collapsing_rows_catch_a_wrong_closed_form(monkeypatch, name, wrong, row
     assert not rows[row]
 
 
+@pytest.mark.parametrize("entry_id,quantity", [
+    ("sphere", "bogus"),        # no edges
+    ("helicoid", "bogus"),      # with an edge
+    ("sphere", "edge_trace"),   # an edge quantity on an entry without edges
+], ids=["unknown_without_edges", "unknown_with_edge", "edge_quantity_without_edges"])
+def test_unknown_expected_quantity_is_a_key_error(entry_id, quantity):
+    entry = dataclasses.replace(catalog.entry_from_id(entry_id),
+                                expected=(catalog.ExpectedValue(quantity, 0.0, 1.0, "derived"),))
+    with pytest.raises(KeyError, match=quantity):
+        catalog.evaluate_entry(entry)
+
+
 def test_entry_parsing():
     entry = catalog.entry_from_id("helicoid:omega=0.4,R=1.5")
     assert entry.parameters["omega"] == pytest.approx(0.4)

@@ -1,18 +1,18 @@
 """Each kernel evaluates the map and the metric once per point batch, with no LAPACK call.
 
 A sheet with D = 2 and one normal, and its edge, are evaluated in closed form:
-the rank check, the det, inverse and signature of each metric, and the unit
-normal take no ``svd``, ``inv``, ``eigvalsh`` or ``det``.  A D = 3 sheet
-takes one rank SVD per point batch.
+the rank check, the det, inverse and signature of each metric (a curved
+background metric too), and the unit normal take no ``svd``, ``inv``,
+``eigvalsh`` or ``det``.  A D = 3 sheet takes one rank SVD per point batch.
 
 An edge kernel evaluates the boundary map chi and its derivatives once per
 point batch as well, and the callers that need only the first-order edge
 frame take no second derivative of either map.
 
-The integrability residuals evaluate the map once per point of each stencil
-sweep they make, at the sample points and FD step of the ``verify`` command,
-and build Gamma and K only where they are used.  A hole-radius scan is one
-edge evaluation over all its radii.
+The integrability residuals evaluate the map, and the background metric with
+it, once per point of each stencil sweep they make, at the sample points and
+FD step of the ``verify`` command, and build Gamma and K only where they are
+used.  A hole-radius scan is one edge evaluation over all its radii.
 A string step builds the outward edge direction once per Runge-Kutta rate
 evaluation of both ends together, plus once each for the new and old state.
 The Procrustes alignment of one normal column takes no SVD.  The
@@ -53,6 +53,8 @@ from worldsheet.integrability import (
 )
 from worldsheet.variation import DeformationField, _deformed_chi, edge_action
 
+from helpers import s3_sphere
+
 HELICOID = catalog.helicoid(0.5, 1.0)  # analytic derivatives, co-dimension one
 
 COUNTED = ((Embedding, "position"), (Embedding, "d_position"), (Embedding, "dd_position"),
@@ -73,8 +75,12 @@ def counts(monkeypatch):
     return tally
 
 
-def test_frame_evaluates_each_quantity_once(counts):
-    frame(HELICOID.embedding, HELICOID.sample_grid())
+@pytest.mark.parametrize("embedding,pts", [
+    (HELICOID.embedding, HELICOID.sample_grid()),
+    (s3_sphere(1.7, 1.1), np.array([[0.7, 0.3], [1.3, -2.0]])),  # curved g: cofactor inverse
+], ids=["flat", "curved"])
+def test_frame_evaluates_each_quantity_once(counts, embedding, pts):
+    frame(embedding, pts)
     assert counts == {"position": 1, "d_position": 1, "dd_position": 0,
                       "chi": 0, "d_chi": 0, "dd_chi": 0, "metric_at": 1} | NO_LAPACK
 
@@ -159,6 +165,7 @@ def verify_edge(entry_id, residuals):
 def test_integrability_evaluates_the_map_once_per_stencil_point(counts, kernel, ceiling):
     kernel()
     assert counts["position"] <= ceiling
+    assert counts["metric_at"] == counts["position"]  # the ambient Riemann reuses the level's g
 
 
 def test_twist_curvature_builds_gamma_and_k_at_outer_stencil_points_only(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from worldsheet import catalog
-from worldsheet.background import LORENTZIAN, BackgroundMetric, euclidean, minkowski
+from worldsheet.background import EUCLIDEAN, LORENTZIAN, BackgroundMetric, euclidean, minkowski
 from worldsheet.errors import DegenerateImmersion, DegenerateMetric, InvalidParameters
 from worldsheet.geometry import (
     FD_BLOCK_POINTS,
@@ -373,6 +373,16 @@ class TestFiniteness:
         callbacks = {"position_fn": emb.position_fn, "d_position_fn": emb.d_position_fn,
                      "dd_position_fn": emb.dd_position_fn}
         return Embedding(emb.worldsheet_dim, emb.background, **{**callbacks, **fns})
+
+    def test_singular_curved_metric_rejected(self):
+        # the plane z = 0 has a regular induced metric, but g cannot raise its normal
+        singular = BackgroundMetric(3, EUCLIDEAN, metric_fn=lambda x: np.broadcast_to(
+            np.diag([1.0, 1.0, 0.0]), x.shape[:-1] + (3, 3)).copy(),
+            christoffel_fn=euclidean(3).christoffels_at, riemann_fn=euclidean(3).riemann_at)
+        plane = Embedding(2, singular, lambda p: np.concatenate(
+            [p, np.zeros(p.shape[:-1] + (1,))], axis=-1))
+        with pytest.raises(DegenerateMetric, match="background metric is singular"):
+            frame(plane, np.array([[0.1, 0.2], [0.3, -0.4]]))
 
     def test_non_finite_position_rejected(self):
         # the flat metric never reads x, so only the gate on x sees this

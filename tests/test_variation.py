@@ -31,6 +31,19 @@ SPHERE = catalog.sphere(2.0)
 HELICOID_STRIP_AREA = 0.5 * np.sqrt(0.75) + np.arcsin(0.5)
 
 
+def spherical_cap(radius, edge_theta):
+    """The cap theta <= edge_theta of ``catalog.sphere(radius)``, in coordinates (phi, theta).
+
+    Its edge is the latitude theta = edge_theta, the hi limit of the last
+    axis, where H^ab K_ab = +-1/radius (the sign is the normal gauge's).
+    """
+    sph = catalog.sphere(radius).embedding
+    emb = Embedding(2, sph.background, lambda xi: sph.position_fn(xi[..., ::-1]),
+                    lambda xi: sph.d_position_fn(xi[..., ::-1])[..., ::-1],
+                    lambda xi: sph.dd_position_fn(xi[..., ::-1])[..., ::-1, ::-1])
+    return emb, catalog._constant_boundary(emb, edge_theta, 1)
+
+
 class TestActions:
     def test_flat_strip_area(self):
         cfg = ActionConfig(1.0, 1.0, (GridAxis(32, 0.0, 1.0), GridAxis(32, 0.0, 2.0)))
@@ -239,6 +252,17 @@ class TestFirstVariation:
         defo = random_deformation(DISK, seed=seed)
         ana = first_variation_analytic(DISK.embedding, edges, cfg, defo)
         fd = richardson_variation(DISK.embedding, edges, cfg, defo, 1e-2)
+        assert abs(fd - ana) < max(1e-6, 10.0 * 1e-4)
+
+    def test_fd_matches_analytic_on_spherical_cap(self):
+        # the edge term mub H^ab K_ab^i Phi_i is about 2.4 here, while every
+        # catalog edge satisfies the boundary condition H^ab K_ab^i = 0
+        emb, edge = spherical_cap(2.0, 1.0)
+        cfg = ActionConfig(1.0, 0.7, (GridAxis(64, 0.0, 2.0 * np.pi),
+                                      GridAxis(64, 0.0, lambda u: edge.chi(u)[..., -1])))
+        defo = DeformationField(normal_fn=lambda xi: (0.5 + 0.3 * np.cos(xi[..., 1]))[..., None])
+        ana = first_variation_analytic(emb, [edge], cfg, defo)
+        fd = richardson_variation(emb, [edge], cfg, defo, 1e-2)
         assert abs(fd - ana) < max(1e-6, 10.0 * 1e-4)
 
     def test_boundary_displacement_reproduces_worldsheet_route(self):
