@@ -586,6 +586,8 @@ def catalog_ids() -> list[str]:
 _FD_GW_STEP = 1e-4
 _FD_INT_STEP = 1e-4
 _FD_RIEMANN_STEP = 1.5e-4
+_EDGE_QUANTITIES = ("edge_trace", "edge_residual", "boundary_condition_max",
+                    "laplacian_form_agreement", "integrability_boundary", "integrability_direct")
 
 
 def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float) -> float:
@@ -620,6 +622,11 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float) -> float
         return (x0 + 1.0 / a - x) ** 2 - 1.0 - 1.0 / a ** 2
 
     # edge quantities: worst case over all attached boundaries
+    if quantity not in _EDGE_QUANTITIES:
+        raise KeyError(f"unknown expected quantity {quantity!r}")
+    if not entry.boundaries:
+        raise KeyError(f"edge quantity {quantity!r} needs an entry with edges "
+                       f"({entry.id!r} has none)")
     vals = []
     for bnd in entry.boundaries:
         u = entry.boundary_grid()
@@ -641,14 +648,10 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float) -> float
             some = u[:: max(1, len(u) // 3)]
             g, c = boundary_integrability_residuals(bnd, some, _FD_INT_STEP)
             vals.append(np.maximum(g, c))
-        elif quantity == "integrability_direct":
+        else:  # integrability_direct
             some = u[:: max(1, len(u) // 3)]
             res = direct_embedding_residuals(bnd, some, _FD_INT_STEP)
             vals.append(np.full(some.shape[0], res.max()))
-        else:
-            raise KeyError(f"unknown expected quantity {quantity!r}")
-    if not vals:
-        raise KeyError(f"unknown expected quantity {quantity!r} for {entry.id!r} (no edges)")
     return _worst(np.concatenate([np.atleast_1d(v) for v in vals]), expected)
 
 

@@ -261,27 +261,18 @@ class TestLaplacianForms:
         assert abs(float(res.eta)) < 1e-14
         assert np.max(np.abs(res.combined)) < 1e-14
 
-    def test_helicoid_orbit_all_residuals_vanish(self):
-        u = HELICOID.boundary_grid(7)
-        res = boundary_laplacian_residuals(HELICOID.boundary, u, mu0=1.0, mub=3.0)
-        assert np.max(np.abs(res.normal)) < 1e-12
-        assert np.max(np.abs(res.eta)) < 1e-12
-        assert np.max(np.abs(res.combined)) < 1e-12
-
-    def test_equilibrium_hole_residuals_vanish(self):
-        u = HOLE.boundary_grid(5)
-        res = boundary_laplacian_residuals(HOLE.boundary, u, mu0=1.0, mub=2.0)
-        assert np.max(np.abs(res.normal)) < 1e-12
-        assert np.max(np.abs(res.eta)) < 1e-12
-        assert np.max(np.abs(res.combined)) < 1e-12
-
-    def test_collapsing_string_acceleration_law(self):
-        # each edge runs on coordinate time, not proper time, so its own
-        # connection Gamma_00^0 is non-zero and enters D^A D_A X
-        entry = catalog.collapsing_string(1.3, 0.9)
+    # the collapsing string's edges run on coordinate time, not proper time, so
+    # their own connection Gamma_00^0 is non-zero and enters D^A D_A X
+    @pytest.mark.parametrize("entry,mu0,mub", [
+        pytest.param(HELICOID, 1.0, 3.0, id="helicoid-orbit"),
+        pytest.param(HOLE, 1.0, 2.0, id="equilibrium-hole"),
+        pytest.param(catalog.collapsing_string(1.3, 0.9), 1.3, 1.0, id="collapsing-string"),
+    ])
+    def test_exact_solution_residuals_vanish(self, entry, mu0, mub):
         for edge in entry.boundaries:
-            res = boundary_laplacian_residuals(edge, entry.boundary_grid(7),
-                                               entry.parameters["mu0"], entry.parameters["mub"])
+            res = boundary_laplacian_residuals(edge, entry.boundary_grid(7), mu0, mub)
+            assert np.max(np.abs(res.normal)) < 1e-12
+            assert np.max(np.abs(res.eta)) < 1e-12
             assert np.max(np.abs(res.combined)) < 1e-12
 
     @pytest.mark.parametrize("entry,edge", ALL_BOUNDARIES)

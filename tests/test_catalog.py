@@ -57,15 +57,15 @@ def test_collapsing_rows_catch_a_wrong_closed_form(monkeypatch, name, wrong, row
     assert not rows[row]
 
 
-@pytest.mark.parametrize("entry_id,quantity", [
-    ("sphere", "bogus"),        # no edges
-    ("helicoid", "bogus"),      # with an edge
-    ("sphere", "edge_trace"),   # an edge quantity on an entry without edges
+@pytest.mark.parametrize("entry_id,quantity,message", [
+    ("sphere", "bogus", "unknown expected quantity 'bogus'"),     # no edges
+    ("helicoid", "bogus", "unknown expected quantity 'bogus'"),   # with an edge
+    ("sphere", "edge_trace", "'edge_trace' needs an entry with edges"),
 ], ids=["unknown_without_edges", "unknown_with_edge", "edge_quantity_without_edges"])
-def test_unknown_expected_quantity_is_a_key_error(entry_id, quantity):
+def test_unknown_expected_quantity_is_a_key_error(entry_id, quantity, message):
     entry = dataclasses.replace(catalog.entry_from_id(entry_id),
                                 expected=(catalog.ExpectedValue(quantity, 0.0, 1.0, "derived"),))
-    with pytest.raises(KeyError, match=quantity):
+    with pytest.raises(KeyError, match=message):
         catalog.evaluate_entry(entry)
 
 

@@ -10,8 +10,7 @@ updates its triple here; a new formula adds its mutants.
 
 Run from anywhere, with the test dependencies installed:
 
-    python tools/mutation_census.py            # every mutant
-    python tools/mutation_census.py M02 M08    # the named ones
+    python tools/mutation_census.py
 
 It prints one line per mutant and exits 1 if a mutant's ``old`` text is not
 found exactly once (a stale census), else 0.
@@ -19,7 +18,6 @@ found exactly once (a stale census), else 0.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -82,15 +80,9 @@ def run_mutant(mutant_id: str) -> tuple[bool, str]:
     return proc.returncode != 0, failed.group(1) if failed else ""
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("ids", nargs="*", metavar="ID", help="mutant ids (default: all)")
-    ids = parser.parse_args(argv).ids or list(MUTANTS)
-    unknown = [i for i in ids if i not in MUTANTS]
-    if unknown:
-        parser.error(f"unknown mutant ids: {', '.join(unknown)}")
+def main() -> int:
     survivors = []
-    for mutant_id in ids:
+    for mutant_id in MUTANTS:
         try:
             killed, first = run_mutant(mutant_id)
         except LookupError as exc:
@@ -100,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
               + (f" (first failure: {first})" if first else ""), flush=True)
         if not killed:
             survivors.append(mutant_id)
-    print(f"{len(ids) - len(survivors)} of {len(ids)} killed"
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed"
           + (f"; surviving: {', '.join(survivors)}" if survivors else ""))
     return 0
 
