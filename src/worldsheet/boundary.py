@@ -177,8 +177,7 @@ def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: Frame) -> Frame:
 
 def _adapted_normals(fr: Frame, edge: Frame) -> Array:
     """Adapted normal columns {eta^mu = e_a eta^a, n^mu_i}, (..., N, K+1), eta first."""
-    eta = np.einsum("...ma,...a->...m", fr.tangents, edge.normals[..., 0])
-    return np.concatenate([eta[..., None], fr.normals], axis=-1)
+    return np.concatenate([fr.tangents @ edge.normals, fr.normals], axis=-1)
 
 
 class _EdgeLocal:
@@ -201,9 +200,9 @@ class _EdgeLocal:
         if self._spacetime is None:
             sheet, edge = self.sheet, self.edge.frame
             eps, e = edge.tangents, sheet.frame.tangents
-            cov_y = (np.einsum("...mab,...aA,...bB->...mAB", sheet.sec, eps, eps)
+            cov_y = (_pullback(eps[..., None, :, :], sheet.sec)
                      + np.einsum("...ma,...aAB->...mAB", e, self.dd_chi))
-            fr = Frame(np.einsum("...ma,...aA->...mA", e, eps), _adapted_normals(sheet.frame, edge),
+            fr = Frame(e @ eps, _adapted_normals(sheet.frame, edge),
                        edge.induced_metric, edge.induced_metric_inverse)
             self._spacetime = _Local(fr, sheet.x, sheet.g, sheet.chris, cov_y)
         return self._spacetime
@@ -240,7 +239,15 @@ def _boundary_local(bnd: BoundaryEmbedding, point: Array) -> _EdgeLocal:
 
 def _projector(eps: Array, h_inv: Array) -> Array:
     """H^{ab} = eps^a_A h^{AB} eps^b_B."""
-    return np.einsum("...aA,...AB,...bB->...ab", eps, h_inv, eps)
+    return eps @ h_inv @ eps.swapaxes(-1, -2)
+
+
+def _pull_pair(left: Array, right: Array, t: Array) -> Array:
+    """l^a_X r^b_Y t_ab..., indexed [X, Y, ...]: the leading pair of t [a, b, ...] on l and r."""
+    flat = np.moveaxis(t.reshape(t.shape[:left.ndim] + (-1,)), -1, -3)  # [..., rest, a, b]
+    pulled = left.swapaxes(-1, -2)[..., None, :, :] @ flat @ right[..., None, :, :]
+    return np.moveaxis(pulled, -3, -1).reshape(pulled.shape[:-3] + pulled.shape[-2:]
+                                               + t.shape[left.ndim:])
 
 
 def boundary_data(bnd: BoundaryEmbedding, point: Array) -> BoundaryData:
@@ -260,10 +267,14 @@ def edge_equation_residual(bd: BoundaryData, mu0: float, mub: float) -> Array:
     return mub * bd.edge_trace + mu0
 
 
+def _projected_trace(bl: _EdgeLocal) -> Array:
+    """H^{ab} K_ab^i of one edge evaluation."""
+    return np.einsum("...ab,...abi->...i", bl.bd.projector, bl.sheet.kk)
+
+
 def boundary_condition_residual(bnd: BoundaryEmbedding, point: Array) -> Array:
     """Projected-trace constraint H^{ab} K_ab^i at the edge, one entry per normal."""
-    bl = _boundary_local(bnd, point)
-    return np.einsum("...ab,...abi->...i", bl.bd.projector, bl.sheet.kk)
+    return _projected_trace(_boundary_local(bnd, point))
 
 
 def boundary_laplacian_residuals(bnd: BoundaryEmbedding, point: Array,
@@ -280,7 +291,11 @@ def boundary_laplacian_residuals(bnd: BoundaryEmbedding, point: Array,
     * ``combined``: L^mu - (mu0/mub) eta^mu    (the acceleration law: the edge
       four-acceleration equals -(mu0/mub) eta^mu, directed into the sheet).
     """
-    bl = _boundary_local(bnd, point)
+    return _laplacian_residuals(_boundary_local(bnd, point), mu0, mub)
+
+
+def _laplacian_residuals(bl: _EdgeLocal, mu0: float, mub: float) -> LaplacianResiduals:
+    """:func:`boundary_laplacian_residuals` of one edge evaluation."""
     bd, st = bl.bd, bl.spacetime
     hess = st.sec - np.einsum("...ABC,...mC->...mAB", bl.edge.conn, st.frame.tangents)
     lap = np.einsum("...AB,...mAB->...m", bd.boundary_metric_inverse, hess)
@@ -307,12 +322,11 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
 
     eps = bd.tangents_in_m
     grad_b = np.einsum("...a,...aA->...A", grad, eps)
-    hess_b = (np.einsum("...ab,...aA,...bB->...AB", hess, eps, eps)
-              + np.einsum("...a,...aAB->...AB", grad, bl.dd_chi))
+    hess_b = _pullback(eps, hess) + np.einsum("...a,...aAB->...AB", grad, bl.dd_chi)
     box_b = np.einsum("...AB,...AB->...", bd.boundary_metric_inverse,
                       hess_b - np.einsum("...ABC,...C->...AB", bl.edge.conn, grad_b))
     eta = bd.normal_in_m
-    normal_part = np.einsum("...a,...b,...ab->...", eta, eta, cov_hess)
+    normal_part = _pullback(eta[..., None], cov_hess)[..., 0, 0]
     drift = bd.edge_trace * np.einsum("...a,...a->...", eta, grad)
     return laplacian - (box_b + normal_part + drift)
 
@@ -339,12 +353,10 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array) -> AdaptedEdgeData:
         adapted.shape + point.shape[-1:]))
 
     kk = bl.sheet.kk
-    projected = np.einsum("...aA,...bB,...abi->...ABi", bd.tangents_in_m,
-                          bd.tangents_in_m, kk)
-    err_i = np.max(np.abs(st.kk[..., 1:] - projected))
+    eps, eta = bd.tangents_in_m, bd.normal_in_m[..., None]
+    err_i = np.max(np.abs(st.kk[..., 1:] - _pull_pair(eps, eps, kk)))
     err_0 = np.max(np.abs(st.kk[..., 0] - bd.edge_curvature))
-    mixed = np.einsum("...a,...bA,...abi->...Ai", bd.normal_in_m, bd.tangents_in_m, kk)
-    err_t = np.max(np.abs(twist[..., 1:, 0] - mixed))
+    err_t = np.max(np.abs(twist[..., 1:, 0] - _pull_pair(eta, eps, kk)[..., 0, :, :]))
     if max(err_i, err_0, err_t) > 1e-6:
         raise InconsistentGeometry(
             f"edge inheritance relations violated: {err_i:.3e}, {err_0:.3e}, {err_t:.3e}")

@@ -17,9 +17,10 @@ import numpy as np
 from .background import euclidean, minkowski
 from .boundary import (
     BoundaryEmbedding,
-    boundary_condition_residual,
-    boundary_data,
-    boundary_laplacian_residuals,
+    _boundary_local,
+    _EdgeLocal,
+    _laplacian_residuals,
+    _projected_trace,
     edge_equation_residual,
 )
 from .errors import InvalidParameters
@@ -586,11 +587,14 @@ def catalog_ids() -> list[str]:
 _FD_GW_STEP = 1e-4
 _FD_INT_STEP = 1e-4
 _FD_RIEMANN_STEP = 1.5e-4
-_EDGE_QUANTITIES = ("edge_trace", "edge_residual", "boundary_condition_max",
-                    "laplacian_form_agreement", "integrability_boundary", "integrability_direct")
+# edge rows read from one evaluation of each edge, shared by the entry's rows
+_EDGE_RECORD_QUANTITIES = ("edge_trace", "edge_residual", "boundary_condition_max",
+                           "laplacian_form_agreement")
+_EDGE_QUANTITIES = _EDGE_RECORD_QUANTITIES + ("integrability_boundary", "integrability_direct")
 
 
-def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float) -> float:
+def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float,
+                   edges: list[_EdgeLocal]) -> float:
     """Worst-case sampled value of a named quantity (the sample maximizing |q - expected|)."""
     emb = entry.embedding
     pts = entry.sample_grid()
@@ -602,7 +606,7 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float) -> float
         some = pts[:: max(1, len(pts) // 6)]
         riem = worldsheet_riemann(emb, some, _FD_RIEMANN_STEP)
         gi = frame(emb, some).induced_metric_inverse
-        scal = np.einsum("...ac,...bd,...abcd->...", gi, gi, riem)
+        scal = np.einsum("...ac,...ac->...", gi, np.einsum("...bd,...abcd->...ac", gi, riem))
         ref = _reference_scalar_curvature(entry)
         return _worst(scal - ref, expected)
     if quantity == "gauss_weingarten_max":
@@ -627,31 +631,25 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float) -> float
     if not entry.boundaries:
         raise KeyError(f"edge quantity {quantity!r} needs an entry with edges "
                        f"({entry.id!r} has none)")
-    vals = []
-    for bnd in entry.boundaries:
-        u = entry.boundary_grid()
-        if quantity == "edge_trace":
-            vals.append(boundary_data(bnd, u).edge_trace)
-        elif quantity == "edge_residual":
-            bd = boundary_data(bnd, u)
-            vals.append(edge_equation_residual(
-                bd, entry.parameters["mu0"], entry.parameters["mub"]))
-        elif quantity == "boundary_condition_max":
-            vals.append(np.linalg.norm(boundary_condition_residual(bnd, u), axis=-1))
-        elif quantity == "laplacian_form_agreement":
-            proj = boundary_condition_residual(bnd, u)
-            lap = boundary_laplacian_residuals(
-                bnd, u, entry.parameters.get("mu0", 1.0),
-                entry.parameters.get("mub", 1.0))
-            vals.append(np.linalg.norm(proj + lap.normal, axis=-1))
-        elif quantity == "integrability_boundary":
-            some = u[:: max(1, len(u) // 3)]
-            g, c = boundary_integrability_residuals(bnd, some, _FD_INT_STEP)
-            vals.append(np.maximum(g, c))
-        else:  # integrability_direct
-            some = u[:: max(1, len(u) // 3)]
-            res = direct_embedding_residuals(bnd, some, _FD_INT_STEP)
-            vals.append(np.full(some.shape[0], res.max()))
+    u = entry.boundary_grid()
+    some = u[:: max(1, len(u) // 3)]
+    mu0, mub = entry.parameters.get("mu0", 1.0), entry.parameters.get("mub", 1.0)
+    if quantity == "edge_trace":
+        vals = [bl.bd.edge_trace for bl in edges]
+    elif quantity == "edge_residual":
+        vals = [edge_equation_residual(bl.bd, entry.parameters["mu0"], entry.parameters["mub"])
+                for bl in edges]
+    elif quantity == "boundary_condition_max":
+        vals = [np.linalg.norm(_projected_trace(bl), axis=-1) for bl in edges]
+    elif quantity == "laplacian_form_agreement":
+        vals = [np.linalg.norm(_projected_trace(bl) + _laplacian_residuals(bl, mu0, mub).normal,
+                               axis=-1) for bl in edges]
+    elif quantity == "integrability_boundary":
+        vals = [np.maximum(*boundary_integrability_residuals(bnd, some, _FD_INT_STEP))
+                for bnd in entry.boundaries]
+    else:  # integrability_direct
+        vals = [np.full(some.shape[0], direct_embedding_residuals(bnd, some, _FD_INT_STEP).max())
+                for bnd in entry.boundaries]
     return _worst(np.concatenate([np.atleast_1d(v) for v in vals]), expected)
 
 
@@ -662,8 +660,8 @@ def _reference_scalar_curvature(entry: CatalogEntry) -> float | Array:
         pts = entry.sample_grid()[:: max(1, len(entry.sample_grid()) // 6)]
         curv = extrinsic_curvature(entry.embedding, pts)
         gi = frame(entry.embedding, pts).induced_metric_inverse
-        ksq = np.einsum("...abi,...ac,...bd,...cdi->...",
-                        curv.extrinsic, gi, gi, curv.extrinsic)
+        k_mixed = gi[..., None, :, :] @ np.moveaxis(curv.extrinsic, -1, -3)  # K^a_b per normal
+        ksq = np.sum(k_mixed * np.swapaxes(k_mixed, -1, -2), axis=(-3, -2, -1))
         trace_sq = np.einsum("...i,...i->...", curv.traces, curv.traces)
         return trace_sq - ksq
     return 0.0
@@ -677,9 +675,11 @@ def _worst(values: Array, expected: float) -> float:
 
 def evaluate_entry(entry: CatalogEntry) -> list[tuple[str, float, float, float, bool]]:
     """Evaluate all expected quantities; rows are (quantity, value, expected, residual, pass)."""
+    edges = ([_boundary_local(bnd, entry.boundary_grid()) for bnd in entry.boundaries]
+             if any(e.quantity in _EDGE_RECORD_QUANTITIES for e in entry.expected) else [])
     rows = []
     for exp in entry.expected:
-        value = _eval_quantity(entry, exp.quantity, exp.value)
+        value = _eval_quantity(entry, exp.quantity, exp.value, edges)
         residual = abs(value - exp.value)
         rows.append((exp.quantity, value, exp.value, residual, residual <= exp.tolerance))
     return rows

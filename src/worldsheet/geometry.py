@@ -222,7 +222,7 @@ def _rank_checked_scale(tangents: Array) -> tuple[Array, Array | None]:
 
 
 def _pullback(tangents: Array, metric: Array) -> Array:
-    """Pulled-back metric t^m_a metric_mn t^n_b along the columns of ``tangents``."""
+    """Pullback t^m_a q_mn t^n_b of a bilinear form q = ``metric`` along the tangent columns."""
     return np.swapaxes(tangents, -1, -2) @ (metric @ tangents)
 
 
@@ -380,7 +380,7 @@ def _hodge_normal(tangents: Array, g_inv: Array,
     rows, signs = _minor_rows(tangents.shape[-2])
     dets = _det_adjugate(tangents[..., rows, :])[0] if minors is None else minors[..., ::-1]
     nu = signs * dets
-    n = np.einsum("...mn,...n->...m", g_inv, nu)
+    n = (g_inv @ nu[..., None])[..., 0]
     norm2 = (nu * n).sum(axis=-1)
     ok = norm2 > 1e-10 * (n * n).sum(axis=-1)
     return n / np.sqrt(np.where(ok, norm2, 1.0))[..., None], ok
@@ -479,7 +479,7 @@ def _covariant(dv: Array, chris: Array, cols: Array, tangents: Array) -> Array:
     ``dv`` holds the coordinate derivatives d_A v_I and ``tangents`` the map's
     t_A.  With the tangents as the columns it is the covariant Hessian D_A t_I.
     """
-    return dv + np.einsum("...mrs,...ri,...sa->...mia", chris, cols, tangents)
+    return dv + cols.swapaxes(-1, -2)[..., None, :, :] @ (chris @ tangents[..., None, :, :])
 
 
 class _Local:
@@ -536,21 +536,26 @@ def _local(embedding: Embedding, point: Array) -> _Local:
     return _Local(fr, x, g, chris, _covariant(dd, chris, fr.tangents, fr.tangents))
 
 
+def _project(cols: Array, g: Array, v: Array) -> Array:
+    """c^n_J g_nm v^m_AB for columns c_J (..., N, J) and v indexed [m, A, B], as [A, B, J]."""
+    flat = v.reshape(v.shape[:-2] + (-1,)).swapaxes(-1, -2) @ (g.swapaxes(-1, -2) @ cols)
+    return flat.reshape(v.shape[:-3] + v.shape[-2:] + cols.shape[-1:])
+
+
 def _extrinsic(normals: Array, g: Array, sec: Array) -> Array:
-    """K_AB^I = -g(n^I, D_A t_B), symmetrized in A, B, for normal columns (..., N, K)."""
-    kk = -np.einsum("...mi,...mn,...nab->...abi", normals, g, sec)
-    return 0.5 * (kk + np.swapaxes(kk, -3, -2))
+    """K_AB^I = -n^m_I g_mn (D_A t_B)^n, symmetrized in A, B, for normal columns (..., N, K)."""
+    kk = _project(normals, g, sec)
+    return -0.5 * (kk + kk.swapaxes(-3, -2))
 
 
 def _connection(fr: Frame, g: Array, sec: Array) -> Array:
-    """Gamma_AB^C = h^{CD} g(t_D, D_A t_B) by the Gauss formula, indexed [A, B, C]."""
-    return np.einsum("...cd,...nd,...nm,...mab->...abc",
-                     fr.induced_metric_inverse, fr.tangents, g, sec)
+    """Gamma_AB^C = h^{CD} t^n_D g_nm (D_A t_B)^m by the Gauss formula, indexed [A, B, C]."""
+    return _project(fr.tangents @ fr.induced_metric_inverse.swapaxes(-1, -2), g, sec)
 
 
 def _twist(cov: Array, normals: Array, g: Array) -> Array:
-    """Twist omega_A^{IJ} = g(n^J, D_A n^I), antisymmetrized, from D_A n^I (:func:`_covariant`)."""
-    omega = np.einsum("...nJ,...nm,...mIA->...AIJ", normals, g, cov)
+    """Twist omega_A^{IJ} = n^n_J g_nm (D_A n_I)^m, antisymmetrized, from :func:`_covariant`."""
+    omega = _project(normals, g, cov).swapaxes(-3, -2)
     return 0.5 * (omega - np.swapaxes(omega, -1, -2))
 
 
@@ -602,20 +607,16 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
         cols = np.concatenate([f.tangents, _procrustes(f.normals, fr.normals, g)], axis=-1)
         return cols.reshape(p.shape[:-1] + (-1,))
 
-    # D_a of each column of [e | n], indexed [mu, column, a]
-    dcols = fd_jacobian(aligned_frame, point, fd_step).reshape(fr.normals.shape[:-1] + (-1, d))
-    cov = _covariant(dcols, chris, np.concatenate([fr.tangents, fr.normals], axis=-1),
-                     fr.tangents)
-    cov_e, cov_n = cov[..., :d, :], cov[..., d:, :]
-    gauss = (np.einsum("...mba->...abm", cov_e)
-             - np.einsum("...abc,...mc->...abm", loc.conn, fr.tangents)
-             + np.einsum("...abi,...mi->...abm", kk, fr.normals))
-    res_gauss = np.max(np.linalg.norm(gauss, axis=-1), axis=(-1, -2))
-
-    twist = _twist(cov_n, fr.normals, g)
+    # D_a of each column of the square frame F = [e | n], indexed [mu, column, a]
+    cols = np.concatenate([fr.tangents, fr.normals], axis=-1)
+    dcols = fd_jacobian(aligned_frame, point, fd_step).reshape(cols.shape + (d,))
+    cov = _covariant(dcols, chris, cols, fr.tangents)
+    # both equations as D_a F = F W_a, W_a = [[Gamma_ab^c, K_a^{c i}], [-K_ab^i, omega_a^{ij}]]
+    # (row: the frame column it multiplies; column: the column of F differentiated)
+    twist = _twist(cov[..., d:, :], fr.normals, g)
     k_mixed = np.einsum("...bc,...aci->...abi", fr.induced_metric_inverse, kk)
-    wein = (np.einsum("...mia->...aim", cov_n)
-            - np.einsum("...abi,...mb->...aim", k_mixed, fr.tangents)
-            - np.einsum("...aij,...mj->...aim", twist, fr.normals))
-    res_wein = np.max(np.linalg.norm(wein, axis=-1), axis=(-1, -2))
-    return res_gauss, res_wein
+    w = np.concatenate([np.concatenate([loc.conn.swapaxes(-1, -2), k_mixed], axis=-1),
+                        np.concatenate([-kk.swapaxes(-1, -2), twist.swapaxes(-1, -2)], axis=-1)],
+                       axis=-2)
+    res = np.linalg.norm(np.moveaxis(cov, -1, -3) - cols[..., None, :, :] @ w, axis=-2)
+    return np.max(res[..., :d], axis=(-1, -2)), np.max(res[..., d:], axis=(-1, -2))

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import BoundaryEmbedding, _boundary_local, _EdgeLocal
+from .boundary import BoundaryEmbedding, _boundary_local, _EdgeLocal, _pull_pair
 from .geometry import (
     Embedding,
     _frame_at,
@@ -330,17 +330,15 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     # the curvature-edge cross terms
     eps = bd.tangents_in_m
     ws, ws_at = _sheet_level(bnd.parent, xi, bl.sheet)
-    m = np.einsum("...a,...bA,...abi->...Ai", bd.normal_in_m, eps, ws.kk)
+    m = _pull_pair(bd.normal_in_m[..., None], eps, ws.kk)[..., 0, :, :]  # eta^a eps^b_A K_ab^i
     m_cross = np.einsum("...Ai,...Bj->...ABij", m, m)
     inherited = np.swapaxes(m_cross, -4, -3) - m_cross
     if bnd.parent.codimension >= 2:
-        inherited = inherited + np.einsum("...aA,...bB,...abij->...ABij", eps, eps,
-                                          _level(ws, ws_at, xi, step)[3])
+        inherited = inherited + _pull_pair(eps, eps, _level(ws, ws_at, xi, step)[3])
     res_twist_t = _flat_max(big_omega[..., 1:, 1:] - inherited, point)
 
-    k_up = np.einsum("...BD,...DC->...BC", bd.edge_curvature,
-                     bd.boundary_metric_inverse)  # k_B^C
-    cross = np.einsum("...cC,...aA,...aci,...BC->...ABi", eps, eps, ws.kk, k_up)
+    k_up = bd.edge_curvature @ bd.boundary_metric_inverse  # k_B^C
+    cross = np.einsum("...ACi,...BC->...ABi", _pull_pair(eps, eps, ws.kk), k_up)
     rhs_mixed = cross - np.swapaxes(cross, -3, -2)
     res_twist_m = _flat_max(big_omega[..., 1:, 0] - rhs_mixed, point)
 

@@ -282,8 +282,8 @@ def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbed
         hk = np.einsum("...ab,...abi->...i", bd.projector, kk_b)
         phi_t = deformation.tangential(xi, d)
         phi_n = deformation.normal(xi, k_codim)
-        eta_phi = np.einsum("...a,...ab,...b->...", bd.normal_in_m,
-                            sheet.frame.induced_metric, phi_t)
+        eta_phi = (bd.normal_in_m[..., None, :] @ sheet.frame.induced_metric
+                   @ phi_t[..., None])[..., 0, 0]
         psi = deformation.boundary_normal(u)
         integrand = (config.mu0 * eta_phi
                      + config.mub * (np.einsum("...i,...i->...", hk, phi_n)

@@ -262,7 +262,8 @@ def s3_sphere(a, chi0):
 
 
 # Reference oracles for the structure-equation kernels: the einsum forms that
-# ``geometry._covariant``, ``integrability._curvature`` (through ``_riemann``
+# ``geometry._covariant``, ``_connection``, ``_extrinsic`` and ``_twist``,
+# ``boundary._projector``, ``integrability._curvature`` (through ``_riemann``
 # and ``_twist_curvature``) and ``integrability._frame_pullback`` replaced.
 # The kernels must agree with them to roundoff.
 
@@ -295,3 +296,21 @@ def einsum_frame_pullback_blocks(r, t, n):
     return (np.einsum("...mnrs,...ma,...nb,...rc,...sd->...abcd", r, t, t, t, t),
             np.einsum("...mnrs,...ma,...nb,...rc,...si->...abci", r, t, t, t, n),
             np.einsum("...mnrs,...ma,...nb,...ri,...sj->...abij", r, t, t, n, n))
+
+
+def einsum_connection(h_inv, tangents, g, sec):
+    return np.einsum("...cd,...nd,...nm,...mab->...abc", h_inv, tangents, g, sec)
+
+
+def einsum_extrinsic(normals, g, sec):
+    kk = -np.einsum("...mi,...mn,...nab->...abi", normals, g, sec)
+    return 0.5 * (kk + np.swapaxes(kk, -3, -2))
+
+
+def einsum_twist(cov, normals, g):
+    omega = np.einsum("...nJ,...nm,...mIA->...AIJ", normals, g, cov)
+    return 0.5 * (omega - np.swapaxes(omega, -1, -2))
+
+
+def einsum_projector(eps, h_inv):
+    return np.einsum("...aA,...AB,...bB->...ab", eps, h_inv, eps)

@@ -129,6 +129,11 @@ def test_reference_surfaces_roster():
     assert ids == ["plane", "sphere", "torus"]
 
 
+def test_plane_hole_rejects_a_nonpositive_radius():
+    with pytest.raises(InvalidParameters, match="hole radius must be positive"):
+        catalog.entry_from_id("plane_hole:rho=-1")
+
+
 def test_provenance_tags_are_constrained():
     for entry_id in ALL_IDS:
         for exp in catalog.entry_from_id(entry_id).expected:

@@ -239,6 +239,21 @@ class TestEvolve:
         assert main(["evolve", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize("payload,message", [
+        (None, "error: cannot read config "),
+        ([EVOLVE_CONFIG], "error: config must be a JSON object\n"),
+        (dict(EVOLVE_CONFIG, duration="nan"),
+         "error: config 'duration' must be finite, got 'nan'\n"),
+    ], ids=["missing_file", "json_array", "nan_text"])
+    def test_unusable_config_exit_two_without_outputs(self, tmp_path, capsys, payload, message):
+        cfg = tmp_path / "cfg.json"
+        if payload is not None:
+            write_json(cfg, payload)
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_constraint_blowup_exit_one_with_manifest(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_json(cfg, dict(EVOLVE_CONFIG, constraint_tol=1e-7))

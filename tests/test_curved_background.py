@@ -4,17 +4,26 @@ On this curved background every Christoffel and ambient-Riemann term of the
 structure equations is non-zero, so a wrong sign in any of them fails a
 closed form or a convergence order.  The kernels themselves (the covariant
 derivative, the curvature of a connection and the frame pullback of a
-4-tensor) are pinned to their einsum forms on random non-zero inputs.
+4-tensor) are pinned to their einsum forms on random non-zero inputs, and
+Gamma, K, the twist and the tangential projector to theirs at every level of
+the S^3 sheet and of a helicoid edge.
 """
 
 import numpy as np
 import pytest
 
+from worldsheet import catalog
+from worldsheet.boundary import _boundary_local, _projector
 from worldsheet.geometry import (
     Frame,
+    _connection,
     _covariant,
+    _extrinsic,
     _Local,
+    _local,
+    _twist,
     extrinsic_curvature,
+    fd_jacobian,
     frame,
     gauss_weingarten_residual,
 )
@@ -26,10 +35,14 @@ from worldsheet.integrability import (
 )
 
 from helpers import (
+    einsum_connection,
     einsum_covariant_frame,
     einsum_covariant_hessian,
+    einsum_extrinsic,
     einsum_frame_pullback_blocks,
+    einsum_projector,
     einsum_riemann,
+    einsum_twist,
     einsum_twist_curvature,
     s3_sphere,
 )
@@ -128,3 +141,62 @@ class TestKernelsMatchEinsumForms:
         assert_roundoff(pulled[..., :d, :d, :d, :d], gauss)
         assert_roundoff(pulled[..., :d, :d, :d, d:], codazzi)
         assert_roundoff(pulled[..., :d, :d, d:, d:], ricci)
+
+
+HELICOID = catalog.helicoid(0.5, 1.0)
+
+
+def helicoid_edge(level):
+    """One level of the helicoid's upper edge: its record, point function and points."""
+    bnd, u = HELICOID.boundary, HELICOID.boundary_grid()
+    bl = _boundary_local(bnd, u)
+    if level == "sheet":
+        return bl.sheet, lambda p: _local(bnd.parent, p), bl.edge.x
+    return getattr(bl, level), lambda v: getattr(_boundary_local(bnd, v), level), u
+
+
+# every level of both fixtures: the S^3 sheet (curved g and Christoffels), and
+# the helicoid edge in the sheet (ambient metric gamma) and in spacetime (two normals)
+LEVELS = {
+    "s3_sheet": lambda: (_local(S3_SHEET, POINTS), lambda p: _local(S3_SHEET, p), POINTS),
+    "helicoid_sheet_at_edge": lambda: helicoid_edge("sheet"),
+    "helicoid_edge_in_sheet": lambda: helicoid_edge("edge"),
+    "helicoid_edge_in_spacetime": lambda: helicoid_edge("spacetime"),
+}
+
+
+class TestRewrittenKernelsMatchEinsumForms:
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_connection(self, level):
+        v = LEVELS[level]()[0]
+        fr = v.frame
+        assert_roundoff(_connection(fr, v.g, v.sec),
+                        einsum_connection(fr.induced_metric_inverse, fr.tangents, v.g, v.sec))
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_extrinsic(self, level):
+        v = LEVELS[level]()[0]
+        assert_roundoff(_extrinsic(v.frame.normals, v.g, v.sec),
+                        einsum_extrinsic(v.frame.normals, v.g, v.sec))
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_twist(self, level):
+        # D_A n_I from a central difference of the level's own normal columns
+        v, at, point = LEVELS[level]()
+        fr = v.frame
+        dn = fd_jacobian(lambda p: at(p).frame.normals.reshape(p.shape[:-1] + (-1,)), point, 1e-5)
+        cov = _covariant(dn.reshape(fr.normals.shape + point.shape[-1:]), v.chris, fr.normals,
+                         fr.tangents)
+        assert_roundoff(_twist(cov, fr.normals, v.g), einsum_twist(cov, fr.normals, v.g))
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_projector(self, level):
+        # t^a_A h^{AB} t^b_B of the level's tangents: H^{ab} at the edge in the sheet
+        fr = LEVELS[level]()[0].frame
+        assert_roundoff(_projector(fr.tangents, fr.induced_metric_inverse),
+                        einsum_projector(fr.tangents, fr.induced_metric_inverse))
+
+    def test_edge_projector_is_the_edge_levels(self):
+        bd = _boundary_local(HELICOID.boundary, HELICOID.boundary_grid()).bd
+        assert_roundoff(bd.projector, einsum_projector(bd.tangents_in_m,
+                                                       bd.boundary_metric_inverse))

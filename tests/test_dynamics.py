@@ -103,6 +103,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameters):
             SimulationConfig(initial_data=COLLAPSE, duration=duration)
 
+    @pytest.mark.parametrize("change", [{"constraint_tol": 0.0}, {"output_stride": 0}],
+                             ids=["zero_constraint_tol", "zero_output_stride"])
+    def test_constraint_tolerance_and_stride(self, change):
+        with pytest.raises(InvalidParameters,
+                           match="bad constraint tolerance or output stride"):
+            SimulationConfig(initial_data=COLLAPSE, duration=1.0, **change)
+
     def test_unknown_initial_keys(self):
         cfg = SimulationConfig(initial_data={"id": "collapsing", "bogus": 1.0},
                                duration=0.1)

@@ -7,7 +7,9 @@ background metric too), and the unit normal take no ``svd``, ``inv``,
 
 An edge kernel evaluates the boundary map chi and its derivatives once per
 point batch as well, and the callers that need only the first-order edge
-frame take no second derivative of either map.
+frame take no second derivative of either map.  ``verify`` evaluates each
+edge of an entry once for all the edge rows that read the edge at its sample
+points.
 
 The integrability residuals evaluate the map, and the background metric with
 it, once per point of each stencil sweep they make, at the sample points and
@@ -22,6 +24,7 @@ A finite-difference stencil calls its function once for all its shifts, in
 blocks of at most ``geometry.FD_BLOCK_POINTS`` points.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -136,6 +139,31 @@ def test_adapted_edge_data_takes_second_derivatives_once(counts):
     # the twist stencil needs only the first-order adapted normals
     adapted_edge_data(HELICOID.boundary, HELICOID.boundary_grid())
     assert (counts["dd_position"], counts["dd_chi"]) == (1, 1)
+
+
+# the rows that read one second-order evaluation of each edge at ``boundary_grid()``
+EDGE_RECORD_ROWS = ("edge_trace", "edge_residual", "boundary_condition_max",
+                    "laplacian_form_agreement")
+
+
+def test_verify_evaluates_each_edge_once_for_its_edge_rows(counts):
+    rows = tuple(e for e in HELICOID.expected if e.quantity in EDGE_RECORD_ROWS)
+    assert sorted(e.quantity for e in rows) == sorted(EDGE_RECORD_ROWS)
+    catalog.evaluate_entry(dataclasses.replace(HELICOID, expected=rows))
+    edges = len(HELICOID.boundaries)
+    assert counts == {"position": edges, "d_position": edges, "dd_position": edges,
+                      "chi": edges, "d_chi": edges, "dd_chi": edges,
+                      "metric_at": edges} | NO_LAPACK
+
+
+def test_verify_edge_rows_add_one_evaluation_per_edge_to_the_sweeps(counts):
+    # the integrability rows difference their own stencils; every other edge
+    # row of the entry reads the one evaluation of each edge
+    sweeps = tuple(e for e in HELICOID.expected if e.quantity.startswith("integrability_"))
+    catalog.evaluate_entry(dataclasses.replace(HELICOID, expected=sweeps))
+    swept = counts["dd_chi"]
+    catalog.evaluate_entry(HELICOID)
+    assert counts["dd_chi"] - swept == swept + len(HELICOID.boundaries)
 
 
 def verify_sheet(entry_id):

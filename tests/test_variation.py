@@ -80,6 +80,12 @@ class TestActions:
         with pytest.raises(InvalidParameters, match="D >= 2"):
             ActionConfig(1.0, 1.0, (GridAxis(8, 0.0, 1.0),))
 
+    def test_edge_dependent_limit_only_on_the_last_axis(self):
+        with pytest.raises(InvalidParameters,
+                           match="only the last axis may have edge-dependent limits"):
+            ActionConfig(1.0, 1.0, (GridAxis(8, 0.0, lambda u: 1.0 + 0.0 * u[..., 0]),
+                                    GridAxis(8, 0.0, 1.0)))
+
     def test_null_sheet_action_rejected(self):
         null = Embedding(2, minkowski(3), lambda xi: np.stack(
             [xi[..., 0], xi[..., 0], xi[..., 1]], axis=-1))

@@ -6,7 +6,10 @@ time, each on a fresh temporary copy of ``src``, ``tests`` and
 ``pyproject.toml`` made outside the repository, with the tier-1 command
 (stopping at the first failure).  A mutant is killed when tier-1 fails, and
 survives when it passes.  A formula rewrite that moves a mutant's site
-updates its triple here; a new formula adds its mutants.
+updates its triple here; a new formula adds its mutants.  Tier-1's
+``tests/test_mutation_census.py`` checks that every ``old`` text is still
+found exactly once; the mutant runs leave that test out, since every mutant
+fails it by construction.
 
 Run from anywhere, with the test dependencies installed:
 
@@ -27,14 +30,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FRESHNESS_TEST = "tests/test_mutation_census.py"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", f"--ignore={FRESHNESS_TEST}"]
 
 # id: (file, old, new, what the mutant breaks)
 MUTANTS = {
     "M02": ("src/worldsheet/geometry.py",
-            'return dv + np.einsum("...mrs,...ri,...sa->...mia"',
-            'return dv - np.einsum("...mrs,...ri,...sa->...mia"',
+            "return dv + cols.swapaxes(-1, -2)[..., None, :, :] @ (chris @",
+            "return dv - cols.swapaxes(-1, -2)[..., None, :, :] @ (chris @",
             "the Christoffel sign of the covariant derivative `_covariant`"),
     "M07": ("src/worldsheet/integrability.py",
             "+ w_a @ w_b - w_b @ w_a",
@@ -52,6 +56,22 @@ MUTANTS = {
             'config.mub * (np.einsum("...i,...i->...", hk, phi_n)',
             'config.mub * (0.0 * np.einsum("...i,...i->...", hk, phi_n)',
             "drops mub H^ab K_ab^i Phi_i from `first_variation_analytic`"),
+    "M27": ("src/worldsheet/geometry.py",
+            "_project(fr.tangents @ fr.induced_metric_inverse.swapaxes(-1, -2), g, sec)",
+            "_project(fr.tangents, g, sec)",
+            "drops h^{CD} from the Gauss formula of `_connection` (Gamma lowered)"),
+    "M28": ("src/worldsheet/geometry.py",
+            "kk = _project(normals, g, sec)",
+            "kk = _project(normals, np.eye(g.shape[-1]), sec)",
+            "drops the ambient metric g from `_extrinsic`"),
+    "M29": ("src/worldsheet/boundary.py",
+            "return eps @ h_inv @ eps.swapaxes(-1, -2)",
+            "return eps @ eps.swapaxes(-1, -2)",
+            "drops h^{AB} from the edge projector `_projector`"),
+    "M30": ("src/worldsheet/geometry.py",
+            "np.concatenate([-kk.swapaxes(-1, -2), twist.swapaxes(-1, -2)], axis=-1)",
+            "np.concatenate([kk.swapaxes(-1, -2), twist.swapaxes(-1, -2)], axis=-1)",
+            "the sign of K in the Gauss equation of `gauss_weingarten_residual`"),
 }
 
 
