@@ -36,7 +36,6 @@ from .catalog import (
     helicoid,
     planar_hole,
     plane,
-    reference_surfaces,
     sphere,
 )
 from .dynamics import (

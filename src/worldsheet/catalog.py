@@ -11,6 +11,8 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
+from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -51,42 +53,51 @@ class ExpectedValue:
 class CatalogEntry:
     """A closed-form scenario: embedding, optional edges, and expected facts.
 
-    Edges in ``domain`` are graphs over the leading coordinates,
-    chi(u) = (u, f(u)), and bound the last axis: from below in the ``lo``
-    slot (orientation -1), from above in the ``hi`` slot (orientation +1).
+    Edges are declared once, as limits in ``domain``.  They are graphs over
+    the leading coordinates, chi(u) = (u, f(u)), and bound the last axis:
+    from below in the ``lo`` slot (orientation -1), from above in the ``hi``
+    slot (orientation +1).  ``boundaries`` lists them ``hi`` slot first, so
+    ``boundary`` is the upper edge when the last axis has two.  Edge rows
+    sample the leading axes of ``sample_box`` (``boundary_grid``).
     """
 
     id: str
     embedding: Embedding
-    boundaries: tuple[BoundaryEmbedding, ...]
     parameters: dict
     expected: tuple[ExpectedValue, ...]
     sample_box: tuple[tuple[float, float], ...]
-    boundary_sample_range: tuple[float, float] = (0.0, 1.0)
     periodic: tuple[bool, ...] = ()
     domain: tuple = ()   # per-axis (lo, hi); entries may be BoundaryEmbedding
+
+    @property
+    def boundaries(self) -> tuple[BoundaryEmbedding, ...]:
+        return tuple(lim for limits in self.domain[-1:] for lim in reversed(limits)
+                     if isinstance(lim, BoundaryEmbedding))
 
     @property
     def boundary(self) -> BoundaryEmbedding | None:
         return self.boundaries[0] if self.boundaries else None
 
     def sample_grid(self, per_dim: int = 5) -> Array:
-        axes = [np.linspace(lo, hi, per_dim) for lo, hi in self.sample_box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+        return _grid(self.sample_box, per_dim)
 
     def boundary_grid(self, count: int = 7) -> Array:
-        lo, hi = self.boundary_sample_range
-        db = self.embedding.worldsheet_dim - 1
-        axes = [np.linspace(lo, hi, count)]
-        for _ in range(db - 1):
-            axes.append(np.linspace(0.3, 5.9, count))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, db)
+        return _grid(self.sample_box[:-1], count)
+
+
+def _grid(box, per_dim: int) -> Array:
+    axes = [np.linspace(lo, hi, per_dim) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
 def _stack(*comps):
-    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+    return np.stack(comps, axis=-1)
+
+
+def _sym2(xx, xy, yy):
+    """Symmetric 2x2 Hessian block (..., N, 2, 2) from its three columns."""
+    return np.stack([np.stack([xx, xy], axis=-1), np.stack([xy, yy], axis=-1)], axis=-1)
 
 
 def _graph_boundary(parent: Embedding, level_fn, d_level_fn, dd_level_fn,
@@ -114,17 +125,9 @@ def _graph_boundary(parent: Embedding, level_fn, d_level_fn, dd_level_fn,
 
 def _constant_boundary(parent: Embedding, level: float, orientation: int) -> BoundaryEmbedding:
     db = parent.worldsheet_dim - 1
-
-    def level_fn(u):
-        return np.full(np.asarray(u, dtype=float).shape[:-1], level)
-
-    def d_level(u):
-        return np.zeros(np.asarray(u, dtype=float).shape[:-1] + (db,))
-
-    def dd_level(u):
-        return np.zeros(np.asarray(u, dtype=float).shape[:-1] + (db, db))
-
-    return _graph_boundary(parent, level_fn, d_level, dd_level, orientation)
+    return _graph_boundary(parent, lambda u: np.full(np.shape(u)[:-1], level),
+                           lambda u: np.zeros(np.shape(u)[:-1] + (db,)),
+                           lambda u: np.zeros(np.shape(u)[:-1] + (db, db)), orientation)
 
 
 # ----------------------------------------------------------------------------
@@ -158,13 +161,9 @@ def helicoid(omega: float = 0.5, R: float = 1.0) -> CatalogEntry:
         z = np.zeros_like(t)
         xtt = _stack(z, -s * om * om * np.cos(om * t), -s * om * om * np.sin(om * t))
         xts = _stack(z, -om * np.sin(om * t), om * np.cos(om * t))
-        xss = _stack(z, z, z)
-        return np.stack([np.stack([xtt, xts], axis=-1),
-                         np.stack([xts, xss], axis=-1)], axis=-1)
+        return _sym2(xtt, xts, _stack(z, z, z))
 
     emb = Embedding(2, bg, pos, dpos, ddpos)
-    upper = _constant_boundary(emb, R, 1)
-    lower = _constant_boundary(emb, -R, -1)
     k_edge = -om * om * R / (1.0 - om * om * R * R)
     expected = [
         ExpectedValue("curvature_trace_norm", 0.0, 1e-9, "paper"),
@@ -188,15 +187,13 @@ def helicoid(omega: float = 0.5, R: float = 1.0) -> CatalogEntry:
     return CatalogEntry(
         id="helicoid",
         embedding=emb,
-        boundaries=(upper, lower),
         parameters=params,
         expected=tuple(expected),
         # sigma = 0, where the deterministic normal gauge flips sign, is not on this
         # grid; the residuals align the normals they difference, so hold there too
         sample_box=((0.0, 2.0), (-0.88 * R, 0.92 * R)),
-        boundary_sample_range=(0.0, 2.0),
         periodic=(False, False),
-        domain=((0.0, 1.0), (lower, upper)),
+        domain=((0.0, 1.0), (_constant_boundary(emb, -R, -1), _constant_boundary(emb, R, 1))),
     )
 
 
@@ -235,13 +232,10 @@ def collapsing_string(a: float = 1.0, x0: float = 1.0) -> CatalogEntry:
 
         return _graph_boundary(emb, level, dlevel, ddlevel, sign)
 
-    upper = make_side(1)
-    lower = make_side(-1)
     t_coll = collision_time(a, x0)
     return CatalogEntry(
         id="collapsing",
         embedding=emb,
-        boundaries=(upper, lower),
         parameters={"a": a, "x0": x0, "mu0": a, "mub": 1.0},
         expected=(
             ExpectedValue("curvature_trace_norm", 0.0, 1e-12, "trivial"),
@@ -253,9 +247,8 @@ def collapsing_string(a: float = 1.0, x0: float = 1.0) -> CatalogEntry:
             ExpectedValue("laplacian_form_agreement", 0.0, 1e-8, "derived"),
         ),
         sample_box=((0.0, 0.4 * t_coll), (-0.8 * x0, 0.8 * x0)),
-        boundary_sample_range=(0.0, 0.4 * t_coll),
         periodic=(False, False),
-        domain=((0.0, 0.5), (lower, upper)),
+        domain=((0.0, 0.5), (make_side(-1), make_side(1))),
     )
 
 
@@ -265,42 +258,11 @@ def planar_hole(rho: float = 2.0, outer: float | None = None) -> CatalogEntry:
     Polar bulk coordinates (t, phi, r) with the edge at r = rho; the stored
     tensions mu0 = 1 and mub = mu0 * rho make the hole an equilibrium.
     """
-    if not rho > 0:
-        raise InvalidParameters("hole radius must be positive")
-    outer = outer if outer is not None else rho + 2.0
-    if not rho < outer < math.inf:
-        raise InvalidParameters("outer radius must be finite and above the hole radius")
-    bg = minkowski(4)
-
-    def pos(xi):
-        t, ph, r = xi[..., 0], xi[..., 1], xi[..., 2]
-        return _stack(t, r * np.cos(ph), r * np.sin(ph), np.zeros_like(t))
-
-    def dpos(xi):
-        t, ph, r = xi[..., 0], xi[..., 1], xi[..., 2]
-        one, z = np.ones_like(t), np.zeros_like(t)
-        et = _stack(one, z, z, z)
-        eph = _stack(z, -r * np.sin(ph), r * np.cos(ph), z)
-        er = _stack(z, np.cos(ph), np.sin(ph), z)
-        return np.stack([et, eph, er], axis=-1)
-
-    def ddpos(xi):
-        t, ph, r = xi[..., 0], xi[..., 1], xi[..., 2]
-        z = np.zeros_like(t)
-        out = np.zeros(np.asarray(xi, dtype=float).shape[:-1] + (4, 3, 3))
-        xphph = _stack(z, -r * np.cos(ph), -r * np.sin(ph), z)
-        xphr = _stack(z, -np.sin(ph), np.cos(ph), z)
-        out[..., 1, 1] = xphph
-        out[..., 1, 2] = xphr
-        out[..., 2, 1] = xphr
-        return out
-
-    emb = Embedding(3, bg, pos, dpos, ddpos)
-    inner = _constant_boundary(emb, rho, -1)
+    outer = _hole_radii(rho, outer)
+    emb = _static(_polar_plane())
     return CatalogEntry(
         id="hole",
         embedding=emb,
-        boundaries=(inner,),
         parameters={"rho": rho, "outer": outer, "mu0": 1.0, "mub": rho},
         expected=(
             ExpectedValue("curvature_trace_norm", 0.0, 1e-9, "trivial"),
@@ -314,10 +276,43 @@ def planar_hole(rho: float = 2.0, outer: float | None = None) -> CatalogEntry:
             ExpectedValue("laplacian_form_agreement", 0.0, 1e-8, "derived"),
         ),
         sample_box=((0.0, 1.0), (0.3, 5.9), (rho, outer)),
-        boundary_sample_range=(0.0, 1.0),
         periodic=(False, True, False),
-        domain=((0.0, 1.0), (0.0, 2.0 * math.pi), (inner, outer)),
+        domain=((0.0, 1.0), (0.0, 2.0 * math.pi), (_constant_boundary(emb, rho, -1), outer)),
     )
+
+
+def _hole_radii(rho: float, outer: float | None) -> float:
+    """The outer radius of a plane with a hole of radius rho (default rho + 2), checked."""
+    if not rho > 0:
+        raise InvalidParameters("hole radius must be positive")
+    outer = outer if outer is not None else rho + 2.0
+    if not rho < outer < math.inf:
+        raise InvalidParameters("outer radius must be finite and above the hole radius")
+    return outer
+
+
+def _static(base: Embedding) -> Embedding:
+    """Static sheet time x base in Minkowski space: (t, xi) -> (t, X(xi)).
+
+    Composes the base's raw callbacks, so each call evaluates its map once.
+    """
+    n, d = base.background.dimension + 1, base.worldsheet_dim + 1
+
+    def pos(xi):
+        return np.concatenate([xi[..., :1], base.position_fn(xi[..., 1:])], axis=-1)
+
+    def dpos(xi):
+        out = np.zeros(xi.shape[:-1] + (n, d))
+        out[..., 0, 0] = 1.0
+        out[..., 1:, 1:] = base.d_position_fn(xi[..., 1:])
+        return out
+
+    def ddpos(xi):
+        out = np.zeros(xi.shape[:-1] + (n, d, d))
+        out[..., 1:, 1:, 1:] = base.dd_position_fn(xi[..., 1:])
+        return out
+
+    return Embedding(d, minkowski(n), pos, dpos, ddpos)
 
 
 def euclidean_disk(rho: float = 1.0) -> CatalogEntry:
@@ -325,11 +320,9 @@ def euclidean_disk(rho: float = 1.0) -> CatalogEntry:
     if not 0 < rho < math.inf:
         raise InvalidParameters("disk radius must be finite and positive")
     emb = _polar_plane()
-    edge = _constant_boundary(emb, rho, 1)
     return CatalogEntry(
         id="disk",
         embedding=emb,
-        boundaries=(edge,),
         parameters={"rho": rho},
         expected=(
             ExpectedValue("curvature_trace_norm", 0.0, 1e-12, "trivial"),
@@ -337,25 +330,18 @@ def euclidean_disk(rho: float = 1.0) -> CatalogEntry:
             ExpectedValue("edge_trace", 1.0 / rho, 1e-9, "derived"),
         ),
         sample_box=((0.3, 5.9), (0.2 * rho, rho)),
-        boundary_sample_range=(0.3, 5.9),
         periodic=(True, False),
-        domain=((0.0, 2.0 * math.pi), (0.0, edge)),
+        domain=((0.0, 2.0 * math.pi), (0.0, _constant_boundary(emb, rho, 1))),
     )
 
 
 def euclidean_plane_hole(rho: float = 2.0, outer: float | None = None) -> CatalogEntry:
     """Flat plane minus a disk (Euclidean), edge oriented toward the hole center."""
-    if not rho > 0:
-        raise InvalidParameters("hole radius must be positive")
-    outer = outer if outer is not None else rho + 2.0
-    if not rho < outer < math.inf:
-        raise InvalidParameters("outer radius must be finite and above the hole radius")
+    outer = _hole_radii(rho, outer)
     emb = _polar_plane()
-    edge = _constant_boundary(emb, rho, -1)
     return CatalogEntry(
         id="plane_hole",
         embedding=emb,
-        boundaries=(edge,),
         parameters={"rho": rho, "outer": outer, "mu0": 1.0, "mub": rho},
         expected=(
             ExpectedValue("curvature_trace_norm", 0.0, 1e-12, "trivial"),
@@ -365,9 +351,8 @@ def euclidean_plane_hole(rho: float = 2.0, outer: float | None = None) -> Catalo
             ExpectedValue("laplacian_form_agreement", 0.0, 1e-8, "derived"),
         ),
         sample_box=((0.3, 5.9), (rho, outer)),
-        boundary_sample_range=(0.3, 5.9),
         periodic=(True, False),
-        domain=((0.0, 2.0 * math.pi), (edge, outer)),
+        domain=((0.0, 2.0 * math.pi), (_constant_boundary(emb, rho, -1), outer)),
     )
 
 
@@ -390,9 +375,7 @@ def _polar_plane() -> Embedding:
         z = np.zeros_like(ph)
         xphph = _stack(-r * np.cos(ph), -r * np.sin(ph), z)
         xphr = _stack(-np.sin(ph), np.cos(ph), z)
-        xrr = _stack(z, z, z)
-        return np.stack([np.stack([xphph, xphr], axis=-1),
-                         np.stack([xphr, xrr], axis=-1)], axis=-1)
+        return _sym2(xphph, xphr, _stack(z, z, z))
 
     return Embedding(2, bg, pos, dpos, ddpos)
 
@@ -422,12 +405,9 @@ def _flat_strip() -> Embedding:
 def plane() -> CatalogEntry:
     """Flat Minkowski strip (t, sigma) -> (t, sigma, 0) with straight edges at +-1."""
     emb = _flat_strip()
-    upper = _constant_boundary(emb, 1.0, 1)
-    lower = _constant_boundary(emb, -1.0, -1)
     return CatalogEntry(
         id="plane",
         embedding=emb,
-        boundaries=(upper, lower),
         parameters={"mu0": 1.0, "mub": 1.0},
         expected=(
             ExpectedValue("curvature_trace_norm", 0.0, 1e-12, "trivial"),
@@ -441,9 +421,8 @@ def plane() -> CatalogEntry:
             ExpectedValue("laplacian_form_agreement", 0.0, 1e-10, "trivial"),
         ),
         sample_box=((0.0, 1.0), (-0.9, 0.9)),
-        boundary_sample_range=(0.0, 1.0),
         periodic=(False, False),
-        domain=((0.0, 1.0), (lower, upper)),
+        domain=((0.0, 1.0), (_constant_boundary(emb, -1.0, -1), _constant_boundary(emb, 1.0, 1))),
     )
 
 
@@ -470,14 +449,12 @@ def sphere(radius: float = 2.0) -> CatalogEntry:
         xtt = -pos(xi)
         xtp = r * _stack(-np.cos(th) * np.sin(ph), np.cos(th) * np.cos(ph), z)
         xpp = r * _stack(-np.sin(th) * np.cos(ph), -np.sin(th) * np.sin(ph), z)
-        return np.stack([np.stack([xtt, xtp], axis=-1),
-                         np.stack([xtp, xpp], axis=-1)], axis=-1)
+        return _sym2(xtt, xtp, xpp)
 
     emb = Embedding(2, bg, pos, dpos, ddpos)
     return CatalogEntry(
         id="sphere",
         embedding=emb,
-        boundaries=(),
         parameters={"radius": r},
         expected=(
             ExpectedValue("curvature_trace_norm", 2.0 / r, 1e-9, "derived"),
@@ -512,17 +489,14 @@ def flat_torus(r1: float = 1.0, r2: float = 1.0) -> CatalogEntry:
         u, v = xi[..., 0], xi[..., 1]
         z = np.zeros_like(u)
         xuu = _stack(-r1 * np.cos(u), -r1 * np.sin(u), z, z)
-        xuv = _stack(z, z, z, z)
         xvv = _stack(z, z, -r2 * np.cos(v), -r2 * np.sin(v))
-        return np.stack([np.stack([xuu, xuv], axis=-1),
-                         np.stack([xuv, xvv], axis=-1)], axis=-1)
+        return _sym2(xuu, _stack(z, z, z, z), xvv)
 
     emb = Embedding(2, bg, pos, dpos, ddpos)
     trace_norm = math.sqrt(1.0 / r1 ** 2 + 1.0 / r2 ** 2)
     return CatalogEntry(
         id="torus",
         embedding=emb,
-        boundaries=(),
         parameters={"r1": r1, "r2": r2},
         expected=(
             ExpectedValue("curvature_trace_norm", trace_norm, 1e-9, "derived"),
@@ -534,11 +508,6 @@ def flat_torus(r1: float = 1.0, r2: float = 1.0) -> CatalogEntry:
         periodic=(True, True),
         domain=((0.3, 1.2), (0.3, 1.2)),
     )
-
-
-def reference_surfaces() -> list[CatalogEntry]:
-    """Flat plane, round sphere, and flat torus used by the curvature test suites."""
-    return [plane(), sphere(2.0), flat_torus(1.0, 1.0)]
 
 
 _BUILDERS = {
@@ -587,15 +556,17 @@ def catalog_ids() -> list[str]:
 _FD_GW_STEP = 1e-4
 _FD_INT_STEP = 1e-4
 _FD_RIEMANN_STEP = 1.5e-4
-# edge rows read from one evaluation of each edge, shared by the entry's rows
-_EDGE_RECORD_QUANTITIES = ("edge_trace", "edge_residual", "boundary_condition_max",
-                           "laplacian_form_agreement")
-_EDGE_QUANTITIES = _EDGE_RECORD_QUANTITIES + ("integrability_boundary", "integrability_direct")
+_EDGE_QUANTITIES = ("edge_trace", "edge_residual", "boundary_condition_max",
+                    "laplacian_form_agreement", "integrability_boundary", "integrability_direct")
 
 
 def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float,
-                   edges: list[_EdgeLocal]) -> float:
-    """Worst-case sampled value of a named quantity (the sample maximizing |q - expected|)."""
+                   edges: Callable[[], list[_EdgeLocal]]) -> float:
+    """Worst-case sampled value of a named quantity (the sample maximizing |q - expected|).
+
+    ``edges()`` is the one second-order evaluation of each edge at
+    ``boundary_grid()``, shared by every edge row that reads it.
+    """
     emb = entry.embedding
     pts = entry.sample_grid()
     if quantity == "curvature_trace_norm":
@@ -607,8 +578,7 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float,
         riem = worldsheet_riemann(emb, some, _FD_RIEMANN_STEP)
         gi = frame(emb, some).induced_metric_inverse
         scal = np.einsum("...ac,...ac->...", gi, np.einsum("...bd,...abcd->...ac", gi, riem))
-        ref = _reference_scalar_curvature(entry)
-        return _worst(scal - ref, expected)
+        return _worst(scal - _reference_scalar_curvature(entry, some), expected)
     if quantity == "gauss_weingarten_max":
         some = pts[:: max(1, len(pts) // 6)]
         res1, res2 = gauss_weingarten_residual(emb, some, _FD_GW_STEP)
@@ -635,15 +605,14 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float,
     some = u[:: max(1, len(u) // 3)]
     mu0, mub = entry.parameters.get("mu0", 1.0), entry.parameters.get("mub", 1.0)
     if quantity == "edge_trace":
-        vals = [bl.bd.edge_trace for bl in edges]
+        vals = [bl.bd.edge_trace for bl in edges()]
     elif quantity == "edge_residual":
-        vals = [edge_equation_residual(bl.bd, entry.parameters["mu0"], entry.parameters["mub"])
-                for bl in edges]
+        vals = [edge_equation_residual(bl.bd, mu0, mub) for bl in edges()]
     elif quantity == "boundary_condition_max":
-        vals = [np.linalg.norm(_projected_trace(bl), axis=-1) for bl in edges]
+        vals = [np.linalg.norm(_projected_trace(bl), axis=-1) for bl in edges()]
     elif quantity == "laplacian_form_agreement":
         vals = [np.linalg.norm(_projected_trace(bl) + _laplacian_residuals(bl, mu0, mub).normal,
-                               axis=-1) for bl in edges]
+                               axis=-1) for bl in edges()]
     elif quantity == "integrability_boundary":
         vals = [np.maximum(*boundary_integrability_residuals(bnd, some, _FD_INT_STEP))
                 for bnd in entry.boundaries]
@@ -653,17 +622,12 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float,
     return _worst(np.concatenate([np.atleast_1d(v) for v in vals]), expected)
 
 
-def _reference_scalar_curvature(entry: CatalogEntry) -> float | Array:
+def _reference_scalar_curvature(entry: CatalogEntry, pts: Array) -> float | Array:
     if entry.id == "sphere":
         return 2.0 / entry.parameters["radius"] ** 2
-    if entry.id == "helicoid":
-        pts = entry.sample_grid()[:: max(1, len(entry.sample_grid()) // 6)]
-        curv = extrinsic_curvature(entry.embedding, pts)
-        gi = frame(entry.embedding, pts).induced_metric_inverse
-        k_mixed = gi[..., None, :, :] @ np.moveaxis(curv.extrinsic, -1, -3)  # K^a_b per normal
-        ksq = np.sum(k_mixed * np.swapaxes(k_mixed, -1, -2), axis=(-3, -2, -1))
-        trace_sq = np.einsum("...i,...i->...", curv.traces, curv.traces)
-        return trace_sq - ksq
+    if entry.id == "helicoid":  # ds^2 = -(1 - w^2 s^2) dt^2 + ds^2
+        w2 = entry.parameters["omega"] ** 2
+        return 2.0 * w2 / (1.0 - w2 * pts[..., 1] ** 2) ** 2
     return 0.0
 
 
@@ -675,8 +639,8 @@ def _worst(values: Array, expected: float) -> float:
 
 def evaluate_entry(entry: CatalogEntry) -> list[tuple[str, float, float, float, bool]]:
     """Evaluate all expected quantities; rows are (quantity, value, expected, residual, pass)."""
-    edges = ([_boundary_local(bnd, entry.boundary_grid()) for bnd in entry.boundaries]
-             if any(e.quantity in _EDGE_RECORD_QUANTITIES for e in entry.expected) else [])
+    edges = cache(lambda: [_boundary_local(bnd, entry.boundary_grid())
+                           for bnd in entry.boundaries])
     rows = []
     for exp in entry.expected:
         value = _eval_quantity(entry, exp.quantity, exp.value, edges)

@@ -320,8 +320,8 @@ def cmd_scan(args) -> int:
     mu0 = _config_number(config, "mu0", default=1.0)
     mub = _config_number(config, "mub", default=1.0)
     radius = _config_number(config, "radius", default=1.0)
-    if not mub > 0:
-        raise UsageError("edge tension mub must be positive")
+    if not (mub > 0 and radius > 0):
+        raise UsageError("edge tension mub and radius must be positive")
     digest = config_digest(config)
     out_dir = Path(args.out_dir)
     _prepare_out_dir(out_dir, digest, args.force)

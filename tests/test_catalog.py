@@ -124,11 +124,6 @@ def test_builder_rejects_non_finite_or_inverted_parameters(builder, args):
         builder(*args)
 
 
-def test_reference_surfaces_roster():
-    ids = [e.id for e in catalog.reference_surfaces()]
-    assert ids == ["plane", "sphere", "torus"]
-
-
 def test_plane_hole_rejects_a_nonpositive_radius():
     with pytest.raises(InvalidParameters, match="hole radius must be positive"):
         catalog.entry_from_id("plane_hole:rho=-1")
@@ -153,6 +148,15 @@ def test_catalog_entries_never_fall_back_to_fd():
         for edge in entry.boundaries:
             assert edge.d_chi_fn is not None
             assert edge.dd_chi_fn is not None
+
+
+@pytest.mark.parametrize("entry_id", catalog.catalog_ids())
+def test_action_setup_accepts_every_entry(entry_id):
+    # every builder declares its edges in the slots their orientations need;
+    # action_setup lists them lo slot first, ``boundaries`` hi slot first
+    entry = catalog.entry_from_id(entry_id)
+    _, edges = catalog.action_setup(entry, 1.0, 1.0, (8,) * entry.embedding.worldsheet_dim)
+    assert edges == entry.boundaries[::-1]
 
 
 @pytest.mark.parametrize("entry", [catalog.euclidean_disk(1.0), catalog.euclidean_plane_hole(2.0)],

@@ -335,11 +335,12 @@ class TestScan:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["hole_radius", "orbit_omega"])
-    @pytest.mark.parametrize("mub", [0.0, -1.0])
-    def test_nonpositive_mub_exit_two_without_outputs(self, tmp_path, kind, mub):
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("key", ["mub", "radius"])
+    def test_nonpositive_mub_exit_two_without_outputs(self, tmp_path, kind, value, key):
         cfg = tmp_path / "scan.json"
         write_json(cfg, {"schema_version": 1, "scan": kind, "start": 1.0,
-                         "stop": 3.0, "points": 5, "mu0": 1.0, "mub": mub})
+                         "stop": 3.0, "points": 5, "mu0": 1.0, "mub": 2.0, key: value})
         out = tmp_path / "scan"
         assert main(["scan", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert not out.exists()

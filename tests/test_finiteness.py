@@ -85,8 +85,7 @@ def scenario(slot=None, wrap=None):
     emb = patched(dataclasses.replace(HELICOID.embedding, background=background), "embedding")
     upper = patched(dataclasses.replace(HELICOID.boundaries[0], parent=emb), "edge")
     lower = dataclasses.replace(HELICOID.boundaries[1], parent=emb)
-    entry = dataclasses.replace(HELICOID, embedding=emb, boundaries=(upper, lower),
-                                domain=((0.0, 1.0), (lower, upper)))
+    entry = dataclasses.replace(HELICOID, embedding=emb, domain=((0.0, 1.0), (lower, upper)))
     cfg, edges = catalog.action_setup(entry, 1.0, 3.0, (8, 8))
     defo = patched(DeformationField(
         tangential_fn=lambda xi: np.stack([np.sin(xi[..., 1]), xi[..., 0] * xi[..., 1]], axis=-1),

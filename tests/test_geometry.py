@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from worldsheet import catalog
+from worldsheet import catalog, geometry
 from worldsheet.background import EUCLIDEAN, LORENTZIAN, BackgroundMetric, euclidean, minkowski
+from worldsheet.boundary import boundary_data
 from worldsheet.errors import DegenerateImmersion, DegenerateMetric, InvalidParameters
 from worldsheet.geometry import (
     FD_BLOCK_POINTS,
@@ -235,6 +236,45 @@ class TestExtrinsicCurvature:
                              - SPHERE.embedding.d_position(pts))) < 1e-9
         assert np.max(np.abs(twin.dd_position(pts)
                              - SPHERE.embedding.dd_position(pts))) < 1e-5
+
+
+S3_RADIUS = 2.0
+
+
+def s3_cylinder():
+    """Time x the round S^3 of radius 2 in M^5, (t, chi, theta, phi), derivatives by FD."""
+    def pos(xi):
+        t, chi, th, ph = np.moveaxis(xi, -1, 0)
+        r = S3_RADIUS * np.sin(chi)
+        return np.stack([t, r * np.sin(th) * np.cos(ph), r * np.sin(th) * np.sin(ph),
+                         r * np.cos(th), S3_RADIUS * np.cos(chi)], axis=-1)
+
+    return Embedding(4, minkowski(5), pos)
+
+
+class TestFourDimensionalSheet:
+    # D = 4 takes the LAPACK det, inverse and signature of the induced metric
+    PTS = np.array([[0.1, 0.6, 0.7, 0.4], [0.5, 1.2, 2.1, 3.0],
+                    [0.9, 2.4, 1.4, 5.5], [0.3, 1.9, 0.9, 1.7]])
+
+    def test_mean_curvature_is_three_over_radius(self):
+        traces = extrinsic_curvature(s3_cylinder(), self.PTS).traces[..., 0]
+        # the deterministic normal gauge picks the sign per point
+        assert np.max(np.abs(np.abs(traces) - 3.0 / S3_RADIUS)) < 1e-6
+
+    def test_metric_det_and_inverse(self):
+        fr = frame(s3_cylinder(), self.PTS)
+        chi, th = self.PTS[:, 1], self.PTS[:, 2]
+        det, _ = geometry._det_adjugate(fr.induced_metric)
+        # g = diag(-1, r^2, r^2 sin^2 chi, r^2 sin^2 chi sin^2 theta)
+        assert np.allclose(det, -S3_RADIUS ** 6 * np.sin(chi) ** 4 * np.sin(th) ** 2, rtol=1e-7)
+        assert np.allclose(fr.induced_metric_inverse, np.linalg.inv(fr.induced_metric),
+                           rtol=1e-12, atol=1e-12)
+
+    def test_edge_on_a_great_two_sphere_is_geodesic(self):
+        # phi = 1 cuts the S^3 in half a great S^2, so k = 0
+        edge = catalog._constant_boundary(s3_cylinder(), 1.0, 1)
+        assert np.max(np.abs(boundary_data(edge, self.PTS[:, :3]).edge_trace)) < 1e-6
 
 
 class TestGaussWeingarten:

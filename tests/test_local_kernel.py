@@ -122,7 +122,7 @@ def edge_points(edge, count, seed):
     """Random boundary points: the first coordinate over the entry's edge range."""
     rng = np.random.default_rng(seed)
     entry = next(e for e in ONE_NORMAL if edge in e.boundaries)
-    lo, hi = entry.boundary_sample_range
+    lo, hi = entry.sample_box[0]
     u = rng.uniform(0.3, 5.9, (count, edge.boundary_dim))
     u[:, 0] = rng.uniform(lo, hi, count)
     return u

@@ -72,6 +72,14 @@ MUTANTS = {
             "np.concatenate([-kk.swapaxes(-1, -2), twist.swapaxes(-1, -2)], axis=-1)",
             "np.concatenate([kk.swapaxes(-1, -2), twist.swapaxes(-1, -2)], axis=-1)",
             "the sign of K in the Gauss equation of `gauss_weingarten_residual`"),
+    "M31": ("src/worldsheet/catalog.py",
+            "for lim in reversed(limits)",
+            "for lim in limits",
+            "lists `CatalogEntry.boundaries` lo slot first"),
+    "M32": ("src/worldsheet/catalog.py",
+            "(1.0 - w2 * pts[..., 1] ** 2) ** 2",
+            "(1.0 - w2 * pts[..., 1] ** 2)",
+            "drops the square from the helicoid's scalar curvature 2w^2/(1 - w^2 s^2)^2"),
 }
 
 
