@@ -23,9 +23,9 @@ class BackgroundMetric:
     shape (..., N) to (..., N, N) matrices, ``christoffel_fn`` to
     (..., N, N, N) arrays indexed [mu, alpha, beta] (upper index first), and
     ``riemann_fn`` to (..., N, N, N, N) arrays R^mu_{nu rho sigma}.  When the
-    callables are omitted the background is flat: the metric is the constant
-    signature matrix and the Christoffels and Riemann tensor are read-only zero
-    views.  Curved backgrounds must supply Christoffels (and, for integrability
+    callables are omitted the background is flat: the metric, Christoffels and
+    Riemann tensor are read-only views of the constant signature matrix and of
+    zeros.  Curved backgrounds must supply Christoffels (and, for integrability
     checks, the Riemann tensor) analytically; they are never finite-differenced.
     A callback value that is not finite raises DegenerateMetric.
     """
@@ -51,7 +51,7 @@ class BackgroundMetric:
         if self.metric_fn is None:
             g = np.eye(self.dimension)
             g[0, 0] = -1.0 if self.signature == LORENTZIAN else 1.0
-            return np.broadcast_to(g, x.shape[:-1] + g.shape).copy()
+            return np.broadcast_to(g, x.shape[:-1] + g.shape)
         return _finite(self.metric_fn(x), "metric_fn")
 
     def christoffels_at(self, x: Array) -> Array:

@@ -292,7 +292,9 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
     """Gauss and Codazzi residuals for the edge embedded in the worldsheet.
 
     The edge is co-dimension one inside the worldsheet, so its Ricci family is
-    vacuous and only two residuals exist.
+    vacuous and only two residuals exist.  On a one-dimensional edge both vanish
+    identically (antisymmetric in two tangent indices), so the values are roundoff;
+    ``verify`` lists this row only for edges of dimension >= 2.
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
@@ -315,6 +317,8 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     Omega_{AB ij} - [eps eps Omega_{ab ij} - (m_{A i} m_{B j} - m_{B i} m_{A j})],
     with m_{A i} = eta^a eps^b_A K_{ab i}, and
     Omega_{AB i0} - eps^c_C [eps^a_A K_{ac i} k_B^C - eps^b_B K_{bc i} k_A^C].
+    On a one-dimensional edge every family vanishes identically (antisymmetric in
+    A, B), so the values are roundoff; ``verify`` lists it for edges of dimension >= 2.
     """
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)

@@ -20,7 +20,12 @@ from worldsheet.boundary import (
     edge_equation_residual,
     laplacian_decomposition_residual,
 )
-from worldsheet.errors import DegenerateImmersion, InvalidParameters, NullBoundary
+from worldsheet.errors import (
+    DegenerateImmersion,
+    InconsistentGeometry,
+    InvalidParameters,
+    NullBoundary,
+)
 from worldsheet.geometry import Embedding, extrinsic_curvature, frame
 
 from helpers import curved_hole_edge, graph_edge_hint, hint_oriented_eta
@@ -359,6 +364,14 @@ class TestAdaptedEdge:
         expected = np.einsum("...a,...bA,...abi->...Ai", bd.normal_in_m,
                              bd.tangents_in_m, curv.extrinsic)
         assert np.allclose(data.edge_twist[..., 1:, 0], expected, atol=1e-8)
+
+    def test_inconsistent_edge_derivative_rejected(self):
+        # d_chi disagrees with chi, so the tangents and eta no longer match the
+        # edge's curve and the inherited curvature and twist fail their checks
+        wrong = dataclasses.replace(HELICOID.boundary, d_chi_fn=lambda u: np.broadcast_to(
+            [[1.0], [0.3]], u.shape[:-1] + (2, 1)))
+        with pytest.raises(InconsistentGeometry, match="inheritance relations violated"):
+            adapted_edge_data(wrong, np.array([0.4]))
 
     def test_sign_coherence_on_rotating_solution(self):
         # with the same outward eta: the edge law holds and the edge

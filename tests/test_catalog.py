@@ -140,6 +140,16 @@ def test_unknown_provenance_is_invalid_parameters():
         catalog.ExpectedValue("edge_trace", 0.0, 1e-8, "folklore")
 
 
+@pytest.mark.parametrize("entry_id", catalog.catalog_ids())
+def test_no_integrability_edge_row_on_a_curve(entry_id):
+    # on a one-dimensional edge every integrability family vanishes identically,
+    # so such a row could not fail
+    entry = catalog.entry_from_id(entry_id)
+    quantities = {exp.quantity for exp in entry.expected}
+    if any(edge.boundary_dim == 1 for edge in entry.boundaries):
+        assert not quantities & {"integrability_boundary", "integrability_direct"}
+
+
 def test_catalog_entries_never_fall_back_to_fd():
     for entry_id in ALL_IDS:
         entry = catalog.entry_from_id(entry_id)

@@ -158,12 +158,15 @@ def test_verify_evaluates_each_edge_once_for_its_edge_rows(counts):
 
 def test_verify_edge_rows_add_one_evaluation_per_edge_to_the_sweeps(counts):
     # the integrability rows difference their own stencils; every other edge
-    # row of the entry reads the one evaluation of each edge
-    sweeps = tuple(e for e in HELICOID.expected if e.quantity.startswith("integrability_"))
-    catalog.evaluate_entry(dataclasses.replace(HELICOID, expected=sweeps))
+    # row of the entry reads the one evaluation of each edge.  The hole's edge
+    # is 2D, so the entry lists both integrability edge rows.
+    hole = catalog.planar_hole(2.0)
+    sweeps = tuple(e for e in hole.expected if e.quantity.startswith("integrability_"))
+    assert {"integrability_boundary", "integrability_direct"} <= {e.quantity for e in sweeps}
+    catalog.evaluate_entry(dataclasses.replace(hole, expected=sweeps))
     swept = counts["dd_chi"]
-    catalog.evaluate_entry(HELICOID)
-    assert counts["dd_chi"] - swept == swept + len(HELICOID.boundaries)
+    catalog.evaluate_entry(hole)
+    assert counts["dd_chi"] - swept == swept + len(hole.boundaries)
 
 
 def verify_sheet(entry_id):

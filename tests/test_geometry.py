@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from worldsheet import catalog, geometry
 from worldsheet.background import EUCLIDEAN, LORENTZIAN, BackgroundMetric, euclidean, minkowski
 from worldsheet.boundary import boundary_data
-from worldsheet.errors import DegenerateImmersion, DegenerateMetric, InvalidParameters
+from worldsheet.errors import (
+    DegenerateImmersion,
+    DegenerateMetric,
+    GaugeFailure,
+    InvalidParameters,
+)
 from worldsheet.geometry import (
     FD_BLOCK_POINTS,
     Embedding,
@@ -320,14 +325,17 @@ class TestBatchShapes:
         assert np.all(bg.christoffels_at(x) == 0.0)
         assert np.all(bg.riemann_at(x) == 0.0)
 
-    def test_flat_background_curvature_is_a_zero_view(self):
-        # one zero tensor broadcast over the batch: nothing is allocated per point
+    def test_flat_background_tensors_are_constant_views(self):
+        # one constant tensor broadcast over the batch: nothing is allocated per point
         bg = minkowski(3)
         x = np.zeros((7, 5, 3))
-        for tensor, rank in ((bg.christoffels_at(x), 3), (bg.riemann_at(x), 4)):
-            assert tensor.shape == (7, 5) + (3,) * rank
+        for tensor, constant in ((bg.metric_at(x), np.diag([-1.0, 1.0, 1.0])),
+                                 (bg.christoffels_at(x), np.zeros((3,) * 3)),
+                                 (bg.riemann_at(x), np.zeros((3,) * 4))):
+            assert tensor.shape == (7, 5) + constant.shape
             assert tensor.strides[:2] == (0, 0)
-            assert not np.any(tensor)
+            assert not tensor.flags.writeable
+            assert np.array_equal(tensor[3, 2], constant)
 
 
 class TestScope:
@@ -414,15 +422,33 @@ class TestFiniteness:
                      "dd_position_fn": emb.dd_position_fn}
         return Embedding(emb.worldsheet_dim, emb.background, **{**callbacks, **fns})
 
-    def test_singular_curved_metric_rejected(self):
-        # the plane z = 0 has a regular induced metric, but g cannot raise its normal
-        singular = BackgroundMetric(3, EUCLIDEAN, metric_fn=lambda x: np.broadcast_to(
-            np.diag([1.0, 1.0, 0.0]), x.shape[:-1] + (3, 3)).copy(),
-            christoffel_fn=euclidean(3).christoffels_at, riemann_fn=euclidean(3).riemann_at)
-        plane = Embedding(2, singular, lambda p: np.concatenate(
-            [p, np.zeros(p.shape[:-1] + (1,))], axis=-1))
-        with pytest.raises(DegenerateMetric, match="background metric is singular"):
-            frame(plane, np.array([[0.1, 0.2], [0.3, -0.4]]))
+    @staticmethod
+    def _linear_sheet(diagonal, axes):
+        """The coordinate plane along ``axes`` under a constant metric declared Euclidean."""
+        n = len(diagonal)
+        bg = BackgroundMetric(n, EUCLIDEAN, metric_fn=lambda x: np.broadcast_to(
+            np.diag(diagonal), x.shape[:-1] + (n, n)).copy(),
+            christoffel_fn=euclidean(n).christoffels_at, riemann_fn=euclidean(n).riemann_at)
+
+        def pos(p):
+            x = np.zeros(p.shape[:-1] + (n,))
+            x[..., list(axes)] = p
+            return x
+
+        return Embedding(2, bg, pos)
+
+    @pytest.mark.parametrize("diagonal,axes,error,match", [
+        # a regular induced metric, but g cannot raise the normal
+        ((1.0, 1.0, 0.0), (0, 1), DegenerateMetric, "background metric is singular"),
+        ((1.0, 1.0, -1.0), (0, 2), DegenerateMetric, "not positive definite"),
+        # the one normal is timelike under g
+        ((1.0, 1.0, -1.0), (0, 1), GaugeFailure, "null or not finite"),
+        # Gram-Schmidt finds the x2 normal but not the timelike x3 one
+        ((1.0, 1.0, 1.0, -1.0), (0, 1), GaugeFailure, "could not complete"),
+    ], ids=["singular", "indefinite_sheet", "timelike_normal", "timelike_second_normal"])
+    def test_curved_metric_out_of_scope_rejected(self, diagonal, axes, error, match):
+        with pytest.raises(error, match=match):
+            frame(self._linear_sheet(diagonal, axes), np.array([[0.1, 0.2], [0.3, -0.4]]))
 
     def test_non_finite_position_rejected(self):
         # the flat metric never reads x, so only the gate on x sees this

@@ -224,6 +224,16 @@ class TestBoundaryResiduals:
                                                 np.array([0.3, 1.1]), step=1e-4)
         assert float(g) < 1e-6 and float(c) < 1e-6
 
+    def test_curved_edge_residuals_are_second_order(self):
+        # the hole's circular edge has a constant k, and a curve's residuals vanish
+        # identically; a curved 2D edge gives both families content that shrinks as h^2
+        edge, point = curved_hole_edge(), np.array([0.3, 1.1])
+        fine = boundary_integrability_residuals(edge, point, step=1e-4)
+        coarse = boundary_integrability_residuals(edge, point, step=1e-3)
+        for f, c in zip(fine, coarse):
+            assert 1e-12 < float(f) < 1e-6
+            assert 50.0 <= float(c) / float(f) <= 200.0
+
 
 class TestDirectEmbeddingResiduals:
     def test_straight_strip_edge(self):
