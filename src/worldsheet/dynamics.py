@@ -5,12 +5,14 @@ integrated by velocity-Verlet leapfrog.  Each endpoint is its own relativistic
 particle driven by a pull of constant proper magnitude mu0/mub along minus the
 outward edge direction eta; eta is rebuilt every step by orthonormalizing the
 one-sided sigma derivative at the edge against the endpoint four-velocity.
-Each endpoint advances on its own in slice (coordinate) time by a Runge-Kutta
-step, so its time component tracks the interior slices exactly: a predictor
-advances its position only, then a corrector takes the full step.  An endpoint
-is a single N-vector, where numpy's per-call overhead would dominate, so its
-kernels run on lists of Python floats, in numpy's operation order, so both
-forms agree to the bit.  Units: c = 1.
+Each endpoint advances on its own in slice (coordinate) time, so its time
+component tracks the interior slices exactly.  With its edge tangent frozen
+over a step, an endpoint moves on an exact hyperbola, taken in closed form: a
+predictor step fills the end rows, then a corrector retakes the step with the
+step-midpoint tangent.  An endpoint is a single N-vector, where numpy's
+per-call overhead would dominate, so its kernels run on lists of Python
+floats; eta and the edge tangents keep numpy's operation order, so both forms
+agree to the bit.  Units: c = 1.
 """
 
 from __future__ import annotations
@@ -95,13 +97,16 @@ class SimulationConfig:
     output_stride: int = 10
 
     def __post_init__(self) -> None:
+        counts = (self.grid_points, self.output_stride)
+        if not all(isinstance(n, (int, np.integer)) for n in counts):
+            raise InvalidParameters("grid_points and output_stride must be integers")
         if self.grid_points < MIN_GRID_POINTS:
             raise InvalidParameters(f"grid_points must be >= {MIN_GRID_POINTS}")
         if not 0.0 < self.dt_fraction <= 1.0:
             raise InvalidParameters("dt_fraction must satisfy 0 < dt <= dsigma (CFL)")
         if not 0 <= self.duration < math.inf:
             raise InvalidParameters("duration must be finite and non-negative")
-        if self.constraint_tol <= 0 or self.output_stride < 1:
+        if not 0 < self.constraint_tol < math.inf or self.output_stride < 1:
             raise InvalidParameters("bad constraint tolerance or output stride")
 
 
@@ -245,46 +250,34 @@ def constraint_norms(state: StringState) -> tuple[float, float]:
             float(np.abs((xd2 - xd[0] * xd[0]) + (xp2 - xp[0] * xp[0])).max()))
 
 
-def _position_stages(x0: list, u0: list, tangent: list, accel: float,
-                     dt: float) -> tuple[list, float, list, tuple]:
-    """(X, speed, eta at u0, (k1, k2, k3, u3)) of one endpoint's classical RK4 step.
+def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
+                 dt: float) -> tuple[list, list, float, list]:
+    """(X, u renormalized, tau, eta at u0) of one endpoint after one step, in closed form.
 
     Position, four-velocity and edge tangent are float lists, the pull ``accel`` is
     mu0/mub.  The rates are dX/dt = u speed and du/dt = -accel eta speed, where speed
     is the norm of the one-sided edge tangent: the gauge constraints force -Xdot^2 =
     X'^2 at the edge, so the endpoint slides along its worldline at that rate
-    relative to the interior slices.  X needs no k4, so the predictor stops here.
+    relative to the interior slices.  With the tangent frozen over the step, u and
+    eta stay in the plane of u0 and the tangent, so the motion is exactly hyperbolic:
+    over the proper time dtau = speed dt, with w = accel dtau,
+    u = cosh(w) u0 - sinh(w) eta0 and X = X0 + dtau (sinh(w) u0 - 2 sinh^2(w/2) eta0) / w.
     """
-    speed = _speed(tangent)
-    pull = -accel
-    half = 0.5 * dt
+    dtau = _speed(tangent) * dt
+    w = accel * dtau
     eta0 = _eta(tangent, u0)
-    k1 = [pull * e * speed for e in eta0]
-    u1 = [a + half * k for a, k in zip(u0, k1)]
-    k2 = [pull * e * speed for e in _eta(tangent, u1)]
-    u2 = [a + half * k for a, k in zip(u0, k2)]
-    k3 = [pull * e * speed for e in _eta(tangent, u2)]
-    u3 = [a + dt * k for a, k in zip(u0, k3)]
-    sixth = dt / 6.0
-    x = [p + sixth * (a * speed + 2 * (b * speed) + 2 * (c * speed) + d * speed)
-         for p, a, b, c, d in zip(x0, u0, u1, u2, u3)]
-    return x, speed, eta0, (k1, k2, k3, u3)
-
-
-def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
-                 dt: float) -> tuple[list, list, float, list]:
-    """The full step of :func:`_position_stages`: (X, u renormalized, tau, eta at u0)."""
-    x, speed, eta0, (k1, k2, k3, u3) = _position_stages(x0, u0, tangent, accel, dt)
-    k4 = [-accel * e * speed for e in _eta(tangent, u3)]
-    sixth = dt / 6.0
-    u = _unit_timelike([a + sixth * (q1 + 2 * q2 + 2 * q3 + q4)
-                        for a, q1, q2, q3, q4 in zip(u0, k1, k2, k3, k4)])
-    tau = tau0 + sixth * (speed + 2 * speed + 2 * speed + speed)
-    return x, u, tau, eta0
+    sinh, cosh = math.sinh(w), math.cosh(w)
+    if w == 0.0:  # no pull, or one so weak that w underflows
+        along, across = dtau, 0.0
+    else:
+        along, across = dtau * (sinh / w), dtau * (2.0 * math.sinh(0.5 * w) ** 2 / w)
+    x = [p + along * a - across * e for p, a, e in zip(x0, u0, eta0)]
+    u = _unit_timelike([cosh * a - sinh * e for a, e in zip(u0, eta0)])
+    return x, u, tau0 + dtau, eta0
 
 
 def step(state: StringState, config: SimulationConfig) -> StringState:
-    """One leapfrog step of the interior plus Runge-Kutta endpoint advances.
+    """One leapfrog step of the interior plus closed-form endpoint advances.
 
     Steps dt = ``config.dt_fraction`` * dsigma.  Raises ConstraintBlowup when the
     gauge constraints exceed 100x the configured tolerance or are not finite (a NaN
@@ -302,12 +295,12 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     new_pos = pos.copy()
     new_pos[1:-1] = pos[1:-1] + dt * v_half
 
-    # endpoints: a position-only predictor fills the end rows, then a corrector
-    # re-advances them with the step-midpoint edge tangent (second-order coupling)
+    # endpoints: a predictor step fills the end rows, then a corrector re-advances
+    # them with the step-midpoint edge tangent (second-order coupling)
     edge_rows = pos[_EDGE_ROWS]
-    for row, (x0, u0, _), tangent, accel in zip(
+    for row, start, tangent, accel in zip(
             (0, -1), starts, _outward_tangents(edge_rows.tolist(), state.dsigma), accels):
-        new_pos[row] = _position_stages(x0, u0, tangent, accel, dt)[0]
+        new_pos[row] = _advance_end(*start, tangent, accel, dt)[0]
     tangents = _outward_tangents((0.5 * (edge_rows + new_pos[_EDGE_ROWS])).tolist(),
                                  state.dsigma)
     ends = [_advance_end(*start, tangent, accel, dt)

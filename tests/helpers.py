@@ -88,9 +88,11 @@ def richardson_variation(emb, edges, cfg, defo, eps):
     return (4.0 * f2 - f1) / 3.0
 
 
-# Reference oracle for the endpoint Runge-Kutta step: the batched numpy form
-# that advanced both ends as one (2, N) array, rows (left, right).  The float
-# path in ``worldsheet.dynamics`` must reproduce its rows bit for bit.
+# Reference oracle for the endpoint step: the batched numpy Runge-Kutta form
+# that advanced both ends as one (2, N) array, rows (left, right).  In many
+# substeps it converges to the exact hyperbolic motion that
+# ``dynamics._advance_end`` takes in closed form.  The float edge direction and
+# edge tangents in ``worldsheet.dynamics`` must reproduce its rows bit for bit.
 
 
 def batched_mdot(u, v):

@@ -15,8 +15,8 @@ The integrability residuals evaluate the map, and the background metric with
 it, once per point of each stencil sweep they make, at the sample points and
 FD step of the ``verify`` command, and build Gamma and K only where they are
 used.  A hole-radius scan is one edge evaluation over all its radii.
-A string step builds the outward edge direction once per Runge-Kutta rate
-evaluation of both ends together, plus once each for the new and old state.
+A string step builds the outward edge direction three times per end: once
+each for the predictor, the corrector and the new state.
 The Procrustes alignment of one normal column takes no SVD.  The
 Gauss-Weingarten residual differences the tangents and the aligned normals
 in one sweep of the first-order frame.
@@ -268,7 +268,7 @@ def test_procrustes_takes_an_svd_only_for_two_or_more_columns(counts, entry, svd
     assert counts["svd"] - before == svd_calls
 
 
-def test_step_builds_eight_edge_directions_per_end(monkeypatch):
+def test_step_builds_three_edge_directions_per_end(monkeypatch):
     calls = 0
     original = dynamics._eta
 
@@ -282,6 +282,5 @@ def test_step_builds_eight_edge_directions_per_end(monkeypatch):
         initial_data={"id": "rotating", "mu0": 1.0, "mub": 3.0, "radius": 1.0},
         duration=1.0)
     dynamics.step(dynamics.initial_state_from_config(config), config)
-    # per end: the position-only predictor 3, the corrector 4 (its first is
-    # prev_eta), then eta
-    assert calls == 16
+    # per end: the predictor, the corrector (its eta is prev_eta), then eta
+    assert calls == 6

@@ -80,6 +80,10 @@ MUTANTS = {
             "(1.0 - w2 * pts[..., 1] ** 2) ** 2",
             "(1.0 - w2 * pts[..., 1] ** 2)",
             "drops the square from the helicoid's scalar curvature 2w^2/(1 - w^2 s^2)^2"),
+    "M33": ("src/worldsheet/dynamics.py",
+            "x = [p + along * a - across * e for p, a, e in zip(x0, u0, eta0)]",
+            "x = [p + along * a + across * e for p, a, e in zip(x0, u0, eta0)]",
+            "the sign of the eta0 term in the endpoint's closed-form position `_advance_end`"),
 }
 
 
