@@ -530,8 +530,12 @@ def entry_from_id(entry_id: str) -> CatalogEntry:
         for item in rest.split(","):
             key, _, val = item.partition("=")
             key = key.strip()
-            if not val or key not in keys:
+            if key not in keys:
                 raise KeyError(f"unknown parameter {key!r} for entry {name!r}")
+            if key in kwargs:
+                raise InvalidParameters(f"parameter {key!r} is given more than once")
+            if not val:
+                raise InvalidParameters(f"parameter {key!r} needs a value")
             try:
                 kwargs[key] = float(val)
             except ValueError:

@@ -176,18 +176,19 @@ def _config_value(config: dict, key: str, default=_REQUIRED):
 
 
 def _config_number(config: dict, key: str, kind: type = float, default=_REQUIRED):
-    """``config[key]`` as a finite float, or as an int when ``kind`` is int.
+    """``config[key]`` as a float, or as an int when ``kind`` is int.
 
-    A missing required key, a value that does not convert, a non-finite value
-    and a non-integral count are usage errors.
+    Only a JSON number converts: text and booleans do not.  JSON floats are
+    finite already (``_finite_number``).  A missing required key, any other
+    value, an int that overflows a float and a non-integral count are usage errors.
     """
     raw = _config_value(config, key, default)
     try:
-        value = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"config {key!r} must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise UsageError(f"config {key!r} must be finite, got {raw!r}")
+        value = float(raw) if type(raw) in (int, float) else None  # a bool is no number
+    except OverflowError:
+        value = None
+    if value is None:
+        raise UsageError(f"config {key!r} must be a number, got {raw!r}")
     if kind is int:
         if not value.is_integer():
             raise UsageError(f"config {key!r} must be an integer, got {raw!r}")
@@ -266,8 +267,8 @@ def cmd_evolve(args) -> int:
     n_comp = snapshots[0].positions.shape[1]
     end_rows, diag_rows = [], []
     for s in snapshots:
-        for name, ep in zip(("left", "right"), s.endpoints):
-            end_rows.append([s.time, name] + list(ep.position) + list(ep.four_velocity)
+        for name, x, ep in zip(("left", "right"), s.positions[[0, -1]], s.endpoints):
+            end_rows.append([s.time, name] + list(x) + list(ep.four_velocity)
                             + [ep.proper_time])
         d = diagnostics(s)
         acc = [e.acceleration_magnitude for e in d.endpoints]

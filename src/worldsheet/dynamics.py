@@ -55,23 +55,25 @@ class Tensions:
 
 @dataclass
 class EndpointState:
-    """Relativistic endpoint particle, with one step of history for diagnostics."""
+    """Relativistic endpoint particle, with one step of history for diagnostics.
 
-    position: Array
+    Its position is the end row of ``StringState.positions``.  ``edge_tangent``
+    is the step-midpoint outward tangent that the last step's corrector used.
+    """
+
     four_velocity: Array
     proper_time: float = 0.0
-    eta: Array | None = None
     prev_four_velocity: Array | None = None
     prev_proper_time: float | None = None
-    prev_eta: Array | None = None
+    edge_tangent: Array | None = None
 
 
 @dataclass
 class StringState:
     """Discretized string on a worldsheet-time slice.
 
-    ``positions``/``velocities`` hold all M nodes (endpoints included as the
-    first and last rows, kept in sync with ``endpoints``).
+    ``positions``/``velocities`` hold all M nodes, the endpoints as the first
+    and last rows; ``endpoints`` holds what else each end carries.
     """
 
     time: float
@@ -98,7 +100,8 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         counts = (self.grid_points, self.output_stride)
-        if not all(isinstance(n, (int, np.integer)) for n in counts):
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in counts):
             raise InvalidParameters("grid_points and output_stride must be integers")
         if self.grid_points < MIN_GRID_POINTS:
             raise InvalidParameters(f"grid_points must be >= {MIN_GRID_POINTS}")
@@ -160,6 +163,27 @@ def _outward_tangents(rows: list, dsigma: float) -> tuple[list, list]:
             [(3.0 * a - 4.0 * b + c) / h for a, b, c in zip(r0, r1, r2)])
 
 
+def _initial_state(sigma: Array, x: Array, y_rate: Array | float, tensions: Tensions,
+                   scale: float) -> StringState:
+    """String at t = 0 on the sigma grid: nodes at (0, x, 0) moving with dy/dt = y_rate.
+
+    ``scale`` converts sigma lengths into lab lengths for the collision threshold.
+    """
+    positions = np.zeros((sigma.size, 3))
+    positions[:, 1] = x
+    velocities = np.zeros_like(positions)
+    velocities[:, 0] = 1.0
+    velocities[:, 2] = y_rate
+    left, right = (EndpointState(np.array(_unit_timelike(velocities[row].tolist())))
+                   for row in (0, -1))
+    dsig = float(sigma[1] - sigma[0])  # numpy scalars would slow the float kernels
+    return StringState(
+        time=0.0, positions=positions, velocities=velocities,
+        endpoints=(left, right), tensions=tensions, dsigma=dsig,
+        collision_threshold=2.0 * dsig * scale,
+    )
+
+
 def collapsing_initial_state(mu0: float, mub: float, x0: float,
                              grid_points: int, *,
                              mub_left: float | None = None,
@@ -168,22 +192,10 @@ def collapsing_initial_state(mu0: float, mub: float, x0: float,
     if not 0 < x0 < math.inf:
         raise InvalidParameters("x0 must be finite and positive")
     sigma = np.linspace(-x0, x0, grid_points)
-    positions = np.zeros((grid_points, 3))
-    positions[:, 1] = sigma
-    velocities = np.zeros_like(positions)
-    velocities[:, 0] = 1.0
-    u0 = np.array([1.0, 0.0, 0.0])
     tensions = Tensions(mu0,
                         mub if mub_left is None else mub_left,
                         mub if mub_right is None else mub_right)
-    left = EndpointState(positions[0].copy(), u0.copy())
-    right = EndpointState(positions[-1].copy(), u0.copy())
-    dsig = float(sigma[1] - sigma[0])  # numpy scalars would slow the float kernels
-    return StringState(
-        time=0.0, positions=positions, velocities=velocities,
-        endpoints=(left, right), tensions=tensions, dsigma=dsig,
-        collision_threshold=2.0 * dsig,
-    )
+    return _initial_state(sigma, sigma, 0.0, tensions, 1.0)
 
 
 def rotating_initial_state(mu0: float, mub: float, radius: float,
@@ -197,23 +209,8 @@ def rotating_initial_state(mu0: float, mub: float, radius: float,
     sigma_max = math.asin(w * radius) / w
     sigma = np.linspace(-sigma_max, sigma_max, grid_points)
     f = np.sin(w * sigma) / w
-    positions = np.zeros((grid_points, 3))
-    positions[:, 1] = f
-    velocities = np.zeros_like(positions)
-    velocities[:, 0] = 1.0
-    velocities[:, 2] = w * f
-    tensions = Tensions(mu0, mub, mub)
-    left = EndpointState(positions[0].copy(),
-                         np.array(_unit_timelike(velocities[0].tolist())))
-    right = EndpointState(positions[-1].copy(),
-                          np.array(_unit_timelike(velocities[-1].tolist())))
-    dsig = float(sigma[1] - sigma[0])  # numpy scalars would slow the float kernels
-    scale = 2.0 * radius / (2.0 * sigma_max)
-    return StringState(
-        time=0.0, positions=positions, velocities=velocities,
-        endpoints=(left, right), tensions=tensions, dsigma=dsig,
-        collision_threshold=2.0 * dsig * scale,
-    )
+    return _initial_state(sigma, f, w * f, Tensions(mu0, mub, mub),
+                          2.0 * radius / (2.0 * sigma_max))
 
 
 def initial_state_from_config(config: SimulationConfig) -> StringState:
@@ -251,8 +248,8 @@ def constraint_norms(state: StringState) -> tuple[float, float]:
 
 
 def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
-                 dt: float) -> tuple[list, list, float, list]:
-    """(X, u renormalized, tau, eta at u0) of one endpoint after one step, in closed form.
+                 dt: float) -> tuple[list, list, float]:
+    """(X, u renormalized, tau) of one endpoint after one step, in closed form.
 
     Position, four-velocity and edge tangent are float lists, the pull ``accel`` is
     mu0/mub.  The rates are dX/dt = u speed and du/dt = -accel eta speed, where speed
@@ -273,7 +270,7 @@ def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
         along, across = dtau * (sinh / w), dtau * (2.0 * math.sinh(0.5 * w) ** 2 / w)
     x = [p + along * a - across * e for p, a, e in zip(x0, u0, eta0)]
     u = _unit_timelike([cosh * a - sinh * e for a, e in zip(u0, eta0)])
-    return x, u, tau0 + dtau, eta0
+    return x, u, tau0 + dtau
 
 
 def step(state: StringState, config: SimulationConfig) -> StringState:
@@ -288,8 +285,8 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     pos, vel = state.positions, state.velocities
     mu0 = state.tensions.mu0
     accels = (mu0 / state.tensions.mub_left, mu0 / state.tensions.mub_right)
-    starts = [(ep.position.tolist(), ep.four_velocity.tolist(), ep.proper_time)
-              for ep in state.endpoints]
+    starts = [(pos[row].tolist(), ep.four_velocity.tolist(), ep.proper_time)
+              for row, ep in zip((0, -1), state.endpoints)]
 
     v_half = vel[1:-1] + 0.5 * dt * ((pos[2:] - 2.0 * pos[1:-1] + pos[:-2]) / ds2)
     new_pos = pos.copy()
@@ -310,15 +307,13 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     new_vel = np.empty_like(vel)
     new_vel[1:-1] = v_half + 0.5 * dt * ((new_pos[2:] - 2.0 * new_pos[1:-1]
                                           + new_pos[:-2]) / ds2)
-    for row, (_, u, _, _), tangent in zip(
+    for row, (_, u, _), tangent in zip(
             (0, -1), ends, _outward_tangents(new_pos[_EDGE_ROWS].tolist(), state.dsigma)):
         speed = _speed(tangent)
         new_vel[row] = [c * speed for c in u]
-    # EndpointState field order: X, u, tau, eta, then the previous u, tau, eta
     endpoints = tuple(
-        EndpointState(np.array(x), np.array(u), tau, np.array(_eta(tangent, u)),
-                      np.array(u0), tau0, np.array(eta0))
-        for (x, u, tau, eta0), (_, u0, tau0), tangent in zip(ends, starts, tangents))
+        EndpointState(np.array(u), tau, np.array(u0), tau0, np.array(tangent))
+        for (_, u, tau), (_, u0, tau0), tangent in zip(ends, starts, tangents))
 
     new_state = StringState(
         time=state.time + dt,
@@ -383,7 +378,6 @@ def evolve(config: SimulationConfig) -> Trajectory:
 
 @dataclass(frozen=True)
 class EndpointDiagnostics:
-    acceleration: Array | None
     acceleration_magnitude: float | None
     direction_angle: float | None  # angle between measured acceleration and -eta
 
@@ -412,26 +406,26 @@ def diagnostics(state: StringState) -> DiagnosticsRecord:
     ang = mu0 * state.dsigma * float(np.sum(
         w * (state.positions[:, 1] * state.velocities[:, 2]
              - state.positions[:, 2] * state.velocities[:, 1])))
-    for mub, ep in zip((state.tensions.mub_left, state.tensions.mub_right),
-                       state.endpoints):
+    for mub, x, ep in zip((state.tensions.mub_left, state.tensions.mub_right),
+                          state.positions[[0, -1]], state.endpoints):
         energy += mub * abs(ep.four_velocity[0])
-        ang += mub * (ep.position[1] * ep.four_velocity[2]
-                      - ep.position[2] * ep.four_velocity[1]) * np.sign(ep.four_velocity[0])
+        ang += mub * (x[1] * ep.four_velocity[2]
+                      - x[2] * ep.four_velocity[1]) * np.sign(ep.four_velocity[0])
 
     diags = []
     for ep in state.endpoints:
-        if ep.prev_four_velocity is None or ep.prev_eta is None or ep.eta is None:
-            diags.append(EndpointDiagnostics(None, None, None))
+        if (ep.prev_four_velocity is None or ep.prev_proper_time is None
+                or ep.edge_tangent is None):
+            diags.append(EndpointDiagnostics(None, None))
             continue
         dtau = ep.proper_time - ep.prev_proper_time
-        a = (ep.four_velocity - ep.prev_four_velocity) / dtau
-        acc = a.tolist()
+        acc = ((ep.four_velocity - ep.prev_four_velocity) / dtau).tolist()
         mag = math.sqrt(max(_fdot(acc, acc), 0.0))
         u_mid = _unit_timelike((0.5 * (ep.four_velocity + ep.prev_four_velocity)).tolist())
-        eta_mid = _eta((0.5 * (ep.eta + ep.prev_eta)).tolist(), u_mid)
+        eta_mid = _eta(ep.edge_tangent.tolist(), u_mid)
         cosang = -_fdot(acc, eta_mid) / max(mag, 1e-300)
         angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        diags.append(EndpointDiagnostics(a, mag, angle))
+        diags.append(EndpointDiagnostics(mag, angle))
     return DiagnosticsRecord(
         constraint_norms=constraint_norms(state),
         total_energy=energy,

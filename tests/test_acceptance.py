@@ -182,8 +182,8 @@ def test_criterion_08_collapsing_trajectory():
             traj = evolve(cfg)
             errs = []
             for s in traj.snapshots[1:]:
-                t = s.endpoints[1].position[0]
-                x = s.endpoints[1].position[1]
+                t = s.positions[-1][0]
+                x = s.positions[-1][1]
                 exact = catalog.endpoint_worldline(1.0, 1.0, t)
                 errs.append(abs(x - exact) / abs(exact))
             errors[m] = max(errs)
@@ -196,7 +196,7 @@ def test_criterion_08_collapsing_trajectory():
             cfg = SimulationConfig(
                 initial_data={"id": "rotating", "mu0": 1.0, "mub": 3.0, "radius": 1.0},
                 duration=2.0 * np.pi / 0.5, grid_points=m)
-            radius_errors[m] = max(abs(np.linalg.norm(s.endpoints[1].position[1:]) - 1.0)
+            radius_errors[m] = max(abs(np.linalg.norm(s.positions[-1][1:]) - 1.0)
                                    for s in evolve(cfg).snapshots)
         assert radius_errors[100] / radius_errors[200] > 3.0
 
@@ -210,7 +210,7 @@ def test_criterion_09_rotating_orbit_persistence():
         traj = evolve(cfg)
         e0 = diagnostics(traj.snapshots[0]).total_energy
         for s in traj.snapshots[1:]:
-            radius = np.linalg.norm(s.endpoints[1].position[1:])
+            radius = np.linalg.norm(s.positions[-1][1:])
             assert abs(radius - 1.0) < 0.01  # < 1% per revolution over 3 revs
             energy = diagnostics(s).total_energy
             assert abs(energy - e0) / e0 < 1e-3

@@ -77,6 +77,10 @@ def test_entry_parsing():
         catalog.entry_from_id("nonsense")
     with pytest.raises(KeyError):
         catalog.entry_from_id("sphere:bogus=1")
+    with pytest.raises(InvalidParameters, match="'omega' is given more than once"):
+        catalog.entry_from_id("helicoid:omega=0.5,omega=0.3")
+    with pytest.raises(InvalidParameters, match="'omega' needs a value"):
+        catalog.entry_from_id("helicoid:omega")
 
 
 @pytest.mark.parametrize("entry_id,keys", [

@@ -54,7 +54,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("entry", ["helicoid:omega=nan", "sphere:radius=nan",
                                        "hole:rho=inf", "disk:rho=nan",
-                                       "helicoid:omega=abc", "helicoid:mu0=2"])
+                                       "helicoid:omega=abc", "helicoid:mu0=2",
+                                       "helicoid:omega=0.5,omega=0.3", "helicoid:omega"])
     def test_bad_parameter_exit_two_without_outputs(self, tmp_path, entry):
         out = tmp_path / "v"
         assert main(["verify", "--entries", entry, "--out-dir", str(out)]) == 2
@@ -211,10 +212,13 @@ class TestEvolve:
         {"initial_data": {"id": "bogus"}},
         {"initial_data": {"id": "rotating", "bogus": 1}},
         {"initial_data": {"id": "rotating", "radius": -1}},
+        {"duration": "0.05"}, {"initial_data": {"id": "collapsing", "mu0": "1.0"}},
+        {"initial_data": {"id": "collapsing", "x0": True}}, {"output_stride": True},
     ], ids=["no_duration", "no_initial_data", "text_duration", "text_initial_data",
             "fractional_grid_points", "fractional_output_stride", "text_initial_mu0",
             "null_initial_radius", "list_initial_x0", "zero_initial_x0", "unknown_initial_id",
-            "unknown_initial_key", "negative_initial_radius"])
+            "unknown_initial_key", "negative_initial_radius", "number_text_duration",
+            "number_text_initial_mu0", "bool_initial_x0", "bool_output_stride"])
     def test_missing_or_mistyped_key_exit_two_without_outputs(self, tmp_path, capsys,
                                                               change):
         payload = {k: v for k, v in dict(EVOLVE_CONFIG, **change).items() if v is not None}
@@ -243,7 +247,7 @@ class TestEvolve:
         (None, "error: cannot read config "),
         ([EVOLVE_CONFIG], "error: config must be a JSON object\n"),
         (dict(EVOLVE_CONFIG, duration="nan"),
-         "error: config 'duration' must be finite, got 'nan'\n"),
+         "error: config 'duration' must be a number, got 'nan'\n"),
     ], ids=["missing_file", "json_array", "nan_text"])
     def test_unusable_config_exit_two_without_outputs(self, tmp_path, capsys, payload, message):
         cfg = tmp_path / "cfg.json"
@@ -348,8 +352,10 @@ class TestScan:
     @pytest.mark.parametrize("change", [
         {"stop": None}, {"start": None}, {"points": None}, {"points": "x"},
         {"points": 30.7}, {"start": "abc"}, {"mu0": "abc"}, {"mub": [2.0]},
+        {"start": "1"}, {"points": "31"}, {"mub": True},
     ], ids=["no_stop", "no_start", "no_points", "text_points", "fractional_points",
-            "text_start", "text_mu0", "list_mub"])
+            "text_start", "text_mu0", "list_mub", "number_text_start", "number_text_points",
+            "bool_mub"])
     def test_missing_or_mistyped_key_exit_two_without_outputs(self, tmp_path, capsys,
                                                               change):
         base = {"schema_version": 1, "scan": "hole_radius", "start": 1.0, "stop": 4.0,

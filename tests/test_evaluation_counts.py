@@ -268,7 +268,7 @@ def test_procrustes_takes_an_svd_only_for_two_or_more_columns(counts, entry, svd
     assert counts["svd"] - before == svd_calls
 
 
-def test_step_builds_three_edge_directions_per_end(monkeypatch):
+def test_step_builds_two_edge_directions_per_end(monkeypatch):
     calls = 0
     original = dynamics._eta
 
@@ -282,5 +282,5 @@ def test_step_builds_three_edge_directions_per_end(monkeypatch):
         initial_data={"id": "rotating", "mu0": 1.0, "mub": 3.0, "radius": 1.0},
         duration=1.0)
     dynamics.step(dynamics.initial_state_from_config(config), config)
-    # per end: the predictor, the corrector (its eta is prev_eta), then eta
-    assert calls == 6
+    # per end: the predictor, then the corrector
+    assert calls == 4

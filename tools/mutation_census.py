@@ -84,6 +84,14 @@ MUTANTS = {
             "x = [p + along * a - across * e for p, a, e in zip(x0, u0, eta0)]",
             "x = [p + along * a + across * e for p, a, e in zip(x0, u0, eta0)]",
             "the sign of the eta0 term in the endpoint's closed-form position `_advance_end`"),
+    "M34": ("src/worldsheet/dynamics.py",
+            "for row, ep in zip((0, -1), state.endpoints)]",
+            "for row, ep in zip((0, 0), state.endpoints)]",
+            "starts the right end of a `step` from the left end's row"),
+    "M35": ("src/worldsheet/dynamics.py",
+            "eta_mid = _eta(ep.edge_tangent.tolist(), u_mid)",
+            "eta_mid = _eta(ep.edge_tangent.tolist(), ep.prev_four_velocity.tolist())",
+            "takes the direction of `diagnostics` at the step's first u, not its midpoint"),
 }
 
 
