@@ -43,8 +43,8 @@ from .geometry import (
     _inverse,
     _Local,
     _local,
+    _procrustes,
     _pullback,
-    fd_hessian,
     fd_jacobian,
 )
 
@@ -87,7 +87,7 @@ class BoundaryEmbedding:
     def dd_chi(self, point: Array) -> Array:
         if self.dd_chi_fn is not None:
             return np.asarray(self.dd_chi_fn(np.asarray(point, dtype=float)), dtype=float)
-        return fd_hessian(self.chi, point, DEFAULT_FD_STEP)
+        return fd_jacobian(self.d_chi, point, DEFAULT_FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -334,8 +334,12 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
 def adapted_edge_data(bnd: BoundaryEmbedding, point: Array) -> AdaptedEdgeData:
     """Direct spacetime geometry of the edge, with inheritance cross-checks.
 
-    The twist differences the adapted normals with step ``DEFAULT_FD_STEP``.
-    Verifies, to 1e-6, that the edge inherits the parent's extrinsic curvature
+    The twist differences the adapted normals with step ``DEFAULT_FD_STEP``,
+    the sheet normals at each stencil point rotated onto the center's
+    (:func:`geometry._procrustes`), so a flip of the sheet's normal gauge along
+    the edge injects no twist; with two or more sheet normals the n-n block of
+    the twist is reported in that center-aligned gauge.  Verifies, to 1e-6,
+    that the edge inherits the parent's extrinsic curvature
     (K^i_AB equals the projected K^i_ab, and the eta-component equals k_AB) and
     that the mixed twist satisfies omega_{A i 0} = eta^a eps^b_A K_{ab i};
     raises InconsistentGeometry otherwise.
@@ -344,13 +348,14 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array) -> AdaptedEdgeData:
     bl = _boundary_local(bnd, point)
     bd, st = bl.bd, bl.spacetime
     y1, adapted = st.frame.tangents, st.frame.normals
+    sheet_normals, g = bl.sheet.frame.normals, bl.sheet.g
 
     def adapted_at(u: Array) -> Array:  # first order: the twist needs no k_AB
         fr_u = _frame_at(bnd.parent, bnd.chi(u))[0]
-        return _adapted_normals(fr_u, _edge_frame(bnd, u, fr_u)).reshape(u.shape[:-1] + (-1,))
+        eta = fr_u.tangents @ _edge_frame(bnd, u, fr_u).normals
+        return np.concatenate([eta, _procrustes(fr_u.normals, sheet_normals, g)], axis=-1)
 
-    twist = st.twist(fd_jacobian(adapted_at, point, DEFAULT_FD_STEP).reshape(
-        adapted.shape + point.shape[-1:]))
+    twist = st.twist(fd_jacobian(adapted_at, point, DEFAULT_FD_STEP))
 
     kk = bl.sheet.kk
     eps, eta = bd.tangents_in_m, bd.normal_in_m[..., None]

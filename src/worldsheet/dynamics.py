@@ -141,6 +141,11 @@ def _eta(edge_tangent: list, u: list) -> list:
     return [c / norm for c in v]
 
 
+def _rest_norm(v: list, u: list) -> float:
+    """Euclidean norm of v in the rest frame of the unit timelike u: sqrt(v.v + 2 (v.u)^2)."""
+    return math.sqrt(max(_fdot(v, v) + 2.0 * _fdot(v, u) ** 2, 0.0))
+
+
 def _speed(edge_tangent: list) -> float:
     """Norm of the edge tangent: the proper-time rate of the endpoint."""
     return math.sqrt(max(_fdot(edge_tangent, edge_tangent), 1e-300))
@@ -379,7 +384,7 @@ def evolve(config: SimulationConfig) -> Trajectory:
 @dataclass(frozen=True)
 class EndpointDiagnostics:
     acceleration_magnitude: float | None
-    direction_angle: float | None  # angle between measured acceleration and -eta
+    direction_angle: float | None  # angle from the measured acceleration to -eta, rest frame
 
 
 @dataclass(frozen=True)
@@ -394,8 +399,9 @@ def diagnostics(state: StringState) -> DiagnosticsRecord:
     """Conserved charges and the endpoint acceleration law, from the current state.
 
     Endpoint accelerations are finite differences of u over proper time across
-    the last step, compared against minus the step-midpoint outward direction;
-    they are None until one step of history exists.  Energy sums the interior
+    the last step, compared against minus the step-midpoint outward direction
+    by their angle in the rest frame of the step-midpoint four-velocity; they
+    are None until one step of history exists.  Energy sums the interior
     density mu0 * dX^0/dt with trapezoidal weights plus mub * u^0 per end;
     angular momentum is the z-component analogue.
     """
@@ -423,9 +429,11 @@ def diagnostics(state: StringState) -> DiagnosticsRecord:
         mag = math.sqrt(max(_fdot(acc, acc), 0.0))
         u_mid = _unit_timelike((0.5 * (ep.four_velocity + ep.prev_four_velocity)).tolist())
         eta_mid = _eta(ep.edge_tangent.tolist(), u_mid)
-        cosang = -_fdot(acc, eta_mid) / max(mag, 1e-300)
-        angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        diags.append(EndpointDiagnostics(mag, angle))
+        # the angle to -eta_mid in the rest frame of u_mid, as 2 asin(|a + eta| / 2)
+        # of the unit vectors there, which keeps its accuracy near zero
+        na, ne = max(_rest_norm(acc, u_mid), 1e-300), _rest_norm(eta_mid, u_mid)
+        chord = _rest_norm([a / na + e / ne for a, e in zip(acc, eta_mid)], u_mid)
+        diags.append(EndpointDiagnostics(mag, 2.0 * math.asin(min(0.5 * chord, 1.0))))
     return DiagnosticsRecord(
         constraint_norms=constraint_norms(state),
         total_energy=energy,

@@ -72,47 +72,22 @@ def _offsets(h: Array, directions: Array) -> Array:
 
 
 def fd_jacobian(fn: Callable[[Array], Array], point: Array, step: float) -> Array:
-    """Central-difference Jacobian of fn: (..., D) -> (..., N) as (..., N, D).
+    """Central-difference Jacobian of fn: (..., D) -> (..., *S) as (..., *S, D).
 
-    fn is called on the 2D shifted copies of ``point`` stacked on one extra
-    leading axis, (2D, ..., D) -> (2D, ..., N), in blocks of at most
-    ``FD_BLOCK_POINTS`` points (see :func:`_stencil`).
+    fn may be array-valued (S of any rank, () for a scalar field); the
+    Jacobian of a first derivative is the second derivative.  fn is called on
+    the 2D shifted copies of ``point`` stacked on one extra leading axis,
+    (2D, ..., D) -> (2D, ..., *S), in blocks of at most ``FD_BLOCK_POINTS``
+    points (see :func:`_stencil`).
     """
     point = np.asarray(point, dtype=float)
     d = point.shape[-1]
     h = step * _step_scale(point)
     shift = _offsets(h, np.eye(d))
     f = _stencil(fn, np.concatenate([point + shift, point - shift]))
+    h = h.reshape(point.shape[:-1] + (1,) * (f.ndim - point.ndim))
     # C order, the layout the analytic derivative callbacks return
     return np.ascontiguousarray(np.moveaxis((f[:d] - f[d:]) / (2.0 * h), 0, -1))
-
-
-def fd_hessian(fn: Callable[[Array], Array], point: Array, step: float) -> Array:
-    """Central-difference Hessian of fn: (..., D) -> (..., N) as (..., N, D, D).
-
-    fn is called as in :func:`fd_jacobian`, on ``point`` and its shifts along
-    every axis and every pair of axes, stacked on one extra leading axis.
-    """
-    point = np.asarray(point, dtype=float)
-    d = point.shape[-1]
-    h = step * _step_scale(point)
-    eye = np.eye(d)
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    shift = _offsets(h, np.concatenate([eye] + [np.stack([eye[a] + eye[b], eye[a] - eye[b]])
-                                                 for a, b in pairs]))
-    f = _stencil(fn, np.concatenate([point[None], point + shift, point - shift]))
-    f0, fp, fm = f[0], f[1:1 + len(shift)], f[1 + len(shift):]
-    out = np.zeros(point.shape[:-1] + (f0.shape[-1], d, d))
-    h2 = (h * h)[..., 0]
-    diag = (fp[:d] - 2.0 * f0 + fm[:d]) / h2[..., None]
-    for a in range(d):
-        out[..., :, a, a] = diag[a]
-    # per pair: shifts +-(e_a + e_b) then +-(e_a - e_b)
-    mixed = (fp[d::2] + fm[d::2] - fp[d + 1::2] - fm[d + 1::2]) / (4.0 * h2[..., None])
-    for (a, b), m in zip(pairs, mixed):
-        out[..., :, a, b] = m
-        out[..., :, b, a] = m
-    return out
 
 
 @dataclass(frozen=True)
@@ -120,9 +95,11 @@ class Embedding:
     """Parametric map X: (..., D) worldsheet coordinates -> (..., N) background points.
 
     Optional derivative callbacks return the tangent map (..., N, D) and the
-    coordinate second derivatives (..., N, D, D); when absent they fall back to
-    central finite differences with step ``fd_step`` scaled by the local
-    coordinate magnitude.  Callables must broadcast over leading batch axes:
+    coordinate second derivatives (..., N, D, D).  When absent, each falls back
+    to the central-difference Jacobian of the order below it, with step
+    ``fd_step`` scaled by the local coordinate magnitude: the second
+    derivatives difference ``d_position``, so an analytic tangent map is used
+    where one is given.  Callables must broadcast over leading batch axes:
     under a finite-difference stencil (these fallbacks, and every kernel that
     differences geometry built from the map) they receive the stencil points
     with one extra leading axis, in blocks of at most ``FD_BLOCK_POINTS``
@@ -155,7 +132,7 @@ class Embedding:
     def dd_position(self, point: Array) -> Array:
         if self.dd_position_fn is not None:
             return np.asarray(self.dd_position_fn(np.asarray(point, dtype=float)), dtype=float)
-        return fd_hessian(self.position, point, self.fd_step)
+        return fd_jacobian(self.d_position, point, self.fd_step)
 
 
 @dataclass(frozen=True)
@@ -580,9 +557,7 @@ def extrinsic_curvature(embedding: Embedding, point: Array, *,
     if k <= 1:
         twist = np.zeros(point.shape[:-1] + (d, k, k))
     else:
-        dn = fd_jacobian(lambda p: normal_frame_fn(p).reshape(p.shape[:-1] + (-1,)), point,
-                         embedding.fd_step)
-        twist = loc.twist(dn.reshape(fr.normals.shape + (d,)))
+        twist = loc.twist(fd_jacobian(normal_frame_fn, point, embedding.fd_step))
     return CurvatureData(extrinsic=loc.kk, traces=traces, twist=twist,
                          worldsheet_connection=loc.conn)
 
@@ -604,13 +579,11 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
 
     def aligned_frame(p: Array) -> Array:
         f = frame(embedding, p)
-        cols = np.concatenate([f.tangents, _procrustes(f.normals, fr.normals, g)], axis=-1)
-        return cols.reshape(p.shape[:-1] + (-1,))
+        return np.concatenate([f.tangents, _procrustes(f.normals, fr.normals, g)], axis=-1)
 
     # D_a of each column of the square frame F = [e | n], indexed [mu, column, a]
     cols = np.concatenate([fr.tangents, fr.normals], axis=-1)
-    dcols = fd_jacobian(aligned_frame, point, fd_step).reshape(cols.shape + (d,))
-    cov = _covariant(dcols, chris, cols, fr.tangents)
+    cov = _covariant(fd_jacobian(aligned_frame, point, fd_step), chris, cols, fr.tangents)
     # both equations as D_a F = F W_a, W_a = [[Gamma_ab^c, K_a^{c i}], [-K_ab^i, omega_a^{ij}]]
     # (row: the frame column it multiplies; column: the column of F differentiated)
     twist = _twist(cov[..., d:, :], fr.normals, g)

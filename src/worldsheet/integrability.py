@@ -175,16 +175,10 @@ def _twist_curvature(at: _LocalFn, omega0: Array, point: Array, step: float) -> 
     It runs on the outer stencil points as one stack, so each sweep is one
     stacked call of ``at``.
     """
-    def normals(p: Array) -> Array:
-        return at(p).frame.normals.reshape(p.shape[:-1] + (-1,))
-
     def omega(p: Array) -> Array:
-        v = at(p)
-        dn = fd_jacobian(normals, p, step).reshape(v.frame.normals.shape + p.shape[-1:])
-        return v.twist(dn).reshape(p.shape[:-1] + (-1,))
+        return at(p).twist(fd_jacobian(lambda q: at(q).frame.normals, p, step))
 
-    domega = fd_jacobian(omega, point, step).reshape(omega0.shape + (point.shape[-1],))
-    return _curvature(-omega0, -domega)
+    return _curvature(-omega0, -fd_jacobian(omega, point, step))
 
 
 def _level(v: _Local, at: _LocalFn, point: Array, step: float

@@ -126,13 +126,6 @@ def dng_action(embedding: Embedding, config: ActionConfig) -> float:
     return float(-config.mu0 * np.sum(_volume_density(embedding, pts) * wts))
 
 
-def _edge_density_from_curve(embedding: Embedding, chi_fn: Callable[[Array], Array],
-                             u: Array, fd_step: float) -> Array:
-    y1 = fd_jacobian(lambda uu: embedding.position(chi_fn(uu)), u, fd_step)
-    g = embedding.background.metric_at(embedding.position(chi_fn(u)))
-    return _volume_element(_pullback(y1, g), embedding.background)
-
-
 def edge_action(bnd: BoundaryEmbedding, config: ActionConfig) -> float:
     """Edge-volume action: -mub times the quadrature of the edge volume element."""
     u, uw = _boundary_grid(config.grid)
@@ -155,9 +148,10 @@ class DeformationField:
     """Deformation of the worldsheet and its edges, windowed at the temporal caps.
 
     ``tangential_fn`` and ``normal_fn`` give the frame components of the bulk
-    displacement; ``boundary_normal_fns``/``boundary_tangential_fns`` the edge
-    displacement amplitudes, one callable each, shared by every attached
-    edge.  An unset component is zero.  When ``time_extent`` is set, every
+    displacement; ``boundary_normal_fns`` the amplitude of each edge's
+    displacement along its outward normal eta, one callable shared by every
+    attached edge.  (A displacement along the edge only reparametrizes it.)
+    An unset component is zero.  When ``time_extent`` is set, every
     component is multiplied by a smooth window that vanishes on the outer
     quarter of the first coordinate, so the variational identities hold
     without manual cap handling.  Callables must broadcast over leading batch
@@ -170,7 +164,6 @@ class DeformationField:
     tangential_fn: Callable[[Array], Array] | None = None
     normal_fn: Callable[[Array], Array] | None = None
     boundary_normal_fns: Callable[[Array], Array] | None = None
-    boundary_tangential_fns: Callable[[Array], Array] | None = None
     time_extent: tuple[float, float] | None = None
 
     def _window(self, t: Array) -> Array:
@@ -203,9 +196,6 @@ class DeformationField:
 
     def boundary_normal(self, u: Array) -> Array:
         return self._component(self.boundary_normal_fns, u, ())
-
-    def boundary_tangential(self, u: Array, db: int) -> Array:
-        return self._component(self.boundary_tangential_fns, u, (db,))
 
 
 def metric_variation(embedding: Embedding, point: Array,
@@ -309,15 +299,10 @@ def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
 
 def _deformed_chi(bnd: BoundaryEmbedding, deformation: DeformationField,
                   eps: float) -> Callable[[Array], Array]:
-    db = bnd.boundary_dim
-
     def chi(u):
         xi = bnd.chi(u)
-        edge = _edge_frame(bnd, u, _frame_at(bnd.parent, xi)[0])
-        delta = (deformation.boundary_normal(u)[..., None] * edge.normals[..., 0]
-                 + np.einsum("...aA,...A->...a", edge.tangents,
-                             deformation.boundary_tangential(u, db)))
-        return xi + eps * delta
+        eta = _edge_frame(bnd, u, _frame_at(bnd.parent, xi)[0]).normals[..., 0]
+        return xi + eps * deformation.boundary_normal(u)[..., None] * eta
 
     return chi
 
@@ -348,16 +333,16 @@ def _inverted_graph(chi_fn: Callable[[Array], Array]) -> Callable[[Array], Array
     return limit
 
 
-def _deformed_grid(grid: tuple[GridAxis, ...], edges: Sequence[BoundaryEmbedding],
-                   chis: list[Callable[[Array], Array]]) -> tuple[GridAxis, ...]:
-    """The grid with each edge's displaced graph as the limit on its side."""
+def _deformed_grid(grid: tuple[GridAxis, ...],
+                   edges: Sequence[BoundaryEmbedding]) -> tuple[GridAxis, ...]:
+    """The grid with each displaced edge's graph as the limit on its side."""
     last = grid[-1]
     lo, hi = last.lo, last.hi
-    for edge, chi in zip(edges, chis):
+    for edge in edges:
         if edge.orientation < 0:
-            lo = _inverted_graph(chi)
+            lo = _inverted_graph(edge.chi_fn)
         else:
-            hi = _inverted_graph(chi)
+            hi = _inverted_graph(edge.chi_fn)
     return grid[:-1] + (GridAxis(last.points, lo, hi),)
 
 
@@ -366,10 +351,12 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
                        epsilon: float) -> float:
     """Centered finite-difference variation [S(+eps) - S(-eps)] / (2 eps).
 
-    The worldsheet and the ``edges`` are displaced together; the quadrature
-    domain follows the displaced edge graphs exactly, each on the side its
-    orientation names (-1 the lower limit of the last axis, +1 the upper).  Matches
-    :func:`first_variation_analytic` to O(eps^2) plus quadrature error.
+    The worldsheet and the ``edges`` are displaced together: each displaced
+    edge is an edge of the displaced sheet, and its volume its :func:`edge_action`.
+    The quadrature domain follows the displaced edge graphs exactly, each on
+    the side its orientation names (-1 the lower limit of the last axis, +1 the
+    upper).  Matches :func:`first_variation_analytic` to O(eps^2) plus
+    quadrature error.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise InvalidParameters("epsilon must be positive and finite")
@@ -377,13 +364,9 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
 
     def total_action(eps: float) -> float:
         emb_eps = _deformed_embedding(embedding, deformation, eps, align)
-        chis = [_deformed_chi(bnd, deformation, eps) for bnd in edges]
-        cfg = ActionConfig(config.mu0, config.mub, _deformed_grid(config.grid, edges, chis))
-        s = dng_action(emb_eps, cfg)
-        u, uw = _boundary_grid(config.grid)
-        for chi in chis:
-            dens = _edge_density_from_curve(emb_eps, chi, u, embedding.fd_step)
-            s += float(-config.mub * np.sum(dens * uw))
-        return s
+        edges_eps = [BoundaryEmbedding(emb_eps, _deformed_chi(bnd, deformation, eps),
+                                       bnd.orientation) for bnd in edges]
+        cfg = ActionConfig(config.mu0, config.mub, _deformed_grid(config.grid, edges_eps))
+        return dng_action(emb_eps, cfg) + sum(edge_action(e, cfg) for e in edges_eps)
 
     return (total_action(epsilon) - total_action(-epsilon)) / (2.0 * epsilon)

@@ -135,10 +135,10 @@ def batched_advance_endpoints(x0, u0, tau0, tangents, accels, dt):
     return x, u, tau
 
 
-# Reference oracle for the finite-difference stencils: one call of fn per
-# shifted copy of the points.  ``geometry.fd_jacobian`` and
-# ``geometry.fd_hessian`` evaluate fn on the stacked shifts instead, and must
-# reproduce these bit for bit.
+# Reference oracle for the finite-difference stencil: one call of fn per
+# shifted copy of the points, for fn of any output shape (..., *S).
+# ``geometry.fd_jacobian`` evaluates fn on the stacked shifts instead, and must
+# reproduce it bit for bit.
 
 
 def looped_fd_jacobian(fn, point, step):
@@ -149,35 +149,10 @@ def looped_fd_jacobian(fn, point, step):
     for a in range(d):
         e = np.zeros(d)
         e[a] = 1.0
-        cols.append((fn(point + h * e) - fn(point - h * e)) / (2.0 * h))
+        diff = fn(point + h * e) - fn(point - h * e)
+        h_out = h.reshape(point.shape[:-1] + (1,) * (diff.ndim + 1 - point.ndim))
+        cols.append(diff / (2.0 * h_out))
     return np.stack(cols, axis=-1)
-
-
-def looped_fd_hessian(fn, point, step):
-    point = np.asarray(point, dtype=float)
-    d = point.shape[-1]
-    h = step * _step_scale(point)
-    f0 = fn(point)
-    n = f0.shape[-1]
-    out = np.zeros(point.shape[:-1] + (n, d, d))
-    eye = np.eye(d)
-    h2 = (h * h)[..., 0]
-    for a in range(d):
-        ea = eye[a]
-        fp = fn(point + h * ea)
-        fm = fn(point - h * ea)
-        out[..., :, a, a] = (fp - 2.0 * f0 + fm) / h2[..., None]
-    for a in range(d):
-        for b in range(a + 1, d):
-            ea, eb = eye[a], eye[b]
-            fpp = fn(point + h * (ea + eb))
-            fmm = fn(point - h * (ea + eb))
-            fpm = fn(point + h * (ea - eb))
-            fmp = fn(point - h * (ea - eb))
-            mixed = (fpp + fmm - fpm - fmp) / (4.0 * h2[..., None])
-            out[..., :, a, b] = mixed
-            out[..., :, b, a] = mixed
-    return out
 
 
 # Reference oracle for the edge orientation: the outward-hint rule that the

@@ -365,6 +365,22 @@ class TestAdaptedEdge:
                              bd.tangents_in_m, curv.extrinsic)
         assert np.allclose(data.edge_twist[..., 1:, 0], expected, atol=1e-8)
 
+    @pytest.mark.parametrize("u0", [0.0, 2e-6])
+    def test_sheet_normal_gauge_flip_along_the_edge(self, u0):
+        # the helicoid's deterministic normal flips sign at sigma = 0, which this edge
+        # crosses at u = 0, inside the twist's stencil; the sheet normals there are
+        # aligned to the center's before differencing, so no twist is injected
+        edge = BoundaryEmbedding(HELICOID.embedding,
+                                 lambda u: np.concatenate([u, 0.3 * np.sin(u)], axis=-1), 1)
+        u = np.array([u0])
+        data = adapted_edge_data(edge, u)  # raises if violated
+        bd = boundary_data(edge, u)
+        curv = extrinsic_curvature(HELICOID.embedding, edge.chi(u))
+        expected = np.einsum("...a,...bA,...abi->...Ai", bd.normal_in_m,
+                             bd.tangents_in_m, curv.extrinsic)
+        assert np.allclose(data.edge_twist[..., 1:, 0], expected, atol=1e-8)
+        assert np.all(np.abs(expected) > 0.5)  # the mixed twist, 0.5713, is not trivial
+
     def test_inconsistent_edge_derivative_rejected(self):
         # d_chi disagrees with chi, so the tangents and eta no longer match the
         # edge's curve and the inherited curvature and twist fail their checks

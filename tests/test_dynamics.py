@@ -251,7 +251,7 @@ class TestCollapsingString:
             d = diagnostics(s)
             for ep in d.endpoints:
                 assert abs(ep.acceleration_magnitude - 1.0) < 1e-3
-                assert ep.direction_angle < 1e-3
+                assert ep.direction_angle < 1e-10
 
     def test_time_reversal_retraces(self):
         cfg = collapse_config(grid_points=256, output_stride=1)

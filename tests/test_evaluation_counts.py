@@ -15,13 +15,14 @@ The integrability residuals evaluate the map, and the background metric with
 it, once per point of each stencil sweep they make, at the sample points and
 FD step of the ``verify`` command, and build Gamma and K only where they are
 used.  A hole-radius scan is one edge evaluation over all its radii.
-A string step builds the outward edge direction three times per end: once
-each for the predictor, the corrector and the new state.
+A string step builds the outward edge direction twice per end: once each for
+the predictor and the corrector.
 The Procrustes alignment of one normal column takes no SVD.  The
 Gauss-Weingarten residual differences the tangents and the aligned normals
 in one sweep of the first-order frame.
 A finite-difference stencil calls its function once for all its shifts, in
-blocks of at most ``geometry.FD_BLOCK_POINTS`` points.
+blocks of at most ``geometry.FD_BLOCK_POINTS`` points; the second-derivative
+fallback, a stencil of a stencil, is one call of the map for a small batch.
 """
 
 import dataclasses
@@ -56,7 +57,7 @@ from worldsheet.integrability import (
 )
 from worldsheet.variation import DeformationField, _deformed_chi, edge_action
 
-from helpers import s3_sphere
+from helpers import fd_only_twin, s3_sphere
 
 HELICOID = catalog.helicoid(0.5, 1.0)  # analytic derivatives, co-dimension one
 
@@ -238,9 +239,17 @@ def test_fd_jacobian_calls_fn_in_blocks_of_at_most_fd_block_points(count, sizes)
     assert call_sizes(geometry.fd_jacobian, np.zeros((count, 2))) == sizes
 
 
-def test_fd_hessian_is_one_call_for_a_small_batch():
-    # the center, 2D shifts along the axes and 2D(D-1) along the pairs of axes
-    assert call_sizes(geometry.fd_hessian, np.zeros((30, 3))) == [(1 + 6 + 12) * 30]
+def test_fd_second_derivatives_are_one_position_call_for_a_small_batch():
+    # the Jacobian of the FD tangent map: 2D outer shifts, each with 2D inner shifts
+    sizes = []
+
+    def position(p):
+        sizes.append(int(np.prod(p.shape[:-1])))
+        return HELICOID.embedding.position_fn(p)
+
+    twin = fd_only_twin(dataclasses.replace(HELICOID.embedding, position_fn=position))
+    twin.dd_position(np.zeros((30, 2)))
+    assert sizes == [16 * 30]
 
 
 def test_hole_scan_is_one_edge_evaluation(counts, tmp_path):

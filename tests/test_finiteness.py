@@ -67,7 +67,7 @@ SLOTS = {  # slot -> the record that holds it
     "metric_fn": "background", "christoffel_fn": "background", "riemann_fn": "background",
     "chi_fn": "edge", "d_chi_fn": "edge", "dd_chi_fn": "edge",
     "normal_fn": "deformation", "tangential_fn": "deformation",
-    "boundary_normal_fns": "deformation", "boundary_tangential_fns": "deformation",
+    "boundary_normal_fns": "deformation",
     "value_fn": "scalar", "gradient_fn": "scalar", "hessian_fn": "scalar",
 }
 
@@ -91,7 +91,6 @@ def scenario(slot=None, wrap=None):
         tangential_fn=lambda xi: np.stack([np.sin(xi[..., 1]), xi[..., 0] * xi[..., 1]], axis=-1),
         normal_fn=lambda xi: np.cos(xi[..., 0])[..., None] * (1.0 + xi[..., 1] ** 2)[..., None],
         boundary_normal_fns=lambda u: 0.3 * np.sin(u[..., 0]),
-        boundary_tangential_fns=lambda u: 0.2 * np.cos(u[..., 0])[..., None],
         time_extent=(0.0, 1.0)), "deformation")
     # psi = xi^0 (xi^1)^2, with its closed-form gradient and Hessian
     scalar = patched(WorldsheetScalar(
@@ -145,8 +144,7 @@ ENTRY_POINTS = {
         EDGE | {"normal_fn", "tangential_fn", "boundary_normal_fns"}),
     "first_variation_fd": (
         lambda s: first_variation_fd(s[0], s[2], s[3], s[4], 1e-2),
-        MAP | {"chi_fn", "d_chi_fn", "normal_fn", "tangential_fn", "boundary_normal_fns",
-               "boundary_tangential_fns"}),
+        MAP | {"chi_fn", "d_chi_fn", "normal_fn", "tangential_fn", "boundary_normal_fns"}),
 }
 
 

@@ -26,6 +26,7 @@ PLANE = catalog.plane()
 HELICOID = catalog.helicoid(0.5, 1.0)
 DISK = catalog.euclidean_disk(1.0)
 SPHERE = catalog.sphere(2.0)
+COLLAPSING = catalog.collapsing_string(1.0, 1.0)
 
 # closed-form value of the rotating-sheet area integral on t, sigma in [0, 1]
 HELICOID_STRIP_AREA = 0.5 * np.sqrt(0.75) + np.arcsin(0.5)
@@ -161,27 +162,29 @@ class TestFirstVariation:
         assert fd == pytest.approx(ana, abs=1e-4)
 
     @staticmethod
-    def _edge_slide(amplitude):
-        # displaces both edges along themselves, so the moving domain needs the
-        # Picard inversion of the displaced edge graphs
+    def _edge_push(amplitude):
+        # moves both edges of the collapsing string along eta; eta is tilted in time
+        # where the edge is, so the moving domain needs the Picard inversion of the
+        # displaced edge graphs
         return DeformationField(
-            boundary_tangential_fns=lambda u: (amplitude * np.sin(3.0 * u[..., 0]))[..., None],
-            time_extent=(0.0, 1.0))
+            boundary_normal_fns=lambda u: amplitude * np.sin(4.0 * np.pi * u[..., 0]),
+            time_extent=(0.0, 0.5))
 
-    def test_tangential_edge_displacement_is_null(self):
-        # an edge reparametrization leaves the action unchanged
-        cfg, edges = catalog.action_setup(PLANE, 1.0, 0.7, (64, 64))
-        defo = self._edge_slide(5.0)
-        assert first_variation_analytic(PLANE.embedding, edges, cfg, defo) == 0.0
-        fd = richardson_variation(PLANE.embedding, edges, cfg, defo, 1e-2)
-        assert abs(fd) < 1e-4
+    def test_sloped_edge_displacement_is_stationary(self):
+        # the collapsing string's edges obey mu0 + mub k = 0, so pushing them along
+        # eta leaves the action stationary
+        cfg, edges = catalog.action_setup(COLLAPSING, 1.0, 1.0, (64, 64))
+        defo = self._edge_push(1.0)
+        assert abs(first_variation_analytic(COLLAPSING.embedding, edges, cfg, defo)) < 1e-15
+        fd = richardson_variation(COLLAPSING.embedding, edges, cfg, defo, 1e-2)
+        assert abs(fd) < 1e-5
 
     def test_uncontracted_edge_inversion_raises(self):
-        # at eps = 1e-2 this slide is too large for the Picard sweeps to
+        # at eps = 1e-2 this push is too large for the Picard sweeps to
         # contract; the variation must fail instead of returning a wrong number
-        cfg, edges = catalog.action_setup(PLANE, 1.0, 0.7, (64, 64))
-        with pytest.raises(InvalidParameters):
-            first_variation_fd(PLANE.embedding, edges, cfg, self._edge_slide(30.0), 1e-2)
+        cfg, edges = catalog.action_setup(COLLAPSING, 1.0, 1.0, (64, 64))
+        with pytest.raises(InvalidParameters, match="Picard"):
+            first_variation_fd(COLLAPSING.embedding, edges, cfg, self._edge_push(10.0), 1e-2)
 
     @pytest.mark.parametrize("edges", [False, True], ids=["no_edges", "edges"])
     @pytest.mark.parametrize("epsilon", [0.0, -1e-2, np.nan, np.inf])

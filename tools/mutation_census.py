@@ -92,6 +92,14 @@ MUTANTS = {
             "eta_mid = _eta(ep.edge_tangent.tolist(), u_mid)",
             "eta_mid = _eta(ep.edge_tangent.tolist(), ep.prev_four_velocity.tolist())",
             "takes the direction of `diagnostics` at the step's first u, not its midpoint"),
+    "M36": ("src/worldsheet/variation.py",
+            "bnd.orientation) for bnd in edges]",
+            "-bnd.orientation) for bnd in edges]",
+            "flips the side of each displaced edge in `first_variation_fd`"),
+    "M37": ("src/worldsheet/boundary.py",
+            "_procrustes(fr_u.normals, sheet_normals, g)",
+            "fr_u.normals",
+            "differences unaligned sheet normals in the twist of `adapted_edge_data`"),
 }
 
 
