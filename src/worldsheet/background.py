@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -49,8 +50,7 @@ class BackgroundMetric:
     def metric_at(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         if self.metric_fn is None:
-            g = np.eye(self.dimension)
-            g[0, 0] = -1.0 if self.signature == LORENTZIAN else 1.0
+            g = _signature_matrix(self.dimension, self.signature)
             return np.broadcast_to(g, x.shape[:-1] + g.shape)
         return _finite(self.metric_fn(x), "metric_fn")
 
@@ -70,6 +70,15 @@ class BackgroundMetric:
             shape = (self.dimension,) * rank
             return np.broadcast_to(np.zeros(shape), x.shape[:-1] + shape)
         return _finite(fn(x), slot)
+
+
+@lru_cache(maxsize=None)
+def _signature_matrix(dimension: int, signature: str) -> Array:
+    """The metric of a flat background, diag(-1 or +1, 1, ..., 1), the same at every point."""
+    g = np.eye(dimension)
+    g[0, 0] = -1.0 if signature == LORENTZIAN else 1.0
+    g.flags.writeable = False  # shared by every caller
+    return g
 
 
 def _finite(values: Array, slot: str) -> Array:

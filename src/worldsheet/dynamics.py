@@ -401,9 +401,10 @@ def diagnostics(state: StringState) -> DiagnosticsRecord:
     Endpoint accelerations are finite differences of u over proper time across
     the last step, compared against minus the step-midpoint outward direction
     by their angle in the rest frame of the step-midpoint four-velocity; they
-    are None until one step of history exists.  Energy sums the interior
-    density mu0 * dX^0/dt with trapezoidal weights plus mub * u^0 per end;
-    angular momentum is the z-component analogue.
+    are None until one step of history exists, and the angle is None when the
+    measured acceleration is exactly zero (force-free ends, mu0 = 0).  Energy
+    sums the interior density mu0 * dX^0/dt with trapezoidal weights plus
+    mub * u^0 per end; angular momentum is the z-component analogue.
     """
     mu0 = state.tensions.mu0
     w = np.ones(state.grid_points)
@@ -429,9 +430,12 @@ def diagnostics(state: StringState) -> DiagnosticsRecord:
         mag = math.sqrt(max(_fdot(acc, acc), 0.0))
         u_mid = _unit_timelike((0.5 * (ep.four_velocity + ep.prev_four_velocity)).tolist())
         eta_mid = _eta(ep.edge_tangent.tolist(), u_mid)
+        na, ne = _rest_norm(acc, u_mid), _rest_norm(eta_mid, u_mid)
+        if na == 0.0:  # no measured acceleration (force-free ends): no direction
+            diags.append(EndpointDiagnostics(mag, None))
+            continue
         # the angle to -eta_mid in the rest frame of u_mid, as 2 asin(|a + eta| / 2)
         # of the unit vectors there, which keeps its accuracy near zero
-        na, ne = max(_rest_norm(acc, u_mid), 1e-300), _rest_norm(eta_mid, u_mid)
         chord = _rest_norm([a / na + e / ne for a, e in zip(acc, eta_mid)], u_mid)
         diags.append(EndpointDiagnostics(mag, 2.0 * math.asin(min(0.5 * chord, 1.0))))
     return DiagnosticsRecord(

@@ -17,6 +17,13 @@ scope:
 * one normal (K = 1, D <= 3, and every edge normal eta), the Hodge dual of
   the tangents raised with the inverse metric (more normals, or D > 3, take
   the Gram-Schmidt sweep).
+
+At quadrature size the kernel works across the flattened batch, not point by
+point: a short last axis is summed one component slice at a time over all
+points (:func:`_sum_last`, in numpy's order, so the bits are those of
+``.sum``).  A flat background's metric is one signature matrix for every
+point, so the pullback and the Hodge raise are one product over the batch, no
+Christoffel product is made, and the volume action reads no map point.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .background import LORENTZIAN, BackgroundMetric
+from .background import LORENTZIAN, BackgroundMetric, _signature_matrix
 from .errors import DegenerateImmersion, DegenerateMetric, GaugeFailure, InvalidParameters
 
 Array = np.ndarray
@@ -161,6 +168,21 @@ class CurvatureData:
     worldsheet_connection: Array   # (..., D, D, D)
 
 
+def _sum_last(a: Array) -> Array:
+    """``a.sum(axis=-1)`` of a short last axis, added one component slice at a time.
+
+    numpy reduces a short last axis in one inner loop per point; each slice
+    add here runs over the whole batch.  The order is numpy's for an axis
+    shorter than 8, left to right from +0.0, so the bits are the same.  (A
+    matrix-vector product with ones is BLAS's order, which differs from
+    length 4 on.)
+    """
+    total = a[..., 0] + 0.0
+    for i in range(1, a.shape[-1]):
+        total += a[..., i]
+    return total
+
+
 @lru_cache(maxsize=None)
 def _pairs(n: int) -> tuple[Array, Array]:
     """Row pairs (mu < nu) of an n-row tangent map: the 2x2 minors of its wedge."""
@@ -178,20 +200,20 @@ def _rank_checked_scale(tangents: Array) -> tuple[Array, Array | None]:
     accuracy where the Gram determinant cancels, and s_max^2 is the larger
     eigenvalue of the 2x2 Euclidean Gram matrix.  D = 3 takes the SVD, minors None.
     """
-    if not np.all(np.isfinite(tangents)):
+    if not np.isfinite(tangents).all():
         raise DegenerateImmersion("non-finite tangent map")
     if tangents.shape[-1] == 2:
         mu, nu = _pairs(tangents.shape[-2])
         e1, e2 = tangents[..., 0], tangents[..., 1]
         minors = e1[..., mu] * e2[..., nu] - e1[..., nu] * e2[..., mu]
-        g11, g22, g12 = (e1 * e1).sum(axis=-1), (e2 * e2).sum(axis=-1), (e1 * e2).sum(axis=-1)
+        g11, g22, g12 = _sum_last(e1 * e1), _sum_last(e2 * e2), _sum_last(e1 * e2)
         s_max2 = 0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12)
-        degenerate = np.sqrt((minors * minors).sum(axis=-1)) <= 1e-10 * s_max2
+        degenerate = np.sqrt(_sum_last(minors * minors)) <= 1e-10 * s_max2
         s_max = np.sqrt(s_max2)
     else:
         s = np.linalg.svd(tangents, compute_uv=False)
         degenerate, s_max, minors = s[..., -1] <= 1e-10 * s[..., 0], s[..., 0], None
-    if np.any(degenerate):
+    if degenerate.any():
         raise DegenerateImmersion(
             "tangent map is rank-deficient (bad parametrization or coincident points)"
         )
@@ -199,7 +221,14 @@ def _rank_checked_scale(tangents: Array) -> tuple[Array, Array | None]:
 
 
 def _pullback(tangents: Array, metric: Array) -> Array:
-    """Pullback t^m_a q_mn t^n_b of a bilinear form q = ``metric`` along the tangent columns."""
+    """Pullback t^m_a q_mn t^n_b of a bilinear form q = ``metric`` along the tangent columns.
+
+    ``metric`` is (..., N, N), or the diagonal (N,) of a flat background's
+    signature matrix: q t then scales the rows of t by +-1, which is exact, so
+    it is one product over the batch.
+    """
+    if metric.ndim == 1:
+        return np.swapaxes(tangents, -1, -2) @ (metric[:, None] * tangents)
     return np.swapaxes(tangents, -1, -2) @ (metric @ tangents)
 
 
@@ -251,9 +280,8 @@ def _negative_eigenvalues(m: Array, det: Array, adj: Array | None) -> Array:
     """
     if adj is None:
         return np.sum(np.linalg.eigvalsh(m) < 0, axis=-1)
-    d = m.shape[-1]
-    coefficients = [np.trace(m, axis1=-2, axis2=-1),
-                    np.trace(adj, axis1=-2, axis2=-1)][:d - 1] + [det]
+    coefficients = [_sum_last(np.diagonal(c, axis1=-2, axis2=-1))
+                    for c in (m, adj)[:m.shape[-1] - 1]] + [det]
     count, last = 0, 1.0
     for c in coefficients:
         s = np.sign(c)
@@ -266,27 +294,36 @@ def _check_metric(embedding: Embedding, gamma: Array, scale: Array) -> Array:
     """gamma^-1, after checking gamma is nondegenerate with the background's signature."""
     d = embedding.worldsheet_dim
     det, adj = _det_adjugate(gamma)
-    if np.any(np.abs(det) < DEGENERACY_TOL * scale ** (2 * d)):
+    if (np.abs(det) < DEGENERACY_TOL * scale ** (2 * d)).any():
         raise DegenerateMetric("induced metric is singular (null or collapsed point)")
     negatives = _negative_eigenvalues(gamma, det, adj)
     if embedding.background.signature == LORENTZIAN:
-        if np.any(negatives != 1):
+        if (negatives != 1).any():
             raise DegenerateMetric(
                 "worldsheet is not timelike: induced metric lacks (-,+,...,+) signature"
             )
     else:
-        if np.any(negatives != 0):
+        if (negatives != 0).any():
             raise DegenerateMetric("induced metric is not positive definite")
     return _inverse(gamma, det, adj)
 
 
 def _first_significant_sign(v: Array) -> Array:
-    """Sign of the first component whose magnitude is significant, per point."""
+    """Sign of the first component whose magnitude is significant, per point.
+
+    Significant means above 1e-8 times the largest magnitude; with none, the
+    first component leads (and a zero lead counts as +1).  Each step runs
+    over one component of the whole batch: the components are visited from
+    last to first, so the first significant one is kept.
+    """
     mags = np.abs(v)
-    thresh = 1e-8 * np.max(mags, axis=-1, keepdims=True)
-    significant = mags > thresh
-    idx = np.argmax(significant, axis=-1)
-    lead = np.take_along_axis(v, idx[..., None], axis=-1)[..., 0]
+    top = mags[..., 0]
+    for i in range(1, v.shape[-1]):
+        top = np.maximum(top, mags[..., i])
+    thresh = 1e-8 * top
+    lead = v[..., 0]
+    for i in reversed(range(v.shape[-1])):
+        lead = np.where(mags[..., i] > thresh, v[..., i], lead)
     sign = np.sign(lead)
     return np.where(sign == 0, 1.0, sign)
 
@@ -353,13 +390,15 @@ def _hodge_normal(tangents: Array, g_inv: Array,
     normalized where ``ok``: g(n, n) > 1e-10 |n|^2, the acceptance test of
     :func:`_gram_schmidt_normals`, so det[t, n] > 0 there.  Given d = 2 ``minors``
     (of :func:`_rank_checked_scale`), deleting row mu leaves their pair 2 - mu.
+    ``g_inv`` is (..., d+1, d+1), or one (d+1, d+1) matrix for every point,
+    which raises the whole batch in one product.
     """
     rows, signs = _minor_rows(tangents.shape[-2])
     dets = _det_adjugate(tangents[..., rows, :])[0] if minors is None else minors[..., ::-1]
     nu = signs * dets
-    n = (g_inv @ nu[..., None])[..., 0]
-    norm2 = (nu * n).sum(axis=-1)
-    ok = norm2 > 1e-10 * (n * n).sum(axis=-1)
+    n = nu @ g_inv.T if g_inv.ndim == 2 else (g_inv @ nu[..., None])[..., 0]
+    norm2 = _sum_last(nu * n)
+    ok = norm2 > 1e-10 * _sum_last(n * n)
     return n / np.sqrt(np.where(ok, norm2, 1.0))[..., None], ok
 
 
@@ -372,14 +411,16 @@ def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array,
     """
     k = embedding.codimension
     if k == 1 and embedding.worldsheet_dim <= 3:
-        g_inv = g  # a flat metric is the signature matrix, its own inverse
-        if not embedding.background.flat:
+        bg = embedding.background
+        if bg.flat:  # the signature matrix, its own inverse, the same at every point
+            g_inv = _signature_matrix(bg.dimension, bg.signature)
+        else:
             det, adj = _det_adjugate(g)
-            if np.any(det == 0):
+            if (det == 0).any():
                 raise DegenerateMetric("background metric is singular")
             g_inv = _inverse(g, det, adj)
         n, ok = _hodge_normal(tangents, g_inv, minors)
-        if not np.all(ok):
+        if not ok.all():
             raise GaugeFailure("the normal of the tangents is null or not finite")
         return (n * _first_significant_sign(n)[..., None])[..., None]
     normals, found = _gram_schmidt_normals(g, _projected_seeds(g, tangents, gamma_inv), k)
@@ -414,11 +455,22 @@ def _polar_factor(overlap: Array) -> Array:
 
 
 def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
-    """Frame columns ``raw`` rotated onto ``ref`` by the minimizing orthogonal matrix."""
-    overlap = np.swapaxes(raw, -1, -2) @ (g @ ref)
-    if not np.all(np.isfinite(overlap)):
+    """Frame columns ``raw`` rotated onto ``ref`` by the minimizing orthogonal matrix.
+
+    That matrix is the polar factor of the overlap raw^T g ref.  One column is
+    only flipped, by the overlap's sign, so its overlap is summed across the
+    batch and the flip is a product, not one small matmul per point.  (That
+    sum rounds each product where BLAS fuses them, so the two can disagree
+    on the sign only where the overlap is at roundoff and no flip is meant.)
+    """
+    gref = g @ ref
+    one = raw.shape[-1] == 1
+    overlap = (_sum_last(raw[..., 0] * gref[..., 0])[..., None, None] if one
+               else np.swapaxes(raw, -1, -2) @ gref)
+    if not np.isfinite(overlap).all():
         raise GaugeFailure("non-finite normal-frame overlap in the Procrustes alignment")
-    return raw @ _polar_factor(overlap)
+    # + 0.0: a zero entry reads +0.0, as the one-term matmul sum gives it
+    return raw * _polar_factor(overlap) + 0.0 if one else raw @ _polar_factor(overlap)
 
 
 def _frame_at(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array]:
@@ -432,12 +484,14 @@ def _frame_at(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array]:
     """
     point = np.asarray(point, dtype=float)
     x = embedding.position(point)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DegenerateImmersion("non-finite position")
     e = embedding.d_position(point)
     scale, minors = _rank_checked_scale(e)
-    g = embedding.background.metric_at(x)
-    gamma = _pullback(e, g)
+    bg = embedding.background
+    g = bg.metric_at(x)
+    gamma = _pullback(e, np.diagonal(_signature_matrix(bg.dimension, bg.signature))
+                      if bg.flat else g)
     gamma = 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
     gamma_inv = _check_metric(embedding, gamma, scale)
     fr = Frame(tangents=e, normals=_normals(embedding, g, e, gamma_inv, minors),
@@ -450,12 +504,15 @@ def frame(embedding: Embedding, point: Array) -> Frame:
     return _frame_at(embedding, point)[0]
 
 
-def _covariant(dv: Array, chris: Array, cols: Array, tangents: Array) -> Array:
+def _covariant(dv: Array, chris: Array | None, cols: Array, tangents: Array) -> Array:
     """D_A v_I^mu = d_A v_I^mu + Gamma^mu_{rs} v_I^r t_A^s of columns v_I along a map, [mu, I, A].
 
     ``dv`` holds the coordinate derivatives d_A v_I and ``tangents`` the map's
     t_A.  With the tangents as the columns it is the covariant Hessian D_A t_I.
+    ``chris`` None (a flat background) is D = d: ``dv`` is returned.
     """
+    if chris is None:
+        return dv
     return dv + cols.swapaxes(-1, -2)[..., None, :, :] @ (chris @ tangents[..., None, :, :])
 
 
@@ -466,13 +523,14 @@ class _Local:
     edge into the sheet, or the edge into spacetime.  ``frame`` holds its
     tangents t_A, its normal columns n_I and its metric; ``x`` is the image
     point, ``g`` and ``chris`` the ambient metric and Christoffels (upper
-    index first), and ``sec`` is D_A t_B, indexed [mu, A, B].  ``conn`` and
-    ``kk`` are Gamma and K, each computed on first read and kept.
+    index first; None on a flat background), and ``sec`` is D_A t_B, indexed
+    [mu, A, B].  ``conn`` and ``kk`` are Gamma and K, each computed on first
+    read and kept.
     """
 
     __slots__ = ("frame", "x", "g", "chris", "sec", "_conn", "_kk")
 
-    def __init__(self, frame: Frame, x: Array, g: Array, chris: Array, sec: Array,
+    def __init__(self, frame: Frame, x: Array, g: Array, chris: Array | None, sec: Array,
                  conn: Array | None = None) -> None:
         self.frame, self.x, self.g, self.chris, self.sec = frame, x, g, chris, sec
         self._conn, self._kk = conn, None
@@ -509,7 +567,8 @@ def _local(embedding: Embedding, point: Array) -> _Local:
     dd = embedding.dd_position(point)
     if not np.all(np.isfinite(dd)):
         raise DegenerateImmersion("non-finite second derivatives of the map")
-    chris = embedding.background.christoffels_at(x)
+    bg = embedding.background
+    chris = None if bg.flat else bg.christoffels_at(x)
     return _Local(fr, x, g, chris, _covariant(dd, chris, fr.tangents, fr.tangents))
 
 

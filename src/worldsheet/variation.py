@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .background import LORENTZIAN, BackgroundMetric
+from .background import LORENTZIAN, BackgroundMetric, _signature_matrix
 from .boundary import BoundaryEmbedding, _boundary_local, _edge_frame
 from .errors import DegenerateMetric, InvalidParameters
 from .geometry import (
@@ -116,7 +116,10 @@ def _volume_element(metric: Array, background: BackgroundMetric) -> Array:
 
 
 def _volume_density(embedding: Embedding, pts: Array) -> Array:
-    g = embedding.background.metric_at(embedding.position(pts))
+    """sqrt(|det gamma|) at ``pts``; a flat metric reads no point, so the map is not evaluated."""
+    bg = embedding.background
+    g = (np.diagonal(_signature_matrix(bg.dimension, bg.signature)) if bg.flat
+         else bg.metric_at(embedding.position(pts)))
     return _volume_element(_pullback(embedding.d_position(pts), g), embedding.background)
 
 
@@ -177,15 +180,19 @@ class DeformationField:
         return _smooth_ramp(4.0 * s) * _smooth_ramp(4.0 * (1.0 - s))
 
     def _component(self, fn: Callable[[Array], Array] | None, x: Array,
-                   shape: tuple[int, ...]) -> Array:
-        """fn(x) times the window, or zeros of shape (..., *shape) when fn is unset."""
+                   shape: tuple[int, ...], window: Array | None = None) -> Array:
+        """fn(x) times the window, or zeros of shape (..., *shape) when fn is unset.
+
+        ``window`` is the window at x when the caller already has it.
+        """
         x = np.asarray(x, dtype=float)
         if fn is None:
             return np.zeros(x.shape[:-1] + shape)
         values = np.asarray(fn(x), dtype=float)
         if not np.all(np.isfinite(values)):
             raise InvalidParameters("deformation field has non-finite values")
-        window = self._window(x[..., 0])
+        if window is None:
+            window = self._window(x[..., 0])
         return values * window.reshape(window.shape + (1,) * len(shape))
 
     def tangential(self, xi: Array, dim: int) -> Array:
@@ -193,6 +200,13 @@ class DeformationField:
 
     def normal(self, xi: Array, codim: int) -> Array:
         return self._component(self.normal_fn, xi, (codim,))
+
+    def _bulk(self, xi: Array, dim: int, codim: int) -> tuple[Array, Array]:
+        """(tangential, normal) at the same points, with the window computed once."""
+        xi = np.asarray(xi, dtype=float)
+        window = self._window(xi[..., 0])
+        return (self._component(self.tangential_fn, xi, (dim,), window),
+                self._component(self.normal_fn, xi, (codim,), window))
 
     def boundary_normal(self, u: Array) -> Array:
         return self._component(self.boundary_normal_fns, u, ())
@@ -270,8 +284,7 @@ def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbed
         dens_b = _volume_element(bd.boundary_metric, bg)
         kk_b = _extrinsic(align(sheet.frame.normals), sheet.g, sheet.sec)
         hk = np.einsum("...ab,...abi->...i", bd.projector, kk_b)
-        phi_t = deformation.tangential(xi, d)
-        phi_n = deformation.normal(xi, k_codim)
+        phi_t, phi_n = deformation._bulk(xi, d, k_codim)
         eta_phi = (bd.normal_in_m[..., None, :] @ sheet.frame.induced_metric
                    @ phi_t[..., None])[..., 0, 0]
         psi = deformation.boundary_normal(u)
@@ -290,8 +303,8 @@ def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
 
     def pos(xi):
         fr, x, _ = _frame_at(embedding, xi)
-        delta = (fr.tangents @ deformation.tangential(xi, d)[..., None]
-                 + align(fr.normals) @ deformation.normal(xi, k)[..., None])
+        phi_t, phi_n = deformation._bulk(xi, d, k)
+        delta = fr.tangents @ phi_t[..., None] + align(fr.normals) @ phi_n[..., None]
         return x + eps * delta[..., 0]
 
     return Embedding(d, embedding.background, pos, fd_step=embedding.fd_step)

@@ -33,6 +33,7 @@ from worldsheet.integrability import (
     _riemann,
     worldsheet_integrability_residuals,
 )
+from worldsheet.variation import ActionConfig, GridAxis, dng_action
 
 from helpers import (
     einsum_connection,
@@ -63,6 +64,13 @@ class TestSphereInS3:
         kk = extrinsic_curvature(S3_SHEET, POINTS).extrinsic[..., 0]
         gamma = frame(S3_SHEET, POINTS).induced_metric
         assert np.allclose(kk, gamma / (A * np.tan(CHI0)), rtol=0.0, atol=1e-12)
+
+    def test_volume_action_is_the_quadrature_of_the_sphere_area(self):
+        # sqrt(det gamma) = a^2 sin^2 chi0 sin theta: the metric at each map point
+        config = ActionConfig(1.3, 1.0, (GridAxis(8, 0.4, 2.7), GridAxis(8, -3.0, 3.0)))
+        theta = 0.4 + (2.7 - 0.4) / 8 * (np.arange(8) + 0.5)
+        area = (A * np.sin(CHI0)) ** 2 * np.sum(np.sin(theta)) * (2.7 - 0.4) / 8 * 6.0
+        assert dng_action(S3_SHEET, config) == pytest.approx(-1.3 * area, rel=1e-13)
 
     def test_gauss_weingarten_residual_vanishes(self):
         # the frame is constant in these coordinates, so D_a e_b and D_a n are

@@ -253,6 +253,16 @@ class TestCollapsingString:
                 assert abs(ep.acceleration_magnitude - 1.0) < 1e-3
                 assert ep.direction_angle < 1e-10
 
+    def test_force_free_ends_report_no_direction(self):
+        # mu0 = 0: the ends move freely, so the measured acceleration is exactly zero
+        traj = evolve(collapse_config(initial_data=dict(COLLAPSE, mu0=0.0), grid_points=32,
+                                      duration=0.2, output_stride=1))
+        assert len(traj.snapshots) > 2
+        for s in traj.snapshots[1:]:
+            for ep in diagnostics(s).endpoints:
+                assert ep.acceleration_magnitude == 0.0
+                assert ep.direction_angle is None
+
     def test_time_reversal_retraces(self):
         cfg = collapse_config(grid_points=256, output_stride=1)
         state = initial_state_from_config(cfg)

@@ -23,6 +23,9 @@ in one sweep of the first-order frame.
 A finite-difference stencil calls its function once for all its shifts, in
 blocks of at most ``geometry.FD_BLOCK_POINTS`` points; the second-derivative
 fallback, a stencil of a stencil, is one call of the map for a small batch.
+The sheet's volume element reads the map's points only on a curved
+background, since a flat metric is the same at every point; a displaced map
+windows its deformation once per point batch.
 """
 
 import dataclasses
@@ -55,9 +58,18 @@ from worldsheet.integrability import (
     direct_embedding_residuals,
     worldsheet_integrability_residuals,
 )
-from worldsheet.variation import DeformationField, _deformed_chi, edge_action
+from worldsheet.variation import (
+    ActionConfig,
+    DeformationField,
+    GridAxis,
+    _deformed_chi,
+    _deformed_embedding,
+    dng_action,
+    edge_action,
+    first_variation_fd,
+)
 
-from helpers import fd_only_twin, s3_sphere
+from helpers import fd_only_twin, random_deformation, s3_sphere
 
 HELICOID = catalog.helicoid(0.5, 1.0)  # analytic derivatives, co-dimension one
 
@@ -118,6 +130,41 @@ def test_gauss_weingarten_differences_one_first_order_frame(counts):
     gauss_weingarten_residual(HELICOID.embedding, HELICOID.sample_grid())
     assert counts == {"position": 2, "d_position": 2, "dd_position": 1,
                       "chi": 0, "d_chi": 0, "dd_chi": 0, "metric_at": 2} | NO_LAPACK
+
+
+@pytest.mark.parametrize("embedding,position_calls", [
+    (HELICOID.embedding, 0),
+    (s3_sphere(1.7, 1.1), 1),
+], ids=["flat", "curved"])
+def test_volume_action_reads_map_points_only_on_a_curved_background(counts, embedding,
+                                                                    position_calls):
+    config = ActionConfig(1.0, 1.0, (GridAxis(8, 0.2, 1.0), GridAxis(8, 0.1, 0.9)))
+    dng_action(embedding, config)
+    assert (counts["position"], counts["d_position"]) == (position_calls, 1)
+
+
+def test_fd_variation_evaluation_counts(counts):
+    # every displaced map evaluation is a frame of the undeformed sheet; the
+    # displaced volume elements take tangents only
+    config, edges = catalog.action_setup(HELICOID, 1.0, 3.0, (16, 16))
+    first_variation_fd(HELICOID.embedding, edges, config, random_deformation(HELICOID, 0), 1e-2)
+    assert (counts["position"], counts["d_position"]) == (33, 29)
+
+
+def test_displaced_map_windows_each_point_batch_once(monkeypatch):
+    calls = 0
+    original = DeformationField._window
+
+    def counted(self, t):
+        nonlocal calls
+        calls += 1
+        return original(self, t)
+
+    monkeypatch.setattr(DeformationField, "_window", counted)
+    displaced = _deformed_embedding(HELICOID.embedding, random_deformation(HELICOID, 0), 1e-2,
+                                    lambda normals: normals)
+    displaced.position(HELICOID.sample_grid())
+    assert calls == 1
 
 
 ACTION_CONFIG = catalog.action_setup(HELICOID, 1.0, 3.0, (8, 8))[0]

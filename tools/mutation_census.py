@@ -100,6 +100,38 @@ MUTANTS = {
             "_procrustes(fr_u.normals, sheet_normals, g)",
             "fr_u.normals",
             "differences unaligned sheet normals in the twist of `adapted_edge_data`"),
+    "M38": ("src/worldsheet/geometry.py",
+            "total = a[..., 0] + 0.0",
+            "total = a[..., 0].copy()",
+            "keeps the -0.0 of an all -0.0 row in `_sum_last`, where numpy's sum reads +0.0"),
+    "M39": ("src/worldsheet/geometry.py",
+            "_sum_last(np.diagonal(c, axis1=-2, axis2=-1))",
+            "_sum_last(c[..., 0, :])",
+            "sums the first row for a trace in `_negative_eigenvalues`"),
+    "M40": ("src/worldsheet/geometry.py",
+            "for i in reversed(range(v.shape[-1])):",
+            "for i in range(v.shape[-1]):",
+            "takes the sign of the last significant component in `_first_significant_sign`"),
+    "M41": ("src/worldsheet/geometry.py",
+            "n = nu @ g_inv.T if g_inv.ndim == 2 else",
+            "n = nu if g_inv.ndim == 2 else",
+            "leaves the flat Hodge covector unraised in `_hodge_normal`"),
+    "M42": ("src/worldsheet/geometry.py",
+            "_sum_last(raw[..., 0] * gref[..., 0])",
+            "_sum_last(raw[..., 0] * ref[..., 0])",
+            "drops g from the one-column overlap of `_procrustes`"),
+    "M43": ("src/worldsheet/geometry.py",
+            "@ (metric[:, None] * tangents)",
+            "@ (metric[::-1, None] * tangents)",
+            "puts the signature on the wrong rows in the flat `_pullback`"),
+    "M44": ("src/worldsheet/variation.py",
+            "bg.signature)) if bg.flat",
+            "bg.signature)) if bg.dimension",
+            "takes the flat metric on a curved background in `_volume_density`"),
+    "M45": ("src/worldsheet/geometry.py",
+            "chris = None if bg.flat else bg.christoffels_at(x)",
+            "chris = None",
+            "drops a curved background's Christoffels from the sheet's `_local`"),
 }
 
 
