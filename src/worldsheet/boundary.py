@@ -45,6 +45,7 @@ from .geometry import (
     _local,
     _procrustes,
     _pullback,
+    _unchecked_frame_at,
     fd_jacobian,
 )
 
@@ -208,11 +209,15 @@ class _EdgeLocal:
         return self._spacetime
 
 
-def _boundary_local(bnd: BoundaryEmbedding, point: Array) -> _EdgeLocal:
-    """:func:`boundary_data` at ``point``, with the levels it is built from."""
+def _boundary_local(bnd: BoundaryEmbedding, point: Array,
+                    frame_at: Callable[[Embedding, Array], tuple] = _frame_at) -> _EdgeLocal:
+    """:func:`boundary_data` at ``point``, with the levels it is built from.
+
+    ``frame_at`` evaluates the sheet, as in :func:`geometry._local`.
+    """
     point = np.asarray(point, dtype=float)
     xi = bnd.chi(point)
-    sheet = _local(bnd.parent, xi)
+    sheet = _local(bnd.parent, xi, frame_at)
     fr = sheet.frame
     edge_frame = _edge_frame(bnd, point, fr)
     dd_chi = bnd.dd_chi(point)
@@ -351,7 +356,7 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array) -> AdaptedEdgeData:
     sheet_normals, g = bl.sheet.frame.normals, bl.sheet.g
 
     def adapted_at(u: Array) -> Array:  # first order: the twist needs no k_AB
-        fr_u = _frame_at(bnd.parent, bnd.chi(u))[0]
+        fr_u = _unchecked_frame_at(bnd.parent, bnd.chi(u))[0]
         eta = fr_u.tangents @ _edge_frame(bnd, u, fr_u).normals
         return np.concatenate([eta, _procrustes(fr_u.normals, sheet_normals, g)], axis=-1)
 

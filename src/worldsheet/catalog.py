@@ -151,16 +151,18 @@ def helicoid(omega: float = 0.5, R: float = 1.0) -> CatalogEntry:
 
     def dpos(xi):
         t, s = xi[..., 0], xi[..., 1]
+        c, sn = np.cos(om * t), np.sin(om * t)
         one, zero = np.ones_like(t), np.zeros_like(t)
-        et = _stack(one, -s * om * np.sin(om * t), s * om * np.cos(om * t))
-        es = _stack(zero, np.cos(om * t), np.sin(om * t))
+        et = _stack(one, -s * om * sn, s * om * c)
+        es = _stack(zero, c, sn)
         return np.stack([et, es], axis=-1)
 
     def ddpos(xi):
         t, s = xi[..., 0], xi[..., 1]
+        c, sn = np.cos(om * t), np.sin(om * t)
         z = np.zeros_like(t)
-        xtt = _stack(z, -s * om * om * np.cos(om * t), -s * om * om * np.sin(om * t))
-        xts = _stack(z, -om * np.sin(om * t), om * np.cos(om * t))
+        xtt = _stack(z, -s * om * om * c, -s * om * om * sn)
+        xts = _stack(z, -om * sn, om * c)
         return _sym2(xtt, xts, _stack(z, z, z))
 
     emb = Embedding(2, bg, pos, dpos, ddpos)

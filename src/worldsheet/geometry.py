@@ -24,6 +24,16 @@ points (:func:`_sum_last`, in numpy's order, so the bits are those of
 ``.sum``).  A flat background's metric is one signature matrix for every
 point, so the pullback and the Hodge raise are one product over the batch, no
 Christoffel product is made, and the volume action reads no map point.
+
+The checks run at the points a caller asks for.  :func:`_frame_at` is the
+evaluation (:class:`_Evaluation`) followed by the checks: the rank of the
+tangent map, then gamma's det threshold and Descartes signature count.  A
+kernel that differences geometry around points it has validated reads its
+stencil points through :func:`_unchecked_frame_at` (``_local`` and
+``boundary._boundary_local`` take it in place of ``_frame_at``): the same
+values, bit for bit, with gamma, gamma^-1 and the normals built only where
+read.  There a non-finite map or tangent map still raises
+DegenerateImmersion, and the normal's own test GaugeFailure.
 """
 
 from __future__ import annotations
@@ -191,21 +201,37 @@ def _pairs(n: int) -> tuple[Array, Array]:
     return mu, nu
 
 
-def _rank_checked_scale(tangents: Array) -> tuple[Array, Array | None]:
+def _tangent_map(embedding: Embedding, point: Array) -> Array:
+    """The tangent map (..., N, D) at ``point``, checked finite."""
+    e = embedding.d_position(point)
+    if not np.isfinite(e).all():
+        raise DegenerateImmersion("non-finite tangent map")
+    return e
+
+
+def _wedge(tangents: Array) -> Array | None:
+    """The 2x2 minors of a D = 2 tangent map, in ``_pairs`` order: e_1 ^ e_2.  None for D = 3."""
+    if tangents.shape[-1] != 2:
+        return None
+    mu, nu = _pairs(tangents.shape[-2])
+    e1, e2 = tangents[..., 0], tangents[..., 1]
+    return e1[..., mu] * e2[..., nu] - e1[..., nu] * e2[..., mu]
+
+
+def _rank_checked_scale(tangents: Array, minors: Array | None = None
+                        ) -> tuple[Array, Array | None]:
     """(s_max, minors): the largest singular value of a finite, full-rank tangent map.
 
     Full rank means s_min / s_max > 1e-10.  For D = 2 that is decided as
     |e_1 ^ e_2| > 1e-10 s_max^2, since s_min s_max = |e_1 ^ e_2|: the wedge
-    comes from the 2x2 minors (returned, in ``_pairs`` order), which keep relative
-    accuracy where the Gram determinant cancels, and s_max^2 is the larger
-    eigenvalue of the 2x2 Euclidean Gram matrix.  D = 3 takes the SVD, minors None.
+    comes from the 2x2 minors (:func:`_wedge`, made here unless passed), which
+    keep relative accuracy where the Gram determinant cancels, and s_max^2 is
+    the larger eigenvalue of the 2x2 Euclidean Gram matrix.  D = 3 takes the
+    SVD, minors None.
     """
-    if not np.isfinite(tangents).all():
-        raise DegenerateImmersion("non-finite tangent map")
     if tangents.shape[-1] == 2:
-        mu, nu = _pairs(tangents.shape[-2])
+        minors = _wedge(tangents) if minors is None else minors
         e1, e2 = tangents[..., 0], tangents[..., 1]
-        minors = e1[..., mu] * e2[..., nu] - e1[..., nu] * e2[..., mu]
         g11, g22, g12 = _sum_last(e1 * e1), _sum_last(e2 * e2), _sum_last(e1 * e2)
         s_max2 = 0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12)
         degenerate = np.sqrt(_sum_last(minors * minors)) <= 1e-10 * s_max2
@@ -234,7 +260,7 @@ def _pullback(tangents: Array, metric: Array) -> Array:
 
 def tangent_basis(embedding: Embedding, point: Array) -> Array:
     """Tangent vectors e_a = dX/dxi^a as columns of an (..., N, D) matrix."""
-    e = embedding.d_position(point)
+    e = _tangent_map(embedding, point)
     _rank_checked_scale(e)
     return e
 
@@ -290,10 +316,10 @@ def _negative_eigenvalues(m: Array, det: Array, adj: Array | None) -> Array:
     return count
 
 
-def _check_metric(embedding: Embedding, gamma: Array, scale: Array) -> Array:
-    """gamma^-1, after checking gamma is nondegenerate with the background's signature."""
+def _check_metric(embedding: Embedding, gamma: Array, det: Array, adj: Array | None,
+                  scale: Array) -> None:
+    """Check gamma nondegenerate, with the background's signature, from its det and adjugate."""
     d = embedding.worldsheet_dim
-    det, adj = _det_adjugate(gamma)
     if (np.abs(det) < DEGENERACY_TOL * scale ** (2 * d)).any():
         raise DegenerateMetric("induced metric is singular (null or collapsed point)")
     negatives = _negative_eigenvalues(gamma, det, adj)
@@ -305,7 +331,6 @@ def _check_metric(embedding: Embedding, gamma: Array, scale: Array) -> Array:
     else:
         if (negatives != 0).any():
             raise DegenerateMetric("induced metric is not positive definite")
-    return _inverse(gamma, det, adj)
 
 
 def _first_significant_sign(v: Array) -> Array:
@@ -402,13 +427,14 @@ def _hodge_normal(tangents: Array, g_inv: Array,
     return n / np.sqrt(np.where(ok, norm2, 1.0))[..., None], ok
 
 
-def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array,
-             minors: Array | None) -> Array:
+def _normals(ev: _Evaluation) -> Array:
     """Gauge-fixed normal columns completing the tangents (see :func:`normal_frame`).
 
     One normal (D <= 3) is the Hodge dual of the tangents, which is the
-    Gram-Schmidt gauge in closed form; more normals, or D > 3, take the sweep.
+    Gram-Schmidt gauge in closed form; more normals, or D > 3, take the sweep,
+    which reads gamma^-1.
     """
+    embedding, g = ev.embedding, ev.g
     k = embedding.codimension
     if k == 1 and embedding.worldsheet_dim <= 3:
         bg = embedding.background
@@ -419,11 +445,12 @@ def _normals(embedding: Embedding, g: Array, tangents: Array, gamma_inv: Array,
             if (det == 0).any():
                 raise DegenerateMetric("background metric is singular")
             g_inv = _inverse(g, det, adj)
-        n, ok = _hodge_normal(tangents, g_inv, minors)
+        n, ok = _hodge_normal(ev.tangents, g_inv, ev.minors)
         if not ok.all():
             raise GaugeFailure("the normal of the tangents is null or not finite")
         return (n * _first_significant_sign(n)[..., None])[..., None]
-    normals, found = _gram_schmidt_normals(g, _projected_seeds(g, tangents, gamma_inv), k)
+    seeds = _projected_seeds(g, ev.tangents, ev.induced_metric_inverse)
+    normals, found = _gram_schmidt_normals(g, seeds, k)
     if np.any(found < k):
         raise GaugeFailure("could not complete the normal frame from coordinate seeds")
     return normals
@@ -473,30 +500,90 @@ def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
     return raw * _polar_factor(overlap) + 0.0 if one else raw @ _polar_factor(overlap)
 
 
+class _Evaluation:
+    """The sheet's local frame at a batch of points, without the rank and signature checks.
+
+    It reads like a :class:`Frame` (``tangents``, ``normals``,
+    ``induced_metric``, ``induced_metric_inverse``), with the image point
+    ``x`` and the background metric ``g`` there.  The map and its tangent map
+    (each checked finite), g and the D = 2 minors are evaluated on
+    construction; gamma, its cofactors, gamma^-1 and the normals on first
+    read, so a caller pays for what it reads.  The normals keep their own
+    test (the Hodge ``ok``, or the Gram-Schmidt count), which raises
+    GaugeFailure.
+    """
+
+    __slots__ = ("embedding", "x", "g", "tangents", "minors",
+                 "_gamma", "_cofactors", "_gamma_inv", "_normals")
+
+    def __init__(self, embedding: Embedding, point: Array) -> None:
+        point = np.asarray(point, dtype=float)
+        self.embedding = embedding
+        self.x = embedding.position(point)
+        if not np.isfinite(self.x).all():
+            raise DegenerateImmersion("non-finite position")
+        self.tangents = _tangent_map(embedding, point)
+        self.minors = _wedge(self.tangents)
+        self.g = embedding.background.metric_at(self.x)
+        self._gamma = self._cofactors = self._gamma_inv = self._normals = None
+
+    @property
+    def induced_metric(self) -> Array:
+        if self._gamma is None:
+            bg = self.embedding.background
+            gamma = _pullback(self.tangents, np.diagonal(_signature_matrix(
+                bg.dimension, bg.signature)) if bg.flat else self.g)
+            self._gamma = 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
+        return self._gamma
+
+    @property
+    def cofactors(self) -> tuple[Array, Array | None]:
+        """det gamma and its adjugate (:func:`_det_adjugate`)."""
+        if self._cofactors is None:
+            self._cofactors = _det_adjugate(self.induced_metric)
+        return self._cofactors
+
+    @property
+    def induced_metric_inverse(self) -> Array:
+        if self._gamma_inv is None:
+            self._gamma_inv = _inverse(self.induced_metric, *self.cofactors)
+        return self._gamma_inv
+
+    @property
+    def normals(self) -> Array:
+        if self._normals is None:
+            self._normals = _normals(self)
+        return self._normals
+
+
 def _frame_at(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array]:
     """The one validated evaluation of the local geometry: (frame, X, g at X).
 
-    Evaluates the map, its tangent map and the background metric once each,
-    checks rank and signature, and builds the normals from the same gamma.
-    For D = 2 with one normal every step is closed-form, with no LAPACK call:
-    the rank from the wedge of the tangents, gamma's det, inverse and
-    signature from its cofactors, and the normal as their Hodge dual.
+    The :class:`_Evaluation` at ``point``, then its checks: the rank of the
+    tangent map and gamma's det and signature, each read from the values the
+    frame is built from.  For D = 2 with one normal every step is
+    closed-form, with no LAPACK call: the rank from the wedge of the
+    tangents, gamma's det, inverse and signature from its cofactors, and the
+    normal as their Hodge dual.
     """
-    point = np.asarray(point, dtype=float)
-    x = embedding.position(point)
-    if not np.isfinite(x).all():
-        raise DegenerateImmersion("non-finite position")
-    e = embedding.d_position(point)
-    scale, minors = _rank_checked_scale(e)
-    bg = embedding.background
-    g = bg.metric_at(x)
-    gamma = _pullback(e, np.diagonal(_signature_matrix(bg.dimension, bg.signature))
-                      if bg.flat else g)
-    gamma = 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
-    gamma_inv = _check_metric(embedding, gamma, scale)
-    fr = Frame(tangents=e, normals=_normals(embedding, g, e, gamma_inv, minors),
-               induced_metric=gamma, induced_metric_inverse=gamma_inv)
-    return fr, x, g
+    ev = _Evaluation(embedding, point)
+    scale = _rank_checked_scale(ev.tangents, ev.minors)[0]
+    _check_metric(embedding, ev.induced_metric, *ev.cofactors, scale)
+    fr = Frame(tangents=ev.tangents, normals=ev.normals, induced_metric=ev.induced_metric,
+               induced_metric_inverse=ev.induced_metric_inverse)
+    return fr, ev.x, ev.g
+
+
+def _unchecked_frame_at(embedding: Embedding, point: Array) -> tuple[_Evaluation, Array, Array]:
+    """:func:`_frame_at` without the rank and signature checks, for stencil points.
+
+    Every value is bit-identical to the checked one.  A kernel that
+    differences geometry around points it has validated reads its stencil
+    points here; finite x and tangent map and the normal's own test still
+    raise.
+    """
+    ev = _Evaluation(embedding, point)
+    return ev, ev.x, ev.g
 
 
 def frame(embedding: Embedding, point: Array) -> Frame:
@@ -521,7 +608,8 @@ class _Local:
 
     A level is a map into an ambient space: the sheet into spacetime, the
     edge into the sheet, or the edge into spacetime.  ``frame`` holds its
-    tangents t_A, its normal columns n_I and its metric; ``x`` is the image
+    tangents t_A, its normal columns n_I and its metric (at stencil points,
+    the sheet's ``_Evaluation``, read the same way); ``x`` is the image
     point, ``g`` and ``chris`` the ambient metric and Christoffels (upper
     index first; None on a flat background), and ``sec`` is D_A t_B, indexed
     [mu, A, B].  ``conn`` and ``kk`` are Gamma and K, each computed on first
@@ -561,9 +649,13 @@ class _Local:
                       self.x, self.g, self.chris, self.sec, self._conn)
 
 
-def _local(embedding: Embedding, point: Array) -> _Local:
-    """:func:`_frame_at` plus second order: the sheet level at ``point``."""
-    fr, x, g = _frame_at(embedding, point)
+def _local(embedding: Embedding, point: Array,
+           frame_at: Callable[[Embedding, Array], tuple] = _frame_at) -> _Local:
+    """The sheet level at ``point``: ``frame_at`` plus second order.
+
+    ``frame_at`` is :func:`_frame_at`, or :func:`_unchecked_frame_at` at stencil points.
+    """
+    fr, x, g = frame_at(embedding, point)
     dd = embedding.dd_position(point)
     if not np.all(np.isfinite(dd)):
         raise DegenerateImmersion("non-finite second derivatives of the map")
@@ -606,7 +698,7 @@ def extrinsic_curvature(embedding: Embedding, point: Array, *,
     point = np.asarray(point, dtype=float)
     loc = _local(embedding, point)
     if normal_frame_fn is None:
-        normal_frame_fn = lambda p: normal_frame(embedding, p)
+        normal_frame_fn = lambda p: _unchecked_frame_at(embedding, p)[0].normals
     else:
         loc = loc.with_normals(np.asarray(normal_frame_fn(point), dtype=float))
     fr = loc.frame
@@ -637,7 +729,7 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
     d = embedding.worldsheet_dim
 
     def aligned_frame(p: Array) -> Array:
-        f = frame(embedding, p)
+        f = _unchecked_frame_at(embedding, p)[0]
         return np.concatenate([f.tangents, _procrustes(f.normals, fr.normals, g)], axis=-1)
 
     # D_a of each column of the square frame F = [e | n], indexed [mu, column, a]

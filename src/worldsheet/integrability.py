@@ -5,12 +5,14 @@ worldsheet, and the edge directly in spacetime.  The Gauss, Codazzi and Ricci
 equations are the same at each level, so one assembly evaluates them all.
 Each level is a ``geometry._Local`` record (``_local`` gives the sheet's,
 ``_boundary_local`` the two edge levels'), and its point function returns the
-record at other points.  One central-difference sweep of the record's
-connection, K and normal columns gives the intrinsic Riemann tensor, dK and
-the twist together; the twist curvature differences the twist through the
-same point function.  Normal frames at stencil points are aligned to the
-center frame by the minimizing rotation (``geometry._procrustes``) before
-differencing, so deterministic-gauge flips cannot inject spurious twist.
+record at the stencil points around the validated center, without the rank
+and signature checks (``geometry._unchecked_frame_at``).  One
+central-difference sweep of the record's connection, K and normal columns
+gives the intrinsic Riemann tensor, dK and the twist together; the twist
+curvature differences the twist through the same point function.  Normal
+frames at stencil points are aligned to the center frame by the minimizing
+rotation (``geometry._procrustes``) before differencing, so deterministic-gauge
+flips cannot inject spurious twist.
 
 Residual norms are the maximum over tangential index slots of the Euclidean
 norm over frame (normal) indices, which makes them exactly invariant under
@@ -31,6 +33,7 @@ from .geometry import (
     _Local,
     _local,
     _procrustes,
+    _unchecked_frame_at,
     fd_jacobian,
     normal_frame,
 )
@@ -117,16 +120,16 @@ def _sheet_level(embedding: Embedding, point: Array, loc: _Local,
     :func:`normal_frame` aligned to the frame at ``point``.
     """
     if normal_frame_fn is None:
-        return loc, lambda p: _aligned(_local(embedding, p), loc)
+        return loc, lambda p: _aligned(_local(embedding, p, _unchecked_frame_at), loc)
     normals_at = lambda p: np.asarray(normal_frame_fn(p), dtype=float)
     return (loc.with_normals(normals_at(point)),
-            lambda p: _local(embedding, p).with_normals(normals_at(p)))
+            lambda p: _local(embedding, p, _unchecked_frame_at).with_normals(normals_at(p)))
 
 
 def _spacetime_level(bnd: BoundaryEmbedding, bl: _EdgeLocal) -> tuple[_Local, _LocalFn]:
     """The edge in spacetime and its point function, normals aligned to those of ``bl``."""
     ref = bl.spacetime
-    return ref, lambda u: _aligned(_boundary_local(bnd, u).spacetime, ref)
+    return ref, lambda u: _aligned(_boundary_local(bnd, u, _unchecked_frame_at).spacetime, ref)
 
 
 def _sweep(at: _LocalFn, point: Array, step: float, center: _Local) -> list[Array]:
@@ -296,7 +299,7 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
     ws, ws_at = _sheet_level(bnd.parent, xi, bl.sheet)
     r_ws = _riemann(ws, _sweep(ws_at, xi, step, ws)[0])
     # the edge in the sheet: its one normal eta is signed by the edge's orientation
-    v, at = bl.edge, lambda u: _boundary_local(bnd, u).edge
+    v, at = bl.edge, lambda u: _boundary_local(bnd, u, _unchecked_frame_at).edge
     gauss, codazzi, _ = _structure_residuals(r_ws, v, *_level(v, at, point, step))
     return gauss, codazzi
 

@@ -25,8 +25,8 @@ from .geometry import (
     _local,
     _procrustes,
     _pullback,
+    _unchecked_frame_at,
     fd_jacobian,
-    induced_metric,
 )
 
 Array = np.ndarray
@@ -224,7 +224,7 @@ def metric_variation(embedding: Embedding, point: Array,
     def phi_low(p, gamma):
         return np.einsum("...ab,...b->...a", gamma, deformation.tangential(p, d))
 
-    dphi = fd_jacobian(lambda p: phi_low(p, induced_metric(embedding, p)),
+    dphi = fd_jacobian(lambda p: phi_low(p, _unchecked_frame_at(embedding, p)[0].induced_metric),
                        point, embedding.fd_step)  # [b, a]
     cov = np.einsum("...ba->...ab", dphi) - np.einsum(
         "...abc,...c->...ab", loc.conn, phi_low(point, loc.frame.induced_metric))
@@ -302,7 +302,7 @@ def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
     k = embedding.codimension
 
     def pos(xi):
-        fr, x, _ = _frame_at(embedding, xi)
+        fr, x, _ = _unchecked_frame_at(embedding, xi)
         phi_t, phi_n = deformation._bulk(xi, d, k)
         delta = fr.tangents @ phi_t[..., None] + align(fr.normals) @ phi_n[..., None]
         return x + eps * delta[..., 0]
@@ -374,6 +374,9 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise InvalidParameters("epsilon must be positive and finite")
     align = _domain_alignment(embedding, config.grid)
+    # the displaced maps read the sheet unchecked at their stencil points, so
+    # it is validated here, once, at the quadrature points
+    _frame_at(embedding, _bulk_grid(config.grid)[0])
 
     def total_action(eps: float) -> float:
         emb_eps = _deformed_embedding(embedding, deformation, eps, align)

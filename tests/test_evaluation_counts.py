@@ -26,6 +26,9 @@ fallback, a stencil of a stencil, is one call of the map for a small batch.
 The sheet's volume element reads the map's points only on a curved
 background, since a flat metric is the same at every point; a displaced map
 windows its deformation once per point batch.
+The rank and signature checks run once per batch of points a caller asks
+for; the stencil points of a kernel that differences geometry around them
+take the unchecked evaluation.
 """
 
 import dataclasses
@@ -144,11 +147,46 @@ def test_volume_action_reads_map_points_only_on_a_curved_background(counts, embe
 
 
 def test_fd_variation_evaluation_counts(counts):
-    # every displaced map evaluation is a frame of the undeformed sheet; the
-    # displaced volume elements take tangents only
+    # every displaced map evaluation is an unchecked frame of the undeformed
+    # sheet, which is validated once on the bulk grid; the displaced volume
+    # elements take tangents only
     config, edges = catalog.action_setup(HELICOID, 1.0, 3.0, (16, 16))
     first_variation_fd(HELICOID.embedding, edges, config, random_deformation(HELICOID, 0), 1e-2)
-    assert (counts["position"], counts["d_position"]) == (33, 29)
+    assert (counts["position"], counts["d_position"]) == (34, 30)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Points per rank and signature check, split by sheet: the helicoid's, or another."""
+    tally = {"helicoid": [], "other": []}
+    original = geometry._check_metric
+
+    def counted(embedding, gamma, *args):
+        tally["helicoid" if embedding is HELICOID.embedding else "other"].append(
+            int(np.prod(gamma.shape[:-2])))
+        return original(embedding, gamma, *args)
+
+    monkeypatch.setattr(geometry, "_check_metric", counted)
+    return tally
+
+
+def test_fd_variation_checks_the_sheet_at_the_points_it_asks_for(checked):
+    # the helicoid: the domain center and the 16 x 16 bulk grid once each; per
+    # epsilon, one Picard sweep of each displaced edge graph (16 points), and per
+    # edge the displaced chi at the 16 edge points and at its tangent stencil
+    # (2 x 16).  The displaced sheet: its frame in each edge action.  No check
+    # at the stencil points of the displaced maps.
+    config, edges = catalog.action_setup(HELICOID, 1.0, 3.0, (16, 16))
+    first_variation_fd(HELICOID.embedding, edges, config, random_deformation(HELICOID, 0), 1e-2)
+    per_epsilon = [16, 16] + [16, 32] * 2
+    assert sorted(checked["helicoid"]) == sorted([1, 256] + per_epsilon * 2)
+    assert checked["other"] == [16] * 4
+
+
+def test_gauss_weingarten_checks_only_the_points_it_is_asked_for(checked):
+    pts = HELICOID.sample_grid()
+    gauss_weingarten_residual(HELICOID.embedding, pts)
+    assert checked == {"helicoid": [len(pts)], "other": []}
 
 
 def test_displaced_map_windows_each_point_batch_once(monkeypatch):

@@ -4,7 +4,9 @@ The scenario is the catalog helicoid with both edges, on a background that
 takes the curved branch (metric, Christoffel and Riemann callbacks that
 return flat-space values).  Each callback slot is wrapped so that one batch
 element of every value it returns is NaN or +-inf, and each public entry
-point that reads the slot must then raise a ``WorldsheetError``.
+point that reads the slot must then raise a ``WorldsheetError``.  A map that is
+NaN only at one stencil point of a kernel, where no rank or signature check
+runs, must raise ``DegenerateImmersion`` there.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ from worldsheet.boundary import (
     boundary_laplacian_residuals,
     laplacian_decomposition_residual,
 )
-from worldsheet.errors import WorldsheetError
+from worldsheet.errors import DegenerateImmersion, WorldsheetError
 from worldsheet.geometry import (
     extrinsic_curvature,
     frame,
@@ -42,7 +44,9 @@ from worldsheet.integrability import (
     worldsheet_riemann,
 )
 from worldsheet.variation import (
+    ActionConfig,
     DeformationField,
+    GridAxis,
     dng_action,
     edge_action,
     first_variation_analytic,
@@ -175,3 +179,42 @@ def test_non_finite_callback_raises_typed_error(name, slot, element, bad):
     run, _ = ENTRY_POINTS[name]
     with pytest.raises(WorldsheetError), np.errstate(invalid="ignore", over="ignore"):
         run(scenario(slot, poisoned(element, bad)))
+
+
+def nan_at(fn, target, radius):
+    """``fn`` with NaN at the points within ``radius`` (max-norm) of ``target``, and only there."""
+    def wrapped(x):
+        out = np.array(fn(x), dtype=float)
+        hit = np.max(np.abs(x - target), axis=-1) < radius
+        out[hit] = np.nan
+        return out
+    return wrapped
+
+
+# the edge-free strip t in [0.2, 0.8], sigma in [-0.5, 0.5]: the FD step is
+# 1e-5 at every quadrature point, and the displaced grid is the grid
+STRIP = ActionConfig(1.0, 3.0, (GridAxis(8, 0.2, 0.8), GridAxis(8, -0.5, 0.5)))
+GW_POINTS = np.array([[0.3, 0.2], [0.6, -0.4]])  # the Gauss-Weingarten step there is 1e-4
+
+# kernel -> (run, one of its stencil points that is not one of its own points)
+STENCIL_KERNELS = {
+    "first_variation_fd": (
+        lambda emb: first_variation_fd(emb, [], STRIP, DeformationField(
+            normal_fn=lambda xi: np.cos(xi[..., 1:])), 1e-2),
+        np.array([0.2375 + 1e-5, 0.0625]), 1e-5),
+    "gauss_weingarten_residual": (
+        lambda emb: gauss_weingarten_residual(emb, GW_POINTS),
+        GW_POINTS[0] + [1e-4, 0.0], 1e-4),
+}
+
+
+@pytest.mark.parametrize("slot", ["position_fn", "d_position_fn"])
+@pytest.mark.parametrize("kernel", sorted(STENCIL_KERNELS))
+def test_non_finite_map_at_one_stencil_point_raises(kernel, slot):
+    # the map is finite at every point the kernel was asked for; stencil
+    # points take no rank or signature check, but still the finiteness checks
+    run, target, step = STENCIL_KERNELS[kernel]
+    emb = HELICOID.embedding
+    emb = dataclasses.replace(emb, **{slot: nan_at(getattr(emb, slot), target, 0.25 * step)})
+    with pytest.raises(DegenerateImmersion), np.errstate(invalid="ignore"):
+        run(emb)

@@ -7,7 +7,7 @@ import pytest
 
 from worldsheet import catalog
 from worldsheet.background import minkowski
-from worldsheet.errors import DegenerateMetric, InvalidParameters
+from worldsheet.errors import DegenerateMetric, InvalidParameters, WorldsheetError
 from worldsheet.geometry import Embedding, frame
 from worldsheet.variation import (
     ActionConfig,
@@ -193,6 +193,28 @@ class TestFirstVariation:
         with pytest.raises(InvalidParameters, match="epsilon"):
             first_variation_fd(PLANE.embedding, attached if edges else [], cfg,
                                random_deformation(PLANE, seed=1), epsilon)
+
+    def test_sheet_rank_deficient_at_one_bulk_point_is_rejected(self):
+        # a plane sheet, (t, phi, 0) in M^3, whose tangent e_s vanishes only at
+        # the grid point (t0, s0): the displaced maps read the sheet unchecked
+        # around it, so the one check of the bulk grid must catch it
+        t0 = s0 = 0.3125  # the third midpoint of 8 on [0, 1]
+
+        def pos(xi):
+            t, s = xi[..., 0] - t0, xi[..., 1] - s0
+            return np.stack([xi[..., 0], s ** 3 / 3.0 + t * t * s, 0.0 * t], axis=-1)
+
+        def dpos(xi):
+            t, s = xi[..., 0] - t0, xi[..., 1] - s0
+            zero = 0.0 * t
+            return np.stack([np.stack([1.0 + zero, 2.0 * t * s, zero], axis=-1),
+                             np.stack([zero, s * s + t * t, zero], axis=-1)], axis=-1)
+
+        sheet = Embedding(2, minkowski(3), pos, dpos)
+        cfg = ActionConfig(1.0, 1.0, (GridAxis(8, 0.0, 1.0), GridAxis(8, 0.0, 1.0)))
+        bump = DeformationField(normal_fn=lambda xi: np.sin(3.0 * xi[..., 1:]))
+        with pytest.raises(WorldsheetError):
+            first_variation_fd(sheet, [], cfg, bump, 1e-2)
 
     @pytest.mark.parametrize("field,shape", [("tangential_fn", (2,)), ("normal_fn", (1,)),
                                              ("boundary_normal_fns", ())])

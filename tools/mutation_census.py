@@ -132,6 +132,18 @@ MUTANTS = {
             "chris = None if bg.flat else bg.christoffels_at(x)",
             "chris = None",
             "drops a curved background's Christoffels from the sheet's `_local`"),
+    "M46": ("src/worldsheet/geometry.py",
+            "if not np.isfinite(self.x).all():",
+            "if False:",
+            "drops the position's finiteness check, the only one at stencil points"),
+    "M47": ("src/worldsheet/geometry.py",
+            "if not np.isfinite(e).all():",
+            "if False:",
+            "drops the tangent map's finiteness check, the only one at stencil points"),
+    "M48": ("src/worldsheet/variation.py",
+            "_frame_at(embedding, _bulk_grid(config.grid)[0])",
+            "_bulk_grid(config.grid)[0]",
+            "drops the check of the undeformed sheet on the bulk grid in `first_variation_fd`"),
 }
 
 
