@@ -38,6 +38,7 @@ from .geometry import (
     Frame,
     _covariant,
     _det_adjugate,
+    _Evaluation,
     _frame_at,
     _hodge_normal,
     _inverse,
@@ -45,7 +46,6 @@ from .geometry import (
     _local,
     _procrustes,
     _pullback,
-    _unchecked_frame_at,
     fd_jacobian,
 )
 
@@ -159,8 +159,8 @@ def _pullback_metric(bnd: BoundaryEmbedding, gamma: Array, eps: Array) -> tuple[
     return h, _inverse(h, det_h, adj)
 
 
-def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: Frame) -> Frame:
-    """First-order edge frame at ``point`` from the parent's frame ``fr`` at chi(point).
+def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: _Evaluation) -> Frame:
+    """First-order edge frame at ``point`` from the parent's record ``fr`` at chi(point).
 
     The tangents are eps^a_A, the metric h_AB, and the one normal column is
     the unit normal eta of the edge in the worldsheet, signed so that
@@ -176,7 +176,7 @@ def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: Frame) -> Frame:
                  induced_metric=h, induced_metric_inverse=h_inv)
 
 
-def _adapted_normals(fr: Frame, edge: Frame) -> Array:
+def _adapted_normals(fr: _Evaluation, edge: Frame) -> Array:
     """Adapted normal columns {eta^mu = e_a eta^a, n^mu_i}, (..., N, K+1), eta first."""
     return np.concatenate([fr.tangents @ edge.normals, fr.normals], axis=-1)
 
@@ -210,10 +210,12 @@ class _EdgeLocal:
 
 
 def _boundary_local(bnd: BoundaryEmbedding, point: Array,
-                    frame_at: Callable[[Embedding, Array], tuple] = _frame_at) -> _EdgeLocal:
+                    frame_at: Callable[[Embedding, Array], _Evaluation] = _frame_at
+                    ) -> _EdgeLocal:
     """:func:`boundary_data` at ``point``, with the levels it is built from.
 
-    ``frame_at`` evaluates the sheet, as in :func:`geometry._local`.
+    ``frame_at`` evaluates the sheet at chi(point), as in :func:`geometry._local`:
+    :func:`geometry._frame_at`, or ``_Evaluation`` at stencil points.
     """
     point = np.asarray(point, dtype=float)
     xi = bnd.chi(point)
@@ -356,7 +358,7 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array) -> AdaptedEdgeData:
     sheet_normals, g = bl.sheet.frame.normals, bl.sheet.g
 
     def adapted_at(u: Array) -> Array:  # first order: the twist needs no k_AB
-        fr_u = _unchecked_frame_at(bnd.parent, bnd.chi(u))[0]
+        fr_u = _Evaluation(bnd.parent, bnd.chi(u))
         eta = fr_u.tangents @ _edge_frame(bnd, u, fr_u).normals
         return np.concatenate([eta, _procrustes(fr_u.normals, sheet_normals, g)], axis=-1)
 

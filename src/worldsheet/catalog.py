@@ -562,15 +562,15 @@ _EDGE_QUANTITIES = ("edge_trace", "edge_residual", "boundary_condition_max",
                     "laplacian_form_agreement", "integrability_boundary", "integrability_direct")
 
 
-def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float,
+def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float, pts: Array, u: Array,
                    edges: Callable[[], list[_EdgeLocal]]) -> float:
     """Worst-case sampled value of a named quantity (the sample maximizing |q - expected|).
 
-    ``edges()`` is the one second-order evaluation of each edge at
-    ``boundary_grid()``, shared by every edge row that reads it.
+    ``pts`` and ``u`` are the entry's ``sample_grid()`` and ``boundary_grid()``;
+    ``edges()`` is the one second-order evaluation of each edge at ``u``,
+    shared by every edge row that reads it.
     """
     emb = entry.embedding
-    pts = entry.sample_grid()
     if quantity == "curvature_trace_norm":
         traces = extrinsic_curvature(emb, pts).traces
         vals = np.linalg.norm(traces, axis=-1)
@@ -603,7 +603,6 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float,
     if not entry.boundaries:
         raise KeyError(f"edge quantity {quantity!r} needs an entry with edges "
                        f"({entry.id!r} has none)")
-    u = entry.boundary_grid()
     some = u[:: max(1, len(u) // 3)]
     mu0, mub = entry.parameters.get("mu0", 1.0), entry.parameters.get("mub", 1.0)
     if quantity == "edge_trace":
@@ -641,11 +640,11 @@ def _worst(values: Array, expected: float) -> float:
 
 def evaluate_entry(entry: CatalogEntry) -> list[tuple[str, float, float, float, bool]]:
     """Evaluate all expected quantities; rows are (quantity, value, expected, residual, pass)."""
-    edges = cache(lambda: [_boundary_local(bnd, entry.boundary_grid())
-                           for bnd in entry.boundaries])
+    pts, u = entry.sample_grid(), entry.boundary_grid()
+    edges = cache(lambda: [_boundary_local(bnd, u) for bnd in entry.boundaries])
     rows = []
     for exp in entry.expected:
-        value = _eval_quantity(entry, exp.quantity, exp.value, edges)
+        value = _eval_quantity(entry, exp.quantity, exp.value, pts, u, edges)
         residual = abs(value - exp.value)
         rows.append((exp.quantity, value, exp.value, residual, residual <= exp.tolerance))
     return rows

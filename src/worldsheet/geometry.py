@@ -25,15 +25,16 @@ points (:func:`_sum_last`, in numpy's order, so the bits are those of
 point, so the pullback and the Hodge raise are one product over the batch, no
 Christoffel product is made, and the volume action reads no map point.
 
-The checks run at the points a caller asks for.  :func:`_frame_at` is the
-evaluation (:class:`_Evaluation`) followed by the checks: the rank of the
-tangent map, then gamma's det threshold and Descartes signature count.  A
-kernel that differences geometry around points it has validated reads its
-stencil points through :func:`_unchecked_frame_at` (``_local`` and
-``boundary._boundary_local`` take it in place of ``_frame_at``): the same
-values, bit for bit, with gamma, gamma^-1 and the normals built only where
-read.  There a non-finite map or tangent map still raises
-DegenerateImmersion, and the normal's own test GaugeFailure.
+The sheet at a batch of points is one record, :class:`_Evaluation`, built
+with no rank or signature check.  :func:`_frame_at` checks it at the points
+a caller asks for: the rank of the tangent map, then gamma's det threshold
+and Descartes signature count, and :func:`frame` copies the checked record
+into a :class:`Frame`.  A kernel that differences geometry around points it
+has validated builds the record unchecked at its stencil points (``_local``
+and ``boundary._boundary_local`` take ``_Evaluation`` in place of
+``_frame_at``): the same values, bit for bit, with gamma, gamma^-1 and the
+normals built only where read.  There a non-finite map or tangent map
+still raises DegenerateImmersion, and the normal's own test GaugeFailure.
 """
 
 from __future__ import annotations
@@ -218,16 +219,15 @@ def _wedge(tangents: Array) -> Array | None:
     return e1[..., mu] * e2[..., nu] - e1[..., nu] * e2[..., mu]
 
 
-def _rank_checked_scale(tangents: Array, minors: Array | None = None
-                        ) -> tuple[Array, Array | None]:
-    """(s_max, minors): the largest singular value of a finite, full-rank tangent map.
+def _rank_checked_scale(tangents: Array, minors: Array | None = None) -> Array:
+    """s_max: the largest singular value of a finite, full-rank tangent map.
 
     Full rank means s_min / s_max > 1e-10.  For D = 2 that is decided as
     |e_1 ^ e_2| > 1e-10 s_max^2, since s_min s_max = |e_1 ^ e_2|: the wedge
     comes from the 2x2 minors (:func:`_wedge`, made here unless passed), which
     keep relative accuracy where the Gram determinant cancels, and s_max^2 is
     the larger eigenvalue of the 2x2 Euclidean Gram matrix.  D = 3 takes the
-    SVD, minors None.
+    SVD.
     """
     if tangents.shape[-1] == 2:
         minors = _wedge(tangents) if minors is None else minors
@@ -238,12 +238,12 @@ def _rank_checked_scale(tangents: Array, minors: Array | None = None
         s_max = np.sqrt(s_max2)
     else:
         s = np.linalg.svd(tangents, compute_uv=False)
-        degenerate, s_max, minors = s[..., -1] <= 1e-10 * s[..., 0], s[..., 0], None
+        degenerate, s_max = s[..., -1] <= 1e-10 * s[..., 0], s[..., 0]
     if degenerate.any():
         raise DegenerateImmersion(
             "tangent map is rank-deficient (bad parametrization or coincident points)"
         )
-    return s_max, minors
+    return s_max
 
 
 def _pullback(tangents: Array, metric: Array) -> Array:
@@ -414,7 +414,7 @@ def _hodge_normal(tangents: Array, g_inv: Array,
     is normal to every t_a, and det[t, n] = g(n, n).  Returns (n, ok), with n
     normalized where ``ok``: g(n, n) > 1e-10 |n|^2, the acceptance test of
     :func:`_gram_schmidt_normals`, so det[t, n] > 0 there.  Given d = 2 ``minors``
-    (of :func:`_rank_checked_scale`), deleting row mu leaves their pair 2 - mu.
+    (of :func:`_wedge`), deleting row mu leaves their pair 2 - mu.
     ``g_inv`` is (..., d+1, d+1), or one (d+1, d+1) matrix for every point,
     which raises the whole batch in one product.
     """
@@ -556,39 +556,28 @@ class _Evaluation:
         return self._normals
 
 
-def _frame_at(embedding: Embedding, point: Array) -> tuple[Frame, Array, Array]:
-    """The one validated evaluation of the local geometry: (frame, X, g at X).
+def _frame_at(embedding: Embedding, point: Array) -> _Evaluation:
+    """The :class:`_Evaluation` at ``point``, checked: the one validated evaluation of the sheet.
 
-    The :class:`_Evaluation` at ``point``, then its checks: the rank of the
-    tangent map and gamma's det and signature, each read from the values the
-    frame is built from.  For D = 2 with one normal every step is
-    closed-form, with no LAPACK call: the rank from the wedge of the
+    The checks are the rank of the tangent map and gamma's det and signature,
+    each read from the values the record holds; its normals are built here,
+    so their GaugeFailure raises here too.  For D = 2 with one normal every
+    step is closed-form, with no LAPACK call: the rank from the wedge of the
     tangents, gamma's det, inverse and signature from its cofactors, and the
     normal as their Hodge dual.
     """
     ev = _Evaluation(embedding, point)
-    scale = _rank_checked_scale(ev.tangents, ev.minors)[0]
-    _check_metric(embedding, ev.induced_metric, *ev.cofactors, scale)
-    fr = Frame(tangents=ev.tangents, normals=ev.normals, induced_metric=ev.induced_metric,
-               induced_metric_inverse=ev.induced_metric_inverse)
-    return fr, ev.x, ev.g
-
-
-def _unchecked_frame_at(embedding: Embedding, point: Array) -> tuple[_Evaluation, Array, Array]:
-    """:func:`_frame_at` without the rank and signature checks, for stencil points.
-
-    Every value is bit-identical to the checked one.  A kernel that
-    differences geometry around points it has validated reads its stencil
-    points here; finite x and tangent map and the normal's own test still
-    raise.
-    """
-    ev = _Evaluation(embedding, point)
-    return ev, ev.x, ev.g
+    _check_metric(embedding, ev.induced_metric, *ev.cofactors,
+                  _rank_checked_scale(ev.tangents, ev.minors))
+    ev.normals  # built now, so a GaugeFailure raises at the checked points
+    return ev
 
 
 def frame(embedding: Embedding, point: Array) -> Frame:
     """Full adapted frame (tangents, normals, induced metric and its inverse)."""
-    return _frame_at(embedding, point)[0]
+    ev = _frame_at(embedding, point)
+    return Frame(tangents=ev.tangents, normals=ev.normals, induced_metric=ev.induced_metric,
+                 induced_metric_inverse=ev.induced_metric_inverse)
 
 
 def _covariant(dv: Array, chris: Array | None, cols: Array, tangents: Array) -> Array:
@@ -608,8 +597,9 @@ class _Local:
 
     A level is a map into an ambient space: the sheet into spacetime, the
     edge into the sheet, or the edge into spacetime.  ``frame`` holds its
-    tangents t_A, its normal columns n_I and its metric (at stencil points,
-    the sheet's ``_Evaluation``, read the same way); ``x`` is the image
+    tangents t_A, its normal columns n_I and its metric: for the sheet its
+    ``_Evaluation``, checked or not, and for the edge levels and
+    :meth:`with_normals` a :class:`Frame`, read the same way; ``x`` is the image
     point, ``g`` and ``chris`` the ambient metric and Christoffels (upper
     index first; None on a flat background), and ``sec`` is D_A t_B, indexed
     [mu, A, B].  ``conn`` and ``kk`` are Gamma and K, each computed on first
@@ -618,8 +608,8 @@ class _Local:
 
     __slots__ = ("frame", "x", "g", "chris", "sec", "_conn", "_kk")
 
-    def __init__(self, frame: Frame, x: Array, g: Array, chris: Array | None, sec: Array,
-                 conn: Array | None = None) -> None:
+    def __init__(self, frame: Frame | _Evaluation, x: Array, g: Array, chris: Array | None,
+                 sec: Array, conn: Array | None = None) -> None:
         self.frame, self.x, self.g, self.chris, self.sec = frame, x, g, chris, sec
         self._conn, self._kk = conn, None
 
@@ -650,18 +640,18 @@ class _Local:
 
 
 def _local(embedding: Embedding, point: Array,
-           frame_at: Callable[[Embedding, Array], tuple] = _frame_at) -> _Local:
-    """The sheet level at ``point``: ``frame_at`` plus second order.
+           frame_at: Callable[[Embedding, Array], _Evaluation] = _frame_at) -> _Local:
+    """The sheet level at ``point``: the record ``frame_at`` gives, plus second order.
 
-    ``frame_at`` is :func:`_frame_at`, or :func:`_unchecked_frame_at` at stencil points.
+    ``frame_at`` is :func:`_frame_at`, or :class:`_Evaluation` at stencil points.
     """
-    fr, x, g = frame_at(embedding, point)
+    fr = frame_at(embedding, point)
     dd = embedding.dd_position(point)
     if not np.all(np.isfinite(dd)):
         raise DegenerateImmersion("non-finite second derivatives of the map")
     bg = embedding.background
-    chris = None if bg.flat else bg.christoffels_at(x)
-    return _Local(fr, x, g, chris, _covariant(dd, chris, fr.tangents, fr.tangents))
+    chris = None if bg.flat else bg.christoffels_at(fr.x)
+    return _Local(fr, fr.x, fr.g, chris, _covariant(dd, chris, fr.tangents, fr.tangents))
 
 
 def _project(cols: Array, g: Array, v: Array) -> Array:
@@ -698,7 +688,7 @@ def extrinsic_curvature(embedding: Embedding, point: Array, *,
     point = np.asarray(point, dtype=float)
     loc = _local(embedding, point)
     if normal_frame_fn is None:
-        normal_frame_fn = lambda p: _unchecked_frame_at(embedding, p)[0].normals
+        normal_frame_fn = lambda p: _Evaluation(embedding, p).normals
     else:
         loc = loc.with_normals(np.asarray(normal_frame_fn(point), dtype=float))
     fr = loc.frame
@@ -729,7 +719,7 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
     d = embedding.worldsheet_dim
 
     def aligned_frame(p: Array) -> Array:
-        f = _unchecked_frame_at(embedding, p)[0]
+        f = _Evaluation(embedding, p)
         return np.concatenate([f.tangents, _procrustes(f.normals, fr.normals, g)], axis=-1)
 
     # D_a of each column of the square frame F = [e | n], indexed [mu, column, a]

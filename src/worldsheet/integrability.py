@@ -5,8 +5,8 @@ worldsheet, and the edge directly in spacetime.  The Gauss, Codazzi and Ricci
 equations are the same at each level, so one assembly evaluates them all.
 Each level is a ``geometry._Local`` record (``_local`` gives the sheet's,
 ``_boundary_local`` the two edge levels'), and its point function returns the
-record at the stencil points around the validated center, without the rank
-and signature checks (``geometry._unchecked_frame_at``).  One
+record at the stencil points around the validated center, built without the
+rank and signature checks (``geometry._Evaluation``).  One
 central-difference sweep of the record's connection, K and normal columns
 gives the intrinsic Riemann tensor, dK and the twist together; the twist
 curvature differences the twist through the same point function.  Normal
@@ -29,11 +29,11 @@ import numpy as np
 from .boundary import BoundaryEmbedding, _boundary_local, _EdgeLocal, _pull_pair
 from .geometry import (
     Embedding,
+    _Evaluation,
     _frame_at,
     _Local,
     _local,
     _procrustes,
-    _unchecked_frame_at,
     fd_jacobian,
     normal_frame,
 )
@@ -102,8 +102,8 @@ def aligned_normal_frame_fn(embedding: Embedding,
     with it at the center.  Overlaps use the background metric at the center
     (exact for flat backgrounds).
     """
-    fr, _, g_c = _frame_at(embedding, center)
-    return lambda p: _procrustes(normal_frame(embedding, p), fr.normals, g_c)
+    fr = _frame_at(embedding, center)
+    return lambda p: _procrustes(normal_frame(embedding, p), fr.normals, fr.g)
 
 
 def _aligned(v: _Local, ref: _Local) -> _Local:
@@ -120,16 +120,16 @@ def _sheet_level(embedding: Embedding, point: Array, loc: _Local,
     :func:`normal_frame` aligned to the frame at ``point``.
     """
     if normal_frame_fn is None:
-        return loc, lambda p: _aligned(_local(embedding, p, _unchecked_frame_at), loc)
+        return loc, lambda p: _aligned(_local(embedding, p, _Evaluation), loc)
     normals_at = lambda p: np.asarray(normal_frame_fn(p), dtype=float)
     return (loc.with_normals(normals_at(point)),
-            lambda p: _local(embedding, p, _unchecked_frame_at).with_normals(normals_at(p)))
+            lambda p: _local(embedding, p, _Evaluation).with_normals(normals_at(p)))
 
 
 def _spacetime_level(bnd: BoundaryEmbedding, bl: _EdgeLocal) -> tuple[_Local, _LocalFn]:
     """The edge in spacetime and its point function, normals aligned to those of ``bl``."""
     ref = bl.spacetime
-    return ref, lambda u: _aligned(_boundary_local(bnd, u, _unchecked_frame_at).spacetime, ref)
+    return ref, lambda u: _aligned(_boundary_local(bnd, u, _Evaluation).spacetime, ref)
 
 
 def _sweep(at: _LocalFn, point: Array, step: float, center: _Local) -> list[Array]:
@@ -299,7 +299,7 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
     ws, ws_at = _sheet_level(bnd.parent, xi, bl.sheet)
     r_ws = _riemann(ws, _sweep(ws_at, xi, step, ws)[0])
     # the edge in the sheet: its one normal eta is signed by the edge's orientation
-    v, at = bl.edge, lambda u: _boundary_local(bnd, u, _unchecked_frame_at).edge
+    v, at = bl.edge, lambda u: _boundary_local(bnd, u, _Evaluation).edge
     gauss, codazzi, _ = _structure_residuals(r_ws, v, *_level(v, at, point, step))
     return gauss, codazzi
 

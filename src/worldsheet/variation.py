@@ -20,12 +20,12 @@ from .errors import DegenerateMetric, InvalidParameters
 from .geometry import (
     Embedding,
     _det_adjugate,
+    _Evaluation,
     _extrinsic,
     _frame_at,
     _local,
     _procrustes,
     _pullback,
-    _unchecked_frame_at,
     fd_jacobian,
 )
 
@@ -132,7 +132,7 @@ def dng_action(embedding: Embedding, config: ActionConfig) -> float:
 def edge_action(bnd: BoundaryEmbedding, config: ActionConfig) -> float:
     """Edge-volume action: -mub times the quadrature of the edge volume element."""
     u, uw = _boundary_grid(config.grid)
-    edge = _edge_frame(bnd, u, _frame_at(bnd.parent, bnd.chi(u))[0])
+    edge = _edge_frame(bnd, u, _frame_at(bnd.parent, bnd.chi(u)))
     dens = _volume_element(edge.induced_metric, bnd.parent.background)
     return float(-config.mub * np.sum(dens * uw))
 
@@ -224,7 +224,7 @@ def metric_variation(embedding: Embedding, point: Array,
     def phi_low(p, gamma):
         return np.einsum("...ab,...b->...a", gamma, deformation.tangential(p, d))
 
-    dphi = fd_jacobian(lambda p: phi_low(p, _unchecked_frame_at(embedding, p)[0].induced_metric),
+    dphi = fd_jacobian(lambda p: phi_low(p, _Evaluation(embedding, p).induced_metric),
                        point, embedding.fd_step)  # [b, a]
     cov = np.einsum("...ba->...ab", dphi) - np.einsum(
         "...abc,...c->...ab", loc.conn, phi_low(point, loc.frame.induced_metric))
@@ -247,8 +247,8 @@ def _domain_alignment(embedding: Embedding, grid: tuple[GridAxis, ...]):
     lo = last.lo(u_mid) if callable(last.lo) else float(last.lo)
     hi = last.hi(u_mid) if callable(last.hi) else float(last.hi)
     center = np.concatenate([np.atleast_1d(u_mid), [0.5 * (lo + hi)]])
-    fr_c, _, g_c = _frame_at(embedding, center)
-    return lambda normals: _procrustes(normals, fr_c.normals, g_c)
+    fr_c = _frame_at(embedding, center)
+    return lambda normals: _procrustes(normals, fr_c.normals, fr_c.g)
 
 
 def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
@@ -302,10 +302,10 @@ def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
     k = embedding.codimension
 
     def pos(xi):
-        fr, x, _ = _unchecked_frame_at(embedding, xi)
+        fr = _Evaluation(embedding, xi)
         phi_t, phi_n = deformation._bulk(xi, d, k)
         delta = fr.tangents @ phi_t[..., None] + align(fr.normals) @ phi_n[..., None]
-        return x + eps * delta[..., 0]
+        return fr.x + eps * delta[..., 0]
 
     return Embedding(d, embedding.background, pos, fd_step=embedding.fd_step)
 
@@ -314,7 +314,7 @@ def _deformed_chi(bnd: BoundaryEmbedding, deformation: DeformationField,
                   eps: float) -> Callable[[Array], Array]:
     def chi(u):
         xi = bnd.chi(u)
-        eta = _edge_frame(bnd, u, _frame_at(bnd.parent, xi)[0]).normals[..., 0]
+        eta = _edge_frame(bnd, u, _Evaluation(bnd.parent, xi)).normals[..., 0]
         return xi + eps * deformation.boundary_normal(u)[..., None] * eta
 
     return chi
@@ -374,9 +374,12 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise InvalidParameters("epsilon must be positive and finite")
     align = _domain_alignment(embedding, config.grid)
-    # the displaced maps read the sheet unchecked at their stencil points, so
-    # it is validated here, once, at the quadrature points
+    # the displaced maps and edges read the sheet unchecked, so it is
+    # validated here, once, at the quadrature points of the bulk and each edge
     _frame_at(embedding, _bulk_grid(config.grid)[0])
+    u = _boundary_grid(config.grid)[0]
+    for bnd in edges:
+        _frame_at(bnd.parent, bnd.chi(u))
 
     def total_action(eps: float) -> float:
         emb_eps = _deformed_embedding(embedding, deformation, eps, align)

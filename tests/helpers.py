@@ -164,7 +164,7 @@ def looped_fd_jacobian(fn, point, step):
 def hint_oriented_eta(bnd, u, hint):
     u = np.asarray(u, dtype=float)
     eps = bnd.d_chi(u)
-    fr = _frame_at(bnd.parent, bnd.chi(u))[0]
+    fr = _frame_at(bnd.parent, bnd.chi(u))
     eta = _hodge_normal(eps, fr.induced_metric_inverse)[0]
     align = np.einsum("...a,...ab,...b->...", eta, fr.induced_metric, hint)
     assert np.all(np.abs(align) >= 1e-12), "hint orthogonal to the edge normal"

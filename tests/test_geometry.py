@@ -1,5 +1,7 @@
 """Frames, induced metrics, and extrinsic curvature against closed forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -419,6 +421,28 @@ class TestStackedStencils:
         pts = np.zeros((0, 2))
         assert fd_jacobian(HELICOID.embedding.position, pts, 1e-5).shape == (0, 3, 2)
         assert fd_only_twin(HELICOID.embedding).dd_position(pts).shape == (0, 3, 2, 2)
+
+
+class TestUncheckedRecord:
+    """The record a stencil point reads unchecked holds the checked values, bit for bit."""
+
+    @staticmethod
+    def _same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("entry_id", catalog.catalog_ids())
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(count=st.integers(1, 30), seed=st.integers(0, 2**16))
+    def test_unchecked_record_equals_the_checked_frame(self, entry_id, count, seed):
+        entry = catalog.entry_from_id(entry_id)
+        emb, pts = entry.embedding, random_points(entry, count, seed)
+        fr, checked = frame(emb, pts), geometry._frame_at(emb, pts)
+        unchecked = geometry._Evaluation(emb, pts)
+        for field in dataclasses.fields(geometry.Frame):
+            assert self._same_bits(getattr(fr, field.name), getattr(unchecked, field.name))
+        assert self._same_bits(checked.x, unchecked.x)
+        assert self._same_bits(checked.g, unchecked.g)
 
 
 class TestFiniteness:

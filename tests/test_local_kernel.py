@@ -50,7 +50,7 @@ def test_rank_decision_equals_the_svd(seed, n):
         e = 10.0 ** rng.uniform(-3, 3) * (u * [1.0, ratio]) @ v.T
         full_rank, s_max = svd_rank_decision(e)
         if full_rank:
-            assert _rank_checked_scale(e)[0] == pytest.approx(s_max, rel=1e-14)
+            assert _rank_checked_scale(e) == pytest.approx(s_max, rel=1e-14)
         else:
             with pytest.raises(DegenerateImmersion):
                 _rank_checked_scale(e)
@@ -111,9 +111,9 @@ EDGES = {f"{entry.id}-{index}": edge for entry in ONE_NORMAL
 @given(name=st.sampled_from(sorted(SHEETS)), seed=st.integers(0, 2**32 - 1))
 def test_hodge_normal_equals_the_gram_schmidt_gauge(name, seed):
     entry = SHEETS[name]
-    fr, _, g = _frame_at(entry.embedding, random_points(entry, 64, seed))
+    fr = _frame_at(entry.embedding, random_points(entry, 64, seed))
     ref, found = _gram_schmidt_normals(
-        g, _projected_seeds(g, fr.tangents, fr.induced_metric_inverse), 1)
+        fr.g, _projected_seeds(fr.g, fr.tangents, fr.induced_metric_inverse), 1)
     assert np.all(found == 1)
     assert np.max(np.abs(fr.normals - ref)) <= 1e-14
 
@@ -134,7 +134,7 @@ def test_edge_hodge_normal_equals_the_gram_schmidt_eta(name, seed):
     """eta is the Gram-Schmidt normal oriented so that sign det[eps, eta] = orientation."""
     edge = EDGES[name]
     u = edge_points(edge, 32, seed)
-    fr = _frame_at(edge.parent, edge.chi(u))[0]
+    fr = _frame_at(edge.parent, edge.chi(u))
     eps, gamma = edge.d_chi(u), fr.induced_metric
     _, h_inv = _pullback_metric(edge, gamma, eps)
     ref, found = _gram_schmidt_normals(gamma, _projected_seeds(gamma, eps, h_inv), 1)

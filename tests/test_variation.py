@@ -7,7 +7,12 @@ import pytest
 
 from worldsheet import catalog
 from worldsheet.background import minkowski
-from worldsheet.errors import DegenerateMetric, InvalidParameters, WorldsheetError
+from worldsheet.errors import (
+    DegenerateImmersion,
+    DegenerateMetric,
+    InvalidParameters,
+    WorldsheetError,
+)
 from worldsheet.geometry import Embedding, frame
 from worldsheet.variation import (
     ActionConfig,
@@ -215,6 +220,29 @@ class TestFirstVariation:
         bump = DeformationField(normal_fn=lambda xi: np.sin(3.0 * xi[..., 1:]))
         with pytest.raises(WorldsheetError):
             first_variation_fd(sheet, [], cfg, bump, 1e-2)
+
+    def test_sheet_rank_deficient_at_one_edge_point_is_rejected(self):
+        # the same plane sheet with e_s vanishing at (t0, 1), a point of the
+        # upper edge's grid and of no bulk cell: the displaced edges read the
+        # sheet unchecked there, so the check of each edge's grid must catch it
+        t0, s0 = 0.3125, 1.0
+
+        def pos(xi):
+            t, s = xi[..., 0] - t0, xi[..., 1] - s0
+            return np.stack([xi[..., 0], s ** 3 / 3.0 + t * t * s, 0.0 * t], axis=-1)
+
+        def dpos(xi):
+            t, s = xi[..., 0] - t0, xi[..., 1] - s0
+            zero = 0.0 * t
+            return np.stack([np.stack([1.0 + zero, 2.0 * t * s, zero], axis=-1),
+                             np.stack([zero, s * s + t * t, zero], axis=-1)], axis=-1)
+
+        sheet = Embedding(2, minkowski(3), pos, dpos)
+        edge = catalog._constant_boundary(sheet, 1.0, 1)
+        cfg = ActionConfig(1.0, 1.0, (GridAxis(8, 0.0, 1.0), GridAxis(8, 0.0, 1.0)))
+        bump = DeformationField(normal_fn=lambda xi: np.sin(3.0 * xi[..., 1:]))
+        with pytest.raises(DegenerateImmersion):
+            first_variation_fd(sheet, [edge], cfg, bump, 1e-2)
 
     @pytest.mark.parametrize("field,shape", [("tangential_fn", (2,)), ("normal_fn", (1,)),
                                              ("boundary_normal_fns", ())])

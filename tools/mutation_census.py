@@ -129,7 +129,7 @@ MUTANTS = {
             "bg.signature)) if bg.dimension",
             "takes the flat metric on a curved background in `_volume_density`"),
     "M45": ("src/worldsheet/geometry.py",
-            "chris = None if bg.flat else bg.christoffels_at(x)",
+            "chris = None if bg.flat else bg.christoffels_at(fr.x)",
             "chris = None",
             "drops a curved background's Christoffels from the sheet's `_local`"),
     "M46": ("src/worldsheet/geometry.py",
@@ -144,6 +144,15 @@ MUTANTS = {
             "_frame_at(embedding, _bulk_grid(config.grid)[0])",
             "_bulk_grid(config.grid)[0]",
             "drops the check of the undeformed sheet on the bulk grid in `first_variation_fd`"),
+    "M49": ("src/worldsheet/variation.py",
+            "        _frame_at(bnd.parent, bnd.chi(u))\n",
+            "        bnd.chi(u)\n",
+            "drops the check of the undeformed sheet on each edge's grid in `first_variation_fd`"),
+    "M50": ("src/worldsheet/geometry.py",
+            "    _check_metric(embedding, ev.induced_metric, *ev.cofactors,\n"
+            "                  _rank_checked_scale(ev.tangents, ev.minors))\n",
+            "",
+            "drops the rank and signature checks from `_frame_at`, the one place they run"),
 }
 
 
