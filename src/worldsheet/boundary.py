@@ -4,12 +4,12 @@ The edge is one map chi from boundary coordinates u into the parent, at one
 of two orders per point batch.  ``_edge_frame`` is first order: a
 ``geometry.Frame`` with tangents eps, the outward normal eta as its one
 normal column, and metric h.  ``_boundary_local`` is second order: beside
-the sheet's ``geometry._Local`` it builds one for each edge level, the edge
-in the sheet (ambient metric gamma, ambient Christoffels the sheet's Gamma,
-sec grad_A eps_B) and the edge in spacetime (tangents y_A, normals
-{eta, n_i}, sec D_A y_B).  k_AB, K_AB^I and the edge connection are read
-from them by the sheet's own kernels, without evaluating chi or the parent
-map again for that batch.
+the sheet's record, a ``geometry._Local``, it builds one from each edge
+level's ``Frame``: the edge in the sheet (ambient metric gamma, ambient
+Christoffels the sheet's Gamma, sec grad_A eps_B) and the edge in spacetime
+(tangents y_A, normals {eta, n_i}, sec D_A y_B).  k_AB, K_AB^I and the edge
+connection are read from them by the sheet's own kernels, without
+evaluating chi or the parent map again for that batch.
 
 Conventions fixed here and relied on downstream:
 
@@ -42,8 +42,8 @@ from .geometry import (
     _frame_at,
     _hodge_normal,
     _inverse,
+    _lazy,
     _Local,
-    _local,
     _procrustes,
     _pullback,
     fd_jacobian,
@@ -176,7 +176,7 @@ def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: _Evaluation) -> Frame:
                  induced_metric=h, induced_metric_inverse=h_inv)
 
 
-def _adapted_normals(fr: _Evaluation, edge: Frame) -> Array:
+def _adapted_normals(fr: _Evaluation, edge: Frame | _Local) -> Array:
     """Adapted normal columns {eta^mu = e_a eta^a, n^mu_i}, (..., N, K+1), eta first."""
     return np.concatenate([fr.tangents @ edge.normals, fr.normals], axis=-1)
 
@@ -190,23 +190,18 @@ class _EdgeLocal:
     {eta, n_i} and sec D_A y_B = (D_a e_b) eps^a_A eps^b_B + e_a chi^a_{,AB}.
     """
 
-    __slots__ = ("bd", "sheet", "edge", "dd_chi", "_spacetime")
-
     def __init__(self, bd: BoundaryData, sheet: _Local, edge: _Local, dd_chi: Array) -> None:
         self.bd, self.sheet, self.edge, self.dd_chi = bd, sheet, edge, dd_chi
-        self._spacetime = None
 
-    @property
+    @_lazy
     def spacetime(self) -> _Local:
-        if self._spacetime is None:
-            sheet, edge = self.sheet, self.edge.frame
-            eps, e = edge.tangents, sheet.frame.tangents
-            cov_y = (_pullback(eps[..., None, :, :], sheet.sec)
-                     + np.einsum("...ma,...aAB->...mAB", e, self.dd_chi))
-            fr = Frame(e @ eps, _adapted_normals(sheet.frame, edge),
-                       edge.induced_metric, edge.induced_metric_inverse)
-            self._spacetime = _Local(fr, sheet.x, sheet.g, sheet.chris, cov_y)
-        return self._spacetime
+        sheet, edge = self.sheet, self.edge
+        eps, e = edge.tangents, sheet.tangents
+        cov_y = (_pullback(eps[..., None, :, :], sheet.sec)
+                 + np.einsum("...ma,...aAB->...mAB", e, self.dd_chi))
+        fr = Frame(e @ eps, _adapted_normals(sheet, edge),
+                   edge.induced_metric, edge.induced_metric_inverse)
+        return _Local(fr, sheet.x, sheet.g, sheet.chris, cov_y)
 
 
 def _boundary_local(bnd: BoundaryEmbedding, point: Array,
@@ -214,20 +209,19 @@ def _boundary_local(bnd: BoundaryEmbedding, point: Array,
                     ) -> _EdgeLocal:
     """:func:`boundary_data` at ``point``, with the levels it is built from.
 
-    ``frame_at`` evaluates the sheet at chi(point), as in :func:`geometry._local`:
-    :func:`geometry._frame_at`, or ``_Evaluation`` at stencil points.
+    ``frame_at`` gives the sheet's record at chi(point): :func:`geometry._frame_at`,
+    or ``_Evaluation`` at stencil points.  All but the edge in spacetime is built here.
     """
     point = np.asarray(point, dtype=float)
     xi = bnd.chi(point)
-    sheet = _local(bnd.parent, xi, frame_at)
-    fr = sheet.frame
-    edge_frame = _edge_frame(bnd, point, fr)
+    sheet = frame_at(bnd.parent, xi)
+    edge_frame = _edge_frame(bnd, point, sheet)
     dd_chi = bnd.dd_chi(point)
     if not np.all(np.isfinite(dd_chi)):
         raise DegenerateImmersion("non-finite edge second derivatives dd_chi")
     # the sheet's connection is the ambient Christoffels, upper index first
     chris = np.moveaxis(sheet.conn, -1, -3)
-    edge = _Local(edge_frame, xi, fr.induced_metric, chris,
+    edge = _Local(edge_frame, xi, sheet.induced_metric, chris,
                   _covariant(dd_chi, chris, edge_frame.tangents, edge_frame.tangents))
     k_ab = edge.kk[..., 0]
     h_inv = edge_frame.induced_metric_inverse
@@ -239,7 +233,7 @@ def _boundary_local(bnd: BoundaryEmbedding, point: Array,
         edge_curvature=k_ab,
         edge_trace=np.einsum("...AB,...AB->...", h_inv, k_ab),
         projector=_projector(edge_frame.tangents, h_inv),
-        spacetime_normal=_adapted_normals(fr, edge_frame)[..., 0],
+        spacetime_normal=_adapted_normals(sheet, edge_frame)[..., 0],
     )
     return _EdgeLocal(bd, sheet, edge, dd_chi)
 
@@ -304,10 +298,10 @@ def boundary_laplacian_residuals(bnd: BoundaryEmbedding, point: Array,
 def _laplacian_residuals(bl: _EdgeLocal, mu0: float, mub: float) -> LaplacianResiduals:
     """:func:`boundary_laplacian_residuals` of one edge evaluation."""
     bd, st = bl.bd, bl.spacetime
-    hess = st.sec - np.einsum("...ABC,...mC->...mAB", bl.edge.conn, st.frame.tangents)
+    hess = st.sec - np.einsum("...ABC,...mC->...mAB", bl.edge.conn, st.tangents)
     lap = np.einsum("...AB,...mAB->...m", bd.boundary_metric_inverse, hess)
     lap_low = np.einsum("...mn,...n->...m", st.g, lap)
-    normal = np.einsum("...mi,...m->...i", bl.sheet.frame.normals, lap_low)
+    normal = np.einsum("...mi,...m->...i", bl.sheet.normals, lap_low)
     eta_part = np.einsum("...m,...m->...", bd.spacetime_normal, lap_low) - mu0 / mub
     combined = lap - (mu0 / mub) * bd.spacetime_normal
     return LaplacianResiduals(normal=normal, eta=eta_part, combined=combined)
@@ -325,7 +319,7 @@ def laplacian_decomposition_residual(bnd: BoundaryEmbedding, point: Array,
     grad = scalar_field.gradient(bl.edge.x)
     hess = scalar_field.hessian(bl.edge.x)
     cov_hess = hess - np.einsum("...abc,...c->...ab", sheet.conn, grad)
-    laplacian = np.einsum("...ab,...ab->...", sheet.frame.induced_metric_inverse, cov_hess)
+    laplacian = np.einsum("...ab,...ab->...", sheet.induced_metric_inverse, cov_hess)
 
     eps = bd.tangents_in_m
     grad_b = np.einsum("...a,...aA->...A", grad, eps)
@@ -354,8 +348,7 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array) -> AdaptedEdgeData:
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
     bd, st = bl.bd, bl.spacetime
-    y1, adapted = st.frame.tangents, st.frame.normals
-    sheet_normals, g = bl.sheet.frame.normals, bl.sheet.g
+    sheet_normals, g = bl.sheet.normals, bl.sheet.g
 
     def adapted_at(u: Array) -> Array:  # first order: the twist needs no k_AB
         fr_u = _Evaluation(bnd.parent, bnd.chi(u))
@@ -373,8 +366,8 @@ def adapted_edge_data(bnd: BoundaryEmbedding, point: Array) -> AdaptedEdgeData:
         raise InconsistentGeometry(
             f"edge inheritance relations violated: {err_i:.3e}, {err_0:.3e}, {err_t:.3e}")
     return AdaptedEdgeData(
-        spacetime_tangents=y1,
-        adapted_normals=adapted,
+        spacetime_tangents=st.tangents,
+        adapted_normals=st.normals,
         edge_extrinsic=st.kk,
         edge_twist=twist,
     )

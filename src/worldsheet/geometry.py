@@ -4,8 +4,8 @@ All operations are pure functions of immutable inputs and broadcast over
 leading batch axes of the evaluation points: a point argument of shape
 (..., D) produces outputs with matching leading axes.
 
-``_local`` gives the sheet as a ``_Local``, the record of every level of the
-hierarchy, so at each level K is ``_extrinsic`` and Gamma is ``_connection``.
+Every level of the hierarchy is one record, a ``_Local``, so at each level K
+is ``_extrinsic`` and Gamma is ``_connection``; the sheet's is ``_Evaluation``.
 
 The local kernel uses closed forms in place of LAPACK, each with its own
 scope:
@@ -26,19 +26,22 @@ point, so the pullback and the Hodge raise are one product over the batch, no
 Christoffel product is made, and the volume action reads no map point.
 
 The sheet at a batch of points is one record, :class:`_Evaluation`, built
-with no rank or signature check.  :func:`_frame_at` checks it at the points
-a caller asks for: the rank of the tangent map, then gamma's det threshold
-and Descartes signature count, and :func:`frame` copies the checked record
-into a :class:`Frame`.  A kernel that differences geometry around points it
-has validated builds the record unchecked at its stencil points (``_local``
-and ``boundary._boundary_local`` take ``_Evaluation`` in place of
-``_frame_at``): the same values, bit for bit, with gamma, gamma^-1 and the
-normals built only where read.  There a non-finite map or tangent map
-still raises DegenerateImmersion, and the normal's own test GaugeFailure.
+with no rank or signature check: the map and its tangent map on
+construction, and gamma, gamma^-1, the normals and the second order each on
+first read.  :func:`_frame_at` checks it at the points a caller asks for:
+the rank of the tangent map, then gamma's det threshold and Descartes
+signature count, and :func:`frame` copies the checked record into a
+:class:`Frame`.  A kernel that differences geometry around points it has
+validated builds the record unchecked at its stencil points
+(``_Evaluation(embedding, p)``; ``boundary._boundary_local`` takes it in
+place of ``_frame_at``): the same values, bit for bit, each built only where
+read.  There a non-finite map, tangent map or second derivative still
+raises DegenerateImmersion, and the normal's own test GaugeFailure.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -427,42 +430,13 @@ def _hodge_normal(tangents: Array, g_inv: Array,
     return n / np.sqrt(np.where(ok, norm2, 1.0))[..., None], ok
 
 
-def _normals(ev: _Evaluation) -> Array:
-    """Gauge-fixed normal columns completing the tangents (see :func:`normal_frame`).
-
-    One normal (D <= 3) is the Hodge dual of the tangents, which is the
-    Gram-Schmidt gauge in closed form; more normals, or D > 3, take the sweep,
-    which reads gamma^-1.
-    """
-    embedding, g = ev.embedding, ev.g
-    k = embedding.codimension
-    if k == 1 and embedding.worldsheet_dim <= 3:
-        bg = embedding.background
-        if bg.flat:  # the signature matrix, its own inverse, the same at every point
-            g_inv = _signature_matrix(bg.dimension, bg.signature)
-        else:
-            det, adj = _det_adjugate(g)
-            if (det == 0).any():
-                raise DegenerateMetric("background metric is singular")
-            g_inv = _inverse(g, det, adj)
-        n, ok = _hodge_normal(ev.tangents, g_inv, ev.minors)
-        if not ok.all():
-            raise GaugeFailure("the normal of the tangents is null or not finite")
-        return (n * _first_significant_sign(n)[..., None])[..., None]
-    seeds = _projected_seeds(g, ev.tangents, ev.induced_metric_inverse)
-    normals, found = _gram_schmidt_normals(g, seeds, k)
-    if np.any(found < k):
-        raise GaugeFailure("could not complete the normal frame from coordinate seeds")
-    return normals
-
-
 def normal_frame(embedding: Embedding, point: Array) -> Array:
     """Gauge-fixed orthonormal normals as columns of an (..., N, N-D) matrix.
 
     The O(N-D) gauge is fixed deterministically: Gram-Schmidt over the
     background coordinate axes in ascending order, with each normal's sign
     chosen so its first significant component is positive (for one normal,
-    the same unit normal in closed form, see :func:`_normals`).  Raises
+    the same unit normal in closed form, see :attr:`_Evaluation.normals`).  Raises
     GaugeFailure when that sweep cannot complete the frame.  The gauge may flip
     between nearby points, so kernels difference normals aligned by :func:`_procrustes`.
     """
@@ -500,60 +474,156 @@ def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
     return raw * _polar_factor(overlap) + 0.0 if one else raw @ _polar_factor(overlap)
 
 
-class _Evaluation:
-    """The sheet's local frame at a batch of points, without the rank and signature checks.
+class _lazy:
+    """A field of a record computed by the decorated method on first read, then kept.
 
-    It reads like a :class:`Frame` (``tangents``, ``normals``,
-    ``induced_metric``, ``induced_metric_inverse``), with the image point
-    ``x`` and the background metric ``g`` there.  The map and its tangent map
-    (each checked finite), g and the D = 2 minors are evaluated on
-    construction; gamma, its cofactors, gamma^-1 and the normals on first
-    read, so a caller pays for what it reads.  The normals keep their own
-    test (the Hodge ``ok``, or the Gram-Schmidt count), which raises
-    GaugeFailure.
+    The value is stored in the instance dict under the method's name, which
+    a non-data descriptor yields to, so later reads are plain attribute
+    reads.  No lock is taken (``functools.cached_property`` takes one on
+    every first read on Python 3.11): a record is built and read by one thread.
     """
 
-    __slots__ = ("embedding", "x", "g", "tangents", "minors",
-                 "_gamma", "_cofactors", "_gamma_inv", "_normals")
+    def __init__(self, fn: Callable) -> None:
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __get__(self, obj: object, owner: type | None = None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
+def _covariant(dv: Array, chris: Array | None, cols: Array, tangents: Array) -> Array:
+    """D_A v_I^mu = d_A v_I^mu + Gamma^mu_{rs} v_I^r t_A^s of columns v_I along a map, [mu, I, A].
+
+    ``dv`` holds the coordinate derivatives d_A v_I and ``tangents`` the map's
+    t_A.  With the tangents as the columns it is the covariant Hessian D_A t_I.
+    ``chris`` None (a flat background) is D = d: ``dv`` is returned.
+    """
+    if chris is None:
+        return dv
+    return dv + cols.swapaxes(-1, -2)[..., None, :, :] @ (chris @ tangents[..., None, :, :])
+
+
+class _Local:
+    """The local geometry of one level of the hierarchy at a batch of points.
+
+    A level is a map into an ambient space: the sheet into spacetime, the
+    edge into the sheet, or the edge into spacetime.  It reads like a
+    :class:`Frame`: ``tangents`` t_A, ``normals`` (its normal columns n_I),
+    ``induced_metric`` and ``induced_metric_inverse``.  ``x`` is the image
+    point, ``g`` and ``chris`` the ambient metric and Christoffels (upper
+    index first; None on a flat background), and ``sec`` is D_A t_B, indexed
+    [mu, A, B].  An edge level is built from its first-order :class:`Frame`
+    and the rest; the sheet is :class:`_Evaluation`.  ``conn`` and ``kk`` are
+    Gamma and K, each computed on first read and kept.
+    """
+
+    def __init__(self, fr: Frame, x: Array, g: Array, chris: Array | None, sec: Array) -> None:
+        self.tangents, self.normals = fr.tangents, fr.normals
+        self.induced_metric = fr.induced_metric
+        self.induced_metric_inverse = fr.induced_metric_inverse
+        self.x, self.g, self.chris, self.sec = x, g, chris, sec
+
+    @_lazy
+    def conn(self) -> Array:
+        """Gamma_AB^C of the level's metric, indexed [A, B, C] (:func:`_connection`)."""
+        return _connection(self, self.g, self.sec)
+
+    @_lazy
+    def kk(self) -> Array:
+        """K_AB^I of the level's normal columns (:func:`_extrinsic`)."""
+        return _extrinsic(self.normals, self.g, self.sec)
+
+    def twist(self, dn: Array) -> Array:
+        """omega_A^{IJ} of the normal columns from their coordinate derivatives [mu, I, A]."""
+        cov = _covariant(dn, self.chris, self.normals, self.tangents)
+        return _twist(cov, self.normals, self.g)
+
+    def with_normals(self, normals: Array) -> _Local:
+        """A copy of the level with other normal columns; Gamma does not depend on them."""
+        level = copy.copy(self)
+        level.__dict__.pop("kk", None)
+        level.normals = normals
+        return level
+
+
+class _Evaluation(_Local):
+    """The sheet as a level at a batch of points, without the rank and signature checks.
+
+    The map and its tangent map (each checked finite), g and the D = 2 minors
+    are evaluated on construction; gamma, its cofactors, gamma^-1, the
+    normals, the Christoffels and the second order ``sec`` on first read, so a
+    caller pays for what it reads.  The normals keep their own test (the
+    Hodge ``ok``, or the Gram-Schmidt count), which raises GaugeFailure, and
+    non-finite second derivatives raise DegenerateImmersion.
+    """
 
     def __init__(self, embedding: Embedding, point: Array) -> None:
-        point = np.asarray(point, dtype=float)
-        self.embedding = embedding
-        self.x = embedding.position(point)
+        self.embedding, self.point = embedding, np.asarray(point, dtype=float)
+        self.x = embedding.position(self.point)
         if not np.isfinite(self.x).all():
             raise DegenerateImmersion("non-finite position")
-        self.tangents = _tangent_map(embedding, point)
+        self.tangents = _tangent_map(embedding, self.point)
         self.minors = _wedge(self.tangents)
         self.g = embedding.background.metric_at(self.x)
-        self._gamma = self._cofactors = self._gamma_inv = self._normals = None
 
-    @property
+    @_lazy
     def induced_metric(self) -> Array:
-        if self._gamma is None:
-            bg = self.embedding.background
-            gamma = _pullback(self.tangents, np.diagonal(_signature_matrix(
-                bg.dimension, bg.signature)) if bg.flat else self.g)
-            self._gamma = 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
-        return self._gamma
+        bg = self.embedding.background
+        gamma = _pullback(self.tangents, np.diagonal(_signature_matrix(
+            bg.dimension, bg.signature)) if bg.flat else self.g)
+        return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
 
-    @property
+    @_lazy
     def cofactors(self) -> tuple[Array, Array | None]:
         """det gamma and its adjugate (:func:`_det_adjugate`)."""
-        if self._cofactors is None:
-            self._cofactors = _det_adjugate(self.induced_metric)
-        return self._cofactors
+        return _det_adjugate(self.induced_metric)
 
-    @property
+    @_lazy
     def induced_metric_inverse(self) -> Array:
-        if self._gamma_inv is None:
-            self._gamma_inv = _inverse(self.induced_metric, *self.cofactors)
-        return self._gamma_inv
+        return _inverse(self.induced_metric, *self.cofactors)
 
-    @property
+    @_lazy
     def normals(self) -> Array:
-        if self._normals is None:
-            self._normals = _normals(self)
-        return self._normals
+        """Gauge-fixed normal columns completing the tangents (see :func:`normal_frame`).
+
+        One normal (D <= 3) is the Hodge dual of the tangents, which is the
+        Gram-Schmidt gauge in closed form; more normals, or D > 3, take the sweep,
+        which reads gamma^-1.
+        """
+        embedding, g = self.embedding, self.g
+        k = embedding.codimension
+        if k == 1 and embedding.worldsheet_dim <= 3:
+            bg = embedding.background
+            if bg.flat:  # the signature matrix, its own inverse, the same at every point
+                g_inv = _signature_matrix(bg.dimension, bg.signature)
+            else:
+                det, adj = _det_adjugate(g)
+                if (det == 0).any():
+                    raise DegenerateMetric("background metric is singular")
+                g_inv = _inverse(g, det, adj)
+            n, ok = _hodge_normal(self.tangents, g_inv, self.minors)
+            if not ok.all():
+                raise GaugeFailure("the normal of the tangents is null or not finite")
+            return (n * _first_significant_sign(n)[..., None])[..., None]
+        seeds = _projected_seeds(g, self.tangents, self.induced_metric_inverse)
+        normals, found = _gram_schmidt_normals(g, seeds, k)
+        if np.any(found < k):
+            raise GaugeFailure("could not complete the normal frame from coordinate seeds")
+        return normals
+
+    @_lazy
+    def chris(self) -> Array | None:
+        bg = self.embedding.background
+        return None if bg.flat else bg.christoffels_at(self.x)
+
+    @_lazy
+    def sec(self) -> Array:
+        dd = self.embedding.dd_position(self.point)
+        if not np.all(np.isfinite(dd)):
+            raise DegenerateImmersion("non-finite second derivatives of the map")
+        return _covariant(dd, self.chris, self.tangents, self.tangents)
 
 
 def _frame_at(embedding: Embedding, point: Array) -> _Evaluation:
@@ -580,80 +650,6 @@ def frame(embedding: Embedding, point: Array) -> Frame:
                  induced_metric_inverse=ev.induced_metric_inverse)
 
 
-def _covariant(dv: Array, chris: Array | None, cols: Array, tangents: Array) -> Array:
-    """D_A v_I^mu = d_A v_I^mu + Gamma^mu_{rs} v_I^r t_A^s of columns v_I along a map, [mu, I, A].
-
-    ``dv`` holds the coordinate derivatives d_A v_I and ``tangents`` the map's
-    t_A.  With the tangents as the columns it is the covariant Hessian D_A t_I.
-    ``chris`` None (a flat background) is D = d: ``dv`` is returned.
-    """
-    if chris is None:
-        return dv
-    return dv + cols.swapaxes(-1, -2)[..., None, :, :] @ (chris @ tangents[..., None, :, :])
-
-
-class _Local:
-    """The local geometry of one level of the hierarchy at a batch of points.
-
-    A level is a map into an ambient space: the sheet into spacetime, the
-    edge into the sheet, or the edge into spacetime.  ``frame`` holds its
-    tangents t_A, its normal columns n_I and its metric: for the sheet its
-    ``_Evaluation``, checked or not, and for the edge levels and
-    :meth:`with_normals` a :class:`Frame`, read the same way; ``x`` is the image
-    point, ``g`` and ``chris`` the ambient metric and Christoffels (upper
-    index first; None on a flat background), and ``sec`` is D_A t_B, indexed
-    [mu, A, B].  ``conn`` and ``kk`` are Gamma and K, each computed on first
-    read and kept.
-    """
-
-    __slots__ = ("frame", "x", "g", "chris", "sec", "_conn", "_kk")
-
-    def __init__(self, frame: Frame | _Evaluation, x: Array, g: Array, chris: Array | None,
-                 sec: Array, conn: Array | None = None) -> None:
-        self.frame, self.x, self.g, self.chris, self.sec = frame, x, g, chris, sec
-        self._conn, self._kk = conn, None
-
-    @property
-    def conn(self) -> Array:
-        """Gamma_AB^C of the level's metric, indexed [A, B, C] (:func:`_connection`)."""
-        if self._conn is None:
-            self._conn = _connection(self.frame, self.g, self.sec)
-        return self._conn
-
-    @property
-    def kk(self) -> Array:
-        """K_AB^I of the level's normal columns (:func:`_extrinsic`)."""
-        if self._kk is None:
-            self._kk = _extrinsic(self.frame.normals, self.g, self.sec)
-        return self._kk
-
-    def twist(self, dn: Array) -> Array:
-        """omega_A^{IJ} of the normal columns from their coordinate derivatives [mu, I, A]."""
-        fr = self.frame
-        return _twist(_covariant(dn, self.chris, fr.normals, fr.tangents), fr.normals, self.g)
-
-    def with_normals(self, normals: Array) -> _Local:
-        """The same level with other normal columns; Gamma does not depend on them."""
-        fr = self.frame
-        return _Local(Frame(fr.tangents, normals, fr.induced_metric, fr.induced_metric_inverse),
-                      self.x, self.g, self.chris, self.sec, self._conn)
-
-
-def _local(embedding: Embedding, point: Array,
-           frame_at: Callable[[Embedding, Array], _Evaluation] = _frame_at) -> _Local:
-    """The sheet level at ``point``: the record ``frame_at`` gives, plus second order.
-
-    ``frame_at`` is :func:`_frame_at`, or :class:`_Evaluation` at stencil points.
-    """
-    fr = frame_at(embedding, point)
-    dd = embedding.dd_position(point)
-    if not np.all(np.isfinite(dd)):
-        raise DegenerateImmersion("non-finite second derivatives of the map")
-    bg = embedding.background
-    chris = None if bg.flat else bg.christoffels_at(fr.x)
-    return _Local(fr, fr.x, fr.g, chris, _covariant(dd, chris, fr.tangents, fr.tangents))
-
-
 def _project(cols: Array, g: Array, v: Array) -> Array:
     """c^n_J g_nm v^m_AB for columns c_J (..., N, J) and v indexed [m, A, B], as [A, B, J]."""
     flat = v.reshape(v.shape[:-2] + (-1,)).swapaxes(-1, -2) @ (g.swapaxes(-1, -2) @ cols)
@@ -666,7 +662,7 @@ def _extrinsic(normals: Array, g: Array, sec: Array) -> Array:
     return -0.5 * (kk + kk.swapaxes(-3, -2))
 
 
-def _connection(fr: Frame, g: Array, sec: Array) -> Array:
+def _connection(fr: _Local, g: Array, sec: Array) -> Array:
     """Gamma_AB^C = h^{CD} t^n_D g_nm (D_A t_B)^m by the Gauss formula, indexed [A, B, C]."""
     return _project(fr.tangents @ fr.induced_metric_inverse.swapaxes(-1, -2), g, sec)
 
@@ -686,13 +682,12 @@ def extrinsic_curvature(embedding: Embedding, point: Array, *,
     obtained by central differencing of that field with ``embedding.fd_step``.
     """
     point = np.asarray(point, dtype=float)
-    loc = _local(embedding, point)
+    loc = _frame_at(embedding, point)
     if normal_frame_fn is None:
         normal_frame_fn = lambda p: _Evaluation(embedding, p).normals
     else:
         loc = loc.with_normals(np.asarray(normal_frame_fn(point), dtype=float))
-    fr = loc.frame
-    traces = np.einsum("...ab,...abi->...i", fr.induced_metric_inverse, loc.kk)
+    traces = np.einsum("...ab,...abi->...i", loc.induced_metric_inverse, loc.kk)
     d = embedding.worldsheet_dim
     k = embedding.codimension
     if k <= 1:
@@ -714,8 +709,8 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
     one FD sweep of the frame, normals rotated onto the center's (:func:`_procrustes`).
     """
     point = np.asarray(point, dtype=float)
-    loc = _local(embedding, point)
-    fr, g, chris, kk = loc.frame, loc.g, loc.chris, loc.kk
+    fr = _frame_at(embedding, point)
+    g, kk = fr.g, fr.kk
     d = embedding.worldsheet_dim
 
     def aligned_frame(p: Array) -> Array:
@@ -724,12 +719,12 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
 
     # D_a of each column of the square frame F = [e | n], indexed [mu, column, a]
     cols = np.concatenate([fr.tangents, fr.normals], axis=-1)
-    cov = _covariant(fd_jacobian(aligned_frame, point, fd_step), chris, cols, fr.tangents)
+    cov = _covariant(fd_jacobian(aligned_frame, point, fd_step), fr.chris, cols, fr.tangents)
     # both equations as D_a F = F W_a, W_a = [[Gamma_ab^c, K_a^{c i}], [-K_ab^i, omega_a^{ij}]]
     # (row: the frame column it multiplies; column: the column of F differentiated)
     twist = _twist(cov[..., d:, :], fr.normals, g)
     k_mixed = np.einsum("...bc,...aci->...abi", fr.induced_metric_inverse, kk)
-    w = np.concatenate([np.concatenate([loc.conn.swapaxes(-1, -2), k_mixed], axis=-1),
+    w = np.concatenate([np.concatenate([fr.conn.swapaxes(-1, -2), k_mixed], axis=-1),
                         np.concatenate([-kk.swapaxes(-1, -2), twist.swapaxes(-1, -2)], axis=-1)],
                        axis=-2)
     res = np.linalg.norm(np.moveaxis(cov, -1, -3) - cols[..., None, :, :] @ w, axis=-2)

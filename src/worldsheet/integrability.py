@@ -3,16 +3,17 @@
 The hierarchy has three levels: the worldsheet in spacetime, the edge in the
 worldsheet, and the edge directly in spacetime.  The Gauss, Codazzi and Ricci
 equations are the same at each level, so one assembly evaluates them all.
-Each level is a ``geometry._Local`` record (``_local`` gives the sheet's,
-``_boundary_local`` the two edge levels'), and its point function returns the
-record at the stencil points around the validated center, built without the
-rank and signature checks (``geometry._Evaluation``).  One
+Each level is a ``geometry._Local`` record (``geometry._frame_at`` gives the
+sheet's, ``_boundary_local`` the two edge levels'), and its point function
+returns the record at the stencil points around the validated center, built
+without the rank and signature checks (``geometry._Evaluation``).  One
 central-difference sweep of the record's connection, K and normal columns
 gives the intrinsic Riemann tensor, dK and the twist together; the twist
-curvature differences the twist through the same point function.  Normal
-frames at stencil points are aligned to the center frame by the minimizing
-rotation (``geometry._procrustes``) before differencing, so deterministic-gauge
-flips cannot inject spurious twist.
+curvature differences the twist through the same point function, which on
+the sheet reads no second derivative of the map.  Normal frames at stencil
+points are aligned to the center frame by the minimizing rotation
+(``geometry._procrustes``) before differencing, so deterministic-gauge flips
+cannot inject spurious twist.
 
 Residual norms are the maximum over tangential index slots of the Euclidean
 norm over frame (normal) indices, which makes them exactly invariant under
@@ -32,7 +33,6 @@ from .geometry import (
     _Evaluation,
     _frame_at,
     _Local,
-    _local,
     _procrustes,
     fd_jacobian,
     normal_frame,
@@ -108,22 +108,21 @@ def aligned_normal_frame_fn(embedding: Embedding,
 
 def _aligned(v: _Local, ref: _Local) -> _Local:
     """``v`` with its normal columns rotated onto those of ``ref`` (see :func:`_procrustes`)."""
-    return v.with_normals(_procrustes(v.frame.normals, ref.frame.normals, ref.g))
+    return v.with_normals(_procrustes(v.normals, ref.normals, ref.g))
 
 
-def _sheet_level(embedding: Embedding, point: Array, loc: _Local,
-                 normal_frame_fn: Callable[[Array], Array] | None = None
+def _sheet_level(loc: _Evaluation, normal_frame_fn: Callable[[Array], Array] | None = None
                  ) -> tuple[_Local, _LocalFn]:
-    """The sheet level at ``point`` (whose ``_local`` is ``loc``) and its point function.
+    """The sheet level at the points of its checked record ``loc``, and its point function.
 
     The normals are ``normal_frame_fn`` when given, else the gauge of
-    :func:`normal_frame` aligned to the frame at ``point``.
+    :func:`normal_frame` aligned to the frame at those points.
     """
     if normal_frame_fn is None:
-        return loc, lambda p: _aligned(_local(embedding, p, _Evaluation), loc)
+        return loc, lambda p: _aligned(_Evaluation(loc.embedding, p), loc)
     normals_at = lambda p: np.asarray(normal_frame_fn(p), dtype=float)
-    return (loc.with_normals(normals_at(point)),
-            lambda p: _local(embedding, p, _Evaluation).with_normals(normals_at(p)))
+    return (loc.with_normals(normals_at(loc.point)),
+            lambda p: _Evaluation(loc.embedding, p).with_normals(normals_at(p)))
 
 
 def _spacetime_level(bnd: BoundaryEmbedding, bl: _EdgeLocal) -> tuple[_Local, _LocalFn]:
@@ -139,13 +138,13 @@ def _sweep(at: _LocalFn, point: Array, step: float, center: _Local) -> list[Arra
     indexed like its field with the coordinate direction last.  ``at`` sees
     the stencil points stacked, as :func:`geometry.fd_jacobian` passes them.
     """
-    d, (n, k) = center.frame.tangents.shape[-1], center.frame.normals.shape[-2:]
+    d, (n, k) = center.tangents.shape[-1], center.normals.shape[-2:]
     shapes = [(d, d, d), (d, d, k), (n, k)]
 
     def fields(p: Array) -> Array:
         v = at(p)
         return np.concatenate([f.reshape(p.shape[:-1] + (-1,))
-                               for f in (v.conn, v.kk, v.frame.normals)], axis=-1)
+                               for f in (v.conn, v.kk, v.normals)], axis=-1)
 
     jac = fd_jacobian(fields, point, step)
     splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
@@ -167,7 +166,7 @@ def _curvature(w: Array, dw: Array) -> Array:
 def _riemann(v: _Local, dconn: Array) -> Array:
     """Fully lowered R_{ABCD}: the curvature of (W_C)^A_B = Gamma_CB^A, lowered with h_AE."""
     f = _curvature(np.swapaxes(v.conn, -1, -2), np.swapaxes(dconn, -3, -2))  # [C, D, A, B]
-    return np.moveaxis(v.frame.induced_metric[..., None, None, :, :] @ f, (-4, -3), (-2, -1))
+    return np.moveaxis(v.induced_metric[..., None, None, :, :] @ f, (-4, -3), (-2, -1))
 
 
 def _twist_curvature(at: _LocalFn, omega0: Array, point: Array, step: float) -> Array:
@@ -179,7 +178,7 @@ def _twist_curvature(at: _LocalFn, omega0: Array, point: Array, step: float) -> 
     stacked call of ``at``.
     """
     def omega(p: Array) -> Array:
-        return at(p).twist(fd_jacobian(lambda q: at(q).frame.normals, p, step))
+        return at(p).twist(fd_jacobian(lambda q: at(q).normals, p, step))
 
     return _curvature(-omega0, -fd_jacobian(omega, point, step))
 
@@ -188,7 +187,7 @@ def _level(v: _Local, at: _LocalFn, point: Array, step: float
            ) -> tuple[Array, Array, Array, Array]:
     """Intrinsic Riemann, dK, twist and twist curvature of one level, from one sweep of ``at``."""
     dconn, dk, dn = _sweep(at, point, step, v)
-    k, riemann = v.frame.normals.shape[-1], _riemann(v, dconn)
+    k, riemann = v.normals.shape[-1], _riemann(v, dconn)
     if k < 2:  # one normal column: the twist and its curvature vanish identically
         return (riemann, dk, np.zeros(v.conn.shape[:-2] + (k, k)),
                 np.zeros(v.conn.shape[:-1] + (k, k)))
@@ -212,7 +211,7 @@ def _structure_residuals(r_amb: Array, v: _Local, riemann: Array, dk: Array,
     ``v`` the level's local geometry, and the rest come from :func:`_level`.
     Ricci is None for fewer than two normals, where the family is vacuous.
     """
-    t, n, kk, conn = v.frame.tangents, v.frame.normals, v.kk, v.conn
+    t, n, kk, conn = v.tangents, v.normals, v.kk, v.conn
     d = t.shape[-1]
     # the left-hand sides are the blocks of R(F, F, F, F), with F = [t | n] square
     r_frame = _frame_pullback(r_amb, np.concatenate([t, n], axis=-1))
@@ -231,7 +230,7 @@ def _structure_residuals(r_amb: Array, v: _Local, riemann: Array, dk: Array,
 
     if n.shape[-1] < 2:
         return gauss, codazzi, None
-    k_mixed = np.einsum("...cd,...bdj->...bcj", v.frame.induced_metric_inverse, kk)
+    k_mixed = np.einsum("...cd,...bdj->...bcj", v.induced_metric_inverse, kk)
     rhs_ricci = (big_omega
                  - np.einsum("...aci,...bcj->...abij", kk, k_mixed)
                  + np.einsum("...bci,...acj->...abij", kk, k_mixed))
@@ -243,7 +242,7 @@ def _structure_residuals(r_amb: Array, v: _Local, riemann: Array, dk: Array,
 
 def worldsheet_connection(embedding: Embedding, point: Array) -> Array:
     """Connection coefficients Gamma_ab^c of the induced metric, indexed [a, b, c]."""
-    return _local(embedding, point).conn
+    return _frame_at(embedding, point).conn
 
 
 def worldsheet_riemann(embedding: Embedding, point: Array,
@@ -254,7 +253,7 @@ def worldsheet_riemann(embedding: Embedding, point: Array,
     standard antisymmetries hold to the FD tolerance.
     """
     point = np.asarray(point, dtype=float)
-    v, at = _sheet_level(embedding, point, _local(embedding, point))
+    v, at = _sheet_level(_frame_at(embedding, point))
     return _riemann(v, _sweep(at, point, step, v)[0])
 
 
@@ -279,7 +278,7 @@ def worldsheet_integrability_residuals(
     Ricci family is vacuous and reported as None.
     """
     point = np.asarray(point, dtype=float)
-    v, at = _sheet_level(embedding, point, _local(embedding, point), normal_frame_fn)
+    v, at = _sheet_level(_frame_at(embedding, point), normal_frame_fn)
     return WorldsheetResiduals(*_structure_residuals(
         _ambient_riemann_lowered(embedding, v), v, *_level(v, at, point, step)))
 
@@ -296,7 +295,7 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
     xi = bl.edge.x
-    ws, ws_at = _sheet_level(bnd.parent, xi, bl.sheet)
+    ws, ws_at = _sheet_level(bl.sheet)
     r_ws = _riemann(ws, _sweep(ws_at, xi, step, ws)[0])
     # the edge in the sheet: its one normal eta is signed by the edge's orientation
     v, at = bl.edge, lambda u: _boundary_local(bnd, u, _Evaluation).edge
@@ -330,7 +329,7 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     # eta column adds to the edge's normal bundle; the mixed i0 block matches
     # the curvature-edge cross terms
     eps = bd.tangents_in_m
-    ws, ws_at = _sheet_level(bnd.parent, xi, bl.sheet)
+    ws, ws_at = _sheet_level(bl.sheet)
     m = _pull_pair(bd.normal_in_m[..., None], eps, ws.kk)[..., 0, :, :]  # eta^a eps^b_A K_ab^i
     m_cross = np.einsum("...Ai,...Bj->...ABij", m, m)
     inherited = np.swapaxes(m_cross, -4, -3) - m_cross
@@ -357,7 +356,7 @@ def curvature_tensors(bnd: BoundaryEmbedding, point: Array,
     point = np.asarray(point, dtype=float)
     bl = _boundary_local(bnd, point)
     xi = bl.edge.x
-    r_ws, _, _, twist_curv = _level(*_sheet_level(bnd.parent, xi, bl.sheet), xi, step)
+    r_ws, _, _, twist_curv = _level(*_sheet_level(bl.sheet), xi, step)
     r_h, _, _, adapted = _level(*_spacetime_level(bnd, bl), point, step)
     return CurvatureTensors(
         ambient_riemann=_ambient_riemann_lowered(bnd.parent, bl.sheet),

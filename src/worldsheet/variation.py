@@ -23,7 +23,6 @@ from .geometry import (
     _Evaluation,
     _extrinsic,
     _frame_at,
-    _local,
     _procrustes,
     _pullback,
     fd_jacobian,
@@ -42,7 +41,8 @@ class GridAxis:
     """Midpoint-rule axis: ``points`` cells between ``lo`` and ``hi``.
 
     Limits of the last axis may be callables of the leading-coordinate mesh
-    (shape (..., D-1) -> (...,)); leading axes need constant limits.
+    (shape (..., D-1) -> (...,)); leading axes need constant limits.  Every
+    limit is finite, with lo < hi at every point of the leading mesh.
     """
 
     points: int
@@ -65,8 +65,13 @@ class ActionConfig:
         if len(self.grid) < 2:
             raise InvalidParameters("quadrature needs one axis per worldsheet dimension, D >= 2")
         for ax in self.grid:
-            if ax.points < 8:
-                raise InvalidParameters("quadrature needs at least 8 points per dimension")
+            if (isinstance(ax.points, bool) or not isinstance(ax.points, (int, np.integer))
+                    or ax.points < 8):
+                raise InvalidParameters("quadrature needs an integer count of at least 8 "
+                                        "points per dimension")
+            constant = [lim for lim in (ax.lo, ax.hi) if not callable(lim)]
+            if not np.all(np.isfinite(constant)) or (len(constant) == 2 and not ax.lo < ax.hi):
+                raise InvalidParameters("constant quadrature limits must be finite, with lo < hi")
         for ax in self.grid[:-1]:
             if callable(ax.lo) or callable(ax.hi):
                 raise InvalidParameters("only the last axis may have edge-dependent limits")
@@ -90,6 +95,8 @@ def _bulk_grid(grid: Sequence[GridAxis]) -> tuple[Array, Array]:
     lo = last.lo(u_mesh) if callable(last.lo) else np.full(u_mesh.shape[:-1], float(last.lo))
     hi = last.hi(u_mesh) if callable(last.hi) else np.full(u_mesh.shape[:-1], float(last.hi))
     width = (hi - lo) / last.points
+    if not np.all((width > 0) & np.isfinite(width)):
+        raise InvalidParameters("edge-dependent limits must be finite, with hi > lo")
     offs = np.arange(last.points) + 0.5
     sigma = lo[..., None] + width[..., None] * offs
     pts = np.concatenate(
@@ -154,20 +161,25 @@ class DeformationField:
     displacement; ``boundary_normal_fns`` the amplitude of each edge's
     displacement along its outward normal eta, one callable shared by every
     attached edge.  (A displacement along the edge only reparametrizes it.)
-    An unset component is zero.  When ``time_extent`` is set, every
-    component is multiplied by a smooth window that vanishes on the outer
-    quarter of the first coordinate, so the variational identities hold
-    without manual cap handling.  Callables must broadcast over leading batch
-    axes: under a finite-difference stencil (:func:`metric_variation`, the
-    displaced maps of :func:`first_variation_fd`) they receive the stencil
-    points with one extra leading axis, in blocks of at most
-    ``FD_BLOCK_POINTS`` points (see :func:`geometry.fd_jacobian`).
+    An unset component is zero.  When ``time_extent`` (t0, t1) is set, two
+    finite numbers with t0 < t1, every component is multiplied by a smooth
+    window that vanishes on the outer quarter of the first coordinate, so the
+    variational identities hold without manual cap handling.  Callables must
+    broadcast over leading batch axes: under a finite-difference stencil
+    (:func:`metric_variation`, the displaced maps of :func:`first_variation_fd`)
+    they receive the stencil points with one extra leading axis, in blocks of
+    at most ``FD_BLOCK_POINTS`` points (see :func:`geometry.fd_jacobian`).
     """
 
     tangential_fn: Callable[[Array], Array] | None = None
     normal_fn: Callable[[Array], Array] | None = None
     boundary_normal_fns: Callable[[Array], Array] | None = None
     time_extent: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        ext = self.time_extent
+        if ext is not None and not (len(ext) == 2 and np.isfinite(ext).all() and ext[0] < ext[1]):
+            raise InvalidParameters("time_extent must be two finite numbers t0 < t1")
 
     def _window(self, t: Array) -> Array:
         # smooth bump ramps over the outer quarter at each end, flat to all orders:
@@ -218,7 +230,7 @@ def metric_variation(embedding: Embedding, point: Array,
     point = np.asarray(point, dtype=float)
     d = embedding.worldsheet_dim
     k = embedding.codimension
-    loc = _local(embedding, point)
+    loc = _frame_at(embedding, point)
     phi_i = deformation.normal(point, k)
 
     def phi_low(p, gamma):
@@ -227,7 +239,7 @@ def metric_variation(embedding: Embedding, point: Array,
     dphi = fd_jacobian(lambda p: phi_low(p, _Evaluation(embedding, p).induced_metric),
                        point, embedding.fd_step)  # [b, a]
     cov = np.einsum("...ba->...ab", dphi) - np.einsum(
-        "...abc,...c->...ab", loc.conn, phi_low(point, loc.frame.induced_metric))
+        "...abc,...c->...ab", loc.conn, phi_low(point, loc.induced_metric))
     return (2.0 * np.einsum("...abi,...i->...ab", loc.kk, phi_i)
             + cov + np.swapaxes(cov, -1, -2))
 
@@ -269,9 +281,9 @@ def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbed
     align = _domain_alignment(embedding, config.grid)
 
     pts, wts = _bulk_grid(config.grid)
-    loc = _local(embedding, pts)
-    fr = loc.frame
-    kk = _extrinsic(align(fr.normals), loc.g, loc.sec)
+    fr = _frame_at(embedding, pts)
+    sec = fr.sec  # built before the aligned normals exist, for a lower peak
+    kk = _extrinsic(align(fr.normals), fr.g, sec)
     traces = np.einsum("...ab,...abi->...i", fr.induced_metric_inverse, kk)
     phi_i = deformation.normal(pts, k_codim)
     dens = _volume_element(fr.induced_metric, bg)
@@ -282,10 +294,10 @@ def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbed
         bl = _boundary_local(bnd, u)
         bd, sheet, xi = bl.bd, bl.sheet, bl.edge.x
         dens_b = _volume_element(bd.boundary_metric, bg)
-        kk_b = _extrinsic(align(sheet.frame.normals), sheet.g, sheet.sec)
+        kk_b = _extrinsic(align(sheet.normals), sheet.g, sheet.sec)
         hk = np.einsum("...ab,...abi->...i", bd.projector, kk_b)
         phi_t, phi_n = deformation._bulk(xi, d, k_codim)
-        eta_phi = (bd.normal_in_m[..., None, :] @ sheet.frame.induced_metric
+        eta_phi = (bd.normal_in_m[..., None, :] @ sheet.induced_metric
                    @ phi_t[..., None])[..., 0, 0]
         psi = deformation.boundary_normal(u)
         integrand = (config.mu0 * eta_phi

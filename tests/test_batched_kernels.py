@@ -19,8 +19,8 @@ from worldsheet.geometry import (
     _covariant,
     _det_adjugate,
     _first_significant_sign,
+    _frame_at,
     _hodge_normal,
-    _local,
     _minor_rows,
     _negative_eigenvalues,
     _pairs,
@@ -180,9 +180,9 @@ def test_flat_sheet_second_order_is_the_plain_second_derivative():
     # no Christoffel product on a flat background: D_a e_b = d_a e_b
     entry = catalog.helicoid(0.5, 1.0)
     pts = entry.sample_grid()
-    loc = _local(entry.embedding, pts)
+    loc = _frame_at(entry.embedding, pts)
     dd = entry.embedding.dd_position(pts)
     assert loc.chris is None
     assert np.array_equal(bits(loc.sec), bits(dd))
     zeros = np.zeros(pts.shape[:-1] + (3, 3, 3))
-    assert np.array_equal(loc.sec, _covariant(dd, zeros, loc.frame.tangents, loc.frame.tangents))
+    assert np.array_equal(loc.sec, _covariant(dd, zeros, loc.tangents, loc.tangents))

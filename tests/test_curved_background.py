@@ -9,18 +9,18 @@ Gamma, K, the twist and the tangential projector to theirs at every level of
 the S^3 sheet and of a helicoid edge.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from worldsheet import catalog
 from worldsheet.boundary import _boundary_local, _projector
 from worldsheet.geometry import (
-    Frame,
     _connection,
     _covariant,
     _extrinsic,
-    _Local,
-    _local,
+    _frame_at,
     _twist,
     extrinsic_curvature,
     fd_jacobian,
@@ -131,7 +131,7 @@ class TestKernelsMatchEinsumForms:
     def test_riemann(self, d):
         rng = np.random.default_rng(3 + d)
         conn, dconn, metric = _random(rng, d, d, d), _random(rng, d, d, d, d), _random(rng, d, d)
-        level = _Local(Frame(None, None, metric, None), None, None, None, None, conn)
+        level = SimpleNamespace(induced_metric=metric, conn=conn)
         assert_roundoff(_riemann(level, dconn), einsum_riemann(conn, dconn, metric))
 
     def test_twist_curvature(self):
@@ -159,14 +159,14 @@ def helicoid_edge(level):
     bnd, u = HELICOID.boundary, HELICOID.boundary_grid()
     bl = _boundary_local(bnd, u)
     if level == "sheet":
-        return bl.sheet, lambda p: _local(bnd.parent, p), bl.edge.x
+        return bl.sheet, lambda p: _frame_at(bnd.parent, p), bl.edge.x
     return getattr(bl, level), lambda v: getattr(_boundary_local(bnd, v), level), u
 
 
 # every level of both fixtures: the S^3 sheet (curved g and Christoffels), and
 # the helicoid edge in the sheet (ambient metric gamma) and in spacetime (two normals)
 LEVELS = {
-    "s3_sheet": lambda: (_local(S3_SHEET, POINTS), lambda p: _local(S3_SHEET, p), POINTS),
+    "s3_sheet": lambda: (_frame_at(S3_SHEET, POINTS), lambda p: _frame_at(S3_SHEET, p), POINTS),
     "helicoid_sheet_at_edge": lambda: helicoid_edge("sheet"),
     "helicoid_edge_in_sheet": lambda: helicoid_edge("edge"),
     "helicoid_edge_in_spacetime": lambda: helicoid_edge("spacetime"),
@@ -177,32 +177,30 @@ class TestRewrittenKernelsMatchEinsumForms:
     @pytest.mark.parametrize("level", LEVELS)
     def test_connection(self, level):
         v = LEVELS[level]()[0]
-        fr = v.frame
-        assert_roundoff(_connection(fr, v.g, v.sec),
-                        einsum_connection(fr.induced_metric_inverse, fr.tangents, v.g, v.sec))
+        assert_roundoff(_connection(v, v.g, v.sec),
+                        einsum_connection(v.induced_metric_inverse, v.tangents, v.g, v.sec))
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_extrinsic(self, level):
         v = LEVELS[level]()[0]
-        assert_roundoff(_extrinsic(v.frame.normals, v.g, v.sec),
-                        einsum_extrinsic(v.frame.normals, v.g, v.sec))
+        assert_roundoff(_extrinsic(v.normals, v.g, v.sec),
+                        einsum_extrinsic(v.normals, v.g, v.sec))
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_twist(self, level):
         # D_A n_I from a central difference of the level's own normal columns
         v, at, point = LEVELS[level]()
-        fr = v.frame
-        dn = fd_jacobian(lambda p: at(p).frame.normals.reshape(p.shape[:-1] + (-1,)), point, 1e-5)
-        cov = _covariant(dn.reshape(fr.normals.shape + point.shape[-1:]), v.chris, fr.normals,
-                         fr.tangents)
-        assert_roundoff(_twist(cov, fr.normals, v.g), einsum_twist(cov, fr.normals, v.g))
+        dn = fd_jacobian(lambda p: at(p).normals.reshape(p.shape[:-1] + (-1,)), point, 1e-5)
+        cov = _covariant(dn.reshape(v.normals.shape + point.shape[-1:]), v.chris, v.normals,
+                         v.tangents)
+        assert_roundoff(_twist(cov, v.normals, v.g), einsum_twist(cov, v.normals, v.g))
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_projector(self, level):
         # t^a_A h^{AB} t^b_B of the level's tangents: H^{ab} at the edge in the sheet
-        fr = LEVELS[level]()[0].frame
-        assert_roundoff(_projector(fr.tangents, fr.induced_metric_inverse),
-                        einsum_projector(fr.tangents, fr.induced_metric_inverse))
+        v = LEVELS[level]()[0]
+        assert_roundoff(_projector(v.tangents, v.induced_metric_inverse),
+                        einsum_projector(v.tangents, v.induced_metric_inverse))
 
     def test_edge_projector_is_the_edge_levels(self):
         bd = _boundary_local(HELICOID.boundary, HELICOID.boundary_grid()).bd

@@ -13,8 +13,9 @@ points.
 
 The integrability residuals evaluate the map, and the background metric with
 it, once per point of each stencil sweep they make, at the sample points and
-FD step of the ``verify`` command, and build Gamma and K only where they are
-used.  A hole-radius scan is one edge evaluation over all its radii.
+FD step of the ``verify`` command, build Gamma and K only where they are
+used, and take second derivatives only at points whose Gamma or K is read.
+A hole-radius scan is one edge evaluation over all its radii.
 A string step builds the outward edge direction twice per end: once each for
 the predictor and the corrector.
 The Procrustes alignment of one normal column takes no SVD.  The
@@ -292,8 +293,17 @@ def test_twist_curvature_builds_gamma_and_k_at_outer_stencil_points_only(monkeyp
             tally[_name] += 1
             return _original(*args)
         monkeypatch.setattr(geometry, name, counted)
+    dd_points = []
+
+    def dd_position(self, point, _original=Embedding.dd_position):
+        dd_points.append(int(np.prod(np.shape(point)[:-1])))
+        return _original(self, point)
+
+    monkeypatch.setattr(Embedding, "dd_position", dd_position)
     verify_sheet("torus")()
     assert tally == {"_connection": 2, "_extrinsic": 2}  # the center and one stacked stencil
+    # second order too: the 5 points and 4 shifts of each, none in the twist sweeps
+    assert sum(dd_points) == 25
 
 
 def call_sizes(stencil, points):

@@ -78,9 +78,25 @@ class TestActions:
         upper = [e for e in edges if e.orientation > 0][0]
         assert edge_action(upper, cfg) == pytest.approx(-np.sqrt(0.75), abs=1e-12)
 
-    def test_quadrature_validation(self):
+    @pytest.mark.parametrize("first,last", [
+        (GridAxis(4, 0.0, 1.0), GridAxis(32, 0.0, 1.0)),
+        (GridAxis(16.5, 0.0, 1.0), GridAxis(16, 0.0, 1.0)),   # read -1.0303 unchecked
+        (GridAxis(np.nan, 0.0, 1.0), GridAxis(16, 0.0, 1.0)),
+        (GridAxis(16, 0.0, 1.0), GridAxis(True, 0.0, 1.0)),
+        (GridAxis(16, 1.0, 0.0), GridAxis(16, 0.0, 1.0)),     # reversed: read +1.0
+        (GridAxis(16, 0.0, 1.0), GridAxis(16, 0.0, 0.0)),
+        (GridAxis(16, 0.0, np.inf), GridAxis(16, 0.0, 1.0)),  # read -inf
+        (GridAxis(16, 0.0, 1.0), GridAxis(16, np.nan, lambda u: 1.0 + 0.0 * u[..., 0])),
+        # an edge-dependent limit below the constant one over half the leading axis:
+        # the two halves cancelled to -0.0
+        (GridAxis(16, 0.0, 1.0), GridAxis(16, 0.0, lambda u: 0.5 - u[..., 0])),
+        (GridAxis(16, 0.0, 1.0), GridAxis(16, 0.0, lambda u: np.inf + 0.0 * u[..., 0])),
+    ], ids=["few_points", "fractional_count", "nan_count", "bool_count", "reversed", "empty",
+            "infinite", "nan_limit", "edge_limit_crossing", "infinite_edge_limit"])
+    def test_quadrature_validation(self, first, last):
+        # on the unit square the plane's action is -1.0 at any valid count
         with pytest.raises(InvalidParameters):
-            ActionConfig(1.0, 1.0, (GridAxis(4, 0.0, 1.0), GridAxis(32, 0.0, 1.0)))
+            dng_action(PLANE.embedding, ActionConfig(1.0, 1.0, (first, last)))
 
     def test_one_axis_grid_rejected(self):
         with pytest.raises(InvalidParameters, match="D >= 2"):
@@ -104,6 +120,15 @@ class TestActions:
     def test_tension_validation(self, mu0, mub):
         with pytest.raises(InvalidParameters, match="tensions"):
             ActionConfig(mu0, mub, (GridAxis(8, 0.0, 1.0), GridAxis(8, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("time_extent", [(0.0, np.nan), (1.0, 1.0), (1.0, 0.0),
+                                         (-np.inf, 1.0), (0.0,), (0.0, 0.5, 1.0)],
+                         ids=["nan", "equal", "reversed", "infinite", "one", "three"])
+def test_time_extent_validation(time_extent):
+    # (0, nan) made the analytic variation NaN, and (1, 1) silently zeroed the window
+    with pytest.raises(InvalidParameters, match="time_extent"):
+        DeformationField(time_extent=time_extent)
 
 
 class TestMetricVariation:

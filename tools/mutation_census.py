@@ -129,9 +129,9 @@ MUTANTS = {
             "bg.signature)) if bg.dimension",
             "takes the flat metric on a curved background in `_volume_density`"),
     "M45": ("src/worldsheet/geometry.py",
-            "chris = None if bg.flat else bg.christoffels_at(fr.x)",
-            "chris = None",
-            "drops a curved background's Christoffels from the sheet's `_local`"),
+            "return None if bg.flat else bg.christoffels_at(self.x)",
+            "return None",
+            "drops a curved background's Christoffels from the sheet's `_Evaluation.chris`"),
     "M46": ("src/worldsheet/geometry.py",
             "if not np.isfinite(self.x).all():",
             "if False:",
@@ -153,6 +153,15 @@ MUTANTS = {
             "                  _rank_checked_scale(ev.tangents, ev.minors))\n",
             "",
             "drops the rank and signature checks from `_frame_at`, the one place they run"),
+    "M51": ("src/worldsheet/variation.py",
+            "if (isinstance(ax.points, bool) or not isinstance(ax.points, (int, np.integer))\n"
+            "                    or ax.points < 8):",
+            "if ax.points < 8:",
+            "drops the integer check of the quadrature counts in `ActionConfig`"),
+    "M52": ("src/worldsheet/variation.py",
+            "if not np.all((width > 0) & np.isfinite(width)):",
+            "if False:",
+            "drops the width check of edge-dependent limits in `_bulk_grid`"),
 }
 
 
