@@ -8,11 +8,13 @@ one-sided sigma derivative at the edge against the endpoint four-velocity.
 Each endpoint advances on its own in slice (coordinate) time, so its time
 component tracks the interior slices exactly.  With its edge tangent frozen
 over a step, an endpoint moves on an exact hyperbola, taken in closed form: a
-predictor step fills the end rows, then a corrector retakes the step with the
-step-midpoint tangent.  An endpoint is a single N-vector, where numpy's
-per-call overhead would dominate, so its kernels run on lists of Python
-floats; eta and the edge tangents keep numpy's operation order, so both forms
-agree to the bit.  Units: c = 1.
+position-only predictor step fills the end rows, then a corrector retakes the
+step with the step-midpoint tangent.  ``evolve`` hands each step the interior
+Laplacian, edge rows and edge tangents that the step before computed at its new
+positions, which ``step`` computes itself.  An endpoint is a single N-vector,
+where numpy's per-call overhead would dominate, so its kernels run on lists of
+Python floats; eta, the edge tangents and the step-midpoint rows keep numpy's
+operation order, so both forms agree to the bit.  Units: c = 1.
 """
 
 from __future__ import annotations
@@ -252,9 +254,8 @@ def constraint_norms(state: StringState) -> tuple[float, float]:
             float(np.abs((xd2 - xd[0] * xd[0]) + (xp2 - xp[0] * xp[0])).max()))
 
 
-def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
-                 dt: float) -> tuple[list, list, float]:
-    """(X, u renormalized, tau) of one endpoint after one step, in closed form.
+def _end_position(x0: list, u0: list, tangent: list, accel: float, dt: float) -> tuple:
+    """(X, dtau, w, eta0) of one endpoint after one step: its position, in closed form.
 
     Position, four-velocity and edge tangent are float lists, the pull ``accel`` is
     mu0/mub.  The rates are dX/dt = u speed and du/dt = -accel eta speed, where speed
@@ -268,14 +269,28 @@ def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
     dtau = _speed(tangent) * dt
     w = accel * dtau
     eta0 = _eta(tangent, u0)
-    sinh, cosh = math.sinh(w), math.cosh(w)
     if w == 0.0:  # no pull, or one so weak that w underflows
         along, across = dtau, 0.0
     else:
-        along, across = dtau * (sinh / w), dtau * (2.0 * math.sinh(0.5 * w) ** 2 / w)
+        along, across = dtau * (math.sinh(w) / w), dtau * (2.0 * math.sinh(0.5 * w) ** 2 / w)
     x = [p + along * a - across * e for p, a, e in zip(x0, u0, eta0)]
+    return x, dtau, w, eta0
+
+
+def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
+                 dt: float) -> tuple[list, list, float]:
+    """(X, u renormalized, tau) of one endpoint after one step (``_end_position``)."""
+    x, dtau, w, eta0 = _end_position(x0, u0, tangent, accel, dt)
+    sinh, cosh = math.sinh(w), math.cosh(w)
     u = _unit_timelike([cosh * a - sinh * e for a, e in zip(u0, eta0)])
     return x, u, tau0 + dtau
+
+
+def _step_facts(positions: Array, rows: list, dsigma: float) -> tuple[Array, list, tuple]:
+    """What a step reads at ``positions`` besides them: (interior Laplacian, edge rows,
+    outward edge tangents), with ``rows`` the float lists of ``positions[_EDGE_ROWS]``."""
+    lap = (positions[2:] - 2.0 * positions[1:-1] + positions[:-2]) / (dsigma * dsigma)
+    return lap, rows, _outward_tangents(rows, dsigma)
 
 
 def step(state: StringState, config: SimulationConfig) -> StringState:
@@ -285,50 +300,51 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     gauge constraints exceed 100x the configured tolerance or are not finite (a NaN
     state), and EndpointCollision when the endpoint separation falls below grid resolution.
     """
-    dt = config.dt_fraction * state.dsigma
-    ds2 = state.dsigma * state.dsigma
-    pos, vel = state.positions, state.velocities
-    mu0 = state.tensions.mu0
-    accels = (mu0 / state.tensions.mub_left, mu0 / state.tensions.mub_right)
-    starts = [(pos[row].tolist(), ep.four_velocity.tolist(), ep.proper_time)
-              for row, ep in zip((0, -1), state.endpoints)]
+    return _advance(state, config)[0]
 
-    v_half = vel[1:-1] + 0.5 * dt * ((pos[2:] - 2.0 * pos[1:-1] + pos[:-2]) / ds2)
+
+def _advance(state: StringState, config: SimulationConfig,
+             carried: tuple | None = None) -> tuple[StringState, tuple]:
+    """``step``, also returning the new positions' ``_step_facts``; given ``state``'s or None."""
+    dt = config.dt_fraction * state.dsigma
+    pos, vel = state.positions, state.velocities
+    lap, rows, tangents = carried or _step_facts(pos, pos[:3].tolist() + pos[-3:].tolist(),
+                                                 state.dsigma)
+    tensions = state.tensions
+    accels = (tensions.mu0 / tensions.mub_left, tensions.mu0 / tensions.mub_right)
+    starts = [(x0, ep.four_velocity.tolist(), ep.proper_time)
+              for x0, ep in zip((rows[0], rows[-1]), state.endpoints)]
+
+    v_half = vel[1:-1] + 0.5 * dt * lap
     new_pos = pos.copy()
     new_pos[1:-1] = pos[1:-1] + dt * v_half
+    inner = new_pos[1:3].tolist() + new_pos[-3:-1].tolist()
 
-    # endpoints: a predictor step fills the end rows, then a corrector re-advances
-    # them with the step-midpoint edge tangent (second-order coupling)
-    edge_rows = pos[_EDGE_ROWS]
-    for row, start, tangent, accel in zip(
-            (0, -1), starts, _outward_tangents(edge_rows.tolist(), state.dsigma), accels):
-        new_pos[row] = _advance_end(*start, tangent, accel, dt)[0]
-    tangents = _outward_tangents((0.5 * (edge_rows + new_pos[_EDGE_ROWS])).tolist(),
-                                 state.dsigma)
+    # endpoints: a position-only predictor step, then a corrector re-advances them
+    # with the step-midpoint edge tangent (second-order coupling)
+    left, right = (_end_position(x0, u0, tangent, accel, dt)[0]
+                   for (x0, u0, _), tangent, accel in zip(starts, tangents, accels))
+    mid_tangents = _outward_tangents(
+        [[0.5 * (a + b) for a, b in zip(old, new)]
+         for old, new in zip(rows, [left, *inner, right])], state.dsigma)
     ends = [_advance_end(*start, tangent, accel, dt)
-            for start, tangent, accel in zip(starts, tangents, accels)]
+            for start, tangent, accel in zip(starts, mid_tangents, accels)]
     new_pos[0], new_pos[-1] = ends[0][0], ends[1][0]
+    new_lap, _, new_tangents = carry = _step_facts(
+        new_pos, [ends[0][0], *inner, ends[1][0]], state.dsigma)
 
     new_vel = np.empty_like(vel)
-    new_vel[1:-1] = v_half + 0.5 * dt * ((new_pos[2:] - 2.0 * new_pos[1:-1]
-                                          + new_pos[:-2]) / ds2)
-    for row, (_, u, _), tangent in zip(
-            (0, -1), ends, _outward_tangents(new_pos[_EDGE_ROWS].tolist(), state.dsigma)):
+    new_vel[1:-1] = v_half + 0.5 * dt * new_lap
+    for row, (_, u, _), tangent in zip((0, -1), ends, new_tangents):
         speed = _speed(tangent)
         new_vel[row] = [c * speed for c in u]
     endpoints = tuple(
         EndpointState(np.array(u), tau, np.array(u0), tau0, np.array(tangent))
-        for (_, u, tau), (_, u0, tau0), tangent in zip(ends, starts, tangents))
+        for (_, u, tau), (_, u0, tau0), tangent in zip(ends, starts, mid_tangents))
 
     new_state = StringState(
-        time=state.time + dt,
-        positions=new_pos,
-        velocities=new_vel,
-        endpoints=endpoints,
-        tensions=state.tensions,
-        dsigma=state.dsigma,
-        collision_threshold=state.collision_threshold,
-    )
+        time=state.time + dt, positions=new_pos, velocities=new_vel, endpoints=endpoints,
+        tensions=tensions, dsigma=state.dsigma, collision_threshold=state.collision_threshold)
     c1, c2 = constraint_norms(new_state)
     limit = 100.0 * config.constraint_tol
     if not (c1 <= limit and c2 <= limit):  # also true for NaN
@@ -338,7 +354,7 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     if sep < new_state.collision_threshold:
         raise EndpointCollision(
             f"endpoints within grid resolution ({sep:.3e}) at t={new_state.time:.4f}")
-    return new_state
+    return new_state, carry
 
 
 @dataclass
@@ -354,29 +370,28 @@ class Trajectory:
 def evolve(config: SimulationConfig) -> Trajectory:
     """Run a simulation to its duration or a physical terminal event.
 
-    Deterministic for a given config.  Snapshots are stored every
-    ``output_stride`` steps plus the final state.  A collision is a physical
-    termination and is reported through ``terminal_event``; constraint blowup
-    propagates as an exception carrying the partial trajectory.
+    Deterministic for a given config, and equal to a loop of ``step`` calls whose
+    steps take over what the step before computed at their positions.  Snapshots
+    are stored every ``output_stride`` steps plus the final state, once.  A
+    collision is a physical termination and is reported through ``terminal_event``;
+    constraint blowup propagates as an exception carrying the partial trajectory.
     """
     state = initial_state_from_config(config)
     dt = config.dt_fraction * state.dsigma
     n_steps = int(round(config.duration / dt)) if config.duration > 0 else 0
-    snapshots = [state]
-    event = "duration"
+    snapshots, event, carried = [state], "duration", None
     for k in range(n_steps):
         try:
-            state = step(state, config)
+            state, carried = _advance(state, config, carried)
         except EndpointCollision:
             event = "endpoint_collision"
-            snapshots.append(state)
             break
         except ConstraintBlowup as exc:
             exc.trajectory = Trajectory(snapshots, "constraint_blowup")
             raise
         if (k + 1) % config.output_stride == 0:
             snapshots.append(state)
-    if event == "duration" and n_steps > 0 and n_steps % config.output_stride != 0:
+    if snapshots[-1] is not state:  # the final state, unless the stride stored it
         snapshots.append(state)
     return Trajectory(snapshots, event)
 

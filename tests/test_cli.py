@@ -275,6 +275,21 @@ class TestEvolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["terminal_event"] == "endpoint_collision"
 
+    def test_collision_at_stride_one_stores_the_last_state_once(self, tmp_path):
+        # the stride has already stored the last good state when the ends collide
+        config = dict(EVOLVE_CONFIG, duration=10.0, grid_points=32, output_stride=1)
+        sim = SimulationConfig(**{k: v for k, v in config.items() if k != "schema_version"})
+        traj = evolve(sim)
+        assert traj.terminal_event == "endpoint_collision"
+        times = [s.time for s in traj.snapshots]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, config)
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        blocks = [float(row["t"]) for row in read_rows(out / "trajectory.csv")][::32]
+        assert len(blocks) == len(times) and all(a < b for a, b in zip(blocks, blocks[1:]))
+
 
 class TestScan:
     def test_hole_scan_brackets_critical_radius(self, tmp_path):

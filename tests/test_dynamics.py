@@ -375,6 +375,14 @@ class TestTerminalEvents:
         with pytest.raises(ConstraintBlowup):
             step(state, cfg)
 
+    def test_nan_written_into_a_stepped_state_raises_constraint_blowup(self):
+        # a state that step returned carries nothing that would hide the NaN
+        cfg = collapse_config()
+        state = step(initial_state_from_config(cfg), cfg)
+        state.positions[7, 1] = np.nan
+        with pytest.raises(ConstraintBlowup):
+            step(state, cfg)
+
     def test_collision_raises_from_step(self):
         cfg = collapse_config(duration=10.0)
         state = initial_state_from_config(cfg)
@@ -408,6 +416,30 @@ def test_step_leaves_its_input_state_unchanged(initial):
                 assert old.shape == new.shape and old.tobytes() == new.tobytes()
             else:
                 assert old == new
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(initial=st.sampled_from([ROTATING, COLLAPSE,
+                                dict(COLLAPSE, mub_left=0.6, mub_right=1.7)]),
+       m=st.integers(16, 40), steps=st.integers(1, 30), stride=st.integers(1, 4))
+def test_evolve_equals_a_loop_of_public_steps_bitwise_property(initial, m, steps, stride):
+    # evolve hands each step what the step before computed; step recomputes it all
+    config = SimulationConfig(initial_data=initial, grid_points=m, duration=1.0,
+                              output_stride=stride, constraint_tol=2e-3)
+    state = initial_state_from_config(config)
+    config = dataclasses.replace(config, duration=steps * config.dt_fraction * state.dsigma)
+    by_time = {state.time: state}
+    for _ in range(steps):
+        state = step(state, config)
+        by_time[state.time] = state
+    snapshots = evolve(config).snapshots
+    assert snapshots[-1].time == state.time
+
+    def bits(s):
+        return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in _state_values(s)]
+
+    for snap in snapshots:
+        assert bits(snap) == bits(by_time[snap.time])
 
 
 @st.composite

@@ -17,7 +17,9 @@ FD step of the ``verify`` command, build Gamma and K only where they are
 used, and take second derivatives only at points whose Gamma or K is read.
 A hole-radius scan is one edge evaluation over all its radii.
 A string step builds the outward edge direction twice per end: once each for
-the predictor and the corrector.
+the predictor and the corrector; only the corrector builds a four-velocity.
+In ``evolve`` a step takes over the edge tangents that the step before it
+computed at its new positions, so a run of n steps computes them 2n + 1 times.
 The Procrustes alignment of one normal column takes no SVD.  The
 Gauss-Weingarten residual differences the tangents and the aligned normals
 in one sweep of the first-order frame.
@@ -387,3 +389,38 @@ def test_step_builds_two_edge_directions_per_end(monkeypatch):
     dynamics.step(dynamics.initial_state_from_config(config), config)
     # per end: the predictor, then the corrector
     assert calls == 4
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of the dynamics kernel ``name``; returns the one-element tally."""
+    calls = [0]
+    original = getattr(dynamics, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, name, counted)
+    return calls
+
+
+def test_step_builds_one_four_velocity_per_end(monkeypatch):
+    config = dynamics.SimulationConfig(
+        initial_data={"id": "rotating", "mu0": 1.0, "mub": 3.0, "radius": 1.0},
+        duration=1.0)
+    state = dynamics.initial_state_from_config(config)
+    calls = _counted(monkeypatch, "_unit_timelike")
+    dynamics.step(state, config)
+    assert calls[0] == 2  # the corrector's, per end; the predictor advances X only
+
+
+@pytest.mark.parametrize("steps", [1, 7])
+def test_evolve_takes_each_steps_edge_tangents_over(monkeypatch, steps):
+    config = dynamics.SimulationConfig(
+        initial_data={"id": "collapsing", "mu0": 1.0, "mub": 1.0, "x0": 1.0},
+        grid_points=32, duration=steps * 0.5 * 2.0 / 31, output_stride=3,
+        constraint_tol=2e-3)
+    calls = _counted(monkeypatch, "_outward_tangents")
+    assert dynamics.evolve(config).final.time > 0.0
+    # the first step's at the initial state, then per step the midpoint's and the new ones
+    assert calls[0] == 2 * steps + 1

@@ -2,7 +2,7 @@
 
 Each mutant is one textual replacement (file, old, new) in the package
 source, where ``old`` occurs exactly once in its file.  Mutants run one at a
-time, each on a fresh temporary copy of ``src``, ``tests`` and
+time, each on a fresh temporary copy of ``src``, ``tests``, ``tools`` and
 ``pyproject.toml`` made outside the repository, with the tier-1 command
 (stopping at the first failure).  A mutant is killed when tier-1 fails, and
 survives when it passes.  A formula rewrite that moves a mutant's site
@@ -83,10 +83,10 @@ MUTANTS = {
     "M33": ("src/worldsheet/dynamics.py",
             "x = [p + along * a - across * e for p, a, e in zip(x0, u0, eta0)]",
             "x = [p + along * a + across * e for p, a, e in zip(x0, u0, eta0)]",
-            "the sign of the eta0 term in the endpoint's closed-form position `_advance_end`"),
+            "the sign of the eta0 term in the endpoint's closed-form position `_end_position`"),
     "M34": ("src/worldsheet/dynamics.py",
-            "for row, ep in zip((0, -1), state.endpoints)]",
-            "for row, ep in zip((0, 0), state.endpoints)]",
+            "for x0, ep in zip((rows[0], rows[-1]), state.endpoints)]",
+            "for x0, ep in zip((rows[0], rows[0]), state.endpoints)]",
             "starts the right end of a `step` from the left end's row"),
     "M35": ("src/worldsheet/dynamics.py",
             "eta_mid = _eta(ep.edge_tangent.tolist(), u_mid)",
@@ -162,6 +162,23 @@ MUTANTS = {
             "if not np.all((width > 0) & np.isfinite(width)):",
             "if False:",
             "drops the width check of edge-dependent limits in `_bulk_grid`"),
+    "M53": ("src/worldsheet/dynamics.py",
+            "    new_pos[0], new_pos[-1] = ends[0][0], ends[1][0]\n"
+            "    new_lap, _, new_tangents = carry = _step_facts(\n"
+            "        new_pos, [ends[0][0], *inner, ends[1][0]], state.dsigma)\n",
+            "    new_lap, _, new_tangents = carry = _step_facts(\n"
+            "        new_pos, [ends[0][0], *inner, ends[1][0]], state.dsigma)\n"
+            "    new_pos[0], new_pos[-1] = ends[0][0], ends[1][0]\n",
+            "carries the Laplacian of the end rows before the corrector writes them"),
+    "M54": ("src/worldsheet/dynamics.py",
+            "[ends[0][0], *inner, ends[1][0]]",
+            "[left, *inner, right]",
+            "carries the edge tangents of the predictor's rows, not the corrector's"),
+    "M55": ("src/worldsheet/dynamics.py",
+            '            event = "endpoint_collision"\n            break\n',
+            '            event = "endpoint_collision"\n            snapshots.append(state)\n'
+            "            break\n",
+            "stores the last state again on a collision when the stride already stored it"),
 }
 
 
@@ -182,6 +199,8 @@ def run_mutant(mutant_id: str) -> tuple[bool, str]:
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         shutil.copytree(ROOT / "tests", tree / "tests",
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copytree(ROOT / "tools", tree / "tools",
+                        ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
         mutate(tree, file, old, new)
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
