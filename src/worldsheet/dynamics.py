@@ -2,19 +2,19 @@
 
 Interior nodes obey the wave equation of the orthonormal (conformal) gauge,
 integrated by velocity-Verlet leapfrog.  Each endpoint is its own relativistic
-particle driven by a pull of constant proper magnitude mu0/mub along minus the
-outward edge direction eta; eta is rebuilt every step by orthonormalizing the
-one-sided sigma derivative at the edge against the endpoint four-velocity.
-Each endpoint advances on its own in slice (coordinate) time, so its time
-component tracks the interior slices exactly.  With its edge tangent frozen
-over a step, an endpoint moves on an exact hyperbola, taken in closed form: a
-position-only predictor step fills the end rows, then a corrector retakes the
-step with the step-midpoint tangent.  ``evolve`` hands each step the interior
-Laplacian, edge rows and edge tangents that the step before computed at its new
-positions, which ``step`` computes itself.  An endpoint is a single N-vector,
-where numpy's per-call overhead would dominate, so its kernels run on lists of
-Python floats; eta, the edge tangents and the step-midpoint rows keep numpy's
-operation order, so both forms agree to the bit.  Units: c = 1.
+particle pulled with constant proper magnitude mu0/mub along minus the outward
+edge direction eta, the one-sided sigma derivative at the edge orthonormalized
+against its four-velocity.  An end sits at a fixed sigma and ages at the rate
+|X'| per slice (the gauge constraints force -Xdot^2 = X'^2 there), so the time
+component of an accelerating end trails the slice time (by 0.25 at t = 1 in the
+collapse from rest at x0 = 1).  With its edge tangent frozen over a step, an end
+moves on an exact hyperbola, taken in closed form by one float kernel per end,
+``_step_end``: a position-only predictor, the step-midpoint tangent, a corrector
+with it, then the new tangent and its speed.  ``evolve`` loops ``_advance`` on
+raw arrays and float lists, hands each step the half kick, edge rows, tangents
+and speeds the step before computed, and builds a ``StringState`` only to store
+it; ``step`` wraps the same kernel.  The float kernels keep numpy's operation
+order, so they match array forms of the same formulas to the bit.  Units: c = 1.
 """
 
 from __future__ import annotations
@@ -119,11 +119,8 @@ class SimulationConfig:
 
 
 def _fdot(u: list, v: list) -> float:
-    """Minkowski product in numpy's order, -u0 v0 + (0.0 + u1 v1 + ...).
-
-    numpy sums a short axis left to right from 0.0; starting there too keeps
-    the sign of a zero sum.
-    """
+    """Minkowski product in numpy's order, -u0 v0 + (0.0 + u1 v1 + ...): numpy sums a
+    short axis left to right from 0.0, and starting there too keeps a zero sum's sign."""
     s = 0.0
     for i in range(1, len(u)):
         s += u[i] * v[i]
@@ -153,21 +150,11 @@ def _speed(edge_tangent: list) -> float:
     return math.sqrt(max(_fdot(edge_tangent, edge_tangent), 1e-300))
 
 
-# Rows that the one-sided edge tangents read: three at each end, edge row outermost.
-_EDGE_ROWS = [0, 1, 2, -3, -2, -1]
-
-
-def _outward_tangents(rows: list, dsigma: float) -> tuple[list, list]:
-    """Second-order one-sided sigma derivatives at (left, right), pointing outward.
-
-    ``rows`` holds the ``_EDGE_ROWS`` of a positions array as float lists.  At
-    the left edge the backward-looking combination is already minus the sigma
-    derivative, which is the outward direction there.
-    """
+def _outward_tangent(a: list, b: list, c: list, dsigma: float) -> list:
+    """Second-order one-sided sigma derivative at the edge row ``a`` from the next rows inward
+    ``b``, ``c``; at the left edge it is minus the sigma derivative, so both point outward."""
     h = 2.0 * dsigma
-    l0, l1, l2, r2, r1, r0 = rows
-    return ([(3.0 * a - 4.0 * b + c) / h for a, b, c in zip(l0, l1, l2)],
-            [(3.0 * a - 4.0 * b + c) / h for a, b, c in zip(r0, r1, r2)])
+    return [(3.0 * p - 4.0 * q + r) / h for p, q, r in zip(a, b, c)]
 
 
 def _initial_state(sigma: Array, x: Array, y_rate: Array | float, tensions: Tensions,
@@ -184,11 +171,8 @@ def _initial_state(sigma: Array, x: Array, y_rate: Array | float, tensions: Tens
     left, right = (EndpointState(np.array(_unit_timelike(velocities[row].tolist())))
                    for row in (0, -1))
     dsig = float(sigma[1] - sigma[0])  # numpy scalars would slow the float kernels
-    return StringState(
-        time=0.0, positions=positions, velocities=velocities,
-        endpoints=(left, right), tensions=tensions, dsigma=dsig,
-        collision_threshold=2.0 * dsig * scale,
-    )
+    return StringState(0.0, positions, velocities, (left, right), tensions, dsig,
+                       2.0 * dsig * scale)
 
 
 def collapsing_initial_state(mu0: float, mub: float, x0: float,
@@ -241,32 +225,36 @@ def initial_state_from_config(config: SimulationConfig) -> StringState:
 
 
 def constraint_norms(state: StringState) -> tuple[float, float]:
-    """Max interior-node violations of the orthonormal-gauge constraints: one pass over
-    the (N, M-2) component rows in ``_fdot``'s order, as abs drops a zero's sign."""
-    xp = (state.positions[2:] - state.positions[:-2]).T / (2.0 * state.dsigma)
-    xd = state.velocities[1:-1].T
-    mixed, xd2, xp2 = xd[1] * xp[1], xd[1] * xd[1], xp[1] * xp[1]
-    for a, b in zip(xd[2:], xp[2:]):
-        mixed += a * b
-        xd2 += a * a
-        xp2 += b * b
-    return (float(np.abs(mixed - xd[0] * xp[0]).max()),
-            float(np.abs((xd2 - xd[0] * xd[0]) + (xp2 - xp[0] * xp[0])).max()))
+    """Max interior-node violations of the orthonormal-gauge constraints."""
+    return _constraint_norms(state.positions, state.velocities, state.dsigma)
 
 
-def _end_position(x0: list, u0: list, tangent: list, accel: float, dt: float) -> tuple:
+def _constraint_norms(pos: Array, vel: Array, dsigma: float) -> tuple[float, float]:
+    """``constraint_norms`` on raw arrays: the products of the contiguous (M-2, N) rows,
+    their columns summed in ``_fdot``'s order, as abs drops a zero's sign."""
+    xp = (pos[2:] - pos[:-2]) / (2.0 * dsigma)
+    xd = vel[1:-1]
+    prods = np.empty((3, *xd.shape))
+    for out, a, b in zip(prods, (xd, xd, xp), (xp, xd, xp)):
+        np.multiply(a, b, out=out)
+    total = prods[..., 1]
+    for j in range(2, prods.shape[-1]):
+        total = total + prods[..., j]
+    diff = total - prods[..., 0]  # rows: mixed, xd2, xp2
+    diff[1] += diff[2]
+    return tuple(np.abs(diff[:2]).max(axis=1).tolist())
+
+
+def _end_position(x0: list, u0: list, tangent: list, speed: float, accel: float,
+                  dt: float) -> tuple:
     """(X, dtau, w, eta0) of one endpoint after one step: its position, in closed form.
 
-    Position, four-velocity and edge tangent are float lists, the pull ``accel`` is
-    mu0/mub.  The rates are dX/dt = u speed and du/dt = -accel eta speed, where speed
-    is the norm of the one-sided edge tangent: the gauge constraints force -Xdot^2 =
-    X'^2 at the edge, so the endpoint slides along its worldline at that rate
-    relative to the interior slices.  With the tangent frozen over the step, u and
-    eta stay in the plane of u0 and the tangent, so the motion is exactly hyperbolic:
-    over the proper time dtau = speed dt, with w = accel dtau,
-    u = cosh(w) u0 - sinh(w) eta0 and X = X0 + dtau (sinh(w) u0 - 2 sinh^2(w/2) eta0) / w.
+    ``speed`` is ``_speed(tangent)`` and ``accel`` the pull mu0/mub.  The rates are dX/dt
+    = u speed and du/dt = -accel eta speed.  With the tangent frozen the motion is
+    hyperbolic: over dtau = speed dt, with w = accel dtau, u = cosh(w) u0 - sinh(w) eta0
+    and X = X0 + dtau (sinh(w) u0 - 2 sinh^2(w/2) eta0) / w.
     """
-    dtau = _speed(tangent) * dt
+    dtau = speed * dt
     w = accel * dtau
     eta0 = _eta(tangent, u0)
     if w == 0.0:  # no pull, or one so weak that w underflows
@@ -280,17 +268,49 @@ def _end_position(x0: list, u0: list, tangent: list, accel: float, dt: float) ->
 def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
                  dt: float) -> tuple[list, list, float]:
     """(X, u renormalized, tau) of one endpoint after one step (``_end_position``)."""
-    x, dtau, w, eta0 = _end_position(x0, u0, tangent, accel, dt)
+    x, dtau, w, eta0 = _end_position(x0, u0, tangent, _speed(tangent), accel, dt)
     sinh, cosh = math.sinh(w), math.cosh(w)
     u = _unit_timelike([cosh * a - sinh * e for a, e in zip(u0, eta0)])
     return x, u, tau0 + dtau
 
 
-def _step_facts(positions: Array, rows: list, dsigma: float) -> tuple[Array, list, tuple]:
-    """What a step reads at ``positions`` besides them: (interior Laplacian, edge rows,
-    outward edge tangents), with ``rows`` the float lists of ``positions[_EDGE_ROWS]``."""
-    lap = (positions[2:] - 2.0 * positions[1:-1] + positions[:-2]) / (dsigma * dsigma)
-    return lap, rows, _outward_tangents(rows, dsigma)
+def _end_facts(rows: list, dsigma: float) -> tuple[list, list, float]:
+    """(rows, outward tangent, its ``_speed``) of one end, from its three rows, edge row first."""
+    tangent = _outward_tangent(*rows, dsigma)
+    return rows, tangent, _speed(tangent)
+
+
+def _half_kick(pos: Array, dsigma: float, dt: float) -> Array:
+    """Half a leapfrog kick of the interior at ``pos``: dt/2 times the Laplacian there."""
+    return 0.5 * dt * ((pos[2:] - 2.0 * pos[1:-1] + pos[:-2]) / (dsigma * dsigma))
+
+
+def _carry(pos: Array, dsigma: float, dt: float) -> tuple:
+    """What a step reads at ``pos`` besides it: (``_half_kick``, each end's ``_end_facts``)."""
+    return (_half_kick(pos, dsigma, dt),
+            (_end_facts(pos[:3].tolist(), dsigma), _end_facts(pos[:-4:-1].tolist(), dsigma)))
+
+
+def _step_end(facts: tuple, inner: list, start: tuple, accel: float, dt: float,
+              dsigma: float) -> tuple:
+    """One end over one step, from its ``_end_facts``, its (u, tau) and the new rows beside its
+    edge row: (X, (u, tau), step-midpoint tangent, new ``_end_facts``)."""
+    ((x0, b0, c0), tangent, speed), (u0, tau0), (b1, c1) = facts, start, inner
+    x1 = _end_position(x0, u0, tangent, speed, accel, dt)[0]
+    mid = _outward_tangent([0.5 * (p + q) for p, q in zip(x0, x1)],
+                           [0.5 * (p + q) for p, q in zip(b0, b1)],
+                           [0.5 * (p + q) for p, q in zip(c0, c1)], dsigma)
+    x, u, tau = _advance_end(x0, u0, tau0, mid, accel, dt)
+    return x, (u, tau), mid, _end_facts([x, *inner], dsigma)
+
+
+def _string_state(like: StringState, time: float, pos: Array, vel: Array, ends: list,
+                  starts: list, mids: list) -> StringState:
+    """``like``'s string at ``_advance``'s raw values, with ``starts`` as the ends' history."""
+    endpoints = tuple(EndpointState(np.array(u), tau, np.array(u0), tau0, np.array(mid))
+                      for (u, tau), (u0, tau0), mid in zip(ends, starts, mids))
+    return StringState(time, pos, vel, endpoints, like.tensions, like.dsigma,
+                       like.collision_threshold)
 
 
 def step(state: StringState, config: SimulationConfig) -> StringState:
@@ -300,61 +320,45 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     gauge constraints exceed 100x the configured tolerance or are not finite (a NaN
     state), and EndpointCollision when the endpoint separation falls below grid resolution.
     """
-    return _advance(state, config)[0]
+    starts = [(ep.four_velocity.tolist(), ep.proper_time) for ep in state.endpoints]
+    time, pos, vel, ends, mids, _ = _advance(
+        state.time, state.positions, state.velocities, starts,
+        _carry(state.positions, state.dsigma, config.dt_fraction * state.dsigma), state, config)
+    return _string_state(state, time, pos, vel, ends, starts, mids)
 
 
-def _advance(state: StringState, config: SimulationConfig,
-             carried: tuple | None = None) -> tuple[StringState, tuple]:
-    """``step``, also returning the new positions' ``_step_facts``; given ``state``'s or None."""
-    dt = config.dt_fraction * state.dsigma
-    pos, vel = state.positions, state.velocities
-    lap, rows, tangents = carried or _step_facts(pos, pos[:3].tolist() + pos[-3:].tolist(),
-                                                 state.dsigma)
-    tensions = state.tensions
+def _advance(time: float, pos: Array, vel: Array, starts: list, carry: tuple,
+             like: StringState, config: SimulationConfig) -> tuple:
+    """``step`` on raw values and ``like``'s constants, from the ``_carry`` of ``pos``: (time,
+    positions, velocities, each end's (u, tau), midpoint tangents, ``_carry``) after it."""
+    dsigma, tensions = like.dsigma, like.tensions
+    dt = config.dt_fraction * dsigma
+    kick, facts = carry
     accels = (tensions.mu0 / tensions.mub_left, tensions.mu0 / tensions.mub_right)
-    starts = [(x0, ep.four_velocity.tolist(), ep.proper_time)
-              for x0, ep in zip((rows[0], rows[-1]), state.endpoints)]
-
-    v_half = vel[1:-1] + 0.5 * dt * lap
-    new_pos = pos.copy()
-    new_pos[1:-1] = pos[1:-1] + dt * v_half
-    inner = new_pos[1:3].tolist() + new_pos[-3:-1].tolist()
-
-    # endpoints: a position-only predictor step, then a corrector re-advances them
-    # with the step-midpoint edge tangent (second-order coupling)
-    left, right = (_end_position(x0, u0, tangent, accel, dt)[0]
-                   for (x0, u0, _), tangent, accel in zip(starts, tangents, accels))
-    mid_tangents = _outward_tangents(
-        [[0.5 * (a + b) for a, b in zip(old, new)]
-         for old, new in zip(rows, [left, *inner, right])], state.dsigma)
-    ends = [_advance_end(*start, tangent, accel, dt)
-            for start, tangent, accel in zip(starts, mid_tangents, accels)]
-    new_pos[0], new_pos[-1] = ends[0][0], ends[1][0]
-    new_lap, _, new_tangents = carry = _step_facts(
-        new_pos, [ends[0][0], *inner, ends[1][0]], state.dsigma)
-
+    v_half = vel[1:-1] + kick
+    new_pos = np.empty_like(pos)
+    np.add(pos[1:-1], dt * v_half, out=new_pos[1:-1])
+    xl, end_l, mid_l, facts_l = _step_end(facts[0], new_pos[1:3].tolist(), starts[0],
+                                          accels[0], dt, dsigma)
+    xr, end_r, mid_r, facts_r = _step_end(facts[1], new_pos[-2:-4:-1].tolist(), starts[1],
+                                          accels[1], dt, dsigma)
+    new_pos[0], new_pos[-1] = xl, xr
+    new_kick = _half_kick(new_pos, dsigma, dt)
     new_vel = np.empty_like(vel)
-    new_vel[1:-1] = v_half + 0.5 * dt * new_lap
-    for row, (_, u, _), tangent in zip((0, -1), ends, new_tangents):
-        speed = _speed(tangent)
-        new_vel[row] = [c * speed for c in u]
-    endpoints = tuple(
-        EndpointState(np.array(u), tau, np.array(u0), tau0, np.array(tangent))
-        for (_, u, tau), (_, u0, tau0), tangent in zip(ends, starts, mid_tangents))
-
-    new_state = StringState(
-        time=state.time + dt, positions=new_pos, velocities=new_vel, endpoints=endpoints,
-        tensions=tensions, dsigma=state.dsigma, collision_threshold=state.collision_threshold)
-    c1, c2 = constraint_norms(new_state)
+    np.add(v_half, new_kick, out=new_vel[1:-1])
+    new_vel[0] = [c * facts_l[2] for c in end_l[0]]  # u times the new speed
+    new_vel[-1] = [c * facts_r[2] for c in end_r[0]]
+    time += dt
+    c1, c2 = _constraint_norms(new_pos, new_vel, dsigma)
     limit = 100.0 * config.constraint_tol
     if not (c1 <= limit and c2 <= limit):  # also true for NaN
         raise ConstraintBlowup(
-            f"gauge constraints blew up: ({c1:.3e}, {c2:.3e}) at t={new_state.time:.4f}")
-    sep = math.dist(ends[0][0][1:], ends[1][0][1:])
-    if sep < new_state.collision_threshold:
+            f"gauge constraints blew up: ({c1:.3e}, {c2:.3e}) at t={time:.4f}")
+    sep = math.dist(xl[1:], xr[1:])
+    if sep < like.collision_threshold:
         raise EndpointCollision(
-            f"endpoints within grid resolution ({sep:.3e}) at t={new_state.time:.4f}")
-    return new_state, carry
+            f"endpoints within grid resolution ({sep:.3e}) at t={time:.4f}")
+    return time, new_pos, new_vel, (end_l, end_r), (mid_l, mid_r), (new_kick, (facts_l, facts_r))
 
 
 @dataclass
@@ -370,29 +374,34 @@ class Trajectory:
 def evolve(config: SimulationConfig) -> Trajectory:
     """Run a simulation to its duration or a physical terminal event.
 
-    Deterministic for a given config, and equal to a loop of ``step`` calls whose
-    steps take over what the step before computed at their positions.  Snapshots
-    are stored every ``output_stride`` steps plus the final state, once.  A
+    Deterministic for a given config, and equal to a loop of ``step`` calls: it runs
+    ``_advance`` on raw values, each step taking over what the step before computed,
+    and stores a ``StringState`` every ``output_stride`` steps plus the final one.  A
     collision is a physical termination and is reported through ``terminal_event``;
     constraint blowup propagates as an exception carrying the partial trajectory.
     """
     state = initial_state_from_config(config)
     dt = config.dt_fraction * state.dsigma
     n_steps = int(round(config.duration / dt)) if config.duration > 0 else 0
-    snapshots, event, carried = [state], "duration", None
+    snapshots, event = [state], "duration"
+    time, pos, vel = state.time, state.positions, state.velocities
+    ends = [(ep.four_velocity.tolist(), ep.proper_time) for ep in state.endpoints]
+    starts, mids, carry = ends, [], _carry(pos, state.dsigma, dt)
     for k in range(n_steps):
         try:
-            state, carried = _advance(state, config, carried)
+            time, pos, vel, new_ends, mids, carry = _advance(
+                time, pos, vel, ends, carry, state, config)
         except EndpointCollision:
             event = "endpoint_collision"
             break
         except ConstraintBlowup as exc:
             exc.trajectory = Trajectory(snapshots, "constraint_blowup")
             raise
+        starts, ends = ends, new_ends
         if (k + 1) % config.output_stride == 0:
-            snapshots.append(state)
-    if snapshots[-1] is not state:  # the final state, unless the stride stored it
-        snapshots.append(state)
+            snapshots.append(_string_state(state, time, pos, vel, ends, starts, mids))
+    if snapshots[-1].positions is not pos:  # the final state, unless the stride stored it
+        snapshots.append(_string_state(state, time, pos, vel, ends, starts, mids))
     return Trajectory(snapshots, event)
 
 

@@ -350,6 +350,50 @@ class TestRotatingOrbit:
         assert slope < 1e-5
 
 
+def _nominal_times(config, state, snapshots):
+    """Snapshot k of a stride-s run is stored after step k s, the last after the final step."""
+    dt = config.dt_fraction * state.dsigma
+    n_steps = int(round(config.duration / dt))
+    return [min(k * config.output_stride, n_steps) * dt for k in range(len(snapshots))]
+
+
+class TestExactRotatingString:
+    """Every node of one period against X = (t, f cos wt, f sin wt), f = sin(w sigma)/w."""
+
+    @staticmethod
+    def max_node_error(grid_points):
+        w = rotating_orbit_omega(ROTATING["mu0"], ROTATING["mub"], ROTATING["radius"])
+        config = SimulationConfig(initial_data=ROTATING, grid_points=grid_points,
+                                  duration=2.0 * np.pi / w, output_stride=10)
+        state = initial_state_from_config(config)
+        sigma_max = np.arcsin(w * ROTATING["radius"]) / w
+        f = np.sin(w * np.linspace(-sigma_max, sigma_max, grid_points)) / w
+        snapshots = evolve(config).snapshots
+        assert len(snapshots) == 2 + 12 * (grid_points - 1) // 10  # one period: 12 (M-1) steps
+        err = 0.0
+        for snap, t in zip(snapshots, _nominal_times(config, state, snapshots)):
+            exact = np.stack([np.full_like(f, t), f * np.cos(w * t), f * np.sin(w * t)], axis=1)
+            err = max(err, float(np.max(np.abs(snap.positions - exact))))
+        return err
+
+    def test_every_node_converges_at_second_order(self):
+        coarse, fine = self.max_node_error(50), self.max_node_error(100)
+        assert coarse < 1.6e-3 and fine < 4.0e-4  # measured 1.47e-3 and 3.56e-4
+        assert 3.5 < coarse / fine < 4.5
+
+    @pytest.mark.parametrize("initial", [ROTATING, COLLAPSE], ids=["rotating", "collapsing"])
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    def test_snapshot_k_is_stored_at_step_k_times_stride(self, initial, stride):
+        config = SimulationConfig(initial_data=initial, grid_points=16, duration=1.0,
+                                  output_stride=stride, constraint_tol=2e-3)
+        state = initial_state_from_config(config)
+        snapshots = evolve(config).snapshots
+        n_steps = int(round(config.duration / (config.dt_fraction * state.dsigma)))
+        assert len(snapshots) == 1 + -(-n_steps // stride)
+        assert [s.time for s in snapshots] == pytest.approx(
+            _nominal_times(config, state, snapshots), rel=1e-12, abs=0.0)
+
+
 class TestTerminalEvents:
     def test_zero_duration_single_snapshot(self):
         cfg = collapse_config(duration=0.0)
@@ -487,7 +531,8 @@ def test_closed_form_endpoint_step_matches_substepped_oracle_property(pair):
 def test_float_edge_tangents_equal_batched_rows_bitwise_property(m, n, dsigma, seed):
     positions = np.random.default_rng(seed).normal(size=(m, n))
     ref = batched_edge_tangents(positions, dsigma)
-    tangents = dynamics._outward_tangents(positions[dynamics._EDGE_ROWS].tolist(), dsigma)
+    tangents = [dynamics._outward_tangent(*positions[rows].tolist(), dsigma)
+                for rows in ([0, 1, 2], [-1, -2, -3])]  # edge row first
     assert np.array(tangents).tobytes() == ref.tobytes()
 
 

@@ -414,13 +414,34 @@ def test_step_builds_one_four_velocity_per_end(monkeypatch):
     assert calls[0] == 2  # the corrector's, per end; the predictor advances X only
 
 
+def _collapse_of(steps, stride=3):
+    return dynamics.SimulationConfig(
+        initial_data={"id": "collapsing", "mu0": 1.0, "mub": 1.0, "x0": 1.0},
+        grid_points=32, duration=steps * 0.5 * 2.0 / 31, output_stride=stride,
+        constraint_tol=2e-3)
+
+
 @pytest.mark.parametrize("steps", [1, 7])
 def test_evolve_takes_each_steps_edge_tangents_over(monkeypatch, steps):
-    config = dynamics.SimulationConfig(
-        initial_data={"id": "collapsing", "mu0": 1.0, "mub": 1.0, "x0": 1.0},
-        grid_points=32, duration=steps * 0.5 * 2.0 / 31, output_stride=3,
-        constraint_tol=2e-3)
-    calls = _counted(monkeypatch, "_outward_tangents")
-    assert dynamics.evolve(config).final.time > 0.0
-    # the first step's at the initial state, then per step the midpoint's and the new ones
-    assert calls[0] == 2 * steps + 1
+    calls = _counted(monkeypatch, "_outward_tangent")
+    assert dynamics.evolve(_collapse_of(steps)).final.time > 0.0
+    # per end: the first step's at the initial state, then per step the midpoint's
+    # and the new one
+    assert calls[0] == 4 * steps + 2
+
+
+@pytest.mark.parametrize("steps", [1, 7])
+def test_evolve_takes_each_edge_speed_once(monkeypatch, steps):
+    calls = _counted(monkeypatch, "_speed")
+    assert dynamics.evolve(_collapse_of(steps)).final.time > 0.0
+    # per end: the initial tangent's, then per step the midpoint's and the new one's;
+    # the next predictor and the new edge velocity take the carried speed
+    assert calls[0] == 4 * steps + 2
+
+
+@pytest.mark.parametrize("steps,stride", [(1, 1), (7, 3), (7, 7), (7, 100)])
+def test_evolve_builds_endpoint_states_only_for_snapshots(monkeypatch, steps, stride):
+    calls = _counted(monkeypatch, "EndpointState")
+    snapshots = dynamics.evolve(_collapse_of(steps, stride)).snapshots
+    assert len(snapshots) == 1 + -(-steps // stride)
+    assert calls[0] == 2 * len(snapshots)  # one pair per stored state, the initial one too

@@ -13,9 +13,12 @@ imports itself only relatively, so the two never mix.
 
 The kernels are ``dynamics.step`` on the rotating string at M grid points, one
 step of ``dynamics.evolve`` on the same string (its loop, where a step takes
-over what the previous one computed), and ``position``, ``frame``,
+over what the previous one computed), ``position``, ``frame``,
 ``normal_frame``, ``extrinsic_curvature`` and ``boundary_data`` on the catalog
-helicoid at each batch size.  Each round times every kernel once in each
+helicoid at each batch size, the checked evaluation ``geometry._frame_at`` of
+the helicoid at 4096 points, and ``variation.first_variation_fd`` on the
+helicoid at 16 x 16 quadrature points (the workload ``variation-fd`` runs it at
+64 x 64).  Each round times every kernel once in each
 version, alternating which version goes first, and the best time per call of
 each version is kept.  Timing both versions in one process, round by round,
 cancels most of the drift of a shared machine; a REV equal to the working
@@ -41,6 +44,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 BASE = "worldsheet_base"
 TARGET_S = 0.02  # one measurement lasts about this long when --number is not given
+FRAME_POINTS = 4096
+FD_QUADRATURE = 16
 
 
 def load_package(directory: Path, name: str):
@@ -69,6 +74,7 @@ def kernels(pkg: str, grid_points: int, batches: list[int]) -> dict[str, tuple]:
     geometry = importlib.import_module(f"{pkg}.geometry")
     boundary = importlib.import_module(f"{pkg}.boundary")
     catalog = importlib.import_module(f"{pkg}.catalog")
+    variation = importlib.import_module(f"{pkg}.variation")
 
     rotating = {"id": "rotating", "mu0": 1.0, "mub": 3.0, "radius": 1.0}
     config = dynamics.SimulationConfig(initial_data=rotating, duration=1.0,
@@ -95,6 +101,19 @@ def kernels(pkg: str, grid_points: int, batches: list[int]) -> dict[str, tuple]:
             f"extrinsic_curvature B={b}": (lambda p=pts: geometry.extrinsic_curvature(emb, p), 1),
             f"boundary_data B={b}": (lambda q=u: boundary.boundary_data(bnd, q), 1),
         })
+
+    frac = (np.arange(FRAME_POINTS) + 0.5) / FRAME_POINTS
+    pts = np.stack([t_lo + (t_hi - t_lo) * frac, s_hi - (s_hi - s_lo) * frac], axis=-1)
+    cfg, edges = catalog.action_setup(entry, 1.0, 3.0, (FD_QUADRATURE, FD_QUADRATURE))
+    defo = variation.DeformationField(
+        normal_fn=lambda xi: 0.1 * np.sin(2.0 * xi[..., :1]) * np.cos(xi[..., -1:]),
+        boundary_normal_fns=lambda v: 0.05 * np.cos(v[..., 0]),
+        time_extent=tuple(map(float, entry.domain[0])))
+    calls.update({
+        f"_frame_at B={FRAME_POINTS}": (lambda: geometry._frame_at(emb, pts), 1),
+        f"first_variation_fd {FD_QUADRATURE}x{FD_QUADRATURE}": (
+            lambda: variation.first_variation_fd(emb, edges, cfg, defo, 1e-2), 1),
+    })
     return calls
 
 

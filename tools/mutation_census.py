@@ -85,9 +85,9 @@ MUTANTS = {
             "x = [p + along * a + across * e for p, a, e in zip(x0, u0, eta0)]",
             "the sign of the eta0 term in the endpoint's closed-form position `_end_position`"),
     "M34": ("src/worldsheet/dynamics.py",
-            "for x0, ep in zip((rows[0], rows[-1]), state.endpoints)]",
-            "for x0, ep in zip((rows[0], rows[0]), state.endpoints)]",
-            "starts the right end of a `step` from the left end's row"),
+            "_end_facts(pos[:-4:-1].tolist(), dsigma)",
+            "_end_facts(pos[:3].tolist(), dsigma)",
+            "starts the right end of a `step` or an `evolve` from the left end's rows"),
     "M35": ("src/worldsheet/dynamics.py",
             "eta_mid = _eta(ep.edge_tangent.tolist(), u_mid)",
             "eta_mid = _eta(ep.edge_tangent.tolist(), ep.prev_four_velocity.tolist())",
@@ -163,22 +163,34 @@ MUTANTS = {
             "if False:",
             "drops the width check of edge-dependent limits in `_bulk_grid`"),
     "M53": ("src/worldsheet/dynamics.py",
-            "    new_pos[0], new_pos[-1] = ends[0][0], ends[1][0]\n"
-            "    new_lap, _, new_tangents = carry = _step_facts(\n"
-            "        new_pos, [ends[0][0], *inner, ends[1][0]], state.dsigma)\n",
-            "    new_lap, _, new_tangents = carry = _step_facts(\n"
-            "        new_pos, [ends[0][0], *inner, ends[1][0]], state.dsigma)\n"
-            "    new_pos[0], new_pos[-1] = ends[0][0], ends[1][0]\n",
-            "carries the Laplacian of the end rows before the corrector writes them"),
+            "    new_pos[0], new_pos[-1] = xl, xr\n"
+            "    new_kick = _half_kick(new_pos, dsigma, dt)\n",
+            "    new_kick = _half_kick(new_pos, dsigma, dt)\n"
+            "    new_pos[0], new_pos[-1] = xl, xr\n",
+            "carries the half kick of the end rows before the corrector writes them"),
     "M54": ("src/worldsheet/dynamics.py",
-            "[ends[0][0], *inner, ends[1][0]]",
-            "[left, *inner, right]",
-            "carries the edge tangents of the predictor's rows, not the corrector's"),
+            "_end_facts([x, *inner], dsigma)",
+            "_end_facts([x1, *inner], dsigma)",
+            "carries the edge tangent of the predictor's row, not the corrector's"),
     "M55": ("src/worldsheet/dynamics.py",
             '            event = "endpoint_collision"\n            break\n',
-            '            event = "endpoint_collision"\n            snapshots.append(state)\n'
+            '            event = "endpoint_collision"\n'
+            "            snapshots.append(\n"
+            "                _string_state(state, time, pos, vel, ends, starts, mids))\n"
             "            break\n",
             "stores the last state again on a collision when the stride already stored it"),
+    "M56": ("src/worldsheet/dynamics.py",
+            "if (k + 1) % config.output_stride == 0:",
+            "if (k - 1) % config.output_stride == 0:",
+            "shifts the steps at which `evolve` stores its snapshots by two"),
+    "M57": ("src/worldsheet/dynamics.py",
+            "return x, (u, tau), mid, _end_facts([x, *inner], dsigma)",
+            "return x, (u, tau), mid, _end_facts([x, *inner], dsigma)[:2] + (_speed(mid),)",
+            "carries the midpoint tangent's speed in place of the new tangent's"),
+    "M58": ("src/worldsheet/dynamics.py",
+            "for j in range(2, prods.shape[-1]):",
+            "for j in range(2, prods.shape[-1] - 1):",
+            "leaves the last component out of the column sums in `constraint_norms`"),
 }
 
 
