@@ -51,7 +51,8 @@ class BackgroundMetric:
         x = np.asarray(x, dtype=float)
         if self.metric_fn is None:
             g = _signature_matrix(self.dimension, self.signature)
-            return np.broadcast_to(g, x.shape[:-1] + g.shape)
+            # np.broadcast_to's read-only view of g at every point, in one C call
+            return np.ndarray(x.shape[:-1] + g.shape, float, g, 0, (0,) * (x.ndim - 1) + g.strides)
         return _finite(self.metric_fn(x), "metric_fn")
 
     def christoffels_at(self, x: Array) -> Array:
@@ -84,7 +85,7 @@ def _signature_matrix(dimension: int, signature: str) -> Array:
 def _finite(values: Array, slot: str) -> Array:
     """A curved background's callback output as floats, checked to be finite."""
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DegenerateMetric(f"background {slot} is not finite")
     return values
 

@@ -129,7 +129,7 @@ class WorldsheetScalar:
     @staticmethod
     def _finite(fn: Callable[[Array], Array], xi: Array) -> Array:
         values = np.asarray(fn(np.asarray(xi, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InvalidParameters("worldsheet scalar field has non-finite values")
         return values
 
@@ -148,13 +148,13 @@ LaplacianResiduals = namedtuple("LaplacianResiduals", ["normal", "eta", "combine
 
 def _pullback_metric(bnd: BoundaryEmbedding, gamma: Array, eps: Array) -> tuple[Array, Array]:
     """h_AB and its inverse from the edge tangents eps = d_chi, checked finite and non-null."""
-    if not np.all(np.isfinite(eps)):
+    if not np.isfinite(eps).all():
         raise DegenerateImmersion("non-finite edge tangents d_chi")
     h = _pullback(eps, gamma)
-    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    h = 0.5 * (h + h.swapaxes(-1, -2))
     det_h, adj = _det_adjugate(h)
-    scale = np.maximum(np.max(np.abs(eps), axis=(-1, -2)), 1.0) ** (2 * bnd.boundary_dim)
-    if np.any(np.abs(det_h) < 1e-12 * scale):
+    scale = np.maximum(np.abs(eps).max(axis=(-1, -2)), 1.0) ** (2 * bnd.boundary_dim)
+    if (np.abs(det_h) < 1e-12 * scale).any():
         raise NullBoundary("boundary metric is degenerate (edge tangent to the light cone)")
     return h, _inverse(h, det_h, adj)
 
@@ -170,7 +170,7 @@ def _edge_frame(bnd: BoundaryEmbedding, point: Array, fr: _Evaluation) -> Frame:
     eps = bnd.d_chi(point)
     h, h_inv = _pullback_metric(bnd, fr.induced_metric, eps)
     eta, ok = _hodge_normal(eps, fr.induced_metric_inverse)
-    if not np.all(ok):
+    if not ok.all():
         raise NullBoundary("edge normal cannot be unit-normalized (null boundary)")
     return Frame(tangents=eps, normals=bnd.orientation * eta[..., None],
                  induced_metric=h, induced_metric_inverse=h_inv)
@@ -217,10 +217,10 @@ def _boundary_local(bnd: BoundaryEmbedding, point: Array,
     sheet = frame_at(bnd.parent, xi)
     edge_frame = _edge_frame(bnd, point, sheet)
     dd_chi = bnd.dd_chi(point)
-    if not np.all(np.isfinite(dd_chi)):
+    if not np.isfinite(dd_chi).all():
         raise DegenerateImmersion("non-finite edge second derivatives dd_chi")
     # the sheet's connection is the ambient Christoffels, upper index first
-    chris = np.moveaxis(sheet.conn, -1, -3)
+    chris = sheet.conn.transpose((*range(sheet.conn.ndim - 3), -1, -3, -2))
     edge = _Local(edge_frame, xi, sheet.induced_metric, chris,
                   _covariant(dd_chi, chris, edge_frame.tangents, edge_frame.tangents))
     k_ab = edge.kk[..., 0]
@@ -245,10 +245,11 @@ def _projector(eps: Array, h_inv: Array) -> Array:
 
 def _pull_pair(left: Array, right: Array, t: Array) -> Array:
     """l^a_X r^b_Y t_ab..., indexed [X, Y, ...]: the leading pair of t [a, b, ...] on l and r."""
-    flat = np.moveaxis(t.reshape(t.shape[:left.ndim] + (-1,)), -1, -3)  # [..., rest, a, b]
+    flat = t.reshape(t.shape[:left.ndim] + (-1,))
+    flat = flat.transpose((*range(flat.ndim - 3), -1, -3, -2))  # [..., rest, a, b]
     pulled = left.swapaxes(-1, -2)[..., None, :, :] @ flat @ right[..., None, :, :]
-    return np.moveaxis(pulled, -3, -1).reshape(pulled.shape[:-3] + pulled.shape[-2:]
-                                               + t.shape[left.ndim:])
+    return pulled.transpose((*range(pulled.ndim - 3), -2, -1, -3)).reshape(
+        pulled.shape[:-3] + pulled.shape[-2:] + t.shape[left.ndim:])
 
 
 def boundary_data(bnd: BoundaryEmbedding, point: Array) -> BoundaryData:

@@ -26,12 +26,12 @@ from .boundary import (
     edge_equation_residual,
 )
 from .errors import InvalidParameters
-from .geometry import Embedding, extrinsic_curvature, frame, gauss_weingarten_residual
+from .geometry import Embedding, _Evaluation, _frame_at, _gauss_weingarten, extrinsic_curvature
 from .integrability import (
-    boundary_integrability_residuals,
-    direct_embedding_residuals,
+    _boundary_integrability,
+    _direct_embedding,
+    _sheet_riemann,
     worldsheet_integrability_residuals,
-    worldsheet_riemann,
 )
 
 Array = np.ndarray
@@ -86,18 +86,20 @@ class CatalogEntry:
 
 
 def _grid(box, per_dim: int) -> Array:
-    axes = [np.linspace(lo, hi, per_dim) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+    out = np.empty((per_dim,) * len(box) + (len(box),))
+    for i, (lo, hi) in enumerate(box):
+        out[..., i] = np.linspace(lo, hi, per_dim).reshape((-1,) + (1,) * (len(box) - 1 - i))
+    return out.reshape(-1, len(box))
 
 
 def _stack(*comps):
-    return np.stack(comps, axis=-1)
+    """``np.stack(comps, axis=-1)`` of same-shape arrays, without its Python-level checks."""
+    return np.concatenate([c[..., None] for c in comps], axis=-1)
 
 
 def _sym2(xx, xy, yy):
     """Symmetric 2x2 Hessian block (..., N, 2, 2) from its three columns."""
-    return np.stack([np.stack([xx, xy], axis=-1), np.stack([xy, yy], axis=-1)], axis=-1)
+    return _stack(_stack(xx, xy), _stack(xy, yy))
 
 
 def _graph_boundary(parent: Embedding, level_fn, d_level_fn, dd_level_fn,
@@ -152,15 +154,15 @@ def helicoid(omega: float = 0.5, R: float = 1.0) -> CatalogEntry:
     def dpos(xi):
         t, s = xi[..., 0], xi[..., 1]
         c, sn = np.cos(om * t), np.sin(om * t)
-        one, zero = np.ones_like(t), np.zeros_like(t)
+        one, zero = np.ones(t.shape), np.zeros(t.shape)
         et = _stack(one, -s * om * sn, s * om * c)
         es = _stack(zero, c, sn)
-        return np.stack([et, es], axis=-1)
+        return _stack(et, es)
 
     def ddpos(xi):
         t, s = xi[..., 0], xi[..., 1]
         c, sn = np.cos(om * t), np.sin(om * t)
-        z = np.zeros_like(t)
+        z = np.zeros(t.shape)
         xtt = _stack(z, -s * om * om * c, -s * om * om * sn)
         xts = _stack(z, -om * sn, om * c)
         return _sym2(xtt, xts, _stack(z, z, z))
@@ -360,18 +362,18 @@ def _polar_plane() -> Embedding:
 
     def pos(xi):
         ph, r = xi[..., 0], xi[..., 1]
-        return _stack(r * np.cos(ph), r * np.sin(ph), np.zeros_like(ph))
+        return _stack(r * np.cos(ph), r * np.sin(ph), np.zeros(ph.shape))
 
     def dpos(xi):
         ph, r = xi[..., 0], xi[..., 1]
-        z = np.zeros_like(ph)
+        z = np.zeros(ph.shape)
         eph = _stack(-r * np.sin(ph), r * np.cos(ph), z)
         er = _stack(np.cos(ph), np.sin(ph), z)
-        return np.stack([eph, er], axis=-1)
+        return _stack(eph, er)
 
     def ddpos(xi):
         ph, r = xi[..., 0], xi[..., 1]
-        z = np.zeros_like(ph)
+        z = np.zeros(ph.shape)
         xphph = _stack(-r * np.cos(ph), -r * np.sin(ph), z)
         xphr = _stack(-np.sin(ph), np.cos(ph), z)
         return _sym2(xphph, xphr, _stack(z, z, z))
@@ -385,7 +387,7 @@ def _flat_strip() -> Embedding:
 
     def pos(xi):
         t, s = xi[..., 0], xi[..., 1]
-        return _stack(t, s, np.zeros_like(t))
+        return _stack(t, s, np.zeros(t.shape))
 
     def dpos(xi):
         shp = np.asarray(xi, dtype=float).shape[:-1]
@@ -437,12 +439,12 @@ def sphere(radius: float = 2.0) -> CatalogEntry:
     def dpos(xi):
         th, ph = xi[..., 0], xi[..., 1]
         eth = r * _stack(np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th))
-        eph = r * _stack(-np.sin(th) * np.sin(ph), np.sin(th) * np.cos(ph), np.zeros_like(th))
-        return np.stack([eth, eph], axis=-1)
+        eph = r * _stack(-np.sin(th) * np.sin(ph), np.sin(th) * np.cos(ph), np.zeros(th.shape))
+        return _stack(eth, eph)
 
     def ddpos(xi):
         th, ph = xi[..., 0], xi[..., 1]
-        z = np.zeros_like(th)
+        z = np.zeros(th.shape)
         xtt = -pos(xi)
         xtp = r * _stack(-np.cos(th) * np.sin(ph), np.cos(th) * np.cos(ph), z)
         xpp = r * _stack(-np.sin(th) * np.cos(ph), -np.sin(th) * np.sin(ph), z)
@@ -477,14 +479,14 @@ def flat_torus(r1: float = 1.0, r2: float = 1.0) -> CatalogEntry:
 
     def dpos(xi):
         u, v = xi[..., 0], xi[..., 1]
-        z = np.zeros_like(u)
+        z = np.zeros(u.shape)
         eu = _stack(-r1 * np.sin(u), r1 * np.cos(u), z, z)
         ev = _stack(z, z, -r2 * np.sin(v), r2 * np.cos(v))
-        return np.stack([eu, ev], axis=-1)
+        return _stack(eu, ev)
 
     def ddpos(xi):
         u, v = xi[..., 0], xi[..., 1]
-        z = np.zeros_like(u)
+        z = np.zeros(u.shape)
         xuu = _stack(-r1 * np.cos(u), -r1 * np.sin(u), z, z)
         xvv = _stack(z, z, -r2 * np.cos(v), -r2 * np.sin(v))
         return _sym2(xuu, _stack(z, z, z, z), xvv)
@@ -562,33 +564,33 @@ _EDGE_QUANTITIES = ("edge_trace", "edge_residual", "boundary_condition_max",
                     "laplacian_form_agreement", "integrability_boundary", "integrability_direct")
 
 
+def _every(points: Array, parts: int) -> Array:
+    """Every (len // parts)-th row of ``points``: a subset of about ``parts`` + 1 points."""
+    return points[:: max(1, len(points) // parts)]
+
+
 def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float, pts: Array, u: Array,
-                   edges: Callable[[], list[_EdgeLocal]]) -> float:
+                   sheet: Callable[[], _Evaluation], edges: Callable[[], list[_EdgeLocal]],
+                   edge_subset: Callable[[], list[_EdgeLocal]]) -> float:
     """Worst-case sampled value of a named quantity (the sample maximizing |q - expected|).
 
-    ``pts`` and ``u`` are the entry's ``sample_grid()`` and ``boundary_grid()``;
-    ``edges()`` is the one second-order evaluation of each edge at ``u``,
-    shared by every edge row that reads it.
+    ``pts`` and ``u`` are the entry's ``sample_grid()`` and ``boundary_grid()``.  Each
+    point set's checked records are built by the first row that reads them and shared by
+    the rest: ``sheet()`` at ``_every(pts, 6)``, and the second-order evaluation of each
+    edge, ``edges()`` at ``u`` and ``edge_subset()`` at ``_every(u, 3)``.
     """
     emb = entry.embedding
     if quantity == "curvature_trace_norm":
-        traces = extrinsic_curvature(emb, pts).traces
-        vals = np.linalg.norm(traces, axis=-1)
-        return _worst(vals, expected)
+        return _worst(np.linalg.norm(extrinsic_curvature(emb, pts).traces, axis=-1), expected)
     if quantity == "scalar_curvature_dev":
-        some = pts[:: max(1, len(pts) // 6)]
-        riem = worldsheet_riemann(emb, some, _FD_RIEMANN_STEP)
-        gi = frame(emb, some).induced_metric_inverse
+        loc = sheet()
+        riem, gi = _sheet_riemann(loc, _FD_RIEMANN_STEP), loc.induced_metric_inverse
         scal = np.einsum("...ac,...ac->...", gi, np.einsum("...bd,...abcd->...ac", gi, riem))
-        return _worst(scal - _reference_scalar_curvature(entry, some), expected)
+        return _worst(scal - _reference_scalar_curvature(entry, loc.point), expected)
     if quantity == "gauss_weingarten_max":
-        some = pts[:: max(1, len(pts) // 6)]
-        res1, res2 = gauss_weingarten_residual(emb, some, _FD_GW_STEP)
-        return _worst(np.maximum(res1, res2), expected)
+        return _worst(np.maximum(*_gauss_weingarten(sheet(), _FD_GW_STEP)), expected)
     if quantity == "integrability_worldsheet":
-        some = pts[:: max(1, len(pts) // 4)]
-        res = worldsheet_integrability_residuals(emb, some, _FD_INT_STEP)
-        return res.max()
+        return worldsheet_integrability_residuals(emb, _every(pts, 4), _FD_INT_STEP).max()
     if quantity == "edge_x_at_collision":  # the upper edge reaches x = 0
         t = collision_time(entry.parameters["a"], entry.parameters["x0"])
         return float(entry.boundaries[0].chi(np.array([t]))[..., -1])
@@ -603,7 +605,7 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float, pts: Arr
     if not entry.boundaries:
         raise KeyError(f"edge quantity {quantity!r} needs an entry with edges "
                        f"({entry.id!r} has none)")
-    some = u[:: max(1, len(u) // 3)]
+    some = _every(u, 3)
     mu0, mub = entry.parameters.get("mu0", 1.0), entry.parameters.get("mub", 1.0)
     if quantity == "edge_trace":
         vals = [bl.bd.edge_trace for bl in edges()]
@@ -615,11 +617,11 @@ def _eval_quantity(entry: CatalogEntry, quantity: str, expected: float, pts: Arr
         vals = [np.linalg.norm(_projected_trace(bl) + _laplacian_residuals(bl, mu0, mub).normal,
                                axis=-1) for bl in edges()]
     elif quantity == "integrability_boundary":
-        vals = [np.maximum(*boundary_integrability_residuals(bnd, some, _FD_INT_STEP))
-                for bnd in entry.boundaries]
+        vals = [np.maximum(*_boundary_integrability(bnd, bl, some, _FD_INT_STEP))
+                for bnd, bl in zip(entry.boundaries, edge_subset())]
     else:  # integrability_direct
-        vals = [np.full(some.shape[0], direct_embedding_residuals(bnd, some, _FD_INT_STEP).max())
-                for bnd in entry.boundaries]
+        vals = [np.full(some.shape[0], _direct_embedding(bnd, bl, some, _FD_INT_STEP).max())
+                for bnd, bl in zip(entry.boundaries, edge_subset())]
     return _worst(np.concatenate([np.atleast_1d(v) for v in vals]), expected)
 
 
@@ -641,10 +643,12 @@ def _worst(values: Array, expected: float) -> float:
 def evaluate_entry(entry: CatalogEntry) -> list[tuple[str, float, float, float, bool]]:
     """Evaluate all expected quantities; rows are (quantity, value, expected, residual, pass)."""
     pts, u = entry.sample_grid(), entry.boundary_grid()
+    sheet = cache(lambda: _frame_at(entry.embedding, _every(pts, 6)))
     edges = cache(lambda: [_boundary_local(bnd, u) for bnd in entry.boundaries])
+    edge_subset = cache(lambda: [_boundary_local(bnd, _every(u, 3)) for bnd in entry.boundaries])
     rows = []
     for exp in entry.expected:
-        value = _eval_quantity(entry, exp.quantity, exp.value, pts, u, edges)
+        value = _eval_quantity(entry, exp.quantity, exp.value, pts, u, sheet, edges, edge_subset)
         residual = abs(value - exp.value)
         rows.append((exp.quantity, value, exp.value, residual, residual <= exp.tolerance))
     return rows

@@ -25,6 +25,11 @@ points (:func:`_sum_last`, in numpy's order, so the bits are those of
 point, so the pullback and the Hodge raise are one product over the batch, no
 Christoffel product is made, and the volume action reads no map point.
 
+At batches of 1 to 30 points numpy's Python-level wrappers cost more than the
+arithmetic, so the small-batch path calls the C-level operations they reduce to,
+bit for bit in numpy's order: array methods for reductions, ``.transpose`` for
+``np.moveaxis``, and filled arrays for ``np.stack`` and ``np.cross``.
+
 The sheet at a batch of points is one record, :class:`_Evaluation`, built
 with no rank or signature check: the map and its tangent map on
 construction, and gamma, gamma^-1, the normals and the second order each on
@@ -42,6 +47,7 @@ raises DegenerateImmersion, and the normal's own test GaugeFailure.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -68,8 +74,7 @@ DEGENERACY_TOL = 1e-12
 
 def _step_scale(point: Array) -> Array:
     """Per-point step scale: unit floor so steps never collapse near the origin."""
-    mag = np.max(np.abs(point), axis=-1, keepdims=True)
-    return np.maximum(1.0, mag)
+    return np.maximum(1.0, np.abs(point).max(axis=-1, keepdims=True))
 
 
 def _stencil(fn: Callable[[Array], Array], points: Array) -> Array:
@@ -78,7 +83,7 @@ def _stencil(fn: Callable[[Array], Array], points: Array) -> Array:
     Whole shifts are passed together in as few calls as keep each call at or
     below ``FD_BLOCK_POINTS`` points; a shift larger than that is one call.
     """
-    per_shift = max(1, int(np.prod(points.shape[1:-1])))
+    per_shift = max(1, math.prod(points.shape[1:-1]))
     shifts_per_call = max(1, FD_BLOCK_POINTS // per_shift)
     if shifts_per_call >= len(points):
         return fn(points)
@@ -107,8 +112,8 @@ def fd_jacobian(fn: Callable[[Array], Array], point: Array, step: float) -> Arra
     shift = _offsets(h, np.eye(d))
     f = _stencil(fn, np.concatenate([point + shift, point - shift]))
     h = h.reshape(point.shape[:-1] + (1,) * (f.ndim - point.ndim))
-    # C order, the layout the analytic derivative callbacks return
-    return np.ascontiguousarray(np.moveaxis((f[:d] - f[d:]) / (2.0 * h), 0, -1))
+    # the direction axis last, in C order: the layout the analytic derivative callbacks return
+    return np.ascontiguousarray(((f[:d] - f[d:]) / (2.0 * h)).transpose((*range(1, f.ndim), 0)))
 
 
 @dataclass(frozen=True)
@@ -257,8 +262,8 @@ def _pullback(tangents: Array, metric: Array) -> Array:
     it is one product over the batch.
     """
     if metric.ndim == 1:
-        return np.swapaxes(tangents, -1, -2) @ (metric[:, None] * tangents)
-    return np.swapaxes(tangents, -1, -2) @ (metric @ tangents)
+        return tangents.swapaxes(-1, -2) @ (metric[:, None] * tangents)
+    return tangents.swapaxes(-1, -2) @ (metric @ tangents)
 
 
 def tangent_basis(embedding: Embedding, point: Array) -> Array:
@@ -277,18 +282,23 @@ def _det_adjugate(m: Array) -> tuple[Array, Array | None]:
     """det m and its adjugate adj m = (det m) m^-1, for square matrices (..., d, d).
 
     Closed-form cofactors for d <= 3; the 3x3 rows are the cross products of
-    the columns.  Beyond d = 3 the det is LAPACK's and the adjugate None.
+    the columns, a_j b_k - a_k b_j per component as ``np.cross`` forms them.
+    Beyond d = 3 the det is LAPACK's and the adjugate None.
     """
     d = m.shape[-1]
     if d == 1:
         return m[..., 0, 0], np.ones_like(m)
+    adj = np.empty(m.shape)
     if d == 2:
         a, b, c, e = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-        return a * e - b * c, np.stack([e, -b, -c, a], axis=-1).reshape(m.shape)
+        adj[..., 0, 0], adj[..., 0, 1], adj[..., 1, 0], adj[..., 1, 1] = e, -b, -c, a
+        return a * e - b * c, adj
     if d == 3:
-        cols = np.swapaxes(m, -1, -2)
-        adj = np.cross(cols[..., [1, 2, 0], :], cols[..., [2, 0, 1], :])
-        return np.sum(adj[..., 0, :] * cols[..., 0, :], axis=-1), adj
+        cols = m.swapaxes(-1, -2)
+        x, y = cols[..., [1, 2, 0], :], cols[..., [2, 0, 1], :]  # row r: col r+1 x col r+2
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            adj[..., i] = x[..., j] * y[..., k] - x[..., k] * y[..., j]
+        return (adj[..., 0, :] * cols[..., 0, :]).sum(axis=-1), adj
     return np.linalg.det(m), None
 
 
@@ -308,8 +318,8 @@ def _negative_eigenvalues(m: Array, det: Array, adj: Array | None) -> Array:
     changes (zeros skipped) is exact.
     """
     if adj is None:
-        return np.sum(np.linalg.eigvalsh(m) < 0, axis=-1)
-    coefficients = [_sum_last(np.diagonal(c, axis1=-2, axis2=-1))
+        return (np.linalg.eigvalsh(m) < 0).sum(axis=-1)
+    coefficients = [_sum_last(c.diagonal(axis1=-2, axis2=-1))
                     for c in (m, adj)[:m.shape[-1] - 1]] + [det]
     count, last = 0, 1.0
     for c in coefficients:
@@ -361,7 +371,7 @@ def _projected_seeds(g: Array, tangents: Array, gamma_inv: Array) -> Array:
 
     Column mu of P P, with P = 1 - e gamma^-1 (g e)^T the normal projector.
     """
-    proj = np.eye(tangents.shape[-2]) - tangents @ (gamma_inv @ np.swapaxes(g @ tangents, -1, -2))
+    proj = np.eye(tangents.shape[-2]) - tangents @ (gamma_inv @ (g @ tangents).swapaxes(-1, -2))
     return proj @ proj
 
 
@@ -380,17 +390,17 @@ def _gram_schmidt_normals(g: Array, seeds: Array, count_needed: int) -> tuple[Ar
     normals = np.zeros(batch + (n, count_needed))
     found = np.zeros(batch, dtype=int)
     for mu in range(seeds.shape[-1]):
-        if np.all(found == count_needed):
+        if (found == count_needed).all():
             break
         v = seeds[..., :, mu]
-        if np.any(found):
+        if found.any():
             for _ in range(2):
-                proj = np.swapaxes(normals, -1, -2) @ (g @ v[..., None])
+                proj = normals.swapaxes(-1, -2) @ (g @ v[..., None])
                 v = v - (normals @ proj)[..., 0]
-        norm2 = np.sum(v * (g @ v[..., None])[..., 0], axis=-1)
-        euclid2 = np.sum(v * v, axis=-1)
+        norm2 = (v * (g @ v[..., None])[..., 0]).sum(axis=-1)
+        euclid2 = (v * v).sum(axis=-1)
         ok = (found < count_needed) & (euclid2 > 1e-20) & (norm2 > 1e-10 * euclid2)
-        if not np.any(ok):
+        if not ok.any():
             continue
         vhat = np.where(ok[..., None], v / np.sqrt(np.where(ok, norm2, 1.0))[..., None], 0.0)
         vhat = vhat * _first_significant_sign(vhat)[..., None]
@@ -467,7 +477,7 @@ def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
     gref = g @ ref
     one = raw.shape[-1] == 1
     overlap = (_sum_last(raw[..., 0] * gref[..., 0])[..., None, None] if one
-               else np.swapaxes(raw, -1, -2) @ gref)
+               else raw.swapaxes(-1, -2) @ gref)
     if not np.isfinite(overlap).all():
         raise GaugeFailure("non-finite normal-frame overlap in the Procrustes alignment")
     # + 0.0: a zero entry reads +0.0, as the one-term matmul sum gives it
@@ -571,9 +581,9 @@ class _Evaluation(_Local):
     @_lazy
     def induced_metric(self) -> Array:
         bg = self.embedding.background
-        gamma = _pullback(self.tangents, np.diagonal(_signature_matrix(
-            bg.dimension, bg.signature)) if bg.flat else self.g)
-        return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
+        gamma = _pullback(self.tangents, _signature_matrix(
+            bg.dimension, bg.signature).diagonal() if bg.flat else self.g)
+        return 0.5 * (gamma + gamma.swapaxes(-1, -2))
 
     @_lazy
     def cofactors(self) -> tuple[Array, Array | None]:
@@ -609,7 +619,7 @@ class _Evaluation(_Local):
             return (n * _first_significant_sign(n)[..., None])[..., None]
         seeds = _projected_seeds(g, self.tangents, self.induced_metric_inverse)
         normals, found = _gram_schmidt_normals(g, seeds, k)
-        if np.any(found < k):
+        if (found < k).any():
             raise GaugeFailure("could not complete the normal frame from coordinate seeds")
         return normals
 
@@ -621,7 +631,7 @@ class _Evaluation(_Local):
     @_lazy
     def sec(self) -> Array:
         dd = self.embedding.dd_position(self.point)
-        if not np.all(np.isfinite(dd)):
+        if not np.isfinite(dd).all():
             raise DegenerateImmersion("non-finite second derivatives of the map")
         return _covariant(dd, self.chris, self.tangents, self.tangents)
 
@@ -670,7 +680,7 @@ def _connection(fr: _Local, g: Array, sec: Array) -> Array:
 def _twist(cov: Array, normals: Array, g: Array) -> Array:
     """Twist omega_A^{IJ} = n^n_J g_nm (D_A n_I)^m, antisymmetrized, from :func:`_covariant`."""
     omega = _project(normals, g, cov).swapaxes(-3, -2)
-    return 0.5 * (omega - np.swapaxes(omega, -1, -2))
+    return 0.5 * (omega - omega.swapaxes(-1, -2))
 
 
 def extrinsic_curvature(embedding: Embedding, point: Array, *,
@@ -708,18 +718,21 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
     convergence rate for smooth embeddings, also where the normal gauge flips:
     one FD sweep of the frame, normals rotated onto the center's (:func:`_procrustes`).
     """
-    point = np.asarray(point, dtype=float)
-    fr = _frame_at(embedding, point)
+    return _gauss_weingarten(_frame_at(embedding, point), fd_step)
+
+
+def _gauss_weingarten(fr: _Evaluation, fd_step: float) -> tuple[Array, Array]:
+    """:func:`gauss_weingarten_residual` at the points of the checked record ``fr``."""
     g, kk = fr.g, fr.kk
-    d = embedding.worldsheet_dim
+    d = fr.tangents.shape[-1]
 
     def aligned_frame(p: Array) -> Array:
-        f = _Evaluation(embedding, p)
+        f = _Evaluation(fr.embedding, p)
         return np.concatenate([f.tangents, _procrustes(f.normals, fr.normals, g)], axis=-1)
 
     # D_a of each column of the square frame F = [e | n], indexed [mu, column, a]
     cols = np.concatenate([fr.tangents, fr.normals], axis=-1)
-    cov = _covariant(fd_jacobian(aligned_frame, point, fd_step), fr.chris, cols, fr.tangents)
+    cov = _covariant(fd_jacobian(aligned_frame, fr.point, fd_step), fr.chris, cols, fr.tangents)
     # both equations as D_a F = F W_a, W_a = [[Gamma_ab^c, K_a^{c i}], [-K_ab^i, omega_a^{ij}]]
     # (row: the frame column it multiplies; column: the column of F differentiated)
     twist = _twist(cov[..., d:, :], fr.normals, g)
@@ -727,5 +740,6 @@ def gauss_weingarten_residual(embedding: Embedding, point: Array,
     w = np.concatenate([np.concatenate([fr.conn.swapaxes(-1, -2), k_mixed], axis=-1),
                         np.concatenate([-kk.swapaxes(-1, -2), twist.swapaxes(-1, -2)], axis=-1)],
                        axis=-2)
-    res = np.linalg.norm(np.moveaxis(cov, -1, -3) - cols[..., None, :, :] @ w, axis=-2)
-    return np.max(res[..., :d], axis=(-1, -2)), np.max(res[..., d:], axis=(-1, -2))
+    diff = cov.transpose((*range(cov.ndim - 3), -1, -3, -2)) - cols[..., None, :, :] @ w
+    res = np.sqrt((diff * diff).sum(axis=-2))  # np.linalg.norm's sum, in its order
+    return res[..., :d].max(axis=(-1, -2)), res[..., d:].max(axis=(-1, -2))

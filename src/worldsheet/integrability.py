@@ -22,6 +22,8 @@ constant frame rotations.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,10 +70,8 @@ class WorldsheetResiduals:
     ricci: Array | None  # None when the co-dimension is one (family is vacuous)
 
     def max(self) -> float:
-        vals = [np.max(self.gauss_codazzi), np.max(self.codazzi_mainardi)]
-        if self.ricci is not None:
-            vals.append(np.max(self.ricci))
-        return float(max(vals))
+        families = (self.gauss_codazzi, self.codazzi_mainardi, self.ricci)
+        return float(max(f.max() for f in families if f is not None))
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,9 @@ class DirectEdgeResiduals:
     twist_mixed: Array       # Omega_{AB i0} vs the curvature-edge cross terms
 
     def max(self) -> float:
-        vals = [np.max(self.gauss_codazzi), np.max(self.codazzi_mainardi),
-                np.max(self.twist_tangential), np.max(self.twist_mixed)]
-        if self.ricci is not None:
-            vals.append(np.max(self.ricci))
-        return float(max(vals))
+        families = (self.gauss_codazzi, self.codazzi_mainardi, self.twist_tangential,
+                    self.twist_mixed, self.ricci)
+        return float(max(f.max() for f in families if f is not None))
 
 
 _LocalFn = Callable[[Array], _Local]
@@ -147,9 +145,9 @@ def _sweep(at: _LocalFn, point: Array, step: float, center: _Local) -> list[Arra
                                for f in (v.conn, v.kk, v.normals)], axis=-1)
 
     jac = fd_jacobian(fields, point, step)
-    splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
-    return [j.reshape(point.shape[:-1] + s + point.shape[-1:])
-            for s, j in zip(shapes, np.split(jac, splits, axis=-2))]
+    cuts = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
+    return [jac[..., lo:hi, :].reshape(point.shape[:-1] + s + point.shape[-1:])
+            for s, lo, hi in zip(shapes, cuts, cuts[1:])]
 
 
 def _curvature(w: Array, dw: Array) -> Array:
@@ -158,15 +156,16 @@ def _curvature(w: Array, dw: Array) -> Array:
     ``w`` holds the matrices (W_A)^I_J indexed [A, I, J], and ``dw`` their
     derivatives with the direction last, as :func:`_sweep` gives them.
     """
-    d_w = np.moveaxis(dw, -1, -4)  # [A, B, I, J]: d_A W_B
+    d_w = dw.transpose((*range(dw.ndim - 4), -1, -4, -3, -2))  # [A, B, I, J]: d_A W_B
     w_a, w_b = w[..., :, None, :, :], w[..., None, :, :, :]
-    return d_w - np.swapaxes(d_w, -4, -3) + w_a @ w_b - w_b @ w_a
+    return d_w - d_w.swapaxes(-4, -3) + w_a @ w_b - w_b @ w_a
 
 
 def _riemann(v: _Local, dconn: Array) -> Array:
     """Fully lowered R_{ABCD}: the curvature of (W_C)^A_B = Gamma_CB^A, lowered with h_AE."""
-    f = _curvature(np.swapaxes(v.conn, -1, -2), np.swapaxes(dconn, -3, -2))  # [C, D, A, B]
-    return np.moveaxis(v.induced_metric[..., None, None, :, :] @ f, (-4, -3), (-2, -1))
+    f = _curvature(v.conn.swapaxes(-1, -2), dconn.swapaxes(-3, -2))  # [C, D, A, B]
+    r = v.induced_metric[..., None, None, :, :] @ f
+    return r.transpose((*range(r.ndim - 4), -2, -1, -4, -3))
 
 
 def _twist_curvature(at: _LocalFn, omega0: Array, point: Array, step: float) -> Array:
@@ -198,7 +197,7 @@ def _level(v: _Local, at: _LocalFn, point: Array, step: float
 def _frame_pullback(r: Array, f: Array) -> Array:
     """R(F, F, F, F): each slot of the 4-tensor ``r`` contracted with the columns of ``f``."""
     for _ in range(4):  # the first slot moves last and is contracted, four times over
-        r = np.moveaxis(r, -4, -1) @ f[..., None, None, :, :]
+        r = r.transpose((*range(r.ndim - 4), -3, -2, -1, -4)) @ f[..., None, None, :, :]
     return r
 
 
@@ -217,8 +216,7 @@ def _structure_residuals(r_amb: Array, v: _Local, riemann: Array, dk: Array,
     r_frame = _frame_pullback(r_amb, np.concatenate([t, n], axis=-1))
     kk_term = (np.einsum("...aci,...bdi->...abcd", kk, kk)
                - np.einsum("...adi,...bci->...abcd", kk, kk))
-    gauss = np.max(np.abs(r_frame[..., :d, :d, :d, :d] - (riemann - kk_term)),
-                   axis=(-4, -3, -2, -1))
+    gauss = np.abs(r_frame[..., :d, :d, :d, :d] - (riemann - kk_term)).max(axis=(-4, -3, -2, -1))
 
     cov_k = (np.einsum("...bcia->...abci", dk)
              - np.einsum("...abd,...dci->...abci", conn, kk)
@@ -252,9 +250,13 @@ def worldsheet_riemann(embedding: Embedding, point: Array,
     Assembled by central differencing of the worldsheet connection; the
     standard antisymmetries hold to the FD tolerance.
     """
-    point = np.asarray(point, dtype=float)
-    v, at = _sheet_level(_frame_at(embedding, point))
-    return _riemann(v, _sweep(at, point, step, v)[0])
+    return _sheet_riemann(_frame_at(embedding, point), step)
+
+
+def _sheet_riemann(loc: _Evaluation, step: float) -> Array:
+    """:func:`worldsheet_riemann` at the points of the checked record ``loc``."""
+    v, at = _sheet_level(loc)
+    return _riemann(v, _sweep(at, loc.point, step, v)[0])
 
 
 def _ambient_riemann_lowered(embedding: Embedding, v: _Local) -> Array:
@@ -264,7 +266,7 @@ def _ambient_riemann_lowered(embedding: Embedding, v: _Local) -> Array:
 
 def _flat_max(t: Array, point: Array) -> Array:
     """Max-abs over all non-batch axes."""
-    return np.max(np.abs(t).reshape(t.shape[:point.ndim - 1] + (-1,)), axis=-1)
+    return np.abs(t).reshape(t.shape[:point.ndim - 1] + (-1,)).max(axis=-1)
 
 
 def worldsheet_integrability_residuals(
@@ -293,10 +295,13 @@ def boundary_integrability_residuals(bnd: BoundaryEmbedding, point: Array,
     ``verify`` lists this row only for edges of dimension >= 2.
     """
     point = np.asarray(point, dtype=float)
-    bl = _boundary_local(bnd, point)
-    xi = bl.edge.x
-    ws, ws_at = _sheet_level(bl.sheet)
-    r_ws = _riemann(ws, _sweep(ws_at, xi, step, ws)[0])
+    return _boundary_integrability(bnd, _boundary_local(bnd, point), point, step)
+
+
+def _boundary_integrability(bnd: BoundaryEmbedding, bl: _EdgeLocal, point: Array,
+                            step: float) -> tuple[Array, Array]:
+    """:func:`boundary_integrability_residuals` from the checked record ``bl`` at ``point``."""
+    r_ws = _sheet_riemann(bl.sheet, step)
     # the edge in the sheet: its one normal eta is signed by the edge's orientation
     v, at = bl.edge, lambda u: _boundary_local(bnd, u, _Evaluation).edge
     gauss, codazzi, _ = _structure_residuals(r_ws, v, *_level(v, at, point, step))
@@ -317,7 +322,12 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     A, B), so the values are roundoff; ``verify`` lists it for edges of dimension >= 2.
     """
     point = np.asarray(point, dtype=float)
-    bl = _boundary_local(bnd, point)
+    return _direct_embedding(bnd, _boundary_local(bnd, point), point, step)
+
+
+def _direct_embedding(bnd: BoundaryEmbedding, bl: _EdgeLocal, point: Array,
+                      step: float) -> DirectEdgeResiduals:
+    """:func:`direct_embedding_residuals` from the checked record ``bl`` at ``point``."""
     bd, xi = bl.bd, bl.edge.x
     v, at = _spacetime_level(bnd, bl)
     riemann, dk, omega, big_omega = _level(v, at, point, step)
@@ -332,14 +342,14 @@ def direct_embedding_residuals(bnd: BoundaryEmbedding, point: Array,
     ws, ws_at = _sheet_level(bl.sheet)
     m = _pull_pair(bd.normal_in_m[..., None], eps, ws.kk)[..., 0, :, :]  # eta^a eps^b_A K_ab^i
     m_cross = np.einsum("...Ai,...Bj->...ABij", m, m)
-    inherited = np.swapaxes(m_cross, -4, -3) - m_cross
+    inherited = m_cross.swapaxes(-4, -3) - m_cross
     if bnd.parent.codimension >= 2:
         inherited = inherited + _pull_pair(eps, eps, _level(ws, ws_at, xi, step)[3])
     res_twist_t = _flat_max(big_omega[..., 1:, 1:] - inherited, point)
 
     k_up = bd.edge_curvature @ bd.boundary_metric_inverse  # k_B^C
     cross = np.einsum("...ACi,...BC->...ABi", _pull_pair(eps, eps, ws.kk), k_up)
-    rhs_mixed = cross - np.swapaxes(cross, -3, -2)
+    rhs_mixed = cross - cross.swapaxes(-3, -2)
     res_twist_m = _flat_max(big_omega[..., 1:, 0] - rhs_mixed, point)
 
     return DirectEdgeResiduals(gauss, codazzi, ricci, res_twist_t, res_twist_m)

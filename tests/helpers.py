@@ -291,3 +291,35 @@ def einsum_twist(cov, normals, g):
 
 def einsum_projector(eps, h_inv):
     return np.einsum("...aA,...AB,...bB->...ab", eps, h_inv, eps)
+
+
+# Reference oracles for the small-batch kernels: the numpy wrapper forms that
+# ``geometry._det_adjugate`` (``np.stack``, ``np.cross``), ``geometry.fd_jacobian``
+# (``np.moveaxis``) and ``catalog._stack`` and ``_sym2`` (``np.stack``) replaced
+# with the C-level operations those wrappers reduce to.  They must agree bit for bit.
+
+
+def stacked_det_adjugate(m):
+    d = m.shape[-1]
+    if d == 1:
+        return m[..., 0, 0], np.ones_like(m)
+    if d == 2:
+        a, b, c, e = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        return a * e - b * c, np.stack([e, -b, -c, a], axis=-1).reshape(m.shape)
+    cols = np.swapaxes(m, -1, -2)
+    adj = np.cross(cols[..., [1, 2, 0], :], cols[..., [2, 0, 1], :])
+    return np.sum(adj[..., 0, :] * cols[..., 0, :], axis=-1), adj
+
+
+def moveaxis_fd_jacobian(fn, point, step):
+    point = np.asarray(point, dtype=float)
+    d = point.shape[-1]
+    h = step * _step_scale(point)
+    shift = h * np.eye(d).reshape((d,) + (1,) * (h.ndim - 1) + (d,))
+    f = fn(np.concatenate([point + shift, point - shift]))
+    h = h.reshape(point.shape[:-1] + (1,) * (f.ndim - point.ndim))
+    return np.ascontiguousarray(np.moveaxis((f[:d] - f[d:]) / (2.0 * h), 0, -1))
+
+
+def stacked_sym2(xx, xy, yy):
+    return np.stack([np.stack([xx, xy], axis=-1), np.stack([xy, yy], axis=-1)], axis=-1)

@@ -4,17 +4,19 @@ Each property pins one rewritten kernel of ``geometry`` to the numpy form it
 replaced, which is kept here only: ``.sum(axis=-1)`` and ``np.trace`` (numpy
 adds a short axis left to right from +0.0), the argmax form of the first
 significant sign, and the per-point matmuls of the flat Hodge normal, the
-flat pullback and the one-column Procrustes flip.  Bits are compared as
-integers, so -0.0 and +0.0 differ.
+flat pullback and the one-column Procrustes flip.  The small-batch kernels
+that fill arrays in place of numpy's Python-level wrappers (``np.stack``,
+``np.cross``, ``np.moveaxis``, ``np.broadcast_to``) equal the wrapper forms
+kept in ``helpers``.  Bits are compared as integers, so -0.0 and +0.0 differ.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from worldsheet import catalog
-from worldsheet.background import EUCLIDEAN, LORENTZIAN, _signature_matrix
+from worldsheet.background import EUCLIDEAN, LORENTZIAN, _signature_matrix, minkowski
 from worldsheet.geometry import (
     _covariant,
     _det_adjugate,
@@ -27,9 +29,13 @@ from worldsheet.geometry import (
     _procrustes,
     _pullback,
     _sum_last,
+    fd_jacobian,
 )
 
+from helpers import moveaxis_fd_jacobian, stacked_det_adjugate, stacked_sym2
+
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+SMALL = settings(derandomize=True, max_examples=40, deadline=None)  # the wrapper forms
 
 # finite doubles, subnormals included, with signed zeros and ones weighted in;
 # the bound keeps products of three entries finite
@@ -186,3 +192,45 @@ def test_flat_sheet_second_order_is_the_plain_second_derivative():
     assert np.array_equal(bits(loc.sec), bits(dd))
     zeros = np.zeros(pts.shape[:-1] + (3, 3, 3))
     assert np.array_equal(loc.sec, _covariant(dd, zeros, loc.tangents, loc.tangents))
+
+
+@SMALL
+@given(m=batches(st.integers(1, 3).map(lambda d: (d, d))))
+@example(m=np.zeros((0, 3, 3)))
+@example(m=np.array([[[-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [2.0, -0.0, -0.0]]]))
+@example(m=np.array([[-0.0, 0.0], [-0.0, -0.0]]))
+def test_det_adjugate_equals_the_stack_and_cross_forms(m):
+    with np.errstate(all="ignore"):
+        for got, expect in zip(_det_adjugate(m), stacked_det_adjugate(m)):
+            assert_same_bits(got, expect)
+
+
+@SMALL
+@given(cols=st.tuples(st.integers(0, 3), st.integers(1, 4)).flatmap(
+    lambda shape: arrays(np.float64, (3,) + shape, elements=ENTRIES)))
+def test_catalog_stacks_equal_np_stack(cols):
+    assert_same_bits(catalog._stack(*cols), np.stack(cols, axis=-1))
+    assert_same_bits(catalog._sym2(*cols), stacked_sym2(*cols))
+
+
+MODERATE = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@SMALL
+@given(point=st.integers(1, 3).flatmap(lambda d: st.integers(0, 3).flatmap(
+    lambda b: arrays(np.float64, (b, d), elements=MODERATE))),
+    out_shape=st.sampled_from([(), (2,), (3, 2)]))
+def test_fd_jacobian_equals_the_moveaxis_form(point, out_shape):
+    def fn(p):  # a smooth field of any output rank, so the stencil rows differ
+        base = np.sin(p).sum(axis=-1) + p[..., 0] ** 3
+        return base.reshape(base.shape + (1,) * len(out_shape)) * np.arange(
+            1.0, 1.0 + np.prod(out_shape)).reshape(out_shape)
+
+    assert_same_bits(fd_jacobian(fn, point, 1e-3), moveaxis_fd_jacobian(fn, point, 1e-3))
+
+
+def test_flat_metric_is_the_broadcast_signature_matrix():
+    bg, x = minkowski(4), np.zeros((2, 3, 4))
+    g, expect = bg.metric_at(x), np.broadcast_to(_signature_matrix(4, LORENTZIAN), (2, 3, 4, 4))
+    assert g.strides == expect.strides and not g.flags.writeable
+    assert_same_bits(g, expect)

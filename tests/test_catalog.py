@@ -69,6 +69,29 @@ def test_unknown_expected_quantity_is_a_key_error(entry_id, quantity, message):
         catalog.evaluate_entry(entry)
 
 
+def test_worst_reports_the_signed_sample_farthest_from_the_expected_value():
+    assert catalog._worst([1.0, -3.0, 2.0], 0.0) == -3.0
+    # about a non-zero expected value the distance is |q - expected|: -3 is 5 from 2
+    assert catalog._worst([1.0, -3.0, 2.0], 2.0) == -3.0
+    assert catalog._worst([0.5, 1.9], 1.0) == 1.9
+
+
+def test_laplacian_form_agreement_row_holds_on_an_off_solution_edge():
+    # the moving edge chi(t) = (t, 0.8 + 0.1 sin t) of the helicoid violates the
+    # boundary conditions, so both forms of the row are non-zero; they cancel
+    helicoid = catalog.helicoid(0.5, 1.0)
+    moving = catalog._graph_boundary(
+        helicoid.embedding, lambda u: 0.8 + 0.1 * np.sin(u[..., 0]),
+        lambda u: 0.1 * np.cos(u[..., :1]), lambda u: -0.1 * np.sin(u[..., :1])[..., None], 1)
+    entry = dataclasses.replace(
+        helicoid, domain=((0.0, 1.0), (-1.0, moving)),
+        expected=(catalog.ExpectedValue("boundary_condition_max", 0.0, 1e-9, "paper"),
+                  catalog.ExpectedValue("laplacian_form_agreement", 0.0, 1e-8, "derived")))
+    rows = {q: (value, ok) for q, value, _, _, ok in catalog.evaluate_entry(entry)}
+    assert rows["boundary_condition_max"][0] > 1e-2
+    assert rows["laplacian_form_agreement"][1]
+
+
 def test_entry_parsing():
     entry = catalog.entry_from_id("helicoid:omega=0.4,R=1.5")
     assert entry.parameters["omega"] == pytest.approx(0.4)

@@ -9,7 +9,8 @@ An edge kernel evaluates the boundary map chi and its derivatives once per
 point batch as well, and the callers that need only the first-order edge
 frame take no second derivative of either map.  ``verify`` evaluates each
 edge of an entry once for all the edge rows that read the edge at its sample
-points.
+points, and checks the sheet, or each edge, once for all the rows that read it
+at one subset of those points.
 
 The integrability residuals evaluate the map, and the background metric with
 it, once per point of each stencil sweep they make, at the sample points and
@@ -255,6 +256,29 @@ def test_verify_edge_rows_add_one_evaluation_per_edge_to_the_sweeps(counts):
     swept = counts["dd_chi"]
     catalog.evaluate_entry(hole)
     assert counts["dd_chi"] - swept == swept + len(hole.boundaries)
+
+
+# the rows that read the sheet at every sixth sample point, and each edge at
+# every third edge point: one checked record of each point set for all of them
+SHEET_SUBSET_ROWS = ("scalar_curvature_dev", "gauss_weingarten_max")
+EDGE_SUBSET_ROWS = ("integrability_boundary", "integrability_direct")
+
+
+@pytest.mark.parametrize("entry_id", ["helicoid", "plane", "sphere", "torus"])
+def test_verify_checks_the_sheet_once_for_its_subset_rows(checked, entry_id):
+    entry = catalog.entry_from_id(entry_id)
+    rows = tuple(e for e in entry.expected if e.quantity in SHEET_SUBSET_ROWS)
+    assert sorted(e.quantity for e in rows) == sorted(SHEET_SUBSET_ROWS)
+    catalog.evaluate_entry(dataclasses.replace(entry, expected=rows))
+    assert checked["other"] == [7]  # sample_grid()[::4], once for both rows
+
+
+def test_verify_checks_each_edge_once_for_its_subset_rows(checked):
+    hole = catalog.entry_from_id("hole")
+    rows = tuple(e for e in hole.expected if e.quantity in EDGE_SUBSET_ROWS)
+    assert sorted(e.quantity for e in rows) == sorted(EDGE_SUBSET_ROWS)
+    catalog.evaluate_entry(dataclasses.replace(hole, expected=rows))
+    assert checked["other"] == [4] * len(hole.boundaries)  # boundary_grid()[::16]
 
 
 def verify_sheet(entry_id):

@@ -16,9 +16,10 @@ step of ``dynamics.evolve`` on the same string (its loop, where a step takes
 over what the previous one computed), ``position``, ``frame``,
 ``normal_frame``, ``extrinsic_curvature`` and ``boundary_data`` on the catalog
 helicoid at each batch size, the checked evaluation ``geometry._frame_at`` of
-the helicoid at 4096 points, and ``variation.first_variation_fd`` on the
+the helicoid at 4096 points, ``variation.first_variation_fd`` on the
 helicoid at 16 x 16 quadrature points (the workload ``variation-fd`` runs it at
-64 x 64).  Each round times every kernel once in each
+64 x 64), and ``catalog.evaluate_entry`` on the catalog helicoid and hole (the
+rows of ``verify``, which the workload ``catalog-cli`` runs).  Each round times every kernel once in each
 version, alternating which version goes first, and the best time per call of
 each version is kept.  Timing both versions in one process, round by round,
 cancels most of the drift of a shared machine; a REV equal to the working
@@ -114,6 +115,9 @@ def kernels(pkg: str, grid_points: int, batches: list[int]) -> dict[str, tuple]:
         f"first_variation_fd {FD_QUADRATURE}x{FD_QUADRATURE}": (
             lambda: variation.first_variation_fd(emb, edges, cfg, defo, 1e-2), 1),
     })
+    for name in ("helicoid", "hole"):
+        listed = catalog.entry_from_id(name)
+        calls[f"evaluate_entry {name}"] = (lambda e=listed: catalog.evaluate_entry(e), 1)
     return calls
 
 

@@ -105,7 +105,7 @@ MUTANTS = {
             "total = a[..., 0].copy()",
             "keeps the -0.0 of an all -0.0 row in `_sum_last`, where numpy's sum reads +0.0"),
     "M39": ("src/worldsheet/geometry.py",
-            "_sum_last(np.diagonal(c, axis1=-2, axis2=-1))",
+            "_sum_last(c.diagonal(axis1=-2, axis2=-1))",
             "_sum_last(c[..., 0, :])",
             "sums the first row for a trace in `_negative_eigenvalues`"),
     "M40": ("src/worldsheet/geometry.py",
@@ -191,6 +191,22 @@ MUTANTS = {
             "for j in range(2, prods.shape[-1]):",
             "for j in range(2, prods.shape[-1] - 1):",
             "leaves the last component out of the column sums in `constraint_norms`"),
+    "M59": ("src/worldsheet/catalog.py",
+            "idx = np.argmax(np.abs(values - expected))",
+            "idx = np.argmax(np.abs(values + expected))",
+            "measures a sample's distance from minus the expected value in `_worst`"),
+    "M60": ("src/worldsheet/catalog.py",
+            "np.linalg.norm(_projected_trace(bl) + _laplacian_residuals(bl, mu0, mub).normal,",
+            "np.linalg.norm(_projected_trace(bl) - _laplacian_residuals(bl, mu0, mub).normal,",
+            "subtracts the two forms of `laplacian_form_agreement`, which cancel when added"),
+    "M61": ("src/worldsheet/geometry.py",
+            "for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):",
+            "for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):",
+            "flips the sign of one component of the 3x3 adjugate's cross products"),
+    "M62": ("src/worldsheet/catalog.py",
+            "sheet = cache(lambda: _frame_at(entry.embedding, _every(pts, 6)))",
+            "sheet = cache(lambda: _frame_at(entry.embedding, _every(pts, 4)))",
+            "builds `verify`'s shared sheet record at the 5-point subset, not the 7-point one"),
 }
 
 
