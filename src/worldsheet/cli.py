@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -227,12 +228,12 @@ def cmd_verify(args) -> int:
 
 
 def _trajectory_rows(snapshots) -> Iterator[str]:
-    """One block of preformatted lines per snapshot, written by ``_write_csv`` as it stands:
-    the bytes of ``csv.writer``, as no formatted number or node index needs quoting."""
+    """Each snapshot as one ``%`` of the run's (M, N) row template, its "T"s (in no formatted
+    float) replaced by the time: the bytes of ``csv.writer``, as no field needs quoting."""
+    m, n = snapshots[0].positions.shape
+    block = "".join([f"T{idx}," + ",".join([FLOAT_FMT] * n) + "\n" for idx in range(m)])
     for s in snapshots:
-        t = _fmt(s.time) + ","
-        line = "%d," + ",".join([FLOAT_FMT] * s.positions.shape[1]) + "\n"
-        yield "".join([t + line % (idx, *node) for idx, node in enumerate(s.positions.tolist())])
+        yield (block % tuple(s.positions.ravel().tolist())).replace("T", _fmt(s.time) + ",")
 
 
 def cmd_evolve(args) -> int:
@@ -253,33 +254,24 @@ def cmd_evolve(args) -> int:
     digest = config_digest(config)
     out_dir = Path(args.out_dir)
     _prepare_out_dir(out_dir, digest, args.force)
-    event = None
     try:
-        traj = evolve(sim)
-        event = traj.terminal_event
-        snapshots = traj.snapshots
-        status = 0
+        traj, status = evolve(sim), 0
     except ConstraintBlowup as exc:
-        event = "constraint_blowup"
-        snapshots = exc.trajectory.snapshots
-        status = 1
+        traj, status = exc.trajectory, 1  # its terminal_event is "constraint_blowup"
+    event, snapshots = traj.terminal_event, traj.snapshots
 
-    n_comp = snapshots[0].positions.shape[1]
     end_rows, diag_rows = [], []
     for s in snapshots:
         for name, x, ep in zip(("left", "right"), s.positions[[0, -1]], s.endpoints):
-            end_rows.append([s.time, name] + list(x) + list(ep.four_velocity)
-                            + [ep.proper_time])
+            end_rows.append([s.time, name, *x, *ep.four_velocity, ep.proper_time])
         d = diagnostics(s)
-        acc = [e.acceleration_magnitude for e in d.endpoints]
-        diag_rows.append([s.time, d.constraint_norms[0], d.constraint_norms[1],
-                          d.total_energy, d.angular_momentum,
-                          acc[0] if acc[0] is not None else float("nan"),
-                          acc[1] if acc[1] is not None else float("nan")])
-    comp_names = [f"x{i}" for i in range(n_comp)]
+        acc = [math.nan if e.acceleration_magnitude is None else e.acceleration_magnitude
+               for e in d.endpoints]
+        diag_rows.append([s.time, *d.constraint_norms, d.total_energy, d.angular_momentum, *acc])
+    comp_names = [f"x{i}" for i in range(snapshots[0].positions.shape[1])]
     _write_outputs(out_dir, "evolve", digest, started, event, {
         "trajectory.csv": (["t", "node"] + comp_names, _trajectory_rows(snapshots)),
-        "endpoints.csv": (["t", "side"] + comp_names + [f"u{i}" for i in range(n_comp)]
+        "endpoints.csv": (["t", "side"] + comp_names + [f"u{i}" for i in range(len(comp_names))]
                           + ["proper_time"], end_rows),
         "diagnostics.csv": (["t", "constraint_mixed", "constraint_norm", "energy",
                              "angular_momentum", "acc_left", "acc_right"], diag_rows),
@@ -368,7 +360,9 @@ def cmd_scan(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process; each ``cmd_*`` looks its callees up per call."""
     parser = argparse.ArgumentParser(
         prog="worldsheet",
         description="Geometry and dynamics of relativistic sheets with massive edges")
@@ -397,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, InvalidParameters) as exc:

@@ -1,4 +1,4 @@
-"""Time evolution of a string with massive endpoints in flat Minkowski space.
+"""Time evolution of a string with massive endpoints in flat 2+1 Minkowski space.
 
 Interior nodes obey the wave equation of the orthonormal (conformal) gauge,
 integrated by velocity-Verlet leapfrog.  Each endpoint is its own relativistic
@@ -11,10 +11,11 @@ collapse from rest at x0 = 1).  With its edge tangent frozen over a step, an end
 moves on an exact hyperbola, taken in closed form by one float kernel per end,
 ``_step_end``: a position-only predictor, the step-midpoint tangent, a corrector
 with it, then the new tangent and its speed.  ``evolve`` loops ``_advance`` on
-raw arrays and float lists, hands each step the half kick, edge rows, tangents
-and speeds the step before computed, and builds a ``StringState`` only to store
-it; ``step`` wraps the same kernel.  The float kernels keep numpy's operation
-order, so they match array forms of the same formulas to the bit.  Units: c = 1.
+raw (M, 3) arrays and 3-vectors (t, x, y), hands each step the half kick, edge
+rows, tangents and speeds the step before computed, and builds a ``StringState``
+only to store it; ``step`` wraps the same kernel.  The float kernels unpack their
+3-vectors and keep numpy's operation order, so they match array forms of the
+same formulas to the bit.  Units: c = 1.
 """
 
 from __future__ import annotations
@@ -72,15 +73,15 @@ class EndpointState:
 
 @dataclass
 class StringState:
-    """Discretized string on a worldsheet-time slice.
+    """Discretized string on a worldsheet-time slice in 2+1 Minkowski space.
 
-    ``positions``/``velocities`` hold all M nodes, the endpoints as the first
-    and last rows; ``endpoints`` holds what else each end carries.
+    ``positions``/``velocities`` are (M, 3), all M nodes as (t, x, y) rows, the
+    endpoints first and last; ``endpoints`` holds what else each end carries.
     """
 
     time: float
-    positions: Array        # (M, N)
-    velocities: Array       # (M, N)
+    positions: Array        # (M, 3)
+    velocities: Array       # (M, 3)
     endpoints: tuple[EndpointState, EndpointState]
     tensions: Tensions
     dsigma: float
@@ -115,46 +116,51 @@ class SimulationConfig:
             raise InvalidParameters("bad constraint tolerance or output stride")
 
 
-# Float kernels of one endpoint: vectors are lists of Python floats.
+# Float kernels of one endpoint: 3-vectors (t, x, y) of Python floats, unpacked.
 
 
-def _fdot(u: list, v: list) -> float:
-    """Minkowski product in numpy's order, -u0 v0 + (0.0 + u1 v1 + ...): numpy sums a
+def _fdot(u, v) -> float:
+    """Minkowski product in numpy's order, -u0 v0 + (0.0 + u1 v1 + u2 v2): numpy sums a
     short axis left to right from 0.0, and starting there too keeps a zero sum's sign."""
-    s = 0.0
-    for i in range(1, len(u)):
-        s += u[i] * v[i]
-    return -u[0] * v[0] + s
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return -u0 * v0 + (0.0 + u1 * v1 + u2 * v2)
 
 
-def _unit_timelike(u: list) -> list:
+def _unit_timelike(u) -> tuple:
     norm = math.sqrt(max(-_fdot(u, u), 1e-300))
-    return [c / norm for c in u]
+    return u[0] / norm, u[1] / norm, u[2] / norm
 
 
-def _eta(edge_tangent: list, u: list) -> list:
+def _eta(edge_tangent, u) -> tuple:
     """Unit outward worldsheet vector: edge tangent orthonormalized against u."""
     d = _fdot(edge_tangent, u)
-    v = [t + d * c for t, c in zip(edge_tangent, u)]
+    (t0, t1, t2), (u0, u1, u2) = edge_tangent, u
+    v0, v1, v2 = v = (t0 + d * u0, t1 + d * u1, t2 + d * u2)
     norm = math.sqrt(max(_fdot(v, v), 1e-300))
-    return [c / norm for c in v]
+    return v0 / norm, v1 / norm, v2 / norm
 
 
-def _rest_norm(v: list, u: list) -> float:
+def _rest_norm(v, u) -> float:
     """Euclidean norm of v in the rest frame of the unit timelike u: sqrt(v.v + 2 (v.u)^2)."""
     return math.sqrt(max(_fdot(v, v) + 2.0 * _fdot(v, u) ** 2, 0.0))
 
 
-def _speed(edge_tangent: list) -> float:
+def _speed(edge_tangent) -> float:
     """Norm of the edge tangent: the proper-time rate of the endpoint."""
     return math.sqrt(max(_fdot(edge_tangent, edge_tangent), 1e-300))
 
 
-def _outward_tangent(a: list, b: list, c: list, dsigma: float) -> list:
+def _outward_tangent(a, b, c, dsigma: float) -> tuple:
     """Second-order one-sided sigma derivative at the edge row ``a`` from the next rows inward
     ``b``, ``c``; at the left edge it is minus the sigma derivative, so both point outward."""
     h = 2.0 * dsigma
-    return [(3.0 * p - 4.0 * q + r) / h for p, q, r in zip(a, b, c)]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c
+    return ((3.0 * a0 - 4.0 * b0 + c0) / h, (3.0 * a1 - 4.0 * b1 + c1) / h,
+            (3.0 * a2 - 4.0 * b2 + c2) / h)
+
+
+def _midpoint(p, q) -> tuple:
+    return 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]), 0.5 * (p[2] + q[2])
 
 
 def _initial_state(sigma: Array, x: Array, y_rate: Array | float, tensions: Tensions,
@@ -232,7 +238,8 @@ def constraint_norms(state: StringState) -> tuple[float, float]:
 def _constraint_norms(pos: Array, vel: Array, dsigma: float) -> tuple[float, float]:
     """``constraint_norms`` on raw arrays: the products of the contiguous (M-2, N) rows,
     their columns summed in ``_fdot``'s order, as abs drops a zero's sign."""
-    xp = (pos[2:] - pos[:-2]) / (2.0 * dsigma)
+    xp = pos[2:] - pos[:-2]
+    xp /= 2.0 * dsigma
     xd = vel[1:-1]
     prods = np.empty((3, *xd.shape))
     for out, a, b in zip(prods, (xd, xd, xp), (xp, xd, xp)):
@@ -240,14 +247,13 @@ def _constraint_norms(pos: Array, vel: Array, dsigma: float) -> tuple[float, flo
     total = prods[..., 1]
     for j in range(2, prods.shape[-1]):
         total = total + prods[..., j]
-    diff = total - prods[..., 0]  # rows: mixed, xd2, xp2
+    diff = np.subtract(total, prods[..., 0], out=total)  # rows: mixed, xd2, xp2
     diff[1] += diff[2]
     return tuple(np.abs(diff[:2]).max(axis=1).tolist())
 
 
-def _end_position(x0: list, u0: list, tangent: list, speed: float, accel: float,
-                  dt: float) -> tuple:
-    """(X, dtau, w, eta0) of one endpoint after one step: its position, in closed form.
+def _end_position(x0, u0, tangent, speed: float, accel: float, dt: float) -> tuple:
+    """(X, dtau, w, sinh(w), eta0) of one endpoint after one step: its position, in closed form.
 
     ``speed`` is ``_speed(tangent)`` and ``accel`` the pull mu0/mub.  The rates are dX/dt
     = u speed and du/dt = -accel eta speed.  With the tangent frozen the motion is
@@ -256,25 +262,25 @@ def _end_position(x0: list, u0: list, tangent: list, speed: float, accel: float,
     """
     dtau = speed * dt
     w = accel * dtau
-    eta0 = _eta(tangent, u0)
-    if w == 0.0:  # no pull, or one so weak that w underflows
-        along, across = dtau, 0.0
-    else:
-        along, across = dtau * (math.sinh(w) / w), dtau * (2.0 * math.sinh(0.5 * w) ** 2 / w)
-    x = [p + along * a - across * e for p, a, e in zip(x0, u0, eta0)]
-    return x, dtau, w, eta0
+    e0, e1, e2 = eta0 = _eta(tangent, u0)
+    sinh = math.sinh(w)
+    along, across = ((dtau, 0.0) if w == 0.0  # no pull, or one so weak that w underflows
+                     else (dtau * (sinh / w), dtau * (2.0 * math.sinh(0.5 * w) ** 2 / w)))
+    (p0, p1, p2), (a0, a1, a2) = x0, u0
+    x = (p0 + along * a0 - across * e0, p1 + along * a1 - across * e1,
+         p2 + along * a2 - across * e2)
+    return x, dtau, w, sinh, eta0
 
 
-def _advance_end(x0: list, u0: list, tau0: float, tangent: list, accel: float,
-                 dt: float) -> tuple[list, list, float]:
+def _advance_end(x0, u0, tau0: float, tangent, accel: float, dt: float) -> tuple:
     """(X, u renormalized, tau) of one endpoint after one step (``_end_position``)."""
-    x, dtau, w, eta0 = _end_position(x0, u0, tangent, _speed(tangent), accel, dt)
-    sinh, cosh = math.sinh(w), math.cosh(w)
-    u = _unit_timelike([cosh * a - sinh * e for a, e in zip(u0, eta0)])
+    x, dtau, w, sinh, (e0, e1, e2) = _end_position(x0, u0, tangent, _speed(tangent), accel, dt)
+    cosh, (a0, a1, a2) = math.cosh(w), u0
+    u = _unit_timelike((cosh * a0 - sinh * e0, cosh * a1 - sinh * e1, cosh * a2 - sinh * e2))
     return x, u, tau0 + dtau
 
 
-def _end_facts(rows: list, dsigma: float) -> tuple[list, list, float]:
+def _end_facts(rows: list, dsigma: float) -> tuple[list, tuple, float]:
     """(rows, outward tangent, its ``_speed``) of one end, from its three rows, edge row first."""
     tangent = _outward_tangent(*rows, dsigma)
     return rows, tangent, _speed(tangent)
@@ -297,9 +303,7 @@ def _step_end(facts: tuple, inner: list, start: tuple, accel: float, dt: float,
     edge row: (X, (u, tau), step-midpoint tangent, new ``_end_facts``)."""
     ((x0, b0, c0), tangent, speed), (u0, tau0), (b1, c1) = facts, start, inner
     x1 = _end_position(x0, u0, tangent, speed, accel, dt)[0]
-    mid = _outward_tangent([0.5 * (p + q) for p, q in zip(x0, x1)],
-                           [0.5 * (p + q) for p, q in zip(b0, b1)],
-                           [0.5 * (p + q) for p, q in zip(c0, c1)], dsigma)
+    mid = _outward_tangent(_midpoint(x0, x1), _midpoint(b0, b1), _midpoint(c0, c1), dsigma)
     x, u, tau = _advance_end(x0, u0, tau0, mid, accel, dt)
     return x, (u, tau), mid, _end_facts([x, *inner], dsigma)
 
@@ -319,7 +323,10 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     Steps dt = ``config.dt_fraction`` * dsigma.  Raises ConstraintBlowup when the
     gauge constraints exceed 100x the configured tolerance or are not finite (a NaN
     state), and EndpointCollision when the endpoint separation falls below grid resolution.
+    Positions and velocities other than (M, 3), 2+1 dimensions, raise InvalidParameters.
     """
+    if state.positions.shape[1:] != (3,) or state.velocities.shape != state.positions.shape:
+        raise InvalidParameters("string positions and velocities must be (M, 3)")
     starts = [(ep.four_velocity.tolist(), ep.proper_time) for ep in state.endpoints]
     time, pos, vel, ends, mids, _ = _advance(
         state.time, state.positions, state.velocities, starts,
@@ -428,8 +435,11 @@ def diagnostics(state: StringState) -> DiagnosticsRecord:
     are None until one step of history exists, and the angle is None when the
     measured acceleration is exactly zero (force-free ends, mu0 = 0).  Energy
     sums the interior density mu0 * dX^0/dt with trapezoidal weights plus
-    mub * u^0 per end; angular momentum is the z-component analogue.
+    mub * u^0 per end; angular momentum is the z-component analogue.  A state that
+    is not (M, 3) raises InvalidParameters, as in ``step``.
     """
+    if state.positions.shape[1:] != (3,) or state.velocities.shape != state.positions.shape:
+        raise InvalidParameters("string positions and velocities must be (M, 3)")
     mu0 = state.tensions.mu0
     w = np.ones(state.grid_points)
     w[0] = w[-1] = 0.5
@@ -462,9 +472,5 @@ def diagnostics(state: StringState) -> DiagnosticsRecord:
         # of the unit vectors there, which keeps its accuracy near zero
         chord = _rest_norm([a / na + e / ne for a, e in zip(acc, eta_mid)], u_mid)
         diags.append(EndpointDiagnostics(mag, 2.0 * math.asin(min(0.5 * chord, 1.0))))
-    return DiagnosticsRecord(
-        constraint_norms=constraint_norms(state),
-        total_energy=energy,
-        angular_momentum=ang,
-        endpoints=(diags[0], diags[1]),
-    )
+    return DiagnosticsRecord(constraint_norms=constraint_norms(state), total_energy=energy,
+                             angular_momentum=ang, endpoints=(diags[0], diags[1]))

@@ -4,13 +4,14 @@ import csv
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from worldsheet.cli import FLOAT_FMT, _scan_point_hole, main
+from worldsheet.cli import FLOAT_FMT, _scan_point_hole, _trajectory_rows, _write_csv, main
 from worldsheet.dynamics import SimulationConfig, evolve
 from worldsheet.errors import InconsistentGeometry, WorldsheetError
 
@@ -154,6 +155,24 @@ class TestEvolve:
         sim = SimulationConfig(**{k: v for k, v in config.items() if k != "schema_version"})
         expected = csv_writer_trajectory(evolve(sim).snapshots, FLOAT_FMT)
         assert (out / "trajectory.csv").read_bytes() == expected
+
+    def test_trajectory_bytes_equal_the_csv_writer_oracle_on_edge_values(self, tmp_path):
+        # each snapshot's single % and its substituted time column, on every kind of float
+        edge = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e+300, -5e-324, 0.1, 12.0])
+        snapshots = [SimpleNamespace(time=t, positions=sign * edge.reshape(3, 3))
+                     for t, sign in ((0.0, 1.0), (-0.0, -1.0), (1e+300, 1.0), (np.nan, -1.0))]
+        path = tmp_path / "trajectory.csv"
+        _write_csv(path, ["t", "node", "x0", "x1", "x2"], _trajectory_rows(snapshots))
+        assert path.read_bytes() == csv_writer_trajectory(snapshots, FLOAT_FMT)
+
+    def test_main_builds_one_parser_per_process(self, tmp_path):
+        import worldsheet.cli as cli
+        cli.build_parser.cache_clear()
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, EVOLVE_CONFIG)
+        for run in ("a", "b"):
+            assert main(["evolve", "--config", str(cfg), "--out-dir", str(tmp_path / run)]) == 0
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_worldsheet_error_exit_one_without_outputs(self, tmp_path, monkeypatch, capsys):
         import worldsheet.cli as cli

@@ -488,13 +488,12 @@ def test_evolve_equals_a_loop_of_public_steps_bitwise_property(initial, m, steps
 
 @st.composite
 def endpoint_pairs(draw):
-    """Both ends of a string in N = 2..5 dimensions: timelike u, any edge tangent."""
-    n = draw(st.integers(2, 5))
+    """Both ends of a string in 2+1 dimensions: timelike u, any edge tangent."""
 
     def rows(lo, hi):
-        return np.array([[draw(st.floats(lo, hi)) for _ in range(n)] for _ in range(2)])
+        return np.array([[draw(st.floats(lo, hi)) for _ in range(3)] for _ in range(2)])
 
-    u0 = rows(-0.45, 0.45)  # |v|^2 < 0.82 for up to 4 spatial components
+    u0 = rows(-0.45, 0.45)  # |v|^2 < 0.41 for the 2 spatial components
     u0[:, 0] = 1.0
     return dict(x0=rows(-10.0, 10.0), u0=batched_normalize_timelike(u0),
                 tangents=rows(-3.0, 3.0),
@@ -526,14 +525,36 @@ def test_closed_form_endpoint_step_matches_substepped_oracle_property(pair):
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(m=st.integers(6, 12), n=st.integers(2, 5), dsigma=st.floats(1e-3, 1.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_float_edge_tangents_equal_batched_rows_bitwise_property(m, n, dsigma, seed):
-    positions = np.random.default_rng(seed).normal(size=(m, n))
+@given(m=st.integers(6, 12), dsigma=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_float_edge_tangents_equal_batched_rows_bitwise_property(m, dsigma, seed):
+    positions = np.random.default_rng(seed).normal(size=(m, 3))
     ref = batched_edge_tangents(positions, dsigma)
     tangents = [dynamics._outward_tangent(*positions[rows].tolist(), dsigma)
                 for rows in ([0, 1, 2], [-1, -2, -3])]  # edge row first
     assert np.array(tangents).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_step_and_diagnostics_reject_states_outside_2_plus_1_dimensions(n):
+    # the float kernels unpack 3-vectors (t, x, y): positions and velocities are (M, 3)
+    cfg = collapse_config(grid_points=32)
+    state = step(initial_state_from_config(cfg), cfg)  # ends with one step of history
+
+    def resized(a):
+        out = np.zeros(a.shape[:-1] + (n,))
+        out[..., :min(n, 3)] = a[..., :min(n, 3)]
+        return out
+
+    ends = tuple(dataclasses.replace(ep, **{f: resized(getattr(ep, f)) for f in
+                                            ("four_velocity", "prev_four_velocity", "edge_tangent")})
+                 for ep in state.endpoints)
+    for bad in (dict(positions=resized(state.positions), velocities=resized(state.velocities),
+                     endpoints=ends),
+                dict(velocities=resized(state.velocities))):
+        with pytest.raises(InvalidParameters):
+            step(dataclasses.replace(state, **bad), cfg)
+        with pytest.raises(InvalidParameters):
+            diagnostics(dataclasses.replace(state, **bad))
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)

@@ -81,8 +81,10 @@ MUTANTS = {
             "(1.0 - w2 * pts[..., 1] ** 2)",
             "drops the square from the helicoid's scalar curvature 2w^2/(1 - w^2 s^2)^2"),
     "M33": ("src/worldsheet/dynamics.py",
-            "x = [p + along * a - across * e for p, a, e in zip(x0, u0, eta0)]",
-            "x = [p + along * a + across * e for p, a, e in zip(x0, u0, eta0)]",
+            "x = (p0 + along * a0 - across * e0, p1 + along * a1 - across * e1,\n"
+            "         p2 + along * a2 - across * e2)",
+            "x = (p0 + along * a0 + across * e0, p1 + along * a1 + across * e1,\n"
+            "         p2 + along * a2 + across * e2)",
             "the sign of the eta0 term in the endpoint's closed-form position `_end_position`"),
     "M34": ("src/worldsheet/dynamics.py",
             "_end_facts(pos[:-4:-1].tolist(), dsigma)",
@@ -207,6 +209,14 @@ MUTANTS = {
             "sheet = cache(lambda: _frame_at(entry.embedding, _every(pts, 6)))",
             "sheet = cache(lambda: _frame_at(entry.embedding, _every(pts, 4)))",
             "builds `verify`'s shared sheet record at the 5-point subset, not the 7-point one"),
+    "M63": ("src/worldsheet/dynamics.py",
+            "u1 * v1 + u2 * v2)",
+            "u1 * v1 + u2 * v1)",
+            "pairs the y component with the x one in the endpoints' Minkowski product `_fdot`"),
+    "M64": ("src/worldsheet/cli.py",
+            'f"T{idx},"',
+            'f"T{idx + 1},"',
+            "numbers the nodes of the `trajectory.csv` template from 1, not 0"),
 }
 
 
