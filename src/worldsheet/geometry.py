@@ -465,7 +465,7 @@ def _polar_factor(overlap: Array) -> Array:
     return u @ vt
 
 
-def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
+def _procrustes(raw: Array, ref: Array, g: Array, gauge: Callable | None = None) -> Array:
     """Frame columns ``raw`` rotated onto ``ref`` by the minimizing orthogonal matrix.
 
     That matrix is the polar factor of the overlap raw^T g ref.  One column is
@@ -473,6 +473,8 @@ def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
     batch and the flip is a product, not one small matmul per point.  (That
     sum rounds each product where BLAS fuses them, so the two can disagree
     on the sign only where the overlap is at roundoff and no flip is meant.)
+    Where it is exactly zero no flip is defined; a ``gauge`` (the column's sign
+    gauge) signs the column there, so it aligns the same with either sign.
     """
     gref = g @ ref
     one = raw.shape[-1] == 1
@@ -480,8 +482,11 @@ def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
                else raw.swapaxes(-1, -2) @ gref)
     if not np.isfinite(overlap).all():
         raise GaugeFailure("non-finite normal-frame overlap in the Procrustes alignment")
+    flip = _polar_factor(overlap)
+    if one and gauge is not None and not overlap.all():
+        flip = np.where(overlap == 0.0, gauge(raw[..., 0])[..., None, None], flip)
     # + 0.0: a zero entry reads +0.0, as the one-term matmul sum gives it
-    return raw * _polar_factor(overlap) + 0.0 if one else raw @ _polar_factor(overlap)
+    return raw * flip + 0.0 if one else raw @ flip
 
 
 class _lazy:
@@ -595,12 +600,12 @@ class _Evaluation(_Local):
         return _inverse(self.induced_metric, *self.cofactors)
 
     @_lazy
-    def normals(self) -> Array:
-        """Gauge-fixed normal columns completing the tangents (see :func:`normal_frame`).
+    def ungauged_normals(self) -> Array:
+        """The normal columns before the sign gauge of :attr:`normals`, with its checks.
 
-        One normal (D <= 3) is the Hodge dual of the tangents, which is the
-        Gram-Schmidt gauge in closed form; more normals, or D > 3, take the sweep,
-        which reads gamma^-1.
+        One normal (D <= 3) is the unit Hodge dual of the tangents, of either
+        sign; more normals, or D > 3, take the Gram-Schmidt sweep, which reads
+        gamma^-1 and fixes its own gauge.
         """
         embedding, g = self.embedding, self.g
         k = embedding.codimension
@@ -616,12 +621,20 @@ class _Evaluation(_Local):
             n, ok = _hodge_normal(self.tangents, g_inv, self.minors)
             if not ok.all():
                 raise GaugeFailure("the normal of the tangents is null or not finite")
-            return (n * _first_significant_sign(n)[..., None])[..., None]
+            return n[..., None]
         seeds = _projected_seeds(g, self.tangents, self.induced_metric_inverse)
         normals, found = _gram_schmidt_normals(g, seeds, k)
         if (found < k).any():
             raise GaugeFailure("could not complete the normal frame from coordinate seeds")
         return normals
+
+    @_lazy
+    def normals(self) -> Array:
+        """Gauge-fixed normal columns (see :func:`normal_frame`): one Hodge normal is
+        signed by its first significant component, the Gram-Schmidt gauge in closed form."""
+        n = self.ungauged_normals
+        sweep = n.shape[-1] > 1 or self.embedding.worldsheet_dim > 3
+        return n if sweep else n * _first_significant_sign(n[..., 0])[..., None, None]
 
     @_lazy
     def chris(self) -> Array | None:

@@ -22,6 +22,7 @@ from .geometry import (
     _det_adjugate,
     _Evaluation,
     _extrinsic,
+    _first_significant_sign,
     _frame_at,
     _procrustes,
     _pullback,
@@ -147,9 +148,9 @@ def edge_action(bnd: BoundaryEmbedding, config: ActionConfig) -> float:
 def _smooth_ramp(x: Array) -> Array:
     """C-infinity ramp: 0 for x <= 0, 1 for x >= 1, flat to all orders at both ends."""
     x = np.clip(x, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        lo = np.where(x > 0.0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-        hi = np.where(x < 1.0, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
+    # exp(-1 / 1e-300) is +0.0, so each end reads exactly 0 with no branch
+    lo = np.exp(-1.0 / np.maximum(x, 1e-300))
+    hi = np.exp(-1.0 / np.maximum(1.0 - x, 1e-300))
     return lo / (lo + hi)
 
 
@@ -244,6 +245,11 @@ def metric_variation(embedding: Embedding, point: Array,
             + cov + np.swapaxes(cov, -1, -2))
 
 
+def _check_edge_sides(edges: Sequence[BoundaryEmbedding]) -> None:
+    if len({bnd.orientation for bnd in edges}) < len(edges):
+        raise InvalidParameters("two edges share an orientation: a side takes one edge at most")
+
+
 def _domain_alignment(embedding: Embedding, grid: tuple[GridAxis, ...]):
     """Map pointwise normal frames onto one continuous gauge for the whole domain.
 
@@ -260,7 +266,7 @@ def _domain_alignment(embedding: Embedding, grid: tuple[GridAxis, ...]):
     hi = last.hi(u_mid) if callable(last.hi) else float(last.hi)
     center = np.concatenate([np.atleast_1d(u_mid), [0.5 * (lo + hi)]])
     fr_c = _frame_at(embedding, center)
-    return lambda normals: _procrustes(normals, fr_c.normals, fr_c.g)
+    return lambda normals: _procrustes(normals, fr_c.normals, fr_c.g, _first_significant_sign)
 
 
 def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
@@ -275,6 +281,7 @@ def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbed
     closed, or cap-windowed edges).  ``edges`` are the displaceable edges of
     :func:`catalog.action_setup`, with eta signed by each edge's orientation.
     """
+    _check_edge_sides(edges)
     d = embedding.worldsheet_dim
     k_codim = embedding.codimension
     bg = embedding.background
@@ -316,18 +323,23 @@ def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
     def pos(xi):
         fr = _Evaluation(embedding, xi)
         phi_t, phi_n = deformation._bulk(xi, d, k)
-        delta = fr.tangents @ phi_t[..., None] + align(fr.normals) @ phi_n[..., None]
-        return fr.x + eps * delta[..., 0]
+        pairs = ((fr.tangents, phi_t), (align(fr.ungauged_normals), phi_n))  # no sign gauge
+        cols = [c[..., i] * p[..., i, None] for c, p in pairs for i in range(p.shape[-1])]
+        return fr.x + eps * sum(cols[1:], cols[0])  # T phi_t + N phi_n, column by column
 
     return Embedding(d, embedding.background, pos, fd_step=embedding.fd_step)
 
 
-def _deformed_chi(bnd: BoundaryEmbedding, deformation: DeformationField,
-                  eps: float) -> Callable[[Array], Array]:
+def _deformed_chi(bnd: BoundaryEmbedding, deformation: DeformationField, eps: float,
+                  parts: dict) -> Callable[[Array], Array]:
+    """chi + eps psi eta, with the undeformed chi, eta and psi kept in ``parts`` per point set."""
     def chi(u):
-        xi = bnd.chi(u)
-        eta = _edge_frame(bnd, u, _Evaluation(bnd.parent, xi)).normals[..., 0]
-        return xi + eps * deformation.boundary_normal(u)[..., None] * eta
+        if (key := (u.shape, u.tobytes())) not in parts:
+            xi = bnd.chi(u)
+            eta = _edge_frame(bnd, u, _Evaluation(bnd.parent, xi)).normals[..., 0]
+            parts[key] = xi, eta, deformation.boundary_normal(u)[..., None]
+        xi, eta, psi = parts[key]
+        return xi + eps * psi * eta
 
     return chi
 
@@ -362,13 +374,8 @@ def _deformed_grid(grid: tuple[GridAxis, ...],
                    edges: Sequence[BoundaryEmbedding]) -> tuple[GridAxis, ...]:
     """The grid with each displaced edge's graph as the limit on its side."""
     last = grid[-1]
-    lo, hi = last.lo, last.hi
-    for edge in edges:
-        if edge.orientation < 0:
-            lo = _inverted_graph(edge.chi_fn)
-        else:
-            hi = _inverted_graph(edge.chi_fn)
-    return grid[:-1] + (GridAxis(last.points, lo, hi),)
+    lim = {-1: last.lo, 1: last.hi} | {e.orientation: _inverted_graph(e.chi_fn) for e in edges}
+    return grid[:-1] + (GridAxis(last.points, lim[-1], lim[1]),)
 
 
 def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
@@ -380,11 +387,14 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
     edge is an edge of the displaced sheet, and its volume its :func:`edge_action`.
     The quadrature domain follows the displaced edge graphs exactly, each on
     the side its orientation names (-1 the lower limit of the last axis, +1 the
-    upper).  Matches :func:`first_variation_analytic` to O(eps^2) plus
-    quadrature error.
+    upper; two edges of one orientation raise InvalidParameters).  Matches
+    :func:`first_variation_analytic` to O(eps^2) plus quadrature error.  Each
+    edge's undeformed chi, eta and psi are evaluated once per call at each
+    point set its displaced edges read, for both signs of eps.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise InvalidParameters("epsilon must be positive and finite")
+    _check_edge_sides(edges)
     align = _domain_alignment(embedding, config.grid)
     # the displaced maps and edges read the sheet unchecked, so it is
     # validated here, once, at the quadrature points of the bulk and each edge
@@ -393,10 +403,12 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
     for bnd in edges:
         _frame_at(bnd.parent, bnd.chi(u))
 
+    parts = [{} for _ in edges]
+
     def total_action(eps: float) -> float:
         emb_eps = _deformed_embedding(embedding, deformation, eps, align)
-        edges_eps = [BoundaryEmbedding(emb_eps, _deformed_chi(bnd, deformation, eps),
-                                       bnd.orientation) for bnd in edges]
+        edges_eps = [BoundaryEmbedding(emb_eps, _deformed_chi(bnd, deformation, eps, store),
+                                       bnd.orientation) for bnd, store in zip(edges, parts)]
         cfg = ActionConfig(config.mu0, config.mub, _deformed_grid(config.grid, edges_eps))
         return dng_action(emb_eps, cfg) + sum(edge_action(e, cfg) for e in edges_eps)
 

@@ -323,3 +323,12 @@ def moveaxis_fd_jacobian(fn, point, step):
 
 def stacked_sym2(xx, xy, yy):
     return np.stack([np.stack([xx, xy], axis=-1), np.stack([xy, yy], axis=-1)], axis=-1)
+
+
+def where_smooth_ramp(x):
+    """``variation._smooth_ramp`` in its branch form, each end set to 0 by ``np.where``."""
+    x = np.clip(x, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo = np.where(x > 0.0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
+        hi = np.where(x < 1.0, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
+        return lo / (lo + hi)

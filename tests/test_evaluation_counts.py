@@ -35,6 +35,9 @@ for; the stencil points of a kernel that differences geometry around them
 take the unchecked evaluation.  The finite-difference first variation checks
 the undeformed sheet once on its bulk grid and once on each edge's boundary
 grid, the points it integrates over, and reads it unchecked everywhere else.
+Its displaced maps align the ungauged normal and take no sign gauge, and it
+evaluates each undeformed edge once per point set that a displaced edge
+reads, for both signs of eps.
 """
 
 import dataclasses
@@ -73,6 +76,7 @@ from worldsheet.variation import (
     GridAxis,
     _deformed_chi,
     _deformed_embedding,
+    _domain_alignment,
     dng_action,
     edge_action,
     first_variation_fd,
@@ -158,7 +162,41 @@ def test_fd_variation_evaluation_counts(counts):
     # each edge's boundary grid; the displaced volume elements take tangents only
     config, edges = catalog.action_setup(HELICOID, 1.0, 3.0, (16, 16))
     first_variation_fd(HELICOID.embedding, edges, config, random_deformation(HELICOID, 0), 1e-2)
-    assert (counts["position"], counts["d_position"]) == (36, 32)
+    assert (counts["position"], counts["d_position"]) == (28, 24)
+
+
+def test_fd_variation_evaluates_each_undeformed_edge_once_per_point_set(monkeypatch):
+    # per edge: its check on the boundary grid, then its parts at the boundary
+    # grid (also the first Picard sweep), at the tangent stencil and at the one
+    # further Picard sweep of each sign of eps
+    config, edges = catalog.action_setup(HELICOID, 1.0, 3.0, (16, 16))
+    calls = []
+    original = BoundaryEmbedding.chi
+
+    def counted(self, point):
+        calls.extend(i for i, bnd in enumerate(edges) if bnd is self)
+        return original(self, point)
+
+    monkeypatch.setattr(BoundaryEmbedding, "chi", counted)
+    first_variation_fd(HELICOID.embedding, edges, config, random_deformation(HELICOID, 0), 1e-2)
+    assert len(edges) == 2 and sorted(calls) == [0] * 5 + [1] * 5
+
+
+def test_displaced_map_position_takes_no_normal_sign_gauge(monkeypatch):
+    config = catalog.action_setup(HELICOID, 1.0, 3.0, (16, 16))[0]
+    displaced = _deformed_embedding(HELICOID.embedding, random_deformation(HELICOID, 0), 1e-2,
+                                    _domain_alignment(HELICOID.embedding, config.grid))
+    calls = 0
+    original = geometry._first_significant_sign
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return original(v)
+
+    monkeypatch.setattr(geometry, "_first_significant_sign", counted)
+    displaced.position(HELICOID.sample_grid())
+    assert calls == 0
 
 
 @pytest.fixture
@@ -211,7 +249,7 @@ def test_displaced_map_windows_each_point_batch_once(monkeypatch):
 ACTION_CONFIG = catalog.action_setup(HELICOID, 1.0, 3.0, (8, 8))[0]
 DISPLACED_CHI = _deformed_chi(
     HELICOID.boundary, DeformationField(boundary_normal_fns=lambda u: np.sin(u[..., 0])),
-    1e-2)
+    1e-2, {})
 
 
 @pytest.mark.parametrize("kernel", [

@@ -18,7 +18,7 @@ def test_ladder_times_every_kernel_in_both_versions(capsys):
     assert header.split()[0] == "kernel"
     assert [row.split()[0] for row in rows] == [
         "dynamics.step", "dynamics.evolve", "position", "frame", "normal_frame",
-        "extrinsic_curvature", "boundary_data", "_frame_at", "first_variation_fd",
+        "extrinsic_curvature", "boundary_data", "_frame_at", "displaced", "first_variation_fd",
         "evaluate_entry", "evaluate_entry"]
     for row in rows:
         base, work, ratio = (float(v) for v in row.split()[-3:])

@@ -13,11 +13,22 @@ from worldsheet.errors import (
     InvalidParameters,
     WorldsheetError,
 )
-from worldsheet.geometry import Embedding, frame
+from worldsheet.geometry import (
+    Embedding,
+    _Evaluation,
+    _first_significant_sign,
+    _frame_at,
+    _procrustes,
+    _sum_last,
+    frame,
+)
 from worldsheet.variation import (
     ActionConfig,
     DeformationField,
     GridAxis,
+    _deformed_embedding,
+    _domain_alignment,
+    _smooth_ramp,
     dng_action,
     edge_action,
     first_variation_analytic,
@@ -25,7 +36,7 @@ from worldsheet.variation import (
     metric_variation,
 )
 
-from helpers import random_deformation, richardson_variation
+from helpers import random_deformation, richardson_variation, s3_sphere, where_smooth_ramp
 
 PLANE = catalog.plane()
 HELICOID = catalog.helicoid(0.5, 1.0)
@@ -370,3 +381,73 @@ class TestFirstVariation:
         assert ana_edge == pytest.approx(ana_sheet, abs=1e-12)
         assert fd_edge == pytest.approx(ana_edge, abs=1e-4)
         assert fd_sheet == pytest.approx(ana_sheet, abs=1e-4)
+
+
+def swapped(emb):
+    """The same sheet with its two coordinates swapped, so its Hodge normal flips."""
+    return Embedding(2, emb.background, lambda xi: emb.position_fn(xi[..., ::-1]),
+                     lambda xi: emb.d_position_fn(xi[..., ::-1])[..., ::-1])
+
+
+S3_SHEET = s3_sphere(1.7, 1.1)
+S3_POINTS = np.random.default_rng(0).uniform(-1.0, 1.0, (50, 2))
+
+
+class TestLeanDisplacedActions:
+    """The displaced map and window of ``first_variation_fd`` against their earlier forms."""
+
+    def test_smooth_ramp_equals_the_where_form_bitwise(self):
+        x = np.concatenate([np.linspace(-0.5, 1.5, 200_001),
+                            [0.0, -0.0, 1.0, 5e-324, -5e-324, 1e-300, 2e-300, 1e-310,
+                             1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52, -3.0, 7.0, np.inf, -np.inf,
+                             np.nan]])
+        got, ref = _smooth_ramp(x), where_smooth_ramp(x)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan) and nan.sum() == 1
+        assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+
+    @pytest.mark.parametrize("embedding,pts,flipped", [
+        (PLANE.embedding, PLANE.sample_grid(), False),
+        (swapped(PLANE.embedding), PLANE.sample_grid(), True),
+        (S3_SHEET, S3_POINTS, False),
+        (swapped(S3_SHEET), S3_POINTS, True),
+    ], ids=["flat", "flat_swapped", "s3", "s3_swapped"])
+    def test_aligned_ungauged_normal_equals_aligned_gauged_normal_bitwise(self, embedding, pts,
+                                                                          flipped):
+        # references: the center's normal and its negative, and each coordinate
+        # axis; these normals lie along axis 0 or 2, so the overlap with axis 1
+        # (a sum of +-0.0 terms) is exactly zero, where no flip is defined
+        ev = _Evaluation(embedding, pts)
+        raw = ev.ungauged_normals[..., 0]
+        assert (_first_significant_sign(raw) == (-1.0 if flipped else 1.0)).all()
+        center = _frame_at(embedding, pts[len(pts) // 2])
+        assert (_sum_last(raw * (center.g @ np.eye(3)[:, 1])) == 0.0).all()
+        for ref in [center.normals, -center.normals] + list(np.eye(3)[:, :, None]):
+            got = _procrustes(ev.ungauged_normals, ref, center.g, _first_significant_sign)
+            want = _procrustes(ev.normals, ref, center.g)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            gauged = _procrustes(ev.normals, ref, center.g, _first_significant_sign)
+            assert np.array_equal(gauged.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("entry", [HELICOID, DISK, PLANE], ids=lambda e: e.id)
+    def test_displaced_map_equals_the_matmul_form(self, entry):
+        cfg = catalog.action_setup(entry, 1.0, 1.0, (16, 16))[0]
+        align = _domain_alignment(entry.embedding, cfg.grid)
+        defo = random_deformation(entry, seed=3)
+        pts = entry.sample_grid()
+        got = _deformed_embedding(entry.embedding, defo, 1.0, align).position(pts)
+        fr = _frame_at(entry.embedding, pts)
+        phi_t, phi_n = defo._bulk(pts, 2, 1)
+        want = fr.x + (fr.tangents @ phi_t[..., None]
+                       + align(fr.normals) @ phi_n[..., None])[..., 0]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15 * np.abs(want).max())
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["hi_hi", "lo_lo"])
+    def test_two_edges_on_one_side_raise(self, side):
+        cfg, edges = catalog.action_setup(PLANE, 1.0, 0.7, (16, 16))
+        twice = [bnd for bnd in edges if bnd.orientation == side] * 2
+        defo = random_deformation(PLANE, seed=0)
+        with pytest.raises(InvalidParameters, match="orientation"):
+            first_variation_fd(PLANE.embedding, twice, cfg, defo, 1e-2)
+        with pytest.raises(InvalidParameters, match="orientation"):
+            first_variation_analytic(PLANE.embedding, twice, cfg, defo)

@@ -16,15 +16,17 @@ step of ``dynamics.evolve`` on the same string (its loop, where a step takes
 over what the previous one computed), ``position``, ``frame``,
 ``normal_frame``, ``extrinsic_curvature`` and ``boundary_data`` on the catalog
 helicoid at each batch size, the checked evaluation ``geometry._frame_at`` of
-the helicoid at 4096 points, ``variation.first_variation_fd`` on the
-helicoid at 16 x 16 quadrature points (the workload ``variation-fd`` runs it at
-64 x 64), and ``catalog.evaluate_entry`` on the catalog helicoid and hole (the
-rows of ``verify``, which the workload ``catalog-cli`` runs).  Each round times every kernel once in each
-version, alternating which version goes first, and the best time per call of
-each version is kept.  Timing both versions in one process, round by round,
-cancels most of the drift of a shared machine; a REV equal to the working
-tree shows the noise floor.  Prints one table with both times in microseconds
-and their ratio, working tree over REV.
+the helicoid at 4096 points, the ``position`` of a displaced helicoid map of
+``first_variation_fd`` at the same points, ``variation.first_variation_fd``
+on the helicoid at 16 x 16 quadrature points (the workload ``variation-fd``
+runs it at 64 x 64), and ``catalog.evaluate_entry`` on the catalog helicoid
+and hole (the rows of ``verify``, which the workload ``catalog-cli`` runs).
+Each round times every kernel once in each version, alternating which
+version goes first, and the best time per call of each version is kept.
+Timing both versions in one process, round by round, cancels most of the
+drift of a shared machine; a REV equal to the working tree shows the noise
+floor.  Prints one table with both times in microseconds and their ratio,
+working tree over REV.
 """
 
 from __future__ import annotations
@@ -110,8 +112,11 @@ def kernels(pkg: str, grid_points: int, batches: list[int]) -> dict[str, tuple]:
         normal_fn=lambda xi: 0.1 * np.sin(2.0 * xi[..., :1]) * np.cos(xi[..., -1:]),
         boundary_normal_fns=lambda v: 0.05 * np.cos(v[..., 0]),
         time_extent=tuple(map(float, entry.domain[0])))
+    displaced = variation._deformed_embedding(emb, defo, 1e-2,
+                                              variation._domain_alignment(emb, cfg.grid))
     calls.update({
         f"_frame_at B={FRAME_POINTS}": (lambda: geometry._frame_at(emb, pts), 1),
+        f"displaced position B={FRAME_POINTS}": (lambda: displaced.position(pts), 1),
         f"first_variation_fd {FD_QUADRATURE}x{FD_QUADRATURE}": (
             lambda: variation.first_variation_fd(emb, edges, cfg, defo, 1e-2), 1),
     })

@@ -95,8 +95,8 @@ MUTANTS = {
             "eta_mid = _eta(ep.edge_tangent.tolist(), ep.prev_four_velocity.tolist())",
             "takes the direction of `diagnostics` at the step's first u, not its midpoint"),
     "M36": ("src/worldsheet/variation.py",
-            "bnd.orientation) for bnd in edges]",
-            "-bnd.orientation) for bnd in edges]",
+            "bnd.orientation) for bnd, store in zip(edges, parts)]",
+            "-bnd.orientation) for bnd, store in zip(edges, parts)]",
             "flips the side of each displaced edge in `first_variation_fd`"),
     "M37": ("src/worldsheet/boundary.py",
             "_procrustes(fr_u.normals, sheet_normals, g)",
@@ -217,6 +217,26 @@ MUTANTS = {
             'f"T{idx},"',
             'f"T{idx + 1},"',
             "numbers the nodes of the `trajectory.csv` template from 1, not 0"),
+    "M65": ("src/worldsheet/variation.py",
+            "(key := (u.shape, u.tobytes()))",
+            "(key := u.shape)",
+            "keys a displaced edge's undeformed parts on the shape of the point set only"),
+    "M66": ("src/worldsheet/variation.py",
+            "hi = np.exp(-1.0 / np.maximum(1.0 - x, 1e-300))",
+            "hi = np.exp(-1.0 / np.maximum(x, 1e-300))",
+            "builds the upper end of `_smooth_ramp` from x, not 1 - x"),
+    "M67": ("src/worldsheet/variation.py",
+            "(align(fr.ungauged_normals), phi_n)",
+            "(fr.ungauged_normals, phi_n)",
+            "displaces the sheet along the unaligned Hodge normal in `first_variation_fd`"),
+    "M68": ("src/worldsheet/geometry.py",
+            "if one and gauge is not None and not overlap.all():",
+            "if False:",
+            "drops the sign gauge at an exactly zero overlap from `_procrustes`"),
+    "M69": ("src/worldsheet/variation.py",
+            "if len({bnd.orientation for bnd in edges}) < len(edges):",
+            "if False:",
+            "accepts two edges of one orientation in the first variations"),
 }
 
 
