@@ -465,7 +465,7 @@ def _polar_factor(overlap: Array) -> Array:
     return u @ vt
 
 
-def _procrustes(raw: Array, ref: Array, g: Array, gauge: Callable | None = None) -> Array:
+def _procrustes(raw: Array, ref: Array, g: Array) -> Array:
     """Frame columns ``raw`` rotated onto ``ref`` by the minimizing orthogonal matrix.
 
     That matrix is the polar factor of the overlap raw^T g ref.  One column is
@@ -473,8 +473,6 @@ def _procrustes(raw: Array, ref: Array, g: Array, gauge: Callable | None = None)
     batch and the flip is a product, not one small matmul per point.  (That
     sum rounds each product where BLAS fuses them, so the two can disagree
     on the sign only where the overlap is at roundoff and no flip is meant.)
-    Where it is exactly zero no flip is defined; a ``gauge`` (the column's sign
-    gauge) signs the column there, so it aligns the same with either sign.
     """
     gref = g @ ref
     one = raw.shape[-1] == 1
@@ -482,11 +480,8 @@ def _procrustes(raw: Array, ref: Array, g: Array, gauge: Callable | None = None)
                else raw.swapaxes(-1, -2) @ gref)
     if not np.isfinite(overlap).all():
         raise GaugeFailure("non-finite normal-frame overlap in the Procrustes alignment")
-    flip = _polar_factor(overlap)
-    if one and gauge is not None and not overlap.all():
-        flip = np.where(overlap == 0.0, gauge(raw[..., 0])[..., None, None], flip)
     # + 0.0: a zero entry reads +0.0, as the one-term matmul sum gives it
-    return raw * flip + 0.0 if one else raw @ flip
+    return raw * _polar_factor(overlap) + 0.0 if one else raw @ _polar_factor(overlap)
 
 
 class _lazy:
@@ -599,17 +594,18 @@ class _Evaluation(_Local):
     def induced_metric_inverse(self) -> Array:
         return _inverse(self.induced_metric, *self.cofactors)
 
+    @property
+    def hodge(self) -> bool:
+        """One normal (K = 1, D <= 3): the Hodge dual, signed by :attr:`normals`."""
+        return self.embedding.codimension == 1 and self.embedding.worldsheet_dim <= 3
+
     @_lazy
     def ungauged_normals(self) -> Array:
-        """The normal columns before the sign gauge of :attr:`normals`, with its checks.
-
-        One normal (D <= 3) is the unit Hodge dual of the tangents, of either
-        sign; more normals, or D > 3, take the Gram-Schmidt sweep, which reads
-        gamma^-1 and fixes its own gauge.
-        """
+        """Normal columns before the sign gauge of :attr:`normals`, with its checks: where
+        :attr:`hodge`, the unit Hodge dual of the tangents, of either sign; otherwise
+        the Gram-Schmidt sweep, which reads gamma^-1 and fixes its own gauge."""
         embedding, g = self.embedding, self.g
-        k = embedding.codimension
-        if k == 1 and embedding.worldsheet_dim <= 3:
+        if self.hodge:
             bg = embedding.background
             if bg.flat:  # the signature matrix, its own inverse, the same at every point
                 g_inv = _signature_matrix(bg.dimension, bg.signature)
@@ -622,6 +618,7 @@ class _Evaluation(_Local):
             if not ok.all():
                 raise GaugeFailure("the normal of the tangents is null or not finite")
             return n[..., None]
+        k = embedding.codimension
         seeds = _projected_seeds(g, self.tangents, self.induced_metric_inverse)
         normals, found = _gram_schmidt_normals(g, seeds, k)
         if (found < k).any():
@@ -633,8 +630,7 @@ class _Evaluation(_Local):
         """Gauge-fixed normal columns (see :func:`normal_frame`): one Hodge normal is
         signed by its first significant component, the Gram-Schmidt gauge in closed form."""
         n = self.ungauged_normals
-        sweep = n.shape[-1] > 1 or self.embedding.worldsheet_dim > 3
-        return n if sweep else n * _first_significant_sign(n[..., 0])[..., None, None]
+        return n * _first_significant_sign(n[..., 0])[..., None, None] if self.hodge else n
 
     @_lazy
     def chris(self) -> Array | None:

@@ -22,7 +22,6 @@ from .geometry import (
     _det_adjugate,
     _Evaluation,
     _extrinsic,
-    _first_significant_sign,
     _frame_at,
     _procrustes,
     _pullback,
@@ -183,14 +182,14 @@ class DeformationField:
             raise InvalidParameters("time_extent must be two finite numbers t0 < t1")
 
     def _window(self, t: Array) -> Array:
-        # smooth bump ramps over the outer quarter at each end, flat to all orders:
-        # a cosine ramp leaves O((4 pi)^2) second derivatives at the caps, which
-        # the midpoint rule turns into a large h^2 error floor in FD variations
+        # smooth bump ramps over the outer quarter at each end, flat to all orders (a
+        # cosine ramp leaves O((4 pi)^2) second derivatives at the caps, a large h^2
+        # error floor in FD variations); where one end's ramp is below 1, the other's is 1
         if self.time_extent is None:
             return np.ones_like(t)
         t0, t1 = self.time_extent
         s = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
-        return _smooth_ramp(4.0 * s) * _smooth_ramp(4.0 * (1.0 - s))
+        return _smooth_ramp(np.minimum(4.0 * s, 4.0 * (1.0 - s)))
 
     def _component(self, fn: Callable[[Array], Array] | None, x: Array,
                    shape: tuple[int, ...], window: Array | None = None) -> Array:
@@ -266,7 +265,7 @@ def _domain_alignment(embedding: Embedding, grid: tuple[GridAxis, ...]):
     hi = last.hi(u_mid) if callable(last.hi) else float(last.hi)
     center = np.concatenate([np.atleast_1d(u_mid), [0.5 * (lo + hi)]])
     fr_c = _frame_at(embedding, center)
-    return lambda normals: _procrustes(normals, fr_c.normals, fr_c.g, _first_significant_sign)
+    return lambda normals: _procrustes(normals, fr_c.normals, fr_c.g)
 
 
 def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
@@ -323,9 +322,10 @@ def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
     def pos(xi):
         fr = _Evaluation(embedding, xi)
         phi_t, phi_n = deformation._bulk(xi, d, k)
-        pairs = ((fr.tangents, phi_t), (align(fr.ungauged_normals), phi_n))  # no sign gauge
-        cols = [c[..., i] * p[..., i, None] for c, p in pairs for i in range(p.shape[-1])]
-        return fr.x + eps * sum(cols[1:], cols[0])  # T phi_t + N phi_n, column by column
+        n = align(fr.ungauged_normals)  # no sign gauge: the alignment fixes the sign
+        # one normal is one product; + 0.0 reads a zero +0.0, as the one-term matmul sum
+        n_phi = n[..., 0] * phi_n + 0.0 if k == 1 else (n @ phi_n[..., None])[..., 0]
+        return fr.x + eps * ((fr.tangents @ phi_t[..., None])[..., 0] + n_phi)
 
     return Embedding(d, embedding.background, pos, fd_step=embedding.fd_step)
 
@@ -374,8 +374,13 @@ def _deformed_grid(grid: tuple[GridAxis, ...],
                    edges: Sequence[BoundaryEmbedding]) -> tuple[GridAxis, ...]:
     """The grid with each displaced edge's graph as the limit on its side."""
     last = grid[-1]
-    lim = {-1: last.lo, 1: last.hi} | {e.orientation: _inverted_graph(e.chi_fn) for e in edges}
-    return grid[:-1] + (GridAxis(last.points, lim[-1], lim[1]),)
+    lo, hi = last.lo, last.hi
+    for edge in edges:
+        if edge.orientation < 0:
+            lo = _inverted_graph(edge.chi_fn)
+        else:
+            hi = _inverted_graph(edge.chi_fn)
+    return grid[:-1] + (GridAxis(last.points, lo, hi),)
 
 
 def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
@@ -402,8 +407,7 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
     u = _boundary_grid(config.grid)[0]
     for bnd in edges:
         _frame_at(bnd.parent, bnd.chi(u))
-
-    parts = [{} for _ in edges]
+    parts = [{} for _ in edges]  # each edge's undeformed parts, shared by both signs of eps
 
     def total_action(eps: float) -> float:
         emb_eps = _deformed_embedding(embedding, deformation, eps, align)

@@ -247,14 +247,13 @@ def test_displaced_map_windows_each_point_batch_once(monkeypatch):
 
 
 ACTION_CONFIG = catalog.action_setup(HELICOID, 1.0, 3.0, (8, 8))[0]
-DISPLACED_CHI = _deformed_chi(
-    HELICOID.boundary, DeformationField(boundary_normal_fns=lambda u: np.sin(u[..., 0])),
-    1e-2, {})
+EDGE_DEFORMATION = DeformationField(boundary_normal_fns=lambda u: np.sin(u[..., 0]))
 
 
 @pytest.mark.parametrize("kernel", [
     lambda: edge_action(HELICOID.boundary, ACTION_CONFIG),
-    lambda: DISPLACED_CHI(HELICOID.boundary_grid()),  # one Picard sweep of the displaced edge
+    # one Picard sweep of a displaced edge, with a fresh store of its undeformed parts
+    lambda: _deformed_chi(HELICOID.boundary, EDGE_DEFORMATION, 1e-2, {})(HELICOID.boundary_grid()),
 ], ids=["edge_action", "displaced_edge_chi"])
 def test_first_order_edge_callers_take_no_second_derivatives(counts, kernel):
     kernel()

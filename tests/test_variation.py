@@ -406,6 +406,20 @@ class TestLeanDisplacedActions:
         assert np.array_equal(np.isnan(got), nan) and nan.sum() == 1
         assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
 
+    @pytest.mark.parametrize("time_extent", [(0.0, 1.0), (-0.7, 2.3)])
+    def test_window_equals_the_product_of_both_end_ramps_bitwise(self, time_extent):
+        t0, t1 = time_extent
+        quarters = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        t = np.concatenate([np.linspace(t0 - 0.5, t1 + 0.5, 100_001), quarters,
+                            np.nextafter(quarters, -1.0), np.nextafter(quarters, 2.0),
+                            t0 + quarters * (t1 - t0), [np.inf, -np.inf, np.nan]])
+        got = DeformationField(time_extent=time_extent)._window(t)
+        s = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
+        ref = where_smooth_ramp(4.0 * s) * where_smooth_ramp(4.0 * (1.0 - s))
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan) and nan.sum() == 1
+        assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+
     @pytest.mark.parametrize("embedding,pts,flipped", [
         (PLANE.embedding, PLANE.sample_grid(), False),
         (swapped(PLANE.embedding), PLANE.sample_grid(), True),
@@ -414,33 +428,54 @@ class TestLeanDisplacedActions:
     ], ids=["flat", "flat_swapped", "s3", "s3_swapped"])
     def test_aligned_ungauged_normal_equals_aligned_gauged_normal_bitwise(self, embedding, pts,
                                                                           flipped):
-        # references: the center's normal and its negative, and each coordinate
-        # axis; these normals lie along axis 0 or 2, so the overlap with axis 1
-        # (a sum of +-0.0 terms) is exactly zero, where no flip is defined
+        # references: the center's gauged normal and its negative (as the domain
+        # alignment of ``first_variation_fd`` uses), whose overlaps are nonzero
         ev = _Evaluation(embedding, pts)
-        raw = ev.ungauged_normals[..., 0]
-        assert (_first_significant_sign(raw) == (-1.0 if flipped else 1.0)).all()
+        raw = ev.ungauged_normals
+        assert (_first_significant_sign(raw[..., 0]) == (-1.0 if flipped else 1.0)).all()
         center = _frame_at(embedding, pts[len(pts) // 2])
-        assert (_sum_last(raw * (center.g @ np.eye(3)[:, 1])) == 0.0).all()
-        for ref in [center.normals, -center.normals] + list(np.eye(3)[:, :, None]):
-            got = _procrustes(ev.ungauged_normals, ref, center.g, _first_significant_sign)
+        for ref in (center.normals, -center.normals):
+            assert (_sum_last(raw[..., 0] * (center.g @ ref)[..., 0]) != 0.0).all()
+            got = _procrustes(raw, ref, center.g)
             want = _procrustes(ev.normals, ref, center.g)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            gauged = _procrustes(ev.normals, ref, center.g, _first_significant_sign)
-            assert np.array_equal(gauged.view(np.uint64), want.view(np.uint64))
+        # a reference whose overlap is exactly zero (+0.0, a sum of +-0.0 terms)
+        # defines no flip: each column keeps the sign it came with, so the
+        # aligned ungauged and gauged normals agree there only up to that sign
+        axis = np.eye(3)[:, 1:2]
+        assert (_sum_last(raw[..., 0] * (center.g @ axis)[..., 0]) == 0.0).all()
+        got = _procrustes(raw, axis, center.g)
+        want = _procrustes(ev.normals, axis, center.g)
+        assert np.array_equal(got, raw) and np.array_equal(want, ev.normals)
+        assert np.array_equal(got, -want if flipped else want)
 
     @pytest.mark.parametrize("entry", [HELICOID, DISK, PLANE], ids=lambda e: e.id)
-    def test_displaced_map_equals_the_matmul_form(self, entry):
+    def test_displaced_map_equals_the_matmul_form_bitwise(self, entry):
+        # the one-normal product against the matmul of the gauged, aligned normal
         cfg = catalog.action_setup(entry, 1.0, 1.0, (16, 16))[0]
         align = _domain_alignment(entry.embedding, cfg.grid)
         defo = random_deformation(entry, seed=3)
         pts = entry.sample_grid()
-        got = _deformed_embedding(entry.embedding, defo, 1.0, align).position(pts)
         fr = _frame_at(entry.embedding, pts)
         phi_t, phi_n = defo._bulk(pts, 2, 1)
-        want = fr.x + (fr.tangents @ phi_t[..., None]
-                       + align(fr.normals) @ phi_n[..., None])[..., 0]
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15 * np.abs(want).max())
+        for eps in (1e-2, -1e-2, 1.0):
+            got = _deformed_embedding(entry.embedding, defo, eps, align).position(pts)
+            want = fr.x + eps * (fr.tangents @ phi_t[..., None]
+                                 + align(fr.normals) @ phi_n[..., None])[..., 0]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_displaced_map_with_two_normals_equals_the_matmul_form_bitwise(self):
+        sheet = Embedding(2, minkowski(4), lambda xi: np.concatenate(
+            [xi, np.sin(xi[..., :1]) * xi[..., 1:], 0.3 * xi[..., :1] * xi[..., 1:]], axis=-1))
+        defo = DeformationField(tangential_fn=lambda xi: np.cos(xi), normal_fn=np.sin,
+                                time_extent=(0.0, 1.0))
+        pts = np.random.default_rng(2).uniform(0.0, 1.0, (200, 2))
+        fr = _frame_at(sheet, pts)
+        phi_t, phi_n = defo._bulk(pts, 2, 2)
+        got = _deformed_embedding(sheet, defo, 0.1, lambda n: n).position(pts)
+        want = fr.x + 0.1 * (fr.tangents @ phi_t[..., None] + fr.normals @ phi_n[..., None])[..., 0]
+        assert fr.normals.shape[-1] == 2
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("side", [1, -1], ids=["hi_hi", "lo_lo"])
     def test_two_edges_on_one_side_raise(self, side):

@@ -226,17 +226,17 @@ MUTANTS = {
             "hi = np.exp(-1.0 / np.maximum(x, 1e-300))",
             "builds the upper end of `_smooth_ramp` from x, not 1 - x"),
     "M67": ("src/worldsheet/variation.py",
-            "(align(fr.ungauged_normals), phi_n)",
-            "(fr.ungauged_normals, phi_n)",
+            "n = align(fr.ungauged_normals)",
+            "n = fr.ungauged_normals",
             "displaces the sheet along the unaligned Hodge normal in `first_variation_fd`"),
-    "M68": ("src/worldsheet/geometry.py",
-            "if one and gauge is not None and not overlap.all():",
-            "if False:",
-            "drops the sign gauge at an exactly zero overlap from `_procrustes`"),
-    "M69": ("src/worldsheet/variation.py",
+    "M68": ("src/worldsheet/variation.py",
             "if len({bnd.orientation for bnd in edges}) < len(edges):",
             "if False:",
             "accepts two edges of one orientation in the first variations"),
+    "M69": ("src/worldsheet/variation.py",
+            "_smooth_ramp(np.minimum(4.0 * s, 4.0 * (1.0 - s)))",
+            "_smooth_ramp(4.0 * s)",
+            "windows a deformation at the lower cap only"),
 }
 
 
