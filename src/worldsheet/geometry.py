@@ -599,11 +599,11 @@ class _Evaluation(_Local):
         """One normal (K = 1, D <= 3): the Hodge dual, signed by :attr:`normals`."""
         return self.embedding.codimension == 1 and self.embedding.worldsheet_dim <= 3
 
-    @_lazy
+    @property
     def ungauged_normals(self) -> Array:
-        """Normal columns before the sign gauge of :attr:`normals`, with its checks: where
-        :attr:`hodge`, the unit Hodge dual of the tangents, of either sign; otherwise
-        the Gram-Schmidt sweep, which reads gamma^-1 and fixes its own gauge."""
+        """Normal columns before the sign gauge of :attr:`normals`, with its checks, made on
+        each read and not kept: where :attr:`hodge`, the unit Hodge dual of the tangents,
+        of either sign; otherwise the Gram-Schmidt sweep, which fixes its own gauge."""
         embedding, g = self.embedding, self.g
         if self.hodge:
             bg = embedding.background
