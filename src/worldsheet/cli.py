@@ -236,6 +236,32 @@ def _trajectory_rows(snapshots) -> Iterator[str]:
         yield (block % tuple(s.positions.ravel().tolist())).replace("T", _fmt(s.time) + ",")
 
 
+def _endpoint_rows(snapshots) -> Iterator[str]:
+    """Both end rows of each snapshot, (t, side, position, four-velocity, proper time), as one
+    ``%`` of the run's template: the bytes of ``csv.writer`` with ``_fmt`` per number."""
+    numbers = ",".join([FLOAT_FMT] * (2 * snapshots[0].positions.shape[1] + 1))
+    block = "".join([f"{FLOAT_FMT},{side},{numbers}\n" for side in ("left", "right")])
+    for s in snapshots:
+        left, right = s.endpoints
+        yield block % (s.time, *s.positions[0].tolist(), *left.four_velocity.tolist(),
+                       left.proper_time, s.time, *s.positions[-1].tolist(),
+                       *right.four_velocity.tolist(), right.proper_time)
+
+
+def _diagnostics_rows(snapshots) -> list[str]:
+    """Each snapshot's ``diagnostics`` as one ``%`` of the run's row template, an end without
+    an acceleration as nan: the bytes of ``csv.writer`` with ``_fmt`` per number."""
+    row = ",".join([FLOAT_FMT] * 7) + "\n"
+    rows = []
+    for s in snapshots:
+        d = diagnostics(s)
+        acc = [math.nan if e.acceleration_magnitude is None else e.acceleration_magnitude
+               for e in d.endpoints]
+        rows.append(row % (s.time, *d.constraint_norms, d.total_energy, d.angular_momentum,
+                           *acc))
+    return rows
+
+
 def cmd_evolve(args) -> int:
     started = _utc_now()
     config = _load_config(args.config, _EVOLVE_KEYS)
@@ -260,21 +286,14 @@ def cmd_evolve(args) -> int:
         traj, status = exc.trajectory, 1  # its terminal_event is "constraint_blowup"
     event, snapshots = traj.terminal_event, traj.snapshots
 
-    end_rows, diag_rows = [], []
-    for s in snapshots:
-        for name, x, ep in zip(("left", "right"), s.positions[[0, -1]], s.endpoints):
-            end_rows.append([s.time, name, *x, *ep.four_velocity, ep.proper_time])
-        d = diagnostics(s)
-        acc = [math.nan if e.acceleration_magnitude is None else e.acceleration_magnitude
-               for e in d.endpoints]
-        diag_rows.append([s.time, *d.constraint_norms, d.total_energy, d.angular_momentum, *acc])
     comp_names = [f"x{i}" for i in range(snapshots[0].positions.shape[1])]
     _write_outputs(out_dir, "evolve", digest, started, event, {
         "trajectory.csv": (["t", "node"] + comp_names, _trajectory_rows(snapshots)),
         "endpoints.csv": (["t", "side"] + comp_names + [f"u{i}" for i in range(len(comp_names))]
-                          + ["proper_time"], end_rows),
+                          + ["proper_time"], _endpoint_rows(snapshots)),
         "diagnostics.csv": (["t", "constraint_mixed", "constraint_norm", "energy",
-                             "angular_momentum", "acc_left", "acc_right"], diag_rows),
+                             "angular_momentum", "acc_left", "acc_right"],
+                            _diagnostics_rows(snapshots)),
     })
     print(f"evolve finished: event={event}, snapshots={len(snapshots)}")
     return status

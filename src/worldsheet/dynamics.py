@@ -13,9 +13,23 @@ moves on an exact hyperbola, taken in closed form by one float kernel per end,
 with it, then the new tangent and its speed.  ``evolve`` loops ``_advance`` on
 raw (M, 3) arrays and 3-vectors (t, x, y), hands each step the half kick, edge
 rows, tangents and speeds the step before computed, and builds a ``StringState``
-only to store it; ``step`` wraps the same kernel.  The float kernels unpack their
+only to store it; ``step`` wraps the same kernel.  A step writes every array it
+does not return into ``_scratch_rows``, which ``evolve`` allocates once per run
+and ``step`` once per call: the half velocities and the constraint gate's rows;
+and it forms the new half kick in the carried one's array, once the half
+velocities have read the old kick.  Its new positions and velocities are fresh
+arrays, since a stored snapshot owns them.  The float kernels unpack their
 3-vectors and keep numpy's operation order, so they match array forms of the
-same formulas to the bit.  Units: c = 1.
+same formulas to the bit.
+
+An end is resolved while its edge tangent T is spacelike by a margin, T.T >
+EDGE_MARGIN (T^0)^2, and its proper time advances.  A step at which either fails
+for an end raises EndpointCollision, which ends an ``evolve`` as
+``endpoint_collision`` at the last resolved step: the ends are within what the
+sheet resolves, as a collapsing string's are shortly before they meet.  No
+Minkowski square is clamped: a four-velocity that is not timelike, or an edge
+direction that is not spacelike, raises InvalidParameters, and NaN passes every
+check on to the constraint gate, which raises ConstraintBlowup.  Units: c = 1.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ from .errors import ConstraintBlowup, EndpointCollision, InvalidParameters
 Array = np.ndarray
 
 MIN_GRID_POINTS = 16
+EDGE_MARGIN = 2.0 ** -26  # an edge tangent T with T.T at most this times T^0 squared: unresolved
 
 
 def rotating_orbit_omega(mu0: float, mub: float, radius: float) -> float:
@@ -127,7 +142,10 @@ def _fdot(u, v) -> float:
 
 
 def _unit_timelike(u) -> tuple:
-    norm = math.sqrt(max(-_fdot(u, u), 1e-300))
+    square = -_fdot(u, u)
+    if square <= 0.0:
+        raise InvalidParameters(f"four-velocity {u} is not timelike")
+    norm = math.sqrt(square)
     return u[0] / norm, u[1] / norm, u[2] / norm
 
 
@@ -136,7 +154,10 @@ def _eta(edge_tangent, u) -> tuple:
     d = _fdot(edge_tangent, u)
     (t0, t1, t2), (u0, u1, u2) = edge_tangent, u
     v0, v1, v2 = v = (t0 + d * u0, t1 + d * u1, t2 + d * u2)
-    norm = math.sqrt(max(_fdot(v, v), 1e-300))
+    square = _fdot(v, v)
+    if square <= 0.0:
+        raise InvalidParameters(f"edge direction {v} is not spacelike")
+    norm = math.sqrt(square)
     return v0 / norm, v1 / norm, v2 / norm
 
 
@@ -146,8 +167,13 @@ def _rest_norm(v, u) -> float:
 
 
 def _speed(edge_tangent) -> float:
-    """Norm of the edge tangent: the proper-time rate of the endpoint."""
-    return math.sqrt(max(_fdot(edge_tangent, edge_tangent), 1e-300))
+    """Norm of the edge tangent: the proper-time rate of the endpoint.  A tangent that is not
+    spacelike by ``EDGE_MARGIN`` is an end the sheet no longer resolves: EndpointCollision."""
+    square = _fdot(edge_tangent, edge_tangent)
+    if square <= EDGE_MARGIN * edge_tangent[0] ** 2:
+        raise EndpointCollision(f"an end's edge tangent {edge_tangent} is not spacelike "
+                                f"by the margin (T.T = {square:.3e})")
+    return math.sqrt(square)
 
 
 def _outward_tangent(a, b, c, dsigma: float) -> tuple:
@@ -235,21 +261,29 @@ def constraint_norms(state: StringState) -> tuple[float, float]:
     return _constraint_norms(state.positions, state.velocities, state.dsigma)
 
 
-def _constraint_norms(pos: Array, vel: Array, dsigma: float) -> tuple[float, float]:
-    """``constraint_norms`` on raw arrays: the products of the contiguous (M-2, N) rows,
-    their columns summed in ``_fdot``'s order, as abs drops a zero's sign."""
-    xp = pos[2:] - pos[:-2]
+def _gate_rows(m: int, n: int) -> tuple:
+    """Scratch rows of ``_constraint_norms`` for (M, N) arrays: (xp, products, their sums)."""
+    return np.empty((m - 2, n)), np.empty((3, m - 2, n)), np.empty((3, m - 2))
+
+
+def _constraint_norms(pos: Array, vel: Array, dsigma: float, rows: tuple | None = None
+                      ) -> tuple[float, float]:
+    """``constraint_norms`` on raw arrays, in ``rows`` (``_gate_rows``) when given: the
+    products of the contiguous (M-2, N) rows, their columns summed in ``_fdot``'s order, as
+    abs drops a zero's sign."""
+    xp, prods, sums = rows or _gate_rows(*pos.shape)
+    np.subtract(pos[2:], pos[:-2], out=xp)
     xp /= 2.0 * dsigma
     xd = vel[1:-1]
-    prods = np.empty((3, *xd.shape))
     for out, a, b in zip(prods, (xd, xd, xp), (xp, xd, xp)):
         np.multiply(a, b, out=out)
     total = prods[..., 1]
     for j in range(2, prods.shape[-1]):
-        total = total + prods[..., j]
+        total = np.add(total, prods[..., j], out=sums)
     diff = np.subtract(total, prods[..., 0], out=total)  # rows: mixed, xd2, xp2
     diff[1] += diff[2]
-    return tuple(np.abs(diff[:2]).max(axis=1).tolist())
+    norms = diff[:2]
+    return tuple(np.abs(norms, out=norms).max(axis=1).tolist())
 
 
 def _end_position(x0, u0, tangent, speed: float, accel: float, dt: float) -> tuple:
@@ -273,11 +307,15 @@ def _end_position(x0, u0, tangent, speed: float, accel: float, dt: float) -> tup
 
 
 def _advance_end(x0, u0, tau0: float, tangent, accel: float, dt: float) -> tuple:
-    """(X, u renormalized, tau) of one endpoint after one step (``_end_position``)."""
+    """(X, u renormalized, tau) of one endpoint after one step (``_end_position``); an end whose
+    proper time would not advance raises EndpointCollision."""
     x, dtau, w, sinh, (e0, e1, e2) = _end_position(x0, u0, tangent, _speed(tangent), accel, dt)
+    tau = tau0 + dtau
+    if tau == tau0:
+        raise EndpointCollision(f"an end's proper time {tau0!r} no longer advances")
     cosh, (a0, a1, a2) = math.cosh(w), u0
     u = _unit_timelike((cosh * a0 - sinh * e0, cosh * a1 - sinh * e1, cosh * a2 - sinh * e2))
-    return x, u, tau0 + dtau
+    return x, u, tau
 
 
 def _end_facts(rows: list, dsigma: float) -> tuple[list, tuple, float]:
@@ -286,15 +324,26 @@ def _end_facts(rows: list, dsigma: float) -> tuple[list, tuple, float]:
     return rows, tangent, _speed(tangent)
 
 
-def _half_kick(pos: Array, dsigma: float, dt: float) -> Array:
-    """Half a leapfrog kick of the interior at ``pos``: dt/2 times the Laplacian there."""
-    return 0.5 * dt * ((pos[2:] - 2.0 * pos[1:-1] + pos[:-2]) / (dsigma * dsigma))
+def _half_kick(pos: Array, dsigma: float, dt: float, out: Array) -> Array:
+    """Half a leapfrog kick of the interior at ``pos``, formed in ``out``: dt/2 times the
+    Laplacian there, 0.5 * dt * ((pos[2:] - 2.0 * pos[1:-1] + pos[:-2]) / dsigma^2) in order."""
+    np.multiply(pos[1:-1], 2.0, out=out)
+    np.subtract(pos[2:], out, out=out)
+    np.add(out, pos[:-2], out=out)
+    np.divide(out, dsigma * dsigma, out=out)
+    return np.multiply(out, 0.5 * dt, out=out)
 
 
 def _carry(pos: Array, dsigma: float, dt: float) -> tuple:
-    """What a step reads at ``pos`` besides it: (``_half_kick``, each end's ``_end_facts``)."""
-    return (_half_kick(pos, dsigma, dt),
+    """What a step reads at ``pos`` besides it: (``_half_kick``, each end's ``_end_facts``).
+    The kick is a new array, which each step of a run overwrites with the next one."""
+    return (_half_kick(pos, dsigma, dt, np.empty_like(pos[1:-1])),
             (_end_facts(pos[:3].tolist(), dsigma), _end_facts(pos[:-4:-1].tolist(), dsigma)))
+
+
+def _scratch_rows(pos: Array) -> tuple:
+    """The scratch rows of ``_advance`` at ``pos``'s shape: (half velocities, ``_gate_rows``)."""
+    return np.empty_like(pos[1:-1]), _gate_rows(*pos.shape)
 
 
 def _step_end(facts: tuple, inner: list, start: tuple, accel: float, dt: float,
@@ -322,41 +371,47 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
 
     Steps dt = ``config.dt_fraction`` * dsigma.  Raises ConstraintBlowup when the
     gauge constraints exceed 100x the configured tolerance or are not finite (a NaN
-    state), and EndpointCollision when the endpoint separation falls below grid resolution.
-    Positions and velocities other than (M, 3), 2+1 dimensions, raise InvalidParameters.
+    state), and EndpointCollision when the endpoint separation falls below grid resolution
+    or an end is no longer resolved (its edge tangent is not spacelike by ``EDGE_MARGIN``,
+    or its proper time would not advance).  Positions and velocities other than (M, 3),
+    2+1 dimensions, raise InvalidParameters.
     """
     if state.positions.shape[1:] != (3,) or state.velocities.shape != state.positions.shape:
         raise InvalidParameters("string positions and velocities must be (M, 3)")
     starts = [(ep.four_velocity.tolist(), ep.proper_time) for ep in state.endpoints]
+    pos = state.positions
     time, pos, vel, ends, mids, _ = _advance(
-        state.time, state.positions, state.velocities, starts,
-        _carry(state.positions, state.dsigma, config.dt_fraction * state.dsigma), state, config)
+        state.time, pos, state.velocities, starts,
+        _carry(pos, state.dsigma, config.dt_fraction * state.dsigma), _scratch_rows(pos),
+        state, config)
     return _string_state(state, time, pos, vel, ends, starts, mids)
 
 
-def _advance(time: float, pos: Array, vel: Array, starts: list, carry: tuple,
+def _advance(time: float, pos: Array, vel: Array, starts: list, carry: tuple, rows: tuple,
              like: StringState, config: SimulationConfig) -> tuple:
-    """``step`` on raw values and ``like``'s constants, from the ``_carry`` of ``pos``: (time,
-    positions, velocities, each end's (u, tau), midpoint tangents, ``_carry``) after it."""
+    """``step`` on raw values and ``like``'s constants, from the ``_carry`` of ``pos``, in
+    ``_scratch_rows``: (time, positions, velocities, each end's (u, tau), midpoint tangents,
+    ``_carry``) after it.  The carried kick's array holds the new kick."""
     dsigma, tensions = like.dsigma, like.tensions
     dt = config.dt_fraction * dsigma
-    kick, facts = carry
+    (kick, facts), (v_half, gate) = carry, rows
     accels = (tensions.mu0 / tensions.mub_left, tensions.mu0 / tensions.mub_right)
-    v_half = vel[1:-1] + kick
+    np.add(vel[1:-1], kick, out=v_half)
     new_pos = np.empty_like(pos)
-    np.add(pos[1:-1], dt * v_half, out=new_pos[1:-1])
+    interior = np.multiply(v_half, dt, out=new_pos[1:-1])
+    np.add(pos[1:-1], interior, out=interior)
     xl, end_l, mid_l, facts_l = _step_end(facts[0], new_pos[1:3].tolist(), starts[0],
                                           accels[0], dt, dsigma)
     xr, end_r, mid_r, facts_r = _step_end(facts[1], new_pos[-2:-4:-1].tolist(), starts[1],
                                           accels[1], dt, dsigma)
     new_pos[0], new_pos[-1] = xl, xr
-    new_kick = _half_kick(new_pos, dsigma, dt)
+    _half_kick(new_pos, dsigma, dt, kick)
     new_vel = np.empty_like(vel)
-    np.add(v_half, new_kick, out=new_vel[1:-1])
+    np.add(v_half, kick, out=new_vel[1:-1])
     new_vel[0] = [c * facts_l[2] for c in end_l[0]]  # u times the new speed
     new_vel[-1] = [c * facts_r[2] for c in end_r[0]]
     time += dt
-    c1, c2 = _constraint_norms(new_pos, new_vel, dsigma)
+    c1, c2 = _constraint_norms(new_pos, new_vel, dsigma, gate)
     limit = 100.0 * config.constraint_tol
     if not (c1 <= limit and c2 <= limit):  # also true for NaN
         raise ConstraintBlowup(
@@ -365,7 +420,7 @@ def _advance(time: float, pos: Array, vel: Array, starts: list, carry: tuple,
     if sep < like.collision_threshold:
         raise EndpointCollision(
             f"endpoints within grid resolution ({sep:.3e}) at t={time:.4f}")
-    return time, new_pos, new_vel, (end_l, end_r), (mid_l, mid_r), (new_kick, (facts_l, facts_r))
+    return time, new_pos, new_vel, (end_l, end_r), (mid_l, mid_r), (kick, (facts_l, facts_r))
 
 
 @dataclass
@@ -382,10 +437,12 @@ def evolve(config: SimulationConfig) -> Trajectory:
     """Run a simulation to its duration or a physical terminal event.
 
     Deterministic for a given config, and equal to a loop of ``step`` calls: it runs
-    ``_advance`` on raw values, each step taking over what the step before computed,
-    and stores a ``StringState`` every ``output_stride`` steps plus the final one.  A
-    collision is a physical termination and is reported through ``terminal_event``;
-    constraint blowup propagates as an exception carrying the partial trajectory.
+    ``_advance`` on raw values and one set of scratch rows, each step taking over what
+    the step before computed, and stores a ``StringState`` every ``output_stride`` steps
+    plus the final one.  A collision, or an end the sheet no longer resolves, is a
+    physical termination reported through ``terminal_event``, the last stored state being
+    the last resolved step; constraint blowup propagates as an exception carrying the
+    partial trajectory.
     """
     state = initial_state_from_config(config)
     dt = config.dt_fraction * state.dsigma
@@ -393,11 +450,11 @@ def evolve(config: SimulationConfig) -> Trajectory:
     snapshots, event = [state], "duration"
     time, pos, vel = state.time, state.positions, state.velocities
     ends = [(ep.four_velocity.tolist(), ep.proper_time) for ep in state.endpoints]
-    starts, mids, carry = ends, [], _carry(pos, state.dsigma, dt)
+    starts, mids, carry, rows = ends, [], _carry(pos, state.dsigma, dt), _scratch_rows(pos)
     for k in range(n_steps):
         try:
             time, pos, vel, new_ends, mids, carry = _advance(
-                time, pos, vel, ends, carry, state, config)
+                time, pos, vel, ends, carry, rows, state, config)
         except EndpointCollision:
             event = "endpoint_collision"
             break

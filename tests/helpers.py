@@ -192,6 +192,36 @@ def csv_writer_trajectory(snapshots, float_fmt):
     return buf.getvalue().encode("utf-8")
 
 
+# Reference oracle for ``endpoints.csv`` and ``diagnostics.csv``: one
+# ``csv.writer.writerow`` per row of cells, each number formatted per cell.
+# ``worldsheet.cli`` formats each snapshot's rows with one ``%`` instead.
+
+
+def csv_writer_bytes(header, rows, float_fmt):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else float_fmt % float(c) for c in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def endpoint_cells(snapshots):
+    return [[s.time, name, *x, *ep.four_velocity, ep.proper_time]
+            for s in snapshots
+            for name, x, ep in zip(("left", "right"), s.positions[[0, -1]], s.endpoints)]
+
+
+def diagnostics_cells(snapshots, diagnostics):
+    rows = []
+    for s in snapshots:
+        d = diagnostics(s)
+        acc = [np.nan if e.acceleration_magnitude is None else e.acceleration_magnitude
+               for e in d.endpoints]
+        rows.append([s.time, *d.constraint_norms, d.total_energy, d.angular_momentum, *acc])
+    return rows
+
+
 # A curved background with closed forms: the round S^3 of radius a in
 # coordinates (chi, theta, phi), metric a^2 (dchi^2 + sin^2 chi dOmega^2), and
 # the sphere chi = chi0 inside it, with coordinates (theta, phi).  Every

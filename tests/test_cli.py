@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from worldsheet import cli
 from worldsheet.cli import FLOAT_FMT, _scan_point_hole, _trajectory_rows, _write_csv, main
-from worldsheet.dynamics import SimulationConfig, evolve
+from worldsheet.dynamics import SimulationConfig, diagnostics, evolve
 from worldsheet.errors import InconsistentGeometry, WorldsheetError
 
-from helpers import csv_writer_trajectory
+from helpers import csv_writer_bytes, csv_writer_trajectory, diagnostics_cells, endpoint_cells
 
 
 def write_json(path, payload):
@@ -164,6 +165,56 @@ class TestEvolve:
         path = tmp_path / "trajectory.csv"
         _write_csv(path, ["t", "node", "x0", "x1", "x2"], _trajectory_rows(snapshots))
         assert path.read_bytes() == csv_writer_trajectory(snapshots, FLOAT_FMT)
+
+    @pytest.mark.parametrize("config", [
+        dict(EVOLVE_CONFIG, output_stride=1),
+        dict(EVOLVE_CONFIG, duration=10.0, grid_points=32, output_stride=5),
+        dict(EVOLVE_CONFIG, initial_data={"id": "rotating", "mu0": 1.0, "mub": 3.0,
+                                          "radius": 1.0},
+             duration=1.0, output_stride=7),
+    ], ids=["collapse_stride_1", "collision", "rotating"])
+    def test_endpoint_and_diagnostics_bytes_equal_the_csv_writer_oracle(self, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, config)
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        sim = SimulationConfig(**{k: v for k, v in config.items() if k != "schema_version"})
+        snapshots = evolve(sim).snapshots
+        for name, rows in (("endpoints.csv", endpoint_cells(snapshots)),
+                           ("diagnostics.csv", diagnostics_cells(snapshots, diagnostics))):
+            text = (out / name).read_bytes()
+            header = text.split(b"\n", 1)[0].decode().split(",")
+            assert text == csv_writer_bytes(header, rows, FLOAT_FMT)
+
+    def test_endpoint_and_diagnostics_bytes_equal_the_csv_writer_oracle_on_edge_values(
+            self, tmp_path, monkeypatch):
+        # one % per snapshot's end rows and per diagnostics row, on every kind of float:
+        # a first snapshot's nan accelerations, +-0.0 and exponents beyond +-99
+        edge = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e+300, -5e-324, 0.1, 12.0, 1e-150]
+        snapshots = []
+        for k, (t, sign) in enumerate(((0.0, 1.0), (-0.0, -1.0), (1e+300, 1.0), (np.nan, -1.0))):
+            v = [sign * x for x in np.roll(edge, k)]
+            ends = (SimpleNamespace(four_velocity=np.array(v[:3]), proper_time=v[3]),
+                    SimpleNamespace(four_velocity=np.array(v[4:7]), proper_time=v[7]))
+            positions = np.array([v[8], v[9], v[0], v[1], v[2], v[3], v[4], v[5], v[6]])
+            snapshots.append(SimpleNamespace(time=t, positions=positions.reshape(3, 3),
+                                             endpoints=ends))
+        records = {id(s): SimpleNamespace(
+            constraint_norms=(s.positions[0, 0], s.positions[1, 1]),
+            total_energy=s.positions[2, 2], angular_momentum=-s.positions[0, 1],
+            endpoints=(SimpleNamespace(acceleration_magnitude=None if k == 0 else s.time),
+                       SimpleNamespace(acceleration_magnitude=None if k == 0 else -0.0)))
+            for k, s in enumerate(snapshots)}
+        monkeypatch.setattr(cli, "diagnostics", lambda s: records[id(s)])
+        header = ["t", "side", "x0", "x1", "x2", "u0", "u1", "u2", "proper_time"]
+        path = tmp_path / "endpoints.csv"
+        _write_csv(path, header, cli._endpoint_rows(snapshots))
+        assert path.read_bytes() == csv_writer_bytes(header, endpoint_cells(snapshots), FLOAT_FMT)
+        header = ["t", "constraint_mixed", "constraint_norm", "energy", "angular_momentum",
+                  "acc_left", "acc_right"]
+        _write_csv(path, header, cli._diagnostics_rows(snapshots))
+        assert path.read_bytes() == csv_writer_bytes(
+            header, diagnostics_cells(snapshots, cli.diagnostics), FLOAT_FMT)
 
     def test_main_builds_one_parser_per_process(self, tmp_path):
         import worldsheet.cli as cli

@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -488,15 +490,19 @@ def test_evolve_equals_a_loop_of_public_steps_bitwise_property(initial, m, steps
 
 @st.composite
 def endpoint_pairs(draw):
-    """Both ends of a string in 2+1 dimensions: timelike u, any edge tangent."""
+    """Both ends of a string in 2+1 dimensions: timelike u, spacelike edge tangents."""
 
     def rows(lo, hi):
         return np.array([[draw(st.floats(lo, hi)) for _ in range(3)] for _ in range(2)])
 
     u0 = rows(-0.45, 0.45)  # |v|^2 < 0.41 for the 2 spatial components
     u0[:, 0] = 1.0
+    tangents = rows(-3.0, 3.0)  # time components within 0.95 of the spatial norm
+    spatial = np.hypot(tangents[:, 1], tangents[:, 2])
+    assume(np.all(spatial >= 0.01))
+    tangents[:, 0] = np.clip(tangents[:, 0], -0.95 * spatial, 0.95 * spatial)
     return dict(x0=rows(-10.0, 10.0), u0=batched_normalize_timelike(u0),
-                tangents=rows(-3.0, 3.0),
+                tangents=tangents,
                 tau0=np.array([draw(st.floats(0.0, 100.0)) for _ in range(2)]),
                 accels=np.array([draw(st.floats(0.0, 3.0)) for _ in range(2)]),
                 dt=draw(st.floats(1e-4, 0.05)))
@@ -571,3 +577,86 @@ def test_constraint_norms_equal_batched_products_bitwise_property(m, n, dsigma, 
     ref = (np.max(np.abs(batched_mdot(xd, xp))),
            np.max(np.abs(batched_mdot(xd, xd) + batched_mdot(xp, xp))))
     assert np.array(constraint_norms(state)).tobytes() == np.array(ref).tobytes()
+
+
+def test_an_unresolved_end_is_a_typed_outcome_not_a_clamp():
+    # an edge tangent that is not spacelike by the margin, or an end whose proper time
+    # would not advance, ends the step; no Minkowski square is clamped
+    for tangent in ((1.0, 1.0, 0.0), (2.0, 1.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0 + 1e-9, 0.0)):
+        with pytest.raises(EndpointCollision):
+            dynamics._speed(tangent)
+    assert dynamics._speed((0.0, 3.0, 4.0)) == 5.0
+    assert dynamics._speed((1.0, 1.0 + 1e-6, 0.0)) == pytest.approx(math.sqrt(2e-6))
+    assert math.isnan(dynamics._speed((0.0, math.nan, 0.0)))  # NaN goes on to the gate
+    u0 = (1.0, 0.0, 0.0)
+    with pytest.raises(EndpointCollision):
+        dynamics._advance_end((0.0, 1.0, 0.0), u0, 1e300, (0.0, 1.0, 0.0), 1.0, 0.01)
+    with pytest.raises(InvalidParameters):
+        dynamics._unit_timelike((1.0, 1.0, 0.0))
+    with pytest.raises(InvalidParameters):
+        dynamics._eta((0.0, 0.0, 0.0), u0)
+
+
+@pytest.mark.parametrize("grid_points, initial, stride", [
+    (100, COLLAPSE, 1),
+    (200, dict(COLLAPSE, mub_left=0.7, mub_right=1.4), 100),
+], ids=["collapse_M100", "unequal_M200"])
+def test_collapse_ends_at_its_last_resolved_step(grid_points, initial, stride):
+    # the edge tangent loses its spacelike norm before the ends reach the collision
+    # threshold; the run ends there, and every snapshot's diagnostics are finite numbers
+    cfg = SimulationConfig(initial_data=initial, duration=10.0, grid_points=grid_points,
+                           output_stride=stride,
+                           constraint_tol=2e-3 if stride == 1 else 1e-4)
+    traj = evolve(cfg)
+    assert traj.terminal_event == "endpoint_collision"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = [diagnostics(s) for s in traj.snapshots]
+    for s, d in zip(traj.snapshots, records):
+        values = [*d.constraint_norms, d.total_energy, d.angular_momentum]
+        values += [e.acceleration_magnitude for e in d.endpoints if s is not traj.snapshots[0]]
+        assert all(math.isfinite(v) for v in values)
+        for rows in (s.positions[:3], s.positions[:-4:-1]):
+            dynamics._speed(dynamics._outward_tangent(*rows.tolist(), s.dsigma))
+    for side in (0, 1):
+        taus = [s.endpoints[side].proper_time for s in traj.snapshots]
+        assert all(a < b for a, b in zip(taus, taus[1:]))
+    t_end = traj.final.positions[[0, -1], 0]
+    assert np.all(np.abs(t_end - collision_time(1.0, 1.0)) < 0.02 * collision_time(1.0, 1.0))
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for v in value for a in _arrays(v)] if isinstance(value, (tuple, list)) else []
+
+
+@pytest.mark.parametrize("initial", [COLLAPSE, ROTATING], ids=["collapsing", "rotating"])
+def test_evolve_snapshots_own_their_arrays(monkeypatch, initial):
+    # one set of scratch rows per run; a snapshot's positions and velocities are its own
+    made = []
+    for name in ("_scratch_rows", "_carry"):
+        def spy(*args, original=getattr(dynamics, name)):
+            made.append(original(*args))
+            return made[-1]
+        monkeypatch.setattr(dynamics, name, spy)
+    traj = evolve(SimulationConfig(initial_data=initial, duration=0.5, grid_points=32,
+                                   output_stride=2, constraint_tol=2e-3))
+    assert len(made) == 2 and len(traj.snapshots) > 5
+    scratch = _arrays(made)
+    owned = [a for s in traj.snapshots for a in (s.positions, s.velocities)]
+    for i, a in enumerate(owned):
+        assert not any(np.shares_memory(a, b) for b in owned[i + 1:] + scratch)
+
+
+def test_a_second_evolve_leaves_the_first_trajectory_unchanged():
+    cfg = collapse_config(grid_points=32, output_stride=3)
+    first = evolve(cfg)
+    before = [copy.deepcopy(_state_values(s)) for s in first.snapshots]
+    second = evolve(cfg)
+    for old, snap, again in zip(before, first.snapshots, second.snapshots, strict=True):
+        for a, b, c in zip(old, _state_values(snap), _state_values(again), strict=True):
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes() == c.tobytes()
+            else:
+                assert a == b == c

@@ -17,7 +17,7 @@ def test_ladder_times_every_kernel_in_both_versions(capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split()[0] == "kernel"
     assert [row.split()[0] for row in rows] == [
-        "dynamics.step", "dynamics.evolve", "position", "frame", "normal_frame",
+        "dynamics.step", "constraint_norms", "dynamics.evolve", "position", "frame", "normal_frame",
         "extrinsic_curvature", "boundary_data", "_frame_at", "displaced", "first_variation_fd",
         "evaluate_entry", "evaluate_entry"]
     for row in rows:

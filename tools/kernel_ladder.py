@@ -11,9 +11,10 @@ with ``git archive``) or a directory that holds ``worldsheet/``, such as the
 ``worldsheet_base`` beside the working tree's ``worldsheet``; the package
 imports itself only relatively, so the two never mix.
 
-The kernels are ``dynamics.step`` on the rotating string at M grid points, one
-step of ``dynamics.evolve`` on the same string (its loop, where a step takes
-over what the previous one computed), ``position``, ``frame``,
+The kernels are ``dynamics.step`` on the rotating string at M grid points, the
+gauge-constraint norms ``dynamics.constraint_norms`` of that string (the gate
+every step runs), one step of ``dynamics.evolve`` on the same string (its loop,
+where a step takes over what the previous one computed), ``position``, ``frame``,
 ``normal_frame``, ``extrinsic_curvature`` and ``boundary_data`` on the catalog
 helicoid at each batch size, the checked evaluation ``geometry._frame_at`` of
 the helicoid at 4096 points, the ``position`` of a displaced helicoid map of
@@ -88,6 +89,7 @@ def kernels(pkg: str, grid_points: int, batches: list[int]) -> dict[str, tuple]:
         initial_data=rotating, grid_points=grid_points, output_stride=steps,
         duration=steps * config.dt_fraction * state.dsigma)
     calls = {f"dynamics.step M={grid_points}": (lambda: dynamics.step(state, config), 1),
+             f"constraint_norms M={grid_points}": (lambda: dynamics.constraint_norms(state), 1),
              f"dynamics.evolve M={grid_points}, per step": (lambda: dynamics.evolve(run), steps)}
 
     entry = catalog.helicoid(0.5, 1.0)

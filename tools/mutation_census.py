@@ -166,8 +166,8 @@ MUTANTS = {
             "drops the width check of edge-dependent limits in `_bulk_grid`"),
     "M53": ("src/worldsheet/dynamics.py",
             "    new_pos[0], new_pos[-1] = xl, xr\n"
-            "    new_kick = _half_kick(new_pos, dsigma, dt)\n",
-            "    new_kick = _half_kick(new_pos, dsigma, dt)\n"
+            "    _half_kick(new_pos, dsigma, dt, kick)\n",
+            "    _half_kick(new_pos, dsigma, dt, kick)\n"
             "    new_pos[0], new_pos[-1] = xl, xr\n",
             "carries the half kick of the end rows before the corrector writes them"),
     "M54": ("src/worldsheet/dynamics.py",
@@ -237,6 +237,26 @@ MUTANTS = {
             "_smooth_ramp(np.minimum(4.0 * s, 4.0 * (1.0 - s)))",
             "_smooth_ramp(4.0 * s)",
             "windows a deformation at the lower cap only"),
+    "M70": ("src/worldsheet/dynamics.py",
+            "np.add(vel[1:-1], kick, out=v_half)",
+            "v_half = np.add(vel[1:-1], kick, out=kick)",
+            "forms the half velocities in the carried kick's row, which the new kick overwrites"),
+    "M71": ("src/worldsheet/cli.py",
+            'for side in ("left", "right")',
+            'for side in ("right", "left")',
+            "swaps the sides of the `endpoints.csv` row template"),
+    "M72": ("src/worldsheet/dynamics.py",
+            "    if square <= EDGE_MARGIN * edge_tangent[0] ** 2:\n"
+            "        raise EndpointCollision("
+            "f\"an end's edge tangent {edge_tangent} is not spacelike \"\n"
+            "                                f\"by the margin (T.T = {square:.3e})\")\n"
+            "    return math.sqrt(square)\n",
+            "    return math.sqrt(max(square, 1e-300))\n",
+            "restores the clamp of the edge tangent's Minkowski square in `_speed`"),
+    "M73": ("src/worldsheet/dynamics.py",
+            "if tau == tau0:",
+            "if False:",
+            "lets an end whose proper time no longer advances step on"),
 }
 
 
