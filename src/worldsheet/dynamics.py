@@ -13,14 +13,23 @@ moves on an exact hyperbola, taken in closed form by one float kernel per end,
 with it, then the new tangent and its speed.  ``evolve`` loops ``_advance`` on
 raw (M, 3) arrays and 3-vectors (t, x, y), hands each step the half kick, edge
 rows, tangents and speeds the step before computed, and builds a ``StringState``
-only to store it; ``step`` wraps the same kernel.  A step writes every array it
-does not return into ``_scratch_rows``, which ``evolve`` allocates once per run
-and ``step`` once per call: the half velocities and the constraint gate's rows;
-and it forms the new half kick in the carried one's array, once the half
-velocities have read the old kick.  Its new positions and velocities are fresh
-arrays, since a stored snapshot owns them.  The float kernels unpack their
-3-vectors and keep numpy's operation order, so they match array forms of the
-same formulas to the bit.
+only to store it; ``step`` wraps the same kernel.  A step writes its new
+positions, velocities and time into a row of ``_scratch_rows``, which ``evolve``
+allocates once per run and ``step`` once per call, with the half velocities and
+the constraint gate's rows; it forms the new half kick in the carried one's
+array, once the half velocities have read the old kick.  The float kernels
+unpack their 3-vectors and keep numpy's operation order, so they match array
+forms of the same formulas to the bit.
+
+The gauge-constraint gate runs over a block of steps at once: in ``evolve`` when
+the block holds ``GATE_NODES`` nodes (16 steps at M = 200), before a snapshot is
+stored, after the last step, and before an exception a step raised propagates;
+``step`` is a block of one.  Each element goes through the same ufuncs in the
+same order and the max over nodes is exact, so every step's norms, and which step
+fails first, are those of a gate after each step.  The earliest failing step's
+ConstraintBlowup wins over anything a later step raised, and at one step the gate
+decides before the separation check.  A stored snapshot copies its rows, so it
+owns its arrays and never comes from a step the gate has not passed.
 
 An end is resolved while its edge tangent T is spacelike by a margin, T.T >
 EDGE_MARGIN (T^0)^2, and its proper time advances.  A step at which either fails
@@ -45,6 +54,7 @@ Array = np.ndarray
 
 MIN_GRID_POINTS = 16
 EDGE_MARGIN = 2.0 ** -26  # an edge tangent T with T.T at most this times T^0 squared: unresolved
+GATE_NODES = 3200  # the nodes of the steps that ``evolve`` gates at once: 16 steps at M = 200
 
 
 def rotating_orbit_omega(mu0: float, mub: float, radius: float) -> float:
@@ -258,19 +268,24 @@ def initial_state_from_config(config: SimulationConfig) -> StringState:
 
 def constraint_norms(state: StringState) -> tuple[float, float]:
     """Max interior-node violations of the orthonormal-gauge constraints."""
-    return _constraint_norms(state.positions, state.velocities, state.dsigma)
+    return tuple(_constraint_norms(state.positions, state.velocities, state.dsigma).tolist())
 
 
-def _gate_rows(m: int, n: int) -> tuple:
-    """Scratch rows of ``_constraint_norms`` for (M, N) arrays: (xp, products, their sums)."""
-    return np.empty((m - 2, n)), np.empty((3, m - 2, n)), np.empty((3, m - 2))
+def _gate_rows(m: int, n: int, steps: int | None = None) -> tuple:
+    """Scratch rows of ``_constraint_norms`` for one (M, N) state, or for ``steps`` of them as
+    (M, steps, N) views whose rows of one state are contiguous: (xp, products, their sums)."""
+    if steps is None:
+        return np.empty((m - 2, n)), np.empty((3, m - 2, n)), np.empty((3, m - 2))
+    xp, prods, sums = (np.empty((steps, m - 2, n)), np.empty((steps, 3, m - 2, n)),
+                       np.empty((steps, 3, m - 2)))
+    return xp.transpose(1, 0, 2), prods.transpose(1, 2, 0, 3), sums.transpose(1, 2, 0)
 
 
 def _constraint_norms(pos: Array, vel: Array, dsigma: float, rows: tuple | None = None
-                      ) -> tuple[float, float]:
-    """``constraint_norms`` on raw arrays, in ``rows`` (``_gate_rows``) when given: the
-    products of the contiguous (M-2, N) rows, their columns summed in ``_fdot``'s order, as
-    abs drops a zero's sign."""
+                      ) -> Array:
+    """``constraint_norms`` of one (M, N) state, or of each state of (M, S, N) arrays as a
+    (2, S) array, in ``rows`` (``_gate_rows``) when given: the products of the contiguous
+    (M-2, N) rows, their columns summed in ``_fdot``'s order, as abs drops a zero's sign."""
     xp, prods, sums = rows or _gate_rows(*pos.shape)
     np.subtract(pos[2:], pos[:-2], out=xp)
     xp /= 2.0 * dsigma
@@ -283,7 +298,34 @@ def _constraint_norms(pos: Array, vel: Array, dsigma: float, rows: tuple | None 
     diff = np.subtract(total, prods[..., 0], out=total)  # rows: mixed, xd2, xp2
     diff[1] += diff[2]
     norms = diff[:2]
-    return tuple(np.abs(norms, out=norms).max(axis=1).tolist())
+    return np.abs(norms, out=norms).max(axis=1)
+
+
+def _gate(rows: tuple, start: int, stop: int, dsigma: float, config: SimulationConfig) -> None:
+    """The constraint gate of the steps in rows ``start:stop`` of ``_scratch_rows``: raises
+    ConstraintBlowup at the earliest whose norms exceed 100x ``constraint_tol`` or are not
+    finite.  One step goes as its (M, N) rows, which numpy iterates with less overhead than
+    the (M, S, N) views of several."""
+    if stop == start:
+        return
+    positions, velocities, times, _, (xp, prods, sums), views = rows
+    args = views.get((start, stop))
+    if args is None:
+        if stop - start == 1:
+            args = (positions[start], velocities[start], dsigma,
+                    (xp[:, 0], prods[:, :, 0], sums[:, :, 0]))
+        else:
+            n = stop - start
+            args = (positions[start:stop].swapaxes(0, 1), velocities[start:stop].swapaxes(0, 1),
+                    dsigma, (xp[:, :n], prods[:, :, :n], sums[:, :, :n]))
+        views[start, stop] = args
+    c1s, c2s = _constraint_norms(*args).reshape(2, -1).tolist()
+    limit = 100.0 * config.constraint_tol
+    for k, c1 in enumerate(c1s):
+        c2 = c2s[k]
+        if not (c1 <= limit and c2 <= limit):  # also true for NaN
+            raise ConstraintBlowup(
+                f"gauge constraints blew up: ({c1:.3e}, {c2:.3e}) at t={times[start + k]:.4f}")
 
 
 def _end_position(x0, u0, tangent, speed: float, accel: float, dt: float) -> tuple:
@@ -341,9 +383,12 @@ def _carry(pos: Array, dsigma: float, dt: float) -> tuple:
             (_end_facts(pos[:3].tolist(), dsigma), _end_facts(pos[:-4:-1].tolist(), dsigma)))
 
 
-def _scratch_rows(pos: Array) -> tuple:
-    """The scratch rows of ``_advance`` at ``pos``'s shape: (half velocities, ``_gate_rows``)."""
-    return np.empty_like(pos[1:-1]), _gate_rows(*pos.shape)
+def _scratch_rows(pos: Array, steps: int) -> tuple:
+    """The rows of ``steps`` steps of ``_advance`` at ``pos``'s shape: (positions, velocities,
+    times, half velocities, ``_gate_rows``, ``_gate``'s views of them by (start, stop))."""
+    m, n = pos.shape
+    return (np.empty((steps, m, n)), np.empty((steps, m, n)), [0.0] * steps,
+            np.empty_like(pos[1:-1]), _gate_rows(m, n, steps), {})
 
 
 def _step_end(facts: tuple, inner: list, start: tuple, accel: float, dt: float,
@@ -360,8 +405,10 @@ def _step_end(facts: tuple, inner: list, start: tuple, accel: float, dt: float,
 def _string_state(like: StringState, time: float, pos: Array, vel: Array, ends: list,
                   starts: list, mids: list) -> StringState:
     """``like``'s string at ``_advance``'s raw values, with ``starts`` as the ends' history."""
-    endpoints = tuple(EndpointState(np.array(u), tau, np.array(u0), tau0, np.array(mid))
-                      for (u, tau), (u0, tau0), mid in zip(ends, starts, mids))
+    ((u_l, tau_l), (u_r, tau_r)), ((u0_l, tau0_l), (u0_r, tau0_r)), (mid_l, mid_r) = (
+        ends, starts, mids)
+    endpoints = (EndpointState(np.array(u_l), tau_l, np.array(u0_l), tau0_l, np.array(mid_l)),
+                 EndpointState(np.array(u_r), tau_r, np.array(u0_r), tau0_r, np.array(mid_r)))
     return StringState(time, pos, vel, endpoints, like.tensions, like.dsigma,
                        like.collision_threshold)
 
@@ -373,31 +420,35 @@ def step(state: StringState, config: SimulationConfig) -> StringState:
     gauge constraints exceed 100x the configured tolerance or are not finite (a NaN
     state), and EndpointCollision when the endpoint separation falls below grid resolution
     or an end is no longer resolved (its edge tangent is not spacelike by ``EDGE_MARGIN``,
-    or its proper time would not advance).  Positions and velocities other than (M, 3),
-    2+1 dimensions, raise InvalidParameters.
+    or its proper time would not advance).  The gate is ``evolve``'s over a block of one
+    step, and it decides before the separation check.  Positions and velocities other than
+    (M, 3), 2+1 dimensions, raise InvalidParameters.
     """
     if state.positions.shape[1:] != (3,) or state.velocities.shape != state.positions.shape:
         raise InvalidParameters("string positions and velocities must be (M, 3)")
     starts = [(ep.four_velocity.tolist(), ep.proper_time) for ep in state.endpoints]
-    pos = state.positions
-    time, pos, vel, ends, mids, _ = _advance(
+    pos, rows = state.positions, _scratch_rows(state.positions, 1)
+    time, pos, vel, ends, mids, _, sep = _advance(
         state.time, pos, state.velocities, starts,
-        _carry(pos, state.dsigma, config.dt_fraction * state.dsigma), _scratch_rows(pos),
-        state, config)
+        _carry(pos, state.dsigma, config.dt_fraction * state.dsigma), rows, 0, state, config)
+    _gate(rows, 0, 1, state.dsigma, config)
+    _check_separation(sep, state, time)
     return _string_state(state, time, pos, vel, ends, starts, mids)
 
 
 def _advance(time: float, pos: Array, vel: Array, starts: list, carry: tuple, rows: tuple,
-             like: StringState, config: SimulationConfig) -> tuple:
-    """``step`` on raw values and ``like``'s constants, from the ``_carry`` of ``pos``, in
-    ``_scratch_rows``: (time, positions, velocities, each end's (u, tau), midpoint tangents,
-    ``_carry``) after it.  The carried kick's array holds the new kick."""
+             row: int, like: StringState, config: SimulationConfig) -> tuple:
+    """``step`` on raw values and ``like``'s constants, from the ``_carry`` of ``pos``, without
+    the gate or the separation check: its positions, velocities and time go to ``row`` of
+    ``_scratch_rows``.  Returns (time, positions, velocities, each end's (u, tau), midpoint
+    tangents, ``_carry``, end separation) after it; the carried kick's array holds the new
+    kick."""
     dsigma, tensions = like.dsigma, like.tensions
     dt = config.dt_fraction * dsigma
-    (kick, facts), (v_half, gate) = carry, rows
+    (kick, facts), (positions, velocities, times, v_half, *_) = carry, rows
     accels = (tensions.mu0 / tensions.mub_left, tensions.mu0 / tensions.mub_right)
     np.add(vel[1:-1], kick, out=v_half)
-    new_pos = np.empty_like(pos)
+    new_pos = positions[row]
     interior = np.multiply(v_half, dt, out=new_pos[1:-1])
     np.add(pos[1:-1], interior, out=interior)
     xl, end_l, mid_l, facts_l = _step_end(facts[0], new_pos[1:3].tolist(), starts[0],
@@ -406,21 +457,23 @@ def _advance(time: float, pos: Array, vel: Array, starts: list, carry: tuple, ro
                                           accels[1], dt, dsigma)
     new_pos[0], new_pos[-1] = xl, xr
     _half_kick(new_pos, dsigma, dt, kick)
-    new_vel = np.empty_like(vel)
+    new_vel = velocities[row]
     np.add(v_half, kick, out=new_vel[1:-1])
-    new_vel[0] = [c * facts_l[2] for c in end_l[0]]  # u times the new speed
-    new_vel[-1] = [c * facts_r[2] for c in end_r[0]]
+    (a0, a1, a2), (b0, b1, b2) = end_l[0], end_r[0]  # each end's u, times its new speed
+    speed_l, speed_r = facts_l[2], facts_r[2]
+    new_vel[0] = a0 * speed_l, a1 * speed_l, a2 * speed_l
+    new_vel[-1] = b0 * speed_r, b1 * speed_r, b2 * speed_r
     time += dt
-    c1, c2 = _constraint_norms(new_pos, new_vel, dsigma, gate)
-    limit = 100.0 * config.constraint_tol
-    if not (c1 <= limit and c2 <= limit):  # also true for NaN
-        raise ConstraintBlowup(
-            f"gauge constraints blew up: ({c1:.3e}, {c2:.3e}) at t={time:.4f}")
-    sep = math.dist(xl[1:], xr[1:])
+    times[row] = time
+    return (time, new_pos, new_vel, (end_l, end_r), (mid_l, mid_r), (kick, (facts_l, facts_r)),
+            math.dist(xl[1:], xr[1:]))
+
+
+def _check_separation(sep: float, like: StringState, time: float) -> None:
+    """EndpointCollision when the ends' separation ``sep`` is below ``like``'s grid resolution."""
     if sep < like.collision_threshold:
         raise EndpointCollision(
             f"endpoints within grid resolution ({sep:.3e}) at t={time:.4f}")
-    return time, new_pos, new_vel, (end_l, end_r), (mid_l, mid_r), (kick, (facts_l, facts_r))
 
 
 @dataclass
@@ -436,36 +489,57 @@ class Trajectory:
 def evolve(config: SimulationConfig) -> Trajectory:
     """Run a simulation to its duration or a physical terminal event.
 
-    Deterministic for a given config, and equal to a loop of ``step`` calls: it runs
-    ``_advance`` on raw values and one set of scratch rows, each step taking over what
-    the step before computed, and stores a ``StringState`` every ``output_stride`` steps
-    plus the final one.  A collision, or an end the sheet no longer resolves, is a
-    physical termination reported through ``terminal_event``, the last stored state being
-    the last resolved step; constraint blowup propagates as an exception carrying the
-    partial trajectory.
+    Deterministic for a given config, and equal to a loop of ``step`` calls, also in a
+    run that blows up: it runs ``_advance`` on raw values, each step taking over what the
+    step before computed and writing its state into a row of one block of scratch rows,
+    and stores a ``StringState`` every ``output_stride`` steps plus the final one.  The
+    gate runs over the steps not yet gated when the block holds ``GATE_NODES`` nodes,
+    before a snapshot is stored, after the last step, and before an exception a step
+    raised propagates; a stored snapshot copies its rows.  A collision, or an end the
+    sheet no longer resolves, is a physical termination reported through
+    ``terminal_event``, the last stored state being the last resolved step; constraint
+    blowup at the earliest failing step propagates as an exception carrying the partial
+    trajectory, whatever a later step raised.
     """
     state = initial_state_from_config(config)
-    dt = config.dt_fraction * state.dsigma
+    dsigma = state.dsigma
+    dt = config.dt_fraction * dsigma
     n_steps = int(round(config.duration / dt)) if config.duration > 0 else 0
     snapshots, event = [state], "duration"
     time, pos, vel = state.time, state.positions, state.velocities
     ends = [(ep.four_velocity.tolist(), ep.proper_time) for ep in state.endpoints]
-    starts, mids, carry, rows = ends, [], _carry(pos, state.dsigma, dt), _scratch_rows(pos)
-    for k in range(n_steps):
-        try:
-            time, pos, vel, new_ends, mids, carry = _advance(
-                time, pos, vel, ends, carry, rows, state, config)
-        except EndpointCollision:
-            event = "endpoint_collision"
-            break
-        except ConstraintBlowup as exc:
-            exc.trajectory = Trajectory(snapshots, "constraint_blowup")
-            raise
-        starts, ends = ends, new_ends
-        if (k + 1) % config.output_stride == 0:
-            snapshots.append(_string_state(state, time, pos, vel, ends, starts, mids))
-    if snapshots[-1].positions is not pos:  # the final state, unless the stride stored it
-        snapshots.append(_string_state(state, time, pos, vel, ends, starts, mids))
+    starts, mids, carry = ends, [], _carry(pos, dsigma, dt)
+    block = max(2, GATE_NODES // pos.shape[0])
+    rows = _scratch_rows(pos, block + 1)  # a step never writes the row it starts from
+    first = row = 0  # the steps not yet gated are in rows first:row
+    stored = True
+    try:
+        for k in range(n_steps):
+            try:
+                t, new_pos, new_vel, new_ends, new_mids, carry, sep = _advance(
+                    time, pos, vel, ends, carry, rows, row, state, config)
+                row += 1
+                _check_separation(sep, state, t)
+            except EndpointCollision:
+                event = "endpoint_collision"
+                break
+            except Exception:  # the steps before it are gated first: an earlier blowup wins
+                _gate(rows, first, row, dsigma, config)
+                raise
+            time, pos, vel, starts, ends, mids = t, new_pos, new_vel, ends, new_ends, new_mids
+            stored = (k + 1) % config.output_stride == 0
+            if stored or row - first == block:
+                _gate(rows, first, row, dsigma, config)
+                first = row = int(row == 1)  # row 0 next, unless it holds the next start
+            if stored:
+                snapshots.append(
+                    _string_state(state, time, pos.copy(), vel.copy(), ends, starts, mids))
+        _gate(rows, first, row, dsigma, config)
+    except ConstraintBlowup as exc:
+        exc.trajectory = Trajectory(snapshots, "constraint_blowup")
+        raise exc from None  # what a later step raised is not reported
+    if not stored:  # the final state, unless the stride stored it
+        snapshots.append(_string_state(state, time, pos.copy(), vel.copy(), ends, starts, mids))
     return Trajectory(snapshots, event)
 
 

@@ -206,24 +206,31 @@ def _structure_residuals(r_amb: Array, v: _Local, riemann: Array, dk: Array,
                          ) -> tuple[Array, Array, Array | None]:
     """Gauss, Codazzi and Ricci max-norms of one level of the hierarchy.
 
-    ``r_amb`` is the lowered Riemann tensor of the space the level lies in,
-    ``v`` the level's local geometry, and the rest come from :func:`_level`.
-    Ricci is None for fewer than two normals, where the family is vacuous.
+    ``r_amb`` is the lowered Riemann tensor of the space the level lies in, or
+    None where it vanishes identically, ``v`` the level's local geometry,
+    and the rest come from :func:`_level`.  Ricci is None for fewer than two
+    normals, where the family is vacuous.
     """
     t, n, kk, conn = v.tangents, v.normals, v.kk, v.conn
     d = t.shape[-1]
-    # the left-hand sides are the blocks of R(F, F, F, F), with F = [t | n] square
-    r_frame = _frame_pullback(r_amb, np.concatenate([t, n], axis=-1))
+    # the left-hand sides are the blocks of R(F, F, F, F), with F = [t | n] square; where
+    # they vanish, each residual is the norm of its right-hand side, whose sign it drops
+    r_frame = None if r_amb is None else _frame_pullback(r_amb, np.concatenate([t, n], axis=-1))
+
+    def lhs_less(rhs: Array, *block: slice) -> Array:
+        return rhs if r_frame is None else r_frame[(..., *block)] - rhs
+
     kk_term = (np.einsum("...aci,...bdi->...abcd", kk, kk)
                - np.einsum("...adi,...bci->...abcd", kk, kk))
-    gauss = np.abs(r_frame[..., :d, :d, :d, :d] - (riemann - kk_term)).max(axis=(-4, -3, -2, -1))
+    sd = slice(d)
+    gauss = np.abs(lhs_less(riemann - kk_term, sd, sd, sd, sd)).max(axis=(-4, -3, -2, -1))
 
     cov_k = (np.einsum("...bcia->...abci", dk)
              - np.einsum("...abd,...dci->...abci", conn, kk)
              - np.einsum("...acd,...bdi->...abci", conn, kk)
              - np.einsum("...aij,...bcj->...abci", omega, kk))
     cm = cov_k - np.einsum("...abci->...baci", cov_k)
-    codazzi = np.max(np.linalg.norm(r_frame[..., :d, :d, :d, d:] - cm, axis=-1),
+    codazzi = np.max(np.linalg.norm(lhs_less(cm, sd, sd, sd, slice(d, None)), axis=-1),
                      axis=(-3, -2, -1))
 
     if n.shape[-1] < 2:
@@ -232,7 +239,7 @@ def _structure_residuals(r_amb: Array, v: _Local, riemann: Array, dk: Array,
     rhs_ricci = (big_omega
                  - np.einsum("...aci,...bcj->...abij", kk, k_mixed)
                  + np.einsum("...bci,...acj->...abij", kk, k_mixed))
-    diff = r_frame[..., :d, :d, d:, d:] - rhs_ricci
+    diff = lhs_less(rhs_ricci, sd, sd, slice(d, None), slice(d, None))
     ricci = np.max(np.linalg.norm(diff.reshape(diff.shape[:-2] + (-1,)), axis=-1),
                    axis=(-2, -1))
     return gauss, codazzi, ricci
@@ -259,9 +266,13 @@ def _sheet_riemann(loc: _Evaluation, step: float) -> Array:
     return _riemann(v, _sweep(at, loc.point, step, v)[0])
 
 
-def _ambient_riemann_lowered(embedding: Embedding, v: _Local) -> Array:
-    """The background's R_{mu nu rho sigma} at the image point of ``v``, lowered with its g."""
-    return np.einsum("...ml,...lnrs->...mnrs", v.g, embedding.background.riemann_at(v.x))
+def _ambient_riemann_lowered(embedding: Embedding, v: _Local) -> Array | None:
+    """The background's R_{mu nu rho sigma} at the image point of ``v``, lowered with its g;
+    None where ``riemann_at`` reads zeros: a flat background without a Riemann callback."""
+    bg = embedding.background
+    if bg.flat and bg.riemann_fn is None:
+        return None
+    return np.einsum("...ml,...lnrs->...mnrs", v.g, bg.riemann_at(v.x))
 
 
 def _flat_max(t: Array, point: Array) -> Array:
@@ -368,8 +379,9 @@ def curvature_tensors(bnd: BoundaryEmbedding, point: Array,
     xi = bl.edge.x
     r_ws, _, _, twist_curv = _level(*_sheet_level(bl.sheet), xi, step)
     r_h, _, _, adapted = _level(*_spacetime_level(bnd, bl), point, step)
+    ambient, x = _ambient_riemann_lowered(bnd.parent, bl.sheet), bl.sheet.x
     return CurvatureTensors(
-        ambient_riemann=_ambient_riemann_lowered(bnd.parent, bl.sheet),
+        ambient_riemann=np.zeros(x.shape + x.shape[-1:] * 3) if ambient is None else ambient,
         worldsheet_riemann=r_ws,
         boundary_riemann=r_h,
         twist_curvature=twist_curv if bnd.parent.codimension >= 2 else None,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from worldsheet import cli
 from worldsheet.cli import FLOAT_FMT, _scan_point_hole, _trajectory_rows, _write_csv, main
-from worldsheet.dynamics import SimulationConfig, diagnostics, evolve
+from worldsheet.dynamics import SimulationConfig, StringState, diagnostics, evolve
 from worldsheet.errors import InconsistentGeometry, WorldsheetError
 
 from helpers import csv_writer_bytes, csv_writer_trajectory, diagnostics_cells, endpoint_cells
@@ -344,6 +344,36 @@ class TestEvolve:
         assert main(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["terminal_event"] == "endpoint_collision"
+
+    @pytest.mark.parametrize("config", [
+        dict(EVOLVE_CONFIG, output_stride=3),
+        dict(EVOLVE_CONFIG, initial_data={"id": "rotating", "mu0": 1.0, "mub": 3.0,
+                                          "radius": 1.0}, duration=2.0, constraint_tol=3e-6),
+    ], ids=["duration", "constraint_blowup"])
+    def test_diagnostics_is_called_by_its_module_name_once_per_snapshot(self, tmp_path,
+                                                                         monkeypatch, config):
+        # the benchmark's re-run (perfbench/workloads.py) replaces `cli.diagnostics` with a
+        # one-argument wrapper to read the pull angle, which no CSV holds
+        calls = []
+
+        def observed(*args, **kwargs):
+            calls.append((args, kwargs))
+            return diagnostics(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "diagnostics", observed)
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, config)
+        assert main(["evolve", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) in (0, 1)
+        sim = SimulationConfig(**{k: v for k, v in config.items() if k != "schema_version"})
+        try:
+            snapshots = evolve(sim).snapshots
+        except WorldsheetError as exc:
+            snapshots = exc.trajectory.snapshots
+        assert len(calls) == len(snapshots) > 1
+        for (args, kwargs), snap in zip(calls, snapshots):
+            assert not kwargs and len(args) == 1 and isinstance(args[0], StringState)
+            assert (args[0].time, args[0].positions.tobytes()) == (snap.time,
+                                                                   snap.positions.tobytes())
 
     def test_collision_at_stride_one_stores_the_last_state_once(self, tmp_path):
         # the stride has already stored the last good state when the ends collide

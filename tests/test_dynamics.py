@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from worldsheet.dynamics import (
     EndpointState,
     SimulationConfig,
     Tensions,
+    Trajectory,
     collapsing_initial_state,
     constraint_norms,
     diagnostics,
@@ -464,28 +466,62 @@ def test_step_leaves_its_input_state_unchanged(initial):
                 assert old == new
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+def _bits(state):
+    return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in _state_values(state)]
+
+
+def _stepped(state, config):
+    """``evolve`` from ``state`` as a loop of public ``step`` calls, each gating itself."""
+    snapshots, event = [state], "duration"
+    for k in range(round(config.duration / (config.dt_fraction * state.dsigma))):
+        try:
+            new = step(state, config)
+        except EndpointCollision:
+            event = "endpoint_collision"
+            break
+        except ConstraintBlowup as exc:
+            exc.trajectory = Trajectory(snapshots, "constraint_blowup")
+            raise
+        state = new
+        if (k + 1) % config.output_stride == 0:
+            snapshots.append(state)
+    if snapshots[-1] is not state:
+        snapshots.append(state)
+    return Trajectory(snapshots, event)
+
+
+def _outcome(run):
+    """(terminal event or exception type, its message, each snapshot's bits) of ``run()``."""
+    try:
+        traj = run()
+    except Exception as exc:
+        snapshots = exc.trajectory.snapshots if isinstance(exc, ConstraintBlowup) else []
+        return type(exc), str(exc), [_bits(s) for s in snapshots]
+    return traj.terminal_event, None, [_bits(s) for s in traj.snapshots]
+
+
+def _evolve_from(monkeypatch, state, config):
+    """``evolve(config)`` started from ``state`` in place of the config's initial data."""
+    monkeypatch.setattr(dynamics, "initial_state_from_config", lambda _: state)
+    return evolve(config)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
 @given(initial=st.sampled_from([ROTATING, COLLAPSE,
                                 dict(COLLAPSE, mub_left=0.6, mub_right=1.7)]),
-       m=st.integers(16, 40), steps=st.integers(1, 30), stride=st.integers(1, 4))
-def test_evolve_equals_a_loop_of_public_steps_bitwise_property(initial, m, steps, stride):
-    # evolve hands each step what the step before computed; step recomputes it all
+       m=st.integers(16, 40), steps=st.integers(1, 40), stride=st.integers(1, 10),
+       block=st.integers(2, 8), tol=st.sampled_from([2e-3, 3e-4, 2e-5, 1e-5, 5e-6]))
+def test_evolve_equals_a_loop_of_public_steps_bitwise_property(initial, m, steps, stride,
+                                                               block, tol):
+    # evolve hands each step what the step before computed and gates blocks of steps; step
+    # recomputes it all and gates itself.  Runs that blow up raise the same exception with
+    # the same snapshots.  Blocks of a few steps make every flush point occur.
     config = SimulationConfig(initial_data=initial, grid_points=m, duration=1.0,
-                              output_stride=stride, constraint_tol=2e-3)
+                              output_stride=stride, constraint_tol=tol)
     state = initial_state_from_config(config)
     config = dataclasses.replace(config, duration=steps * config.dt_fraction * state.dsigma)
-    by_time = {state.time: state}
-    for _ in range(steps):
-        state = step(state, config)
-        by_time[state.time] = state
-    snapshots = evolve(config).snapshots
-    assert snapshots[-1].time == state.time
-
-    def bits(s):
-        return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in _state_values(s)]
-
-    for snap in snapshots:
-        assert bits(snap) == bits(by_time[snap.time])
+    with mock.patch.object(dynamics, "GATE_NODES", block * m):
+        assert _outcome(lambda: evolve(config)) == _outcome(lambda: _stepped(state, config))
 
 
 @st.composite
@@ -660,3 +696,204 @@ def test_a_second_evolve_leaves_the_first_trajectory_unchanged():
                 assert a.tobytes() == b.tobytes() == c.tobytes()
             else:
                 assert a == b == c
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(m=st.integers(3, 12), n=st.integers(2, 5), steps=st.integers(1, 6),
+       dsigma=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_block_norms_equal_each_states_norms_bitwise_property(m, n, steps, dsigma, seed):
+    # the gate of a block of steps takes every step's norms to the bit
+    positions, velocities = np.random.default_rng(seed).normal(size=(2, steps, m, n))
+    block = dynamics._constraint_norms(positions.swapaxes(0, 1), velocities.swapaxes(0, 1),
+                                       dsigma, dynamics._gate_rows(m, n, steps))
+    state = collapsing_initial_state(1.0, 1.0, 1.0, 16)
+    each = [constraint_norms(dataclasses.replace(state, positions=p, velocities=v,
+                                                 dsigma=dsigma))
+            for p, v in zip(positions, velocities)]
+    assert block.T.tobytes() == np.array(each).tobytes()
+
+
+def _blocks(n_steps, stride, block):
+    """The steps (from 1) that ``evolve`` gates together: a block ends at a stored step, when
+    it holds ``block`` steps, and at the last step."""
+    blocks, current = [], []
+    for s in range(1, n_steps + 1):
+        current.append(s)
+        if s % stride == 0 or len(current) == block or s == n_steps:
+            blocks.append(current)
+            current = []
+    return blocks
+
+
+GATED_STEPS = 64
+
+
+@pytest.fixture(scope="module")
+def rotating_norms():
+    """(config, each step's larger constraint norm, each step's time) of the rotating string
+    at M = 200 over ``GATED_STEPS`` steps, by step from 1."""
+    config = SimulationConfig(initial_data=ROTATING, grid_points=200, duration=1.0,
+                              constraint_tol=1e300)
+    state = initial_state_from_config(config)
+    config = dataclasses.replace(
+        config, duration=GATED_STEPS * config.dt_fraction * state.dsigma)
+    norms, times = {}, {}
+    for s in range(1, GATED_STEPS + 1):
+        state = step(state, config)
+        norms[s], times[s] = max(constraint_norms(state)), state.time
+    return config, norms, times
+
+
+def _first_failing_at(norms, s):
+    """A ``constraint_tol`` whose gate passes every step before ``s`` and fails at ``s``."""
+    before = max((norms[t] for t in range(1, s)), default=0.0)
+    assert norms[s] > before
+    return 0.5 * (before + norms[s]) / 100.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stride, place", [(1, "first"), (7, "first"), (7, "middle"),
+                                           (7, "last"), (50, "first"), (50, "middle"),
+                                           (50, "last")])
+def test_a_blowup_at_any_step_of_a_block_is_the_loop_of_steps_blowup(rotating_norms, stride,
+                                                                     place):
+    # the gate first fails at the first, a middle or the last step of a block of three or
+    # more steps (at stride 1 every block is one step; at stride 50 the blocks are full)
+    config, norms, times = rotating_norms
+    block = max(2, dynamics.GATE_NODES // config.grid_points)
+    rises = [s for s in norms if norms[s] > max((norms[t] for t in range(1, s)), default=0.0)]
+    candidates = [steps[{"first": 0, "middle": len(steps) // 2, "last": -1}[place]]
+                  for steps in _blocks(GATED_STEPS, stride, block)
+                  if len(steps) > 2 or stride == 1]
+    s = next(c for c in candidates if c in rises[1:])
+    config = dataclasses.replace(config, output_stride=stride,
+                                 constraint_tol=_first_failing_at(norms, s))
+    expected = _outcome(lambda: _stepped(initial_state_from_config(config), config))
+    assert expected[0] is ConstraintBlowup and f"t={times[s]:.4f}" in expected[1]
+    assert _outcome(lambda: evolve(config)) == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field", [1, 2], ids=["positions", "velocities"])
+def test_nan_written_partway_through_a_block_is_the_loop_of_steps_blowup(monkeypatch, field):
+    # step 20 of a 40-step run at M = 200 is the fourth of the block of steps 17 to 32; the
+    # steps after it in the block run on NaN, and no warning or later step may hide it
+    config = SimulationConfig(initial_data=ROTATING, grid_points=200, duration=1.0,
+                              output_stride=50)
+    state = initial_state_from_config(config)
+    config = dataclasses.replace(config, duration=40 * config.dt_fraction * state.dsigma)
+    assert [17, 32] in [[b[0], b[-1]] for b in _blocks(40, 50, dynamics.GATE_NODES // 200)]
+    calls = []
+
+    def poisoned(*args, advance=dynamics._advance):
+        out = advance(*args)
+        calls.append(out[0])
+        if len(calls) == 20:
+            out[field][7, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(dynamics, "_advance", poisoned)
+    expected = _outcome(lambda: _stepped(state, config))
+    calls.clear()
+    assert _outcome(lambda: evolve(config)) == expected
+    assert expected[0] is ConstraintBlowup and "(nan, nan)" in expected[1]
+    assert len(calls) == 32  # evolve ran the block to its end before gating it
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_blowup_wins_over_an_unresolved_end_later_in_its_block():
+    # at M = 16 one block holds the whole collapse: the gate first fails at a step near the
+    # start, and an end stops being resolved at a later step of the same block
+    config = SimulationConfig(initial_data=COLLAPSE, grid_points=16, duration=10.0,
+                              output_stride=1000, constraint_tol=1e300)
+    state, norms = initial_state_from_config(config), {}
+    with pytest.raises(EndpointCollision, match="not spacelike"):
+        while True:
+            state = step(state, config)
+            norms[len(norms) + 1] = max(constraint_norms(state))
+    collision = len(norms) + 1
+    assert collision <= max(2, dynamics.GATE_NODES // 16)
+    config = dataclasses.replace(config, constraint_tol=_first_failing_at(norms, 2))
+    expected = _outcome(lambda: _stepped(initial_state_from_config(config), config))
+    assert expected[0] is ConstraintBlowup and len(expected[2]) == 1
+    assert _outcome(lambda: evolve(config)) == expected
+
+
+@pytest.fixture(scope="module")
+def collapse_to_separation():
+    """The M = 32 collapse stepped until its ends come within the collision threshold:
+    (config, the state after each step from 0, each step's larger constraint norm, by step
+    from 1, the separating step's included with the threshold lifted)."""
+    config = SimulationConfig(initial_data=COLLAPSE, grid_points=32, duration=10.0,
+                              output_stride=1000, constraint_tol=1e300)
+    states, norms = [initial_state_from_config(config)], {}
+    with pytest.raises(EndpointCollision, match="within grid resolution"):
+        while True:
+            states.append(step(states[-1], config))
+            norms[len(states) - 1] = max(constraint_norms(states[-1]))
+    states.pop()  # the separating step raised: its state was never made
+    lifted = step(dataclasses.replace(states[-1], collision_threshold=0.0), config)
+    norms[len(states)] = max(constraint_norms(lifted))
+    return config, states, norms
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_blowup_wins_over_a_separation_later_in_its_block(monkeypatch,
+                                                            collapse_to_separation):
+    # started 11 steps before its ends separate, the block holds every remaining step; the
+    # gate first fails at the step of the largest norm before the separation
+    config, states, norms = collapse_to_separation
+    k = len(states)  # the separating step
+    start = k - 11
+    s = max(range(start + 1, k), key=norms.__getitem__)
+    before = max((norms[t] for t in range(start + 1, s)), default=0.0)
+    config = dataclasses.replace(config, duration=20 * config.dt_fraction * states[0].dsigma,
+                                 constraint_tol=0.5 * (before + norms[s]) / 100.0)
+    expected = _outcome(lambda: _stepped(states[start], config))
+    assert expected[0] is ConstraintBlowup and len(expected[2]) == 1
+    assert _outcome(lambda: _evolve_from(monkeypatch, states[start], config)) == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_gate_decides_before_the_separation_check_at_one_step(monkeypatch,
+                                                                  collapse_to_separation):
+    # the gate and the separation check both fail at the separating step: ConstraintBlowup
+    config, states, norms = collapse_to_separation
+    k = len(states)
+    start = min(j for j in range(k - 11, k)
+                if max((norms[t] for t in range(j + 1, k)), default=0.0) < norms[k])
+    before = max((norms[t] for t in range(start + 1, k)), default=0.0)
+    config = dataclasses.replace(config, duration=20 * config.dt_fraction * states[0].dsigma,
+                                 constraint_tol=0.5 * (before + norms[k]) / 100.0)
+    expected = _outcome(lambda: _stepped(states[start], config))
+    assert expected[0] is ConstraintBlowup
+    assert _outcome(lambda: _evolve_from(monkeypatch, states[start], config)) == expected
+    passing = dataclasses.replace(config, constraint_tol=1e300)
+    assert _outcome(lambda: _stepped(states[start], passing))[0] == "endpoint_collision"
+
+
+@pytest.mark.parametrize("error", [EndpointCollision, InvalidParameters, OverflowError])
+@pytest.mark.parametrize("blows_up", [True, False], ids=["blowup_first", "no_blowup"])
+def test_a_later_steps_exception_loses_to_an_earlier_blowup(monkeypatch, rotating_norms,
+                                                             error, blows_up):
+    # step 25 raises in its right end, in the block of steps 17 to 32 at stride 50; when the
+    # gate fails at step 19 of that block, its ConstraintBlowup is what propagates
+    config, norms, _ = rotating_norms
+    config = dataclasses.replace(config, output_stride=50, constraint_tol=(
+        _first_failing_at(norms, 19) if blows_up else 1e300))
+    calls = []
+
+    def failing(*args, step_end=dynamics._step_end):
+        calls.append(args)
+        if len(calls) == 2 * 25:
+            raise error("step 25 fails")
+        return step_end(*args)
+
+    monkeypatch.setattr(dynamics, "_step_end", failing)
+    expected = _outcome(lambda: _stepped(initial_state_from_config(config), config))
+    calls.clear()
+    assert _outcome(lambda: evolve(config)) == expected
+    if blows_up:
+        assert expected[0] is ConstraintBlowup
+    else:
+        assert expected[0] == ("endpoint_collision" if error is EndpointCollision else error)

@@ -12,8 +12,11 @@ with ``git archive``) or a directory that holds ``worldsheet/``, such as the
 imports itself only relatively, so the two never mix.
 
 The kernels are ``dynamics.step`` on the rotating string at M grid points, the
-gauge-constraint norms ``dynamics.constraint_norms`` of that string (the gate
-every step runs), one step of ``dynamics.evolve`` on the same string (its loop,
+gauge-constraint norms ``dynamics.constraint_norms`` of that string, the
+constraint gate of one block of steps of that string, per step (the block that
+``evolve`` gates at once, ``dynamics.GATE_NODES`` nodes of the working tree; a
+version without the block gate ``dynamics._gate`` gates each step alone, as its
+``evolve`` did), one step of ``dynamics.evolve`` on the same string (its loop,
 where a step takes over what the previous one computed), ``position``, ``frame``,
 ``normal_frame``, ``extrinsic_curvature`` and ``boundary_data`` on the catalog
 helicoid at each batch size, the checked evaluation ``geometry._frame_at`` of
@@ -88,8 +91,11 @@ def kernels(pkg: str, grid_points: int, batches: list[int]) -> dict[str, tuple]:
     run = dynamics.SimulationConfig(
         initial_data=rotating, grid_points=grid_points, output_stride=steps,
         duration=steps * config.dt_fraction * state.dsigma)
+    block = max(2, importlib.import_module("worldsheet.dynamics").GATE_NODES // grid_points)
     calls = {f"dynamics.step M={grid_points}": (lambda: dynamics.step(state, config), 1),
              f"constraint_norms M={grid_points}": (lambda: dynamics.constraint_norms(state), 1),
+             f"gate of {block} steps M={grid_points}, per step": (
+                 gate_block(dynamics, state, config, block), block),
              f"dynamics.evolve M={grid_points}, per step": (lambda: dynamics.evolve(run), steps)}
 
     entry = catalog.helicoid(0.5, 1.0)
@@ -126,6 +132,27 @@ def kernels(pkg: str, grid_points: int, batches: list[int]) -> dict[str, tuple]:
         listed = catalog.entry_from_id(name)
         calls[f"evaluate_entry {name}"] = (lambda e=listed: catalog.evaluate_entry(e), 1)
     return calls
+
+
+def gate_block(dynamics, state, config, block: int):
+    """A call that gates the ``block`` steps after ``state`` as ``dynamics.evolve`` does."""
+    states = [state]
+    for _ in range(block):
+        states.append(dynamics.step(states[-1], config))
+    if hasattr(dynamics, "_gate"):  # one pass over the block's rows
+        rows = dynamics._scratch_rows(state.positions, block + 1)
+        for i, s in enumerate(states[1:]):
+            rows[0][i], rows[1][i] = s.positions, s.velocities
+        return lambda: dynamics._gate(rows, 0, block, state.dsigma, config)
+    rows, limit = dynamics._gate_rows(*state.positions.shape), 100.0 * config.constraint_tol
+
+    def each_step():
+        for s in states[1:]:
+            c1, c2 = dynamics._constraint_norms(s.positions, s.velocities, s.dsigma, rows)
+            if not (c1 <= limit and c2 <= limit):
+                raise dynamics.ConstraintBlowup("gauge constraints blew up")
+
+    return each_step
 
 
 def per_call_s(fn, count: int, number: int) -> float:

@@ -45,9 +45,9 @@ MUTANTS = {
             "- w_a @ w_b + w_b @ w_a",
             "the commutator sign of the connection curvature `_curvature`"),
     "M08": ("src/worldsheet/integrability.py",
-            "np.abs(r_frame[..., :d, :d, :d, :d] - (riemann - kk_term))",
-            "np.abs(-r_frame[..., :d, :d, :d, :d] - (riemann - kk_term))",
-            "the ambient-Riemann sign of the Gauss row in `_structure_residuals`"),
+            "else r_frame[(..., *block)] - rhs",
+            "else -r_frame[(..., *block)] - rhs",
+            "the ambient-Riemann sign of the left-hand sides in `_structure_residuals`"),
     "M11": ("src/worldsheet/boundary.py",
             'hess = st.sec - np.einsum("...ABC,...mC->...mAB", bl.edge.conn',
             'hess = st.sec + np.einsum("...ABC,...mC->...mAB", bl.edge.conn',
@@ -175,15 +175,15 @@ MUTANTS = {
             "_end_facts([x1, *inner], dsigma)",
             "carries the edge tangent of the predictor's row, not the corrector's"),
     "M55": ("src/worldsheet/dynamics.py",
-            '            event = "endpoint_collision"\n            break\n',
-            '            event = "endpoint_collision"\n'
-            "            snapshots.append(\n"
-            "                _string_state(state, time, pos, vel, ends, starts, mids))\n"
-            "            break\n",
+            '                event = "endpoint_collision"\n                break\n',
+            '                event = "endpoint_collision"\n'
+            "                snapshots.append(_string_state(\n"
+            "                    state, time, pos.copy(), vel.copy(), ends, starts, mids))\n"
+            "                break\n",
             "stores the last state again on a collision when the stride already stored it"),
     "M56": ("src/worldsheet/dynamics.py",
-            "if (k + 1) % config.output_stride == 0:",
-            "if (k - 1) % config.output_stride == 0:",
+            "stored = (k + 1) % config.output_stride == 0",
+            "stored = (k - 1) % config.output_stride == 0",
             "shifts the steps at which `evolve` stores its snapshots by two"),
     "M57": ("src/worldsheet/dynamics.py",
             "return x, (u, tau), mid, _end_facts([x, *inner], dsigma)",
@@ -257,6 +257,32 @@ MUTANTS = {
             "if tau == tau0:",
             "if False:",
             "lets an end whose proper time no longer advances step on"),
+    "M74": ("src/worldsheet/dynamics.py",
+            "for k, c1 in enumerate(c1s):",
+            "for k, c1 in reversed(list(enumerate(c1s))):",
+            "reports the last failing step of a gated block, not the first"),
+    "M75": ("src/worldsheet/dynamics.py",
+            "            if stored or row - first == block:\n"
+            "                _gate(rows, first, row, dsigma, config)\n"
+            "                first = row = int(row == 1)"
+            "  # row 0 next, unless it holds the next start\n"
+            "            if stored:\n"
+            "                snapshots.append(\n"
+            "                    _string_state(state, time, pos.copy(), vel.copy(),"
+            " ends, starts, mids))\n",
+            "            if stored:\n"
+            "                snapshots.append(\n"
+            "                    _string_state(state, time, pos.copy(), vel.copy(),"
+            " ends, starts, mids))\n"
+            "            if stored or row - first == block:\n"
+            "                _gate(rows, first, row, dsigma, config)\n"
+            "                first = row = int(row == 1)"
+            "  # row 0 next, unless it holds the next start\n",
+            "stores a snapshot before the steps up to it are gated"),
+    "M76": ("src/worldsheet/dynamics.py",
+            "                _gate(rows, first, row, dsigma, config)\n                raise\n",
+            "                raise\n",
+            "lets a step's exception propagate before the steps before it are gated"),
 }
 
 
