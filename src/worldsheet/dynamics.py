@@ -15,21 +15,20 @@ raw (M, 3) arrays and 3-vectors (t, x, y), hands each step the half kick, edge
 rows, tangents and speeds the step before computed, and builds a ``StringState``
 only to store it; ``step`` wraps the same kernel.  A step writes its new
 positions, velocities and time into a row of ``_scratch_rows``, which ``evolve``
-allocates once per run and ``step`` once per call, with the half velocities and
-the constraint gate's rows; it forms the new half kick in the carried one's
-array, once the half velocities have read the old kick.  The float kernels
-unpack their 3-vectors and keep numpy's operation order, so they match array
-forms of the same formulas to the bit.
+allocates once per run and ``step`` once per call.  The float kernels unpack
+their 3-vectors and keep numpy's operation order, so they match array forms of
+the same formulas to the bit.
 
-The gauge-constraint gate runs over a block of steps at once: in ``evolve`` when
-the block holds ``GATE_NODES`` nodes (16 steps at M = 200), before a snapshot is
-stored, after the last step, and before an exception a step raised propagates;
-``step`` is a block of one.  Each element goes through the same ufuncs in the
-same order and the max over nodes is exact, so every step's norms, and which step
-fails first, are those of a gate after each step.  The earliest failing step's
-ConstraintBlowup wins over anything a later step raised, and at one step the gate
-decides before the separation check.  A stored snapshot copies its rows, so it
-owns its arrays and never comes from a step the gate has not passed.
+The gauge-constraint gate runs over a block of steps at once, the (S, M, 3) rows
+as the steps wrote them: in ``evolve`` when the block holds ``GATE_NODES`` nodes
+(16 steps at M = 200), before a snapshot is stored, after the last step, and
+before an exception a step raised propagates; ``step`` is a block of one.  Each
+element goes through the same ufuncs in the same order and the max over nodes is
+exact, so every step's norms, and which step fails first, are those of a gate
+after each step.  The earliest failing step's ConstraintBlowup wins over anything
+a later step raised, and at one step the gate decides before the separation
+check.  A stored snapshot copies its rows, so it owns its arrays and never comes
+from a step the gate has not passed.
 
 An end is resolved while its edge tangent T is spacelike by a margin, T.T >
 EDGE_MARGIN (T^0)^2, and its proper time advances.  A step at which either fails
@@ -44,7 +43,9 @@ check on to the constraint gate, which raises ConstraintBlowup.  Units: c = 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -57,13 +58,18 @@ EDGE_MARGIN = 2.0 ** -26  # an edge tangent T with T.T at most this times T^0 sq
 GATE_NODES = 3200  # the nodes of the steps that ``evolve`` gates at once: 16 steps at M = 200
 
 
+def _numbers(*values) -> bool:
+    """Whether every value is a real number and no bool, so that comparing it is a range check."""
+    return all(isinstance(v, Real) and not isinstance(v, bool) for v in values)
+
+
 def rotating_orbit_omega(mu0: float, mub: float, radius: float) -> float:
     """Angular velocity of the circular endpoint orbit: w^2 R / (1 - w^2 R^2) = mu0/mub.
 
     The positive root always satisfies w R < 1, grows monotonically with
     mu0/mub, and w R -> 1 as mub -> 0 (the massless-edge limit).
     """
-    if not all(0 < v < math.inf for v in (mu0, mub, radius)):
+    if not (_numbers(mu0, mub, radius) and all(0 < v < math.inf for v in (mu0, mub, radius))):
         raise InvalidParameters("tensions and radius must be finite and positive")
     q = mu0 / mub
     return math.sqrt(q / (radius * (1.0 + q * radius)))
@@ -76,7 +82,8 @@ class Tensions:
     mub_right: float
 
     def __post_init__(self) -> None:
-        if not (0 <= self.mu0 < math.inf and 0 < self.mub_left < math.inf
+        if not (_numbers(self.mu0, self.mub_left, self.mub_right)
+                and 0 <= self.mu0 < math.inf and 0 < self.mub_left < math.inf
                 and 0 < self.mub_right < math.inf):
             raise InvalidParameters("need finite mu0 >= 0 and finite positive endpoint tensions")
 
@@ -127,6 +134,8 @@ class SimulationConfig:
     output_stride: int = 10
 
     def __post_init__(self) -> None:
+        if not isinstance(self.initial_data, Mapping):
+            raise InvalidParameters(f"initial_data must be a mapping, got {self.initial_data!r}")
         counts = (self.grid_points, self.output_stride)
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
                    for n in counts):
@@ -222,7 +231,7 @@ def collapsing_initial_state(mu0: float, mub: float, x0: float,
                              mub_left: float | None = None,
                              mub_right: float | None = None) -> StringState:
     """Straight string at rest between +-x0; endpoint masses may differ per end."""
-    if not 0 < x0 < math.inf:
+    if not (_numbers(x0) and 0 < x0 < math.inf):
         raise InvalidParameters("x0 must be finite and positive")
     sigma = np.linspace(-x0, x0, grid_points)
     tensions = Tensions(mu0,
@@ -271,61 +280,35 @@ def constraint_norms(state: StringState) -> tuple[float, float]:
     return tuple(_constraint_norms(state.positions, state.velocities, state.dsigma).tolist())
 
 
-def _gate_rows(m: int, n: int, steps: int | None = None) -> tuple:
-    """Scratch rows of ``_constraint_norms`` for one (M, N) state, or for ``steps`` of them as
-    (M, steps, N) views whose rows of one state are contiguous: (xp, products, their sums)."""
-    if steps is None:
-        return np.empty((m - 2, n)), np.empty((3, m - 2, n)), np.empty((3, m - 2))
-    xp, prods, sums = (np.empty((steps, m - 2, n)), np.empty((steps, 3, m - 2, n)),
-                       np.empty((steps, 3, m - 2)))
-    return xp.transpose(1, 0, 2), prods.transpose(1, 2, 0, 3), sums.transpose(1, 2, 0)
-
-
-def _constraint_norms(pos: Array, vel: Array, dsigma: float, rows: tuple | None = None
-                      ) -> Array:
-    """``constraint_norms`` of one (M, N) state, or of each state of (M, S, N) arrays as a
-    (2, S) array, in ``rows`` (``_gate_rows``) when given: the products of the contiguous
-    (M-2, N) rows, their columns summed in ``_fdot``'s order, as abs drops a zero's sign."""
-    xp, prods, sums = rows or _gate_rows(*pos.shape)
-    np.subtract(pos[2:], pos[:-2], out=xp)
+def _constraint_norms(pos: Array, vel: Array, dsigma: float) -> Array:
+    """``constraint_norms`` of one (M, N) state, or of each of (S, M, N) states as a (2, S)
+    array: the max over nodes of the products of the (M-2, N) rows, their columns summed in
+    ``_fdot``'s order, as abs drops a zero's sign."""
+    xp = pos[..., 2:, :] - pos[..., :-2, :]
     xp /= 2.0 * dsigma
-    xd = vel[1:-1]
+    xd = vel[..., 1:-1, :]
+    prods = np.empty((3, *xp.shape))
     for out, a, b in zip(prods, (xd, xd, xp), (xp, xd, xp)):
         np.multiply(a, b, out=out)
     total = prods[..., 1]
     for j in range(2, prods.shape[-1]):
-        total = np.add(total, prods[..., j], out=sums)
+        total = total + prods[..., j]
     diff = np.subtract(total, prods[..., 0], out=total)  # rows: mixed, xd2, xp2
     diff[1] += diff[2]
     norms = diff[:2]
-    return np.abs(norms, out=norms).max(axis=1)
+    return np.abs(norms, out=norms).max(axis=-1)
 
 
 def _gate(rows: tuple, start: int, stop: int, dsigma: float, config: SimulationConfig) -> None:
     """The constraint gate of the steps in rows ``start:stop`` of ``_scratch_rows``: raises
     ConstraintBlowup at the earliest whose norms exceed 100x ``constraint_tol`` or are not
-    finite.  One step goes as its (M, N) rows, which numpy iterates with less overhead than
-    the (M, S, N) views of several."""
-    if stop == start:
-        return
-    positions, velocities, times, _, (xp, prods, sums), views = rows
-    args = views.get((start, stop))
-    if args is None:
-        if stop - start == 1:
-            args = (positions[start], velocities[start], dsigma,
-                    (xp[:, 0], prods[:, :, 0], sums[:, :, 0]))
-        else:
-            n = stop - start
-            args = (positions[start:stop].swapaxes(0, 1), velocities[start:stop].swapaxes(0, 1),
-                    dsigma, (xp[:, :n], prods[:, :, :n], sums[:, :, :n]))
-        views[start, stop] = args
-    c1s, c2s = _constraint_norms(*args).reshape(2, -1).tolist()
+    finite."""
+    positions, velocities, times = rows
+    c1s, c2s = _constraint_norms(positions[start:stop], velocities[start:stop], dsigma).tolist()
     limit = 100.0 * config.constraint_tol
-    for k, c1 in enumerate(c1s):
-        c2 = c2s[k]
+    for t, c1, c2 in zip(times[start:stop], c1s, c2s):
         if not (c1 <= limit and c2 <= limit):  # also true for NaN
-            raise ConstraintBlowup(
-                f"gauge constraints blew up: ({c1:.3e}, {c2:.3e}) at t={times[start + k]:.4f}")
+            raise ConstraintBlowup(f"gauge constraints blew up: ({c1:.3e}, {c2:.3e}) at t={t:.4f}")
 
 
 def _end_position(x0, u0, tangent, speed: float, accel: float, dt: float) -> tuple:
@@ -366,29 +349,22 @@ def _end_facts(rows: list, dsigma: float) -> tuple[list, tuple, float]:
     return rows, tangent, _speed(tangent)
 
 
-def _half_kick(pos: Array, dsigma: float, dt: float, out: Array) -> Array:
-    """Half a leapfrog kick of the interior at ``pos``, formed in ``out``: dt/2 times the
-    Laplacian there, 0.5 * dt * ((pos[2:] - 2.0 * pos[1:-1] + pos[:-2]) / dsigma^2) in order."""
-    np.multiply(pos[1:-1], 2.0, out=out)
-    np.subtract(pos[2:], out, out=out)
-    np.add(out, pos[:-2], out=out)
-    np.divide(out, dsigma * dsigma, out=out)
-    return np.multiply(out, 0.5 * dt, out=out)
+def _half_kick(pos: Array, dsigma: float, dt: float) -> Array:
+    """Half a leapfrog kick of the interior at ``pos``: dt/2 times the Laplacian there."""
+    return 0.5 * dt * ((pos[2:] - 2.0 * pos[1:-1] + pos[:-2]) / (dsigma * dsigma))
 
 
 def _carry(pos: Array, dsigma: float, dt: float) -> tuple:
-    """What a step reads at ``pos`` besides it: (``_half_kick``, each end's ``_end_facts``).
-    The kick is a new array, which each step of a run overwrites with the next one."""
-    return (_half_kick(pos, dsigma, dt, np.empty_like(pos[1:-1])),
+    """What a step reads at ``pos`` besides it: (``_half_kick``, each end's ``_end_facts``)."""
+    return (_half_kick(pos, dsigma, dt),
             (_end_facts(pos[:3].tolist(), dsigma), _end_facts(pos[:-4:-1].tolist(), dsigma)))
 
 
 def _scratch_rows(pos: Array, steps: int) -> tuple:
     """The rows of ``steps`` steps of ``_advance`` at ``pos``'s shape: (positions, velocities,
-    times, half velocities, ``_gate_rows``, ``_gate``'s views of them by (start, stop))."""
+    times), a block of (steps, M, N) states that ``_gate`` takes as it is."""
     m, n = pos.shape
-    return (np.empty((steps, m, n)), np.empty((steps, m, n)), [0.0] * steps,
-            np.empty_like(pos[1:-1]), _gate_rows(m, n, steps), {})
+    return np.empty((steps, m, n)), np.empty((steps, m, n)), [0.0] * steps
 
 
 def _step_end(facts: tuple, inner: list, start: tuple, accel: float, dt: float,
@@ -441,13 +417,12 @@ def _advance(time: float, pos: Array, vel: Array, starts: list, carry: tuple, ro
     """``step`` on raw values and ``like``'s constants, from the ``_carry`` of ``pos``, without
     the gate or the separation check: its positions, velocities and time go to ``row`` of
     ``_scratch_rows``.  Returns (time, positions, velocities, each end's (u, tau), midpoint
-    tangents, ``_carry``, end separation) after it; the carried kick's array holds the new
-    kick."""
+    tangents, ``_carry``, end separation) after it."""
     dsigma, tensions = like.dsigma, like.tensions
     dt = config.dt_fraction * dsigma
-    (kick, facts), (positions, velocities, times, v_half, *_) = carry, rows
+    (kick, facts), (positions, velocities, times) = carry, rows
     accels = (tensions.mu0 / tensions.mub_left, tensions.mu0 / tensions.mub_right)
-    np.add(vel[1:-1], kick, out=v_half)
+    v_half = vel[1:-1] + kick
     new_pos = positions[row]
     interior = np.multiply(v_half, dt, out=new_pos[1:-1])
     np.add(pos[1:-1], interior, out=interior)
@@ -456,7 +431,7 @@ def _advance(time: float, pos: Array, vel: Array, starts: list, carry: tuple, ro
     xr, end_r, mid_r, facts_r = _step_end(facts[1], new_pos[-2:-4:-1].tolist(), starts[1],
                                           accels[1], dt, dsigma)
     new_pos[0], new_pos[-1] = xl, xr
-    _half_kick(new_pos, dsigma, dt, kick)
+    kick = _half_kick(new_pos, dsigma, dt)
     new_vel = velocities[row]
     np.add(v_half, kick, out=new_vel[1:-1])
     (a0, a1, a2), (b0, b1, b2) = end_l[0], end_r[0]  # each end's u, times its new speed

@@ -127,6 +127,29 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameters):
             SimulationConfig(initial_data=COLLAPSE, duration=1.0, **change)
 
+    @pytest.mark.parametrize("initial_data", [5, None, "rotating", [("id", "rotating")]],
+                             ids=["int", "none", "text", "pairs"])
+    def test_non_mapping_initial_data_rejected(self, initial_data):
+        with pytest.raises(InvalidParameters, match="initial_data must be a mapping"):
+            SimulationConfig(initial_data=initial_data, duration=1.0)
+
+    @pytest.mark.parametrize("initial", [
+        dict(COLLAPSE, mu0="a"), dict(COLLAPSE, mub=None), dict(COLLAPSE, mub_left="1.0"),
+        dict(COLLAPSE, x0=[1.0]), dict(COLLAPSE, x0=True), dict(ROTATING, mu0="a"),
+        dict(ROTATING, mub=None), dict(ROTATING, radius="1.0"),
+    ], ids=["text_mu0", "none_mub", "text_mub_left", "list_x0", "bool_x0", "rotating_text_mu0",
+            "rotating_none_mub", "text_radius"])
+    def test_non_numeric_initial_value_rejected(self, initial):
+        # a comparison of text, None or a list raised TypeError before the range check
+        cfg = SimulationConfig(initial_data=initial, duration=0.1)
+        with pytest.raises(InvalidParameters):
+            initial_state_from_config(cfg)
+
+    def test_numpy_and_int_initial_values_accepted(self):
+        cfg = SimulationConfig(initial_data=dict(COLLAPSE, mu0=np.float64(1.0), x0=1),
+                               duration=0.1)
+        assert initial_state_from_config(cfg).tensions.mu0 == 1.0
+
     def test_unknown_initial_keys(self):
         cfg = SimulationConfig(initial_data={"id": "collapsing", "bogus": 1.0},
                                duration=0.1)
@@ -704,8 +727,7 @@ def test_a_second_evolve_leaves_the_first_trajectory_unchanged():
 def test_block_norms_equal_each_states_norms_bitwise_property(m, n, steps, dsigma, seed):
     # the gate of a block of steps takes every step's norms to the bit
     positions, velocities = np.random.default_rng(seed).normal(size=(2, steps, m, n))
-    block = dynamics._constraint_norms(positions.swapaxes(0, 1), velocities.swapaxes(0, 1),
-                                       dsigma, dynamics._gate_rows(m, n, steps))
+    block = dynamics._constraint_norms(positions, velocities, dsigma)
     state = collapsing_initial_state(1.0, 1.0, 1.0, 16)
     each = [constraint_norms(dataclasses.replace(state, positions=p, velocities=v,
                                                  dsigma=dsigma))

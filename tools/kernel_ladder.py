@@ -15,12 +15,15 @@ The kernels are ``dynamics.step`` on the rotating string at M grid points, the
 gauge-constraint norms ``dynamics.constraint_norms`` of that string, the
 constraint gate of one block of steps of that string, per step (the block that
 ``evolve`` gates at once, ``dynamics.GATE_NODES`` nodes of the working tree; a
-version without the block gate ``dynamics._gate`` gates each step alone, as its
-``evolve`` did), one step of ``dynamics.evolve`` on the same string (its loop,
-where a step takes over what the previous one computed), ``position``, ``frame``,
-``normal_frame``, ``extrinsic_curvature`` and ``boundary_data`` on the catalog
-helicoid at each batch size, the checked evaluation ``geometry._frame_at`` of
-the helicoid at 4096 points, the ``position`` of a displaced helicoid map of
+version without the block gate ``dynamics._gate`` gates each step alone through
+``constraint_norms``), one step of ``dynamics.evolve`` on the same string (its
+loop, where a step takes over what the previous one computed), one step of
+``dynamics.evolve`` on the collapsing string at output stride 1 (the
+``evolve-strings`` collapse, where every step is a gated block of one and a
+stored snapshot), ``position``, ``frame``, ``normal_frame``,
+``extrinsic_curvature`` and ``boundary_data`` on the catalog helicoid at each
+batch size, the checked evaluation ``geometry._frame_at`` of the helicoid at
+4096 points, the ``position`` of a displaced helicoid map of
 ``first_variation_fd`` at the same points, ``variation.first_variation_fd``
 on the helicoid at 16 x 16 quadrature points (the workload ``variation-fd``
 runs it at 64 x 64), and ``catalog.evaluate_entry`` on the catalog helicoid
@@ -91,12 +94,19 @@ def kernels(pkg: str, grid_points: int, batches: list[int]) -> dict[str, tuple]:
     run = dynamics.SimulationConfig(
         initial_data=rotating, grid_points=grid_points, output_stride=steps,
         duration=steps * config.dt_fraction * state.dsigma)
+    collapse = dynamics.SimulationConfig(
+        initial_data={"id": "collapsing", "mu0": 1.0, "mub": 1.0, "x0": 1.0}, duration=0.5,
+        grid_points=grid_points, constraint_tol=2e-3, output_stride=1)
+    collapse_steps = round(collapse.duration / (
+        collapse.dt_fraction * dynamics.initial_state_from_config(collapse).dsigma))
     block = max(2, importlib.import_module("worldsheet.dynamics").GATE_NODES // grid_points)
     calls = {f"dynamics.step M={grid_points}": (lambda: dynamics.step(state, config), 1),
              f"constraint_norms M={grid_points}": (lambda: dynamics.constraint_norms(state), 1),
              f"gate of {block} steps M={grid_points}, per step": (
                  gate_block(dynamics, state, config, block), block),
-             f"dynamics.evolve M={grid_points}, per step": (lambda: dynamics.evolve(run), steps)}
+             f"dynamics.evolve M={grid_points}, per step": (lambda: dynamics.evolve(run), steps),
+             f"dynamics.evolve collapse M={grid_points}, stride 1, per step": (
+                 lambda: dynamics.evolve(collapse), collapse_steps)}
 
     entry = catalog.helicoid(0.5, 1.0)
     emb, bnd = entry.embedding, entry.boundary
@@ -144,11 +154,11 @@ def gate_block(dynamics, state, config, block: int):
         for i, s in enumerate(states[1:]):
             rows[0][i], rows[1][i] = s.positions, s.velocities
         return lambda: dynamics._gate(rows, 0, block, state.dsigma, config)
-    rows, limit = dynamics._gate_rows(*state.positions.shape), 100.0 * config.constraint_tol
+    limit = 100.0 * config.constraint_tol
 
     def each_step():
         for s in states[1:]:
-            c1, c2 = dynamics._constraint_norms(s.positions, s.velocities, s.dsigma, rows)
+            c1, c2 = dynamics.constraint_norms(s)
             if not (c1 <= limit and c2 <= limit):
                 raise dynamics.ConstraintBlowup("gauge constraints blew up")
 

@@ -166,8 +166,8 @@ MUTANTS = {
             "drops the width check of edge-dependent limits in `_bulk_grid`"),
     "M53": ("src/worldsheet/dynamics.py",
             "    new_pos[0], new_pos[-1] = xl, xr\n"
-            "    _half_kick(new_pos, dsigma, dt, kick)\n",
-            "    _half_kick(new_pos, dsigma, dt, kick)\n"
+            "    kick = _half_kick(new_pos, dsigma, dt)\n",
+            "    kick = _half_kick(new_pos, dsigma, dt)\n"
             "    new_pos[0], new_pos[-1] = xl, xr\n",
             "carries the half kick of the end rows before the corrector writes them"),
     "M54": ("src/worldsheet/dynamics.py",
@@ -237,10 +237,6 @@ MUTANTS = {
             "_smooth_ramp(np.minimum(4.0 * s, 4.0 * (1.0 - s)))",
             "_smooth_ramp(4.0 * s)",
             "windows a deformation at the lower cap only"),
-    "M70": ("src/worldsheet/dynamics.py",
-            "np.add(vel[1:-1], kick, out=v_half)",
-            "v_half = np.add(vel[1:-1], kick, out=kick)",
-            "forms the half velocities in the carried kick's row, which the new kick overwrites"),
     "M71": ("src/worldsheet/cli.py",
             'for side in ("left", "right")',
             'for side in ("right", "left")',
@@ -258,8 +254,8 @@ MUTANTS = {
             "if False:",
             "lets an end whose proper time no longer advances step on"),
     "M74": ("src/worldsheet/dynamics.py",
-            "for k, c1 in enumerate(c1s):",
-            "for k, c1 in reversed(list(enumerate(c1s))):",
+            "for t, c1, c2 in zip(times[start:stop], c1s, c2s):",
+            "for t, c1, c2 in reversed(list(zip(times[start:stop], c1s, c2s))):",
             "reports the last failing step of a gated block, not the first"),
     "M75": ("src/worldsheet/dynamics.py",
             "            if stored or row - first == block:\n"
@@ -283,6 +279,10 @@ MUTANTS = {
             "                _gate(rows, first, row, dsigma, config)\n                raise\n",
             "                raise\n",
             "lets a step's exception propagate before the steps before it are gated"),
+    "M77": ("src/worldsheet/dynamics.py",
+            "positions[start:stop], velocities[start:stop]",
+            "positions[start:stop - 1], velocities[start:stop - 1]",
+            "leaves the last step of a gated block ungated"),
 }
 
 
