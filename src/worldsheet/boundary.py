@@ -31,7 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateImmersion, InconsistentGeometry, InvalidParameters, NullBoundary
+from .errors import (DegenerateImmersion, InconsistentGeometry, InvalidParameters, NullBoundary,
+                     _numbers)
 from .geometry import (
     DEFAULT_FD_STEP,
     Embedding,
@@ -264,7 +265,7 @@ def boundary_data(bnd: BoundaryEmbedding, point: Array) -> BoundaryData:
 
 def edge_equation_residual(bd: BoundaryData, mu0: float, mub: float) -> Array:
     """Edge equation-of-motion residual mu_b * k + mu_0 (zero when it holds)."""
-    if not (np.isfinite(mu0) and np.isfinite(mub) and mub > 0):
+    if not (_numbers(mu0, mub) and np.isfinite(mu0) and np.isfinite(mub) and mub > 0):
         raise InvalidParameters("edge tensions must be finite, with mub positive")
     return mub * bd.edge_trace + mu0
 

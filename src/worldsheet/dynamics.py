@@ -45,22 +45,16 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import ConstraintBlowup, EndpointCollision, InvalidParameters
+from .errors import ConstraintBlowup, EndpointCollision, InvalidParameters, _numbers
 
 Array = np.ndarray
 
 MIN_GRID_POINTS = 16
 EDGE_MARGIN = 2.0 ** -26  # an edge tangent T with T.T at most this times T^0 squared: unresolved
 GATE_NODES = 3200  # the nodes of the steps that ``evolve`` gates at once: 16 steps at M = 200
-
-
-def _numbers(*values) -> bool:
-    """Whether every value is a real number and no bool, so that comparing it is a range check."""
-    return all(isinstance(v, Real) and not isinstance(v, bool) for v in values)
 
 
 def rotating_orbit_omega(mu0: float, mub: float, radius: float) -> float:

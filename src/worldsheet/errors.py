@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number test of its parameter checks."""
+
+from numbers import Real
+
+
+def _numbers(*values) -> bool:
+    """Whether every value is a real number and no bool, so that comparing it is a range check."""
+    return all(isinstance(v, Real) and not isinstance(v, bool) for v in values)
 
 
 class WorldsheetError(Exception):

@@ -4,11 +4,15 @@ Quadrature is a tensor-product midpoint rule.  The last worldsheet coordinate
 may have limits given by edge graphs (boundaries are graphs over the leading
 coordinates), so domains bounded by moving edges integrate exactly over the
 region the edges cut out.  Sums are plain numpy reductions (pairwise), so
-results are reproducible across runs.
+results are reproducible across runs.  The finite-difference check displaces
+the sheet by delta = T phi_t + N phi_n (aligned normals N), one column sum for
+every codimension; the displaced tangent map is the sheet's own plus eps times
+a central difference of delta.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,7 +20,7 @@ import numpy as np
 
 from .background import LORENTZIAN, BackgroundMetric, _signature_matrix
 from .boundary import BoundaryEmbedding, _boundary_local, _edge_frame
-from .errors import DegenerateMetric, InvalidParameters
+from .errors import DegenerateMetric, InvalidParameters, _numbers
 from .geometry import (
     Embedding,
     _det_adjugate,
@@ -25,6 +29,7 @@ from .geometry import (
     _frame_at,
     _procrustes,
     _pullback,
+    _sum_last,
     fd_jacobian,
 )
 
@@ -59,7 +64,7 @@ class ActionConfig:
     grid: tuple[GridAxis, ...]
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.mu0) and np.isfinite(self.mub)
+        if not (_numbers(self.mu0, self.mub) and np.isfinite(self.mu0) and np.isfinite(self.mub)
                 and self.mu0 >= 0 and self.mub >= 0):
             raise InvalidParameters("tensions must be finite and non-negative")
         if len(self.grid) < 2:
@@ -70,7 +75,8 @@ class ActionConfig:
                 raise InvalidParameters("quadrature needs an integer count of at least 8 "
                                         "points per dimension")
             constant = [lim for lim in (ax.lo, ax.hi) if not callable(lim)]
-            if not np.all(np.isfinite(constant)) or (len(constant) == 2 and not ax.lo < ax.hi):
+            if not (_numbers(*constant) and np.all(np.isfinite(constant))) or (
+                    len(constant) == 2 and not ax.lo < ax.hi):
                 raise InvalidParameters("constant quadrature limits must be finite, with lo < hi")
         for ax in self.grid[:-1]:
             if callable(ax.lo) or callable(ax.hi):
@@ -158,17 +164,18 @@ class DeformationField:
     """Deformation of the worldsheet and its edges, windowed at the temporal caps.
 
     ``tangential_fn`` and ``normal_fn`` give the frame components of the bulk
-    displacement; ``boundary_normal_fns`` the amplitude of each edge's
-    displacement along its outward normal eta, one callable shared by every
-    attached edge.  (A displacement along the edge only reparametrizes it.)
-    An unset component is zero.  When ``time_extent`` (t0, t1) is set, two
-    finite numbers with t0 < t1, every component is multiplied by a smooth
-    window that vanishes on the outer quarter of the first coordinate, so the
-    variational identities hold without manual cap handling.  Callables must
-    broadcast over leading batch axes: under a finite-difference stencil
-    (:func:`metric_variation`, the displaced maps of :func:`first_variation_fd`)
-    they receive the stencil points with one extra leading axis, in blocks of
-    at most ``FD_BLOCK_POINTS`` points (see :func:`geometry.fd_jacobian`).
+    displacement, read together under one window; ``boundary_normal_fns`` the
+    amplitude of each edge's displacement along its outward normal eta, one
+    callable shared by every attached edge.  (A displacement along the edge
+    only reparametrizes it.)  An unset component is zero.  When
+    ``time_extent`` (t0, t1) is set, two finite real numbers with t0 < t1,
+    every component is multiplied by a smooth window that vanishes on the
+    outer quarter of the first coordinate, so the variational identities hold
+    without manual cap handling.  Callables must broadcast over leading batch
+    axes: under a finite-difference stencil (:func:`metric_variation`, the
+    displaced tangent maps of :func:`first_variation_fd`) they receive the
+    stencil points with one extra leading axis, in blocks of at most
+    ``FD_BLOCK_POINTS`` points (see :func:`geometry.fd_jacobian`).
     """
 
     tangential_fn: Callable[[Array], Array] | None = None
@@ -178,7 +185,9 @@ class DeformationField:
 
     def __post_init__(self) -> None:
         ext = self.time_extent
-        if ext is not None and not (len(ext) == 2 and np.isfinite(ext).all() and ext[0] < ext[1]):
+        if ext is not None and not (isinstance(ext, Collection) and len(ext) == 2
+                                    and _numbers(*ext) and np.isfinite(ext).all()
+                                    and ext[0] < ext[1]):
             raise InvalidParameters("time_extent must be two finite numbers t0 < t1")
 
     def _window(self, t: Array) -> Array:
@@ -192,26 +201,14 @@ class DeformationField:
         return _smooth_ramp(np.minimum(4.0 * s, 4.0 * (1.0 - s)))
 
     def _component(self, fn: Callable[[Array], Array] | None, x: Array,
-                   shape: tuple[int, ...], window: Array | None = None) -> Array:
-        """fn(x) times the window, or zeros of shape (..., *shape) when fn is unset.
-
-        ``window`` is the window at x when the caller already has it.
-        """
-        x = np.asarray(x, dtype=float)
+                   shape: tuple[int, ...], window: Array) -> Array:
+        """fn(x) times ``window``, the window at x, or zeros of shape (..., *shape) if unset."""
         if fn is None:
             return np.zeros(x.shape[:-1] + shape)
         values = np.asarray(fn(x), dtype=float)
         if not np.all(np.isfinite(values)):
             raise InvalidParameters("deformation field has non-finite values")
-        if window is None:
-            window = self._window(x[..., 0])
         return values * window.reshape(window.shape + (1,) * len(shape))
-
-    def tangential(self, xi: Array, dim: int) -> Array:
-        return self._component(self.tangential_fn, xi, (dim,))
-
-    def normal(self, xi: Array, codim: int) -> Array:
-        return self._component(self.normal_fn, xi, (codim,))
 
     def _bulk(self, xi: Array, dim: int, codim: int) -> tuple[Array, Array]:
         """(tangential, normal) at the same points, with the window computed once."""
@@ -221,7 +218,8 @@ class DeformationField:
                 self._component(self.normal_fn, xi, (codim,), window))
 
     def boundary_normal(self, u: Array) -> Array:
-        return self._component(self.boundary_normal_fns, u, ())
+        u = np.asarray(u, dtype=float)
+        return self._component(self.boundary_normal_fns, u, (), self._window(u[..., 0]))
 
 
 def metric_variation(embedding: Embedding, point: Array,
@@ -231,15 +229,16 @@ def metric_variation(embedding: Embedding, point: Array,
     d = embedding.worldsheet_dim
     k = embedding.codimension
     loc = _frame_at(embedding, point)
-    phi_i = deformation.normal(point, k)
+    phi_t, phi_i = deformation._bulk(point, d, k)
 
-    def phi_low(p, gamma):
-        return np.einsum("...ab,...b->...a", gamma, deformation.tangential(p, d))
+    def phi_low(gamma, phi):
+        return np.einsum("...ab,...b->...a", gamma, phi)
 
-    dphi = fd_jacobian(lambda p: phi_low(p, _Evaluation(embedding, p).induced_metric),
+    dphi = fd_jacobian(lambda p: phi_low(_Evaluation(embedding, p).induced_metric,
+                                         deformation._bulk(p, d, k)[0]),
                        point, embedding.fd_step)  # [b, a]
     cov = np.einsum("...ba->...ab", dphi) - np.einsum(
-        "...abc,...c->...ab", loc.conn, phi_low(point, loc.induced_metric))
+        "...abc,...c->...ab", loc.conn, phi_low(loc.induced_metric, phi_t))
     return (2.0 * np.einsum("...abi,...i->...ab", loc.kk, phi_i)
             + cov + np.swapaxes(cov, -1, -2))
 
@@ -291,7 +290,7 @@ def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbed
     sec = fr.sec  # built before the aligned normals exist, for a lower peak
     kk = _extrinsic(align(fr.normals), fr.g, sec)
     traces = np.einsum("...ab,...abi->...i", fr.induced_metric_inverse, kk)
-    phi_i = deformation.normal(pts, k_codim)
+    phi_i = deformation._bulk(pts, d, k_codim)[1]
     dens = _volume_element(fr.induced_metric, bg)
     total = -config.mu0 * np.sum(wts * dens * np.einsum("...i,...i->...", traces, phi_i))
 
@@ -319,15 +318,20 @@ def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
     d = embedding.worldsheet_dim
     k = embedding.codimension
 
+    def delta(fr):
+        phi_t, phi_n = deformation._bulk(fr.point, d, k)
+        n = align(fr.ungauged_normals)  # no sign gauge: the alignment fixes the sign
+        return _sum_last(fr.tangents * phi_t[..., None, :]) + _sum_last(n * phi_n[..., None, :])
+
     def pos(xi):
         fr = _Evaluation(embedding, xi)
-        phi_t, phi_n = deformation._bulk(xi, d, k)
-        n = align(fr.ungauged_normals)  # no sign gauge: the alignment fixes the sign
-        # one normal is one product; + 0.0 reads a zero +0.0, as the one-term matmul sum
-        n_phi = n[..., 0] * phi_n + 0.0 if k == 1 else (n @ phi_n[..., None])[..., 0]
-        return fr.x + eps * ((fr.tangents @ phi_t[..., None])[..., 0] + n_phi)
+        return fr.x + eps * delta(fr)
 
-    return Embedding(d, embedding.background, pos, fd_step=embedding.fd_step)
+    def d_pos(xi):  # the sheet's own tangent map: only eps delta is differenced
+        return embedding.d_position(xi) + eps * fd_jacobian(
+            lambda p: delta(_Evaluation(embedding, p)), xi, embedding.fd_step)
+
+    return Embedding(d, embedding.background, pos, d_pos, fd_step=embedding.fd_step)
 
 
 def _deformed_chi(bnd: BoundaryEmbedding, deformation: DeformationField, eps: float,
@@ -397,7 +401,7 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
     edge's undeformed chi, eta and psi are evaluated once per call at each
     point set its displaced edges read, for both signs of eps.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
+    if not (_numbers(epsilon) and np.isfinite(epsilon) and epsilon > 0):
         raise InvalidParameters("epsilon must be positive and finite")
     _check_edge_sides(edges)
     align = _domain_alignment(embedding, config.grid)

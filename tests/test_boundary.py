@@ -231,6 +231,19 @@ class TestEdgeEquation:
         with pytest.raises(InvalidParameters):
             edge_equation_residual(bd, mu0, mub)
 
+    @pytest.mark.parametrize("mu0,mub", [("a", 1.0), (1.0, "a"), (None, 1.0), (True, 1.0),
+                                         (1.0, True)])
+    def test_tensions_that_are_not_real_numbers_rejected(self, mu0, mub):
+        # text and None raised TypeError, and a bool ran as 1
+        bd = boundary_data(PLANE.boundary, np.array([0.5]))
+        with pytest.raises(InvalidParameters):
+            edge_equation_residual(bd, mu0, mub)
+
+    def test_numpy_scalar_tensions_accepted(self):
+        bd = boundary_data(PLANE.boundary, np.array([0.5]))
+        residual = edge_equation_residual(bd, np.float32(1.0), np.int64(2))
+        assert abs(float(residual) - 1.0) < 1e-14
+
 
 class TestBoundaryConditions:
     def test_flat_worldsheet_vacuous(self):

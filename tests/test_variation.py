@@ -20,6 +20,7 @@ from worldsheet.geometry import (
     _frame_at,
     _procrustes,
     _sum_last,
+    fd_jacobian,
     frame,
 )
 from worldsheet.variation import (
@@ -46,6 +47,14 @@ COLLAPSING = catalog.collapsing_string(1.0, 1.0)
 
 # closed-form value of the rotating-sheet area integral on t, sigma in [0, 1]
 HELICOID_STRIP_AREA = 0.5 * np.sqrt(0.75) + np.arcsin(0.5)
+
+
+# a sheet with two normals in M^4, with no derivative callbacks
+TWO_NORMAL_SHEET = Embedding(2, minkowski(4), lambda xi: np.concatenate(
+    [xi, np.sin(xi[..., :1]) * xi[..., 1:], 0.3 * xi[..., :1] * xi[..., 1:]], axis=-1))
+TWO_NORMAL_DEFORMATION = DeformationField(tangential_fn=lambda xi: np.cos(xi), normal_fn=np.sin,
+                                          time_extent=(0.0, 1.0))
+TWO_NORMAL_POINTS = np.random.default_rng(2).uniform(0.0, 1.0, (200, 2))
 
 
 def spherical_cap(radius, edge_theta):
@@ -102,8 +111,11 @@ class TestActions:
         # the two halves cancelled to -0.0
         (GridAxis(16, 0.0, 1.0), GridAxis(16, 0.0, lambda u: 0.5 - u[..., 0])),
         (GridAxis(16, 0.0, 1.0), GridAxis(16, 0.0, lambda u: np.inf + 0.0 * u[..., 0])),
+        (GridAxis(16, "a", 1.0), GridAxis(16, 0.0, 1.0)),     # raised TypeError
+        (GridAxis(16, 0.0, True), GridAxis(16, 0.0, 1.0)),    # read 1.0
     ], ids=["few_points", "fractional_count", "nan_count", "bool_count", "reversed", "empty",
-            "infinite", "nan_limit", "edge_limit_crossing", "infinite_edge_limit"])
+            "infinite", "nan_limit", "edge_limit_crossing", "infinite_edge_limit", "text_limit",
+            "bool_limit"])
     def test_quadrature_validation(self, first, last):
         # on the unit square the plane's action is -1.0 at any valid count
         with pytest.raises(InvalidParameters):
@@ -127,17 +139,29 @@ class TestActions:
             dng_action(null, cfg)
 
     @pytest.mark.parametrize("mu0,mub", [(np.inf, 0.7), (np.nan, 0.7), (1.0, np.inf),
-                                         (1.0, np.nan), (-1.0, 0.7)])
+                                         (1.0, np.nan), (-1.0, 0.7), ("a", 1.0), (None, 0.7),
+                                         (1.0, [1.0]), (True, 0.7), (1.0, False)])
     def test_tension_validation(self, mu0, mub):
+        # text, None and a list raised TypeError; a bool ran as 0 or 1
         with pytest.raises(InvalidParameters, match="tensions"):
             ActionConfig(mu0, mub, (GridAxis(8, 0.0, 1.0), GridAxis(8, 0.0, 1.0)))
 
+    def test_numpy_scalars_are_numbers(self):
+        cfg = ActionConfig(np.float64(1.0), np.int64(2), (GridAxis(8, np.float32(0.0), 1),
+                                                          GridAxis(8, np.int64(0), 1.0)))
+        assert dng_action(PLANE.embedding, cfg) == pytest.approx(-1.0, abs=1e-12)
+        assert DeformationField(time_extent=(np.float64(0.0), np.int64(1))).time_extent[1] == 1
+        assert DeformationField(time_extent=np.array([0.0, 1.0])).time_extent is not None
+
 
 @pytest.mark.parametrize("time_extent", [(0.0, np.nan), (1.0, 1.0), (1.0, 0.0),
-                                         (-np.inf, 1.0), (0.0,), (0.0, 0.5, 1.0)],
-                         ids=["nan", "equal", "reversed", "infinite", "one", "three"])
+                                         (-np.inf, 1.0), (0.0,), (0.0, 0.5, 1.0), ("a", "b"),
+                                         5, (0, True), "ab"],
+                         ids=["nan", "equal", "reversed", "infinite", "one", "three", "text",
+                              "scalar", "bool", "string"])
 def test_time_extent_validation(time_extent):
-    # (0, nan) made the analytic variation NaN, and (1, 1) silently zeroed the window
+    # (0, nan) made the analytic variation NaN, and (1, 1) silently zeroed the window;
+    # text and a scalar raised TypeError, and (0, True) ran as (0, 1)
     with pytest.raises(InvalidParameters, match="time_extent"):
         DeformationField(time_extent=time_extent)
 
@@ -228,8 +252,9 @@ class TestFirstVariation:
             first_variation_fd(COLLAPSING.embedding, edges, cfg, self._edge_push(10.0), 1e-2)
 
     @pytest.mark.parametrize("edges", [False, True], ids=["no_edges", "edges"])
-    @pytest.mark.parametrize("epsilon", [0.0, -1e-2, np.nan, np.inf])
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-2, np.nan, np.inf, "a", 1j, True])
     def test_bad_epsilon_rejected(self, epsilon, edges):
+        # text and 1j raised TypeError, and True ran as 1.0
         cfg, attached = catalog.action_setup(PLANE, 1.0, 0.7, (8, 8))
         with pytest.raises(InvalidParameters, match="epsilon"):
             first_variation_fd(PLANE.embedding, attached if edges else [], cfg,
@@ -450,8 +475,8 @@ class TestLeanDisplacedActions:
         assert np.array_equal(got, -want if flipped else want)
 
     @pytest.mark.parametrize("entry", [HELICOID, DISK, PLANE], ids=lambda e: e.id)
-    def test_displaced_map_equals_the_matmul_form_bitwise(self, entry):
-        # the one-normal product against the matmul of the gauged, aligned normal
+    def test_displaced_map_equals_the_column_sum_form_bitwise(self, entry):
+        # delta = T phi_t + N phi_n as numpy column sums, N the gauged normal aligned
         cfg = catalog.action_setup(entry, 1.0, 1.0, (16, 16))[0]
         align = _domain_alignment(entry.embedding, cfg.grid)
         defo = random_deformation(entry, seed=3)
@@ -460,22 +485,40 @@ class TestLeanDisplacedActions:
         phi_t, phi_n = defo._bulk(pts, 2, 1)
         for eps in (1e-2, -1e-2, 1.0):
             got = _deformed_embedding(entry.embedding, defo, eps, align).position(pts)
-            want = fr.x + eps * (fr.tangents @ phi_t[..., None]
-                                 + align(fr.normals) @ phi_n[..., None])[..., 0]
+            want = fr.x + eps * ((fr.tangents * phi_t[..., None, :]).sum(-1)
+                                 + (align(fr.normals) * phi_n[..., None, :]).sum(-1))
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_displaced_map_with_two_normals_equals_the_matmul_form_bitwise(self):
-        sheet = Embedding(2, minkowski(4), lambda xi: np.concatenate(
-            [xi, np.sin(xi[..., :1]) * xi[..., 1:], 0.3 * xi[..., :1] * xi[..., 1:]], axis=-1))
-        defo = DeformationField(tangential_fn=lambda xi: np.cos(xi), normal_fn=np.sin,
-                                time_extent=(0.0, 1.0))
-        pts = np.random.default_rng(2).uniform(0.0, 1.0, (200, 2))
+    def test_displaced_map_with_two_normals_equals_the_column_sum_form_bitwise(self):
+        sheet, defo, pts = TWO_NORMAL_SHEET, TWO_NORMAL_DEFORMATION, TWO_NORMAL_POINTS
         fr = _frame_at(sheet, pts)
         phi_t, phi_n = defo._bulk(pts, 2, 2)
         got = _deformed_embedding(sheet, defo, 0.1, lambda n: n).position(pts)
-        want = fr.x + 0.1 * (fr.tangents @ phi_t[..., None] + fr.normals @ phi_n[..., None])[..., 0]
+        want = fr.x + 0.1 * ((fr.tangents * phi_t[..., None, :]).sum(-1)
+                             + (fr.normals * phi_n[..., None, :]).sum(-1))
         assert fr.normals.shape[-1] == 2
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("case", ["helicoid", "two_normals"])
+    def test_displaced_tangent_map_is_the_derivative_of_the_displaced_map(self, case):
+        # the callback (the sheet's tangent map, analytic for the helicoid and its
+        # own central difference for the other, plus eps times a difference of
+        # delta) against central differences of the displaced map: the gap
+        # shrinks 4x when h halves, so it is the differences' O(h^2)
+        if case == "helicoid":
+            cfg = catalog.action_setup(HELICOID, 1.0, 1.0, (16, 16))[0]
+            sheet, pts = HELICOID.embedding, HELICOID.sample_grid()
+            defo = random_deformation(HELICOID, 3)
+            align = _domain_alignment(sheet, cfg.grid)
+        else:  # timelike for sigma below about 0.95; its unaligned frame turns fast in
+            # places, so h stays at 1e-3 and below
+            sheet, defo, pts = TWO_NORMAL_SHEET, TWO_NORMAL_DEFORMATION, 0.9 * TWO_NORMAL_POINTS
+            align = lambda n: n
+        displaced = _deformed_embedding(sheet, defo, 0.1, align)
+        tangents = displaced.d_position(pts)
+        gaps = [np.abs(fd_jacobian(displaced.position, pts, h) - tangents).max()
+                for h in (1e-3, 5e-4)]
+        assert gaps[0] < 1e-3 and 3.5 < gaps[0] / gaps[1] < 4.5
 
     @pytest.mark.parametrize("side", [1, -1], ids=["hi_hi", "lo_lo"])
     def test_two_edges_on_one_side_raise(self, side):

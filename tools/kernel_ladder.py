@@ -24,7 +24,8 @@ stored snapshot), ``position``, ``frame``, ``normal_frame``,
 ``extrinsic_curvature`` and ``boundary_data`` on the catalog helicoid at each
 batch size, the checked evaluation ``geometry._frame_at`` of the helicoid at
 4096 points, the ``position`` of a displaced helicoid map of
-``first_variation_fd`` at the same points, ``variation.first_variation_fd``
+``first_variation_fd`` at the same points and its tangent map ``d_position``
+(one call per displaced ``dng_action``), ``variation.first_variation_fd``
 on the helicoid at 16 x 16 quadrature points (the workload ``variation-fd``
 runs it at 64 x 64), and ``catalog.evaluate_entry`` on the catalog helicoid
 and hole (the rows of ``verify``, which the workload ``catalog-cli`` runs).
@@ -32,8 +33,10 @@ Each round times every kernel once in each version, alternating which
 version goes first, and the best time per call of each version is kept.
 Timing both versions in one process, round by round, cancels most of the
 drift of a shared machine; a REV equal to the working tree shows the noise
-floor.  Prints one table with both times in microseconds and their ratio,
-working tree over REV.
+floor.  Prints one table with both times in microseconds, each beside the
+minor page faults per call (``ru_minflt`` of ``resource.getrusage``) of its
+best measurement, and their ratio, working tree over REV.  A row whose calls
+fault can read slow for the faults rather than for its work.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import argparse
 import importlib
 import importlib.util
 import io
+import resource
 import subprocess
 import sys
 import tarfile
@@ -135,6 +139,7 @@ def kernels(pkg: str, grid_points: int, batches: list[int]) -> dict[str, tuple]:
     calls.update({
         f"_frame_at B={FRAME_POINTS}": (lambda: geometry._frame_at(emb, pts), 1),
         f"displaced position B={FRAME_POINTS}": (lambda: displaced.position(pts), 1),
+        f"displaced d_position B={FRAME_POINTS}": (lambda: displaced.d_position(pts), 1),
         f"first_variation_fd {FD_QUADRATURE}x{FD_QUADRATURE}": (
             lambda: variation.first_variation_fd(emb, edges, cfg, defo, 1e-2), 1),
     })
@@ -165,16 +170,20 @@ def gate_block(dynamics, state, config, block: int):
     return each_step
 
 
-def per_call_s(fn, count: int, number: int) -> float:
+def per_call(fn, count: int, number: int) -> tuple[float, float]:
+    """(seconds, minor page faults) per kernel call, over ``number`` calls of fn."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     for _ in range(number):
         fn()
-    return (time.perf_counter() - start) / (number * count)
+    seconds = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return seconds / (number * count), faults / (number * count)
 
 
 def ladder(rev: str, rounds: int, number: int | None, grid_points: int,
-           batches: list[int]) -> list[tuple[str, float, float]]:
-    """(kernel, best seconds per call at REV, best at the working tree) per kernel."""
+           batches: list[int]) -> list[tuple[str, tuple[float, float], tuple[float, float]]]:
+    """(kernel, best (seconds, faults) per call at REV, the same at the working tree)."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix="kernel-ladder-") as tmp:
@@ -185,11 +194,11 @@ def ladder(rev: str, rounds: int, number: int | None, grid_points: int,
         calls = [v[name] for v in versions]
         for fn, _ in calls:  # first calls pay for lazy set-up; time neither
             fn()
-        n = number or max(1, round(TARGET_S / max(per_call_s(*calls[1], 1), 1e-7)))
-        best = [float("inf"), float("inf")]
+        n = number or max(1, round(TARGET_S / max(per_call(*calls[1], 1)[0], 1e-7)))
+        best = [(float("inf"), 0.0), (float("inf"), 0.0)]
         for r in range(rounds):
             for i in ((0, 1) if r % 2 == 0 else (1, 0)):
-                best[i] = min(best[i], per_call_s(*calls[i], n))
+                best[i] = min(best[i], per_call(*calls[i], n))
         rows.append((name, best[0], best[1]))
     return rows
 
@@ -205,9 +214,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     rows = ladder(args.rev, args.rounds, args.number, args.grid_points, args.batches)
     width = max(len(name) for name, _, _ in rows)
-    print(f"{'kernel':<{width}}  {'REV us':>10}  {'work us':>10}  ratio")
-    for name, base, work in rows:
-        print(f"{name:<{width}}  {1e6 * base:10.2f}  {1e6 * work:10.2f}  {work / base:.3f}")
+    print(f"{'kernel':<{width}}  {'REV us':>10}  {'REV flt':>8}  {'work us':>10}  "
+          f"{'work flt':>8}  ratio")
+    for name, (base, base_flt), (work, work_flt) in rows:
+        print(f"{name:<{width}}  {1e6 * base:10.2f}  {base_flt:8.1f}  {1e6 * work:10.2f}  "
+              f"{work_flt:8.1f}  {work / base:.3f}")
     return 0
 
 

@@ -283,6 +283,14 @@ MUTANTS = {
             "positions[start:stop], velocities[start:stop]",
             "positions[start:stop - 1], velocities[start:stop - 1]",
             "leaves the last step of a gated block ungated"),
+    "M78": ("src/worldsheet/variation.py",
+            "return embedding.d_position(xi) + eps * fd_jacobian(",
+            "return embedding.d_position(xi) + fd_jacobian(",
+            "drops eps from the displaced tangent map of `first_variation_fd`"),
+    "M79": ("src/worldsheet/variation.py",
+            "return embedding.d_position(xi) + eps * fd_jacobian(",
+            "return eps * fd_jacobian(",
+            "drops the sheet's own tangent map from the displaced one of `first_variation_fd`"),
 }
 
 
