@@ -174,9 +174,9 @@ def _eta(edge_tangent, u) -> tuple:
     return v0 / norm, v1 / norm, v2 / norm
 
 
-def _rest_norm(v, u) -> float:
-    """Euclidean norm of v in the rest frame of the unit timelike u: sqrt(v.v + 2 (v.u)^2)."""
-    return math.sqrt(max(_fdot(v, v) + 2.0 * _fdot(v, u) ** 2, 0.0))
+def _rest_norm(v) -> float:
+    """Euclidean norm of v in the rest frame of a unit timelike u with v.u = 0: sqrt(v.v)."""
+    return math.sqrt(max(_fdot(v, v), 0.0))
 
 
 def _speed(edge_tangent) -> float:
@@ -561,16 +561,16 @@ def diagnostics(state: StringState) -> DiagnosticsRecord:
             continue
         dtau = ep.proper_time - ep.prev_proper_time
         acc = ((ep.four_velocity - ep.prev_four_velocity) / dtau).tolist()
-        mag = math.sqrt(max(_fdot(acc, acc), 0.0))
+        na = _rest_norm(acc)  # acc, eta_mid and their chord are all orthogonal to u_mid
         u_mid = _unit_timelike((0.5 * (ep.four_velocity + ep.prev_four_velocity)).tolist())
         eta_mid = _eta(ep.edge_tangent.tolist(), u_mid)
-        na, ne = _rest_norm(acc, u_mid), _rest_norm(eta_mid, u_mid)
+        ne = _rest_norm(eta_mid)
         if na == 0.0:  # no measured acceleration (force-free ends): no direction
-            diags.append(EndpointDiagnostics(mag, None))
+            diags.append(EndpointDiagnostics(na, None))
             continue
         # the angle to -eta_mid in the rest frame of u_mid, as 2 asin(|a + eta| / 2)
         # of the unit vectors there, which keeps its accuracy near zero
-        chord = _rest_norm([a / na + e / ne for a, e in zip(acc, eta_mid)], u_mid)
-        diags.append(EndpointDiagnostics(mag, 2.0 * math.asin(min(0.5 * chord, 1.0))))
+        chord = _rest_norm([a / na + e / ne for a, e in zip(acc, eta_mid)])
+        diags.append(EndpointDiagnostics(na, 2.0 * math.asin(min(0.5 * chord, 1.0))))
     return DiagnosticsRecord(constraint_norms=constraint_norms(state), total_energy=energy,
                              angular_momentum=ang, endpoints=(diags[0], diags[1]))

@@ -1,13 +1,13 @@
 """Action functionals and first variations for worldsheets with loaded edges.
 
 Quadrature is a tensor-product midpoint rule.  The last worldsheet coordinate
-may have limits given by edge graphs (boundaries are graphs over the leading
-coordinates), so domains bounded by moving edges integrate exactly over the
-region the edges cut out.  Sums are plain numpy reductions (pairwise), so
-results are reproducible across runs.  The finite-difference check displaces
-the sheet by delta = T phi_t + N phi_n (aligned normals N), one column sum for
-every codimension; the displaced tangent map is the sheet's own plus eps times
-a central difference of delta.
+may have limits given by edge graphs over the leading coordinates.  Sums are
+plain numpy reductions (pairwise), so results are reproducible across runs.
+The finite-difference check displaces the sheet by delta = T phi_t + N phi_n
+(aligned normals N), one column sum for every codimension; the displaced
+tangent map is the sheet's own plus eps times a central difference of delta.
+Each displaced edge bounds the domain by its graph to first order in eps, in
+closed form: the variation reads the edge displacement only through Psi.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ from .geometry import (
 )
 
 Array = np.ndarray
-
-# Picard inversion of displaced edge graphs: stop once the update is at
-# roundoff (relative to the coordinate scale), give up after the sweep cap
-_PICARD_TOL = 1e-14
-_PICARD_MAX_SWEEPS = 60
-
 
 @dataclass(frozen=True)
 class GridAxis:
@@ -94,12 +88,17 @@ def _leading_mesh(grid: Sequence[GridAxis]) -> tuple[Array, float]:
     return np.stack(mesh, axis=-1), weight
 
 
+def _last_limits(grid: Sequence[GridAxis], u: Array) -> tuple[Array, Array]:
+    """(lo, hi) of the last axis at leading coordinates ``u`` (..., D-1), each of shape (...)."""
+    return tuple(lim(u) if callable(lim) else np.full(u.shape[:-1], float(lim))
+                 for lim in (grid[-1].lo, grid[-1].hi))
+
+
 def _bulk_grid(grid: Sequence[GridAxis]) -> tuple[Array, Array]:
     """Quadrature points (..., D) and weights (...,), honoring edge limits."""
     u_mesh, u_weight = _leading_mesh(grid)
     last = grid[-1]
-    lo = last.lo(u_mesh) if callable(last.lo) else np.full(u_mesh.shape[:-1], float(last.lo))
-    hi = last.hi(u_mesh) if callable(last.hi) else np.full(u_mesh.shape[:-1], float(last.hi))
+    lo, hi = _last_limits(grid, u_mesh)
     width = (hi - lo) / last.points
     if not np.all((width > 0) & np.isfinite(width)):
         raise InvalidParameters("edge-dependent limits must be finite, with hi > lo")
@@ -259,9 +258,7 @@ def _domain_alignment(embedding: Embedding, grid: tuple[GridAxis, ...]):
     u_mesh, _ = _leading_mesh(grid)
     mid_idx = tuple(s // 2 for s in u_mesh.shape[:-1])
     u_mid = u_mesh[mid_idx]
-    last = grid[-1]
-    lo = last.lo(u_mid) if callable(last.lo) else float(last.lo)
-    hi = last.hi(u_mid) if callable(last.hi) else float(last.hi)
+    lo, hi = _last_limits(grid, u_mid)
     center = np.concatenate([np.atleast_1d(u_mid), [0.5 * (lo + hi)]])
     fr_c = _frame_at(embedding, center)
     return lambda normals: _procrustes(normals, fr_c.normals, fr_c.g)
@@ -294,8 +291,8 @@ def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbed
     dens = _volume_element(fr.induced_metric, bg)
     total = -config.mu0 * np.sum(wts * dens * np.einsum("...i,...i->...", traces, phi_i))
 
+    u, uw = _boundary_grid(config.grid)
     for bnd in edges:
-        u, uw = _boundary_grid(config.grid)
         bl = _boundary_local(bnd, u)
         bd, sheet, xi = bl.bd, bl.sheet, bl.edge.x
         dens_b = _volume_element(bd.boundary_metric, bg)
@@ -334,57 +331,34 @@ def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
     return Embedding(d, embedding.background, pos, d_pos, fd_step=embedding.fd_step)
 
 
-def _deformed_chi(bnd: BoundaryEmbedding, deformation: DeformationField, eps: float,
-                  parts: dict) -> Callable[[Array], Array]:
-    """chi + eps psi eta, with the undeformed chi, eta and psi kept in ``parts`` per point set."""
-    def chi(u):
+def _displaced_edge(bnd: BoundaryEmbedding, deformation: DeformationField, eps: float,
+                    parts: dict) -> tuple[Callable[[Array], Array], Callable[[Array], Array]]:
+    """The displaced edge chi + eps psi eta, and the limit of the last axis on its side.
+
+    The limit f + eps psi / eta_last (f = chi_last, eta_last the last component of
+    gamma eta) is the displaced graph over u to first order; its O(eps^2) miss is
+    even in eps up to O(eps^3).  ``parts`` keeps the undeformed chi, eta, psi and
+    psi / eta_last per point set.
+    """
+    def undeformed(u):
         if (key := (u.shape, u.tobytes())) not in parts:
             xi = bnd.chi(u)
-            eta = _edge_frame(bnd, u, _Evaluation(bnd.parent, xi)).normals[..., 0]
-            parts[key] = xi, eta, deformation.boundary_normal(u)[..., None]
-        xi, eta, psi = parts[key]
+            fr = _Evaluation(bnd.parent, xi)
+            eta = _edge_frame(bnd, u, fr).normals[..., 0]
+            psi = deformation.boundary_normal(u)
+            eta_last = _sum_last(fr.induced_metric[..., -1, :] * eta)  # of gamma eta
+            parts[key] = xi, eta, psi[..., None], psi / eta_last
+        return parts[key]
+
+    def chi(u):
+        xi, eta, psi, _ = undeformed(u)
         return xi + eps * psi * eta
 
-    return chi
+    def limit(u):
+        xi, _, _, shift = undeformed(u)
+        return xi[..., -1] + eps * shift
 
-
-def _inverted_graph(chi_fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
-    """Last-coordinate limit as a function of the leading coordinates.
-
-    The displaced edge is still near-identity in its leading components, so
-    Picard sweeps recover the parameter u* with chi(u*) over the target.  They
-    stop once the update is at roundoff; a displacement too large for the
-    sweeps to contract raises InvalidParameters.
-    """
-
-    def limit(target):
-        target = np.asarray(target, dtype=float)
-        tol = _PICARD_TOL * max(1.0, float(np.max(np.abs(target), initial=0.0)))
-        u = target.copy()
-        for _ in range(_PICARD_MAX_SWEEPS):
-            image = chi_fn(u)
-            update = image[..., :-1] - target
-            if np.all(np.abs(update) <= tol):
-                return image[..., -1]
-            u = u - update
-        raise InvalidParameters(
-            f"Picard inversion of the displaced edge graph did not converge in "
-            f"{_PICARD_MAX_SWEEPS} sweeps; reduce epsilon or the edge displacement")
-
-    return limit
-
-
-def _deformed_grid(grid: tuple[GridAxis, ...],
-                   edges: Sequence[BoundaryEmbedding]) -> tuple[GridAxis, ...]:
-    """The grid with each displaced edge's graph as the limit on its side."""
-    last = grid[-1]
-    lo, hi = last.lo, last.hi
-    for edge in edges:
-        if edge.orientation < 0:
-            lo = _inverted_graph(edge.chi_fn)
-        else:
-            hi = _inverted_graph(edge.chi_fn)
-    return grid[:-1] + (GridAxis(last.points, lo, hi),)
+    return chi, limit
 
 
 def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
@@ -394,12 +368,12 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
 
     The worldsheet and the ``edges`` are displaced together: each displaced
     edge is an edge of the displaced sheet, and its volume its :func:`edge_action`.
-    The quadrature domain follows the displaced edge graphs exactly, each on
-    the side its orientation names (-1 the lower limit of the last axis, +1 the
-    upper; two edges of one orientation raise InvalidParameters).  Matches
+    Each bounds the quadrature domain, to first order in eps, on the side its
+    orientation names (-1 the lower limit of the last axis, +1 the upper; two
+    edges of one orientation raise InvalidParameters).  Matches
     :func:`first_variation_analytic` to O(eps^2) plus quadrature error.  Each
     edge's undeformed chi, eta and psi are evaluated once per call at each
-    point set its displaced edges read, for both signs of eps.
+    point set its displaced edges and limits read, for both signs of eps.
     """
     if not (_numbers(epsilon) and np.isfinite(epsilon) and epsilon > 0):
         raise InvalidParameters("epsilon must be positive and finite")
@@ -412,12 +386,16 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
     for bnd in edges:
         _frame_at(bnd.parent, bnd.chi(u))
     parts = [{} for _ in edges]  # each edge's undeformed parts, shared by both signs of eps
+    last = config.grid[-1]
 
     def total_action(eps: float) -> float:
         emb_eps = _deformed_embedding(embedding, deformation, eps, align)
-        edges_eps = [BoundaryEmbedding(emb_eps, _deformed_chi(bnd, deformation, eps, store),
-                                       bnd.orientation) for bnd, store in zip(edges, parts)]
-        cfg = ActionConfig(config.mu0, config.mub, _deformed_grid(config.grid, edges_eps))
+        displaced = {bnd.orientation: _displaced_edge(bnd, deformation, eps, store)
+                     for bnd, store in zip(edges, parts)}
+        edges_eps = [BoundaryEmbedding(emb_eps, chi, side) for side, (chi, _) in displaced.items()]
+        limits = {-1: last.lo, 1: last.hi} | {side: lim for side, (_, lim) in displaced.items()}
+        cfg = ActionConfig(config.mu0, config.mub,
+                           config.grid[:-1] + (GridAxis(last.points, limits[-1], limits[1]),))
         return dng_action(emb_eps, cfg) + sum(edge_action(e, cfg) for e in edges_eps)
 
     return (total_action(epsilon) - total_action(-epsilon)) / (2.0 * epsilon)

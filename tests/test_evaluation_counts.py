@@ -36,8 +36,9 @@ take the unchecked evaluation.  The finite-difference first variation checks
 the undeformed sheet once on its bulk grid and once on each edge's boundary
 grid, the points it integrates over, and reads it unchecked everywhere else.
 Its displaced maps align the ungauged normal and take no sign gauge, and it
-evaluates each undeformed edge once per point set that a displaced edge
-reads, for both signs of eps.
+evaluates each undeformed edge once per point set that a displaced edge or
+its limit reads, for both signs of eps: a sloped edge costs what a straight
+one does, since its displaced limit is explicit.
 """
 
 import dataclasses
@@ -74,8 +75,8 @@ from worldsheet.variation import (
     ActionConfig,
     DeformationField,
     GridAxis,
-    _deformed_chi,
     _deformed_embedding,
+    _displaced_edge,
     _domain_alignment,
     dng_action,
     edge_action,
@@ -168,11 +169,17 @@ def test_fd_variation_evaluation_counts(counts):
     assert (counts["position"], counts["d_position"]) == (22, 30)
 
 
-def test_fd_variation_evaluates_each_undeformed_edge_once_per_point_set(monkeypatch):
-    # per edge: its check on the boundary grid, then its parts at the boundary
-    # grid (also the first Picard sweep), at the tangent stencil and at the one
-    # further Picard sweep of each sign of eps
-    config, edges = catalog.action_setup(HELICOID, 1.0, 3.0, (16, 16))
+@pytest.mark.parametrize("entry, mub, seed", [
+    (HELICOID, 3.0, 0),
+    (catalog.collapsing_string(1.0, 1.0), 0.7, 2),  # sloped edges, eta_last != +-1
+], ids=["helicoid", "collapsing"])
+def test_fd_variation_evaluates_each_undeformed_edge_once_per_point_set(monkeypatch, entry,
+                                                                        mub, seed):
+    # per edge: the undeformed limit at the domain-alignment center and on the
+    # bulk grid, its check on the boundary grid, then its parts at the boundary
+    # grid (the displaced limit and edge there) and at the edge's tangent
+    # stencil, each shared by both signs of eps
+    config, edges = catalog.action_setup(entry, 1.0, mub, (16, 16))
     calls = []
     original = BoundaryEmbedding.chi
 
@@ -181,7 +188,7 @@ def test_fd_variation_evaluates_each_undeformed_edge_once_per_point_set(monkeypa
         return original(self, point)
 
     monkeypatch.setattr(BoundaryEmbedding, "chi", counted)
-    first_variation_fd(HELICOID.embedding, edges, config, random_deformation(HELICOID, 0), 1e-2)
+    first_variation_fd(entry.embedding, edges, config, random_deformation(entry, seed), 1e-2)
     assert len(edges) == 2 and sorted(calls) == [0] * 5 + [1] * 5
 
 
@@ -255,8 +262,9 @@ EDGE_DEFORMATION = DeformationField(boundary_normal_fns=lambda u: np.sin(u[..., 
 
 @pytest.mark.parametrize("kernel", [
     lambda: edge_action(HELICOID.boundary, ACTION_CONFIG),
-    # one Picard sweep of a displaced edge, with a fresh store of its undeformed parts
-    lambda: _deformed_chi(HELICOID.boundary, EDGE_DEFORMATION, 1e-2, {})(HELICOID.boundary_grid()),
+    # a displaced edge and its limit, with a fresh store of its undeformed parts
+    lambda: [f(HELICOID.boundary_grid()) for f in
+             _displaced_edge(HELICOID.boundary, EDGE_DEFORMATION, 1e-2, {})],
 ], ids=["edge_action", "displaced_edge_chi"])
 def test_first_order_edge_callers_take_no_second_derivatives(counts, kernel):
     kernel()

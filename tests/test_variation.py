@@ -11,6 +11,7 @@ from worldsheet.errors import (
     DegenerateImmersion,
     DegenerateMetric,
     InvalidParameters,
+    NullBoundary,
     WorldsheetError,
 )
 from worldsheet.geometry import (
@@ -28,6 +29,7 @@ from worldsheet.variation import (
     DeformationField,
     GridAxis,
     _deformed_embedding,
+    _displaced_edge,
     _domain_alignment,
     _smooth_ramp,
     dng_action,
@@ -229,8 +231,8 @@ class TestFirstVariation:
     @staticmethod
     def _edge_push(amplitude):
         # moves both edges of the collapsing string along eta; eta is tilted in time
-        # where the edge is, so the moving domain needs the Picard inversion of the
-        # displaced edge graphs
+        # where the edge is (eta_last != +-1), so the displaced limit of the last
+        # axis, f + eps psi / eta_last, differs from the edge's own displacement
         return DeformationField(
             boundary_normal_fns=lambda u: amplitude * np.sin(4.0 * np.pi * u[..., 0]),
             time_extent=(0.0, 0.5))
@@ -244,12 +246,49 @@ class TestFirstVariation:
         fd = richardson_variation(COLLAPSING.embedding, edges, cfg, defo, 1e-2)
         assert abs(fd) < 1e-5
 
-    def test_uncontracted_edge_inversion_raises(self):
-        # at eps = 1e-2 this push is too large for the Picard sweeps to
-        # contract; the variation must fail instead of returning a wrong number
+    def test_edge_push_that_nulls_the_displaced_edge_raises(self):
+        # at eps = 1e-2 this push tilts the displaced edge past the light cone;
+        # the variation must fail instead of returning a wrong number
         cfg, edges = catalog.action_setup(COLLAPSING, 1.0, 1.0, (64, 64))
-        with pytest.raises(InvalidParameters, match="Picard"):
+        with pytest.raises(NullBoundary):
             first_variation_fd(COLLAPSING.embedding, edges, cfg, self._edge_push(10.0), 1e-2)
+
+    @pytest.mark.parametrize("mub", [0.7, 1.6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sloped_edges_off_shell_match_analytic(self, mub, seed):
+        # mub != mu0 / a: the edges no longer obey the edge law, and their normal
+        # displacement, with eta_last != +-1, enters the variation at first order
+        cfg, edges = catalog.action_setup(COLLAPSING, 1.0, mub, (64, 64))
+        defo = random_deformation(COLLAPSING, seed=seed)
+        ana = first_variation_analytic(COLLAPSING.embedding, edges, cfg, defo)
+        fd = richardson_variation(COLLAPSING.embedding, edges, cfg, defo, 1e-2)
+        assert abs(fd - ana) <= 1e-4
+
+    def test_displaced_limit_misses_the_displaced_graph_evenly_at_second_order(self):
+        # the exact graph of chi + eps psi eta over targets v, inverted here by
+        # fixed-point sweeps on the leading coordinate, against the limit
+        # f + eps psi / eta_last: the miss is O(eps^2), and its odd part in eps is
+        # O(eps^3), so a centered difference reads no first-order error from it
+        edges = catalog.action_setup(COLLAPSING, 1.0, 1.0, (64, 64))[1]
+        push = self._edge_push(1.0)
+        v = (np.arange(64)[:, None] + 0.5) / 128.0
+
+        def miss(bnd, eps):
+            chi, limit = _displaced_edge(bnd, push, eps, {})
+            u = v.copy()
+            for _ in range(100):
+                step = chi(u)[..., :-1] - v
+                u = u - step
+                if np.max(np.abs(step)) < 1e-15:
+                    return limit(v) - chi(u)[..., -1]
+            raise AssertionError("the sweeps did not converge")
+
+        for bnd in edges:
+            m = {eps: miss(bnd, eps) for eps in (1e-2, -1e-2, 5e-3, -5e-3)}
+            even = np.max(np.abs(m[1e-2])) / np.max(np.abs(m[5e-3]))
+            odd = np.max(np.abs(m[1e-2] - m[-1e-2])) / np.max(np.abs(m[5e-3] - m[-5e-3]))
+            assert np.log2(even) == pytest.approx(2.0, abs=0.15)
+            assert np.log2(odd) == pytest.approx(3.0, abs=0.15)
 
     @pytest.mark.parametrize("edges", [False, True], ids=["no_edges", "edges"])
     @pytest.mark.parametrize("epsilon", [0.0, -1e-2, np.nan, np.inf, "a", 1j, True])

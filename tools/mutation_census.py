@@ -95,8 +95,8 @@ MUTANTS = {
             "eta_mid = _eta(ep.edge_tangent.tolist(), ep.prev_four_velocity.tolist())",
             "takes the direction of `diagnostics` at the step's first u, not its midpoint"),
     "M36": ("src/worldsheet/variation.py",
-            "bnd.orientation) for bnd, store in zip(edges, parts)]",
-            "-bnd.orientation) for bnd, store in zip(edges, parts)]",
+            "displaced = {bnd.orientation: _displaced_edge(",
+            "displaced = {-bnd.orientation: _displaced_edge(",
             "flips the side of each displaced edge in `first_variation_fd`"),
     "M37": ("src/worldsheet/boundary.py",
             "_procrustes(fr_u.normals, sheet_normals, g)",
@@ -291,6 +291,14 @@ MUTANTS = {
             "return embedding.d_position(xi) + eps * fd_jacobian(",
             "return eps * fd_jacobian(",
             "drops the sheet's own tangent map from the displaced one of `first_variation_fd`"),
+    "M80": ("src/worldsheet/variation.py",
+            "parts[key] = xi, eta, psi[..., None], psi / eta_last",
+            "parts[key] = xi, eta, psi[..., None], psi * eta_last",
+            "multiplies Psi by eta_last in the displaced limit of `first_variation_fd`"),
+    "M81": ("src/worldsheet/variation.py",
+            "parts[key] = xi, eta, psi[..., None], psi / eta_last",
+            "parts[key] = xi, eta, psi[..., None], psi",
+            "drops the division by eta_last from the displaced limit of `first_variation_fd`"),
 }
 
 
