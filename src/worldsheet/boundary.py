@@ -71,7 +71,7 @@ class BoundaryEmbedding:
     dd_chi_fn: Callable[[Array], Array] | None = None
 
     def __post_init__(self) -> None:
-        if not (np.ndim(self.orientation) == 0 and self.orientation in (1, -1)):
+        if not (_numbers(self.orientation) and self.orientation in (1, -1)):
             raise InvalidParameters(f"orientation must be +1 or -1, got {self.orientation!r}")
 
     @property

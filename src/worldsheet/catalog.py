@@ -25,7 +25,7 @@ from .boundary import (
     _projected_trace,
     edge_equation_residual,
 )
-from .errors import InvalidParameters
+from .errors import InvalidParameters, _numbers
 from .geometry import Embedding, _Evaluation, _frame_at, _gauss_weingarten, extrinsic_curvature
 from .integrability import (
     _boundary_integrability,
@@ -142,7 +142,8 @@ def helicoid(omega: float = 0.5, R: float = 1.0) -> CatalogEntry:
     Valid for omega*R < 1 (the edge would be null at equality).  The stored
     tensions mu0 = 1 and mub = mu0 (1 - w^2 R^2) / (w^2 R) make the orbit exact.
     """
-    if not (0 < R < math.inf and 0 <= omega < math.inf and omega * R < 1.0):
+    if not (_numbers(omega, R) and 0 < R < math.inf and 0 <= omega < math.inf
+            and omega * R < 1.0):
         raise InvalidParameters("helicoid requires finite R > 0 and 0 <= omega*R < 1")
     om = float(omega)
     bg = minkowski(3)
@@ -216,7 +217,7 @@ def collapsing_string(a: float = 1.0, x0: float = 1.0) -> CatalogEntry:
     The worldsheet is a flat strip; the edges are the hyperbolic worldlines
     x(t) = +/- [x0 - (sqrt(1 + a^2 t^2) - 1)/a] with edge curvature k = -a.
     """
-    if not (0 < a < math.inf and 0 < x0 < math.inf):
+    if not (_numbers(a, x0) and 0 < a < math.inf and 0 < x0 < math.inf):
         raise InvalidParameters("collapsing string requires finite a > 0 and x0 > 0")
     emb = _flat_strip()
 
@@ -285,10 +286,10 @@ def planar_hole(rho: float = 2.0, outer: float | None = None) -> CatalogEntry:
 
 def _hole_radii(rho: float, outer: float | None) -> float:
     """The outer radius of a plane with a hole of radius rho (default rho + 2), checked."""
-    if not rho > 0:
+    if not (_numbers(rho) and rho > 0):
         raise InvalidParameters("hole radius must be positive")
     outer = outer if outer is not None else rho + 2.0
-    if not rho < outer < math.inf:
+    if not (_numbers(outer) and rho < outer < math.inf):
         raise InvalidParameters("outer radius must be finite and above the hole radius")
     return outer
 
@@ -319,7 +320,7 @@ def _static(base: Embedding) -> Embedding:
 
 def euclidean_disk(rho: float = 1.0) -> CatalogEntry:
     """Flat disk membrane of radius rho in polar coordinates (phi, r), edge outward."""
-    if not 0 < rho < math.inf:
+    if not (_numbers(rho) and 0 < rho < math.inf):
         raise InvalidParameters("disk radius must be finite and positive")
     emb = _polar_plane()
     return CatalogEntry(
@@ -427,7 +428,7 @@ def plane() -> CatalogEntry:
 
 def sphere(radius: float = 2.0) -> CatalogEntry:
     """Round sphere in Euclidean 3-space, spherical coordinates (theta, phi)."""
-    if not 0 < radius < math.inf:
+    if not (_numbers(radius) and 0 < radius < math.inf):
         raise InvalidParameters("sphere radius must be finite and positive")
     r = float(radius)
     bg = euclidean(3)
@@ -469,7 +470,7 @@ def sphere(radius: float = 2.0) -> CatalogEntry:
 
 def flat_torus(r1: float = 1.0, r2: float = 1.0) -> CatalogEntry:
     """Intrinsically flat product torus in Euclidean 4-space (two independent circles)."""
-    if not (0 < r1 < math.inf and 0 < r2 < math.inf):
+    if not (_numbers(r1, r2) and 0 < r1 < math.inf and 0 < r2 < math.inf):
         raise InvalidParameters("torus radii must be finite and positive")
     bg = euclidean(4)
 

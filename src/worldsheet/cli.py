@@ -8,10 +8,10 @@ unless forced.  Outputs are all or nothing: each file is written under a
 temporary name and renamed into place only once all of them are written, the
 manifest last.
 
-A ``hole_radius`` scan evaluates the edge at all its radii in one batch; if
-the batch fails, the scan falls back to one evaluation per radius, so each
-failing radius gets its own ``failed: ...`` row.  An ``orbit_omega`` scan
-builds one rotating worldsheet per point.
+A scan evaluates every value at once: a ``hole_radius`` scan as one batch of
+edge radii, an ``orbit_omega`` scan as one rotating worldsheet per ratio.  Only
+if that fails does it evaluate each value alone, so each failing value gets its
+own ``failed: ...`` row.
 
 Exit codes: 0 success or physical termination, 1 numerical/physics failure,
 2 usage or validation error.
@@ -299,8 +299,8 @@ def cmd_evolve(args) -> int:
     return status
 
 
-def _scan_hole(rhos, mu0: float, mub: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edge trace and edge-law residual of the planar hole at each radius, in one batch.
+def _scan_hole(rhos, mu0: float, mub: float) -> list[tuple[float, float]]:
+    """(edge trace, edge-law residual) of the planar hole at each radius, in one batch.
 
     The hole's map does not depend on rho; only its edge r = rho does.  So one
     ``boundary_data`` call at u = (0, 0), on an edge whose level is the array
@@ -311,12 +311,17 @@ def _scan_hole(rhos, mu0: float, mub: float) -> tuple[np.ndarray, np.ndarray]:
     entry = planar_hole(float(rhos.min()))
     edge = _constant_boundary(entry.embedding, rhos, entry.boundary.orientation)
     bd = boundary_data(edge, np.zeros((rhos.size, 2)))
-    return bd.edge_trace, edge_equation_residual(bd, mu0, mub)
+    return list(zip(bd.edge_trace.tolist(), edge_equation_residual(bd, mu0, mub).tolist()))
 
 
-def _scan_point_hole(rho: float, mu0: float, mub: float) -> tuple[float, float]:
-    k, residual = _scan_hole([rho], mu0, mub)
-    return float(k[0]), float(residual[0])
+def _scan_orbit(ratio: float, mub: float, radius: float) -> tuple[float, float, float]:
+    """(omega, omega radius, edge-law residual) of the orbit at tension ratio mu0/mub.
+
+    The residual cross-checks the edge law on the matching rotating worldsheet.
+    """
+    w = rotating_orbit_omega(ratio * mub, mub, radius)
+    bd = boundary_data(helicoid(w, radius).boundary, np.array([[0.0]]))
+    return w, w * radius, float(edge_equation_residual(bd, ratio * mub, mub)[0])
 
 
 def cmd_scan(args) -> int:
@@ -338,40 +343,24 @@ def cmd_scan(args) -> int:
     out_dir = Path(args.out_dir)
     _prepare_out_dir(out_dir, digest, args.force)
 
-    values = np.linspace(start, stop, points)
-
-    def hole_row(rho: float) -> list:
-        k, residual = _scan_point_hole(rho, mu0, mub)
-        return [rho, k, residual, "ok"]
-
-    def orbit_row(ratio: float) -> list:
-        w = rotating_orbit_omega(ratio * mub, mub, radius)
-        # cross-check: the edge law holds on the matching rotating worldsheet
-        bd = boundary_data(helicoid(w, radius).boundary, np.array([[0.0]]))
-        residual = float(edge_equation_residual(bd, ratio * mub, mub)[0])
-        return [ratio, w, w * radius, residual, "ok"]
-
-    rows = []
+    # each kind maps values to one tuple of output columns per value
     if kind == "hole_radius":
-        worker = hole_row
         header = ["rho", "edge_trace", "edge_residual", "status"]
-        try:
-            k, residual = _scan_hole(values, mu0, mub)
-        except WorldsheetError:
-            pass  # the per-point loop below gives each failing radius its own row
-        else:
-            rows = [[rho, kv, rv, "ok"]
-                    for rho, kv, rv in zip(values.tolist(), k.tolist(), residual.tolist())]
+        scan = functools.partial(_scan_hole, mu0=mu0, mub=mub)
     else:
-        worker = orbit_row
         header = ["tension_ratio", "omega", "omega_radius", "edge_residual", "status"]
-    failures = 0
-    for v in values[len(rows):]:  # every point, unless the batch gave them all
-        try:
-            rows.append(worker(float(v)))
-        except WorldsheetError as exc:
-            failures += 1
-            rows.append([float(v)] + ["nan"] * (len(header) - 2) + [f"failed: {exc}"])
+        scan = lambda ratios: [_scan_orbit(r, mub, radius) for r in ratios]
+    values = np.linspace(start, stop, points).tolist()
+    try:  # every value at once; each value alone only when that fails
+        rows = [[v, *cols, "ok"] for v, cols in zip(values, scan(values))]
+    except WorldsheetError:
+        rows = []
+        for v in values:
+            try:
+                rows.append([v, *scan([v])[0], "ok"])
+            except WorldsheetError as exc:
+                rows.append([v] + ["nan"] * (len(header) - 2) + [f"failed: {exc}"])
+    failures = sum(row[-1] != "ok" for row in rows)
     _write_outputs(out_dir, "scan", digest, started,
                    "complete" if failures == 0 else "partial_failure",
                    {"scan.csv": (header, rows)})

@@ -136,6 +136,8 @@ class SimulationConfig:
             raise InvalidParameters("grid_points and output_stride must be integers")
         if self.grid_points < MIN_GRID_POINTS:
             raise InvalidParameters(f"grid_points must be >= {MIN_GRID_POINTS}")
+        if not _numbers(self.duration, self.dt_fraction, self.constraint_tol):
+            raise InvalidParameters("duration, dt_fraction and constraint_tol must be numbers")
         if not 0.0 < self.dt_fraction <= 1.0:
             raise InvalidParameters("dt_fraction must satisfy 0 < dt <= dsigma (CFL)")
         if not 0 <= self.duration < math.inf:

@@ -338,17 +338,18 @@ def _displaced_edge(bnd: BoundaryEmbedding, deformation: DeformationField, eps: 
     The limit f + eps psi / eta_last (f = chi_last, eta_last the last component of
     gamma eta) is the displaced graph over u to first order; its O(eps^2) miss is
     even in eps up to O(eps^3).  ``parts`` keeps the undeformed chi, eta, psi and
-    psi / eta_last per point set.
+    psi / eta_last per point set, whatever the leading shape its points come in.
     """
     def undeformed(u):
-        if (key := (u.shape, u.tobytes())) not in parts:
-            xi = bnd.chi(u)
+        pts = u.reshape(-1, u.shape[-1])
+        if (key := pts.tobytes()) not in parts:
+            xi = bnd.chi(pts)
             fr = _Evaluation(bnd.parent, xi)
-            eta = _edge_frame(bnd, u, fr).normals[..., 0]
-            psi = deformation.boundary_normal(u)
+            eta = _edge_frame(bnd, pts, fr).normals[..., 0]
+            psi = deformation.boundary_normal(pts)
             eta_last = _sum_last(fr.induced_metric[..., -1, :] * eta)  # of gamma eta
             parts[key] = xi, eta, psi[..., None], psi / eta_last
-        return parts[key]
+        return [p.reshape(*u.shape[:-1], *p.shape[1:]) for p in parts[key]]
 
     def chi(u):
         xi, eta, psi, _ = undeformed(u)

@@ -127,7 +127,7 @@ class TestBoundaryData:
         with pytest.raises(NullBoundary):
             boundary_data(spacelike, np.array([[0.1], [0.4]]))
 
-    @pytest.mark.parametrize("orientation", [0, 2, -0.5, np.nan, np.array([1, -1])])
+    @pytest.mark.parametrize("orientation", [0, 2, -0.5, np.nan, np.array([1, -1]), True])
     def test_orientation_must_be_a_sign(self, orientation):
         with pytest.raises(InvalidParameters, match="orientation"):
             dataclasses.replace(PLANE.boundary, orientation=orientation)

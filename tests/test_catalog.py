@@ -143,12 +143,25 @@ NAN, INF = float("nan"), float("inf")
     (catalog.flat_torus, (NAN, 1.0)), (catalog.euclidean_plane_hole, (2.0, NAN)),
     (catalog.euclidean_plane_hole, (2.0, 1.0)),   # outer inside the hole
     (catalog.planar_hole, (2.0, 2.0)),
+    (catalog.sphere, ("2",)), (catalog.flat_torus, (None,)), (catalog.euclidean_disk, (1j,)),
+    (catalog.planar_hole, (True,)), (catalog.collapsing_string, (True, True)),
+    (catalog.helicoid, (0.5, True)), (catalog.euclidean_plane_hole, (2.0, "5")),
 ], ids=["helicoid-nan-omega", "helicoid-inf-R", "hole-nan", "disk-inf", "collapsing-nan",
         "sphere-inf", "torus-nan", "plane_hole-nan-outer", "plane_hole-inverted",
-        "hole-empty"])
+        "hole-empty", "sphere-text", "torus-none", "disk-complex", "hole-bool",
+        "collapsing-bool", "helicoid-bool-R", "plane_hole-text-outer"])
 def test_builder_rejects_non_finite_or_inverted_parameters(builder, args):
+    # a parameter that is no real number, or is a bool, is out of scope like a bad range
     with pytest.raises(InvalidParameters):
         builder(*args)
+
+
+@pytest.mark.parametrize("builder,args", [
+    (catalog.sphere, (np.float64(2.0),)), (catalog.planar_hole, (np.float32(2.0), np.int64(4))),
+    (catalog.helicoid, (np.float64(0.5), 1)),
+], ids=["sphere", "hole", "helicoid"])
+def test_builder_accepts_numpy_scalars_and_ints(builder, args):
+    assert builder(*args).parameters
 
 
 def test_plane_hole_rejects_a_nonpositive_radius():

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from worldsheet import cli
-from worldsheet.cli import FLOAT_FMT, _scan_point_hole, _trajectory_rows, _write_csv, main
+from worldsheet.cli import (FLOAT_FMT, _scan_hole, _scan_orbit, _trajectory_rows, _write_csv,
+                            main)
 from worldsheet.dynamics import SimulationConfig, StringState, diagnostics, evolve
 from worldsheet.errors import InconsistentGeometry, WorldsheetError
 
@@ -413,8 +414,8 @@ class TestScan:
     @given(mu0=st.floats(0.5, 2.0), ratio=st.floats(1.2, 3.5))
     def test_edge_law_changes_sign_at_critical_radius_property(self, mu0, ratio):
         # the hole is in equilibrium at rho = mub/mu0 = ratio
-        _, below = _scan_point_hole(0.9 * ratio, mu0, ratio * mu0)
-        _, above = _scan_point_hole(1.1 * ratio, mu0, ratio * mu0)
+        [(_, below)] = _scan_hole([0.9 * ratio], mu0, ratio * mu0)
+        [(_, above)] = _scan_hole([1.1 * ratio], mu0, ratio * mu0)
         assert below < 0.0 < above
 
     def test_orbit_scan_monotone_subluminal(self, tmp_path):
@@ -491,7 +492,7 @@ class TestScan:
         expected = []
         for rho in np.linspace(start, start + width, points).tolist():
             try:
-                k, residual = _scan_point_hole(rho, mu0, mub)
+                [(k, residual)] = _scan_hole([rho], mu0, mub)
                 expected.append([FLOAT_FMT % rho, FLOAT_FMT % k, FLOAT_FMT % residual, "ok"])
             except WorldsheetError as exc:
                 expected.append([FLOAT_FMT % rho, "nan", "nan", f"failed: {exc}"])
@@ -505,6 +506,30 @@ class TestScan:
                 rows = list(csv.reader(fh))[1:]
         assert rows == expected
         assert code == (0 if all(r[3] == "ok" for r in expected) else 1)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(start=st.floats(-2.0, 3.0), width=st.floats(0.05, 6.0),
+           points=st.integers(2, 40), mub=st.floats(0.5, 4.0), radius=st.floats(0.2, 3.0))
+    def test_orbit_scan_rows_equal_point_evaluations_property(self, start, width, points,
+                                                              mub, radius):
+        # the orbit scan writes the rows a per-ratio evaluation would; ratios <= 0 fail
+        expected = []
+        for ratio in np.linspace(start, start + width, points).tolist():
+            try:
+                cols = _scan_orbit(ratio, mub, radius)
+                expected.append([FLOAT_FMT % v for v in (ratio, *cols)] + ["ok"])
+            except WorldsheetError as exc:
+                expected.append([FLOAT_FMT % ratio, "nan", "nan", "nan", f"failed: {exc}"])
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "scan.json", Path(tmp) / "scan"
+            write_json(cfg, {"schema_version": 1, "scan": "orbit_omega", "start": start,
+                             "stop": start + width, "points": points, "mub": mub,
+                             "radius": radius})
+            code = main(["scan", "--config", str(cfg), "--out-dir", str(out)])
+            with open(out / "scan.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+        assert rows == expected
+        assert code == (0 if all(r[4] == "ok" for r in expected) else 1)
 
     def test_unknown_scan_kind_exit_two(self, tmp_path):
         cfg = tmp_path / "scan.json"

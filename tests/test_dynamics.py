@@ -121,11 +121,23 @@ class TestConfigValidation:
         {"output_stride": 2.5},
         {"output_stride": float("inf")},
         {"output_stride": True},
+        {"duration": "1"},
+        {"duration": None},
+        {"duration": True},
+        {"dt_fraction": True},
+        {"constraint_tol": True},
     ], ids=["nan_constraint_tol", "inf_constraint_tol", "fractional_grid_points",
-            "fractional_output_stride", "inf_output_stride", "bool_output_stride"])
+            "fractional_output_stride", "inf_output_stride", "bool_output_stride",
+            "text_duration", "none_duration", "bool_duration", "bool_dt_fraction",
+            "bool_constraint_tol"])
     def test_out_of_scope_value_rejected(self, change):
         with pytest.raises(InvalidParameters):
-            SimulationConfig(initial_data=COLLAPSE, duration=1.0, **change)
+            SimulationConfig(**{"initial_data": COLLAPSE, "duration": 1.0, **change})
+
+    def test_numpy_scalar_settings_accepted(self):
+        cfg = SimulationConfig(initial_data=COLLAPSE, duration=np.float64(1.0),
+                               dt_fraction=np.float32(0.5), constraint_tol=np.float64(1e-4))
+        assert cfg.duration == 1.0
 
     @pytest.mark.parametrize("initial_data", [5, None, "rotating", [("id", "rotating")]],
                              ids=["int", "none", "text", "pairs"])

@@ -218,8 +218,8 @@ MUTANTS = {
             'f"T{idx + 1},"',
             "numbers the nodes of the `trajectory.csv` template from 1, not 0"),
     "M65": ("src/worldsheet/variation.py",
-            "(key := (u.shape, u.tobytes()))",
-            "(key := u.shape)",
+            "(key := pts.tobytes())",
+            "(key := pts.shape)",
             "keys a displaced edge's undeformed parts on the shape of the point set only"),
     "M66": ("src/worldsheet/variation.py",
             "hi = np.exp(-1.0 / np.maximum(1.0 - x, 1e-300))",
@@ -299,6 +299,10 @@ MUTANTS = {
             "parts[key] = xi, eta, psi[..., None], psi / eta_last",
             "parts[key] = xi, eta, psi[..., None], psi",
             "drops the division by eta_last from the displaced limit of `first_variation_fd`"),
+    "M82": ("src/worldsheet/cli.py",
+            'rows.append([v, *scan([v])[0], "ok"])',
+            'rows.append([v, *scan(values[:1])[0], "ok"])',
+            "evaluates the first value for every row of a scan's each-value-alone fallback"),
 }
 
 
