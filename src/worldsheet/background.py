@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMetric, InvalidParameters
+from .errors import DegenerateMetric, InvalidParameters, _finite
 
 Array = np.ndarray
 
@@ -53,7 +53,7 @@ class BackgroundMetric:
             g = _signature_matrix(self.dimension, self.signature)
             # np.broadcast_to's read-only view of g at every point, in one C call
             return np.ndarray(x.shape[:-1] + g.shape, float, g, 0, (0,) * (x.ndim - 1) + g.strides)
-        return _finite(self.metric_fn(x), "metric_fn")
+        return _finite(self.metric_fn(x), DegenerateMetric, "background metric_fn is not finite")
 
     def christoffels_at(self, x: Array) -> Array:
         return self._curvature_at(x, "christoffel_fn", 3)
@@ -70,7 +70,7 @@ class BackgroundMetric:
                 raise InvalidParameters(f"curved backgrounds must supply {slot} analytically")
             shape = (self.dimension,) * rank
             return np.broadcast_to(np.zeros(shape), x.shape[:-1] + shape)
-        return _finite(fn(x), slot)
+        return _finite(fn(x), DegenerateMetric, f"background {slot} is not finite")
 
 
 @lru_cache(maxsize=None)
@@ -80,14 +80,6 @@ def _signature_matrix(dimension: int, signature: str) -> Array:
     g[0, 0] = -1.0 if signature == LORENTZIAN else 1.0
     g.flags.writeable = False  # shared by every caller
     return g
-
-
-def _finite(values: Array, slot: str) -> Array:
-    """A curved background's callback output as floats, checked to be finite."""
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise DegenerateMetric(f"background {slot} is not finite")
-    return values
 
 
 def minkowski(dimension: int) -> BackgroundMetric:

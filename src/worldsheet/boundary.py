@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DegenerateImmersion, InconsistentGeometry, InvalidParameters, NullBoundary,
-                     _numbers)
+                     _finite, _numbers)
 from .geometry import (
     DEFAULT_FD_STEP,
     Embedding,
@@ -79,17 +79,18 @@ class BoundaryEmbedding:
         return self.parent.worldsheet_dim - 1
 
     def chi(self, point: Array) -> Array:
-        return np.asarray(self.chi_fn(np.asarray(point, dtype=float)), dtype=float)
+        return _finite(self.chi_fn(np.asarray(point, dtype=float)),
+                       DegenerateImmersion, "non-finite edge map chi")
 
     def d_chi(self, point: Array) -> Array:
-        if self.d_chi_fn is not None:
-            return np.asarray(self.d_chi_fn(np.asarray(point, dtype=float)), dtype=float)
-        return fd_jacobian(self.chi, point, DEFAULT_FD_STEP)
+        eps = (fd_jacobian(self.chi, point, DEFAULT_FD_STEP) if self.d_chi_fn is None
+               else self.d_chi_fn(np.asarray(point, dtype=float)))
+        return _finite(eps, DegenerateImmersion, "non-finite edge tangents d_chi")
 
     def dd_chi(self, point: Array) -> Array:
-        if self.dd_chi_fn is not None:
-            return np.asarray(self.dd_chi_fn(np.asarray(point, dtype=float)), dtype=float)
-        return fd_jacobian(self.d_chi, point, DEFAULT_FD_STEP)
+        dd = (fd_jacobian(self.d_chi, point, DEFAULT_FD_STEP) if self.dd_chi_fn is None
+              else self.dd_chi_fn(np.asarray(point, dtype=float)))
+        return _finite(dd, DegenerateImmersion, "non-finite edge second derivatives dd_chi")
 
 
 @dataclass(frozen=True)
@@ -128,29 +129,25 @@ class WorldsheetScalar:
     hessian_fn: Callable[[Array], Array]
 
     @staticmethod
-    def _finite(fn: Callable[[Array], Array], xi: Array) -> Array:
-        values = np.asarray(fn(np.asarray(xi, dtype=float)), dtype=float)
-        if not np.isfinite(values).all():
-            raise InvalidParameters("worldsheet scalar field has non-finite values")
-        return values
+    def _call(fn: Callable[[Array], Array], xi: Array) -> Array:
+        return _finite(fn(np.asarray(xi, dtype=float)), InvalidParameters,
+                       "worldsheet scalar field has non-finite values")
 
     def value(self, xi: Array) -> Array:
-        return self._finite(self.value_fn, xi)
+        return self._call(self.value_fn, xi)
 
     def gradient(self, xi: Array) -> Array:
-        return self._finite(self.gradient_fn, xi)
+        return self._call(self.gradient_fn, xi)
 
     def hessian(self, xi: Array) -> Array:
-        return self._finite(self.hessian_fn, xi)
+        return self._call(self.hessian_fn, xi)
 
 
 LaplacianResiduals = namedtuple("LaplacianResiduals", ["normal", "eta", "combined"])
 
 
 def _pullback_metric(bnd: BoundaryEmbedding, gamma: Array, eps: Array) -> tuple[Array, Array]:
-    """h_AB and its inverse from the edge tangents eps = d_chi, checked finite and non-null."""
-    if not np.isfinite(eps).all():
-        raise DegenerateImmersion("non-finite edge tangents d_chi")
+    """h_AB and its inverse from the edge tangents eps = d_chi (checked finite there), non-null."""
     h = _pullback(eps, gamma)
     h = 0.5 * (h + h.swapaxes(-1, -2))
     det_h, adj = _det_adjugate(h)
@@ -218,8 +215,6 @@ def _boundary_local(bnd: BoundaryEmbedding, point: Array,
     sheet = frame_at(bnd.parent, xi)
     edge_frame = _edge_frame(bnd, point, sheet)
     dd_chi = bnd.dd_chi(point)
-    if not np.isfinite(dd_chi).all():
-        raise DegenerateImmersion("non-finite edge second derivatives dd_chi")
     # the sheet's connection is the ambient Christoffels, upper index first
     chris = sheet.conn.transpose((*range(sheet.conn.ndim - 3), -1, -3, -2))
     edge = _Local(edge_frame, xi, sheet.induced_metric, chris,

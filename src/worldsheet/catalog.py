@@ -285,10 +285,10 @@ def planar_hole(rho: float = 2.0, outer: float | None = None) -> CatalogEntry:
 
 
 def _hole_radii(rho: float, outer: float | None) -> float:
-    """The outer radius of a plane with a hole of radius rho (default rho + 2), checked."""
+    """The outer radius of a plane with a hole of radius rho (default rho + 2, > rho), checked."""
     if not (_numbers(rho) and rho > 0):
         raise InvalidParameters("hole radius must be positive")
-    outer = outer if outer is not None else rho + 2.0
+    outer = outer if outer is not None else max(rho + 2.0, math.nextafter(rho, math.inf))
     if not (_numbers(outer) and rho < outer < math.inf):
         raise InvalidParameters("outer radius must be finite and above the hole radius")
     return outer

@@ -199,13 +199,10 @@ def _config_number(config: dict, key: str, kind: type = float, default=_REQUIRED
 
 def cmd_verify(args) -> int:
     started = _utc_now()
-    entries = []
-    for entry_id in args.entries:
-        try:
-            entries.append((entry_id, entry_from_id(entry_id)))
-        except (KeyError, InvalidParameters) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        entries = [(entry_id, entry_from_id(entry_id)) for entry_id in args.entries]
+    except KeyError as exc:  # an unknown id or parameter: its message, not its repr
+        raise UsageError(exc.args[0]) from None
     digest = config_digest({"command": "verify", "entries": sorted(args.entries)})
     out_dir = Path(args.out_dir)
     _prepare_out_dir(out_dir, digest, args.force)

@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the number test of its parameter checks."""
+"""Exception types shared across the package, the number test of its parameter checks, and
+the one finiteness gate, :func:`_finite`, that the accessor calling a callback (a map, a
+background, a field or a ``normal_frame_fn``) applies to each value it returns."""
 
 from numbers import Real
+
+import numpy as np
 
 
 def _numbers(*values) -> bool:
@@ -42,3 +46,11 @@ class ConstraintBlowup(WorldsheetError):
 
 class EndpointCollision(WorldsheetError):
     """String endpoints fell below grid resolution (terminal collapse event)."""
+
+
+def _finite(values, error: type[WorldsheetError], message: str) -> np.ndarray:
+    """``values`` as a float array, or ``error(message)`` raised if any of it is not finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise error(message)
+    return values

@@ -40,8 +40,9 @@ signature count, and :func:`frame` copies the checked record into a
 validated builds the record unchecked at its stencil points
 (``_Evaluation(embedding, p)``; ``boundary._boundary_local`` takes it in
 place of ``_frame_at``): the same values, bit for bit, each built only where
-read.  There a non-finite map, tangent map or second derivative still
-raises DegenerateImmersion, and the normal's own test GaugeFailure.
+read.  There too the accessor that calls a callback checks what it returns
+(an ``Embedding``'s raises DegenerateImmersion, :func:`_checked_normals` on a
+``normal_frame_fn`` GaugeFailure), and the normal's own test raises GaugeFailure.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ from typing import Callable
 import numpy as np
 
 from .background import LORENTZIAN, BackgroundMetric, _signature_matrix
-from .errors import DegenerateImmersion, DegenerateMetric, GaugeFailure, InvalidParameters
+from .errors import (DegenerateImmersion, DegenerateMetric, GaugeFailure, InvalidParameters,
+                     _finite)
 
 Array = np.ndarray
 
@@ -148,17 +150,18 @@ class Embedding:
         return self.background.dimension - self.worldsheet_dim
 
     def position(self, point: Array) -> Array:
-        return np.asarray(self.position_fn(np.asarray(point, dtype=float)), dtype=float)
+        return _finite(self.position_fn(np.asarray(point, dtype=float)),
+                       DegenerateImmersion, "non-finite position")
 
     def d_position(self, point: Array) -> Array:
-        if self.d_position_fn is not None:
-            return np.asarray(self.d_position_fn(np.asarray(point, dtype=float)), dtype=float)
-        return fd_jacobian(self.position, point, self.fd_step)
+        e = (fd_jacobian(self.position, point, self.fd_step) if self.d_position_fn is None
+             else self.d_position_fn(np.asarray(point, dtype=float)))
+        return _finite(e, DegenerateImmersion, "non-finite tangent map")
 
     def dd_position(self, point: Array) -> Array:
-        if self.dd_position_fn is not None:
-            return np.asarray(self.dd_position_fn(np.asarray(point, dtype=float)), dtype=float)
-        return fd_jacobian(self.d_position, point, self.fd_step)
+        dd = (fd_jacobian(self.d_position, point, self.fd_step) if self.dd_position_fn is None
+              else self.dd_position_fn(np.asarray(point, dtype=float)))
+        return _finite(dd, DegenerateImmersion, "non-finite second derivatives of the map")
 
 
 @dataclass(frozen=True)
@@ -208,14 +211,6 @@ def _pairs(n: int) -> tuple[Array, Array]:
     mu, nu = np.triu_indices(n, 1)
     mu.flags.writeable = nu.flags.writeable = False  # shared by every caller
     return mu, nu
-
-
-def _tangent_map(embedding: Embedding, point: Array) -> Array:
-    """The tangent map (..., N, D) at ``point``, checked finite."""
-    e = embedding.d_position(point)
-    if not np.isfinite(e).all():
-        raise DegenerateImmersion("non-finite tangent map")
-    return e
 
 
 def _wedge(tangents: Array) -> Array | None:
@@ -268,7 +263,7 @@ def _pullback(tangents: Array, metric: Array) -> Array:
 
 def tangent_basis(embedding: Embedding, point: Array) -> Array:
     """Tangent vectors e_a = dX/dxi^a as columns of an (..., N, D) matrix."""
-    e = _tangent_map(embedding, point)
+    e = embedding.d_position(point)
     _rank_checked_scale(e)
     return e
 
@@ -561,20 +556,17 @@ class _Local:
 class _Evaluation(_Local):
     """The sheet as a level at a batch of points, without the rank and signature checks.
 
-    The map and its tangent map (each checked finite), g and the D = 2 minors
-    are evaluated on construction; gamma, its cofactors, gamma^-1, the
-    normals, the Christoffels and the second order ``sec`` on first read, so a
-    caller pays for what it reads.  The normals keep their own test (the
-    Hodge ``ok``, or the Gram-Schmidt count), which raises GaugeFailure, and
-    non-finite second derivatives raise DegenerateImmersion.
+    The map and its tangent map, g and the D = 2 minors are evaluated on
+    construction; gamma, its cofactors, gamma^-1, the normals, the Christoffels
+    and ``sec`` on first read, so a caller pays for what it reads.  Each callback
+    value is checked finite by the accessor that calls it; the normals keep their
+    own test (the Hodge ``ok``, or the Gram-Schmidt count), which raises GaugeFailure.
     """
 
     def __init__(self, embedding: Embedding, point: Array) -> None:
         self.embedding, self.point = embedding, np.asarray(point, dtype=float)
         self.x = embedding.position(self.point)
-        if not np.isfinite(self.x).all():
-            raise DegenerateImmersion("non-finite position")
-        self.tangents = _tangent_map(embedding, self.point)
+        self.tangents = embedding.d_position(self.point)
         self.minors = _wedge(self.tangents)
         self.g = embedding.background.metric_at(self.x)
 
@@ -639,10 +631,8 @@ class _Evaluation(_Local):
 
     @_lazy
     def sec(self) -> Array:
-        dd = self.embedding.dd_position(self.point)
-        if not np.isfinite(dd).all():
-            raise DegenerateImmersion("non-finite second derivatives of the map")
-        return _covariant(dd, self.chris, self.tangents, self.tangents)
+        return _covariant(self.embedding.dd_position(self.point), self.chris, self.tangents,
+                          self.tangents)
 
 
 def _frame_at(embedding: Embedding, point: Array) -> _Evaluation:
@@ -692,6 +682,12 @@ def _twist(cov: Array, normals: Array, g: Array) -> Array:
     return 0.5 * (omega - omega.swapaxes(-1, -2))
 
 
+def _checked_normals(normal_frame_fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
+    """A caller's normal-frame field with each value it returns checked finite."""
+    return lambda p: _finite(normal_frame_fn(p), GaugeFailure,
+                             "non-finite normals from normal_frame_fn")
+
+
 def extrinsic_curvature(embedding: Embedding, point: Array, *,
                         normal_frame_fn: Callable[[Array], Array] | None = None) -> CurvatureData:
     """Extrinsic curvature K_ab^i, traces, twist potential, and worldsheet connection.
@@ -705,7 +701,8 @@ def extrinsic_curvature(embedding: Embedding, point: Array, *,
     if normal_frame_fn is None:
         normal_frame_fn = lambda p: _Evaluation(embedding, p).normals
     else:
-        loc = loc.with_normals(np.asarray(normal_frame_fn(point), dtype=float))
+        normal_frame_fn = _checked_normals(normal_frame_fn)
+        loc = loc.with_normals(normal_frame_fn(point))
     traces = np.einsum("...ab,...abi->...i", loc.induced_metric_inverse, loc.kk)
     d = embedding.worldsheet_dim
     k = embedding.codimension

@@ -32,6 +32,7 @@ import numpy as np
 from .boundary import BoundaryEmbedding, _boundary_local, _EdgeLocal, _pull_pair
 from .geometry import (
     Embedding,
+    _checked_normals,
     _Evaluation,
     _frame_at,
     _Local,
@@ -118,7 +119,7 @@ def _sheet_level(loc: _Evaluation, normal_frame_fn: Callable[[Array], Array] | N
     """
     if normal_frame_fn is None:
         return loc, lambda p: _aligned(_Evaluation(loc.embedding, p), loc)
-    normals_at = lambda p: np.asarray(normal_frame_fn(p), dtype=float)
+    normals_at = _checked_normals(normal_frame_fn)
     return (loc.with_normals(normals_at(loc.point)),
             lambda p: _Evaluation(loc.embedding, p).with_normals(normals_at(p)))
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .background import LORENTZIAN, BackgroundMetric, _signature_matrix
 from .boundary import BoundaryEmbedding, _boundary_local, _edge_frame
-from .errors import DegenerateMetric, InvalidParameters, _numbers
+from .errors import DegenerateMetric, InvalidParameters, _finite, _numbers
 from .geometry import (
     Embedding,
     _det_adjugate,
@@ -204,9 +204,7 @@ class DeformationField:
         """fn(x) times ``window``, the window at x, or zeros of shape (..., *shape) if unset."""
         if fn is None:
             return np.zeros(x.shape[:-1] + shape)
-        values = np.asarray(fn(x), dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise InvalidParameters("deformation field has non-finite values")
+        values = _finite(fn(x), InvalidParameters, "deformation field has non-finite values")
         return values * window.reshape(window.shape + (1,) * len(shape))
 
     def _bulk(self, xi: Array, dim: int, codim: int) -> tuple[Array, Array]:

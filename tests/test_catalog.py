@@ -115,6 +115,9 @@ def test_entry_parsing():
     ("hole", {"rho": 1.5, "outer": 4.0}),
     ("disk", {"rho": 1.5}),
     ("plane_hole", {"rho": 1.5, "outer": 4.0}),
+    # rho + 2 rounds to rho here: the default outer radius is still above the hole
+    ("hole", {"rho": 2e16}),
+    ("plane_hole", {"rho": 2e16}),
 ])
 def test_accepted_parameter_keys(entry_id, keys):
     # the builder's positional parameters are accepted, keyword-only mu0 is not

@@ -47,9 +47,15 @@ class TestVerify:
         rows = read_rows(tmp_path / "v" / "residuals.csv")
         assert rows and all(r["pass"] == "true" for r in rows)
 
-    def test_unknown_entry_exit_two(self, tmp_path):
-        assert main(["verify", "--entries", "nonsense",
-                     "--out-dir", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("entry,message", [
+        ("nonsense", "unknown catalog entry 'nonsense'"),
+        ("sphere:bogus=1", "unknown parameter 'bogus' for entry 'sphere'"),
+    ], ids=["entry", "parameter"])
+    def test_unknown_entry_exit_two(self, tmp_path, capsys, entry, message):
+        out = tmp_path / "v"
+        assert main(["verify", "--entries", entry, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_invalid_parameters_exit_two(self, tmp_path):
         assert main(["verify", "--entries", "helicoid:omega=0.9,R=1.2",

@@ -27,6 +27,7 @@ from worldsheet.geometry import (
     normal_frame,
     tangent_basis,
 )
+from worldsheet.variation import dng_action
 
 from helpers import fd_only_twin, looped_fd_jacobian, random_points
 
@@ -445,6 +446,12 @@ class TestUncheckedRecord:
         assert self._same_bits(checked.g, unchecked.g)
 
 
+def _nan_at_stencil_point(p):
+    """The helicoid's map, NaN at the first fallback stencil point around (0.7, 0.5), step 1e-5."""
+    nan = np.max(np.abs(p - [0.7 + 1e-5, 0.5]), axis=-1) < 2.5e-6
+    return HELICOID.embedding.position_fn(p) + np.where(nan, np.nan, 0.0)[..., None]
+
+
 class TestFiniteness:
     @staticmethod
     def _helicoid_with(**fns):
@@ -481,20 +488,29 @@ class TestFiniteness:
         with pytest.raises(error, match=match):
             frame(self._linear_sheet(diagonal, axes), np.array([[0.1, 0.2], [0.3, -0.4]]))
 
-    def test_non_finite_position_rejected(self):
+    @pytest.mark.parametrize("fns,points", [
+        ({"position_fn": lambda p: np.full(p.shape[:-1] + (3,), np.nan)}, HELICOID.sample_grid()),
+        # no tangent callback: the fallback's gate on the map sees it
+        ({"position_fn": _nan_at_stencil_point, "d_position_fn": None, "dd_position_fn": None},
+         np.array([0.7, 0.5])),
+    ], ids=["everywhere", "fallback_stencil_point"])
+    def test_non_finite_position_rejected(self, fns, points):
         # the flat metric never reads x, so only the gate on x sees this
-        emb = self._helicoid_with(position_fn=lambda p: np.full(p.shape[:-1] + (3,), np.nan))
-        with pytest.raises(DegenerateImmersion, match="position"):
-            frame(emb, HELICOID.sample_grid())
+        with pytest.raises(DegenerateImmersion, match="non-finite position"):
+            frame(self._helicoid_with(**fns), points)
 
-    def test_non_finite_tangent_map_rejected(self):
+    @pytest.mark.parametrize("run", [
+        lambda emb: frame(emb, HELICOID.sample_grid()),
+        lambda emb: dng_action(emb, catalog.action_setup(HELICOID, 1.0, 3.0, (8, 8))[0]),
+    ], ids=["frame", "dng_action"])
+    def test_non_finite_tangent_map_rejected(self, run):
         def d_pos(p):
             out = HELICOID.embedding.d_position_fn(p).copy()
             out[..., 1, 0] = np.nan
             return out
 
         with pytest.raises(DegenerateImmersion, match="non-finite tangent map"):
-            frame(self._helicoid_with(d_position_fn=d_pos), HELICOID.sample_grid())
+            run(self._helicoid_with(d_position_fn=d_pos))
 
     def test_non_finite_second_derivatives_rejected(self):
         def dd(p):

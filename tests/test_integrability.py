@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from worldsheet import catalog
 from worldsheet.background import minkowski
 from worldsheet.errors import GaugeFailure
-from worldsheet.geometry import Embedding, _polar_factor, _procrustes, frame, normal_frame
+from worldsheet.geometry import (Embedding, _polar_factor, _procrustes, extrinsic_curvature, frame,
+                                 normal_frame)
 from worldsheet.integrability import (
     aligned_normal_frame_fn,
     boundary_integrability_residuals,
@@ -201,6 +202,22 @@ class TestWorldsheetResiduals:
         left = fn(np.array([0.5, -1e-4]))
         right = fn(np.array([0.5, 1e-4]))
         assert np.max(np.abs(left - right)) < 1e-3
+
+    @pytest.mark.parametrize("where", ["center", "stencil"])
+    @pytest.mark.parametrize("run,step", [
+        (lambda p, fn: extrinsic_curvature(TORUS.embedding, p, normal_frame_fn=fn),
+         TORUS.embedding.fd_step),
+        (lambda p, fn: worldsheet_integrability_residuals(TORUS.embedding, p, step=1e-4,
+                                                          normal_frame_fn=fn), 1e-4),
+    ], ids=["extrinsic_curvature", "worldsheet_integrability_residuals"])
+    def test_non_finite_normal_frame_fn_raises(self, run, step, where):
+        # the field is NaN at the point, or only at its first stencil point (step times |p|_max)
+        p = np.array([0.7, 1.3])
+        target = p if where == "center" else p + [1.3 * step, 0.0]
+        field = twisted_torus_frame(
+            lambda q: np.where(np.max(np.abs(q - target), axis=-1) < 0.25 * step, np.nan, 0.0))
+        with pytest.raises(GaugeFailure, match="normal_frame_fn"), np.errstate(invalid="ignore"):
+            run(p, field)
 
 
 class TestBoundaryResiduals:

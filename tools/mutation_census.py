@@ -135,13 +135,14 @@ MUTANTS = {
             "return None",
             "drops a curved background's Christoffels from the sheet's `_Evaluation.chris`"),
     "M46": ("src/worldsheet/geometry.py",
-            "if not np.isfinite(self.x).all():",
-            "if False:",
-            "drops the position's finiteness check, the only one at stencil points"),
+            "return _finite(self.position_fn(np.asarray(point, dtype=float)),\n"
+            "                       DegenerateImmersion, \"non-finite position\")",
+            "return np.asarray(self.position_fn(np.asarray(point, dtype=float)), dtype=float)",
+            "drops the finiteness gate of `Embedding.position`, the only one on the map"),
     "M47": ("src/worldsheet/geometry.py",
-            "if not np.isfinite(e).all():",
-            "if False:",
-            "drops the tangent map's finiteness check, the only one at stencil points"),
+            'return _finite(e, DegenerateImmersion, "non-finite tangent map")',
+            "return np.asarray(e, dtype=float)",
+            "drops the finiteness gate of `Embedding.d_position` on the tangent map"),
     "M48": ("src/worldsheet/variation.py",
             "_frame_at(embedding, _bulk_grid(config.grid)[0])",
             "_bulk_grid(config.grid)[0]",
@@ -303,6 +304,16 @@ MUTANTS = {
             'rows.append([v, *scan([v])[0], "ok"])',
             'rows.append([v, *scan(values[:1])[0], "ok"])',
             "evaluates the first value for every row of a scan's each-value-alone fallback"),
+    "M83": ("src/worldsheet/geometry.py",
+            "return lambda p: _finite(normal_frame_fn(p), GaugeFailure,\n"
+            "                             \"non-finite normals from normal_frame_fn\")",
+            "return lambda p: np.asarray(normal_frame_fn(p), dtype=float)",
+            "drops the finiteness gate of a caller's `normal_frame_fn` in `_checked_normals`"),
+    "M84": ("src/worldsheet/boundary.py",
+            "return _finite(self.chi_fn(np.asarray(point, dtype=float)),\n"
+            "                       DegenerateImmersion, \"non-finite edge map chi\")",
+            "return np.asarray(self.chi_fn(np.asarray(point, dtype=float)), dtype=float)",
+            "drops the finiteness gate of `BoundaryEmbedding.chi`, the only one on the edge map"),
 }
 
 
