@@ -646,8 +646,9 @@ def _frame_at(embedding: Embedding, point: Array) -> _Evaluation:
     normal as their Hodge dual.
     """
     ev = _Evaluation(embedding, point)
-    _check_metric(embedding, ev.induced_metric, *ev.cofactors,
-                  _rank_checked_scale(ev.tangents, ev.minors))
+    # the rank first, so a rank-deficient map raises before gamma is built from it
+    scale = _rank_checked_scale(ev.tangents, ev.minors)
+    _check_metric(embedding, ev.induced_metric, *ev.cofactors, scale)
     ev.normals  # built now, so a GaugeFailure raises at the checked points
     return ev
 

@@ -4,10 +4,16 @@ Quadrature is a tensor-product midpoint rule.  The last worldsheet coordinate
 may have limits given by edge graphs over the leading coordinates.  Sums are
 plain numpy reductions (pairwise), so results are reproducible across runs.
 The finite-difference check displaces the sheet by delta = T phi_t + N phi_n
-(aligned normals N), one column sum for every codimension; the displaced
-tangent map is the sheet's own plus eps times a central difference of delta.
-Each displaced edge bounds the domain by its graph to first order in eps, in
-closed form: the variation reads the edge displacement only through Psi.
+(aligned normals N), one column sum for every codimension.  delta and its
+central-difference Jacobian J are made once per call, at the undeformed nodes
+(the bulk grid and each edge's boundary grid), and both signs of eps read
+them: at the image of node zeta the displaced tangent map is the sheet's own
+plus eps J(zeta).  That drops a term of the displaced map's tangent map which
+starts at eps^2 with an even coefficient, so the centered difference keeps its
+first-order part; a single-eps value moves at O(eps^2), a Richardson value at
+O(eps^4).  Each displaced edge bounds the domain by its graph to first order
+in eps, in closed form: the variation reads the edge displacement only
+through Psi.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .geometry import (
     _Evaluation,
     _extrinsic,
     _frame_at,
+    _lazy,
     _procrustes,
     _pullback,
     _sum_last,
@@ -171,10 +178,11 @@ class DeformationField:
     every component is multiplied by a smooth window that vanishes on the
     outer quarter of the first coordinate, so the variational identities hold
     without manual cap handling.  Callables must broadcast over leading batch
-    axes: under a finite-difference stencil (:func:`metric_variation`, the
-    displaced tangent maps of :func:`first_variation_fd`) they receive the
-    stencil points with one extra leading axis, in blocks of at most
-    ``FD_BLOCK_POINTS`` points (see :func:`geometry.fd_jacobian`).
+    axes: under a finite-difference stencil (:func:`metric_variation`, and the
+    Jacobian of the displacement that :func:`first_variation_fd` makes once per
+    call at its undeformed bulk and edge nodes) they receive the stencil points
+    with one extra leading axis, in blocks of at most ``FD_BLOCK_POINTS`` points
+    (see :func:`geometry.fd_jacobian`).
     """
 
     tangential_fn: Callable[[Array], Array] | None = None
@@ -308,25 +316,58 @@ def first_variation_analytic(embedding: Embedding, edges: Sequence[BoundaryEmbed
     return float(total)
 
 
-def _deformed_embedding(embedding: Embedding, deformation: DeformationField,
-                        eps: float, align) -> Embedding:
+def _displacement(embedding: Embedding, deformation: DeformationField,
+                  align) -> Callable[[Array], Array]:
+    """delta = T phi_t + N phi_n at sheet points, N the aligned normals: one column sum for
+    every codimension.  The sheet is read unchecked, its points validated by the caller."""
     d = embedding.worldsheet_dim
     k = embedding.codimension
 
-    def delta(fr):
-        phi_t, phi_n = deformation._bulk(fr.point, d, k)
+    def delta(p):
+        fr = _Evaluation(embedding, p)
+        phi_t, phi_n = deformation._bulk(p, d, k)
         n = align(fr.ungauged_normals)  # no sign gauge: the alignment fixes the sign
         return _sum_last(fr.tangents * phi_t[..., None, :]) + _sum_last(n * phi_n[..., None, :])
 
+    return delta
+
+
+class _Nodes:
+    """Undeformed sheet points zeta, with delta and its Jacobian J there, each made on first
+    read and kept: the displaced sheets of both signs of eps read them at zeta's images."""
+
+    def __init__(self, delta: Callable[[Array], Array], points: Array, step: float) -> None:
+        self._delta, self.points, self._step = delta, points, step
+
+    @_lazy
+    def delta(self) -> Array:
+        return self._delta(self.points)
+
+    @_lazy
+    def jacobian(self) -> Array:
+        return fd_jacobian(self._delta, self.points, self._step)
+
+
+def _displaced_sheet(embedding: Embedding, eps: float, images: dict[bytes, _Nodes]) -> Embedding:
+    """The displaced sheet X + eps delta at the images of undeformed nodes.
+
+    ``images`` maps the bytes of each displaced point set to the nodes zeta it
+    is the image of, point by point.  At the image xi of zeta the position is
+    X(xi) + eps delta(zeta) and the tangent map T(xi) + eps J(zeta), with X and
+    T the sheet's own callbacks at xi.  That is the tangent map of
+    X + eps delta(Phi^-1), Phi = id + eps V the map of the undeformed domain onto
+    the displaced one, without eps J ((I + eps DV)^-1 - I): a term that starts at
+    eps^2 with an even coefficient, so the first-order integrand at every node,
+    and with it the centered difference's limit, is unchanged.
+    """
     def pos(xi):
-        fr = _Evaluation(embedding, xi)
-        return fr.x + eps * delta(fr)
+        return embedding.position(xi) + eps * images[xi.tobytes()].delta
 
-    def d_pos(xi):  # the sheet's own tangent map: only eps delta is differenced
-        return embedding.d_position(xi) + eps * fd_jacobian(
-            lambda p: delta(_Evaluation(embedding, p)), xi, embedding.fd_step)
+    def d_pos(xi):  # the sheet's own tangent map: only delta is differenced
+        return embedding.d_position(xi) + eps * images[xi.tobytes()].jacobian
 
-    return Embedding(d, embedding.background, pos, d_pos, fd_step=embedding.fd_step)
+    return Embedding(embedding.worldsheet_dim, embedding.background, pos, d_pos,
+                     fd_step=embedding.fd_step)
 
 
 def _displaced_edge(bnd: BoundaryEmbedding, deformation: DeformationField, eps: float,
@@ -373,28 +414,45 @@ def first_variation_fd(embedding: Embedding, edges: Sequence[BoundaryEmbedding],
     :func:`first_variation_analytic` to O(eps^2) plus quadrature error.  Each
     edge's undeformed chi, eta and psi are evaluated once per call at each
     point set its displaced edges and limits read, for both signs of eps.
+    The displacement delta and its Jacobian J are evaluated once per call too,
+    at the undeformed nodes: the bulk grid and each edge's boundary grid, whose
+    images are the nodes of both signs' displaced sheets.  delta there is read
+    only where the displaced actions read positions: on every edge, and in the
+    bulk on a curved background.  Reading J at the undeformed node drops a term
+    of the displaced tangent map that starts at eps^2 with an even coefficient
+    (see :func:`_displaced_sheet`), so the first-order part is kept: against
+    the exact displaced map, a single-eps value moves at O(eps^2) and a
+    Richardson value at O(eps^4).
     """
     if not (_numbers(epsilon) and np.isfinite(epsilon) and epsilon > 0):
         raise InvalidParameters("epsilon must be positive and finite")
     _check_edge_sides(edges)
-    align = _domain_alignment(embedding, config.grid)
-    # the displaced maps and edges read the sheet unchecked, so it is
+    delta = _displacement(embedding, deformation, _domain_alignment(embedding, config.grid))
+    # the displaced sheets and edges read the sheet unchecked, so it is
     # validated here, once, at the quadrature points of the bulk and each edge
-    _frame_at(embedding, _bulk_grid(config.grid)[0])
+    pts = _bulk_grid(config.grid)[0]
+    _frame_at(embedding, pts)
+    bulk = _Nodes(delta, pts, embedding.fd_step)
     u = _boundary_grid(config.grid)[0]
+    edge_nodes = []
     for bnd in edges:
-        _frame_at(bnd.parent, bnd.chi(u))
+        xi = bnd.chi(u)
+        _frame_at(bnd.parent, xi)
+        edge_nodes.append(_Nodes(delta, xi, embedding.fd_step))
     parts = [{} for _ in edges]  # each edge's undeformed parts, shared by both signs of eps
     last = config.grid[-1]
 
     def total_action(eps: float) -> float:
-        emb_eps = _deformed_embedding(embedding, deformation, eps, align)
         displaced = {bnd.orientation: _displaced_edge(bnd, deformation, eps, store)
                      for bnd, store in zip(edges, parts)}
-        edges_eps = [BoundaryEmbedding(emb_eps, chi, side) for side, (chi, _) in displaced.items()]
         limits = {-1: last.lo, 1: last.hi} | {side: lim for side, (_, lim) in displaced.items()}
         cfg = ActionConfig(config.mu0, config.mub,
                            config.grid[:-1] + (GridAxis(last.points, limits[-1], limits[1]),))
+        # node j of the displaced bulk grid is the image of node j of the undeformed one
+        images = {_bulk_grid(cfg.grid)[0].tobytes(): bulk} | {
+            chi(u).tobytes(): nodes for (chi, _), nodes in zip(displaced.values(), edge_nodes)}
+        emb_eps = _displaced_sheet(embedding, eps, images)
+        edges_eps = [BoundaryEmbedding(emb_eps, chi, side) for side, (chi, _) in displaced.items()]
         return dng_action(emb_eps, cfg) + sum(edge_action(e, cfg) for e in edges_eps)
 
     return (total_action(epsilon) - total_action(-epsilon)) / (2.0 * epsilon)

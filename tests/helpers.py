@@ -7,8 +7,19 @@ import numpy as np
 
 from worldsheet import catalog
 from worldsheet.background import EUCLIDEAN, BackgroundMetric
-from worldsheet.geometry import Embedding, _frame_at, _hodge_normal, _step_scale
-from worldsheet.variation import DeformationField, first_variation_fd
+from worldsheet.boundary import BoundaryEmbedding
+from worldsheet.geometry import Embedding, _frame_at, _hodge_normal, _step_scale, fd_jacobian
+from worldsheet.variation import (
+    ActionConfig,
+    DeformationField,
+    GridAxis,
+    _displaced_edge,
+    _displacement,
+    _domain_alignment,
+    dng_action,
+    edge_action,
+    first_variation_fd,
+)
 
 
 def fd_only_twin(emb: Embedding, fd_step: float = 1e-5) -> Embedding:
@@ -86,6 +97,42 @@ def richardson_variation(emb, edges, cfg, defo, eps):
     f1 = first_variation_fd(emb, edges, cfg, defo, eps)
     f2 = first_variation_fd(emb, edges, cfg, defo, eps / 2.0)
     return (4.0 * f2 - f1) / 3.0
+
+
+# Reference for ``first_variation_fd``: the exact displaced map X + eps delta at
+# each sign's own displaced points, its tangent map the sheet's plus eps times
+# a stencil of delta there, so each sign of eps differences delta afresh.  The
+# shared Jacobian of delta at the undeformed nodes drops a term of it that
+# starts at eps^2, even in eps.
+
+
+def per_sign_displaced_sheet(embedding, delta, eps):
+    """X + eps delta, with its own central difference of delta at every point it is read."""
+    return Embedding(
+        embedding.worldsheet_dim, embedding.background,
+        lambda xi: embedding.position(xi) + eps * delta(xi),
+        lambda xi: embedding.d_position(xi) + eps * fd_jacobian(delta, xi, embedding.fd_step),
+        fd_step=embedding.fd_step)
+
+
+def per_sign_variation_fd(emb, edges, cfg, defo, eps):
+    """[S(+eps) - S(-eps)] / (2 eps) of the per-sign displaced sheets and the displaced edges."""
+    delta = _displacement(emb, defo, _domain_alignment(emb, cfg.grid))
+    parts = [{} for _ in edges]
+    last = cfg.grid[-1]
+
+    def total_action(e):
+        displaced = {bnd.orientation: _displaced_edge(bnd, defo, e, store)
+                     for bnd, store in zip(edges, parts)}
+        limits = {-1: last.lo, 1: last.hi} | {side: lim for side, (_, lim) in displaced.items()}
+        cfg_e = ActionConfig(cfg.mu0, cfg.mub,
+                             cfg.grid[:-1] + (GridAxis(last.points, limits[-1], limits[1]),))
+        sheet = per_sign_displaced_sheet(emb, delta, e)
+        return dng_action(sheet, cfg_e) + sum(
+            edge_action(BoundaryEmbedding(sheet, chi, side), cfg_e)
+            for side, (chi, _) in displaced.items())
+
+    return (total_action(eps) - total_action(-eps)) / (2.0 * eps)
 
 
 # Reference oracle for the endpoint step: the batched numpy Runge-Kutta form

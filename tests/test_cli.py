@@ -557,6 +557,20 @@ class TestScan:
         assert any(r["status"].startswith("failed") for r in rows)
         assert any(r["status"] == "ok" for r in rows)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_hole_radii_fail_without_numpy_warnings(self, tmp_path):
+        # the hole's tangent map has entries of order rho; its rank is checked
+        # before gamma is built, so no Gram product overflows on the way
+        cfg = tmp_path / "scan.json"
+        write_json(cfg, {"schema_version": 1, "scan": "hole_radius",
+                         "start": 1e150, "stop": 1e200, "points": 5,
+                         "mu0": 1.0, "mub": 2.0})
+        out = tmp_path / "scan"
+        assert main(["scan", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        rows = read_rows(out / "scan.csv")
+        assert [r["status"] for r in rows] == ["failed: tangent map is rank-deficient "
+                                               "(bad parametrization or coincident points)"] * 5
+
     def test_csv_float_format(self, tmp_path):
         cfg = tmp_path / "scan.json"
         write_json(cfg, {"schema_version": 1, "scan": "hole_radius",

@@ -28,17 +28,20 @@ A finite-difference stencil calls its function once for all its shifts, in
 blocks of at most ``geometry.FD_BLOCK_POINTS`` points; the second-derivative
 fallback, a stencil of a stencil, is one call of the map for a small batch.
 The sheet's volume element reads the map's points only on a curved
-background, since a flat metric is the same at every point; a displaced map
-windows its deformation once per point batch.
+background, since a flat metric is the same at every point; the displacement
+of the finite-difference first variation windows its deformation once per
+point batch.
 The rank and signature checks run once per batch of points a caller asks
 for; the stencil points of a kernel that differences geometry around them
 take the unchecked evaluation.  The finite-difference first variation checks
 the undeformed sheet once on its bulk grid and once on each edge's boundary
 grid, the points it integrates over, and reads it unchecked everywhere else.
-Its displaced maps align the ungauged normal and take no sign gauge, and it
-evaluates each undeformed edge once per point set that a displaced edge or
-its limit reads, for both signs of eps: a sloped edge costs what a straight
-one does, since its displaced limit is explicit.
+Its displacement aligns the ungauged normal and takes no sign gauge.  It
+differences that displacement once per call, on the bulk grid and on each
+edge's boundary grid, for both signs of eps, and evaluates each undeformed
+edge once per point set that a displaced edge or its limit reads, for both
+signs too: a sloped edge costs what a straight one does, since its displaced
+limit is explicit.
 """
 
 import dataclasses
@@ -47,7 +50,7 @@ import json
 import numpy as np
 import pytest
 
-from worldsheet import catalog, dynamics, geometry
+from worldsheet import catalog, dynamics, geometry, variation
 from worldsheet.background import BackgroundMetric
 from worldsheet.boundary import (
     BoundaryEmbedding,
@@ -75,8 +78,8 @@ from worldsheet.variation import (
     ActionConfig,
     DeformationField,
     GridAxis,
-    _deformed_embedding,
     _displaced_edge,
+    _displacement,
     _domain_alignment,
     dng_action,
     edge_action,
@@ -158,15 +161,35 @@ def test_volume_action_reads_map_points_only_on_a_curved_background(counts, embe
 
 
 def test_fd_variation_evaluation_counts(counts):
-    # every displaced map and edge evaluation is an unchecked record of the
-    # undeformed sheet, which is validated once on the bulk grid and once on
-    # each edge's boundary grid; the displaced volume elements take tangents only.
-    # Each of the 6 displaced tangent maps (the bulk and two edges, each sign of
-    # eps) is one sheet d_position plus one sheet evaluation on the stacked
-    # stencil of the displacement
+    # every displaced sheet and edge evaluation reads the undeformed sheet
+    # unchecked, which is validated once on the bulk grid and once on each
+    # edge's boundary grid; the displaced volume elements take tangents only.
+    # Once per call: delta at each edge's nodes and its stencil at those and the
+    # bulk nodes, one sheet evaluation each.  Per sign of eps: the sheet's own
+    # tangent map on the displaced bulk grid, and its map and tangent map on
+    # each displaced edge
     config, edges = catalog.action_setup(HELICOID, 1.0, 3.0, (16, 16))
     first_variation_fd(HELICOID.embedding, edges, config, random_deformation(HELICOID, 0), 1e-2)
-    assert (counts["position"], counts["d_position"]) == (22, 30)
+    assert (counts["position"], counts["d_position"]) == (21, 25)
+
+
+def test_fd_variation_differences_delta_once_per_undeformed_point_set(monkeypatch):
+    # one stencil at the bulk grid and one at each edge's boundary grid, the
+    # undeformed nodes, shared by both signs of eps
+    config, edges = catalog.action_setup(HELICOID, 1.0, 3.0, (16, 16))
+    points = []
+    original = variation.fd_jacobian
+
+    def counted(fn, point, step):
+        points.append(point)
+        return original(fn, point, step)
+
+    monkeypatch.setattr(variation, "fd_jacobian", counted)
+    first_variation_fd(HELICOID.embedding, edges, config, random_deformation(HELICOID, 0), 1e-2)
+    u = variation._boundary_grid(config.grid)[0]
+    nodes = [variation._bulk_grid(config.grid)[0]] + [bnd.chi(u) for bnd in edges]
+    assert len(edges) == 2 and len(points) == len(nodes)
+    assert all(np.array_equal(p, n) for p, n in zip(points, nodes))
 
 
 @pytest.mark.parametrize("entry, mub, seed, points", [
@@ -194,10 +217,10 @@ def test_fd_variation_evaluates_each_undeformed_edge_once_per_point_set(monkeypa
     assert sorted(calls) == [i for i in range(len(edges)) for _ in range(5)]
 
 
-def test_displaced_map_position_takes_no_normal_sign_gauge(monkeypatch):
+def test_displacement_takes_no_normal_sign_gauge(monkeypatch):
     config = catalog.action_setup(HELICOID, 1.0, 3.0, (16, 16))[0]
-    displaced = _deformed_embedding(HELICOID.embedding, random_deformation(HELICOID, 0), 1e-2,
-                                    _domain_alignment(HELICOID.embedding, config.grid))
+    delta = _displacement(HELICOID.embedding, random_deformation(HELICOID, 0),
+                          _domain_alignment(HELICOID.embedding, config.grid))
     calls = 0
     original = geometry._first_significant_sign
 
@@ -207,7 +230,7 @@ def test_displaced_map_position_takes_no_normal_sign_gauge(monkeypatch):
         return original(v)
 
     monkeypatch.setattr(geometry, "_first_significant_sign", counted)
-    displaced.position(HELICOID.sample_grid())
+    delta(HELICOID.sample_grid())
     assert calls == 0
 
 
@@ -242,7 +265,7 @@ def test_gauss_weingarten_checks_only_the_points_it_is_asked_for(checked):
     assert checked == {"helicoid": [len(pts)], "other": []}
 
 
-def test_displaced_map_windows_each_point_batch_once(monkeypatch):
+def test_displacement_windows_each_point_batch_once(monkeypatch):
     calls = 0
     original = DeformationField._window
 
@@ -252,9 +275,9 @@ def test_displaced_map_windows_each_point_batch_once(monkeypatch):
         return original(self, t)
 
     monkeypatch.setattr(DeformationField, "_window", counted)
-    displaced = _deformed_embedding(HELICOID.embedding, random_deformation(HELICOID, 0), 1e-2,
-                                    lambda normals: normals)
-    displaced.position(HELICOID.sample_grid())
+    delta = _displacement(HELICOID.embedding, random_deformation(HELICOID, 0),
+                          lambda normals: normals)
+    delta(HELICOID.sample_grid())
     assert calls == 1
 
 

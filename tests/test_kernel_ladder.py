@@ -20,7 +20,7 @@ def test_ladder_times_every_kernel_in_both_versions(capsys):
     assert [row.split()[0] for row in rows] == [
         "dynamics.step", "constraint_norms", "gate", "dynamics.evolve", "dynamics.evolve",
         "position", "frame", "normal_frame", "extrinsic_curvature", "boundary_data",
-        "_frame_at", "displaced", "displaced", "first_variation_fd", "evaluate_entry",
+        "_frame_at", "delta_jacobian", "displaced", "first_variation_fd", "evaluate_entry",
         "evaluate_entry"]
     for row in rows:
         base, base_flt, work, work_flt, ratio = (float(v) for v in row.split()[-5:])

@@ -21,15 +21,14 @@ from worldsheet.geometry import (
     _frame_at,
     _procrustes,
     _sum_last,
-    fd_jacobian,
     frame,
 )
 from worldsheet.variation import (
     ActionConfig,
     DeformationField,
     GridAxis,
-    _deformed_embedding,
     _displaced_edge,
+    _displacement,
     _domain_alignment,
     _smooth_ramp,
     dng_action,
@@ -39,7 +38,13 @@ from worldsheet.variation import (
     metric_variation,
 )
 
-from helpers import random_deformation, richardson_variation, s3_sphere, where_smooth_ramp
+from helpers import (
+    per_sign_variation_fd,
+    random_deformation,
+    richardson_variation,
+    s3_sphere,
+    where_smooth_ramp,
+)
 
 PLANE = catalog.plane()
 HELICOID = catalog.helicoid(0.5, 1.0)
@@ -458,7 +463,7 @@ S3_POINTS = np.random.default_rng(0).uniform(-1.0, 1.0, (50, 2))
 
 
 class TestLeanDisplacedActions:
-    """The displaced map and window of ``first_variation_fd`` against their earlier forms."""
+    """The displacement, window and displaced sheets of ``first_variation_fd`` against earlier forms."""
 
     def test_smooth_ramp_equals_the_where_form_bitwise(self):
         x = np.concatenate([np.linspace(-0.5, 1.5, 200_001),
@@ -514,7 +519,7 @@ class TestLeanDisplacedActions:
         assert np.array_equal(got, -want if flipped else want)
 
     @pytest.mark.parametrize("entry", [HELICOID, DISK, PLANE], ids=lambda e: e.id)
-    def test_displaced_map_equals_the_column_sum_form_bitwise(self, entry):
+    def test_displacement_equals_the_column_sum_form_bitwise(self, entry):
         # delta = T phi_t + N phi_n as numpy column sums, N the gauged normal aligned
         cfg = catalog.action_setup(entry, 1.0, 1.0, (16, 16))[0]
         align = _domain_alignment(entry.embedding, cfg.grid)
@@ -522,42 +527,38 @@ class TestLeanDisplacedActions:
         pts = entry.sample_grid()
         fr = _frame_at(entry.embedding, pts)
         phi_t, phi_n = defo._bulk(pts, 2, 1)
-        for eps in (1e-2, -1e-2, 1.0):
-            got = _deformed_embedding(entry.embedding, defo, eps, align).position(pts)
-            want = fr.x + eps * ((fr.tangents * phi_t[..., None, :]).sum(-1)
-                                 + (align(fr.normals) * phi_n[..., None, :]).sum(-1))
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got = _displacement(entry.embedding, defo, align)(pts)
+        want = ((fr.tangents * phi_t[..., None, :]).sum(-1)
+                + (align(fr.normals) * phi_n[..., None, :]).sum(-1))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_displaced_map_with_two_normals_equals_the_column_sum_form_bitwise(self):
+    def test_displacement_with_two_normals_equals_the_column_sum_form_bitwise(self):
         sheet, defo, pts = TWO_NORMAL_SHEET, TWO_NORMAL_DEFORMATION, TWO_NORMAL_POINTS
         fr = _frame_at(sheet, pts)
         phi_t, phi_n = defo._bulk(pts, 2, 2)
-        got = _deformed_embedding(sheet, defo, 0.1, lambda n: n).position(pts)
-        want = fr.x + 0.1 * ((fr.tangents * phi_t[..., None, :]).sum(-1)
-                             + (fr.normals * phi_n[..., None, :]).sum(-1))
+        got = _displacement(sheet, defo, lambda n: n)(pts)
+        want = ((fr.tangents * phi_t[..., None, :]).sum(-1)
+                + (fr.normals * phi_n[..., None, :]).sum(-1))
         assert fr.normals.shape[-1] == 2
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("case", ["helicoid", "two_normals"])
-    def test_displaced_tangent_map_is_the_derivative_of_the_displaced_map(self, case):
-        # the callback (the sheet's tangent map, analytic for the helicoid and its
-        # own central difference for the other, plus eps times a difference of
-        # delta) against central differences of the displaced map: the gap
-        # shrinks 4x when h halves, so it is the differences' O(h^2)
-        if case == "helicoid":
-            cfg = catalog.action_setup(HELICOID, 1.0, 1.0, (16, 16))[0]
-            sheet, pts = HELICOID.embedding, HELICOID.sample_grid()
-            defo = random_deformation(HELICOID, 3)
-            align = _domain_alignment(sheet, cfg.grid)
-        else:  # timelike for sigma below about 0.95; its unaligned frame turns fast in
-            # places, so h stays at 1e-3 and below
-            sheet, defo, pts = TWO_NORMAL_SHEET, TWO_NORMAL_DEFORMATION, 0.9 * TWO_NORMAL_POINTS
-            align = lambda n: n
-        displaced = _deformed_embedding(sheet, defo, 0.1, align)
-        tangents = displaced.d_position(pts)
-        gaps = [np.abs(fd_jacobian(displaced.position, pts, h) - tangents).max()
-                for h in (1e-3, 5e-4)]
-        assert gaps[0] < 1e-3 and 3.5 < gaps[0] / gaps[1] < 4.5
+    @pytest.mark.parametrize("entry,mub", [(PLANE, 0.7), (HELICOID, 3.0), (DISK, 0.5)],
+                             ids=["plane", "helicoid", "disk"])
+    def test_shared_jacobian_moves_the_variation_at_second_order(self, entry, mub):
+        # against the per-sign reference (each sign's own stencil of delta at its
+        # displaced points): the shared Jacobian at the undeformed nodes drops a
+        # term that starts at eps^2, even in eps, so the single-eps gap shrinks 4x
+        # when eps halves and the Richardson values agree.  The largest Richardson
+        # gap measured on these 15 cases is 1.2e-6 (helicoid, seed 2)
+        cfg, edges = catalog.action_setup(entry, 1.0, mub, (16, 16))
+        for seed in range(5):
+            defo = random_deformation(entry, seed=seed)
+            got, want = ([fn(entry.embedding, edges, cfg, defo, eps) for eps in (1e-2, 5e-3)]
+                         for fn in (first_variation_fd, per_sign_variation_fd))
+            gaps = [g - w for g, w in zip(got, want)]
+            assert 3.5 < gaps[0] / gaps[1] < 4.5, (seed, gaps)
+            richardson = [(4.0 * f[1] - f[0]) / 3.0 for f in (got, want)]
+            assert abs(richardson[0] - richardson[1]) < 2e-6, (seed, richardson)
 
     @pytest.mark.parametrize("side", [1, -1], ids=["hi_hi", "lo_lo"])
     def test_two_edges_on_one_side_raise(self, side):

@@ -23,9 +23,13 @@ loop, where a step takes over what the previous one computed), one step of
 stored snapshot), ``position``, ``frame``, ``normal_frame``,
 ``extrinsic_curvature`` and ``boundary_data`` on the catalog helicoid at each
 batch size, the checked evaluation ``geometry._frame_at`` of the helicoid at
-4096 points, the ``position`` of a displaced helicoid map of
-``first_variation_fd`` at the same points and its tangent map ``d_position``
-(one call per displaced ``dng_action``), ``variation.first_variation_fd``
+4096 points, the Jacobian of the displacement delta of ``first_variation_fd``
+on the helicoid's 64 x 64 bulk grid (one per call, shared by both signs of
+eps; a version without the kept displacement ``variation._displacement``
+times its displaced map's tangent map ``d_position`` there, which differences
+delta once per sign), one displaced ``dng_action`` on that grid (reading
+delta's Jacobian kept from its first call; in a version without it, with its
+own stencil of delta), ``variation.first_variation_fd``
 on the helicoid at 16 x 16 quadrature points (the workload ``variation-fd``
 runs it at 64 x 64), and ``catalog.evaluate_entry`` on the catalog helicoid
 and hole (the rows of ``verify``, which the workload ``catalog-cli`` runs).
@@ -60,6 +64,7 @@ BASE = "worldsheet_base"
 TARGET_S = 0.02  # one measurement lasts about this long when --number is not given
 FRAME_POINTS = 4096
 FD_QUADRATURE = 16
+ACTION_QUADRATURE = 64  # the grid of the workload ``variation-fd``: 4096 bulk points
 
 
 def load_package(directory: Path, name: str):
@@ -134,12 +139,22 @@ def kernels(pkg: str, grid_points: int, batches: list[int]) -> dict[str, tuple]:
         normal_fn=lambda xi: 0.1 * np.sin(2.0 * xi[..., :1]) * np.cos(xi[..., -1:]),
         boundary_normal_fns=lambda v: 0.05 * np.cos(v[..., 0]),
         time_extent=tuple(map(float, entry.domain[0])))
-    displaced = variation._deformed_embedding(emb, defo, 1e-2,
-                                              variation._domain_alignment(emb, cfg.grid))
+    action_cfg = catalog.action_setup(entry, 1.0, 3.0, (ACTION_QUADRATURE, ACTION_QUADRATURE))[0]
+    grid = variation._bulk_grid(action_cfg.grid)[0]
+    align = variation._domain_alignment(emb, action_cfg.grid)
+    if hasattr(variation, "_displacement"):  # one Jacobian of delta per call, kept
+        delta = variation._displacement(emb, defo, align)
+        displaced = variation._displaced_sheet(
+            emb, 1e-2, {grid.tobytes(): variation._Nodes(delta, grid, emb.fd_step)})
+        jacobian = lambda: variation.fd_jacobian(delta, grid, emb.fd_step)
+    else:  # each displaced map differences delta at its own points
+        displaced = variation._deformed_embedding(emb, defo, 1e-2, align)
+        jacobian = lambda: displaced.d_position(grid)
     calls.update({
         f"_frame_at B={FRAME_POINTS}": (lambda: geometry._frame_at(emb, pts), 1),
-        f"displaced position B={FRAME_POINTS}": (lambda: displaced.position(pts), 1),
-        f"displaced d_position B={FRAME_POINTS}": (lambda: displaced.d_position(pts), 1),
+        f"delta_jacobian B={len(grid)}": (jacobian, 1),
+        f"displaced dng_action {ACTION_QUADRATURE}x{ACTION_QUADRATURE}": (
+            lambda: variation.dng_action(displaced, action_cfg), 1),
         f"first_variation_fd {FD_QUADRATURE}x{FD_QUADRATURE}": (
             lambda: variation.first_variation_fd(emb, edges, cfg, defo, 1e-2), 1),
     })

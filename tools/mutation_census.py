@@ -144,16 +144,16 @@ MUTANTS = {
             "return np.asarray(e, dtype=float)",
             "drops the finiteness gate of `Embedding.d_position` on the tangent map"),
     "M48": ("src/worldsheet/variation.py",
-            "_frame_at(embedding, _bulk_grid(config.grid)[0])",
-            "_bulk_grid(config.grid)[0]",
+            "    _frame_at(embedding, pts)\n    bulk = ",
+            "    bulk = ",
             "drops the check of the undeformed sheet on the bulk grid in `first_variation_fd`"),
     "M49": ("src/worldsheet/variation.py",
-            "        _frame_at(bnd.parent, bnd.chi(u))\n",
-            "        bnd.chi(u)\n",
+            "        _frame_at(bnd.parent, xi)\n",
+            "",
             "drops the check of the undeformed sheet on each edge's grid in `first_variation_fd`"),
     "M50": ("src/worldsheet/geometry.py",
-            "    _check_metric(embedding, ev.induced_metric, *ev.cofactors,\n"
-            "                  _rank_checked_scale(ev.tangents, ev.minors))\n",
+            "    scale = _rank_checked_scale(ev.tangents, ev.minors)\n"
+            "    _check_metric(embedding, ev.induced_metric, *ev.cofactors, scale)\n",
             "",
             "drops the rank and signature checks from `_frame_at`, the one place they run"),
     "M51": ("src/worldsheet/variation.py",
@@ -285,12 +285,12 @@ MUTANTS = {
             "positions[start:stop - 1], velocities[start:stop - 1]",
             "leaves the last step of a gated block ungated"),
     "M78": ("src/worldsheet/variation.py",
-            "return embedding.d_position(xi) + eps * fd_jacobian(",
-            "return embedding.d_position(xi) + fd_jacobian(",
+            "return embedding.d_position(xi) + eps * images[xi.tobytes()].jacobian",
+            "return embedding.d_position(xi) + images[xi.tobytes()].jacobian",
             "drops eps from the displaced tangent map of `first_variation_fd`"),
     "M79": ("src/worldsheet/variation.py",
-            "return embedding.d_position(xi) + eps * fd_jacobian(",
-            "return eps * fd_jacobian(",
+            "return embedding.d_position(xi) + eps * images[xi.tobytes()].jacobian",
+            "return eps * images[xi.tobytes()].jacobian",
             "drops the sheet's own tangent map from the displaced one of `first_variation_fd`"),
     "M80": ("src/worldsheet/variation.py",
             "parts[key] = xi, eta, psi[..., None], psi / eta_last",
@@ -314,6 +314,11 @@ MUTANTS = {
             "                       DegenerateImmersion, \"non-finite edge map chi\")",
             "return np.asarray(self.chi_fn(np.asarray(point, dtype=float)), dtype=float)",
             "drops the finiteness gate of `BoundaryEmbedding.chi`, the only one on the edge map"),
+    "M85": ("src/worldsheet/variation.py",
+            "return embedding.d_position(xi) + eps * images[xi.tobytes()].jacobian",
+            "return embedding.d_position(xi) + abs(eps) * images[xi.tobytes()].jacobian",
+            "reads +|eps| J in the displaced tangent map of the -eps action of "
+            "`first_variation_fd`"),
 }
 
 
